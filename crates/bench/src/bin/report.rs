@@ -1,5 +1,6 @@
-//! Experiment report harness: regenerates every table/figure analogue in
-//! EXPERIMENTS.md.
+//! Experiment report harness: regenerates every table/figure analogue of
+//! experiments E1–E12 (one function each in this crate's library) and
+//! checks the invariants the paper claims for them.
 //!
 //! ```text
 //! cargo run --release -p cqa-bench --bin report            # all experiments

@@ -1,7 +1,8 @@
 //! Experiment harness shared by the `report` binary and the Criterion
-//! benches. One function per experiment in EXPERIMENTS.md (E1–E11); each
-//! prints the table(s) it regenerates and returns `true` when every
-//! invariant the paper claims held.
+//! benches. One function per experiment (E1–E12, listed by the `report`
+//! binary and the workspace README); each prints the table(s) it
+//! regenerates and returns `true` when every invariant the paper claims
+//! held.
 
 use cqa::solvers::{
     certain_brute, certain_brute_budgeted, certain_by_matching, certain_combined, certk,

@@ -30,7 +30,7 @@
 //! (`crates/core/tests/delta_props.rs`, the `deltadiff` fuzz target)
 //! compare it against a from-scratch recompute after every step.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use crate::classify::Complexity;
 use crate::engine::{AnsweredBy, CertainAnswer, CqaEngine};
@@ -74,6 +74,75 @@ struct CompVerdict {
     warm: Option<CertKWarmState>,
 }
 
+/// Running aggregates over a state's component verdicts, updated as
+/// verdicts come and go so that [`QueryDeltaState::answer`] is O(1)
+/// rather than a fold over every component.
+#[derive(Clone, Debug, Default)]
+struct VerdictTotals {
+    certain: usize,
+    budget_exhausted: usize,
+    /// Field sums of the verdicts' `CertKStats`; `peak_members` stays 0.
+    sums: CertKStats,
+    /// Multiset of their `peak_members` (value → count), for the max;
+    /// empty iff no verdict carries stats.
+    peaks: BTreeMap<usize, usize>,
+}
+
+impl VerdictTotals {
+    fn add(&mut self, v: &CompVerdict) {
+        self.certain += usize::from(v.certain);
+        self.budget_exhausted += usize::from(v.budget_exhausted);
+        if let Some(s) = &v.stats {
+            self.sums.absorb(&CertKStats {
+                peak_members: 0,
+                ..*s
+            });
+            *self.peaks.entry(s.peak_members).or_default() += 1;
+        }
+    }
+
+    fn remove(&mut self, v: &CompVerdict) {
+        self.certain -= usize::from(v.certain);
+        self.budget_exhausted -= usize::from(v.budget_exhausted);
+        if let Some(s) = &v.stats {
+            // Exhaustive, so a new `CertKStats` field cannot be missed.
+            let CertKStats {
+                rounds,
+                inserted,
+                steps,
+                peak_members,
+                stale_compacted,
+                blocks_derived,
+                blocks_skipped,
+            } = *s;
+            self.sums.rounds -= rounds;
+            self.sums.inserted -= inserted;
+            self.sums.steps -= steps;
+            self.sums.stale_compacted -= stale_compacted;
+            self.sums.blocks_derived -= blocks_derived;
+            self.sums.blocks_skipped -= blocks_skipped;
+            let count = self
+                .peaks
+                .get_mut(&peak_members)
+                .expect("a removed verdict was added");
+            *count -= 1;
+            if *count == 0 {
+                self.peaks.remove(&peak_members);
+            }
+        }
+    }
+
+    /// The summed stats, as `CertKStats::absorb` folded over every
+    /// verdict would give them; `None` when no verdict carries stats.
+    fn stats(&self) -> Option<CertKStats> {
+        let (&peak_members, _) = self.peaks.last_key_value()?;
+        Some(CertKStats {
+            peak_members,
+            ..self.sums
+        })
+    }
+}
+
 /// Per-query incremental cache: solutions, partition and component
 /// verdicts, patched in `O(dirty region)` per [`Database::apply_delta`].
 ///
@@ -88,6 +157,7 @@ pub struct QueryDeltaState {
     solutions: IncrementalSolutions,
     comps: DynamicComponents,
     verdicts: HashMap<u32, CompVerdict>,
+    totals: VerdictTotals,
     stats: DeltaStats,
 }
 
@@ -113,13 +183,29 @@ impl QueryDeltaState {
             solutions,
             comps,
             verdicts: HashMap::new(),
+            totals: VerdictTotals::default(),
             stats: DeltaStats::default(),
         };
         for id in state.comps.ids().collect::<Vec<_>>() {
             let v = state.solve_cold(db, id);
-            state.verdicts.insert(id, v);
+            state.put_verdict(id, v);
         }
         Some(state)
+    }
+
+    /// Record component `id`'s verdict in the map and the totals.
+    fn put_verdict(&mut self, id: u32, v: CompVerdict) {
+        self.totals.add(&v);
+        if let Some(old) = self.verdicts.insert(id, v) {
+            self.totals.remove(&old);
+        }
+    }
+
+    /// Take component `id`'s verdict out of the map and the totals.
+    fn take_verdict(&mut self, id: u32) -> Option<CompVerdict> {
+        let v = self.verdicts.remove(&id)?;
+        self.totals.remove(&v);
+        Some(v)
     }
 
     /// The engine (query, classification, config) this cache answers for.
@@ -182,9 +268,9 @@ impl QueryDeltaState {
         // Verdicts of dissolved components become warm-seed material for
         // their descendants (growth-only deltas), then die.
         let mut parents: HashMap<u32, CompVerdict> = HashMap::new();
-        for c in &creport.dropped {
-            if let Some(v) = self.verdicts.remove(c) {
-                parents.insert(*c, v);
+        for &c in &creport.dropped {
+            if let Some(v) = self.take_verdict(c) {
+                parents.insert(c, v);
             }
         }
         let growth = report.growth_only();
@@ -247,32 +333,24 @@ impl QueryDeltaState {
                 }
                 None => self.solve_cold(db, id),
             };
-            self.verdicts.insert(id, verdict);
+            self.put_verdict(id, verdict);
         }
         self.stats.absorb(&step);
         step
     }
 
     /// Synthesise the whole-database answer from the per-component
-    /// verdicts: certain iff some component is (Proposition 10.6).
+    /// verdicts: certain iff some component is (Proposition 10.6). O(1):
+    /// reads the running totals kept as verdicts change.
     pub fn answer(&self) -> CertainAnswer {
-        let mut stats: Option<CertKStats> = None;
-        for v in self.verdicts.values() {
-            if let Some(s) = &v.stats {
-                match &mut stats {
-                    Some(acc) => acc.absorb(s),
-                    None => stats = Some(*s),
-                }
-            }
-        }
         CertainAnswer {
-            certain: self.verdicts.values().any(|v| v.certain),
+            certain: self.totals.certain > 0,
             answered_by: match self.engine.classification().complexity {
                 Complexity::PTimeCombined => AnsweredBy::Combined,
                 _ => AnsweredBy::ComponentCertK,
             },
-            budget_exhausted: self.verdicts.values().any(|v| v.budget_exhausted),
-            certk_stats: stats,
+            budget_exhausted: self.totals.budget_exhausted > 0,
+            certk_stats: self.totals.stats(),
             components: Some(self.comps.len()),
             skipped_components: Some(0),
         }
@@ -334,6 +412,47 @@ mod tests {
             (vec![f2("q", "r"), f2("r", "s")], vec![f2("p", "x")]),
         ];
         check_script(engine, db, script.as_slice());
+    }
+
+    /// The answer fields folded afresh over every component verdict.
+    fn fold_verdicts(state: &QueryDeltaState) -> (bool, bool, Option<CertKStats>) {
+        let mut stats: Option<CertKStats> = None;
+        for v in state.verdicts.values() {
+            if let Some(s) = &v.stats {
+                match &mut stats {
+                    Some(acc) => acc.absorb(s),
+                    None => stats = Some(*s),
+                }
+            }
+        }
+        (
+            state.verdicts.values().any(|v| v.certain),
+            state.verdicts.values().any(|v| v.budget_exhausted),
+            stats,
+        )
+    }
+
+    #[test]
+    fn running_totals_equal_a_fresh_fold_after_every_step() {
+        let mut db = db2(&[["a", "b"], ["b", "c"], ["p", "q"], ["p", "x"], ["z", "z"]]);
+        let mut state = QueryDeltaState::new(CqaEngine::new(examples::q3()), &db).unwrap();
+        let script = [
+            (vec![f2("c", "d"), f2("m", "n")], vec![]),
+            (vec![f2("a", "z")], vec![f2("z", "z")]),
+            (vec![], vec![f2("a", "b"), f2("m", "n")]),
+            (vec![f2("x", "p"), f2("q", "r")], vec![f2("p", "x")]),
+            (vec![f2("z", "z"), f2("n", "m")], vec![f2("c", "d")]),
+        ];
+        for (i, (ins, ret)) in script.iter().enumerate() {
+            let report = db.apply_delta(ins, ret).unwrap();
+            state.apply(&db, &report);
+            let answer = state.answer();
+            let (certain, exhausted, stats) = fold_verdicts(&state);
+            assert_eq!(answer.certain, certain, "step {i}: certain");
+            assert_eq!(answer.budget_exhausted, exhausted, "step {i}: budget");
+            assert_eq!(answer.certk_stats, stats, "step {i}: stats");
+            assert_eq!(answer.components, Some(state.verdicts.len()), "step {i}");
+        }
     }
 
     #[test]

@@ -32,7 +32,10 @@
 //! A session's database is immutable, which is what makes the verdict
 //! cache sound — so an *update* produces a **successor session**
 //! ([`SharedSession::with_delta`]): the delta is applied to a clone of
-//! the database, and every query already answered here is carried over
+//! the database, which shares with it every chunk and shard of the fact
+//! store the delta does not write (so the clone, the patch and the later
+//! drop of the predecessor cost O(delta), not O(n)), and every query
+//! already answered here is carried over
 //! with its verdict *patched incrementally* (via
 //! [`QueryDeltaState`](crate::QueryDeltaState) — untouched q-connected
 //! components keep their verdicts, dirty ones re-solve warm or cold).

@@ -11,10 +11,20 @@
 //! the fact's slot instead of renumbering, so caches keyed by [`FactId`]
 //! or [`BlockId`] (solution sets, antichains, component partitions) stay
 //! valid for every untouched fact. See `docs/DELTAS.md`.
+//!
+//! Versions share storage. The id-indexed columns are chunked and the
+//! hash indexes sharded, each piece behind an `Arc` and written
+//! copy-on-write (the `store` module), so a clone copies piece pointers
+//! (and each column's short append tail) and a delta applied to the
+//! clone copies only the pieces it writes. A live update therefore costs
+//! O(delta) in the database layer, and predecessor and successor stay
+//! fully independent values.
 
+use crate::store::{ChunkVec, ShardMap};
 use crate::{Elem, Fact, ModelError, RelId, Signature};
 use std::collections::HashMap;
 use std::fmt;
+use std::mem::size_of;
 
 /// Index of a fact inside its [`Database`]. Stable: insertion never
 /// renumbers, and retraction leaves a tombstoned slot behind rather than
@@ -81,14 +91,18 @@ impl DeltaReport {
 /// All relations in a database share the signature `[k, l]` — the paper's
 /// setting has a single relation `R`, and its Section 4 detour uses two
 /// relations `R1`, `R2` *of the same signature*.
+///
+/// `Clone` is cheap: it copies chunk and shard pointers (and each
+/// column's append tail of under 256 entries), and the clone and the
+/// original share every chunk and shard until one of them writes to it.
 #[derive(Clone)]
 pub struct Database {
     sig: Signature,
-    facts: Vec<Fact>,
-    fact_block: Vec<BlockId>,
-    blocks: Vec<Vec<FactId>>,
-    by_key: HashMap<BlockKey, BlockId>,
-    dedup: HashMap<Fact, FactId>,
+    facts: ChunkVec<Fact>,
+    fact_block: ChunkVec<BlockId>,
+    blocks: ChunkVec<Vec<FactId>>,
+    by_key: ShardMap<BlockKey, BlockId>,
+    dedup: ShardMap<Fact, FactId>,
     /// Facts minus tombstones. Equals `facts.len()` until a retraction.
     live_facts: usize,
     /// Blocks holding at least one live fact.
@@ -100,11 +114,11 @@ impl Database {
     pub fn new(sig: Signature) -> Database {
         Database {
             sig,
-            facts: Vec::new(),
-            fact_block: Vec::new(),
-            blocks: Vec::new(),
-            by_key: HashMap::new(),
-            dedup: HashMap::new(),
+            facts: ChunkVec::default(),
+            fact_block: ChunkVec::default(),
+            blocks: ChunkVec::default(),
+            by_key: ShardMap::default(),
+            dedup: ShardMap::default(),
             live_facts: 0,
             live_blocks: 0,
         }
@@ -137,10 +151,11 @@ impl Database {
             Some(&b) => {
                 // The block may have been emptied by an earlier retraction;
                 // refilling it revives the same BlockId.
-                if self.blocks[b.idx()].is_empty() {
+                let members = self.blocks.get_mut(b.idx());
+                if members.is_empty() {
                     self.live_blocks += 1;
                 }
-                self.blocks[b.idx()].push(id);
+                members.push(id);
                 b
             }
             None => {
@@ -197,12 +212,12 @@ impl Database {
             let b = self.fact_block[id.idx()];
             touched.entry(b).or_insert(true);
             self.dedup.remove(f);
-            let members = &mut self.blocks[b.idx()];
+            let members = self.blocks.get_mut(b.idx());
             members.retain(|&m| m != id);
             if members.is_empty() {
                 self.live_blocks -= 1;
             }
-            self.fact_block[id.idx()] = DEAD;
+            *self.fact_block.get_mut(id.idx()) = DEAD;
             self.live_facts -= 1;
             report.retracted.push(id);
         }
@@ -288,17 +303,21 @@ impl Database {
     /// Iterator over live `(id, fact)` pairs.
     pub fn facts(&self) -> impl Iterator<Item = (FactId, &Fact)> {
         self.facts
-            .iter()
+            .slices()
+            .zip(self.fact_block.slices())
+            .flat_map(|(fs, bs)| fs.iter().zip(bs))
             .enumerate()
-            .filter(|&(i, _)| self.fact_block[i] != DEAD)
-            .map(|(i, f)| (FactId(i as u32), f))
+            .filter(|&(_, (_, &b))| b != DEAD)
+            .map(|(i, (f, _))| (FactId(i as u32), f))
     }
 
     /// All live fact ids, ascending.
     pub fn fact_ids(&self) -> impl Iterator<Item = FactId> + '_ {
-        (0..self.facts.len() as u32)
-            .map(FactId)
-            .filter(|id| self.fact_block[id.idx()] != DEAD)
+        self.fact_block
+            .iter()
+            .enumerate()
+            .filter(|&(_, &b)| b != DEAD)
+            .map(|(i, _)| FactId(i as u32))
     }
 
     /// The id of `fact`, if present.
@@ -325,9 +344,11 @@ impl Database {
 
     /// Iterator over all live (non-empty) block ids, ascending.
     pub fn block_ids(&self) -> impl Iterator<Item = BlockId> + '_ {
-        (0..self.blocks.len() as u32)
-            .map(BlockId)
-            .filter(|b| !self.blocks[b.idx()].is_empty())
+        self.blocks
+            .iter()
+            .enumerate()
+            .filter(|(_, members)| !members.is_empty())
+            .map(|(i, _)| BlockId(i as u32))
     }
 
     /// Key-equality of two facts in this database, `a ∼ b`. Both ids must
@@ -344,20 +365,36 @@ impl Database {
 
     /// Approximate resident size of this database in bytes, for memory
     /// budgeting (the `cqa serve` session manager evicts by this number).
-    /// Counts the fact vector (one interned `u32` element handle per
-    /// position plus per-fact `Vec`/dedup-entry overhead) and the block
-    /// index; the global element interner is shared by every database of
-    /// the process, so it is deliberately *not* attributed here. The
-    /// estimate is deterministic in `(facts, arity, blocks)` and grows
-    /// monotonically with insertions.
+    /// O(1): a function of the slot and live counts and the signature.
+    ///
+    /// Per fact slot it counts the fact and its heap tuple, its
+    /// `fact_block` entry, and its dedup-index entry with that entry's
+    /// own tuple copy; per block slot, the member list (header and
+    /// buffer) and its key-index entry with the boxed key; per live
+    /// fact, its 4-byte id in a member list. The global element interner
+    /// is shared by every database of the process, so it is deliberately
+    /// *not* attributed here. Versions of a live database share the
+    /// chunks and shards they have not written, but each version counts
+    /// every piece in full: the figure is an upper bound on what
+    /// dropping the version alone would free, so a memory budget that
+    /// sums it over resident sessions errs on the side of evicting. The
+    /// estimate is deterministic in `(fact slots, block slots, live
+    /// facts, signature)` and grows monotonically with insertions.
     pub fn approx_bytes(&self) -> usize {
-        // Per fact: arity interned handles, the Fact's Vec header, its
-        // dedup map entry and its fact_block slot; per block: the Vec of
-        // member FactIds plus the key index entry.
-        let per_fact = self.sig.arity() * 4 + 24 + 48 + 4;
-        let per_block = 24 + 48;
-        let member_ids: usize = self.blocks.iter().map(|b| b.len() * 4).sum();
-        self.facts.len() * per_fact + self.blocks.len() * per_block + member_ids
+        let tuple = heap_bytes(self.sig.arity() * size_of::<Elem>());
+        let key = heap_bytes(self.sig.key_len() * size_of::<Elem>());
+        let per_fact = size_of::<Fact>()
+            + tuple
+            + size_of::<BlockId>()
+            + table_bytes(size_of::<(Fact, FactId)>())
+            + tuple;
+        let per_block = size_of::<Vec<FactId>>()
+            + heap_bytes(0)
+            + table_bytes(size_of::<(BlockKey, BlockId)>())
+            + key;
+        self.facts.len() * per_fact
+            + self.blocks.len() * per_block
+            + self.live_facts * size_of::<FactId>()
     }
 
     /// The number of repairs, i.e. the product of block sizes, saturating at
@@ -365,7 +402,7 @@ impl Database {
     /// paper.
     pub fn repair_count(&self) -> u128 {
         let mut n: u128 = 1;
-        for b in &self.blocks {
+        for b in self.blocks.iter() {
             if !b.is_empty() {
                 n = n.saturating_mul(b.len() as u128);
             }
@@ -396,6 +433,25 @@ impl Database {
         }
         Ok(())
     }
+}
+
+/// Heap footprint of a `bytes`-byte allocation: payload plus an 8-byte
+/// allocator header, rounded up to 16, at least 32 (glibc's minimum
+/// chunk).
+const fn heap_bytes(bytes: usize) -> usize {
+    let chunk = (bytes + 8).div_ceil(16) * 16;
+    if chunk < 32 {
+        32
+    } else {
+        chunk
+    }
+}
+
+/// Footprint of one hash-table entry of `entry` bytes: the bucket and
+/// its control byte, over an average load of 2/3 (the tables resize at
+/// 7/8 full, which leaves them 7/16 full).
+const fn table_bytes(entry: usize) -> usize {
+    (entry + 1) * 3 / 2
 }
 
 impl fmt::Debug for Database {
@@ -619,6 +675,68 @@ mod tests {
         assert!(matches!(err, ModelError::ArityMismatch { .. }));
         assert_eq!(db.len(), 1);
         assert!(!db.contains(&Fact::from_names(["x", "y"])));
+    }
+
+    /// `(pieces shared with other, pieces in total)` over every chunked
+    /// column and sharded index of `db`.
+    fn sharing(db: &Database, other: &Database) -> (usize, usize) {
+        let shared = db.facts.shared_with(&other.facts)
+            + db.fact_block.shared_with(&other.fact_block)
+            + db.blocks.shared_with(&other.blocks)
+            + db.by_key.shared_with(&other.by_key)
+            + db.dedup.shared_with(&other.dedup);
+        let total = db.facts.pieces()
+            + db.fact_block.pieces()
+            + db.blocks.pieces()
+            + db.by_key.pieces()
+            + db.dedup.pieces();
+        (shared, total)
+    }
+
+    #[test]
+    fn one_fact_delta_copies_a_constant_number_of_pieces() {
+        let mut loaded = Database::new(Signature::new(2, 1).unwrap());
+        for i in 0..10_000 {
+            loaded
+                .insert(Fact::r(vec![Elem::int(i / 2), Elem::int(i)]))
+                .unwrap();
+        }
+        // The first delta on a clone splits each index into shards (once);
+        // its result is the version every later delta shares with.
+        let mut base = loaded.clone();
+        base.apply_delta(&[Fact::r(vec![Elem::int(-1), Elem::int(-1)])], &[])
+            .unwrap();
+        // A clone shares every sealed chunk and every shard; only the
+        // three columns' unsealed tails are its own copies.
+        let (shared, total) = sharing(&base.clone(), &base);
+        assert_eq!(shared + 3, total);
+        assert!(total > 100, "10^4 facts span many pieces ({total})");
+        // Retract from an existing block, insert into an existing block,
+        // open a fresh block: each writes a bounded set of pieces.
+        for (ins, ret) in [
+            (
+                vec![],
+                vec![Fact::r(vec![Elem::int(2_000), Elem::int(4_000)])],
+            ),
+            (vec![Fact::r(vec![Elem::int(3_000), Elem::int(-1)])], vec![]),
+            (vec![Fact::r(vec![Elem::int(-5), Elem::int(-5)])], vec![]),
+        ] {
+            let mut next = base.clone();
+            let report = next.apply_delta(&ins, &ret).unwrap();
+            assert!(!report.is_noop());
+            let (shared, total) = sharing(&next, &base);
+            assert!(
+                total - shared <= 6,
+                "a one-fact delta copied {} of {total} pieces",
+                total - shared
+            );
+            // The predecessor is untouched.
+            assert_eq!(base.len(), 10_001);
+            for f in ins.iter().chain(&ret) {
+                assert_eq!(base.contains(f), ret.contains(f));
+                assert_eq!(next.contains(f), ins.contains(f));
+            }
+        }
     }
 
     #[test]

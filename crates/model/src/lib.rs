@@ -35,6 +35,7 @@ mod elem;
 mod fact;
 mod repair;
 mod schema;
+mod store;
 mod textline;
 mod view;
 

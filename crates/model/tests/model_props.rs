@@ -143,3 +143,97 @@ proptest! {
         prop_assert_eq!(u.len(), distinct.len());
     }
 }
+
+/// `R(i | j)` over small integers, so deltas collide with resident facts
+/// and blocks.
+fn int_fact(i: i64, j: i64) -> Fact {
+    Fact::r(vec![Elem::int(i), Elem::int(j)])
+}
+
+/// A base of `n` facts spread over `n / 3 + 1` keys: large enough, for
+/// `n` in the hundreds, to span several storage chunks and index shards.
+fn base_rows(n: usize) -> Vec<Fact> {
+    (0..n as i64)
+        .map(|i| int_fact(i % (n as i64 / 3 + 1), i))
+        .collect()
+}
+
+type Delta = (Vec<Fact>, Vec<Fact>);
+
+fn delta_strategy() -> impl Strategy<Value = Delta> {
+    let fact = ((0i64..40), (0i64..60)).prop_map(|(i, j)| int_fact(i, j));
+    (
+        proptest::collection::vec(fact.clone(), 0..6),
+        proptest::collection::vec(fact, 0..6),
+    )
+}
+
+/// Build the base and apply `deltas` in place on one database that is
+/// never cloned, so it shares storage with nothing.
+fn replay(base: &[Fact], deltas: &[Delta]) -> Database {
+    let mut db = Database::new(Signature::new(2, 1).unwrap());
+    db.insert_all(base.iter().cloned()).unwrap();
+    for (ins, ret) in deltas {
+        db.apply_delta(ins, ret).unwrap();
+    }
+    db
+}
+
+/// The blocks of `db` as sets of facts: the partition up to block ids.
+fn partition(db: &Database) -> HashSet<Vec<Fact>> {
+    db.block_ids()
+        .map(|b| {
+            let mut facts: Vec<Fact> = db.block(b).iter().map(|&f| db.fact(f).clone()).collect();
+            facts.sort();
+            facts
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// Every version of a delta chain, each derived from a clone of the
+    /// one before and all kept alive, still equals a database built
+    /// independently to the same point: no version's write shows up in
+    /// another version through the storage they share.
+    #[test]
+    fn delta_chain_versions_stay_isolated(
+        n in 0usize..700,
+        deltas in proptest::collection::vec(delta_strategy(), 1..8),
+    ) {
+        let base = base_rows(n);
+        let mut versions = vec![replay(&base, &[])];
+        for (ins, ret) in &deltas {
+            let mut next = versions.last().expect("the base is a version").clone();
+            next.apply_delta(ins, ret).unwrap();
+            versions.push(next);
+        }
+        for (v, db) in versions.iter().enumerate() {
+            let want = replay(&base, &deltas[..v]);
+            prop_assert_eq!(db.len(), want.len(), "version {}", v);
+            prop_assert_eq!(db.fact_slots(), want.fact_slots(), "version {}", v);
+            prop_assert_eq!(db.block_slots(), want.block_slots(), "version {}", v);
+            prop_assert_eq!(db.block_count(), want.block_count(), "version {}", v);
+            for i in 0..want.fact_slots() {
+                let id = cqa_model::FactId(i as u32);
+                prop_assert_eq!(db.is_live(id), want.is_live(id), "version {} slot {}", v, i);
+                prop_assert_eq!(db.fact(id), want.fact(id), "version {} slot {}", v, i);
+                prop_assert_eq!(db.id_of(want.fact(id)), want.id_of(want.fact(id)));
+                if want.is_live(id) {
+                    prop_assert_eq!(db.block_of(id), want.block_of(id));
+                }
+            }
+            for b in want.block_ids() {
+                prop_assert_eq!(db.block(b), want.block(b), "version {} block {:?}", v, b);
+            }
+            prop_assert!(db.block_ids().eq(want.block_ids()), "version {}", v);
+            // And it equals a database rebuilt from its own live facts, up
+            // to ids: the same fact set and the same block partition.
+            let mut fresh = Database::new(*db.signature());
+            fresh.insert_all(db.facts().map(|(_, f)| f.clone())).unwrap();
+            prop_assert_eq!(fresh.len(), db.len());
+            prop_assert_eq!(partition(&fresh), partition(db), "version {}", v);
+        }
+    }
+}

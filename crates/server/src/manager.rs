@@ -254,10 +254,15 @@ impl SessionManager {
     /// Evict least-recently-used resident sessions (never `keep`) until
     /// the budget fits. Slots still mid-load have unknown size and are
     /// skipped; they are accounted when their own load completes.
+    ///
+    /// Victims leave the map under its lock but are dropped after the
+    /// lock is released: freeing an evicted database is the costly part,
+    /// and every request's `get_or_load` waits on that lock.
     fn enforce_budget(&self, keep: &str) {
         let Some(budget) = self.memory_budget else {
             return;
         };
+        let mut victims: Vec<Arc<Slot>> = Vec::new();
         let mut slots = self.slots.lock().expect("manager map lock poisoned");
         loop {
             let mut total = 0usize;
@@ -276,17 +281,19 @@ impl SessionManager {
                 }
             }
             if total <= budget {
-                return;
+                break;
             }
             let Some((victim, _)) = lru else {
                 // Only `keep` (or nothing) is resident; an oversized
                 // database is allowed to stand alone.
-                return;
+                break;
             };
             let victim = victim.clone();
-            slots.remove(&victim);
+            victims.extend(slots.remove(&victim));
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
+        drop(slots);
+        drop(victims);
     }
 
     /// Lifetime counters plus the current resident set's aggregates.

@@ -18,6 +18,10 @@ pub struct SolutionSet {
     pair_set: HashSet<(FactId, FactId)>,
     by_first: HashMap<FactId, Vec<FactId>>,
     by_second: HashMap<FactId, Vec<FactId>>,
+    /// Each pair's index in `pairs`, so a removal is one `swap_remove`.
+    /// Built by the first removal (one `O(pairs)` pass) and kept current
+    /// by every push after it; sets that never shrink never build it.
+    positions: Option<HashMap<(FactId, FactId), usize>>,
 }
 
 impl SolutionSet {
@@ -60,6 +64,9 @@ impl SolutionSet {
 
     fn push(&mut self, a: FactId, b: FactId) {
         if self.pair_set.insert((a, b)) {
+            if let Some(positions) = &mut self.positions {
+                positions.insert((a, b), self.pairs.len());
+            }
             self.pairs.push((a, b));
             self.by_first.entry(a).or_default().push(b);
             self.by_second.entry(b).or_default().push(a);
@@ -143,29 +150,50 @@ impl SolutionSet {
         fresh
     }
 
-    /// Drop every pair with an endpoint among `dead`, fixing all indexes.
-    /// One `O(pairs)` sweep regardless of how many facts die.
+    /// Drop every pair with an endpoint among `dead`, fixing all indexes,
+    /// in `O(removed pairs × degree)` once the positions exist. The last
+    /// pair moves into each removed one's slot, so pair order changes.
     pub(crate) fn remove_facts(&mut self, dead: &[FactId]) {
         if dead.is_empty() {
             return;
         }
-        let dead_set: HashSet<FactId> = dead.iter().copied().collect();
+        if self.positions.is_none() {
+            let index = self.pairs.iter().enumerate().map(|(i, &p)| (p, i));
+            self.positions = Some(index.collect());
+        }
         for &f in dead {
             for b in self.by_first.remove(&f).unwrap_or_default() {
-                self.pair_set.remove(&(f, b));
+                self.remove_pair(f, b);
                 if let Some(v) = self.by_second.get_mut(&b) {
                     v.retain(|&x| x != f);
                 }
             }
             for a in self.by_second.remove(&f).unwrap_or_default() {
-                self.pair_set.remove(&(a, f));
+                self.remove_pair(a, f);
                 if let Some(v) = self.by_first.get_mut(&a) {
                     v.retain(|&x| x != f);
                 }
             }
         }
-        self.pairs
-            .retain(|&(a, b)| !dead_set.contains(&a) && !dead_set.contains(&b));
+    }
+
+    /// Remove one pair from `pairs` and the pair indexes (the partner
+    /// lists are the caller's).
+    fn remove_pair(&mut self, a: FactId, b: FactId) {
+        if !self.pair_set.remove(&(a, b)) {
+            return;
+        }
+        let positions = self
+            .positions
+            .as_mut()
+            .expect("remove_facts built the positions");
+        let i = positions
+            .remove(&(a, b))
+            .expect("every pair has a position");
+        self.pairs.swap_remove(i);
+        if let Some(&moved) = self.pairs.get(i) {
+            positions.insert(moved, i);
+        }
     }
 }
 
