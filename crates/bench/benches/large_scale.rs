@@ -33,9 +33,16 @@
 //!   re-streaming the fact text and re-analysing the database), the
 //!   `cqa batch` vs N × `cqa certain` comparison in library form.
 //!
+//! And the join alone:
+//!
+//! * `enumerate` — [`SolutionSet::enumerate`] alone at 10⁵ facts: q3 (a
+//!   chain join, about one solution per fact), `R(x | y) R(x | z)` (every
+//!   ordered pair inside a block) and `R(y | x) R(x | y)`, which has no
+//!   solution on this family, so only the scan and the probes are timed.
+//!
 //! Recorded medians live in `BASELINES.md`.
 
-use cqa::solvers::{certain_combined, CertKConfig};
+use cqa::solvers::{certain_combined, CertKConfig, SolutionSet};
 use cqa::{AnsweredBy, CqaEngine, CqaSession, EngineConfig, RoutePolicy};
 use cqa_query::{examples, parse_query};
 use cqa_workloads::{
@@ -251,8 +258,31 @@ fn bench_batch_amortization(c: &mut Criterion) {
     g.finish();
 }
 
+/// The hash join on its own, one query shape per benchmark.
+fn bench_enumerate(c: &mut Criterion) {
+    let db = large_q3_db(&cfg_for(100_000));
+    let mut g = c.benchmark_group("enumerate");
+    g.sample_size(10);
+    g.throughput(Throughput::Elements(db.len() as u64));
+    for (label, text) in [
+        ("q3", "R(x | y) R(y | z)"),
+        ("same-key", "R(x | y) R(x | z)"),
+        ("no-solution", "R(y | x) R(x | y)"),
+    ] {
+        let q = parse_query(text).expect("bench queries parse");
+        if label == "no-solution" {
+            assert!(SolutionSet::enumerate(&q, &db).is_empty());
+        }
+        g.bench_with_input(BenchmarkId::new(label, db.len()), &q, |b, q| {
+            b.iter(|| std::hint::black_box(SolutionSet::enumerate(q, &db)))
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
+    bench_enumerate,
     bench_large_scale,
     bench_routing,
     bench_early_exit,

@@ -125,9 +125,13 @@ impl SharedSession {
     }
 
     /// Approximate resident bytes of the session's database — the number
-    /// the `cqa serve` memory budget accounts and evicts by. Cached
-    /// per-query artefacts are small next to the fact store and are not
-    /// counted.
+    /// the `cqa serve` memory budget accounts and evicts by. The cached
+    /// per-query artefacts (solution sets, partitions, verdicts, delta
+    /// states) are not counted, and they are not small: after a cold
+    /// batch over large texts the process holds about four times this
+    /// figure, most of it cached solution sets. Counting every resident
+    /// category is the "no unaccounted memory in the server" item of
+    /// `ROADMAP.md`.
     pub fn approx_bytes(&self) -> usize {
         self.db.approx_bytes()
     }

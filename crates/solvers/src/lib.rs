@@ -1,7 +1,7 @@
 //! # cqa-solvers — every `certain(q)` algorithm in the paper
 //!
-//! * [`SolutionSet`] — hash-join solution enumeration and the solution
-//!   graph `G(D, q)`;
+//! * [`SolutionSet`] — hash-join solution enumeration, indexed by fact id
+//!   in both directions;
 //! * [`brute`] — the exponential baseline (backtracking over repairs, plus
 //!   a definitional exhaustive checker), with per-component parallel
 //!   fan-out;
