@@ -28,7 +28,7 @@
 //!   workloads (certain fractions 1.0 and 0.5); verdicts asserted equal
 //!   before timing, per-component evidence is what early exit trades
 //!   away.
-//! * `batch_amortization` — one `CqaSession` answering a 5-query mix
+//! * `batch_amortization` — one `SharedSession` answering a 5-query mix
 //!   after a single streaming load vs 5 cold invocations (each
 //!   re-streaming the fact text and re-analysing the database), the
 //!   `cqa batch` vs N × `cqa certain` comparison in library form.
@@ -43,13 +43,14 @@
 //! Recorded medians live in `BASELINES.md`.
 
 use cqa::solvers::{certain_combined, CertKConfig, SolutionSet};
-use cqa::{AnsweredBy, CqaEngine, CqaSession, EngineConfig, RoutePolicy};
+use cqa::{AnsweredBy, CqaEngine, EngineConfig, RoutePolicy, SharedSession};
 use cqa_query::{examples, parse_query};
 use cqa_workloads::{
     large_contested_q3_db, large_q3_db, write_large_q3, ContestedWorkloadConfig,
     LargeWorkloadConfig,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use std::sync::Arc;
 
 fn cfg_for(n: usize) -> LargeWorkloadConfig {
     LargeWorkloadConfig {
@@ -195,7 +196,7 @@ fn bench_early_exit(c: &mut Criterion) {
     g.finish();
 }
 
-/// One session (load once, analyse each distinct query once) vs N cold
+/// One session (load once, solve each distinct query once) vs N cold
 /// invocations (stream-parse + analyse per query) on the same 5-query
 /// mix — `cqa batch` vs N × `cqa certain` without the process spawns.
 fn bench_batch_amortization(c: &mut Criterion) {
@@ -203,7 +204,7 @@ fn bench_batch_amortization(c: &mut Criterion) {
         "R(x | y) R(y | z)",
         "R(x | y) R(z | y)",
         "R(x | y) R(y | x)",
-        "R(x | y) R(y | z)", // repeat: the session's cache hit
+        "R(x | y) R(y | z)", // repeat: the session's verdict-cache hit
         "R(x | y) R(x | z)",
     ]
     .iter()
@@ -219,7 +220,7 @@ fn bench_batch_amortization(c: &mut Criterion) {
         let db = load();
         // Parity check before timing: session answers equal cold answers.
         {
-            let mut session = CqaSession::new(&db, EngineConfig::default());
+            let session = SharedSession::new(Arc::new(load()), EngineConfig::default());
             for q in &queries {
                 let cold = CqaEngine::new(q.clone()).certain(&db);
                 assert_eq!(session.certain(q).certain, cold.certain, "{}", q.display());
@@ -246,8 +247,7 @@ fn bench_batch_amortization(c: &mut Criterion) {
             &queries,
             |b, queries| {
                 b.iter(|| {
-                    let db = load();
-                    let mut session = CqaSession::new(&db, EngineConfig::default());
+                    let session = SharedSession::new(Arc::new(load()), EngineConfig::default());
                     let verdicts: Vec<bool> =
                         queries.iter().map(|q| session.certain(q).certain).collect();
                     std::hint::black_box(verdicts)

@@ -6,7 +6,8 @@
 
 use cqa::solvers::{
     certain_brute, certain_brute_budgeted, certain_by_matching, certain_combined, certk,
-    is_clique_database, matching_accepts, BruteOutcome, CertKConfig,
+    certk_view, is_clique_database, matching_accepts, BruteOutcome, CancelToken, CertKConfig,
+    CertKOutcome, CertKStats,
 };
 use cqa::tripath::{check_nice, search_tripaths, SearchConfig};
 use cqa::{classify, Complexity};
@@ -602,6 +603,22 @@ pub fn e11_q7() -> bool {
     out.triangle.is_some() && out.fork.is_none()
 }
 
+/// `Cert_2(q)` on the whole of `db`, with the fixpoint's statistics.
+fn cert2_run(q: &cqa_query::Query, db: &cqa::model::Database) -> (CertKOutcome, CertKStats) {
+    let sols = cqa::solvers::SolutionSet::enumerate(q, db);
+    let cfg = CertKConfig::new(2);
+    let (out, stats, _) = certk_view(
+        &db.full_view(),
+        &sols,
+        cfg,
+        &CancelToken::new(),
+        None,
+        false,
+    )
+    .expect("a never-raised token cannot interrupt the fixpoint");
+    (out, stats)
+}
+
 /// E12 — the conclusion's FO conjecture, measured: the paper conjectures
 /// that the FO-solvable queries are exactly those whose greedy fixpoint
 /// terminates in a bounded number of rounds irrespective of database size.
@@ -618,11 +635,9 @@ pub fn e12_fixpoint_rounds() -> bool {
     let mut chain_rounds = Vec::new();
     for n in [25usize, 50, 100, 200, 400] {
         let db = q3_chain_db(n);
-        let sols = cqa::solvers::SolutionSet::enumerate(&q3, &db);
-        let (out, stats) = cqa::solvers::certk_with_stats(&q3, &db, &sols, CertKConfig::new(2));
+        let (out, stats) = cert2_run(&q3, &db);
         let wide = q3_certain_db(n / 2);
-        let wsols = cqa::solvers::SolutionSet::enumerate(&q3, &wide);
-        let (_, wstats) = cqa::solvers::certk_with_stats(&q3, &wide, &wsols, CertKConfig::new(2));
+        let (_, wstats) = cert2_run(&q3, &wide);
         println!(
             "{:>8} {:>14} {:>14} {:>12} {:>12}",
             n,
@@ -638,8 +653,7 @@ pub fn e12_fixpoint_rounds() -> bool {
     // rounds of derivation without ever producing ∅.
     let q6 = examples::q6();
     let breaker = q6_cert2_breaker();
-    let bsols = cqa::solvers::SolutionSet::enumerate(&q6, &breaker);
-    let (bout, bstats) = cqa::solvers::certk_with_stats(&q6, &breaker, &bsols, CertKConfig::new(2));
+    let (bout, bstats) = cert2_run(&q6, &breaker);
     println!(
         "\nq6 cert2-breaker: outcome {:?} after {} rounds, {} members inserted",
         bout, bstats.rounds, bstats.inserted

@@ -18,8 +18,9 @@
 //! buffers the file in memory — and `generate` writes workloads of
 //! arbitrary size with the concurrent generators of `cqa-workloads`.
 //! `batch` answers a whole queries file (one query per line; see
-//! `docs/FORMAT.md`) against one database through a [`cqa::CqaSession`],
-//! loading and analysing the database once instead of once per query.
+//! `docs/FORMAT.md`) against one database through a
+//! [`cqa::SharedSession`], loading the database once instead of once per
+//! query.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,7 +29,8 @@ pub mod dbfmt;
 pub mod fleet;
 pub mod server_cli;
 
-use cqa::{classify, AnsweredBy, Complexity, Confidence, CqaEngine, CqaSession, RoutePolicy};
+use cqa::solvers::{certain_brute_over, BruteOutcome, CancelToken, SolutionSet};
+use cqa::{classify, AnsweredBy, Complexity, Confidence, CqaEngine, RoutePolicy, SharedSession};
 use cqa_model::Database;
 use cqa_query::parse_query;
 use cqa_sat::{parse_dimacs, solve, to_occ3_normal_form, SatResult};
@@ -325,10 +327,12 @@ pub fn cmd_certain(
 
 /// `cqa batch <db-file> <queries-file> [--threads N] [--route R]
 /// [--early-exit] [--stats]`: answer many queries against one
-/// stream-loaded database through a [`cqa::CqaSession`] — the database is
-/// analysed once per distinct query (classification, solution set,
-/// component partition) and repeats hit the cache, so N queries cost one
-/// load plus N solves instead of N cold invocations.
+/// stream-loaded database through a [`cqa::SharedSession`] — each
+/// distinct query is classified, enumerated and solved once and repeats
+/// hit the verdict cache, so N queries cost one load plus one solve per
+/// distinct query instead of N cold invocations. The session owns a
+/// clone of `db`, which shares its sealed fact chunks and index shards
+/// rather than copying them.
 ///
 /// The queries file holds one query per line (`R(x | y) R(y | z)`);
 /// blank lines and `#` comments are skipped, and processing stops at the
@@ -353,7 +357,7 @@ pub fn cmd_batch(
         config = config.with_route(policy);
     }
     config = config.with_early_exit(early_exit);
-    let mut session = CqaSession::new(db, config);
+    let session = SharedSession::new(std::sync::Arc::new(db.clone()), config);
     let mut out = String::new();
     let mut skipped_total = 0usize;
     let started = std::time::Instant::now();
@@ -392,8 +396,8 @@ pub fn cmd_batch(
     if want_stats {
         let _ = writeln!(
             err,
-            "stats: batch queries={} distinct={} cache-hits={} evictions={}",
-            stats.queries, stats.distinct_queries, stats.cache_hits, stats.evictions
+            "stats: batch queries={} distinct={} cache-hits={}",
+            stats.queries, stats.distinct_queries, stats.cache_hits
         );
         let _ = writeln!(
             err,
@@ -501,10 +505,11 @@ pub fn cmd_update(
         let report = db
             .apply_delta(&script.inserts, &script.retracts)
             .map_err(|e| CliError::new(e.to_string()))?;
-        let mut session = CqaSession::new(&db, config);
+        let session = SharedSession::new(std::sync::Arc::new(db), config);
         for q in &queries {
             let _ = writeln!(out, "{}", session.certain(q).certain);
         }
+        let db = session.db();
         if want_stats {
             let _ = writeln!(
                 err,
@@ -515,7 +520,7 @@ pub fn cmd_update(
             );
         }
     } else {
-        let session = cqa::SharedSession::new(std::sync::Arc::new(db), config);
+        let session = SharedSession::new(std::sync::Arc::new(db), config);
         // Warm the pre-delta caches: this is what makes the incremental
         // path incremental rather than a fancy cold solve.
         for q in &queries {
@@ -573,19 +578,21 @@ pub fn cmd_falsify(
     let threads = threads.unwrap_or_else(minipool::max_threads);
     let mut out = String::new();
     let started = std::time::Instant::now();
-    let outcome = cqa::solvers::certain_brute_parallel(&q, db, budget, threads);
+    let solutions = SolutionSet::enumerate(&q, db);
+    let outcome = certain_brute_over(db, &solutions, budget, threads, &CancelToken::new())
+        .expect("a never-raised token cannot cancel the search");
     let solve_ms = started.elapsed().as_millis();
     match outcome {
-        cqa::solvers::BruteOutcome::Certain => {
+        BruteOutcome::Certain => {
             let _ = writeln!(out, "certain: every repair satisfies the query");
         }
-        cqa::solvers::BruteOutcome::NotCertain(r) => {
+        BruteOutcome::NotCertain(r) => {
             let _ = writeln!(out, "not certain — falsifying repair ({} facts):", r.len());
             for &id in r.facts() {
                 let _ = writeln!(out, "  {}", db.fact(id));
             }
         }
-        cqa::solvers::BruteOutcome::BudgetExhausted => {
+        BruteOutcome::BudgetExhausted => {
             let _ = writeln!(out, "inconclusive: search budget ({budget}) exhausted");
         }
     }

@@ -36,8 +36,8 @@ use crate::classify::Complexity;
 use crate::engine::{AnsweredBy, CertainAnswer, CqaEngine};
 use cqa_model::{BlockId, Database, DeltaReport, FactId};
 use cqa_solvers::{
-    certain_combined_over, certk_view_snapshot, certk_view_warm, CertKStats, CertKWarmState,
-    Component, DynamicComponents, IncrementalSolutions,
+    certain_combined_over, certk_view, CancelToken, CertKOutcome, CertKStats, CertKWarmState,
+    Component, DynamicComponents, IncrementalSolutions, WarmInit,
 };
 
 /// Counters for the incremental path, aggregated by sessions and servers.
@@ -225,31 +225,45 @@ impl QueryDeltaState {
 
     /// Solve one component from scratch, per the classification.
     fn solve_cold(&self, db: &Database, id: u32) -> CompVerdict {
-        let view = self.comps.view_of(db, id);
-        let q = self.engine.query();
-        let cfg = self.engine.config().certk;
-        match self.engine.classification().complexity {
-            Complexity::PTimeCombined => {
-                let comp = [Component { view }];
-                let res = certain_combined_over(q, &comp, self.solutions.solutions(), cfg);
-                let v = &res.components[0];
-                CompVerdict {
-                    certain: v.certain,
-                    budget_exhausted: v.budget_exhausted,
-                    stats: v.stats,
-                    warm: None,
-                }
-            }
-            _ => {
-                let (out, stats, snap) =
-                    certk_view_snapshot(q, &view, self.solutions.solutions(), cfg);
-                CompVerdict {
-                    certain: out.is_certain(),
-                    budget_exhausted: out == cqa_solvers::CertKOutcome::BudgetExhausted,
-                    stats: Some(stats),
-                    warm: Some(snap),
-                }
-            }
+        if self.engine.classification().complexity != Complexity::PTimeCombined {
+            return self.solve_certk(db, id, None);
+        }
+        let comp = [Component {
+            view: self.comps.view_of(db, id),
+        }];
+        let res = certain_combined_over(
+            &comp,
+            self.solutions.solutions(),
+            self.engine.config().certk,
+            &CancelToken::new(),
+        )
+        .expect("a never-raised token cannot cancel the fan-out");
+        let v = &res.components[0];
+        CompVerdict {
+            certain: v.certain,
+            budget_exhausted: v.budget_exhausted,
+            stats: v.stats,
+            warm: None,
+        }
+    }
+
+    /// Run `Cert_k` on component `id` — cold, or warm from `warm` —
+    /// keeping the snapshot for the next delta.
+    fn solve_certk(&self, db: &Database, id: u32, warm: Option<WarmInit<'_>>) -> CompVerdict {
+        let (out, stats, snap) = certk_view(
+            &self.comps.view_of(db, id),
+            self.solutions.solutions(),
+            self.engine.config().certk,
+            &CancelToken::new(),
+            warm,
+            true,
+        )
+        .expect("a never-raised token cannot interrupt the fixpoint");
+        CompVerdict {
+            certain: out.is_certain(),
+            budget_exhausted: out == CertKOutcome::BudgetExhausted,
+            stats: Some(stats),
+            warm: snap,
         }
     }
 
@@ -314,22 +328,15 @@ impl QueryDeltaState {
                     let changed = changed_by_comp.remove(&id).unwrap_or_default();
                     let dirty = dirty_by_comp.remove(&id).unwrap_or_default();
                     step.blocks_reseeded += dirty.len() as u64;
-                    let view = self.comps.view_of(db, id);
-                    let (out, stats, snap) = certk_view_warm(
-                        self.engine.query(),
-                        &view,
-                        self.solutions.solutions(),
-                        self.engine.config().certk,
-                        &merged,
-                        &changed,
-                        &dirty,
-                    );
-                    CompVerdict {
-                        certain: out.is_certain(),
-                        budget_exhausted: out == cqa_solvers::CertKOutcome::BudgetExhausted,
-                        stats: Some(stats),
-                        warm: Some(snap),
-                    }
+                    self.solve_certk(
+                        db,
+                        id,
+                        Some(WarmInit {
+                            state: &merged,
+                            changed_facts: &changed,
+                            dirty_blocks: &dirty,
+                        }),
+                    )
                 }
                 None => self.solve_cold(db, id),
             };

@@ -23,9 +23,8 @@ use cqa_solvers::components::{
     q_connected_components_if_fragmented, q_connected_components_with_solutions, Component,
 };
 use cqa_solvers::{
-    certain_combined_over, certain_combined_over_cancellable, certk_by_components,
-    certk_by_components_cancellable, certk_view_cancel_token, certk_with_stats, BruteOutcome,
-    CancelToken, CertKConfig, CertKStats, CombinedResult, SolutionSet,
+    certain_brute_over, certain_combined_over, certk_by_components, certk_view, BruteOutcome,
+    CancelToken, CertKConfig, CertKOutcome, CertKStats, CombinedResult, SolutionSet,
 };
 use cqa_tripath::SearchConfig;
 
@@ -254,16 +253,6 @@ impl CqaEngine {
         &self.query
     }
 
-    /// Open a query [`session`](crate::CqaSession) on `db`, seeded with
-    /// this engine (classification already done): the database is analysed
-    /// once per query — solution set, component partition — and every
-    /// repeat of a query reuses the cached analysis. The session answers
-    /// *other* queries too, classifying and caching each on first sight
-    /// with this engine's [`EngineConfig`].
-    pub fn session<'a>(&self, db: &'a Database) -> crate::CqaSession<'a> {
-        crate::CqaSession::with_engine(self.clone(), db)
-    }
-
     /// The engine's configuration.
     pub(crate) fn config(&self) -> &EngineConfig {
         &self.config
@@ -310,14 +299,14 @@ impl CqaEngine {
     }
 
     /// Decide `db ⊨ certain(q)` with the algorithm the classification
-    /// prescribes.
+    /// prescribes: [`CqaEngine::certain_cancellable`] with a token that
+    /// never fires.
     pub fn certain(&self, db: &Database) -> CertainAnswer {
-        let solutions = SolutionSet::enumerate(&self.query, db);
-        let comps = self.partition_for(db, &solutions);
-        self.certain_with_parts(db, &solutions, comps.as_deref())
+        self.certain_cancellable(db, &CancelToken::new())
+            .expect("a never-raised token cannot cancel the solve")
     }
 
-    /// [`CqaEngine::certain`] under a [`CancelToken`]: the solver polls
+    /// Decide `db ⊨ certain(q)` under a [`CancelToken`]: the solver polls
     /// the token at bounded intervals (once per seeded fact, worklist
     /// block derivation, or brute-force budget tranche), so a token
     /// raised — or a deadline expiring — *mid-fixpoint* stops the solve
@@ -330,17 +319,15 @@ impl CqaEngine {
         token: &CancelToken,
     ) -> Result<CertainAnswer, CancelledSolve> {
         let solutions = SolutionSet::enumerate(&self.query, db);
-        let comps = self.partition_for(db, &solutions);
-        self.certain_with_parts_token(db, &solutions, comps.as_deref(), token)
+        self.certain_with_solutions(db, &solutions, token)
     }
 
-    /// The component partition [`CqaEngine::certain_with_parts`] wants for
-    /// `db`, if any: the routing decision for the `Cert_k` classes, the
+    /// The component partition [`CqaEngine::certain_with_solutions`]
+    /// solves over: the routing decision for the `Cert_k` classes, the
     /// full q-connected partition for the Theorem 10.5 combination, and
     /// `None` for coNP-complete queries (the brute force partitions
-    /// internally). [`CqaSession`](crate::CqaSession) computes this once
-    /// per (query, database) and reuses it across calls.
-    pub(crate) fn partition_for<'a>(
+    /// internally).
+    fn partition_for<'a>(
         &self,
         db: &'a Database,
         solutions: &SolutionSet,
@@ -358,162 +345,60 @@ impl CqaEngine {
         }
     }
 
-    /// [`CqaEngine::certain`] with the expensive intermediates supplied by
-    /// the caller: the enumerated solution set and the component partition
-    /// from [`CqaEngine::partition_for`]. This is the session fast path —
-    /// both inputs depend only on (query, database), so a
-    /// [`CqaSession`](crate::CqaSession) computes them once and answers
-    /// every subsequent call for the same query without re-enumerating.
-    pub(crate) fn certain_with_parts(
+    /// The one dispatch: [`CqaEngine::certain_cancellable`] with the
+    /// enumerated solution set supplied by the caller. It depends only on
+    /// (query, database), so a [`SharedSession`](crate::SharedSession)
+    /// enumerates it once and keeps it across cancelled retries.
+    pub(crate) fn certain_with_solutions(
         &self,
         db: &Database,
         solutions: &SolutionSet,
-        comps: Option<&[Component<'_>]>,
-    ) -> CertainAnswer {
-        match self.classification.complexity {
-            Complexity::Trivial | Complexity::PTimeCert2 | Complexity::PTimeCertK => {
-                if let Some(comps) = comps {
-                    let res = certk_by_components(&self.query, comps, solutions, self.config.certk);
-                    answer_from_components(res, AnsweredBy::ComponentCertK)
-                } else {
-                    let (out, stats) =
-                        certk_with_stats(&self.query, db, solutions, self.config.certk);
-                    CertainAnswer {
-                        certain: out.is_certain(),
-                        answered_by: if self.classification.complexity == Complexity::Trivial {
-                            AnsweredBy::Trivial
-                        } else {
-                            AnsweredBy::CertK
-                        },
-                        budget_exhausted: out == cqa_solvers::CertKOutcome::BudgetExhausted,
-                        certk_stats: Some(stats),
-                        components: None,
-                        skipped_components: None,
-                    }
-                }
-            }
-            Complexity::PTimeCombined => {
-                // A session always supplies the partition here; the
-                // fallback recomputes it for direct callers.
-                let owned;
-                let comps = match comps {
-                    Some(comps) => comps,
-                    None => {
-                        owned = q_connected_components_with_solutions(&self.query, db, solutions);
-                        &owned
-                    }
-                };
-                let res = certain_combined_over(&self.query, comps, solutions, self.config.certk);
-                answer_from_components(res, AnsweredBy::Combined)
-            }
-            Complexity::CoNpComplete => {
-                let outcome = cqa_solvers::brute::certain_brute_with_solutions_threads(
-                    &self.query,
-                    db,
-                    solutions,
-                    self.config.brute_budget,
-                    self.config.certk.threads,
-                );
-                CertainAnswer {
+        token: &CancelToken,
+    ) -> Result<CertainAnswer, CancelledSolve> {
+        let cfg = self.config.certk;
+        let fixpoint_cancelled = |partial| CancelledSolve {
+            certk_stats: Some(partial),
+        };
+        let comps = self.partition_for(db, solutions);
+        match (self.classification.complexity, comps) {
+            (Complexity::CoNpComplete, _) => {
+                let outcome =
+                    certain_brute_over(db, solutions, self.config.brute_budget, cfg.threads, token)
+                        .ok_or(CancelledSolve { certk_stats: None })?;
+                Ok(CertainAnswer {
                     certain: matches!(outcome, BruteOutcome::Certain),
                     answered_by: AnsweredBy::BruteForce,
                     budget_exhausted: matches!(outcome, BruteOutcome::BudgetExhausted),
                     certk_stats: None,
                     components: None,
                     skipped_components: None,
-                }
-            }
-        }
-    }
-
-    /// [`CqaEngine::certain_with_parts`] under a [`CancelToken`] — the
-    /// same dispatch, routed through the cancellable solver variants.
-    /// Sessions use this to serve deadline-carrying requests from their
-    /// cached intermediates.
-    pub(crate) fn certain_with_parts_token(
-        &self,
-        db: &Database,
-        solutions: &SolutionSet,
-        comps: Option<&[Component<'_>]>,
-        token: &CancelToken,
-    ) -> Result<CertainAnswer, CancelledSolve> {
-        match self.classification.complexity {
-            Complexity::Trivial | Complexity::PTimeCert2 | Complexity::PTimeCertK => {
-                if let Some(comps) = comps {
-                    certk_by_components_cancellable(
-                        &self.query,
-                        comps,
-                        solutions,
-                        self.config.certk,
-                        token,
-                    )
-                    .map(|res| answer_from_components(res, AnsweredBy::ComponentCertK))
-                    .map_err(|partial| CancelledSolve {
-                        certk_stats: Some(partial),
-                    })
-                } else {
-                    certk_view_cancel_token(
-                        &self.query,
-                        &db.full_view(),
-                        solutions,
-                        self.config.certk,
-                        token,
-                    )
-                    .map(|(out, stats)| CertainAnswer {
-                        certain: out.is_certain(),
-                        answered_by: if self.classification.complexity == Complexity::Trivial {
-                            AnsweredBy::Trivial
-                        } else {
-                            AnsweredBy::CertK
-                        },
-                        budget_exhausted: out == cqa_solvers::CertKOutcome::BudgetExhausted,
-                        certk_stats: Some(stats),
-                        components: None,
-                        skipped_components: None,
-                    })
-                    .map_err(|partial| CancelledSolve {
-                        certk_stats: Some(partial),
-                    })
-                }
-            }
-            Complexity::PTimeCombined => {
-                let owned;
-                let comps = match comps {
-                    Some(comps) => comps,
-                    None => {
-                        owned = q_connected_components_with_solutions(&self.query, db, solutions);
-                        &owned
-                    }
-                };
-                certain_combined_over_cancellable(
-                    &self.query,
-                    comps,
-                    solutions,
-                    self.config.certk,
-                    token,
-                )
-                .map(|res| answer_from_components(res, AnsweredBy::Combined))
-                .map_err(|partial| CancelledSolve {
-                    certk_stats: Some(partial),
                 })
             }
-            Complexity::CoNpComplete => cqa_solvers::certain_brute_with_solutions_token(
-                &self.query,
-                db,
-                solutions,
-                self.config.brute_budget,
-                self.config.certk.threads,
-                token,
-            )
-            .map(|outcome| CertainAnswer {
-                certain: matches!(outcome, BruteOutcome::Certain),
-                answered_by: AnsweredBy::BruteForce,
-                budget_exhausted: matches!(outcome, BruteOutcome::BudgetExhausted),
-                certk_stats: None,
-                components: None,
-                skipped_components: None,
-            })
-            .ok_or(CancelledSolve { certk_stats: None }),
+            (Complexity::PTimeCombined, Some(comps)) => {
+                certain_combined_over(&comps, solutions, cfg, token)
+                    .map(|res| answer_from_components(res, AnsweredBy::Combined))
+                    .map_err(fixpoint_cancelled)
+            }
+            (_, Some(comps)) => certk_by_components(&comps, solutions, cfg, token)
+                .map(|res| answer_from_components(res, AnsweredBy::ComponentCertK))
+                .map_err(fixpoint_cancelled),
+            (complexity, None) => {
+                let (out, stats, _) =
+                    certk_view(&db.full_view(), solutions, cfg, token, None, false)
+                        .map_err(fixpoint_cancelled)?;
+                Ok(CertainAnswer {
+                    certain: out.is_certain(),
+                    answered_by: if complexity == Complexity::Trivial {
+                        AnsweredBy::Trivial
+                    } else {
+                        AnsweredBy::CertK
+                    },
+                    budget_exhausted: out == CertKOutcome::BudgetExhausted,
+                    certk_stats: Some(stats),
+                    components: None,
+                    skipped_components: None,
+                })
+            }
         }
     }
 }

@@ -13,12 +13,11 @@
 //! * [`classify`] — the full decision procedure of the paper (Theorems
 //!   4.2, 6.1, 8.1, 9.1, 10.5), with tripath witnesses attached;
 //! * [`CqaEngine`] — classify once, answer `certain` on many databases;
-//! * [`CqaSession`] — the other amortisation axis: load a database once,
-//!   answer many queries, with per-query caches of the classification,
-//!   solution set and component partition (`cqa batch` in the CLI);
-//! * [`SharedSession`] — the owned, thread-safe variant of the same
-//!   cache, built for the `cqa serve` session manager: many worker
-//!   threads answer against one database, eviction-safe via `Arc`;
+//! * [`SharedSession`] — the one session type, the other amortisation
+//!   axis: load a database once (behind an `Arc`), answer many queries
+//!   with per-query caches of the classification, solution set and
+//!   verdict. `cqa batch`, `cqa update` and the `cqa serve` session
+//!   manager all answer through it, from any number of threads;
 //! * re-exports of the underlying substrates: the relational model
 //!   ([`cqa_model`]), queries ([`cqa_query`]), solvers ([`cqa_solvers`]:
 //!   brute force, the greedy fixpoint `Cert_k`, `matching(q)`, the
@@ -48,7 +47,6 @@
 mod classify;
 mod delta;
 mod engine;
-mod session;
 mod shared;
 
 pub use classify::{
@@ -58,8 +56,7 @@ pub use delta::{DeltaStats, QueryDeltaState};
 pub use engine::{
     AnsweredBy, CancelledSolve, CertainAnswer, CqaEngine, EngineConfig, RoutePolicy, RoutingConfig,
 };
-pub use session::{CqaSession, SessionStats};
-pub use shared::SharedSession;
+pub use shared::{SessionStats, SharedSession};
 
 // Substrate re-exports for downstream users of the facade crate.
 pub use cqa_model as model;

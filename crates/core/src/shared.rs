@@ -1,14 +1,15 @@
-//! Owned, thread-safe query sessions — the server-side sibling of
-//! [`CqaSession`](crate::CqaSession).
+//! Query sessions: load a database once, answer many queries.
 //!
-//! [`CqaSession`](crate::CqaSession) *borrows* its database, which is
-//! perfect for `cqa batch` (load, answer, exit) but rules out a
-//! long-lived server: a session manager that loads and evicts databases
-//! at runtime needs entries it can own, share across worker threads and
-//! drop independently. [`SharedSession`] fills that gap:
+//! Every [`CqaEngine::certain`] call re-derives the expensive
+//! intermediates — the hash-joined [`SolutionSet`] and the q-connected
+//! component partition — and re-solves, even when the same query is asked
+//! against the same database again. A [`SharedSession`] is the one
+//! session type: `cqa batch`, `cqa update` and every database resident in
+//! `cqa serve` answer through one.
 //!
-//! * it **owns** its database behind an [`Arc`], so a manager can evict
-//!   the session while in-flight requests keep a live handle;
+//! * it **owns** its database behind an [`Arc`], so a server's session
+//!   manager can evict the session while in-flight requests keep a live
+//!   handle;
 //! * `certain` takes `&self` — concurrent requests for *different*
 //!   queries proceed without blocking each other, while concurrent first
 //!   sights of the *same* query block on one [`OnceLock`] initialisation
@@ -21,6 +22,9 @@
 //!   partition is rebuilt inside the one first-solve rather than stored
 //!   — caching it in an owned session would make the type
 //!   self-referential.)
+//!
+//! Cache keys are the *normalised* query text ([`Query::display`]), so
+//! `R(x|y) R(y|z)` and `R(x | y)  R(y | z)` share an entry.
 //!
 //! Verdicts are identical to [`CqaEngine::certain`] — the one solve per
 //! query feeds the same solutions and the same routing decision into
@@ -46,13 +50,26 @@
 
 use crate::delta::{DeltaStats, QueryDeltaState};
 use crate::engine::{CancelledSolve, CertainAnswer, CqaEngine, EngineConfig};
-use crate::session::SessionStats;
 use cqa_model::{Database, DeltaReport, Fact, ModelError};
 use cqa_query::Query;
 use cqa_solvers::{CancelToken, SolutionSet};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+
+/// Aggregate counters of a [`SharedSession`]'s lifetime, for `--stats`
+/// summaries and cache-effectiveness tests.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SessionStats {
+    /// `certain` calls answered.
+    pub queries: usize,
+    /// Distinct queries seen over the session's lifetime (cache entries
+    /// ever created; keyed by normalised text).
+    pub distinct_queries: usize,
+    /// Calls answered from a cached verdict. The first call for each
+    /// distinct query is never a hit.
+    pub cache_hits: usize,
+}
 
 /// A per-query cache slot. All fields are lazily initialised under
 /// [`OnceLock`], so racing first requests for one query do the expensive
@@ -136,16 +153,12 @@ impl SharedSession {
         self.db.approx_bytes()
     }
 
-    /// Lifetime counters, in the same shape `cqa batch --stats` reports
-    /// ([`SessionStats`]); `evictions` is always 0 here — whole-session
-    /// eviction is the manager's job, per-query eviction the capped
-    /// [`CqaSession`](crate::CqaSession)'s.
+    /// Lifetime counters, in the shape `cqa batch --stats` reports.
     pub fn stats(&self) -> SessionStats {
         SessionStats {
             queries: self.queries.load(Ordering::Relaxed),
             distinct_queries: self.distinct.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            evictions: 0,
         }
     }
 
@@ -164,30 +177,38 @@ impl SharedSession {
         entry
     }
 
+    /// Solve `query` on the session's database under `token`, reusing
+    /// (or building, on first sight) the entry's classification and
+    /// solution set — both are kept even when the solve is cancelled.
+    fn solve(
+        &self,
+        entry: &SharedEntry,
+        query: &Query,
+        token: &CancelToken,
+    ) -> Result<CertainAnswer, CancelledSolve> {
+        let engine = entry
+            .engine
+            .get_or_init(|| CqaEngine::with_config(query.clone(), self.config));
+        let solutions = entry
+            .solutions
+            .get_or_init(|| SolutionSet::enumerate(engine.query(), &self.db));
+        engine.certain_with_solutions(&self.db, solutions, token)
+    }
+
     /// Decide `db ⊨ certain(query)`, reusing (or building, on first
     /// sight) the cached classification, solution set *and verdict* for
-    /// this query. Safe to call from many threads at once.
-    ///
-    /// Unlike the per-process [`CqaSession`](crate::CqaSession), the
-    /// full [`CertainAnswer`] is cached, not just the preparation: the
-    /// session owns an immutable database, so the verdict is a pure
-    /// function of the query and re-solving on every repeat request
-    /// would only re-derive the same answer (a long-lived server cannot
-    /// afford that on budget-heavy shapes).
+    /// this query. Safe to call from many threads at once: racing first
+    /// requests for one query single-flight the solve on the entry's
+    /// [`OnceLock`]. This is [`SharedSession::certain_cancellable`]'s
+    /// solve with a token that never fires.
     pub fn certain(&self, query: &Query) -> CertainAnswer {
         let entry = self.entry(query);
         let hit = entry.answer.get().is_some();
         let answer = entry
             .answer
             .get_or_init(|| {
-                let engine = entry
-                    .engine
-                    .get_or_init(|| CqaEngine::with_config(query.clone(), self.config));
-                let solutions = entry
-                    .solutions
-                    .get_or_init(|| SolutionSet::enumerate(engine.query(), &self.db));
-                let comps = engine.partition_for(&self.db, solutions);
-                engine.certain_with_parts(&self.db, solutions, comps.as_deref())
+                self.solve(&entry, query, &CancelToken::new())
+                    .expect("a never-raised token cannot cancel the solve")
             })
             .clone();
         self.queries.fetch_add(1, Ordering::Relaxed);
@@ -206,8 +227,8 @@ impl SharedSession {
     /// completed solve commits its answer, so a later retry (or a
     /// concurrent patient request) still runs and caches the real
     /// verdict. The classification and solution enumeration stay under
-    /// their [`OnceLock`]s and are kept even when the solve is
-    /// cancelled: they are pure preparation, and the retry reuses them.
+    /// their [`OnceLock`]s and are kept even when the solve is cancelled:
+    /// they are pure preparation, and the retry reuses them.
     /// Racing deadline-carrying first requests for one query may each
     /// run the solve (unlike [`SharedSession::certain`], which
     /// single-flights it); the first to finish commits, and both return
@@ -223,15 +244,7 @@ impl SharedSession {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(answer.clone());
         }
-        let engine = entry
-            .engine
-            .get_or_init(|| CqaEngine::with_config(query.clone(), self.config));
-        let solutions = entry
-            .solutions
-            .get_or_init(|| SolutionSet::enumerate(engine.query(), &self.db));
-        let comps = engine.partition_for(&self.db, solutions);
-        let answer =
-            engine.certain_with_parts_token(&self.db, solutions, comps.as_deref(), token)?;
+        let answer = self.solve(&entry, query, token)?;
         let _ = entry.answer.set(answer.clone());
         self.queries.fetch_add(1, Ordering::Relaxed);
         Ok(answer)
@@ -336,8 +349,10 @@ impl SharedSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AnsweredBy, Complexity};
     use cqa_model::{Fact, Signature};
-    use cqa_query::examples;
+    use cqa_query::{examples, parse_query};
+    use cqa_solvers::certain_brute;
 
     fn db2(rows: &[[&str; 2]]) -> Arc<Database> {
         let mut db = Database::new(Signature::new(2, 1).unwrap());
@@ -374,6 +389,83 @@ mod tests {
         assert_eq!(stats.queries, 6);
         assert_eq!(stats.distinct_queries, 3);
         assert_eq!(stats.cache_hits, 3);
+    }
+
+    #[test]
+    fn session_answers_match_cold_engine_answers() {
+        let db = multi_component_db();
+        let session = SharedSession::new(Arc::clone(&db), EngineConfig::default());
+        let queries = [examples::q3(), examples::q4(), examples::q5()];
+        for q in &queries {
+            let cold = CqaEngine::new(q.clone()).certain(&db);
+            let warm = session.certain(q);
+            assert_eq!(cold.certain, warm.certain, "{}", q.display());
+            assert_eq!(cold.answered_by, warm.answered_by, "{}", q.display());
+            assert_eq!(cold.certain, certain_brute(q, &db), "{}", q.display());
+        }
+        // Second pass: all hits, same answers.
+        for q in &queries {
+            let cold = CqaEngine::new(q.clone()).certain(&db);
+            assert_eq!(session.certain(q).certain, cold.certain);
+        }
+        let stats = session.stats();
+        assert_eq!(stats.queries, 6);
+        assert_eq!(stats.distinct_queries, 3);
+        assert_eq!(stats.cache_hits, 3);
+    }
+
+    #[test]
+    fn normalised_query_text_shares_a_cache_entry() {
+        let session = SharedSession::new(db2(&[["a", "b"], ["b", "c"]]), EngineConfig::default());
+        let spaced = parse_query("R(x | y) R(y | z)").unwrap();
+        let dense = parse_query("R(x|y) R(y|z)").unwrap();
+        assert!(session.certain(&spaced).certain);
+        assert!(session.certain(&dense).certain);
+        let stats = session.stats();
+        assert_eq!(stats.distinct_queries, 1, "normalised text is the key");
+        assert_eq!(stats.cache_hits, 1);
+    }
+
+    #[test]
+    fn session_serves_conp_queries_via_brute_force() {
+        let q2 = examples::q2();
+        let mut db = Database::new(Signature::new(4, 2).unwrap());
+        db.insert(Fact::from_names(["a", "b", "a", "c"])).unwrap();
+        db.insert(Fact::from_names(["b", "c", "a", "d"])).unwrap();
+        let db = Arc::new(db);
+        let session = SharedSession::new(Arc::clone(&db), EngineConfig::default());
+        let engine = CqaEngine::new(q2.clone());
+        assert_eq!(engine.classification().complexity, Complexity::CoNpComplete);
+        let warm = session.certain(&q2);
+        assert_eq!(warm.answered_by, AnsweredBy::BruteForce);
+        assert_eq!(warm.certain, engine.certain(&db).certain);
+        // The cached verdict serves the repeat.
+        assert_eq!(session.certain(&q2).certain, warm.certain);
+        assert_eq!(session.stats().cache_hits, 1);
+    }
+
+    #[test]
+    fn early_exit_session_keeps_the_verdict() {
+        let db = multi_component_db();
+        // threads = 1 makes the skip count deterministic (the first
+        // component is certain, so the sequential fan-out must skip the
+        // rest); under free scheduling tiny components could all finish
+        // before any worker sees the cancel flag.
+        let mut config = EngineConfig::default()
+            .with_early_exit(true)
+            .with_threads(1);
+        config.routing.min_facts = 4;
+        config.routing.min_components = 2;
+        let eager = SharedSession::new(Arc::clone(&db), config);
+        let det = SharedSession::new(db, config.with_early_exit(false));
+        let q3 = examples::q3();
+        let e = eager.certain(&q3);
+        let d = det.certain(&q3);
+        assert_eq!(e.certain, d.certain);
+        assert_eq!(e.answered_by, AnsweredBy::ComponentCertK);
+        assert_eq!(e.components, d.components, "partition size is provenance");
+        assert_eq!(d.skipped_components, Some(0));
+        assert!(e.skipped_components.unwrap() > 0, "early exit skipped work");
     }
 
     #[test]

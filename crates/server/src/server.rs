@@ -44,7 +44,7 @@ use crate::protocol::{
     err_response, ok_response, parse_request, Frame, FrameReader, Method, Request, WireError,
     MAX_FRAME,
 };
-use cqa::solvers::CancelToken;
+use cqa::solvers::{certain_brute_over, BruteOutcome, CancelToken, SolutionSet};
 use cqa::{CancelledSolve, EngineConfig};
 use cqa_query::parse_query;
 use std::io::{self, BufReader, Write};
@@ -483,19 +483,18 @@ fn execute(
             // One solver thread per request: parallelism across
             // requests comes from the pool, and nesting would
             // oversubscribe the workers.
-            let outcome = match token {
-                Some(token) => {
-                    cqa::solvers::certain_brute_cancellable(&q, session.db(), *budget, 1, token)
-                        .ok_or_else(|| cancelled_error(ctx, &CancelledSolve::default()))?
-                }
-                None => cqa::solvers::certain_brute_parallel(&q, session.db(), *budget, 1),
-            };
             let db_ref = session.db();
+            let outcome = certain_brute_over(
+                db_ref,
+                &SolutionSet::enumerate(&q, db_ref),
+                *budget,
+                1,
+                token.unwrap_or(&CancelToken::new()),
+            )
+            .ok_or_else(|| cancelled_error(ctx, &CancelledSolve::default()))?;
             Ok(match outcome {
-                cqa::solvers::BruteOutcome::Certain => {
-                    obj([("outcome", Json::Str("certain".to_string()))])
-                }
-                cqa::solvers::BruteOutcome::NotCertain(r) => obj([
+                BruteOutcome::Certain => obj([("outcome", Json::Str("certain".to_string()))]),
+                BruteOutcome::NotCertain(r) => obj([
                     ("outcome", Json::Str("not-certain".to_string())),
                     (
                         "repair",
@@ -507,7 +506,7 @@ fn execute(
                         ),
                     ),
                 ]),
-                cqa::solvers::BruteOutcome::BudgetExhausted => obj([
+                BruteOutcome::BudgetExhausted => obj([
                     ("outcome", Json::Str("budget-exhausted".to_string())),
                     (
                         "budget",

@@ -10,13 +10,13 @@
 //! queries, and exactly what the dichotomy benches measure.
 //!
 //! Because the per-component searches are independent, they fan out over a
-//! thread pool ([`certain_brute_parallel`]). The node budget is shared
+//! thread pool ([`certain_brute_over`]). The node budget is shared
 //! across all components through one atomic counter, and as soon as one
 //! component *forces* `q` (no falsifying partial exists — the whole
 //! database is certain) or blows the budget, the other searches are
 //! cancelled via a stop flag. Outcomes combine in component order, so
 //! `threads = 1` reproduces the sequential loop exactly; see
-//! [`certain_brute_parallel`] for the budget/thread-count contract.
+//! [`certain_brute_over`] for the budget/thread-count contract.
 
 use crate::{CancelToken, SolutionSet};
 use cqa_graph::UnionFind;
@@ -127,47 +127,12 @@ fn component_block_orders(db: &Database, solutions: &SolutionSet) -> ComponentPl
 }
 
 /// Backtracking search for a falsifying repair, with a node budget
-/// (`u64::MAX` for unbounded). Sequential; see [`certain_brute_parallel`]
-/// for the multi-threaded variant.
+/// (`u64::MAX` for unbounded). Sequential and never cancelled — a frozen
+/// oracle for the tests; the live entry point is [`certain_brute_over`].
 pub fn certain_brute_budgeted(q: &Query, db: &Database, budget: u64) -> BruteOutcome {
     let solutions = SolutionSet::enumerate(q, db);
-    certain_brute_with_solutions(q, db, &solutions, budget)
-}
-
-/// [`certain_brute_budgeted`] fanning the per-component searches out over
-/// `threads` worker threads (`1` = the exact sequential path, no spawns).
-/// The node budget is shared: the atomic step counter is global to the
-/// call, so total expended work respects `budget` regardless of the
-/// thread count.
-///
-/// Verdicts never depend on the thread count **as long as the budget is
-/// not exhausted** (the default `u64::MAX` in practice never is): every
-/// component is searched deterministically and the outcomes combine
-/// order-independently. Under an *exhausted* finite budget the answer is
-/// still sound — `Certain` only with a forcing component, a witness only
-/// when every component was fully falsified — but with `threads > 1` the
-/// racing searches drain the shared counter in a scheduling-dependent
-/// order, so *which* of `Certain`/`BudgetExhausted` comes back may vary
-/// between runs. `threads = 1` reproduces the historical sequential
-/// semantics exactly, including budget-exhaustion behaviour.
-pub fn certain_brute_parallel(
-    q: &Query,
-    db: &Database,
-    budget: u64,
-    threads: usize,
-) -> BruteOutcome {
-    let solutions = SolutionSet::enumerate(q, db);
-    certain_brute_with_solutions_threads(q, db, &solutions, budget, threads)
-}
-
-/// [`certain_brute_budgeted`] with pre-computed solutions.
-pub fn certain_brute_with_solutions(
-    q: &Query,
-    db: &Database,
-    solutions: &SolutionSet,
-    budget: u64,
-) -> BruteOutcome {
-    certain_brute_with_solutions_threads(q, db, solutions, budget, 1)
+    certain_brute_over(db, &solutions, budget, 1, &CancelToken::new())
+        .expect("a never-raised token cannot cancel the search")
 }
 
 /// How one component's search ended.
@@ -185,69 +150,49 @@ enum CompSearch {
     Cancelled,
 }
 
-/// [`certain_brute_parallel`] with pre-computed solutions.
-pub fn certain_brute_with_solutions_threads(
-    _q: &Query,
-    db: &Database,
-    solutions: &SolutionSet,
-    budget: u64,
-    threads: usize,
-) -> BruteOutcome {
-    brute_over_components(db, solutions, budget, threads, None)
-        .expect("without a token the search cannot be cancelled")
-}
-
-/// [`certain_brute_parallel`] under a [`CancelToken`]: the search polls
-/// the token once per component start and once per `TOKEN_POLL_NODES`
-/// search nodes (a budget tranche), so a token that expires mid-search
-/// stops every component within one tranche. Returns `None` when the
-/// token cancelled the search before a verdict was reached — a completed
-/// verdict is never discarded, even if the token has expired by the time
-/// it is observed.
-pub fn certain_brute_cancellable(
-    q: &Query,
-    db: &Database,
-    budget: u64,
-    threads: usize,
-    token: &CancelToken,
-) -> Option<BruteOutcome> {
-    let solutions = SolutionSet::enumerate(q, db);
-    certain_brute_with_solutions_token(q, db, &solutions, budget, threads, token)
-}
-
-/// [`certain_brute_cancellable`] with pre-computed solutions — the
-/// engine's session path hands its cached enumeration straight through.
-pub fn certain_brute_with_solutions_token(
-    _q: &Query,
-    db: &Database,
-    solutions: &SolutionSet,
-    budget: u64,
-    threads: usize,
-    token: &CancelToken,
-) -> Option<BruteOutcome> {
-    brute_over_components(db, solutions, budget, threads, Some(token))
-}
-
 /// Search nodes between two token polls: one deadline check per tranche
 /// keeps the clock off the per-node hot path while still bounding the
 /// cancellation latency to a sliver of the search.
 const TOKEN_POLL_NODES: u64 = 1024;
 
-/// The shared component fan-out behind both brute entry points. `None`
-/// iff `token` cancelled the search before any decisive event.
-fn brute_over_components(
+/// Decide `certain(q)` by backtracking search over `db`'s q-connected
+/// components, given the query's enumerated `solutions` — the one live
+/// entry point of the brute force.
+///
+/// The per-component searches fan out over `threads` worker threads (`1`
+/// = the exact sequential path, no spawns). The node budget is shared:
+/// the atomic step counter is global to the call, so total expended work
+/// respects `budget` regardless of the thread count. Verdicts never
+/// depend on the thread count **as long as the budget is not exhausted**
+/// (the default `u64::MAX` in practice never is): every component is
+/// searched deterministically and the outcomes combine
+/// order-independently. Under an *exhausted* finite budget the answer is
+/// still sound — `Certain` only with a forcing component, a witness only
+/// when every component was fully falsified — but with `threads > 1` the
+/// racing searches drain the shared counter in a scheduling-dependent
+/// order, so *which* of `Certain`/`BudgetExhausted` comes back may vary
+/// between runs. `threads = 1` reproduces the historical sequential
+/// semantics exactly, including budget-exhaustion behaviour.
+///
+/// The search polls `token` once per component start and once per
+/// `TOKEN_POLL_NODES` search nodes (a budget tranche), so a token that
+/// fires mid-search stops every component within one tranche. Returns
+/// `None` when the token cancelled the search before a verdict was
+/// reached; a completed verdict is never discarded, even if the token
+/// has expired by the time it is observed.
+pub fn certain_brute_over(
     db: &Database,
     solutions: &SolutionSet,
     budget: u64,
     threads: usize,
-    token: Option<&CancelToken>,
+    token: &CancelToken,
 ) -> Option<BruteOutcome> {
     let plan = component_block_orders(db, solutions);
     let nodes = AtomicU64::new(0);
     let stop = AtomicBool::new(false);
 
     let results = minipool::par_map(threads, &plan.orders, |comp| {
-        if token.is_some_and(CancelToken::is_cancelled) {
+        if token.is_cancelled() {
             return CompSearch::Cancelled;
         }
         // Component-sized scratch indexed through plan.local_idx — a
@@ -303,14 +248,14 @@ fn brute_over_components(
         }
     }
     if cancelled {
-        if token.is_some_and(CancelToken::is_cancelled) {
+        if token.is_cancelled() {
             // The token (not a sibling's decisive event) stopped the
             // search: no verdict.
             return None;
         }
-        // Unreachable without a token: a cancellation implies some
-        // sibling reported the decisive event above. Kept total instead
-        // of panicking.
+        // Unreachable while the token is calm: a cancellation implies
+        // some sibling reported the decisive event above. Kept total
+        // instead of panicking.
         return Some(BruteOutcome::BudgetExhausted);
     }
     // All components falsified: assemble the full witness. Indexed by raw
@@ -380,7 +325,7 @@ fn search(
     nodes: &AtomicU64,
     budget: u64,
     stop: &AtomicBool,
-    token: Option<&CancelToken>,
+    token: &CancelToken,
 ) -> Result<bool, Interrupt> {
     if stop.load(Ordering::Relaxed) {
         return Err(Interrupt::Cancelled);
@@ -423,7 +368,7 @@ fn search(
         // One deadline check per tranche of the shared node counter:
         // raise the stop flag so sibling searches bail at their next
         // entry poll instead of each waiting for its own tranche.
-        if spent % TOKEN_POLL_NODES == 0 && token.is_some_and(CancelToken::is_cancelled) {
+        if spent % TOKEN_POLL_NODES == 0 && token.is_cancelled() {
             stop.store(true, Ordering::Relaxed);
             return Err(Interrupt::Cancelled);
         }
@@ -467,6 +412,13 @@ mod tests {
     use super::*;
     use cqa_model::{Fact, Signature};
     use cqa_query::examples;
+
+    /// [`certain_brute_over`] on a fresh enumeration under a calm token.
+    fn brute_parallel(q: &Query, db: &Database, budget: u64, threads: usize) -> BruteOutcome {
+        let solutions = SolutionSet::enumerate(q, db);
+        certain_brute_over(db, &solutions, budget, threads, &CancelToken::new())
+            .expect("a calm token cannot cancel the search")
+    }
 
     fn db2(rows: &[[&str; 2]]) -> Database {
         let mut db = Database::new(Signature::new(2, 1).unwrap());
@@ -585,13 +537,13 @@ mod tests {
         let q = examples::q3();
         let d = db2(&[["a", "b"], ["a", "c"], ["b", "a"], ["b", "d"], ["z", "z"]]);
         assert!(matches!(
-            certain_brute_parallel(&q, &d, 1, 1),
+            brute_parallel(&q, &d, 1, 1),
             BruteOutcome::BudgetExhausted
         ));
         // Unbounded, the forcing component decides it at every thread count.
         for threads in [1, 2, 4] {
             assert!(matches!(
-                certain_brute_parallel(&q, &d, u64::MAX, threads),
+                brute_parallel(&q, &d, u64::MAX, threads),
                 BruteOutcome::Certain
             ));
         }
@@ -611,7 +563,7 @@ mod tests {
             ["z", "w"],
         ]);
         for threads in [1, 2, 4] {
-            match certain_brute_parallel(&q, &falsifiable, u64::MAX, threads) {
+            match brute_parallel(&q, &falsifiable, u64::MAX, threads) {
                 BruteOutcome::NotCertain(r) => {
                     let sols = SolutionSet::enumerate(&q, &falsifiable);
                     assert!(
@@ -626,7 +578,7 @@ mod tests {
         let certain = db2(&[["a", "b"], ["b", "c"], ["p", "q"], ["p", "x"], ["q", "r"]]);
         for threads in [1, 2, 4] {
             assert!(matches!(
-                certain_brute_parallel(&q, &certain, u64::MAX, threads),
+                brute_parallel(&q, &certain, u64::MAX, threads),
                 BruteOutcome::Certain
             ));
         }
@@ -639,11 +591,12 @@ mod tests {
         // A pre-raised token cancels before any component search starts.
         let raised = CancelToken::new();
         raised.cancel();
-        assert!(certain_brute_cancellable(&q, &d, u64::MAX, 1, &raised).is_none());
+        let sols = SolutionSet::enumerate(&q, &d);
+        assert!(certain_brute_over(&d, &sols, u64::MAX, 1, &raised).is_none());
         // A calm token reproduces the plain outcome at every thread count.
         for threads in [1usize, 2, 4] {
             let calm = CancelToken::new();
-            let got = certain_brute_cancellable(&q, &d, u64::MAX, threads, &calm)
+            let got = certain_brute_over(&d, &sols, u64::MAX, threads, &calm)
                 .expect("a calm token cannot cancel the search");
             assert!(matches!(got, BruteOutcome::NotCertain(_)), "{got:?}");
         }

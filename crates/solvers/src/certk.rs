@@ -34,13 +34,12 @@
 //! confluent); the [`reference`](mod@reference) module keeps the seed-era
 //! full-pass evaluator for differential testing.
 
-use crate::SolutionSet;
+use crate::{CancelToken, SolutionSet};
 use cqa_model::{BlockId, Database, DbView, FactId};
 use cqa_query::Query;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Tuning for [`certk`].
+/// Tuning for [`certk_view`] and the component fan-outs.
 #[derive(Clone, Copy, Debug)]
 pub struct CertKConfig {
     /// Maximum k-set size. The paper's proofs use enormous constants
@@ -51,25 +50,30 @@ pub struct CertKConfig {
     /// [`CertKOutcome::BudgetExhausted`]. Keeps the algorithm total on
     /// adversarial inputs where `Δ` blows up.
     pub node_budget: u64,
-    /// Worker threads for the solvers that fan out per q-connected
-    /// component ([`certain_combined`](crate::certain_combined) and the
-    /// parallel brute force). The fixpoint itself is sequential; this knob
-    /// only controls how many components are decided concurrently. `1`
-    /// preserves the fully sequential path (no threads spawned); the
-    /// default is the host's available parallelism.
+    /// Worker threads for the per-component fan-outs
+    /// ([`certain_combined_over`](crate::certain_combined_over) and
+    /// [`certk_by_components`](crate::certk_by_components)); the engine
+    /// also passes it as the `threads` argument of
+    /// [`certain_brute_over`](crate::certain_brute_over). The fixpoint
+    /// itself is sequential; this knob only controls how many components
+    /// are decided concurrently. `1` preserves the fully sequential path
+    /// (no threads spawned); the default is the host's available
+    /// parallelism.
     ///
-    /// [`certain_combined`](crate::certain_combined) results are identical
-    /// across thread counts — each component gets this same configuration
-    /// (including `node_budget`) either way. The brute-force solver shares
-    /// one budget across components, so its verdict is thread-count
-    /// independent only while the budget is not exhausted; see
-    /// [`certain_brute_parallel`](crate::certain_brute_parallel).
+    /// Fan-out results are identical across thread counts — each
+    /// component gets this same configuration (including `node_budget`)
+    /// either way. The brute-force solver shares one budget across
+    /// components, so its verdict is thread-count independent only while
+    /// the budget is not exhausted; see
+    /// [`certain_brute_over`](crate::certain_brute_over).
     pub threads: usize,
-    /// Opt-in cancel-on-first-certain for the per-component `Cert_k`
-    /// fan-out ([`certk_by_components`](crate::certk_by_components)): as
-    /// soon as one component is found certain, the remaining components
-    /// stop deciding (in-flight fixpoints bail at their next block; queued
-    /// ones are skipped outright). The **verdict** is provably unchanged —
+    /// Opt-in cancel-on-first-certain for
+    /// [`certk_by_components`](crate::certk_by_components): as soon as
+    /// one component is found certain, the fan-out raises a
+    /// [`child`](crate::CancelToken::child) of the caller's token and the
+    /// remaining components stop deciding (in-flight fixpoints bail at
+    /// their next block; queued ones are skipped outright). The caller's
+    /// token is never raised. The **verdict** is provably unchanged —
     /// cancellation only ever happens after a certain component, and
     /// `D ⊨ certain(q)` iff some component is certain (Proposition 10.6)
     /// — but the per-component **evidence** becomes partial:
@@ -77,8 +81,8 @@ pub struct CertKConfig {
     /// the undecided components and aggregate statistics cover only the
     /// decided ones. Default `false` (decide every component, the
     /// deterministic evidence-complete path). Ignored by
-    /// [`certain_combined`](crate::certain_combined), whose callers rely
-    /// on complete per-component evidence.
+    /// [`certain_combined_over`](crate::certain_combined_over), whose
+    /// callers rely on complete per-component evidence.
     pub early_exit: bool,
 }
 
@@ -463,106 +467,27 @@ impl CertKStats {
     }
 }
 
-/// Run `Cert_k(q)` on `db`.
+/// Run `Cert_k(q)` on `db` — the paper's whole-database procedure, never
+/// cancelled, no snapshot. Everything else goes through [`certk_view`].
 pub fn certk(q: &Query, db: &Database, cfg: CertKConfig) -> CertKOutcome {
     let solutions = SolutionSet::enumerate(q, db);
-    certk_with_solutions(q, db, &solutions, cfg)
-}
-
-/// [`certk`] with pre-computed solutions (shared with other solvers).
-pub fn certk_with_solutions(
-    q: &Query,
-    db: &Database,
-    solutions: &SolutionSet,
-    cfg: CertKConfig,
-) -> CertKOutcome {
-    certk_with_stats(q, db, solutions, cfg).0
-}
-
-/// [`certk_with_solutions`] returning execution statistics alongside the
-/// outcome.
-pub fn certk_with_stats(
-    q: &Query,
-    db: &Database,
-    solutions: &SolutionSet,
-    cfg: CertKConfig,
-) -> (CertKOutcome, CertKStats) {
-    certk_view_with_stats(q, &db.full_view(), solutions, cfg)
-}
-
-/// Run `Cert_k(q)` on a copy-free [`DbView`] — e.g. one q-connected
-/// component — against the **parent database's** solution set. Only the
-/// solutions among the view's facts participate (a solution is a property
-/// of its two facts alone, so the parent's set restricted to the view is
-/// exactly the view's set), and derivation runs over the view's blocks
-/// only. On a full view this is identical to
-/// [`certk_with_solutions`].
-pub fn certk_view(
-    q: &Query,
-    view: &DbView<'_>,
-    solutions: &SolutionSet,
-    cfg: CertKConfig,
-) -> CertKOutcome {
-    certk_view_with_stats(q, view, solutions, cfg).0
-}
-
-/// [`certk_view`] returning execution statistics alongside the outcome.
-pub fn certk_view_with_stats(
-    q: &Query,
-    view: &DbView<'_>,
-    solutions: &SolutionSet,
-    cfg: CertKConfig,
-) -> (CertKOutcome, CertKStats) {
-    let never = AtomicBool::new(false);
-    certk_view_cancellable(q, view, solutions, cfg, &never)
-        .expect("a never-raised cancel flag cannot interrupt the fixpoint")
-}
-
-/// [`certk_view_with_stats`] with a cooperative cancel flag: the fixpoint
-/// polls `cancel` (relaxed loads) while seeding and before each block
-/// derivation, and returns `None` as soon as it observes the flag raised —
-/// the hook behind [`CertKConfig::early_exit`], where a sibling component
-/// found certain makes the remaining components' outcomes irrelevant
-/// (Proposition 10.6). A `None` carries no statistics: the run was
-/// abandoned mid-flight, so its counters describe no complete evaluation.
-pub fn certk_view_cancellable(
-    q: &Query,
-    view: &DbView<'_>,
-    solutions: &SolutionSet,
-    cfg: CertKConfig,
-    cancel: &AtomicBool,
-) -> Option<(CertKOutcome, CertKStats)> {
-    certk_view_poll(q, view, solutions, cfg, &mut || {
-        cancel.load(Ordering::Relaxed)
-    })
-    .ok()
-}
-
-/// [`certk_view_with_stats`] under a [`CancelToken`](crate::cancel::CancelToken):
-/// the fixpoint polls
-/// the token at the same bounded intervals as the early-exit flag (once
-/// per seeded fact, once per block derivation), so a token that expires
-/// *mid-fixpoint* stops the run within roughly one block's worth of
-/// work. Unlike [`certk_view_cancellable`], a cancelled run reports its
-/// **partial statistics** (`Err`): the counters describe the work done
-/// before the cancel observation — the evidence a server attaches to a
-/// `deadline-exceeded` answer. The outcome itself is withheld: a
-/// cancelled fixpoint proves nothing either way.
-pub fn certk_view_cancel_token(
-    q: &Query,
-    view: &DbView<'_>,
-    solutions: &SolutionSet,
-    cfg: CertKConfig,
-    token: &crate::CancelToken,
-) -> Result<(CertKOutcome, CertKStats), CertKStats> {
-    certk_view_poll(q, view, solutions, cfg, &mut || token.is_cancelled())
+    certk_view(
+        &db.full_view(),
+        &solutions,
+        cfg,
+        &CancelToken::new(),
+        None,
+        false,
+    )
+    .expect("a never-raised token cannot interrupt the fixpoint")
+    .0
 }
 
 /// An owned snapshot of a **completed** `Cert_k` fixpoint over one view:
 /// the reached antichain membership plus the outcome it proved. Produced
-/// by [`certk_view_snapshot`] / [`certk_view_warm`] and fed back into
-/// [`certk_view_warm`] after a *growth-only* delta (only previously empty
-/// blocks gained facts, nothing was retracted) to re-answer in time
+/// by a [`certk_view`] run asked to `capture` it, and fed back into one
+/// (as [`WarmInit::state`]) after a *growth-only* delta (only previously
+/// empty blocks gained facts, nothing was retracted) to re-answer in time
 /// proportional to the delta's neighbourhood instead of the whole view.
 ///
 /// Reuse is sound only under growth: every old repair restriction still
@@ -573,7 +498,7 @@ pub fn certk_view_cancel_token(
 /// the engine's delta layer does via `cqa_model::DeltaReport::growth_only`.
 /// Snapshots of [`BudgetExhausted`](CertKOutcome::BudgetExhausted) runs
 /// are not reusable either (the fixpoint never converged):
-/// [`reusable`](CertKWarmState::reusable) gates both entry points.
+/// [`reusable`](CertKWarmState::reusable) gates warm starts.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CertKWarmState {
     /// Antichain members at convergence (empty when `has_empty`: ∅ covers
@@ -650,119 +575,6 @@ impl CertKWarmState {
     }
 }
 
-/// [`certk_view_with_stats`] that additionally captures a
-/// [`CertKWarmState`] snapshot of the reached antichain, the cold half of
-/// the warm-restart protocol: run this once, keep the snapshot, and after
-/// each growth-only delta hand it to [`certk_view_warm`] instead of
-/// rerunning from scratch.
-pub fn certk_view_snapshot(
-    q: &Query,
-    view: &DbView<'_>,
-    solutions: &SolutionSet,
-    cfg: CertKConfig,
-) -> (CertKOutcome, CertKStats, CertKWarmState) {
-    let (outcome, stats, snap) =
-        certk_view_poll_warm(q, view, solutions, cfg, &mut || false, None, true)
-            .unwrap_or_else(|_| unreachable!("a never-raised poll cannot interrupt the fixpoint"));
-    (outcome, stats, snap.expect("capture was requested"))
-}
-
-/// Warm-restart `Cert_k(q)` on `view` from a prior snapshot after a
-/// growth-only delta. `changed_facts` are the facts inserted since the
-/// snapshot (the delta's inserts, every one in a block that was empty at
-/// snapshot time); `dirty_blocks` are their blocks — the initial
-/// dirty-block worklist. The prior antichain is preloaded, only pairs
-/// involving `changed_facts` are seeded (through `insert_tracked`, so
-/// seed-touched old blocks join the worklist too), and requirement
-/// families are recomputed lazily for visited blocks only — untouched
-/// regions of the view are never rescanned. Returns the outcome, the
-/// (warm) run's statistics and a fresh snapshot for the next delta.
-///
-/// The reached membership — and hence the outcome — is **identical** to a
-/// cold run on the post-delta view: the closure is confluent and the old
-/// blocks were already converged against the preloaded members. The
-/// statistics differ, of course; that is the point
-/// (`blocks_skipped` counts the blocks the warm start never visited).
-///
-/// # Panics
-///
-/// Debug-asserts that `warm` is [`reusable`](CertKWarmState::reusable).
-/// The growth-only precondition on the delta is *not* checkable from the
-/// post-delta view alone and remains the caller's obligation.
-pub fn certk_view_warm(
-    q: &Query,
-    view: &DbView<'_>,
-    solutions: &SolutionSet,
-    cfg: CertKConfig,
-    warm: &CertKWarmState,
-    changed_facts: &[FactId],
-    dirty_blocks: &[BlockId],
-) -> (CertKOutcome, CertKStats, CertKWarmState) {
-    let init = WarmInit {
-        state: warm,
-        changed_facts,
-        dirty_blocks,
-    };
-    let (outcome, stats, snap) =
-        certk_view_poll_warm(q, view, solutions, cfg, &mut || false, Some(init), true)
-            .unwrap_or_else(|_| unreachable!("a never-raised poll cannot interrupt the fixpoint"));
-    (outcome, stats, snap.expect("capture was requested"))
-}
-
-/// [`certk_view_warm`] under a [`CancelToken`](crate::cancel::CancelToken),
-/// polled at the same bounded intervals as [`certk_view_cancel_token`].
-/// `Err` carries the partial statistics of a cancelled run — no snapshot
-/// is produced (an interrupted antichain proves nothing).
-#[allow(clippy::too_many_arguments)]
-pub fn certk_view_warm_cancel_token(
-    q: &Query,
-    view: &DbView<'_>,
-    solutions: &SolutionSet,
-    cfg: CertKConfig,
-    warm: &CertKWarmState,
-    changed_facts: &[FactId],
-    dirty_blocks: &[BlockId],
-    token: &crate::CancelToken,
-) -> Result<(CertKOutcome, CertKStats, CertKWarmState), CertKStats> {
-    let init = WarmInit {
-        state: warm,
-        changed_facts,
-        dirty_blocks,
-    };
-    let (outcome, stats, snap) = certk_view_poll_warm(
-        q,
-        view,
-        solutions,
-        cfg,
-        &mut || token.is_cancelled(),
-        Some(init),
-        true,
-    )?;
-    Ok((outcome, stats, snap.expect("capture was requested")))
-}
-
-/// [`certk_view_snapshot`] under a
-/// [`CancelToken`](crate::cancel::CancelToken) — the cold,
-/// snapshot-capturing counterpart of [`certk_view_cancel_token`].
-pub fn certk_view_snapshot_cancel_token(
-    q: &Query,
-    view: &DbView<'_>,
-    solutions: &SolutionSet,
-    cfg: CertKConfig,
-    token: &crate::CancelToken,
-) -> Result<(CertKOutcome, CertKStats, CertKWarmState), CertKStats> {
-    let (outcome, stats, snap) = certk_view_poll_warm(
-        q,
-        view,
-        solutions,
-        cfg,
-        &mut || token.is_cancelled(),
-        None,
-        true,
-    )?;
-    Ok((outcome, stats, snap.expect("capture was requested")))
-}
-
 /// Record into `stats` the partial evidence of a cancelled run: steps
 /// consumed so far and the antichain health counters at the cancel
 /// observation.
@@ -772,49 +584,67 @@ fn finalise_partial(stats: &mut CertKStats, chain: &Antichain<'_>, consumed: u64
     stats.stale_compacted = chain.stale_compacted();
 }
 
-/// The fixpoint core shared by every public entry point, parameterised
-/// over the cancellation poll. `Err` carries the partial statistics of a
-/// cancelled run.
-pub(crate) fn certk_view_poll(
-    q: &Query,
-    view: &DbView<'_>,
-    solutions: &SolutionSet,
-    cfg: CertKConfig,
-    cancelled: &mut dyn FnMut() -> bool,
-) -> Result<(CertKOutcome, CertKStats), CertKStats> {
-    certk_view_poll_warm(q, view, solutions, cfg, cancelled, None, false)
-        .map(|(outcome, stats, _)| (outcome, stats))
-}
-
-/// Warm-restart input for [`certk_view_poll_warm`]: a completed prior
-/// fixpoint plus the delta since its snapshot.
-struct WarmInit<'w> {
-    state: &'w CertKWarmState,
-    /// Facts inserted since the snapshot (must all live in fresh blocks).
-    changed_facts: &'w [FactId],
+/// Warm-start input for [`certk_view`]: a completed prior fixpoint plus
+/// the delta since its snapshot.
+#[derive(Clone, Copy, Debug)]
+pub struct WarmInit<'w> {
+    /// The prior run's snapshot; must be
+    /// [`reusable`](CertKWarmState::reusable).
+    pub state: &'w CertKWarmState,
+    /// Facts inserted since the snapshot (must all live in blocks that
+    /// were empty at snapshot time).
+    pub changed_facts: &'w [FactId],
     /// Blocks to seed the worklist with: the delta's blocks.
-    dirty_blocks: &'w [BlockId],
+    pub dirty_blocks: &'w [BlockId],
 }
 
-/// The fixpoint core, optionally warm-started and optionally capturing a
-/// reusable snapshot of the reached antichain.
+/// Run `Cert_k(q)` on a copy-free [`DbView`] — the one live entry point
+/// of the fixpoint. The view is typically one q-connected component or a
+/// full view; `solutions` is the **parent database's** solution set. Only
+/// the solutions among the view's facts participate (a solution is a
+/// property of its two facts alone, so the parent's set restricted to the
+/// view is exactly the view's set), and derivation runs over the view's
+/// blocks only.
 ///
-/// A warm start preloads the prior run's antichain, seeds only pairs
-/// involving `changed_facts`, and begins the worklist at `dirty_blocks`
-/// (plus whatever the new seeds touch) instead of every block. This is
-/// sound and complete **only for growth-only deltas** — every fact added
-/// since the snapshot lives in a block that held no fact at snapshot time
-/// (see `docs/DELTAS.md` for the monotonicity argument); any other delta
-/// must run cold. The reached membership is identical to a cold run:
-/// the closure is confluent and the old blocks were already converged
-/// with respect to the preloaded members, so the worklist invariant
-/// ("a block not queued derives nothing new") holds from the start.
-fn certk_view_poll_warm(
-    _q: &Query,
+/// * **Cancellation.** The fixpoint polls `token` once per seeded fact
+///   and once per block derivation, so a token that fires mid-fixpoint
+///   stops the run within roughly one block's worth of work. A cancelled
+///   run returns `Err` with its **partial statistics** — the work done
+///   before the cancel observation, the evidence a server attaches to a
+///   `deadline-exceeded` answer. The outcome is withheld: a cancelled
+///   fixpoint proves nothing either way. Pass [`CancelToken::new`] when
+///   nothing can cancel.
+/// * **Warm start.** With `warm`, the run preloads the prior antichain,
+///   seeds only pairs involving [`WarmInit::changed_facts`] (through
+///   `insert_tracked`, so seed-touched old blocks join the worklist too)
+///   and begins the worklist at [`WarmInit::dirty_blocks`] instead of
+///   every block; requirement families are recomputed lazily for visited
+///   blocks only. This is sound and complete **only for growth-only
+///   deltas** — every fact added since the snapshot lives in a block that
+///   held no fact at snapshot time (see `docs/DELTAS.md` for the
+///   monotonicity argument); any other delta must run cold. The reached
+///   membership — and hence the outcome — is **identical** to a cold run
+///   on the post-delta view: the closure is confluent and the old blocks
+///   were already converged with respect to the preloaded members, so the
+///   worklist invariant ("a block not queued derives nothing new") holds
+///   from the start. The statistics differ, of course; that is the point
+///   (`blocks_skipped` counts the blocks the warm start never visited).
+/// * **Snapshot.** With `capture`, a completed run also returns the
+///   [`CertKWarmState`] of the reached antichain, the seed for the next
+///   warm start. Without it no snapshot is built, so a cold batch solve
+///   never copies its antichain.
+///
+/// # Panics
+///
+/// Debug-asserts that a warm start's state is
+/// [`reusable`](CertKWarmState::reusable). The growth-only precondition
+/// on the delta is *not* checkable from the post-delta view alone and
+/// remains the caller's obligation.
+pub fn certk_view(
     view: &DbView<'_>,
     solutions: &SolutionSet,
     cfg: CertKConfig,
-    cancelled: &mut dyn FnMut() -> bool,
+    token: &CancelToken,
     warm: Option<WarmInit<'_>>,
     capture: bool,
 ) -> Result<(CertKOutcome, CertKStats, Option<CertKWarmState>), CertKStats> {
@@ -875,7 +705,7 @@ fn certk_view_poll_warm(
     match &warm {
         None => {
             for &a in view.fact_ids() {
-                if cancelled() {
+                if token.is_cancelled() {
                     finalise_partial(&mut stats, &chain, cfg.node_budget - budget);
                     return Err(stats);
                 }
@@ -899,7 +729,7 @@ fn certk_view_poll_warm(
                 if !view.contains_fact(a) {
                     continue;
                 }
-                if cancelled() {
+                if token.is_cancelled() {
                     finalise_partial(&mut stats, &chain, cfg.node_budget - budget);
                     return Err(stats);
                 }
@@ -971,7 +801,7 @@ fn certk_view_poll_warm(
         stats.rounds += 1;
         let mut exhausted = false;
         'round: for &b in &current {
-            if cancelled() {
+            if token.is_cancelled() {
                 finalise_partial(&mut stats, &chain, cfg.node_budget - budget);
                 return Err(stats);
             }
@@ -1169,7 +999,7 @@ pub fn cert2(q: &Query, db: &Database) -> CertKOutcome {
 /// This module preserves the *seed-era* `Cert_k` implementation exactly as
 /// it was before the PR 4 rework: a full-pass fixpoint (every block
 /// re-derived every round) over a [`NaiveAntichain`] whose every operation
-/// is a linear scan. The live evaluator is [`certk_view_with_stats`] above
+/// is a linear scan. The live evaluator is [`certk_view`] above
 /// — block-keyed subset index, cached requirement families, dirty-block
 /// worklist, statistics, cooperative cancellation — none of which exists
 /// here, deliberately: the `antichain_props` property suite (and the
@@ -1179,7 +1009,7 @@ pub fn cert2(q: &Query, db: &Database) -> CertKOutcome {
 ///
 /// Not part of the supported API.
 ///
-/// [`certk_view_with_stats`]: super::certk_view_with_stats
+/// [`certk_view`]: super::certk_view
 /// [`NaiveAntichain`]: reference::NaiveAntichain
 #[doc(hidden)]
 pub mod reference {
@@ -1503,28 +1333,41 @@ mod tests {
         }
     }
 
+    /// An uncancellable run of [`certk_view`] returning outcome, stats
+    /// and (when `capture`) the snapshot.
+    fn run(
+        view: &DbView<'_>,
+        sols: &SolutionSet,
+        cfg: CertKConfig,
+        warm: Option<WarmInit<'_>>,
+    ) -> (CertKOutcome, CertKStats, CertKWarmState) {
+        let (out, stats, snap) = certk_view(view, sols, cfg, &CancelToken::new(), warm, true)
+            .expect("a never-raised token cannot interrupt the fixpoint");
+        (out, stats, snap.expect("capture was requested"))
+    }
+
     #[test]
     fn cancellable_fixpoint_honours_the_flag() {
-        use std::sync::atomic::AtomicBool;
         let d = db2(&[["a", "b"], ["a", "c"], ["b", "d"], ["c", "d"]]);
         let q = examples::q3();
         let sols = SolutionSet::enumerate(&q, &d);
         let view = d.full_view();
         // A pre-raised flag aborts before any work.
-        let raised = AtomicBool::new(true);
-        assert!(certk_view_cancellable(&q, &view, &sols, CertKConfig::new(2), &raised).is_none());
+        let raised = CancelToken::new();
+        raised.cancel();
+        assert!(certk_view(&view, &sols, CertKConfig::new(2), &raised, None, false).is_err());
         // A never-raised flag reproduces the plain run exactly.
-        let calm = AtomicBool::new(false);
-        let got = certk_view_cancellable(&q, &view, &sols, CertKConfig::new(2), &calm)
+        let calm = CancelToken::new();
+        let got = certk_view(&view, &sols, CertKConfig::new(2), &calm, None, false)
             .expect("no cancellation requested");
-        let want = certk_view_with_stats(&q, &view, &sols, CertKConfig::new(2));
+        let want = run(&view, &sols, CertKConfig::new(2), None);
         assert_eq!(got.0, want.0);
         assert_eq!(got.1, want.1);
+        assert!(got.2.is_none(), "no snapshot unless asked");
     }
 
     #[test]
     fn cancel_token_fixpoint_reports_partial_stats() {
-        use crate::CancelToken;
         let d = db2(&[["a", "b"], ["a", "c"], ["b", "d"], ["c", "d"]]);
         let q = examples::q3();
         let sols = SolutionSet::enumerate(&q, &d);
@@ -1533,17 +1376,17 @@ mod tests {
         // partial evidence says so.
         let raised = CancelToken::new();
         raised.cancel();
-        let partial = certk_view_cancel_token(&q, &view, &sols, CertKConfig::new(2), &raised)
+        let partial = certk_view(&view, &sols, CertKConfig::new(2), &raised, None, false)
             .expect_err("a raised token must cancel the fixpoint");
         assert_eq!(partial.blocks_derived, 0);
         assert_eq!(partial.rounds, 0);
         // A far-deadline token reproduces the deterministic run exactly,
         // statistics included.
         let calm = CancelToken::deadline_in(std::time::Duration::from_secs(3600));
-        let got = certk_view_cancel_token(&q, &view, &sols, CertKConfig::new(2), &calm)
+        let got = certk_view(&view, &sols, CertKConfig::new(2), &calm, None, false)
             .expect("a far deadline cannot cancel this fixpoint");
-        let want = certk_view_with_stats(&q, &view, &sols, CertKConfig::new(2));
-        assert_eq!(got, want);
+        let want = run(&view, &sols, CertKConfig::new(2), None);
+        assert_eq!((got.0, got.1), (want.0, want.1));
     }
 
     #[test]
@@ -1643,7 +1486,7 @@ mod tests {
         let q = examples::q3();
         assert!(!certain_brute(&q, &d));
         let sols = SolutionSet::enumerate(&q, &d);
-        let (out, stats) = certk_with_stats(&q, &d, &sols, CertKConfig::new(2));
+        let (out, stats, _) = run(&d.full_view(), &sols, CertKConfig::new(2), None);
         assert_eq!(out, CertKOutcome::NotDerived);
         assert!(
             stats.rounds >= 2,
@@ -1702,7 +1545,7 @@ mod tests {
         let cfg = CertKConfig::new(2);
         let mut d = db2(&[["a", "b"], ["a", "x"]]);
         let sols = SolutionSet::enumerate(&q, &d);
-        let (out0, _, mut warm) = certk_view_snapshot(&q, &d.full_view(), &sols, cfg);
+        let (out0, _, mut warm) = run(&d.full_view(), &sols, cfg, None);
         assert_eq!(out0, CertKOutcome::NotDerived);
 
         // Two growth-only steps; the second tips the query into certainty.
@@ -1715,16 +1558,17 @@ mod tests {
             let report = d.apply_delta(&facts, &[]).unwrap();
             assert!(report.growth_only());
             let sols = SolutionSet::enumerate(&q, &d);
-            let (warm_out, _, warm_next) = certk_view_warm(
-                &q,
+            let (warm_out, _, warm_next) = run(
                 &d.full_view(),
                 &sols,
                 cfg,
-                &warm,
-                &report.inserted,
-                &report.touched,
+                Some(WarmInit {
+                    state: &warm,
+                    changed_facts: &report.inserted,
+                    dirty_blocks: &report.touched,
+                }),
             );
-            let (cold_out, _, cold_snap) = certk_view_snapshot(&q, &d.full_view(), &sols, cfg);
+            let (cold_out, _, cold_snap) = run(&d.full_view(), &sols, cfg, None);
             assert_eq!(warm_out, cold_out, "outcome diverged on {d:?}");
             assert_eq!(
                 membership(&warm_next),
@@ -1742,19 +1586,20 @@ mod tests {
         let cfg = CertKConfig::new(2);
         let mut d = db2(&[["a", "b"], ["b", "c"]]);
         let sols = SolutionSet::enumerate(&q, &d);
-        let (out0, _, warm) = certk_view_snapshot(&q, &d.full_view(), &sols, cfg);
+        let (out0, _, warm) = run(&d.full_view(), &sols, cfg, None);
         assert_eq!(out0, CertKOutcome::Certain);
 
         let report = d.apply_delta(&[Fact::from_names(["p", "q"])], &[]).unwrap();
         let sols = SolutionSet::enumerate(&q, &d);
-        let (out, stats, snap) = certk_view_warm(
-            &q,
+        let (out, stats, snap) = run(
             &d.full_view(),
             &sols,
             cfg,
-            &warm,
-            &report.inserted,
-            &report.touched,
+            Some(WarmInit {
+                state: &warm,
+                changed_facts: &report.inserted,
+                dirty_blocks: &report.touched,
+            }),
         );
         // Growth keeps a certain view certain; ∅ short-circuits the loop.
         assert_eq!(out, CertKOutcome::Certain);
@@ -1774,7 +1619,7 @@ mod tests {
                 .unwrap();
         }
         let sols = SolutionSet::enumerate(&q, &d);
-        let (_, cold0, warm) = certk_view_snapshot(&q, &d.full_view(), &sols, cfg);
+        let (_, cold0, warm) = run(&d.full_view(), &sols, cfg, None);
         assert_eq!(cold0.blocks_derived, 50);
 
         // One new edge continues x0 -> y0: only its neighbourhood is dirty.
@@ -1782,16 +1627,17 @@ mod tests {
             .apply_delta(&[Fact::from_names(["y0", "z"])], &[])
             .unwrap();
         let sols = SolutionSet::enumerate(&q, &d);
-        let (out, warm_stats, warm_snap) = certk_view_warm(
-            &q,
+        let (out, warm_stats, warm_snap) = run(
             &d.full_view(),
             &sols,
             cfg,
-            &warm,
-            &report.inserted,
-            &report.touched,
+            Some(WarmInit {
+                state: &warm,
+                changed_facts: &report.inserted,
+                dirty_blocks: &report.touched,
+            }),
         );
-        let (cold_out, cold_stats, cold_snap) = certk_view_snapshot(&q, &d.full_view(), &sols, cfg);
+        let (cold_out, cold_stats, cold_snap) = run(&d.full_view(), &sols, cfg, None);
         assert_eq!(out, cold_out);
         assert_eq!(membership(&warm_snap), membership(&cold_snap));
         assert!(
@@ -1815,7 +1661,7 @@ mod tests {
         assert_eq!(comps.len(), 2);
         let snaps: Vec<CertKWarmState> = comps
             .iter()
-            .map(|c| certk_view_snapshot(&q, &c.view, &sols, cfg).2)
+            .map(|c| run(&c.view, &sols, cfg, None).2)
             .collect();
         let merged = CertKWarmState::merged(&snaps);
         assert!(merged.reusable());
@@ -1824,16 +1670,17 @@ mod tests {
         let report = d.apply_delta(&[Fact::from_names(["b", "c"])], &[]).unwrap();
         assert!(report.growth_only());
         let sols = SolutionSet::enumerate(&q, &d);
-        let (out, _, snap) = certk_view_warm(
-            &q,
+        let (out, _, snap) = run(
             &d.full_view(),
             &sols,
             cfg,
-            &merged,
-            &report.inserted,
-            &report.touched,
+            Some(WarmInit {
+                state: &merged,
+                changed_facts: &report.inserted,
+                dirty_blocks: &report.touched,
+            }),
         );
-        let (cold_out, _, cold_snap) = certk_view_snapshot(&q, &d.full_view(), &sols, cfg);
+        let (cold_out, _, cold_snap) = run(&d.full_view(), &sols, cfg, None);
         assert_eq!(out, cold_out);
         assert_eq!(membership(&snap), membership(&cold_snap));
     }
@@ -1849,7 +1696,7 @@ mod tests {
             threads: 1,
             early_exit: false,
         };
-        let (out, _, snap) = certk_view_snapshot(&q, &d.full_view(), &sols, cfg);
+        let (out, _, snap) = run(&d.full_view(), &sols, cfg, None);
         assert_eq!(out, CertKOutcome::BudgetExhausted);
         assert!(!snap.reusable());
         let merged = CertKWarmState::merged([&snap]);

@@ -15,16 +15,12 @@
 //! configuration regardless of the thread count, and verdicts are emitted
 //! in component order, so the result is identical across thread counts.
 
-use crate::certk::{
-    certk_view_cancellable, certk_view_poll, certk_view_with_stats, certk_with_solutions,
-    CertKConfig, CertKOutcome, CertKStats,
-};
+use crate::certk::{certk_view, CertKConfig, CertKOutcome, CertKStats};
 use crate::components::{q_connected_components_with_solutions, Component};
-use crate::matching::{analyze_view, analyze_with_solutions};
+use crate::matching::analyze_view;
 use crate::{CancelToken, SolutionSet};
 use cqa_model::Database;
 use cqa_query::Query;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// How a component (or the whole database) was decided.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -88,50 +84,25 @@ impl CombinedResult {
 pub fn certain_combined(q: &Query, db: &Database, cfg: CertKConfig) -> CombinedResult {
     let solutions = SolutionSet::enumerate(q, db);
     let comps = q_connected_components_with_solutions(q, db, &solutions);
-    certain_combined_over(q, &comps, &solutions, cfg)
+    certain_combined_over(&comps, &solutions, cfg, &CancelToken::new())
+        .expect("a never-raised token cannot cancel the fan-out")
 }
 
-/// [`certain_combined`] with a pre-computed solution set and component
+/// [`certain_combined`] over a pre-computed solution set and component
 /// partition — the engine's routing path computes both to make its
-/// decision and hands them on unchanged.
+/// decision and hands them on unchanged. Clique-database components go
+/// to `¬matching` (one cheap analysis, so the token is only checked at
+/// component start); the rest run `Cert_k`, polling `token` once per
+/// block derivation. [`CertKConfig::early_exit`] is ignored here: callers
+/// of the combination rely on complete per-component evidence. See
+/// [`certk_by_components`] for the cancellation contract.
 pub fn certain_combined_over(
-    q: &Query,
     comps: &[Component<'_>],
     solutions: &SolutionSet,
     cfg: CertKConfig,
-) -> CombinedResult {
-    // Each component is a copy-free view of the parent database, and
-    // `solutions` restricted to a component's facts is exactly that
-    // component's solution set — so nothing is re-enumerated or
-    // restrict-copied per component (the former Database::restrict
-    // materialisation was the measured ~2.8× overhead over the literal
-    // solver; see BASELINES.md).
-    let verdicts = minipool::par_map(cfg.threads, comps, |comp| {
-        let analysis = analyze_view(q, &comp.view, solutions);
-        if analysis.is_clique_database {
-            ComponentVerdict {
-                size: comp.len(),
-                decided_by: DecidedBy::Matching,
-                certain: !analysis.accepts,
-                budget_exhausted: false,
-                stats: None,
-            }
-        } else {
-            let (out, stats) = certk_view_with_stats(q, &comp.view, solutions, cfg);
-            ComponentVerdict {
-                size: comp.len(),
-                decided_by: DecidedBy::CertK,
-                certain: out.is_certain(),
-                budget_exhausted: out == CertKOutcome::BudgetExhausted,
-                stats: Some(stats),
-            }
-        }
-    });
-    CombinedResult {
-        certain: verdicts.iter().any(|v| v.certain),
-        components: verdicts,
-        skipped: 0,
-    }
+    token: &CancelToken,
+) -> Result<CombinedResult, CertKStats> {
+    fan_out(comps, solutions, cfg.with_early_exit(false), token, true)
 }
 
 /// Per-component `Cert_k` **without** the matching shortcut: every
@@ -144,84 +115,38 @@ pub fn certain_combined_over(
 /// `¬matching` branch is only justified for 2way-determined queries.
 ///
 /// With [`CertKConfig::early_exit`] set, the fan-out additionally stops
-/// deciding components once one is found certain: a shared cancel flag
-/// (the same pattern the parallel brute force uses) makes queued
+/// deciding components once one is found certain: a
+/// [`child`](CancelToken::child) of `token` is raised, so queued
 /// components return without running and in-flight fixpoints bail at
 /// their next poll. The **verdict is identical** to the deterministic
 /// path — cancellation is only ever triggered by a certain component,
 /// which by Proposition 10.6 already decides the database, and when no
-/// component is certain the flag is never raised, so every component is
-/// decided exactly as without the flag. Only the *evidence* changes:
-/// cancelled components are counted in [`CombinedResult::skipped`]
-/// instead of contributing a [`ComponentVerdict`]. Which components end
-/// up skipped depends on thread scheduling, so callers needing
-/// reproducible per-component evidence (differential tests, `--stats`
-/// comparisons) must leave `early_exit` off.
+/// component is certain the child is never raised, so every component is
+/// decided exactly as without it. Only the *evidence* changes: cancelled
+/// components are counted in [`CombinedResult::skipped`] instead of
+/// contributing a [`ComponentVerdict`]. Which components end up skipped
+/// depends on thread scheduling, so callers needing reproducible
+/// per-component evidence (differential tests, `--stats` comparisons)
+/// must leave `early_exit` off.
+///
+/// When `token` itself fires mid-fan-out, every component stops within
+/// roughly one block derivation and the call returns `Err` with the
+/// **aggregated partial statistics** of every component that did any
+/// work. A completed fan-out is never discarded: if every component
+/// finished before the token was observed cancelled, the full
+/// [`CombinedResult`] is returned even when the token has since expired.
 pub fn certk_by_components(
-    q: &Query,
     comps: &[Component<'_>],
     solutions: &SolutionSet,
     cfg: CertKConfig,
-) -> CombinedResult {
-    if cfg.early_exit {
-        return certk_by_components_early_exit(q, comps, solutions, cfg);
-    }
-    let verdicts = minipool::par_map(cfg.threads, comps, |comp| {
-        let (out, stats) = certk_view_with_stats(q, &comp.view, solutions, cfg);
-        ComponentVerdict {
-            size: comp.len(),
-            decided_by: DecidedBy::CertK,
-            certain: out.is_certain(),
-            budget_exhausted: out == CertKOutcome::BudgetExhausted,
-            stats: Some(stats),
-        }
-    });
-    CombinedResult {
-        certain: verdicts.iter().any(|v| v.certain),
-        components: verdicts,
-        skipped: 0,
-    }
+    token: &CancelToken,
+) -> Result<CombinedResult, CertKStats> {
+    fan_out(comps, solutions, cfg, token, false)
 }
 
-/// The cancel-on-first-certain variant of [`certk_by_components`]
-/// (`cfg.early_exit == true`).
-fn certk_by_components_early_exit(
-    q: &Query,
-    comps: &[Component<'_>],
-    solutions: &SolutionSet,
-    cfg: CertKConfig,
-) -> CombinedResult {
-    let cancel = AtomicBool::new(false);
-    let verdicts: Vec<Option<ComponentVerdict>> = minipool::par_map(cfg.threads, comps, |comp| {
-        if cancel.load(Ordering::Relaxed) {
-            return None;
-        }
-        let (out, stats) = certk_view_cancellable(q, &comp.view, solutions, cfg, &cancel)?;
-        if out.is_certain() {
-            // One certain component decides the database (Prop 10.6);
-            // everything still queued or in flight can stop.
-            cancel.store(true, Ordering::Relaxed);
-        }
-        Some(ComponentVerdict {
-            size: comp.len(),
-            decided_by: DecidedBy::CertK,
-            certain: out.is_certain(),
-            budget_exhausted: out == CertKOutcome::BudgetExhausted,
-            stats: Some(stats),
-        })
-    });
-    let skipped = verdicts.iter().filter(|v| v.is_none()).count();
-    let components: Vec<ComponentVerdict> = verdicts.into_iter().flatten().collect();
-    CombinedResult {
-        certain: components.iter().any(|v| v.certain),
-        components,
-        skipped,
-    }
-}
-
-/// How one component's fan-out slot ended under a [`CancelToken`].
+/// How one component's fan-out slot ended.
 enum Decided {
-    /// Skipped by the early-exit flag (a sibling was certain).
+    /// Skipped by the early exit (a sibling was certain).
     Skipped,
     /// Ran to completion.
     Done(ComponentVerdict),
@@ -231,38 +156,52 @@ enum Decided {
     Cancelled(CertKStats),
 }
 
-/// [`certk_by_components`] under a [`CancelToken`]: every in-flight
-/// fixpoint polls the token alongside the early-exit flag, so a token
-/// that expires mid-fan-out stops all components within roughly one
-/// block derivation each. A cancelled run returns `Err` with the
-/// **aggregated partial statistics** of every component that did any
-/// work — the `--stats` evidence a server attaches to a
-/// `deadline-exceeded` answer. A completed fan-out is never discarded:
-/// if every component finished before the token was observed cancelled,
-/// the full [`CombinedResult`] is returned even when the token has
-/// since expired.
-pub fn certk_by_components_cancellable(
-    q: &Query,
+/// The component fan-out behind [`certain_combined_over`] (`matching`:
+/// clique-database components go to `¬matching`) and
+/// [`certk_by_components`] (every component runs `Cert_k`). Each
+/// component sees the same configuration regardless of the thread count,
+/// and verdicts are emitted in component order.
+fn fan_out(
     comps: &[Component<'_>],
     solutions: &SolutionSet,
     cfg: CertKConfig,
     token: &CancelToken,
+    matching: bool,
 ) -> Result<CombinedResult, CertKStats> {
-    let cancel = AtomicBool::new(false);
+    // Raised by the first certain component under early exit; the
+    // fixpoints poll it, and through it the caller's token.
+    let early = token.child();
+    // Each component is a copy-free view of the parent database, and
+    // `solutions` restricted to a component's facts is exactly that
+    // component's solution set — so nothing is re-enumerated or
+    // restrict-copied per component (the former Database::restrict
+    // materialisation was the measured ~2.8× overhead over the literal
+    // solver; see BASELINES.md).
     let outcomes: Vec<Decided> = minipool::par_map(cfg.threads, comps, |comp| {
         if token.is_cancelled() {
             return Decided::Cancelled(CertKStats::default());
         }
-        if cancel.load(Ordering::Relaxed) {
+        if early.is_cancelled() {
             return Decided::Skipped;
         }
-        let polled = certk_view_poll(q, &comp.view, solutions, cfg, &mut || {
-            token.is_cancelled() || cancel.load(Ordering::Relaxed)
-        });
-        match polled {
-            Ok((out, stats)) => {
+        if matching {
+            let analysis = analyze_view(&comp.view, solutions);
+            if analysis.is_clique_database {
+                return Decided::Done(ComponentVerdict {
+                    size: comp.len(),
+                    decided_by: DecidedBy::Matching,
+                    certain: !analysis.accepts,
+                    budget_exhausted: false,
+                    stats: None,
+                });
+            }
+        }
+        match certk_view(&comp.view, solutions, cfg, &early, None, false) {
+            Ok((out, stats, _)) => {
                 if out.is_certain() && cfg.early_exit {
-                    cancel.store(true, Ordering::Relaxed);
+                    // One certain component decides the database (Prop
+                    // 10.6); everything still queued or in flight can stop.
+                    early.cancel();
                 }
                 Decided::Done(ComponentVerdict {
                     size: comp.len(),
@@ -272,52 +211,10 @@ pub fn certk_by_components_cancellable(
                     stats: Some(stats),
                 })
             }
-            // The poll merges both signals; attribute the bail to the
+            // The child merges both signals; attribute the bail to the
             // token only when the token actually fired.
             Err(partial) if token.is_cancelled() => Decided::Cancelled(partial),
             Err(_) => Decided::Skipped,
-        }
-    });
-    fold_decided(outcomes)
-}
-
-/// [`certain_combined_over`] under a [`CancelToken`]: clique-database
-/// components still go to `¬matching` (one cheap analysis, so the token
-/// is only checked at component start), fixpoint components poll the
-/// token once per block derivation. As in
-/// [`certk_by_components_cancellable`], a cancelled run returns `Err`
-/// with the aggregated partial statistics and a completed fan-out is
-/// never discarded.
-pub fn certain_combined_over_cancellable(
-    q: &Query,
-    comps: &[Component<'_>],
-    solutions: &SolutionSet,
-    cfg: CertKConfig,
-    token: &CancelToken,
-) -> Result<CombinedResult, CertKStats> {
-    let outcomes: Vec<Decided> = minipool::par_map(cfg.threads, comps, |comp| {
-        if token.is_cancelled() {
-            return Decided::Cancelled(CertKStats::default());
-        }
-        let analysis = analyze_view(q, &comp.view, solutions);
-        if analysis.is_clique_database {
-            return Decided::Done(ComponentVerdict {
-                size: comp.len(),
-                decided_by: DecidedBy::Matching,
-                certain: !analysis.accepts,
-                budget_exhausted: false,
-                stats: None,
-            });
-        }
-        match certk_view_poll(q, &comp.view, solutions, cfg, &mut || token.is_cancelled()) {
-            Ok((out, stats)) => Decided::Done(ComponentVerdict {
-                size: comp.len(),
-                decided_by: DecidedBy::CertK,
-                certain: out.is_certain(),
-                budget_exhausted: out == CertKOutcome::BudgetExhausted,
-                stats: Some(stats),
-            }),
-            Err(partial) => Decided::Cancelled(partial),
         }
     });
     fold_decided(outcomes)
@@ -367,10 +264,10 @@ fn fold_decided(outcomes: Vec<Decided>) -> Result<CombinedResult, CertKStats> {
 /// cross-validation against [`certain_combined`].
 pub fn certain_thm105_literal(q: &Query, db: &Database, cfg: CertKConfig) -> bool {
     let solutions = SolutionSet::enumerate(q, db);
-    if certk_with_solutions(q, db, &solutions, cfg).is_certain() {
-        return true;
-    }
-    !analyze_with_solutions(q, db, &solutions).accepts
+    let view = db.full_view();
+    let (out, _, _) = certk_view(&view, &solutions, cfg, &CancelToken::new(), None, false)
+        .expect("a never-raised token cannot interrupt the fixpoint");
+    out.is_certain() || !analyze_view(&view, &solutions).accepts
 }
 
 #[cfg(test)]
@@ -379,6 +276,16 @@ mod tests {
     use crate::brute::certain_brute;
     use cqa_model::{Fact, Signature};
     use cqa_query::examples;
+
+    /// [`certk_by_components`] under a calm token.
+    fn by_components(
+        comps: &[Component<'_>],
+        solutions: &SolutionSet,
+        cfg: CertKConfig,
+    ) -> CombinedResult {
+        certk_by_components(comps, solutions, cfg, &CancelToken::new())
+            .expect("a calm token cannot cancel the fan-out")
+    }
 
     fn q6_db(rows: &[[&str; 3]]) -> Database {
         let mut db = Database::new(Signature::new(3, 1).unwrap());
@@ -459,7 +366,7 @@ mod tests {
         let cfg = CertKConfig::new(2);
         let solutions = crate::SolutionSet::enumerate(&q3, &db);
         let comps = crate::components::q_connected_components_with_solutions(&q3, &db, &solutions);
-        let routed = certk_by_components(&q3, &comps, &solutions, cfg);
+        let routed = by_components(&comps, &solutions, cfg);
         let literal = crate::certk::certk(&q3, &db, cfg);
         assert_eq!(routed.certain, literal.is_certain());
         assert_eq!(routed.certain, certain_brute(&q3, &db));
@@ -491,13 +398,12 @@ mod tests {
         let solutions = crate::SolutionSet::enumerate(&q3, &db);
         let comps = crate::components::q_connected_components_with_solutions(&q3, &db, &solutions);
         let base = CertKConfig::new(2).with_threads(1);
-        let det = certk_by_components(&q3, &comps, &solutions, base);
+        let det = by_components(&comps, &solutions, base);
         assert!(det.certain);
         assert_eq!(det.skipped, 0);
         assert_eq!(det.components.len(), comps.len());
         for threads in [1usize, 2, 4] {
-            let eager = certk_by_components(
-                &q3,
+            let eager = by_components(
                 &comps,
                 &solutions,
                 base.with_threads(threads).with_early_exit(true),
@@ -515,7 +421,7 @@ mod tests {
         }
         // Sequential early exit: the certain first component cancels both
         // remaining ones deterministically.
-        let seq = certk_by_components(&q3, &comps, &solutions, base.with_early_exit(true));
+        let seq = by_components(&comps, &solutions, base.with_early_exit(true));
         assert_eq!(seq.components.len(), 1);
         assert_eq!(seq.skipped, 2);
 
@@ -528,8 +434,8 @@ mod tests {
         let sols = crate::SolutionSet::enumerate(&q3, &falsifiable);
         let comps =
             crate::components::q_connected_components_with_solutions(&q3, &falsifiable, &sols);
-        let det = certk_by_components(&q3, &comps, &sols, base);
-        let eager = certk_by_components(&q3, &comps, &sols, base.with_early_exit(true));
+        let det = by_components(&comps, &sols, base);
+        let eager = by_components(&comps, &sols, base.with_early_exit(true));
         assert!(!det.certain && !eager.certain);
         assert_eq!(eager.skipped, 0);
         assert_eq!(format!("{det:?}"), format!("{eager:?}"));
@@ -557,17 +463,16 @@ mod tests {
         let calm = CancelToken::new();
         for threads in [1usize, 2, 4] {
             let cfg = base.with_threads(threads);
-            let got = certk_by_components_cancellable(&q3, &comps, &solutions, cfg, &calm)
+            let got = certk_by_components(&comps, &solutions, cfg, &calm)
                 .expect("a calm token cannot cancel the fan-out");
-            let want = certk_by_components(&q3, &comps, &solutions, cfg);
+            let want = by_components(&comps, &solutions, cfg);
             assert_eq!(format!("{got:?}"), format!("{want:?}"));
         }
         // A raised token cancels without emitting any verdict.
         let raised = CancelToken::new();
         raised.cancel();
-        let partial =
-            certk_by_components_cancellable(&q3, &comps, &solutions, base.with_threads(1), &raised)
-                .expect_err("a raised token must cancel the fan-out");
+        let partial = certk_by_components(&comps, &solutions, base.with_threads(1), &raised)
+            .expect_err("a raised token must cancel the fan-out");
         assert_eq!(
             partial.blocks_derived, 0,
             "no component started: {partial:?}"
@@ -592,21 +497,15 @@ mod tests {
         let calm = CancelToken::new();
         for threads in [1usize, 2, 4] {
             let cfg = base.with_threads(threads);
-            let got = certain_combined_over_cancellable(&q6, &comps, &solutions, cfg, &calm)
+            let got = certain_combined_over(&comps, &solutions, cfg, &calm)
                 .expect("a calm token cannot cancel the combined solver");
-            let want = certain_combined_over(&q6, &comps, &solutions, cfg);
+            let want = certain_combined(&q6, &db, cfg);
             assert_eq!(format!("{got:?}"), format!("{want:?}"));
         }
         let raised = CancelToken::new();
         raised.cancel();
-        let partial = certain_combined_over_cancellable(
-            &q6,
-            &comps,
-            &solutions,
-            base.with_threads(1),
-            &raised,
-        )
-        .expect_err("a raised token must cancel the combined solver");
+        let partial = certain_combined_over(&comps, &solutions, base.with_threads(1), &raised)
+            .expect_err("a raised token must cancel the combined solver");
         assert_eq!(partial.blocks_derived, 0, "no component ran: {partial:?}");
     }
 

@@ -13,18 +13,36 @@
 //! * [`combined`] — the Theorem 10.5 combination `Cert_k ∨ ¬matching`
 //!   deciding all PTime 2way-determined cases.
 //!
-//! Components of the solution graph are independent (Proposition 10.6), so
-//! [`combined`] and [`brute`] decide them concurrently on a scoped thread
-//! pool when [`CertKConfig::threads`] (or the `threads` argument of
-//! [`certain_brute_parallel`]) is above 1; `1` keeps the historical
-//! sequential path. [`combined`] verdicts never depend on the thread
-//! count; brute-force verdicts don't either unless a finite node budget
-//! is exhausted mid-search (see [`certain_brute_parallel`]). The
-//! per-component `Cert_k` fan-out ([`certk_by_components`]) additionally
-//! supports an opt-in cancel-on-first-certain mode
-//! ([`CertKConfig::early_exit`]): verdict-identical, but the remaining
-//! components are skipped once one is certain, so the per-component
-//! evidence becomes partial ([`CombinedResult::skipped`]).
+//! Each of the paper's three decision procedures has **one live entry
+//! point**, and cancellation, warm starts and snapshots are its
+//! parameters rather than name suffixes:
+//!
+//! * `Cert_k` — [`certk_view`] (a view, the solutions, a [`CertKConfig`],
+//!   a [`CancelToken`], an optional [`WarmInit`], snapshot capture on or
+//!   off);
+//! * `¬matching` — [`analyze_view`];
+//! * exhaustive search on the coNP side — [`certain_brute_over`].
+//!
+//! They combine one way, per q-connected component (Theorem 10.5,
+//! Proposition 10.6): [`certain_combined_over`] and
+//! [`certk_by_components`] share one fan-out and differ only in whether a
+//! clique-database component goes to `¬matching`. Components are
+//! independent, so the fan-outs and the brute force decide them
+//! concurrently on a scoped thread pool when [`CertKConfig::threads`] (or
+//! the `threads` argument of [`certain_brute_over`]) is above 1; `1`
+//! keeps the historical sequential path. Fan-out verdicts never depend on
+//! the thread count; brute-force verdicts don't either unless a finite
+//! node budget is exhausted mid-search (see [`certain_brute_over`]).
+//! [`certk_by_components`] additionally supports an opt-in
+//! cancel-on-first-certain mode ([`CertKConfig::early_exit`]):
+//! verdict-identical, but the remaining components are skipped once one
+//! is certain, so the per-component evidence becomes partial
+//! ([`CombinedResult::skipped`]).
+//!
+//! The whole-database paper names — [`certk()`], [`cert2`],
+//! [`certain_combined`], [`certain_thm105_literal`] — and the frozen
+//! brute-force oracles ([`certain_brute`], [`certain_brute_budgeted`],
+//! [`certain_exhaustive`]) are thin wrappers that never cancel.
 //!
 //! A prose handbook for this crate — how the block-indexed antichain, the
 //! requirement-family cache, the dirty-block worklist and the component
@@ -43,20 +61,16 @@ pub mod matching;
 pub mod solution;
 
 pub use brute::{
-    certain_brute, certain_brute_budgeted, certain_brute_cancellable, certain_brute_parallel,
-    certain_brute_with_solutions_token, certain_exhaustive, BruteOutcome,
+    certain_brute, certain_brute_budgeted, certain_brute_over, certain_exhaustive, BruteOutcome,
 };
 pub use cancel::CancelToken;
 pub use certk::{
-    cert2, certk, certk_view, certk_view_cancel_token, certk_view_cancellable, certk_view_snapshot,
-    certk_view_snapshot_cancel_token, certk_view_warm, certk_view_warm_cancel_token,
-    certk_view_with_stats, certk_with_stats, Antichain, CertKConfig, CertKOutcome, CertKStats,
-    CertKWarmState,
+    cert2, certk, certk_view, Antichain, CertKConfig, CertKOutcome, CertKStats, CertKWarmState,
+    WarmInit,
 };
 pub use combined::{
-    certain_combined, certain_combined_over, certain_combined_over_cancellable,
-    certain_thm105_literal, certk_by_components, certk_by_components_cancellable, CombinedResult,
-    DecidedBy,
+    certain_combined, certain_combined_over, certain_thm105_literal, certk_by_components,
+    CombinedResult, DecidedBy,
 };
 pub use components::{q_connected_components, Component, ComponentDeltaReport, DynamicComponents};
 pub use matching::{

@@ -40,25 +40,16 @@ pub struct MatchingAnalysis {
 /// Run the full `matching(q)` analysis.
 pub fn analyze(q: &Query, db: &Database) -> MatchingAnalysis {
     let solutions = SolutionSet::enumerate(q, db);
-    analyze_with_solutions(q, db, &solutions)
-}
-
-/// [`analyze`] with pre-computed solutions.
-pub fn analyze_with_solutions(
-    q: &Query,
-    db: &Database,
-    solutions: &SolutionSet,
-) -> MatchingAnalysis {
-    analyze_view(q, &db.full_view(), solutions)
+    analyze_view(&db.full_view(), &solutions)
 }
 
 /// Run the `matching(q)` analysis on a copy-free [`DbView`] — e.g. one
 /// q-connected component — against the **parent database's** solution
 /// set. The view must be *q-closed*: every solution partner of a view
 /// fact lies in the view (true for q-connected components and for full
-/// views, on which this is identical to [`analyze_with_solutions`]).
+/// views, on which this is identical to [`analyze`]).
 /// Reported fact ids are the parent's.
-pub fn analyze_view(_q: &Query, view: &DbView<'_>, solutions: &SolutionSet) -> MatchingAnalysis {
+pub fn analyze_view(view: &DbView<'_>, solutions: &SolutionSet) -> MatchingAnalysis {
     let db = view.parent();
     // The solution graph restricted to the view, over dense local indices.
     let mut graph = Undirected::new(view.len());

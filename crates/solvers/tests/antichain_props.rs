@@ -17,19 +17,20 @@
 //!   with the deterministic fan-out on the **verdict** at every thread
 //!   count — evidence may legitimately differ (components are skipped
 //!   after the first certain one), so only the verdict is compared.
-//! * Warm restarts (`certk_view_warm` seeded from a prior
-//!   `certk_view_snapshot` after a growth-only delta) must converge to
+//! * Warm restarts (`certk_view` with a `WarmInit` seeded from a prior
+//!   run's captured snapshot after a growth-only delta) must converge to
 //!   the same outcome **and the same antichain membership** as a cold
 //!   run on the post-delta database — the fixpoint closure is confluent,
 //!   so the dirty-frontier seeding must not be able to miss a
 //!   derivation.
 
-use cqa_model::{Database, Elem, Fact, FactId, Signature};
+use cqa_model::{Database, DbView, Elem, Fact, FactId, Signature};
 use cqa_query::examples;
 use cqa_solvers::certk::reference::{certk_reference, NaiveAntichain};
+use cqa_solvers::components::Component;
 use cqa_solvers::{
-    certain_brute, certk, certk_by_components, certk_view_snapshot, certk_view_warm, Antichain,
-    CertKConfig, SolutionSet,
+    certain_brute, certk, certk_view, Antichain, CancelToken, CertKConfig, CertKOutcome,
+    CertKStats, CertKWarmState, CombinedResult, SolutionSet, WarmInit,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -181,12 +182,10 @@ proptest! {
         let solutions = SolutionSet::enumerate(&q, &db);
         let comps =
             cqa_solvers::components::q_connected_components_with_solutions(&q, &db, &solutions);
-        let det = certk_by_components(&q, &comps, &solutions, cfg.with_threads(1));
+        let det = certk_by_components(&comps, &solutions, cfg.with_threads(1));
         prop_assert_eq!(det.skipped, 0);
         for threads in 1..=4usize {
-            let eager = certk_by_components(
-                &q,
-                &comps,
+            let eager = certk_by_components(&comps,
                 &solutions,
                 cfg.with_threads(threads).with_early_exit(true),
             );
@@ -217,11 +216,9 @@ proptest! {
         let solutions = SolutionSet::enumerate(&q, &db);
         let comps =
             cqa_solvers::components::q_connected_components_with_solutions(&q, &db, &solutions);
-        let det = certk_by_components(&q, &comps, &solutions, cfg.with_threads(1));
+        let det = certk_by_components(&comps, &solutions, cfg.with_threads(1));
         for threads in 1..=4usize {
-            let eager = certk_by_components(
-                &q,
-                &comps,
+            let eager = certk_by_components(&comps,
                 &solutions,
                 cfg.with_threads(threads).with_early_exit(true),
             );
@@ -242,11 +239,11 @@ proptest! {
         let solutions = SolutionSet::enumerate(&q, &db);
         let comps =
             cqa_solvers::components::q_connected_components_with_solutions(&q, &db, &solutions);
-        let routed = certk_by_components(&q, &comps, &solutions, cfg);
+        let routed = certk_by_components(&comps, &solutions, cfg);
         let literal = certk(&q, &db, cfg);
         prop_assert_eq!(routed.certain, literal.is_certain());
         // The per-component path at several thread counts is also stable.
-        let routed4 = certk_by_components(&q, &comps, &solutions, cfg.with_threads(4));
+        let routed4 = certk_by_components(&comps, &solutions, cfg.with_threads(4));
         prop_assert_eq!(format!("{:?}", routed.components), format!("{:?}", routed4.components));
     }
 
@@ -280,6 +277,28 @@ proptest! {
     }
 }
 
+/// `cqa_solvers::certk_by_components` under a calm token.
+fn certk_by_components(
+    comps: &[Component<'_>],
+    solutions: &SolutionSet,
+    cfg: CertKConfig,
+) -> CombinedResult {
+    cqa_solvers::certk_by_components(comps, solutions, cfg, &CancelToken::new())
+        .expect("a calm token cannot cancel the fan-out")
+}
+
+/// An uncancellable [`certk_view`] run that captures its snapshot.
+fn run(
+    view: &DbView<'_>,
+    solutions: &SolutionSet,
+    cfg: CertKConfig,
+    warm: Option<WarmInit<'_>>,
+) -> (CertKOutcome, CertKStats, CertKWarmState) {
+    let (out, stats, snap) = certk_view(view, solutions, cfg, &CancelToken::new(), warm, true)
+        .expect("a never-raised token cannot interrupt the fixpoint");
+    (out, stats, snap.expect("capture was requested"))
+}
+
 /// Shared warm-restart property body: snapshot a cold run on `db`, apply
 /// the growth-only `inserts`, warm-restart from the snapshot seeded with
 /// exactly the delta's dirty frontier, and demand outcome + antichain
@@ -293,7 +312,7 @@ fn check_warm_restart(
 ) -> Result<(), TestCaseError> {
     let cfg = CertKConfig::new(k);
     let solutions = SolutionSet::enumerate(q, db);
-    let (cold0, _, warm) = certk_view_snapshot(q, &db.full_view(), &solutions, cfg);
+    let (cold0, _, warm) = run(&db.full_view(), &solutions, cfg, None);
     prop_assert!(warm.reusable(), "unbudgeted runs always converge");
     prop_assert_eq!(cold0, certk_reference(q, db, cfg));
 
@@ -302,16 +321,17 @@ fn check_warm_restart(
     prop_assert!(report.growth_only(), "fresh-key inserts are growth-only");
 
     let solutions2 = SolutionSet::enumerate(q, &db2);
-    let (warm_out, _, warm_snap) = certk_view_warm(
-        q,
+    let (warm_out, _, warm_snap) = run(
         &db2.full_view(),
         &solutions2,
         cfg,
-        &warm,
-        &report.inserted,
-        &report.touched,
+        Some(WarmInit {
+            state: &warm,
+            changed_facts: &report.inserted,
+            dirty_blocks: &report.touched,
+        }),
     );
-    let (cold_out, _, cold_snap) = certk_view_snapshot(q, &db2.full_view(), &solutions2, cfg);
+    let (cold_out, _, cold_snap) = run(&db2.full_view(), &solutions2, cfg, None);
     prop_assert_eq!(
         warm_out,
         cold_out,

@@ -5,9 +5,9 @@
 use cqa_model::{Database, Elem, Fact, FactId, Signature};
 use cqa_query::{examples, is_solution, Query};
 use cqa_solvers::{
-    certain_brute, certain_brute_budgeted, certain_brute_parallel, certain_by_matching,
-    certain_combined, certain_exhaustive, certk, q_connected_components, BruteOutcome, CertKConfig,
-    IncrementalSolutions, SolutionSet,
+    certain_brute, certain_brute_budgeted, certain_brute_over, certain_by_matching,
+    certain_combined, certain_exhaustive, certk, q_connected_components, BruteOutcome, CancelToken,
+    CertKConfig, IncrementalSolutions, SolutionSet,
 };
 use cqa_workloads::{random_query, QueryGenConfig};
 use proptest::prelude::*;
@@ -302,8 +302,11 @@ proptest! {
         prop_assert_eq!(whole, some);
         let sols = SolutionSet::enumerate(&q, &db);
         for c in &comps {
-            let on_view = !cqa_solvers::analyze_view(&q, &c.view, &sols).accepts
-                || cqa_solvers::certk_view(&q, &c.view, &sols, CertKConfig::new(2)).is_certain();
+            let on_view = !cqa_solvers::analyze_view(&c.view, &sols).accepts
+                || cqa_solvers::certk_view(&c.view, &sols, CertKConfig::new(2), &CancelToken::new(), None, false)
+                    .expect("a calm token cannot cancel")
+                    .0
+                    .is_certain();
             let on_copy = certain_brute(&q, &c.to_database());
             // q6 is a clique query: the matching test is exact per component.
             prop_assert_eq!(on_view, on_copy, "view and copy verdicts diverge");
@@ -335,7 +338,10 @@ proptest! {
     fn brute_parallel_agrees_with_sequential(db in q3_db_strategy()) {
         let q = examples::q3();
         let seq = certain_brute(&q, &db);
-        match certain_brute_parallel(&q, &db, u64::MAX, 4) {
+        let sols = SolutionSet::enumerate(&q, &db);
+        match certain_brute_over(&db, &sols, u64::MAX, 4, &CancelToken::new())
+            .expect("a calm token cannot cancel")
+        {
             BruteOutcome::Certain => prop_assert!(seq),
             BruteOutcome::NotCertain(r) => {
                 prop_assert!(!seq);

@@ -505,3 +505,82 @@ fn batch_error_text_matches_the_cli_byte_for_byte() {
         "batch error text drifted between the CLI and the wire"
     );
 }
+
+/// The brute-force cancel path of `falsify`: a deadline that expires
+/// mid-search withholds the outcome with the search's evidence, counts
+/// as one cancellation, and leaves nothing behind — a patient retry
+/// renders exactly what the single-shot CLI prints.
+#[test]
+fn falsify_deadline_cancels_the_brute_force_search_mid_tranche() {
+    use cqa::sat::{to_occ3_normal_form, Cnf, Lit, PVar};
+    use cqa_server::Client;
+    use std::time::{Duration, Instant};
+
+    // D[φ] for φ = all eight sign patterns over three variables: φ is
+    // unsatisfiable, so the q2 image is certain (Lemma 9.2) and the
+    // search has no falsifying repair to stop at. The budget bounds the
+    // uncancelled run; both sides use the same one.
+    const Q2: &str = "R(x u | x y) R(u y | x z)";
+    const BUDGET: u64 = 30_000;
+    let vars = [PVar(0), PVar(1), PVar(2)];
+    let phi = Cnf::from_clauses((0..8u32).map(|signs| {
+        vars.iter()
+            .enumerate()
+            .map(|(i, &v)| {
+                if signs & (1 << i) == 0 {
+                    Lit::pos(v)
+                } else {
+                    Lit::neg(v)
+                }
+            })
+            .collect::<Vec<_>>()
+    }));
+    let q2 = cqa_query::parse_query(Q2).unwrap();
+    let reduction =
+        cqa::reductions::SatReduction::new(&q2, &cqa::tripath::SearchConfig::default()).unwrap();
+    let db = reduction.database(&to_occ3_normal_form(&phi)).unwrap();
+
+    // Reference: the uncancelled search, timed. It must dwarf the
+    // deadline below for the cancellation to land mid-search.
+    let t0 = Instant::now();
+    let want = cmd_falsify(Q2, &db, BUDGET, Some(1), false).unwrap().stdout;
+    let uncancelled = t0.elapsed();
+    assert!(
+        uncancelled >= Duration::from_millis(100),
+        "workload too small to prove anything: uncancelled search took {uncancelled:?}"
+    );
+    let deadline_ms = (uncancelled.as_millis() / 10) as u64;
+
+    let served = Arc::new(db);
+    let loader: Loader = Arc::new(move |path: &str| match path {
+        "gadget" => Ok((*served).clone()),
+        _ => Err(format!("no such database: {path}")),
+    });
+    let mut config = ServeConfig::new(loader);
+    config.addr = "127.0.0.1:0".to_string();
+    config.threads = 1;
+    config.engine = cqa::EngineConfig::default().with_threads(1);
+    let server = serve(config).expect("bind falsify server");
+    let addr = server.addr().to_string();
+
+    // Load first, so the deadline is spent in the search, not the load.
+    let mut client = Client::connect(addr.as_str()).unwrap();
+    client.load("gadget").unwrap();
+    client.deadline_ms = Some(deadline_ms);
+    let e = client
+        .falsify("gadget", Q2, BUDGET)
+        .expect_err("a deadline of a tenth of the search must cancel it");
+    assert_eq!(e.code, "deadline-exceeded", "{e:?}");
+    assert!(
+        e.message.contains("brute-force search stopped mid-tranche"),
+        "cancel-path message with the search's evidence, got: {}",
+        e.message
+    );
+    assert_eq!(server.manager_stats().cancelled, 1);
+
+    // The patient retry runs the whole search and renders it exactly as
+    // the CLI does.
+    let got = cmd_client(&[&addr, "falsify", "gadget", Q2, &BUDGET.to_string()]).unwrap();
+    assert_eq!(got.stdout, want, "falsify rendering drifted after a cancel");
+    assert_eq!(server.manager_stats().cancelled, 1);
+}
