@@ -5,9 +5,9 @@
 //! — each measured two ways:
 //!
 //! * `incremental` — a live [`SharedSession`] *chain* absorbs one more
-//!   delta via `with_delta` (clone-and-patch database, warm-restarted
-//!   `Cert_k` seeded with just the dirty blocks, retained verdicts
-//!   elsewhere) and re-answers `certain(q3)`. The chain is the honest
+//!   delta via `with_delta` (clone-and-patch database, a cold re-solve
+//!   of each component the delta dirtied, retained verdicts elsewhere)
+//!   and re-answers `certain(q3)`. The chain is the honest
 //!   steady state: `with_delta` hands its incremental states to the
 //!   successor, so only the *first* update after a cold start pays the
 //!   state build — exactly what a long-lived `cqa serve` session does.

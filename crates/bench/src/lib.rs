@@ -607,16 +607,8 @@ pub fn e11_q7() -> bool {
 fn cert2_run(q: &cqa_query::Query, db: &cqa::model::Database) -> (CertKOutcome, CertKStats) {
     let sols = cqa::solvers::SolutionSet::enumerate(q, db);
     let cfg = CertKConfig::new(2);
-    let (out, stats, _) = certk_view(
-        &db.full_view(),
-        &sols,
-        cfg,
-        &CancelToken::new(),
-        None,
-        false,
-    )
-    .expect("a never-raised token cannot interrupt the fixpoint");
-    (out, stats)
+    certk_view(&db.full_view(), &sols, cfg, &CancelToken::new())
+        .expect("a never-raised token cannot interrupt the fixpoint")
 }
 
 /// E12 — the conclusion's FO conjecture, measured: the paper conjectures

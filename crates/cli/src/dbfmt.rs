@@ -25,24 +25,9 @@
 //!   large to eyeball.
 
 use cqa_model::{Database, Signature};
+use cqa_query::truncate_error_text;
 use std::fmt::Write as _;
 use std::io::BufRead;
-
-/// Longest slice of an offending line kept in a [`DbFmtError`] (fact
-/// files can legally hold very long lines; errors should stay bounded).
-const ERROR_TEXT_MAX: usize = 120;
-
-/// An offending line bounded for an error message: the first
-/// [`ERROR_TEXT_MAX`] characters, with `…` marking a cut. Shared by the
-/// fact-file loader and the batch queries-file loader so both report
-/// positions the same way.
-pub(crate) fn truncate_error_text(line: &str) -> String {
-    let mut text: String = line.chars().take(ERROR_TEXT_MAX).collect();
-    if text.len() < line.len() {
-        text.push('…');
-    }
-    text
-}
 
 /// A parse failure with position information.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -270,6 +255,7 @@ pub fn write_database(db: &Database) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cqa_query::ERROR_TEXT_MAX;
 
     #[test]
     fn parses_blocks_and_comments() {

@@ -32,7 +32,7 @@ pub mod server_cli;
 use cqa::solvers::{certain_brute_over, BruteOutcome, CancelToken, SolutionSet};
 use cqa::{classify, AnsweredBy, Complexity, Confidence, CqaEngine, RoutePolicy, SharedSession};
 use cqa_model::Database;
-use cqa_query::parse_query;
+use cqa_query::{parse_query, truncate_error_text};
 use cqa_sat::{parse_dimacs, solve, to_occ3_normal_form, SatResult};
 use cqa_workloads::{
     write_large_contested_q3, write_large_q3, ContestedWorkloadConfig, LargeWorkloadConfig,
@@ -370,7 +370,7 @@ pub fn cmd_batch(
                 "queries line {} (byte offset {}): {msg}\n  | {}",
                 ql.line,
                 ql.offset,
-                dbfmt::truncate_error_text(ql.raw)
+                truncate_error_text(ql.raw)
             ))
         };
         let q = parse_query(ql.text).map_err(|e| err_at(e.to_string()))?;
@@ -431,7 +431,7 @@ pub fn cmd_batch(
 /// By default the queries are answered **incrementally**: they are
 /// solved on the pre-delta database first (warming per-query caches),
 /// the delta is applied through [`cqa::SharedSession::with_delta`]
-/// (patched verdicts, warm-restarted fixpoints), and the post-delta
+/// (patched verdicts, dirty components re-solved), and the post-delta
 /// verdicts are printed. With `recompute`, the delta is applied to the
 /// raw database and every query is solved from scratch. The two modes
 /// must print byte-identical stdout — the CI delta smoke diffs them,
@@ -472,7 +472,7 @@ pub fn cmd_update(
                 "queries line {} (byte offset {}): {msg}\n  | {}",
                 ql.line,
                 ql.offset,
-                dbfmt::truncate_error_text(ql.raw)
+                truncate_error_text(ql.raw)
             ))
         };
         let q = parse_query(ql.text).map_err(|e| err_at(e.to_string()))?;
@@ -892,7 +892,7 @@ DB FILE SYNTAX:   one fact per line, e.g.  R(alice | bob)   ('#' comments);
 DELTAS FILE:      update: one signed fact per line — `+ R(a | b)` inserts
                   (the '+' is optional), `- R(a | b)` retracts; '#'
                   comments. Applied atomically; default mode re-answers
-                  the queries incrementally (warm-restarted fixpoints),
+                  the queries incrementally (dirty components re-solved),
                   --recompute solves from scratch. The two print
                   byte-identical verdicts (CI diffs them). docs/DELTAS.md.
 QUERIES FILE:     batch: one query per line, '#' comments, blank lines

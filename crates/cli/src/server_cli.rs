@@ -8,7 +8,7 @@
 //! the CI smoke diffs.
 
 use crate::{load_db_file, CliError, CmdOut};
-use cqa_server::{serve, Client, Json, Loader, Method, RetryPolicy, ServeConfig, WireError};
+use cqa_server::{serve, Client, Json, Loader, RetryPolicy, ServeConfig, WireError};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -341,17 +341,6 @@ fn run_request(client: &mut Client, request: &[&str]) -> Result<String, CliError
         }
     }
     Ok(out)
-}
-
-/// Re-exported for harnesses that drive a request programmatically.
-pub fn client_call(addr: &str, method: Method) -> Result<Json, CliError> {
-    let mut client = Client::connect(addr).map_err(|e| CliError {
-        message: format!("cannot connect to {addr}: {e}"),
-        code: 2,
-    })?;
-    client
-        .call(method)
-        .map_err(|e| CliError::new(format!("server error ({}): {}", e.code, e.message)))
 }
 
 #[cfg(test)]

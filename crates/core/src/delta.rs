@@ -2,21 +2,15 @@
 //!
 //! A [`QueryDeltaState`] is the per-query cache a live database keeps
 //! between updates: the incremental solution set, the dynamic q-connected
-//! partition, and one verdict per component — each verdict carrying the
-//! [`CertKWarmState`] antichain snapshot its fixpoint ended in. After a
-//! delta, only the *dirty region* is re-solved:
+//! partition, and one verdict per component. After a delta, only the
+//! *dirty region* is re-solved:
 //!
 //! * components the delta never touched keep their verdicts verbatim
 //!   (their fact sets are literally identical — fact ids are stable under
 //!   [`Database::apply_delta`], so an untouched component's view is
 //!   bit-for-bit the view the cached verdict was computed on);
-//! * components rebuilt from the dirty region are re-solved — *warm* when
-//!   the delta is growth-only (`cqa_model::DeltaReport::growth_only`) and
-//!   every lineage parent's snapshot is
-//!   [`reusable`](CertKWarmState::reusable), seeding the fixpoint with the
-//!   merged parent antichains and a worklist of just the touched blocks;
-//!   *cold* otherwise (retractions make `Cert_k` non-monotone, so a stale
-//!   antichain would be unsound).
+//! * components rebuilt from the dirty region are solved from scratch,
+//!   exactly as [`QueryDeltaState::new`] solves every component.
 //!
 //! The database itself is **certain iff some component is**
 //! (Proposition 10.6), so [`QueryDeltaState::answer`] synthesises a
@@ -34,19 +28,19 @@ use std::collections::{BTreeMap, HashMap};
 
 use crate::classify::Complexity;
 use crate::engine::{AnsweredBy, CertainAnswer, CqaEngine};
-use cqa_model::{BlockId, Database, DeltaReport, FactId};
+use cqa_model::{Database, DeltaReport};
 use cqa_solvers::{
-    certain_combined_over, certk_view, CancelToken, CertKOutcome, CertKStats, CertKWarmState,
-    Component, DynamicComponents, IncrementalSolutions, WarmInit,
+    certain_combined_over, certk_by_components, CancelToken, CertKStats, Component,
+    DynamicComponents, IncrementalSolutions,
 };
 
 /// Counters for the incremental path, aggregated by sessions and servers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DeltaStats {
-    /// Deltas folded into this state ([`QueryDeltaState::apply`] calls).
+    /// Deltas applied ([`QueryDeltaState::apply`] calls).
     pub delta_applied: u64,
-    /// Blocks seeded into warm-restart worklists (the dirty frontier the
-    /// fixpoints actually started from, summed over warm re-solves).
+    /// Blocks of the components re-solved after a delta (the size of the
+    /// dirty region, summed over deltas).
     pub blocks_reseeded: u64,
     /// Component verdicts retained verbatim because their component was
     /// untouched by a delta.
@@ -68,10 +62,6 @@ struct CompVerdict {
     certain: bool,
     budget_exhausted: bool,
     stats: Option<CertKStats>,
-    /// The antichain snapshot the component's fixpoint ended in; `None`
-    /// for matching-decided components (Theorem 10.5 route), which keep
-    /// no fixpoint evidence and always re-solve cold.
-    warm: Option<CertKWarmState>,
 }
 
 /// Running aggregates over a state's component verdicts, updated as
@@ -158,7 +148,6 @@ pub struct QueryDeltaState {
     comps: DynamicComponents,
     verdicts: HashMap<u32, CompVerdict>,
     totals: VerdictTotals,
-    stats: DeltaStats,
 }
 
 impl QueryDeltaState {
@@ -184,10 +173,9 @@ impl QueryDeltaState {
             comps,
             verdicts: HashMap::new(),
             totals: VerdictTotals::default(),
-            stats: DeltaStats::default(),
         };
         for id in state.comps.ids().collect::<Vec<_>>() {
-            let v = state.solve_cold(db, id);
+            let v = state.solve(db, id);
             state.put_verdict(id, v);
         }
         Some(state)
@@ -201,11 +189,11 @@ impl QueryDeltaState {
         }
     }
 
-    /// Take component `id`'s verdict out of the map and the totals.
-    fn take_verdict(&mut self, id: u32) -> Option<CompVerdict> {
-        let v = self.verdicts.remove(&id)?;
-        self.totals.remove(&v);
-        Some(v)
+    /// Drop component `id`'s verdict from the map and the totals.
+    fn drop_verdict(&mut self, id: u32) {
+        if let Some(v) = self.verdicts.remove(&id) {
+            self.totals.remove(&v);
+        }
     }
 
     /// The engine (query, classification, config) this cache answers for.
@@ -213,25 +201,23 @@ impl QueryDeltaState {
         &self.engine
     }
 
-    /// Lifetime counters for this state.
-    pub fn stats(&self) -> DeltaStats {
-        self.stats
-    }
-
     /// Number of q-connected components currently tracked.
     pub fn components(&self) -> usize {
         self.comps.len()
     }
 
-    /// Solve one component from scratch, per the classification.
-    fn solve_cold(&self, db: &Database, id: u32) -> CompVerdict {
-        if self.engine.classification().complexity != Complexity::PTimeCombined {
-            return self.solve_certk(db, id, None);
-        }
+    /// Solve one component from scratch, per the classification: the
+    /// Theorem 10.5 combination for `PTimeCombined`, `Cert_k` otherwise.
+    fn solve(&self, db: &Database, id: u32) -> CompVerdict {
         let comp = [Component {
             view: self.comps.view_of(db, id),
         }];
-        let res = certain_combined_over(
+        let solve = if self.engine.classification().complexity == Complexity::PTimeCombined {
+            certain_combined_over
+        } else {
+            certk_by_components
+        };
+        let res = solve(
             &comp,
             self.solutions.solutions(),
             self.engine.config().certk,
@@ -243,106 +229,29 @@ impl QueryDeltaState {
             certain: v.certain,
             budget_exhausted: v.budget_exhausted,
             stats: v.stats,
-            warm: None,
-        }
-    }
-
-    /// Run `Cert_k` on component `id` — cold, or warm from `warm` —
-    /// keeping the snapshot for the next delta.
-    fn solve_certk(&self, db: &Database, id: u32, warm: Option<WarmInit<'_>>) -> CompVerdict {
-        let (out, stats, snap) = certk_view(
-            &self.comps.view_of(db, id),
-            self.solutions.solutions(),
-            self.engine.config().certk,
-            &CancelToken::new(),
-            warm,
-            true,
-        )
-        .expect("a never-raised token cannot interrupt the fixpoint");
-        CompVerdict {
-            certain: out.is_certain(),
-            budget_exhausted: out == CertKOutcome::BudgetExhausted,
-            stats: Some(stats),
-            warm: snap,
         }
     }
 
     /// Fold one applied delta into the cache. `db` must be the post-delta
     /// database and `report` the [`DeltaReport`] of that very
     /// [`Database::apply_delta`] call. Returns the counters for this one
-    /// application (already absorbed into [`QueryDeltaState::stats`]).
+    /// application.
     pub fn apply(&mut self, db: &Database, report: &DeltaReport) -> DeltaStats {
-        let mut step = DeltaStats {
-            delta_applied: 1,
-            ..DeltaStats::default()
-        };
         self.solutions.apply_delta(db, report);
         let creport = self.comps.apply(db, self.solutions.solutions(), report);
-        step.verdicts_retained += creport.retained as u64;
-        // Verdicts of dissolved components become warm-seed material for
-        // their descendants (growth-only deltas), then die.
-        let mut parents: HashMap<u32, CompVerdict> = HashMap::new();
         for &c in &creport.dropped {
-            if let Some(v) = self.take_verdict(c) {
-                parents.insert(c, v);
-            }
+            self.drop_verdict(c);
         }
-        let growth = report.growth_only();
-        // Group the delta's facts and blocks by the component now holding
-        // them, once — the per-component warm re-solves below must not
-        // each rescan the whole report (a 1%-growth batch on a 10⁶-fact
-        // database creates ~10⁴ components; per-component scans made the
-        // batch path quadratic and slower than a cold recompute).
-        let mut changed_by_comp: HashMap<u32, Vec<FactId>> = HashMap::new();
-        let mut dirty_by_comp: HashMap<u32, Vec<BlockId>> = HashMap::new();
-        if growth {
-            for &f in &report.inserted {
-                if let Some(c) = self.comps.comp_of_block(db.block_of(f)) {
-                    changed_by_comp.entry(c).or_default().push(f);
-                }
-            }
-            for &b in &report.touched {
-                if let Some(c) = self.comps.comp_of_block(b) {
-                    dirty_by_comp.entry(c).or_default().push(b);
-                }
-            }
-        }
+        let mut step = DeltaStats {
+            delta_applied: 1,
+            blocks_reseeded: 0,
+            verdicts_retained: creport.retained as u64,
+        };
         for &id in &creport.created {
-            let lineage = creport.lineage.get(&id).map(Vec::as_slice).unwrap_or(&[]);
-            let warm_seed: Option<Vec<&CertKWarmState>> = if growth {
-                lineage
-                    .iter()
-                    .map(|p| {
-                        parents
-                            .get(p)
-                            .and_then(|v| v.warm.as_ref())
-                            .filter(|w| w.reusable())
-                    })
-                    .collect()
-            } else {
-                None
-            };
-            let verdict = match warm_seed {
-                Some(seeds) => {
-                    let merged = CertKWarmState::merged(seeds);
-                    let changed = changed_by_comp.remove(&id).unwrap_or_default();
-                    let dirty = dirty_by_comp.remove(&id).unwrap_or_default();
-                    step.blocks_reseeded += dirty.len() as u64;
-                    self.solve_certk(
-                        db,
-                        id,
-                        Some(WarmInit {
-                            state: &merged,
-                            changed_facts: &changed,
-                            dirty_blocks: &dirty,
-                        }),
-                    )
-                }
-                None => self.solve_cold(db, id),
-            };
-            self.put_verdict(id, verdict);
+            step.blocks_reseeded += self.comps.blocks_of(id).len() as u64;
+            let v = self.solve(db, id);
+            self.put_verdict(id, v);
         }
-        self.stats.absorb(&step);
         step
     }
 
@@ -503,21 +412,56 @@ mod tests {
     }
 
     #[test]
-    fn growth_only_steps_take_the_warm_path() {
+    fn blocks_reseeded_counts_the_resolved_components_blocks() {
         let engine = CqaEngine::new(examples::q3());
-        let mut db = db2(&[["a", "b"]]);
+        let mut db = db2(&[["a", "b"], ["p", "q"], ["p", "x"]]);
         let mut state = QueryDeltaState::new(engine.clone(), &db).unwrap();
+
+        // Growth: {a→b} and the new {b→c} form one two-block component.
         let report = db.apply_delta(&[f2("b", "c")], &[]).unwrap();
         assert!(report.growth_only());
         let step = state.apply(&db, &report);
-        assert!(step.blocks_reseeded > 0, "warm restart seeds the frontier");
+        assert_eq!(step.blocks_reseeded, 2);
+        assert_eq!(step.verdicts_retained, 1, "the p block is untouched");
         assert!(state.answer().certain);
 
-        // A retract forces the cold path: no reseeding is counted.
+        // A retract re-solves what is left of that component, {b→c}, the
+        // same way (the emptied a block belongs to no component).
         let report = db.apply_delta(&[], &[f2("a", "b")]).unwrap();
         assert!(!report.growth_only());
         let step = state.apply(&db, &report);
-        assert_eq!(step.blocks_reseeded, 0);
+        assert_eq!(step.blocks_reseeded, 1);
         assert_eq!(state.answer().certain, engine.certain(&db).certain);
+    }
+
+    #[test]
+    fn growth_bridging_two_components_resolves_the_merged_component() {
+        let engine = CqaEngine::new(examples::q3());
+        // Two multi-block components, {a→b, a→y, b→c} and {d→e, d→w,
+        // e→f}, neither certain, plus two untouched single-block ones.
+        let mut db = db2(&[
+            ["a", "b"],
+            ["a", "y"],
+            ["b", "c"],
+            ["d", "e"],
+            ["d", "w"],
+            ["e", "f"],
+            ["m", "n"],
+            ["u", "v"],
+        ]);
+        let mut state = QueryDeltaState::new(engine.clone(), &db).unwrap();
+        assert_eq!(state.components(), 4);
+        assert!(!state.answer().certain);
+
+        // c→d lives in a fresh block and bridges the two components.
+        let report = db.apply_delta(&[f2("c", "d")], &[]).unwrap();
+        assert!(report.growth_only());
+        let step = state.apply(&db, &report);
+        assert_eq!(state.components(), 3);
+        assert_eq!(step.verdicts_retained, 2, "m→n and u→v are untouched");
+        // The merged component: blocks a, b, c, d and e.
+        assert_eq!(step.blocks_reseeded, 5);
+        assert_eq!(state.answer().certain, engine.certain(&db).certain);
+        assert!(state.answer().certain);
     }
 }

@@ -141,16 +141,6 @@ impl Default for RoutingConfig {
     }
 }
 
-impl RoutingConfig {
-    /// The default thresholds with an explicit policy.
-    pub fn with_policy(policy: RoutePolicy) -> RoutingConfig {
-        RoutingConfig {
-            policy,
-            ..RoutingConfig::default()
-        }
-    }
-}
-
 /// Tuning knobs for [`CqaEngine`].
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
@@ -383,9 +373,8 @@ impl CqaEngine {
                 .map(|res| answer_from_components(res, AnsweredBy::ComponentCertK))
                 .map_err(fixpoint_cancelled),
             (complexity, None) => {
-                let (out, stats, _) =
-                    certk_view(&db.full_view(), solutions, cfg, token, None, false)
-                        .map_err(fixpoint_cancelled)?;
+                let (out, stats) = certk_view(&db.full_view(), solutions, cfg, token)
+                    .map_err(fixpoint_cancelled)?;
                 Ok(CertainAnswer {
                     certain: out.is_certain(),
                     answered_by: if complexity == Complexity::Trivial {

@@ -42,7 +42,7 @@
 //! already answered here is carried over
 //! with its verdict *patched incrementally* (via
 //! [`QueryDeltaState`](crate::QueryDeltaState) — untouched q-connected
-//! components keep their verdicts, dirty ones re-solve warm or cold).
+//! components keep their verdicts, dirty ones re-solve from scratch).
 //! The predecessor stays fully consistent for in-flight holders; the
 //! `cqa serve` manager swaps the successor in atomically, so a request
 //! always sees either the whole old state or the whole new one, never a
@@ -263,11 +263,10 @@ impl SharedSession {
     ///
     /// Per carried query (see [`QueryDeltaState`](crate::QueryDeltaState)):
     /// untouched q-connected components keep their verdicts verbatim;
-    /// components in the dirty region re-solve — *warm* (antichain
-    /// snapshot + touched-blocks worklist) on growth-only deltas, *cold*
-    /// otherwise. coNP-complete queries carry nothing (their next request
-    /// re-solves lazily), and queries whose first solve never completed
-    /// are dropped. The incremental states themselves move to the
+    /// components in the dirty region re-solve from scratch, one
+    /// component at a time. coNP-complete queries carry nothing (their
+    /// next request re-solves lazily), and queries whose first solve never
+    /// completed are dropped. The incremental states themselves move to the
     /// successor, so a *chain* of updates keeps patching instead of
     /// rebuilding; this session keeps answering from its own (still
     /// valid) caches, it just can't accelerate a second `with_delta`.

@@ -4,7 +4,7 @@
 //! 1..=4 solver threads,
 //!
 //! * chaining deltas through [`SharedSession::with_delta`] — patched
-//!   verdicts, warm-restarted fixpoints, retained untouched components —
+//!   verdicts, re-solved dirty components, retained untouched ones —
 //!   answers **identically** to a cold [`CqaEngine`] solving the
 //!   post-delta database from scratch, after every step of the chain;
 //! * both agree with exhaustive repair enumeration
@@ -14,8 +14,8 @@
 //! * the predecessor session keeps answering for its own database —
 //!   deltas never mutate a live session in place.
 //!
-//! This is the acceptance gate of the live-update layer: if warm restart
-//! or verdict patching is wrong anywhere, some script in this space
+//! This is the acceptance gate of the live-update layer: if the dirty
+//! region or verdict patching is wrong anywhere, some script in this space
 //! flips a verdict and the differential catches it.
 
 use cqa::solvers::certk::reference::certk_reference;

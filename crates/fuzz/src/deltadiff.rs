@@ -1,6 +1,6 @@
 //! Delta differential stress: mutate *valid* generated delta scripts and
 //! cross-check the incremental path ([`SharedSession::with_delta`] —
-//! patched verdicts, warm-restarted `Cert_k`, retained components)
+//! patched verdicts, re-solved dirty components, retained components)
 //! against from-scratch recomputation on every engine route, with the
 //! budgeted brute force as semantic ground truth.
 //!
@@ -24,8 +24,8 @@
 //! mutants still parse into a *different but valid* delta. The parsed
 //! delta is then applied twice: incrementally through a chain of shared
 //! sessions (one per engine route), and by [`Database::apply_delta`] on
-//! an independent copy solved cold. Any verdict disagreement — warm vs
-//! cold, either vs brute force — is a [`Verdict::Crash`].
+//! an independent copy solved cold. Any verdict disagreement — incremental
+//! vs cold, either vs brute force — is a [`Verdict::Crash`].
 
 use cqa::{CqaEngine, EngineConfig, RoutePolicy, SharedSession};
 use cqa_model::Database;
@@ -143,7 +143,7 @@ fn mutate_script(text: &str, seed: u64, op: u8) -> String {
             3 => {
                 // Flip an insert to a retract or vice versa: retracting an
                 // absent fact / re-inserting a resident one are no-ops the
-                // warm path must also treat as such.
+                // incremental path must also treat as such.
                 let i = rng.below(lines.len());
                 if let Some(rest) = lines[i].strip_prefix('+') {
                     lines[i] = format!("-{rest}");

@@ -78,9 +78,8 @@ impl DeltaReport {
     }
 
     /// `true` iff the delta only populated brand-new blocks: nothing was
-    /// retracted and no pre-existing block changed. `Cert_k` is monotone
-    /// under this kind of growth, which is exactly when a warm-restarted
-    /// fixpoint is sound (see `docs/DELTAS.md`).
+    /// retracted and no pre-existing block changed. Reported to users by
+    /// the wire `update` response and `cqa update --stats`.
     pub fn growth_only(&self) -> bool {
         self.retracted.is_empty() && self.touched.len() == self.fresh_blocks.len()
     }
@@ -645,7 +644,7 @@ mod tests {
             .unwrap();
         assert_eq!(db.block_of(rep.inserted[0]), old_block);
         // The block existed before (as an empty shell) but held no fact, so
-        // for warm-restart purposes it counts as fresh.
+        // it counts as fresh.
         assert_eq!(rep.fresh_blocks, vec![old_block]);
         assert!(rep.growth_only());
     }

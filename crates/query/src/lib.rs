@@ -24,7 +24,7 @@ mod subst;
 mod term;
 
 pub use atom::Atom;
-pub use lines::{query_lines, QueryLine};
+pub use lines::{query_lines, truncate_error_text, QueryLine, ERROR_TEXT_MAX};
 pub use parse::parse_query;
 pub use query::Query;
 pub use subst::{is_solution, is_solution_unordered, match_pair, Subst};

@@ -6,10 +6,27 @@
 //! positions the fact-file loader reports, so batch errors stay
 //! actionable on inputs far too large to eyeball.
 //!
-//! This module only walks and strips lines; parsing the query text is the
-//! caller's job ([`crate::parse_query`]), because error *assembly* (how
-//! much of the offending line to quote, which exit code to use) differs
-//! per front end while the positions must not.
+//! This module walks and strips lines and bounds the quote of an
+//! offending line ([`truncate_error_text`], also used for fact-file
+//! errors); parsing the query text is the caller's job
+//! ([`crate::parse_query`]), because the rest of error assembly (error
+//! type, exit code or wire code) differs per front end while positions
+//! and quotes must not.
+
+/// Longest prefix of an offending line that an error message quotes
+/// (fact and query files can legally hold very long lines; errors should
+/// stay bounded).
+pub const ERROR_TEXT_MAX: usize = 120;
+
+/// An offending line bounded for an error message: the first
+/// [`ERROR_TEXT_MAX`] characters, with `…` marking a cut.
+pub fn truncate_error_text(line: &str) -> String {
+    let mut text: String = line.chars().take(ERROR_TEXT_MAX).collect();
+    if text.len() < line.len() {
+        text.push('…');
+    }
+    text
+}
 
 /// One non-empty query line of a queries text.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

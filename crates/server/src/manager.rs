@@ -75,8 +75,8 @@ pub struct ManagerStats {
     /// their predecessors' counters, so an updated database's count is
     /// monotone; evicted sessions take theirs with them).
     pub delta_applied: u64,
-    /// Blocks seeded into warm-restart worklists across resident
-    /// sessions — the dirty frontier incremental re-solves started from.
+    /// Blocks of the components re-solved after deltas, across resident
+    /// sessions — the size of the dirty regions.
     pub blocks_reseeded: u64,
     /// Component verdicts retained verbatim across deltas (untouched
     /// q-connected components), across resident sessions.

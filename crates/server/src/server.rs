@@ -46,7 +46,7 @@ use crate::protocol::{
 };
 use cqa::solvers::{certain_brute_over, BruteOutcome, CancelToken, SolutionSet};
 use cqa::{CancelledSolve, EngineConfig};
-use cqa_query::parse_query;
+use cqa_query::{parse_query, truncate_error_text};
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -382,19 +382,6 @@ fn dispatch(ctx: &Arc<ServerCtx>, req: Request) -> String {
     }
 }
 
-/// Mirror of `dbfmt::truncate_error_text` (the CLI's fact-file error
-/// convention): cap error excerpts at 120 characters with `…`. The
-/// `server_parity` suite asserts the two layers produce byte-identical
-/// batch error messages, so they cannot drift.
-fn truncate_error_text(line: &str) -> String {
-    const ERROR_TEXT_MAX: usize = 120;
-    let mut text: String = line.chars().take(ERROR_TEXT_MAX).collect();
-    if text.len() < line.len() {
-        text.push('…');
-    }
-    text
-}
-
 /// The `deadline-exceeded` answer for a solve the token stopped
 /// mid-run, carrying the partial fixpoint statistics as evidence of the
 /// work done before the cancel.
@@ -519,8 +506,9 @@ fn execute(
             let session = session_for(db)?;
             let mut verdicts = Vec::new();
             // Same line discipline and error text as `cqa batch`
-            // (shared via cqa_query::query_lines; asserted byte-equal
-            // by the parity suite).
+            // (shared via cqa_query::query_lines and
+            // truncate_error_text; asserted byte-equal by the parity
+            // suite).
             for ql in cqa_query::query_lines(queries) {
                 let err_at = |msg: String| {
                     WireError::new(

@@ -468,134 +468,40 @@ impl CertKStats {
 }
 
 /// Run `Cert_k(q)` on `db` — the paper's whole-database procedure, never
-/// cancelled, no snapshot. Everything else goes through [`certk_view`].
+/// cancelled. Everything else goes through [`certk_view`].
 pub fn certk(q: &Query, db: &Database, cfg: CertKConfig) -> CertKOutcome {
     let solutions = SolutionSet::enumerate(q, db);
-    certk_view(
-        &db.full_view(),
-        &solutions,
-        cfg,
-        &CancelToken::new(),
-        None,
-        false,
-    )
-    .expect("a never-raised token cannot interrupt the fixpoint")
-    .0
+    certk_view(&db.full_view(), &solutions, cfg, &CancelToken::new())
+        .expect("a never-raised token cannot interrupt the fixpoint")
+        .0
 }
 
-/// An owned snapshot of a **completed** `Cert_k` fixpoint over one view:
-/// the reached antichain membership plus the outcome it proved. Produced
-/// by a [`certk_view`] run asked to `capture` it, and fed back into one
-/// (as [`WarmInit::state`]) after a *growth-only* delta (only previously
-/// empty blocks gained facts, nothing was retracted) to re-answer in time
-/// proportional to the delta's neighbourhood instead of the whole view.
-///
-/// Reuse is sound only under growth: every old repair restriction still
-/// exists, so old members stay derivable, and `Cert_k` is monotone in the
-/// derivable sets. Any retract, or an insert into an already occupied
-/// block, can *shrink* the fixpoint (the paper's operator is not monotone
-/// in the database) — callers must fall back to a cold run there, which
-/// the engine's delta layer does via `cqa_model::DeltaReport::growth_only`.
-/// Snapshots of [`BudgetExhausted`](CertKOutcome::BudgetExhausted) runs
-/// are not reusable either (the fixpoint never converged):
-/// [`reusable`](CertKWarmState::reusable) gates warm starts.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CertKWarmState {
-    /// Antichain members at convergence (empty when `has_empty`: ∅ covers
-    /// everything, so no other member survives).
-    members: Vec<Vec<FactId>>,
-    /// Whether ∅ was derived (the view is certain, and stays certain
-    /// under growth — warm restarts return immediately).
-    has_empty: bool,
-    /// Outcome the snapshot proved.
-    outcome: CertKOutcome,
-}
+/// Antichains at least this large are freed off the caller's thread
+/// when their run is cancelled (see [`cancelled`]).
+const BACKGROUND_FREE_MIN: usize = 1 << 16;
 
-impl CertKWarmState {
-    /// Outcome the snapshotted run proved.
-    pub fn outcome(&self) -> CertKOutcome {
-        self.outcome
-    }
-
-    /// Whether this snapshot may seed a warm restart: the run converged
-    /// (did not exhaust its budget). The *delta* must additionally be
-    /// growth-only — that is the caller's obligation, checked against
-    /// `DeltaReport::growth_only`.
-    pub fn reusable(&self) -> bool {
-        self.outcome != CertKOutcome::BudgetExhausted
-    }
-
-    /// Number of antichain members in the snapshot (0 when ∅ ∈ Δ).
-    pub fn member_count(&self) -> usize {
-        self.members.len()
-    }
-
-    /// The snapshotted membership, for differential assertions: each
-    /// member sorted ascending, members in insertion order. ∅ is
-    /// represented by [`has_empty`](Self::has_empty) — when the query
-    /// was proved certain the iterator is empty.
-    pub fn members(&self) -> impl Iterator<Item = &[FactId]> + '_ {
-        self.members.iter().map(Vec::as_slice)
-    }
-
-    /// Whether ∅ was derived — the snapshotted view is certain.
-    pub fn has_empty(&self) -> bool {
-        self.has_empty
-    }
-
-    /// Merge sibling snapshots into one reusable state — the warm seed
-    /// for a view that is the disjoint union of the inputs' views (e.g.
-    /// q-connected components merged by a growth delta). Memberships of
-    /// disjoint views are mutually incomparable, so the union is again an
-    /// antichain; ∅ in any input makes the union certain. The merged
-    /// outcome is `Certain` if any input proved it, else `NotDerived` —
-    /// exhausted inputs poison the merge (`reusable` turns false).
-    pub fn merged<'a>(parts: impl IntoIterator<Item = &'a CertKWarmState>) -> CertKWarmState {
-        let mut out = CertKWarmState {
-            members: Vec::new(),
-            has_empty: false,
-            outcome: CertKOutcome::NotDerived,
-        };
-        for p in parts {
-            if p.outcome == CertKOutcome::BudgetExhausted {
-                out.outcome = CertKOutcome::BudgetExhausted;
-            }
-            if p.has_empty {
-                out.has_empty = true;
-                if out.outcome != CertKOutcome::BudgetExhausted {
-                    out.outcome = CertKOutcome::Certain;
-                }
-            }
-            out.members.extend(p.members.iter().cloned());
-        }
-        if out.has_empty {
-            out.members.clear();
-        }
-        out
-    }
-}
-
-/// Record into `stats` the partial evidence of a cancelled run: steps
+/// The partial evidence of a cancelled run: `stats` plus the steps
 /// consumed so far and the antichain health counters at the cancel
-/// observation.
-fn finalise_partial(stats: &mut CertKStats, chain: &Antichain<'_>, consumed: u64) {
+/// observation. A large antichain and requirement cache are handed to a
+/// short-lived thread to free, so the cancelled answer does not wait for
+/// their teardown: freeing the 628k members that a 1.5M-fact chain holds
+/// 0.7 s into its fixpoint took 265 ms in a release build on a 2-CPU VM,
+/// more than a deadline's latency budget. If no thread can be spawned,
+/// they are freed here.
+fn cancelled(
+    mut stats: CertKStats,
+    chain: Antichain<'_>,
+    reqs_cache: Vec<Option<Box<[Vec<FactId>]>>>,
+    consumed: u64,
+) -> CertKStats {
     stats.steps = consumed;
     stats.peak_members = chain.peak_live();
     stats.stale_compacted = chain.stale_compacted();
-}
-
-/// Warm-start input for [`certk_view`]: a completed prior fixpoint plus
-/// the delta since its snapshot.
-#[derive(Clone, Copy, Debug)]
-pub struct WarmInit<'w> {
-    /// The prior run's snapshot; must be
-    /// [`reusable`](CertKWarmState::reusable).
-    pub state: &'w CertKWarmState,
-    /// Facts inserted since the snapshot (must all live in blocks that
-    /// were empty at snapshot time).
-    pub changed_facts: &'w [FactId],
-    /// Blocks to seed the worklist with: the delta's blocks.
-    pub dirty_blocks: &'w [BlockId],
+    if chain.live_len() >= BACKGROUND_FREE_MIN {
+        let storage = (chain.sets, chain.touching, chain.member_index, reqs_cache);
+        let _ = std::thread::Builder::new().spawn(move || drop(storage));
+    }
+    stats
 }
 
 /// Run `Cert_k(q)` on a copy-free [`DbView`] — the one live entry point
@@ -606,78 +512,26 @@ pub struct WarmInit<'w> {
 /// view is exactly the view's set), and derivation runs over the view's
 /// blocks only.
 ///
-/// * **Cancellation.** The fixpoint polls `token` once per seeded fact
-///   and once per block derivation, so a token that fires mid-fixpoint
-///   stops the run within roughly one block's worth of work. A cancelled
-///   run returns `Err` with its **partial statistics** — the work done
-///   before the cancel observation, the evidence a server attaches to a
-///   `deadline-exceeded` answer. The outcome is withheld: a cancelled
-///   fixpoint proves nothing either way. Pass [`CancelToken::new`] when
-///   nothing can cancel.
-/// * **Warm start.** With `warm`, the run preloads the prior antichain,
-///   seeds only pairs involving [`WarmInit::changed_facts`] (through
-///   `insert_tracked`, so seed-touched old blocks join the worklist too)
-///   and begins the worklist at [`WarmInit::dirty_blocks`] instead of
-///   every block; requirement families are recomputed lazily for visited
-///   blocks only. This is sound and complete **only for growth-only
-///   deltas** — every fact added since the snapshot lives in a block that
-///   held no fact at snapshot time (see `docs/DELTAS.md` for the
-///   monotonicity argument); any other delta must run cold. The reached
-///   membership — and hence the outcome — is **identical** to a cold run
-///   on the post-delta view: the closure is confluent and the old blocks
-///   were already converged with respect to the preloaded members, so the
-///   worklist invariant ("a block not queued derives nothing new") holds
-///   from the start. The statistics differ, of course; that is the point
-///   (`blocks_skipped` counts the blocks the warm start never visited).
-/// * **Snapshot.** With `capture`, a completed run also returns the
-///   [`CertKWarmState`] of the reached antichain, the seed for the next
-///   warm start. Without it no snapshot is built, so a cold batch solve
-///   never copies its antichain.
-///
-/// # Panics
-///
-/// Debug-asserts that a warm start's state is
-/// [`reusable`](CertKWarmState::reusable). The growth-only precondition
-/// on the delta is *not* checkable from the post-delta view alone and
-/// remains the caller's obligation.
+/// The fixpoint polls `token` once per seeded fact and once per block
+/// derivation, so a token that fires mid-fixpoint stops the run within
+/// roughly one block's worth of work. A cancelled run returns `Err` with
+/// its **partial statistics** — the work done before the cancel
+/// observation, the evidence a server attaches to a `deadline-exceeded`
+/// answer. The outcome is withheld: a cancelled fixpoint proves nothing
+/// either way. Pass [`CancelToken::new`] when nothing can cancel.
 pub fn certk_view(
     view: &DbView<'_>,
     solutions: &SolutionSet,
     cfg: CertKConfig,
     token: &CancelToken,
-    warm: Option<WarmInit<'_>>,
-    capture: bool,
-) -> Result<(CertKOutcome, CertKStats, Option<CertKWarmState>), CertKStats> {
+) -> Result<(CertKOutcome, CertKStats), CertKStats> {
     let db = view.parent();
     let mut stats = CertKStats::default();
     if cfg.k == 0 {
-        let snap = capture.then(|| CertKWarmState {
-            members: Vec::new(),
-            has_empty: false,
-            outcome: CertKOutcome::NotDerived,
-        });
-        return Ok((CertKOutcome::NotDerived, stats, snap));
+        return Ok((CertKOutcome::NotDerived, stats));
     }
     let mut chain = Antichain::new(db);
     let mut budget = cfg.node_budget;
-
-    // Blocks the warm seeds touch — queued alongside the dirty blocks.
-    let mut seed_dirty: Vec<FactId> = Vec::new();
-    if let Some(w) = &warm {
-        debug_assert!(
-            w.state.outcome != CertKOutcome::BudgetExhausted,
-            "cannot warm-restart from an exhausted (non-converged) fixpoint"
-        );
-        // Preload the prior antichain. Members are mutually incomparable
-        // and contain only old facts, so no insert prunes another.
-        if w.state.has_empty {
-            chain.insert(Vec::new());
-        } else {
-            for m in &w.state.members {
-                chain.insert(m.clone());
-            }
-        }
-    }
 
     // Seeds: solutions within the view that fit in a k-set. Iterating
     // view facts in id order visits the pairs in the same order the
@@ -685,103 +539,40 @@ pub fn certk_view(
     // seed order exactly. Partners outside the view are skipped — that
     // *is* the restriction of the solution set to the view (a no-op on
     // q-closed views like components and full views, where the
-    // membership test is O(1)). A warm restart seeds only the pairs
-    // involving facts added since the snapshot — every other pair was
-    // already seeded (and is covered by the preloaded members).
-    let seed = |a: FactId,
-                b: FactId,
-                chain: &mut Antichain<'_>,
-                stats: &mut CertKStats,
-                changed: &mut Vec<FactId>| {
-        if a == b {
-            stats.inserted += chain.insert_tracked(vec![a], changed) as usize;
-        } else if !db.key_equal(a, b) && cfg.k >= 2 {
-            let mut s = vec![a, b];
-            s.sort_unstable();
-            stats.inserted += chain.insert_tracked(s, changed) as usize;
+    // membership test is O(1)).
+    for &a in view.fact_ids() {
+        if token.is_cancelled() {
+            return Err(cancelled(
+                stats,
+                chain,
+                Vec::new(),
+                cfg.node_budget - budget,
+            ));
         }
-        // Distinct key-equal facts can never share a repair: no seed.
-    };
-    match &warm {
-        None => {
-            for &a in view.fact_ids() {
-                if token.is_cancelled() {
-                    finalise_partial(&mut stats, &chain, cfg.node_budget - budget);
-                    return Err(stats);
-                }
-                for &b in solutions.seconds_of(a) {
-                    if !view.contains_fact(b) {
-                        continue;
-                    }
-                    if a == b {
-                        stats.inserted += chain.insert(vec![a]) as usize;
-                    } else if !db.key_equal(a, b) && cfg.k >= 2 {
-                        let mut s = vec![a, b];
-                        s.sort_unstable();
-                        stats.inserted += chain.insert(s) as usize;
-                    }
-                    // Distinct key-equal facts never share a repair: no seed.
-                }
+        for &b in solutions.seconds_of(a) {
+            if !view.contains_fact(b) {
+                continue;
             }
-        }
-        Some(w) if !w.state.has_empty => {
-            for &a in w.changed_facts {
-                if !view.contains_fact(a) {
-                    continue;
-                }
-                if token.is_cancelled() {
-                    finalise_partial(&mut stats, &chain, cfg.node_budget - budget);
-                    return Err(stats);
-                }
-                for &b in solutions.seconds_of(a) {
-                    if view.contains_fact(b) {
-                        seed(a, b, &mut chain, &mut stats, &mut seed_dirty);
-                    }
-                }
-                for &c in solutions.firsts_of(a) {
-                    // (a, a) was handled above; (c, a) with old c is a pair
-                    // the cold run would have found from c's side.
-                    if c != a && view.contains_fact(c) {
-                        seed(c, a, &mut chain, &mut stats, &mut seed_dirty);
-                    }
-                }
+            if a == b {
+                stats.inserted += chain.insert(vec![a]) as usize;
+            } else if !db.key_equal(a, b) && cfg.k >= 2 {
+                let mut s = vec![a, b];
+                s.sort_unstable();
+                stats.inserted += chain.insert(s) as usize;
             }
-        }
-        Some(_) => {
-            // ∅ was already derived; growth keeps the query certain.
+            // Distinct key-equal facts never share a repair: no seed.
         }
     }
 
     let blocks = view.blocks();
     let nb = blocks.len();
     // Dirty-block worklist, drained in generations ("rounds"): the first
-    // generation holds every block (cold) or only the delta's blocks and
-    // whatever the new seeds touched (warm); afterwards a block re-enters
-    // only when a member touching one of its facts is inserted or pruned —
+    // generation holds every block; afterwards a block re-enters only when
+    // a member touching one of its facts is inserted or pruned —
     // derive_block's output depends on the chain solely through the
     // requirement families of the block's facts, so an untouched block
     // cannot produce a new (uncovered) candidate and is safe to skip.
-    let mut current: Vec<BlockId> = match &warm {
-        None => blocks.to_vec(),
-        Some(w) => {
-            let mut cur: Vec<BlockId> = w
-                .dirty_blocks
-                .iter()
-                .copied()
-                .filter(|&b| view.local_block_index(b).is_some())
-                .collect();
-            cur.extend(
-                seed_dirty
-                    .iter()
-                    .map(|&f| db.block_of(f))
-                    .filter(|&b| view.local_block_index(b).is_some()),
-            );
-            cur.sort_unstable();
-            cur.dedup();
-            stats.blocks_skipped += nb - cur.len();
-            cur
-        }
-    };
+    let mut current: Vec<BlockId> = blocks.to_vec();
     let mut next: Vec<BlockId> = Vec::new();
     // queued[i]: view block i is already in `next`.
     let mut queued = vec![false; nb];
@@ -802,8 +593,8 @@ pub fn certk_view(
         let mut exhausted = false;
         'round: for &b in &current {
             if token.is_cancelled() {
-                finalise_partial(&mut stats, &chain, cfg.node_budget - budget);
-                return Err(stats);
+                let consumed = cfg.node_budget - budget;
+                return Err(cancelled(stats, chain, reqs_cache, consumed));
             }
             stats.blocks_derived += 1;
             let cands = match derive_block(db, view, &chain, b, cfg.k, &mut budget, &mut reqs_cache)
@@ -864,16 +655,7 @@ pub fn certk_view(
     };
     stats.peak_members = chain.peak_live();
     stats.stale_compacted = chain.stale_compacted();
-    let snap = capture.then(|| CertKWarmState {
-        members: if chain.has_empty() {
-            Vec::new()
-        } else {
-            chain.live_members().map(<[FactId]>::to_vec).collect()
-        },
-        has_empty: chain.has_empty(),
-        outcome,
-    });
-    Ok((outcome, stats, snap))
+    Ok((outcome, stats))
 }
 
 /// The ⊆-minimal requirement family
@@ -1333,17 +1115,10 @@ mod tests {
         }
     }
 
-    /// An uncancellable run of [`certk_view`] returning outcome, stats
-    /// and (when `capture`) the snapshot.
-    fn run(
-        view: &DbView<'_>,
-        sols: &SolutionSet,
-        cfg: CertKConfig,
-        warm: Option<WarmInit<'_>>,
-    ) -> (CertKOutcome, CertKStats, CertKWarmState) {
-        let (out, stats, snap) = certk_view(view, sols, cfg, &CancelToken::new(), warm, true)
-            .expect("a never-raised token cannot interrupt the fixpoint");
-        (out, stats, snap.expect("capture was requested"))
+    /// An uncancellable run of [`certk_view`].
+    fn run(view: &DbView<'_>, sols: &SolutionSet, cfg: CertKConfig) -> (CertKOutcome, CertKStats) {
+        certk_view(view, sols, cfg, &CancelToken::new())
+            .expect("a never-raised token cannot interrupt the fixpoint")
     }
 
     #[test]
@@ -1355,15 +1130,12 @@ mod tests {
         // A pre-raised flag aborts before any work.
         let raised = CancelToken::new();
         raised.cancel();
-        assert!(certk_view(&view, &sols, CertKConfig::new(2), &raised, None, false).is_err());
+        assert!(certk_view(&view, &sols, CertKConfig::new(2), &raised).is_err());
         // A never-raised flag reproduces the plain run exactly.
         let calm = CancelToken::new();
-        let got = certk_view(&view, &sols, CertKConfig::new(2), &calm, None, false)
+        let got = certk_view(&view, &sols, CertKConfig::new(2), &calm)
             .expect("no cancellation requested");
-        let want = run(&view, &sols, CertKConfig::new(2), None);
-        assert_eq!(got.0, want.0);
-        assert_eq!(got.1, want.1);
-        assert!(got.2.is_none(), "no snapshot unless asked");
+        assert_eq!(got, run(&view, &sols, CertKConfig::new(2)));
     }
 
     #[test]
@@ -1376,17 +1148,16 @@ mod tests {
         // partial evidence says so.
         let raised = CancelToken::new();
         raised.cancel();
-        let partial = certk_view(&view, &sols, CertKConfig::new(2), &raised, None, false)
+        let partial = certk_view(&view, &sols, CertKConfig::new(2), &raised)
             .expect_err("a raised token must cancel the fixpoint");
         assert_eq!(partial.blocks_derived, 0);
         assert_eq!(partial.rounds, 0);
         // A far-deadline token reproduces the deterministic run exactly,
         // statistics included.
         let calm = CancelToken::deadline_in(std::time::Duration::from_secs(3600));
-        let got = certk_view(&view, &sols, CertKConfig::new(2), &calm, None, false)
+        let got = certk_view(&view, &sols, CertKConfig::new(2), &calm)
             .expect("a far deadline cannot cancel this fixpoint");
-        let want = run(&view, &sols, CertKConfig::new(2), None);
-        assert_eq!((got.0, got.1), (want.0, want.1));
+        assert_eq!(got, run(&view, &sols, CertKConfig::new(2)));
     }
 
     #[test]
@@ -1486,7 +1257,7 @@ mod tests {
         let q = examples::q3();
         assert!(!certain_brute(&q, &d));
         let sols = SolutionSet::enumerate(&q, &d);
-        let (out, stats, _) = run(&d.full_view(), &sols, CertKConfig::new(2), None);
+        let (out, stats) = run(&d.full_view(), &sols, CertKConfig::new(2));
         assert_eq!(out, CertKOutcome::NotDerived);
         assert!(
             stats.rounds >= 2,
@@ -1529,177 +1300,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// Canonical form of a snapshot's membership for differential
-    /// assertions: (∅ derived, members sorted).
-    fn membership(s: &CertKWarmState) -> (bool, Vec<Vec<FactId>>) {
-        let mut m: Vec<Vec<FactId>> = s.members().map(<[FactId]>::to_vec).collect();
-        m.sort();
-        (s.has_empty(), m)
-    }
-
-    #[test]
-    fn warm_restart_matches_cold_across_chained_growth_deltas() {
-        let q = examples::q3();
-        let cfg = CertKConfig::new(2);
-        let mut d = db2(&[["a", "b"], ["a", "x"]]);
-        let sols = SolutionSet::enumerate(&q, &d);
-        let (out0, _, mut warm) = run(&d.full_view(), &sols, cfg, None);
-        assert_eq!(out0, CertKOutcome::NotDerived);
-
-        // Two growth-only steps; the second tips the query into certainty.
-        let steps: [&[[&str; 2]]; 2] = [&[["b", "c"]], &[["x", "y"]]];
-        for step in steps {
-            let facts: Vec<Fact> = step
-                .iter()
-                .map(|r| Fact::from_names(r.iter().copied()))
-                .collect();
-            let report = d.apply_delta(&facts, &[]).unwrap();
-            assert!(report.growth_only());
-            let sols = SolutionSet::enumerate(&q, &d);
-            let (warm_out, _, warm_next) = run(
-                &d.full_view(),
-                &sols,
-                cfg,
-                Some(WarmInit {
-                    state: &warm,
-                    changed_facts: &report.inserted,
-                    dirty_blocks: &report.touched,
-                }),
-            );
-            let (cold_out, _, cold_snap) = run(&d.full_view(), &sols, cfg, None);
-            assert_eq!(warm_out, cold_out, "outcome diverged on {d:?}");
-            assert_eq!(
-                membership(&warm_next),
-                membership(&cold_snap),
-                "antichain membership diverged on {d:?}"
-            );
-            warm = warm_next;
-        }
-        assert_eq!(warm.outcome(), CertKOutcome::Certain);
-    }
-
-    #[test]
-    fn warm_restart_from_certain_snapshot_returns_without_deriving() {
-        let q = examples::q3();
-        let cfg = CertKConfig::new(2);
-        let mut d = db2(&[["a", "b"], ["b", "c"]]);
-        let sols = SolutionSet::enumerate(&q, &d);
-        let (out0, _, warm) = run(&d.full_view(), &sols, cfg, None);
-        assert_eq!(out0, CertKOutcome::Certain);
-
-        let report = d.apply_delta(&[Fact::from_names(["p", "q"])], &[]).unwrap();
-        let sols = SolutionSet::enumerate(&q, &d);
-        let (out, stats, snap) = run(
-            &d.full_view(),
-            &sols,
-            cfg,
-            Some(WarmInit {
-                state: &warm,
-                changed_facts: &report.inserted,
-                dirty_blocks: &report.touched,
-            }),
-        );
-        // Growth keeps a certain view certain; ∅ short-circuits the loop.
-        assert_eq!(out, CertKOutcome::Certain);
-        assert_eq!(stats.rounds, 0);
-        assert_eq!(stats.blocks_derived, 0);
-        assert!(snap.has_empty());
-    }
-
-    #[test]
-    fn warm_restart_visits_only_the_delta_neighbourhood() {
-        let q = examples::q3();
-        let cfg = CertKConfig::new(2);
-        // 50 isolated edges x_i -> y_i: no solutions, 50 blocks.
-        let mut d = Database::new(Signature::new(2, 1).unwrap());
-        for i in 0..50 {
-            d.insert(Fact::from_names([format!("x{i}"), format!("y{i}")]))
-                .unwrap();
-        }
-        let sols = SolutionSet::enumerate(&q, &d);
-        let (_, cold0, warm) = run(&d.full_view(), &sols, cfg, None);
-        assert_eq!(cold0.blocks_derived, 50);
-
-        // One new edge continues x0 -> y0: only its neighbourhood is dirty.
-        let report = d
-            .apply_delta(&[Fact::from_names(["y0", "z"])], &[])
-            .unwrap();
-        let sols = SolutionSet::enumerate(&q, &d);
-        let (out, warm_stats, warm_snap) = run(
-            &d.full_view(),
-            &sols,
-            cfg,
-            Some(WarmInit {
-                state: &warm,
-                changed_facts: &report.inserted,
-                dirty_blocks: &report.touched,
-            }),
-        );
-        let (cold_out, cold_stats, cold_snap) = run(&d.full_view(), &sols, cfg, None);
-        assert_eq!(out, cold_out);
-        assert_eq!(membership(&warm_snap), membership(&cold_snap));
-        assert!(
-            warm_stats.blocks_derived <= 4,
-            "warm run visited {} blocks",
-            warm_stats.blocks_derived
-        );
-        assert!(cold_stats.blocks_derived >= 51);
-        assert!(warm_stats.blocks_skipped >= 47);
-    }
-
-    #[test]
-    fn merged_component_snapshots_seed_a_joint_warm_restart() {
-        let q = examples::q3();
-        let cfg = CertKConfig::new(2);
-        let mut d = db2(&[["a", "b"], ["c", "d"]]);
-        let sols = SolutionSet::enumerate(&q, &d);
-        // Snapshot each q-connected component separately, as the engine's
-        // per-component cache does.
-        let comps = crate::components::q_connected_components_with_solutions(&q, &d, &sols);
-        assert_eq!(comps.len(), 2);
-        let snaps: Vec<CertKWarmState> = comps
-            .iter()
-            .map(|c| run(&c.view, &sols, cfg, None).2)
-            .collect();
-        let merged = CertKWarmState::merged(&snaps);
-        assert!(merged.reusable());
-
-        // A growth delta bridges the components: b -> c in a fresh block.
-        let report = d.apply_delta(&[Fact::from_names(["b", "c"])], &[]).unwrap();
-        assert!(report.growth_only());
-        let sols = SolutionSet::enumerate(&q, &d);
-        let (out, _, snap) = run(
-            &d.full_view(),
-            &sols,
-            cfg,
-            Some(WarmInit {
-                state: &merged,
-                changed_facts: &report.inserted,
-                dirty_blocks: &report.touched,
-            }),
-        );
-        let (cold_out, _, cold_snap) = run(&d.full_view(), &sols, cfg, None);
-        assert_eq!(out, cold_out);
-        assert_eq!(membership(&snap), membership(&cold_snap));
-    }
-
-    #[test]
-    fn exhausted_snapshots_are_not_reusable() {
-        let q = examples::q3();
-        let d = db2(&[["a", "b"], ["b", "c"], ["c", "d"], ["d", "e"]]);
-        let sols = SolutionSet::enumerate(&q, &d);
-        let cfg = CertKConfig {
-            k: 2,
-            node_budget: 1,
-            threads: 1,
-            early_exit: false,
-        };
-        let (out, _, snap) = run(&d.full_view(), &sols, cfg, None);
-        assert_eq!(out, CertKOutcome::BudgetExhausted);
-        assert!(!snap.reusable());
-        let merged = CertKWarmState::merged([&snap]);
-        assert!(!merged.reusable());
     }
 }

@@ -196,8 +196,8 @@ fn fan_out(
                 });
             }
         }
-        match certk_view(&comp.view, solutions, cfg, &early, None, false) {
-            Ok((out, stats, _)) => {
+        match certk_view(&comp.view, solutions, cfg, &early) {
+            Ok((out, stats)) => {
                 if out.is_certain() && cfg.early_exit {
                     // One certain component decides the database (Prop
                     // 10.6); everything still queued or in flight can stop.
@@ -265,7 +265,7 @@ fn fold_decided(outcomes: Vec<Decided>) -> Result<CombinedResult, CertKStats> {
 pub fn certain_thm105_literal(q: &Query, db: &Database, cfg: CertKConfig) -> bool {
     let solutions = SolutionSet::enumerate(q, db);
     let view = db.full_view();
-    let (out, _, _) = certk_view(&view, &solutions, cfg, &CancelToken::new(), None, false)
+    let (out, _) = certk_view(&view, &solutions, cfg, &CancelToken::new())
         .expect("a never-raised token cannot interrupt the fixpoint");
     out.is_certain() || !analyze_view(&view, &solutions).accepts
 }

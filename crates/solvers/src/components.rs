@@ -138,10 +138,6 @@ pub struct ComponentDeltaReport {
     /// Fresh component ids covering the dirty region, ascending. These are
     /// the components whose verdicts must be (re-)established.
     pub created: Vec<u32>,
-    /// For each created component: the dropped components whose blocks it
-    /// absorbed, ascending. A created component whose lineage is empty is
-    /// built purely from fresh blocks.
-    pub lineage: HashMap<u32, Vec<u32>>,
     /// Components left untouched — their cached verdicts stay valid.
     pub retained: usize,
 }
@@ -208,11 +204,6 @@ impl DynamicComponents {
         &self.blocks_of_comp[&id]
     }
 
-    /// The component a block belongs to, if any.
-    pub fn comp_of_block(&self, b: BlockId) -> Option<u32> {
-        self.comp_of_block.get(&b).copied()
-    }
-
     /// The component as a copy-free view of `db`.
     pub fn view_of<'a>(&self, db: &'a Database, id: u32) -> DbView<'a> {
         db.view_of_blocks(self.blocks_of(id).iter().copied())
@@ -242,46 +233,26 @@ impl DynamicComponents {
                 }
             }
         }
-        // The dirty block pool: blocks of dirty components (still live)
-        // plus live touched blocks not yet in any component (fresh ones).
-        let mut lineage_of_block: HashMap<BlockId, u32> = HashMap::new();
+        // The dirty block pool: the live blocks of dirty components plus
+        // the live touched blocks (fresh ones are in no component yet).
         let mut pool: Vec<BlockId> = Vec::new();
-        for &c in &dirty {
-            for &b in &self.blocks_of_comp[&c] {
-                lineage_of_block.insert(b, c);
-                if !db.block(b).is_empty() {
-                    pool.push(b);
-                }
-            }
-        }
-        for &b in &report.touched {
-            if !lineage_of_block.contains_key(&b) && !db.block(b).is_empty() {
-                pool.push(b);
-            }
-        }
-        pool.sort_unstable();
-        pool.dedup();
-        let dropped: Vec<u32> = dirty.iter().copied().collect();
         for &c in &dirty {
             for b in self.blocks_of_comp.remove(&c).unwrap_or_default() {
                 self.comp_of_block.remove(&b);
+                pool.push(b);
             }
         }
+        pool.extend_from_slice(&report.touched);
+        pool.retain(|&b| !db.block(b).is_empty());
+        pool.sort_unstable();
+        pool.dedup();
         let mut out = ComponentDeltaReport {
-            dropped,
+            dropped: dirty.iter().copied().collect(),
             retained: before - dirty.len(),
             ..ComponentDeltaReport::default()
         };
         for group in partition_pool(db, solutions, &pool) {
-            let mut parents: Vec<u32> = group
-                .iter()
-                .filter_map(|b| lineage_of_block.get(b).copied())
-                .collect();
-            parents.sort_unstable();
-            parents.dedup();
-            let id = self.admit(group);
-            out.lineage.insert(id, parents);
-            out.created.push(id);
+            out.created.push(self.admit(group));
         }
         out
     }
@@ -420,7 +391,6 @@ mod tests {
         let mut inc = crate::IncrementalSolutions::new(&q, &db);
         let mut dc = DynamicComponents::new(&db, inc.solutions());
         assert_eq!(dc.len(), 2);
-        let old_ids: Vec<u32> = dc.ids().collect();
         // Bridge the two chains: c -> p.
         let rep = db
             .apply_delta(&[Fact::from_names(["c", "p"])], &[])
@@ -429,7 +399,6 @@ mod tests {
         let out = dc.apply(&db, inc.solutions(), &rep);
         assert_eq!(dc.len(), 1);
         assert_eq!(out.created.len(), 1);
-        assert_eq!(out.lineage[&out.created[0]], old_ids);
         assert_eq!(out.retained, 0);
         assert_matches_scratch(&q, &db, &dc);
     }

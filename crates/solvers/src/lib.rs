@@ -14,12 +14,10 @@
 //!   deciding all PTime 2way-determined cases.
 //!
 //! Each of the paper's three decision procedures has **one live entry
-//! point**, and cancellation, warm starts and snapshots are its
-//! parameters rather than name suffixes:
+//! point**, and cancellation is its parameter rather than a name suffix:
 //!
-//! * `Cert_k` — [`certk_view`] (a view, the solutions, a [`CertKConfig`],
-//!   a [`CancelToken`], an optional [`WarmInit`], snapshot capture on or
-//!   off);
+//! * `Cert_k` — [`certk_view`] (a view, the solutions, a [`CertKConfig`]
+//!   and a [`CancelToken`]);
 //! * `¬matching` — [`analyze_view`];
 //! * exhaustive search on the coNP side — [`certain_brute_over`].
 //!
@@ -64,10 +62,7 @@ pub use brute::{
     certain_brute, certain_brute_budgeted, certain_brute_over, certain_exhaustive, BruteOutcome,
 };
 pub use cancel::CancelToken;
-pub use certk::{
-    cert2, certk, certk_view, Antichain, CertKConfig, CertKOutcome, CertKStats, CertKWarmState,
-    WarmInit,
-};
+pub use certk::{cert2, certk, certk_view, Antichain, CertKConfig, CertKOutcome, CertKStats};
 pub use combined::{
     certain_combined, certain_combined_over, certain_thm105_literal, certk_by_components,
     CombinedResult, DecidedBy,

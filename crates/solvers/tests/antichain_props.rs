@@ -17,23 +17,15 @@
 //!   with the deterministic fan-out on the **verdict** at every thread
 //!   count — evidence may legitimately differ (components are skipped
 //!   after the first certain one), so only the verdict is compared.
-//! * Warm restarts (`certk_view` with a `WarmInit` seeded from a prior
-//!   run's captured snapshot after a growth-only delta) must converge to
-//!   the same outcome **and the same antichain membership** as a cold
-//!   run on the post-delta database — the fixpoint closure is confluent,
-//!   so the dirty-frontier seeding must not be able to miss a
-//!   derivation.
 
-use cqa_model::{Database, DbView, Elem, Fact, FactId, Signature};
+use cqa_model::{Database, Elem, Fact, FactId, Signature};
 use cqa_query::examples;
 use cqa_solvers::certk::reference::{certk_reference, NaiveAntichain};
 use cqa_solvers::components::Component;
 use cqa_solvers::{
-    certain_brute, certk, certk_view, Antichain, CancelToken, CertKConfig, CertKOutcome,
-    CertKStats, CertKWarmState, CombinedResult, SolutionSet, WarmInit,
+    certain_brute, certk, Antichain, CancelToken, CertKConfig, CombinedResult, SolutionSet,
 };
 use proptest::prelude::*;
-use proptest::test_runner::TestCaseError;
 
 /// A fixed 18-fact database (6 blocks × 3 facts) whose fact ids seed the
 /// random set sequences: enough sharing for covers/prune collisions,
@@ -246,35 +238,6 @@ proptest! {
         let routed4 = certk_by_components(&comps, &solutions, cfg.with_threads(4));
         prop_assert_eq!(format!("{:?}", routed.components), format!("{:?}", routed4.components));
     }
-
-    #[test]
-    fn warm_restart_equals_cold_after_growth_only_deltas_q3(
-        db in q3_db_strategy(),
-        extra in proptest::collection::vec(proptest::collection::vec(0u8..4, 2), 1..6),
-    ) {
-        // Fresh-key inserts (keys 100+, disjoint from the base's 0..4)
-        // whose values point back into the base domain, so new blocks
-        // genuinely connect to old derivations.
-        let inserts: Vec<Fact> = extra.iter().map(|row| {
-            Fact::r(vec![Elem::int(100 + row[0] as i64), Elem::int(row[1] as i64)])
-        }).collect();
-        check_warm_restart(&examples::q3(), &db, &inserts, 2)?;
-    }
-
-    #[test]
-    fn warm_restart_equals_cold_after_growth_only_deltas_q6(
-        db in q6_db_strategy(),
-        extra in proptest::collection::vec(proptest::collection::vec(0u8..3, 3), 1..5),
-    ) {
-        let inserts: Vec<Fact> = extra.iter().map(|row| {
-            Fact::r(vec![
-                Elem::int(100 + row[0] as i64),
-                Elem::int(row[1] as i64),
-                Elem::int(row[2] as i64),
-            ])
-        }).collect();
-        check_warm_restart(&examples::q6(), &db, &inserts, 3)?;
-    }
 }
 
 /// `cqa_solvers::certk_by_components` under a calm token.
@@ -285,67 +248,4 @@ fn certk_by_components(
 ) -> CombinedResult {
     cqa_solvers::certk_by_components(comps, solutions, cfg, &CancelToken::new())
         .expect("a calm token cannot cancel the fan-out")
-}
-
-/// An uncancellable [`certk_view`] run that captures its snapshot.
-fn run(
-    view: &DbView<'_>,
-    solutions: &SolutionSet,
-    cfg: CertKConfig,
-    warm: Option<WarmInit<'_>>,
-) -> (CertKOutcome, CertKStats, CertKWarmState) {
-    let (out, stats, snap) = certk_view(view, solutions, cfg, &CancelToken::new(), warm, true)
-        .expect("a never-raised token cannot interrupt the fixpoint");
-    (out, stats, snap.expect("capture was requested"))
-}
-
-/// Shared warm-restart property body: snapshot a cold run on `db`, apply
-/// the growth-only `inserts`, warm-restart from the snapshot seeded with
-/// exactly the delta's dirty frontier, and demand outcome + antichain
-/// membership identical to a cold run on the post-delta database (and
-/// the seed-era reference oracle on both databases).
-fn check_warm_restart(
-    q: &cqa_query::Query,
-    db: &Database,
-    inserts: &[Fact],
-    k: usize,
-) -> Result<(), TestCaseError> {
-    let cfg = CertKConfig::new(k);
-    let solutions = SolutionSet::enumerate(q, db);
-    let (cold0, _, warm) = run(&db.full_view(), &solutions, cfg, None);
-    prop_assert!(warm.reusable(), "unbudgeted runs always converge");
-    prop_assert_eq!(cold0, certk_reference(q, db, cfg));
-
-    let mut db2 = db.clone();
-    let report = db2.apply_delta(inserts, &[]).unwrap();
-    prop_assert!(report.growth_only(), "fresh-key inserts are growth-only");
-
-    let solutions2 = SolutionSet::enumerate(q, &db2);
-    let (warm_out, _, warm_snap) = run(
-        &db2.full_view(),
-        &solutions2,
-        cfg,
-        Some(WarmInit {
-            state: &warm,
-            changed_facts: &report.inserted,
-            dirty_blocks: &report.touched,
-        }),
-    );
-    let (cold_out, _, cold_snap) = run(&db2.full_view(), &solutions2, cfg, None);
-    prop_assert_eq!(
-        warm_out,
-        cold_out,
-        "warm restart moved the outcome on {:?} + {:?}",
-        db,
-        inserts
-    );
-    prop_assert_eq!(cold_out, certk_reference(q, &db2, cfg));
-    // Confluence: same converged membership, as sets of sets.
-    prop_assert_eq!(warm_snap.has_empty(), cold_snap.has_empty());
-    let mut got: Vec<Vec<FactId>> = warm_snap.members().map(<[FactId]>::to_vec).collect();
-    let mut want: Vec<Vec<FactId>> = cold_snap.members().map(<[FactId]>::to_vec).collect();
-    got.sort();
-    want.sort();
-    prop_assert_eq!(got, want, "warm and cold antichains diverged");
-    Ok(())
 }

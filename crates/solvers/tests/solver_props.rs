@@ -303,7 +303,7 @@ proptest! {
         let sols = SolutionSet::enumerate(&q, &db);
         for c in &comps {
             let on_view = !cqa_solvers::analyze_view(&c.view, &sols).accepts
-                || cqa_solvers::certk_view(&c.view, &sols, CertKConfig::new(2), &CancelToken::new(), None, false)
+                || cqa_solvers::certk_view(&c.view, &sols, CertKConfig::new(2), &CancelToken::new())
                     .expect("a calm token cannot cancel")
                     .0
                     .is_certain();

@@ -1,19 +1,18 @@
 //! Deterministic seeded delta-script generation for the live-update
 //! test layer.
 //!
-//! The incremental path (`Database::apply_delta` → warm-restarted
-//! `Cert_k` → patched session verdicts) is proven by *differential*
-//! testing: apply a delta incrementally, recompute from scratch, demand
-//! identical verdicts. This module manufactures the delta scripts —
-//! seeded, platform-independent insert/retract mixes over a concrete
-//! base database — for the property tests, the `deltadiff` fuzz target
-//! and the CI delta smoke.
+//! The incremental path (`Database::apply_delta` → per-component
+//! re-solves of the dirty region → patched session verdicts) is proven
+//! by *differential* testing: apply a delta incrementally, recompute
+//! from scratch, demand identical verdicts. This module manufactures the
+//! delta scripts — seeded, platform-independent insert/retract mixes
+//! over a concrete base database — for the property tests, the
+//! `deltadiff` fuzz target and the CI delta smoke.
 //!
 //! The central knob is **touch locality** ([`DeltaLocality`]): whether
 //! operations land inside existing blocks (contesting resident keys —
-//! the path where `Cert_k` is non-monotone and warm restarts must fall
-//! back to cold component re-solves), open fresh blocks and components
-//! (the growth-only warm-restart fast path), or a seeded mix of both.
+//! the path where `Cert_k` is non-monotone), open fresh blocks and
+//! components (growth-only deltas), or a seeded mix of both.
 //!
 //! Scripts render through [`cqa_model::render_fact_line`] — the same
 //! single grammar the server's `update` verb and `cqa update` parse —
@@ -27,11 +26,11 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 pub enum DeltaLocality {
     /// Inserts reuse resident block keys and retracts pick resident
     /// facts: every operation touches an existing block, so no delta is
-    /// growth-only and warm restarts must prove their fallback path.
+    /// growth-only.
     SameBlock,
     /// Inserts mint fresh keys, so they open new blocks (and usually new
     /// components). With `insert_ratio = 1.0` every delta is
-    /// growth-only — the warm-restart fast path.
+    /// growth-only.
     CrossComponent,
     /// Coin-flip between the two per operation.
     Mixed,

@@ -318,7 +318,7 @@ fn shed_clients_eventually_succeed_via_retries_with_zero_divergence() {
 /// every client — must be byte-identical to a single-threaded replay
 /// that applies the same deltas to an in-memory database and runs the
 /// plain CLI. This is the serve-side acceptance gate of the incremental
-/// path: warm-restarted sessions may never drift from recomputation,
+/// path: successor sessions may never drift from recomputation,
 /// and an update must never tear (queries see exactly the pre- or
 /// post-update database, nothing in between — epochs pin which).
 #[test]
@@ -335,8 +335,8 @@ fn updates_interleaved_with_queries_match_single_threaded_replay() {
     for (i, (seed, insert_ratio, locality)) in [
         (401u64, 0.6, cqa_workloads::DeltaLocality::SameBlock),
         (402, 0.6, cqa_workloads::DeltaLocality::Mixed),
-        // Pure growth: the epoch that exercises the warm-restart fast
-        // path (blocks_reseeded) rather than cold component re-solves.
+        // Pure growth: new components appear and are re-solved, so
+        // blocks_reseeded (blocks of re-solved components) must grow.
         (403, 1.0, cqa_workloads::DeltaLocality::CrossComponent),
     ]
     .into_iter()
