@@ -21,13 +21,8 @@
 //!   ([`large_contested_q3_db`], funnel width 1000) through both routes:
 //!   the antichain stress shape at scale.
 //!
-//! Two PR 5 additions:
+//! A PR 5 addition:
 //!
-//! * `early_exit_contested_q3` — the component route with and without
-//!   `EngineConfig::with_early_exit` on certain-heavy contested
-//!   workloads (certain fractions 1.0 and 0.5); verdicts asserted equal
-//!   before timing, per-component evidence is what early exit trades
-//!   away.
 //! * `batch_amortization` — one `SharedSession` answering a 5-query mix
 //!   after a single streaming load vs 5 cold invocations (each
 //!   re-streaming the fact text and re-analysing the database), the
@@ -155,47 +150,6 @@ fn bench_routing(c: &mut Criterion) {
     g.finish();
 }
 
-/// Deterministic vs cancel-on-first-certain component fan-out on
-/// certain-heavy contested workloads. Both engines force the component
-/// route so the comparison isolates the early exit; verdicts are
-/// asserted equal before timing (the tentpole's safety property — the
-/// proptests check it on random databases, this checks it at scale).
-fn bench_early_exit(c: &mut Criterion) {
-    let deterministic = CqaEngine::with_config(
-        examples::q3(),
-        EngineConfig::default().with_route(RoutePolicy::Component),
-    );
-    let eager = CqaEngine::with_config(
-        examples::q3(),
-        EngineConfig::default()
-            .with_route(RoutePolicy::Component)
-            .with_early_exit(true),
-    );
-    let mut g = c.benchmark_group("early_exit_contested_q3");
-    g.sample_size(10);
-    for (fraction, label) in [(1.0f64, "all-certain"), (0.5, "half-certain")] {
-        let cfg = ContestedWorkloadConfig::new(100_000, 100).with_certain_fraction(fraction);
-        let db = large_contested_q3_db(&cfg);
-        let det = deterministic.certain(&db);
-        let eag = eager.certain(&db);
-        assert_eq!(det.certain, eag.certain, "early exit moved the verdict");
-        assert!(det.certain, "a certain-heavy workload must stay certain");
-        assert_eq!(det.skipped_components, Some(0));
-        g.throughput(Throughput::Elements(db.len() as u64));
-        g.bench_with_input(
-            BenchmarkId::new(format!("deterministic-{label}"), db.len()),
-            &db,
-            |b, db| b.iter(|| std::hint::black_box(deterministic.certain(db).certain)),
-        );
-        g.bench_with_input(
-            BenchmarkId::new(format!("early-exit-{label}"), db.len()),
-            &db,
-            |b, db| b.iter(|| std::hint::black_box(eager.certain(db).certain)),
-        );
-    }
-    g.finish();
-}
-
 /// One session (load once, solve each distinct query once) vs N cold
 /// invocations (stream-parse + analyse per query) on the same 5-query
 /// mix — `cqa batch` vs N × `cqa certain` without the process spawns.
@@ -285,7 +239,6 @@ criterion_group!(
     bench_enumerate,
     bench_large_scale,
     bench_routing,
-    bench_early_exit,
     bench_batch_amortization
 );
 criterion_main!(benches);

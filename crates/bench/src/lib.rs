@@ -6,8 +6,8 @@
 
 use cqa::solvers::{
     certain_brute, certain_brute_budgeted, certain_by_matching, certain_combined, certk,
-    certk_view, is_clique_database, matching_accepts, BruteOutcome, CancelToken, CertKConfig,
-    CertKOutcome, CertKStats,
+    certk_view, is_clique_database, BruteOutcome, CancelToken, CertKConfig, CertKOutcome,
+    CertKStats,
 };
 use cqa::tripath::{check_nice, search_tripaths, SearchConfig};
 use cqa::{classify, Complexity};
@@ -655,9 +655,4 @@ pub fn e12_fixpoint_rounds() -> bool {
     println!(" certain(q3) being FO-expressible in the Koutris–Wijsen classification)");
     // Sanity: round counts are positive and the instrumentation is stable.
     chain_rounds.iter().all(|&r| r >= 1)
-}
-
-/// `matching(q)` acceptance on one database (bench helper).
-pub fn matching_accepts_q6(db: &cqa_model::Database) -> bool {
-    matching_accepts(&examples::q6(), db)
 }

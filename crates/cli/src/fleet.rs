@@ -10,8 +10,8 @@
 //! * **classification determinism** — `classify` twice, same verdict;
 //! * **display → parse → classify stability** — the canonical display
 //!   form re-parses to the same query with the same classification;
-//! * **route agreement** — the literal, component, component+early-exit
-//!   and auto engine routes all return the same verdict (modulo budget
+//! * **route agreement** — the literal, component and auto engine routes
+//!   ([`route_engines`]) all return the same verdict (modulo budget
 //!   exhaustion);
 //! * **`Cert_k` reference parity** — the block-indexed fixpoint agrees
 //!   with the frozen seed-era `certk::reference` evaluator;
@@ -42,16 +42,41 @@ use cqa_workloads::{derive_seed, random_distinct_queries, random_queries, skewed
 use cqa_workloads::{QueryGenConfig, SkewFamily};
 use std::fmt::Write as _;
 
-/// Node budget for the ground-truth brute force; exhausting it skips the
-/// ground comparison for that pair (counted, not failed).
+/// Node budget for the ground-truth brute force of the differential
+/// harnesses (this fleet and the fuzz targets); exhausting it skips the
+/// ground comparison for that pair (counted here, rejected by the fuzz
+/// targets).
 pub const BRUTE_BUDGET: u64 = 500_000;
 
-/// Node budget for every `Cert_k` evaluation in the fleet.
+/// Node budget for every `Cert_k` evaluation in the differential
+/// harnesses.
 pub const CERTK_BUDGET: u64 = 2_000_000;
 
 /// The practical `k` the fleet engines run. `3` covers every exemplar
 /// (`q5` needs 3 where the default engine uses 2) at tolerable cost.
 pub const FLEET_K: usize = 3;
+
+/// The route matrix the differential harnesses diff: the literal,
+/// component and auto-routed engines for `query`, named by route and
+/// thread count, each running `Cert_k` at `k` under [`CERTK_BUDGET`] and
+/// the brute force under [`BRUTE_BUDGET`]. Building an engine classifies
+/// the query, so callers build the matrix once per query.
+pub fn route_engines(query: &Query, k: usize) -> Vec<(&'static str, CqaEngine)> {
+    let engine = |route, threads| {
+        let mut cfg = EngineConfig::default()
+            .with_threads(threads)
+            .with_route(route);
+        cfg.certk.k = k;
+        cfg.certk.node_budget = CERTK_BUDGET;
+        cfg.brute_budget = BRUTE_BUDGET;
+        CqaEngine::with_config(query.clone(), cfg)
+    };
+    vec![
+        ("literal/t1", engine(RoutePolicy::Literal, 1)),
+        ("component/t2", engine(RoutePolicy::Component, 2)),
+        ("auto/t1", engine(RoutePolicy::Auto, 1)),
+    ]
+}
 
 /// A cross-check failure: everything needed to reproduce it.
 #[derive(Clone, Debug)]
@@ -170,34 +195,7 @@ impl QueryHarness {
                 ),
             }));
         }
-        let configure = |route, early_exit, threads| {
-            let mut cfg = EngineConfig::default()
-                .with_threads(threads)
-                .with_route(route)
-                .with_early_exit(early_exit);
-            cfg.certk.k = FLEET_K;
-            cfg.certk.node_budget = CERTK_BUDGET;
-            cfg.brute_budget = BRUTE_BUDGET;
-            cfg
-        };
-        let engines = vec![
-            (
-                "literal/t1",
-                CqaEngine::with_config(query.clone(), configure(RoutePolicy::Literal, false, 1)),
-            ),
-            (
-                "component/t2",
-                CqaEngine::with_config(query.clone(), configure(RoutePolicy::Component, false, 2)),
-            ),
-            (
-                "component+early-exit/t2",
-                CqaEngine::with_config(query.clone(), configure(RoutePolicy::Component, true, 2)),
-            ),
-            (
-                "auto/t1",
-                CqaEngine::with_config(query.clone(), configure(RoutePolicy::Auto, false, 1)),
-            ),
-        ];
+        let engines = route_engines(&query, FLEET_K);
         Ok(QueryHarness {
             text: text.to_string(),
             query,

@@ -5,8 +5,8 @@ use cqa_cli::fleet::cmd_fleet;
 use cqa_cli::server_cli::{cmd_client, cmd_serve};
 use cqa_cli::{
     cmd_batch, cmd_certain, cmd_classify, cmd_falsify, cmd_gadget, cmd_generate, cmd_solve,
-    cmd_update, load_db_file, take_early_exit_flag, take_route_flag, take_stats_flag,
-    take_threads_flag, usage, CliError, CmdOut,
+    cmd_update, load_db_file, take_route_flag, take_stats_flag, take_threads_flag, usage, CliError,
+    CmdOut,
 };
 use std::process::ExitCode;
 
@@ -23,11 +23,10 @@ fn run() -> Result<CmdOut, CliError> {
     let (positional, threads) = take_threads_flag(&str_args)?;
     let (positional, route) = take_route_flag(&positional)?;
     let (positional, want_stats) = take_stats_flag(&positional);
-    let (positional, early_exit) = take_early_exit_flag(&positional);
     // Flags that a command would silently ignore are rejected instead:
-    // --threads applies to the solver/generator commands, --route and
-    // --early-exit to the engine-backed `certain`/`batch`, --stats to the
-    // solver commands.
+    // --threads applies to the solver/generator commands, --route to the
+    // engine-backed `certain`/`batch`/`update`, --stats to the solver
+    // commands.
     if threads.is_some()
         && !matches!(
             positional.first(),
@@ -57,12 +56,6 @@ fn run() -> Result<CmdOut, CliError> {
             code: 2,
         });
     }
-    if early_exit && !matches!(positional.first(), Some(&"certain") | Some(&"batch")) {
-        return Err(CliError {
-            message: "--early-exit only applies to `certain` and `batch`".to_string(),
-            code: 2,
-        });
-    }
     if want_stats
         && !matches!(
             positional.first(),
@@ -79,20 +72,12 @@ fn run() -> Result<CmdOut, CliError> {
         ["classify", q] => cmd_classify(q).map(CmdOut::from),
         // Fact files are stream-loaded line-at-a-time (see cqa_cli::dbfmt),
         // so million-line files never sit in memory as text.
-        ["certain", q, file] => cmd_certain(
-            q,
-            &load_db_file(file)?,
-            threads,
-            route,
-            early_exit,
-            want_stats,
-        ),
+        ["certain", q, file] => cmd_certain(q, &load_db_file(file)?, threads, route, want_stats),
         ["batch", db_file, queries_file] => cmd_batch(
             &load_db_file(db_file)?,
             &read(queries_file)?,
             threads,
             route,
-            early_exit,
             want_stats,
         )
         .map_err(|e| CliError {

@@ -170,7 +170,7 @@ proptest! {
         text.push_str(&bad);
         text.push('\n');
         text.push_str(valid);
-        let err = match cmd_batch(&db, &text, Some(1), None, false, false) {
+        let err = match cmd_batch(&db, &text, Some(1), None, false) {
             Err(err) => err,
             Ok(_) => return Err(TestCaseError::Fail(format!(
                 "malformed line {bad:?} was accepted"

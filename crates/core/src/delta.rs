@@ -268,7 +268,6 @@ impl QueryDeltaState {
             budget_exhausted: self.totals.budget_exhausted > 0,
             certk_stats: self.totals.stats(),
             components: Some(self.comps.len()),
-            skipped_components: Some(0),
         }
     }
 }

@@ -58,19 +58,12 @@ pub struct CertainAnswer {
     pub budget_exhausted: bool,
     /// Aggregated `Cert_k` fixpoint statistics, when a fixpoint produced
     /// (part of) the answer. On the component routes the per-component
-    /// counters are summed (`peak_members` takes the max); matching-decided
-    /// components contribute nothing, and components skipped by the
-    /// early exit contribute nothing either.
+    /// counters are summed (`peak_members` takes the max) over every
+    /// component; matching-decided components contribute nothing.
     pub certk_stats: Option<CertKStats>,
     /// Number of q-connected components in the partition (component routes
-    /// only; includes skipped ones).
+    /// only).
     pub components: Option<usize>,
-    /// Components left undecided by the opt-in cancel-on-first-certain
-    /// mode ([`EngineConfig::with_early_exit`]); component routes only,
-    /// `Some(0)` when every component was decided. A non-zero count means
-    /// the per-component *evidence* (and `certk_stats`) is partial — the
-    /// verdict itself is unaffected (Proposition 10.6).
-    pub skipped_components: Option<usize>,
 }
 
 /// Evidence from a solve a [`CancelToken`] stopped mid-run. Cancellation
@@ -171,20 +164,6 @@ impl EngineConfig {
             policy,
             ..self.routing
         };
-        self
-    }
-
-    /// This configuration with cancel-on-first-certain toggled for the
-    /// per-component `Cert_k` fan-out: once one component is found
-    /// certain, the remaining components are skipped. The verdict is
-    /// provably unchanged (Proposition 10.6) but the per-component
-    /// evidence becomes partial — see
-    /// [`CertainAnswer::skipped_components`] and
-    /// [`cqa_solvers::CertKConfig::early_exit`]. Only the component route
-    /// of the `Cert_k` classes is affected; the Theorem 10.5 combined
-    /// solver and the brute force ignore it.
-    pub fn with_early_exit(mut self, early_exit: bool) -> EngineConfig {
-        self.certk = self.certk.with_early_exit(early_exit);
         self
     }
 }
@@ -361,7 +340,6 @@ impl CqaEngine {
                     budget_exhausted: matches!(outcome, BruteOutcome::BudgetExhausted),
                     certk_stats: None,
                     components: None,
-                    skipped_components: None,
                 })
             }
             (Complexity::PTimeCombined, Some(comps)) => {
@@ -385,7 +363,6 @@ impl CqaEngine {
                     budget_exhausted: out == CertKOutcome::BudgetExhausted,
                     certk_stats: Some(stats),
                     components: None,
-                    skipped_components: None,
                 })
             }
         }
@@ -399,8 +376,7 @@ fn answer_from_components(res: CombinedResult, answered_by: AnsweredBy) -> Certa
         answered_by,
         budget_exhausted: res.components.iter().any(|c| c.budget_exhausted),
         certk_stats: res.certk_stats(),
-        components: Some(res.components.len() + res.skipped),
-        skipped_components: Some(res.skipped),
+        components: Some(res.components.len()),
     }
 }
 

@@ -28,6 +28,7 @@
 //! vs cold, either vs brute force — is a [`Verdict::Crash`].
 
 use cqa::{CqaEngine, EngineConfig, RoutePolicy, SharedSession};
+use cqa_cli::fleet::BRUTE_BUDGET;
 use cqa_model::Database;
 use cqa_query::Query;
 use cqa_server::parse_delta_script;
@@ -48,10 +49,6 @@ const STEP_BYTES: usize = 4;
 
 /// Upper bound on chained delta steps per instance.
 const MAX_STEPS: usize = 3;
-
-/// Node budget for the ground-truth brute force; exhausting it rejects
-/// the instance rather than comparing partial answers.
-const BRUTE_BUDGET: u64 = 500_000;
 
 /// Databases grown past this many live facts are rejected to keep the
 /// per-step brute force honest.

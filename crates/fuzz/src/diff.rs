@@ -19,10 +19,10 @@
 //! most mutants still parse and genuinely exercise the solvers rather
 //! than the parser's reject path.
 
-use cqa::{CqaEngine, EngineConfig, RoutePolicy};
+use cqa::{CqaEngine, EngineConfig};
 use cqa_cli::dbfmt::{parse_database, write_database};
+use cqa_cli::fleet::{route_engines, BRUTE_BUDGET, CERTK_BUDGET};
 use cqa_model::Database;
-use cqa_query::Query;
 use cqa_solvers::certk::reference::certk_reference;
 use cqa_solvers::{certain_brute_budgeted, certk, BruteOutcome, CertKConfig, CertKOutcome};
 use cqa_workloads::{
@@ -35,13 +35,6 @@ use std::sync::OnceLock;
 
 /// Number of workload families the family byte selects among.
 pub const FAMILIES: u8 = 9;
-
-/// Node budget for the ground-truth brute force; exhausting it rejects
-/// the instance rather than comparing partial answers.
-const BRUTE_BUDGET: u64 = 500_000;
-
-/// Node budget for both `Cert_k` evaluators in the reference diff.
-const CERTK_BUDGET: u64 = 2_000_000;
 
 /// Mutants larger than this are rejected to keep the brute force honest.
 const MAX_FACTS: usize = 160;
@@ -160,54 +153,17 @@ impl Script {
     }
 }
 
-/// Finite-budget engine configurations under every route worth diffing.
-/// Built once per query — construction classifies the query, which is far
-/// too slow to repeat every iteration.
+/// The fleet's route matrix ([`route_engines`]) at the engine's default
+/// `k`, per stress query. Built once per query — construction classifies
+/// the query, which is far too slow to repeat every iteration.
 fn engines(q: StressQuery) -> &'static [(&'static str, CqaEngine)] {
     static ENGINES: OnceLock<[Vec<(&'static str, CqaEngine)>; 3]> = OnceLock::new();
     let all = ENGINES.get_or_init(|| {
-        let build = |query: Query| {
-            let configure = |route, early_exit, threads| {
-                let mut cfg = EngineConfig::default()
-                    .with_threads(threads)
-                    .with_route(route)
-                    .with_early_exit(early_exit);
-                cfg.certk.node_budget = CERTK_BUDGET;
-                cfg.brute_budget = BRUTE_BUDGET;
-                cfg
-            };
-            vec![
-                (
-                    "literal/t1",
-                    CqaEngine::with_config(
-                        query.clone(),
-                        configure(RoutePolicy::Literal, false, 1),
-                    ),
-                ),
-                (
-                    "component/t2",
-                    CqaEngine::with_config(
-                        query.clone(),
-                        configure(RoutePolicy::Component, false, 2),
-                    ),
-                ),
-                (
-                    "component+early-exit/t2",
-                    CqaEngine::with_config(
-                        query.clone(),
-                        configure(RoutePolicy::Component, true, 2),
-                    ),
-                ),
-                (
-                    "auto/t1",
-                    CqaEngine::with_config(query, configure(RoutePolicy::Auto, false, 1)),
-                ),
-            ]
-        };
+        let k = EngineConfig::default().certk.k;
         [
-            build(cqa_query::examples::q3()),
-            build(cqa_query::examples::q6()),
-            build(cqa_query::examples::q1()),
+            route_engines(&cqa_query::examples::q3(), k),
+            route_engines(&cqa_query::examples::q6(), k),
+            route_engines(&cqa_query::examples::q1(), k),
         ]
     });
     match q {

@@ -11,8 +11,9 @@
 //! * [`targets::batch`] — the batch queries-file front end
 //!   ([`cqa_cli::cmd_batch`]) over a fixed database;
 //! * [`diff::differential`] — mutate *valid* generated databases
-//!   ([`cqa_workloads`]) and assert the routed / component / early-exit
-//!   engines agree with the budgeted brute force and that the
+//!   ([`cqa_workloads`]) and assert the literal / component / auto
+//!   engines of [`cqa_cli::fleet::route_engines`] agree with the
+//!   budgeted brute force and that the
 //!   block-indexed `Cert_k` agrees with the frozen seed-era
 //!   `certk::reference` evaluator;
 //! * [`querydiff::querydiff`] — the dual: mutate the *query* (generated

@@ -33,7 +33,7 @@ use minifuzz::Verdict;
 use rand::{rngs::StdRng, SeedableRng};
 
 /// Facts per database stay small: every pair pays for a budgeted brute
-/// force, four engine routes and two `Cert_k` evaluations.
+/// force, three engine routes and two `Cert_k` evaluations.
 const MIN_FACTS: usize = 8;
 const FACTS_SPAN: usize = 33;
 

@@ -159,7 +159,7 @@ pub fn batch(input: &[u8]) -> Verdict {
     if text.len() > MAX_TEXT {
         return Verdict::Reject;
     }
-    match cmd_batch(batch_db(), text, Some(1), None, false, false) {
+    match cmd_batch(batch_db(), text, Some(1), None, false) {
         Err(e) => {
             assert!(!e.message.is_empty(), "empty batch error message");
             Verdict::Reject

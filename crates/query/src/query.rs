@@ -82,13 +82,6 @@ impl Query {
         }
     }
 
-    /// `vars(A) ∪ vars(B)`.
-    pub fn all_vars(&self) -> BTreeSet<Var> {
-        let mut v = self.a.vars();
-        v.extend(self.b.vars());
-        v
-    }
-
     /// The shared variables `vars(A) ∩ vars(B)`.
     pub fn shared_vars(&self) -> BTreeSet<Var> {
         self.a

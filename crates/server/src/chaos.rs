@@ -53,19 +53,6 @@ pub struct ChaosPlan {
 }
 
 impl ChaosPlan {
-    /// Frequent reordering pressure (delays + splits), occasional
-    /// connection loss — the default soak diet.
-    pub fn gentle(seed: u64) -> ChaosPlan {
-        ChaosPlan {
-            seed,
-            delay: 0.25,
-            delay_ms_max: 5,
-            split: 0.35,
-            drop: 0.02,
-            reset: 0.02,
-        }
-    }
-
     /// Aggressive connection churn on top of delays and splits.
     pub fn rough(seed: u64) -> ChaosPlan {
         ChaosPlan {

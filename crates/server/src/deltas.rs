@@ -15,6 +15,7 @@
 //! ([`SessionManager::apply_update`](crate::SessionManager::apply_update)).
 
 use cqa_model::{parse_fact_line, Fact};
+use cqa_query::truncate_error_text;
 
 /// A parsed delta script: what to insert and what to retract.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -42,20 +43,9 @@ impl DeltaScript {
     }
 }
 
-/// Bounded excerpt of an offending line (same convention as the batch
-/// and fact-file loaders).
-fn excerpt(line: &str) -> String {
-    const MAX: usize = 120;
-    let mut text: String = line.chars().take(MAX).collect();
-    if text.len() < line.len() {
-        text.push('…');
-    }
-    text
-}
-
-/// Parse a delta script. Errors carry the 1-based line number and a
-/// bounded excerpt of the offending line, in the same shape the batch
-/// loader reports.
+/// Parse a delta script. Errors carry the 1-based line number and the
+/// offending line bounded by [`truncate_error_text`], in the same shape
+/// the batch and fact-file loaders report.
 pub fn parse_delta_script(text: &str) -> Result<DeltaScript, String> {
     let mut script = DeltaScript::default();
     for (i, raw) in text.lines().enumerate() {
@@ -67,7 +57,7 @@ pub fn parse_delta_script(text: &str) -> Result<DeltaScript, String> {
             format!(
                 "delta line {}: {msg}\n  | {}",
                 i + 1,
-                excerpt(raw.trim_end())
+                truncate_error_text(raw.trim_end())
             )
         };
         let (retract, rest) = match content.strip_prefix('-') {
@@ -122,6 +112,17 @@ mod tests {
         let err = parse_delta_script("+ R(a | b)\n+ nope\n").unwrap_err();
         assert!(err.contains("delta line 2"), "{err}");
         assert!(err.contains("nope"), "{err}");
+    }
+
+    #[test]
+    fn long_lines_are_quoted_up_to_the_error_text_bound() {
+        use cqa_query::ERROR_TEXT_MAX;
+        let line = format!("+ {}", "x".repeat(2 * ERROR_TEXT_MAX));
+        let err = parse_delta_script(&line).unwrap_err();
+        let quote = err.split("\n  | ").nth(1).expect("a quoted line");
+        let kept: String = line.chars().take(ERROR_TEXT_MAX).collect();
+        assert_eq!(quote, format!("{kept}…"));
+        assert_eq!(quote.chars().count(), ERROR_TEXT_MAX + 1);
     }
 
     #[test]

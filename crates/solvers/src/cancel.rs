@@ -9,10 +9,7 @@
 //! derivation, once per brute-force budget tranche. A token raised (or
 //! expired) mid-fixpoint therefore stops the run within roughly one
 //! block's worth of work, not after the whole solve. Callers with nothing
-//! to cancel pass [`CancelToken::new`], which never fires. The fan-outs
-//! derive a [`child`](CancelToken::child) token for their
-//! cancel-on-first-certain mode, so skipping sibling components never
-//! raises the caller's token.
+//! to cancel pass [`CancelToken::new`], which never fires.
 //!
 //! Cancellation is observational only: it never changes a verdict, it
 //! only withholds one. CQA verdicts are pure functions of
@@ -38,9 +35,6 @@ use std::time::{Duration, Instant};
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
     deadline: Option<Instant>,
-    /// The token this one was derived from ([`CancelToken::child`]): it
-    /// cancels this one too, never the other way round.
-    parent: Option<Box<CancelToken>>,
 }
 
 impl CancelToken {
@@ -69,23 +63,9 @@ impl CancelToken {
         }
     }
 
-    /// The deadline, if this token (or the token it was derived from)
-    /// carries one.
+    /// The deadline, if this token carries one.
     pub fn deadline(&self) -> Option<Instant> {
         self.deadline
-            .or_else(|| self.parent.as_ref().and_then(|p| p.deadline()))
-    }
-
-    /// A token with a flag of its own that is also cancelled whenever
-    /// this one is (explicitly or by its deadline). Cancelling the child
-    /// leaves this token calm — the component fan-outs use it to stop
-    /// sibling components once one is certain without reporting the
-    /// caller's request as cancelled.
-    pub fn child(&self) -> CancelToken {
-        CancelToken {
-            parent: Some(Box::new(self.clone())),
-            ..CancelToken::default()
-        }
     }
 
     /// Raise the flag: every clone observes cancellation from now on.
@@ -98,9 +78,6 @@ impl CancelToken {
     /// once per block derivation or search node.
     pub fn is_cancelled(&self) -> bool {
         if self.flag.load(Ordering::Relaxed) {
-            return true;
-        }
-        if self.parent.as_ref().is_some_and(|p| p.is_cancelled()) {
             return true;
         }
         match self.deadline {
@@ -136,22 +113,6 @@ mod tests {
         // The observation latched the shared flag: the clone sees it
         // without consulting its own deadline.
         assert!(clone.is_cancelled());
-    }
-
-    #[test]
-    fn child_follows_its_parent_but_not_the_reverse() {
-        let parent = CancelToken::new();
-        let child = parent.child();
-        child.cancel();
-        assert!(child.is_cancelled());
-        assert!(!parent.is_cancelled(), "a child never cancels its parent");
-        let child = parent.child();
-        parent.cancel();
-        assert!(child.is_cancelled(), "a parent cancels its children");
-        let past = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
-        let child = past.child();
-        assert!(child.deadline().is_some());
-        assert!(child.is_cancelled(), "the parent's deadline applies");
     }
 
     #[test]

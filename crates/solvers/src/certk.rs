@@ -67,23 +67,6 @@ pub struct CertKConfig {
     /// the budget is not exhausted; see
     /// [`certain_brute_over`](crate::certain_brute_over).
     pub threads: usize,
-    /// Opt-in cancel-on-first-certain for
-    /// [`certk_by_components`](crate::certk_by_components): as soon as
-    /// one component is found certain, the fan-out raises a
-    /// [`child`](crate::CancelToken::child) of the caller's token and the
-    /// remaining components stop deciding (in-flight fixpoints bail at
-    /// their next block; queued ones are skipped outright). The caller's
-    /// token is never raised. The **verdict** is provably unchanged —
-    /// cancellation only ever happens after a certain component, and
-    /// `D ⊨ certain(q)` iff some component is certain (Proposition 10.6)
-    /// — but the per-component **evidence** becomes partial:
-    /// [`CombinedResult::skipped`](crate::CombinedResult::skipped) counts
-    /// the undecided components and aggregate statistics cover only the
-    /// decided ones. Default `false` (decide every component, the
-    /// deterministic evidence-complete path). Ignored by
-    /// [`certain_combined_over`](crate::certain_combined_over), whose
-    /// callers rely on complete per-component evidence.
-    pub early_exit: bool,
 }
 
 impl CertKConfig {
@@ -94,7 +77,6 @@ impl CertKConfig {
             k,
             node_budget: 50_000_000,
             threads: minipool::max_threads(),
-            early_exit: false,
         }
     }
 
@@ -102,13 +84,6 @@ impl CertKConfig {
     /// (clamped to at least 1).
     pub fn with_threads(mut self, threads: usize) -> CertKConfig {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// This configuration with cancel-on-first-certain toggled for the
-    /// per-component fan-out (see [`CertKConfig::early_exit`]).
-    pub fn with_early_exit(mut self, early_exit: bool) -> CertKConfig {
-        self.early_exit = early_exit;
         self
     }
 }
@@ -1083,7 +1058,6 @@ mod tests {
                 k: 2,
                 node_budget: 1,
                 threads: 1,
-                early_exit: false,
             },
         );
         assert_eq!(out, CertKOutcome::BudgetExhausted);

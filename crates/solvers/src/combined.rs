@@ -52,15 +52,9 @@ pub struct ComponentVerdict {
 pub struct CombinedResult {
     /// `D ⊨ certain(q)`.
     pub certain: bool,
-    /// Per-component evidence (decided components only).
+    /// Per-component evidence, one verdict per component in component
+    /// order.
     pub components: Vec<ComponentVerdict>,
-    /// Components left undecided because [`CertKConfig::early_exit`]
-    /// cancelled them after a sibling was found certain. Always `0` on the
-    /// deterministic paths; when non-zero the evidence above is *partial*
-    /// — the verdict is still exact (a certain component certifies the
-    /// database, Proposition 10.6), but aggregate statistics and
-    /// per-component verdicts cover only the decided components.
-    pub skipped: usize,
 }
 
 impl CombinedResult {
@@ -93,16 +87,15 @@ pub fn certain_combined(q: &Query, db: &Database, cfg: CertKConfig) -> CombinedR
 /// decision and hands them on unchanged. Clique-database components go
 /// to `¬matching` (one cheap analysis, so the token is only checked at
 /// component start); the rest run `Cert_k`, polling `token` once per
-/// block derivation. [`CertKConfig::early_exit`] is ignored here: callers
-/// of the combination rely on complete per-component evidence. See
-/// [`certk_by_components`] for the cancellation contract.
+/// block derivation. See [`certk_by_components`] for the cancellation
+/// contract.
 pub fn certain_combined_over(
     comps: &[Component<'_>],
     solutions: &SolutionSet,
     cfg: CertKConfig,
     token: &CancelToken,
 ) -> Result<CombinedResult, CertKStats> {
-    fan_out(comps, solutions, cfg.with_early_exit(false), token, true)
+    fan_out(comps, solutions, cfg, token, true)
 }
 
 /// Per-component `Cert_k` **without** the matching shortcut: every
@@ -114,22 +107,7 @@ pub fn certain_combined_over(
 /// whole-database `Cert_k` — unlike [`certain_combined`], whose
 /// `¬matching` branch is only justified for 2way-determined queries.
 ///
-/// With [`CertKConfig::early_exit`] set, the fan-out additionally stops
-/// deciding components once one is found certain: a
-/// [`child`](CancelToken::child) of `token` is raised, so queued
-/// components return without running and in-flight fixpoints bail at
-/// their next poll. The **verdict is identical** to the deterministic
-/// path — cancellation is only ever triggered by a certain component,
-/// which by Proposition 10.6 already decides the database, and when no
-/// component is certain the child is never raised, so every component is
-/// decided exactly as without it. Only the *evidence* changes: cancelled
-/// components are counted in [`CombinedResult::skipped`] instead of
-/// contributing a [`ComponentVerdict`]. Which components end up skipped
-/// depends on thread scheduling, so callers needing reproducible
-/// per-component evidence (differential tests, `--stats` comparisons)
-/// must leave `early_exit` off.
-///
-/// When `token` itself fires mid-fan-out, every component stops within
+/// When `token` fires mid-fan-out, every component stops within
 /// roughly one block derivation and the call returns `Err` with the
 /// **aggregated partial statistics** of every component that did any
 /// work. A completed fan-out is never discarded: if every component
@@ -144,18 +122,6 @@ pub fn certk_by_components(
     fan_out(comps, solutions, cfg, token, false)
 }
 
-/// How one component's fan-out slot ended.
-enum Decided {
-    /// Skipped by the early exit (a sibling was certain).
-    Skipped,
-    /// Ran to completion.
-    Done(ComponentVerdict),
-    /// Abandoned because the token cancelled, with the partial fixpoint
-    /// statistics accumulated before the cancel observation (zeroes for
-    /// components that never started).
-    Cancelled(CertKStats),
-}
-
 /// The component fan-out behind [`certain_combined_over`] (`matching`:
 /// clique-database components go to `¬matching`) and
 /// [`certk_by_components`] (every component runs `Cert_k`). Each
@@ -168,26 +134,22 @@ fn fan_out(
     token: &CancelToken,
     matching: bool,
 ) -> Result<CombinedResult, CertKStats> {
-    // Raised by the first certain component under early exit; the
-    // fixpoints poll it, and through it the caller's token.
-    let early = token.child();
     // Each component is a copy-free view of the parent database, and
     // `solutions` restricted to a component's facts is exactly that
     // component's solution set — so nothing is re-enumerated or
     // restrict-copied per component (the former Database::restrict
     // materialisation was the measured ~2.8× overhead over the literal
-    // solver; see BASELINES.md).
-    let outcomes: Vec<Decided> = minipool::par_map(cfg.threads, comps, |comp| {
+    // solver; see BASELINES.md). A slot is `Err` with the partial
+    // fixpoint statistics when the token cancelled it (zeroes for
+    // components that never started).
+    let outcomes = minipool::par_map(cfg.threads, comps, |comp| {
         if token.is_cancelled() {
-            return Decided::Cancelled(CertKStats::default());
-        }
-        if early.is_cancelled() {
-            return Decided::Skipped;
+            return Err(CertKStats::default());
         }
         if matching {
             let analysis = analyze_view(&comp.view, solutions);
             if analysis.is_clique_database {
-                return Decided::Done(ComponentVerdict {
+                return Ok(ComponentVerdict {
                     size: comp.len(),
                     decided_by: DecidedBy::Matching,
                     certain: !analysis.accepts,
@@ -196,66 +158,44 @@ fn fan_out(
                 });
             }
         }
-        match certk_view(&comp.view, solutions, cfg, &early) {
-            Ok((out, stats)) => {
-                if out.is_certain() && cfg.early_exit {
-                    // One certain component decides the database (Prop
-                    // 10.6); everything still queued or in flight can stop.
-                    early.cancel();
-                }
-                Decided::Done(ComponentVerdict {
-                    size: comp.len(),
-                    decided_by: DecidedBy::CertK,
-                    certain: out.is_certain(),
-                    budget_exhausted: out == CertKOutcome::BudgetExhausted,
-                    stats: Some(stats),
-                })
-            }
-            // The child merges both signals; attribute the bail to the
-            // token only when the token actually fired.
-            Err(partial) if token.is_cancelled() => Decided::Cancelled(partial),
-            Err(_) => Decided::Skipped,
-        }
+        let (out, stats) = certk_view(&comp.view, solutions, cfg, token)?;
+        Ok(ComponentVerdict {
+            size: comp.len(),
+            decided_by: DecidedBy::CertK,
+            certain: out.is_certain(),
+            budget_exhausted: out == CertKOutcome::BudgetExhausted,
+            stats: Some(stats),
+        })
     });
-    fold_decided(outcomes)
+    fold_outcomes(outcomes)
 }
 
-/// Fold fan-out slots into a result: any [`Decided::Cancelled`] slot
-/// turns the whole run into `Err` carrying the aggregated partial
-/// statistics. Completed components contribute their counters to that
-/// aggregate — they are evidence of work done before the cancel — but
-/// their verdicts are withheld with everything else.
-fn fold_decided(outcomes: Vec<Decided>) -> Result<CombinedResult, CertKStats> {
-    if outcomes.iter().any(|d| matches!(d, Decided::Cancelled(_))) {
+/// Fold fan-out slots into a result: any cancelled slot turns the whole
+/// run into `Err` carrying the aggregated partial statistics. Completed
+/// components contribute their counters to that aggregate — they are
+/// evidence of work done before the cancel — but their verdicts are
+/// withheld with everything else.
+fn fold_outcomes(
+    outcomes: Vec<Result<ComponentVerdict, CertKStats>>,
+) -> Result<CombinedResult, CertKStats> {
+    if outcomes.iter().any(Result::is_err) {
         let mut agg = CertKStats::default();
-        for d in &outcomes {
-            match d {
-                Decided::Done(v) => {
+        for slot in &outcomes {
+            match slot {
+                Ok(v) => {
                     if let Some(s) = &v.stats {
                         agg.absorb(s);
                     }
                 }
-                Decided::Cancelled(s) => agg.absorb(s),
-                Decided::Skipped => {}
+                Err(s) => agg.absorb(s),
             }
         }
         return Err(agg);
     }
-    let skipped = outcomes
-        .iter()
-        .filter(|d| matches!(d, Decided::Skipped))
-        .count();
-    let components: Vec<ComponentVerdict> = outcomes
-        .into_iter()
-        .filter_map(|d| match d {
-            Decided::Done(v) => Some(v),
-            _ => None,
-        })
-        .collect();
+    let components: Vec<ComponentVerdict> = outcomes.into_iter().flatten().collect();
     Ok(CombinedResult {
         certain: components.iter().any(|v| v.certain),
         components,
-        skipped,
     })
 }
 
@@ -376,69 +316,6 @@ mod tests {
             .iter()
             .all(|v| v.decided_by == DecidedBy::CertK && v.stats.is_some()));
         assert!(routed.certk_stats().is_some());
-    }
-
-    #[test]
-    fn early_exit_preserves_the_verdict_and_reports_skips() {
-        // Certain database: three components, the first (in component
-        // order) certain — sequential early exit must skip the other two.
-        let q3 = examples::q3();
-        let mut db = cqa_model::Database::new(Signature::new(2, 1).unwrap());
-        for row in [
-            ["a", "b"],
-            ["b", "c"], // certain chain, first component
-            ["p", "q"],
-            ["p", "x"],
-            ["q", "r"], // falsifiable
-            ["u", "v"],
-            ["u", "w"], // falsifiable (contested, no chain)
-        ] {
-            db.insert(Fact::from_names(row)).unwrap();
-        }
-        let solutions = crate::SolutionSet::enumerate(&q3, &db);
-        let comps = crate::components::q_connected_components_with_solutions(&q3, &db, &solutions);
-        let base = CertKConfig::new(2).with_threads(1);
-        let det = by_components(&comps, &solutions, base);
-        assert!(det.certain);
-        assert_eq!(det.skipped, 0);
-        assert_eq!(det.components.len(), comps.len());
-        for threads in [1usize, 2, 4] {
-            let eager = by_components(
-                &comps,
-                &solutions,
-                base.with_threads(threads).with_early_exit(true),
-            );
-            assert_eq!(eager.certain, det.certain, "verdict moved at {threads}");
-            assert_eq!(
-                eager.components.len() + eager.skipped,
-                comps.len(),
-                "every component is decided or counted as skipped"
-            );
-            assert!(
-                eager.components.iter().any(|v| v.certain),
-                "the certifying component is part of the evidence"
-            );
-        }
-        // Sequential early exit: the certain first component cancels both
-        // remaining ones deterministically.
-        let seq = by_components(&comps, &solutions, base.with_early_exit(true));
-        assert_eq!(seq.components.len(), 1);
-        assert_eq!(seq.skipped, 2);
-
-        // Not-certain database: the flag is never raised, so early exit
-        // yields byte-identical evidence to the deterministic path.
-        let mut falsifiable = cqa_model::Database::new(Signature::new(2, 1).unwrap());
-        for row in [["p", "q"], ["p", "x"], ["q", "r"], ["u", "v"], ["u", "w"]] {
-            falsifiable.insert(Fact::from_names(row)).unwrap();
-        }
-        let sols = crate::SolutionSet::enumerate(&q3, &falsifiable);
-        let comps =
-            crate::components::q_connected_components_with_solutions(&q3, &falsifiable, &sols);
-        let det = by_components(&comps, &sols, base);
-        let eager = by_components(&comps, &sols, base.with_early_exit(true));
-        assert!(!det.certain && !eager.certain);
-        assert_eq!(eager.skipped, 0);
-        assert_eq!(format!("{det:?}"), format!("{eager:?}"));
     }
 
     #[test]

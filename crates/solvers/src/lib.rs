@@ -31,11 +31,8 @@
 //! keeps the historical sequential path. Fan-out verdicts never depend on
 //! the thread count; brute-force verdicts don't either unless a finite
 //! node budget is exhausted mid-search (see [`certain_brute_over`]).
-//! [`certk_by_components`] additionally supports an opt-in
-//! cancel-on-first-certain mode ([`CertKConfig::early_exit`]):
-//! verdict-identical, but the remaining components are skipped once one
-//! is certain, so the per-component evidence becomes partial
-//! ([`CombinedResult::skipped`]).
+//! The fan-outs decide every component, so the per-component evidence is
+//! complete and identical across thread counts.
 //!
 //! The whole-database paper names — [`certk()`], [`cert2`],
 //! [`certain_combined`], [`certain_thm105_literal`] — and the frozen

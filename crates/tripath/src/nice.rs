@@ -19,7 +19,7 @@
 //! through this checker — on the paper's fork query `q2` this reproduces a
 //! Figure-1c-style nice tripath.
 
-use crate::search::{search_tripaths, SearchConfig, SearchOutcome};
+use crate::search::SearchConfig;
 use crate::structure::{Tripath, TripathKind};
 use cqa_model::{Elem, Fact};
 use cqa_query::{is_solution_unordered, Query};
@@ -272,14 +272,10 @@ pub fn find_nice_fork(q: &Query, cfg: &SearchConfig) -> Option<(Tripath, NiceWit
     None
 }
 
-/// Convenience: run the plain existence search (used by the classifier).
-pub fn classify_tripaths(q: &Query, cfg: &SearchConfig) -> SearchOutcome {
-    search_tripaths(q, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::search::search_tripaths;
     use cqa_query::examples;
 
     #[test]

@@ -53,13 +53,6 @@ pub struct SearchOutcome {
     pub exhausted: bool,
 }
 
-impl SearchOutcome {
-    /// Did the search find any tripath?
-    pub fn admits_tripath(&self) -> bool {
-        self.fork.is_some() || self.triangle.is_some()
-    }
-}
-
 /// Assemble a tripath from a center and three terminating arm chains.
 /// `up` walks from the branching block to the root and must be non-empty;
 /// `down_d` / `down_f` walk from the children blocks (holding `d` / `f`) to

@@ -33,8 +33,7 @@
 //! [`write_large_contested_q3`]) instead builds wide shared-block funnels
 //! — the `Cert_k` antichain stress shape — at arbitrary scale, with a
 //! [`certain_fraction`](ContestedWorkloadConfig::certain_fraction) knob
-//! controlling how many clusters are certain (the certain-heavy shape the
-//! engine's early-exit fan-out exploits).
+//! controlling how many clusters are certain (the rest falsifiable).
 //!
 //! [`q3_chain_db`]: crate::q3_chain_db
 //! [`q3_escape_db`]: crate::q3_escape_db
@@ -261,8 +260,8 @@ pub fn write_large_q3<W: Write>(
 /// falsifiable funnels (every contested choice escapes to a private dead
 /// end and the hub block is contested too, so one repair avoids all
 /// solutions). Certain clusters are spread evenly across the cluster
-/// index range — the workload behind the early-exit benchmarks, where
-/// how soon the fan-out meets a certain component is what matters.
+/// index range, so every prefix of the component order mixes both
+/// kinds.
 ///
 /// Generation is deterministic (no RNG: the shape is fixed by the
 /// config) and chunk-parallel like the chain family; the output never
@@ -603,8 +602,7 @@ mod tests {
             certain_clusters >= m / 3 && certain_clusters <= 2 * m / 3 + 1,
             "{certain_clusters}/{m} certain clusters for fraction 0.5"
         );
-        // The first certain cluster appears early (even spreading): the
-        // property the early-exit fan-out relies on.
+        // The first certain cluster appears early (even spreading).
         let first_certain = combined.components.iter().position(|v| v.certain);
         assert!(first_certain.unwrap() <= 2, "{first_certain:?}");
 

@@ -11,4 +11,4 @@ cargo bench -p cqa-bench --bench certk_scaling     # Cert₂ series (E4/E10)
 cargo bench -p cqa-bench --bench matching_scaling  # ¬matching series (E7)
 cargo bench -p cqa-bench --bench combined          # combined vs literal (E8)
 cargo bench -p cqa-bench --bench combined_parallel # 1-thread vs N-thread
-cargo bench -p cqa-bench --bench large_scale       # 10⁴..10⁶ series + routing + early-exit + batch
+cargo bench -p cqa-bench --bench large_scale       # 10⁴..10⁶ series + routing + batch

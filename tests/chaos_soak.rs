@@ -48,7 +48,7 @@ impl Fixture {
         let db = cqa_workloads::skew::skewed_db(21, &q3, &SkewFamily::MixedBatch.config(90));
         let db_path = dir.join("soak.facts").display().to_string();
         std::fs::write(&db_path, dbfmt::write_database(&db)).unwrap();
-        let reference = cmd_batch(&db, QUERIES_TEXT, Some(1), None, false, false)
+        let reference = cmd_batch(&db, QUERIES_TEXT, Some(1), None, false)
             .unwrap()
             .stdout;
         let expected = reference
@@ -109,7 +109,7 @@ fn torn_updates_never_yield_a_half_applied_session() {
     let (inserts, retracts) = cqa_workloads::split_delta_ops(&ops);
     let report = replay.apply_delta(&inserts, &retracts).unwrap();
     assert!(!report.is_noop() && !report.growth_only());
-    let post_expected: Vec<bool> = cmd_batch(&replay, QUERIES_TEXT, Some(1), None, false, false)
+    let post_expected: Vec<bool> = cmd_batch(&replay, QUERIES_TEXT, Some(1), None, false)
         .unwrap()
         .stdout
         .lines()

@@ -107,15 +107,13 @@ struct Expected {
 
 fn expected_for(db_path: &str) -> Expected {
     let db = load_db_file(db_path).unwrap();
-    let batch_stdout = cmd_batch(&db, QUERIES_TEXT, Some(1), None, false, false)
+    let batch_stdout = cmd_batch(&db, QUERIES_TEXT, Some(1), None, false)
         .unwrap()
         .stdout;
     let certain_lines = CERTAIN_QUERIES
         .iter()
         .map(|q| {
-            let out = cmd_certain(q, &db, Some(1), None, false, false)
-                .unwrap()
-                .stdout;
+            let out = cmd_certain(q, &db, Some(1), None, false).unwrap().stdout;
             out.lines()
                 .find(|l| l.starts_with("certain:"))
                 .expect("cmd_certain prints a certain: line")
@@ -479,7 +477,7 @@ fn batch_error_text_matches_the_cli_byte_for_byte() {
     let fixture = Fixture::new();
     let bad = "R(x | y) R(y | z)\nR(x x | y) R(y | z)\n";
     let db = load_db_file(&fixture.dbs[0]).unwrap();
-    let cli_err = cmd_batch(&db, bad, Some(1), None, false, false).unwrap_err();
+    let cli_err = cmd_batch(&db, bad, Some(1), None, false).unwrap_err();
     let server = start_server(1, None);
     let addr = server.addr().to_string();
     let bad_file = fixture.dir.join("bad.txt");
