@@ -32,7 +32,7 @@
 //! minimised into `crates/fuzz/regressions/querydiff/`.
 
 use crate::dbfmt::write_database;
-use crate::{CliError, CmdOut};
+use crate::{CliError, CmdOut, Flags};
 use cqa::solvers::certk::reference::certk_reference;
 use cqa::solvers::{certain_brute_budgeted, certk, BruteOutcome, CertKConfig, CertKOutcome};
 use cqa::{classify, Classification, Complexity, Confidence, CqaEngine, EngineConfig, RoutePolicy};
@@ -426,39 +426,19 @@ fn complexity_name(c: Complexity) -> &'static str {
 /// the pinned-verdict classification table (the generator behind
 /// `tests/data/classifier_corpus.tsv`).
 pub fn cmd_fleet(args: &[&str]) -> Result<CmdOut, CliError> {
-    let mut cfg = FleetConfig::default();
-    let mut corpus = false;
-    let mut it = args.iter();
-    while let Some(&flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .copied()
-                .ok_or_else(|| CliError::new(format!("{name} needs a value")))
-        };
-        match flag {
-            "--queries" => {
-                cfg.queries = value("--queries")?
-                    .parse()
-                    .map_err(|e| CliError::new(format!("--queries: {e}")))?
-            }
-            "--dbs" => {
-                cfg.dbs = value("--dbs")?
-                    .parse()
-                    .map_err(|e| CliError::new(format!("--dbs: {e}")))?
-            }
-            "--seed" => {
-                cfg.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| CliError::new(format!("--seed: {e}")))?
-            }
-            "--max-facts" => {
-                cfg.max_facts = value("--max-facts")?
-                    .parse()
-                    .map_err(|e| CliError::new(format!("--max-facts: {e}")))?
-            }
-            "--corpus" => corpus = true,
-            other => return Err(CliError::new(format!("fleet: unknown flag {other:?}"))),
-        }
+    let mut flags = Flags::new("fleet", args);
+    let default = FleetConfig::default();
+    let cfg = FleetConfig {
+        queries: flags.value("--queries")?.unwrap_or(default.queries),
+        dbs: flags.value("--dbs")?.unwrap_or(default.dbs),
+        seed: flags.value("--seed")?.unwrap_or(default.seed),
+        max_facts: flags.value("--max-facts")?.unwrap_or(default.max_facts),
+    };
+    let corpus = flags.switch("--corpus");
+    if let Some(extra) = flags.positionals()?.first() {
+        return Err(CliError::new(format!(
+            "fleet takes no positional arguments, got {extra:?}"
+        )));
     }
     if corpus {
         return Ok(CmdOut::from(corpus_table(cfg.seed, cfg.queries)));

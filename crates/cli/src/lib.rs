@@ -11,7 +11,10 @@
 //! ```
 //!
 //! The command implementations live here (testable); `main.rs` is a thin
-//! argument dispatcher. Database files use the [`dbfmt`] line format
+//! dispatcher that reads each command's flags through the one [`flags`]
+//! parser. Queries are checked against the database by
+//! [`cqa_query::parse_query_for`]/[`cqa_query::parse_queries_for`], the
+//! same check `cqa serve` makes. Database files use the [`dbfmt`] line format
 //! (fully specified in `docs/FORMAT.md`), CNF files are DIMACS. Fact
 //! files are **streamed** line-at-a-time through
 //! [`dbfmt::read_database`] — `certain` on a million-line file never
@@ -26,13 +29,16 @@
 #![warn(missing_docs)]
 
 pub mod dbfmt;
+pub mod flags;
 pub mod fleet;
 pub mod server_cli;
+
+pub use flags::Flags;
 
 use cqa::solvers::{certain_brute_over, BruteOutcome, CancelToken, SolutionSet};
 use cqa::{classify, AnsweredBy, Complexity, Confidence, CqaEngine, RoutePolicy, SharedSession};
 use cqa_model::Database;
-use cqa_query::{parse_query, truncate_error_text};
+use cqa_query::{parse_queries_for, parse_query, parse_query_for};
 use cqa_sat::{parse_dimacs, solve, to_occ3_normal_form, SatResult};
 use cqa_workloads::{
     write_large_contested_q3, write_large_q3, ContestedWorkloadConfig, LargeWorkloadConfig,
@@ -69,7 +75,8 @@ pub struct CliError {
 }
 
 impl CliError {
-    fn new(message: impl Into<String>) -> CliError {
+    /// A failure with exit code 2 (bad input).
+    pub fn new(message: impl Into<String>) -> CliError {
         CliError {
             message: message.into(),
             code: 2,
@@ -117,89 +124,59 @@ pub fn cmd_classify(query: &str) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Parse and strip a `--threads N` option from an argument list. Returns
-/// the remaining positional arguments and the requested thread count
-/// (`None` = use the default, the host's available parallelism).
-pub fn take_threads_flag<'a>(args: &[&'a str]) -> Result<(Vec<&'a str>, Option<usize>), CliError> {
-    let mut rest = Vec::with_capacity(args.len());
-    let mut threads = None;
-    let mut it = args.iter();
-    while let Some(&a) = it.next() {
-        if a == "--threads" {
-            let v = it
-                .next()
-                .ok_or_else(|| CliError::new("--threads needs a value"))?;
-            let n: usize = v
-                .parse()
-                .ok()
-                .filter(|&n| n >= 1)
-                .ok_or_else(|| CliError::new(format!("bad thread count {v:?}")))?;
-            threads = Some(n);
-        } else if let Some(v) = a.strip_prefix("--threads=") {
-            let n: usize = v
-                .parse()
-                .ok()
-                .filter(|&n| n >= 1)
-                .ok_or_else(|| CliError::new(format!("bad thread count {v:?}")))?;
-            threads = Some(n);
-        } else {
-            rest.push(a);
-        }
+/// `--threads N` (N ≥ 1), the thread cap of the solver, generator and
+/// server commands; `None` = the default (available parallelism).
+pub fn threads_flag(flags: &mut Flags) -> Result<Option<usize>, CliError> {
+    match flags.value("--threads")? {
+        Some(0) => Err(CliError::new("bad thread count \"0\" (want >= 1)")),
+        n => Ok(n),
     }
-    Ok((rest, threads))
 }
 
-/// Parse and strip a `--route auto|literal|component` option (`certain`
-/// only): forces the engine's literal-vs-component evaluation route for
-/// PTime `Cert_k` queries instead of the size/fragmentation heuristic.
-pub fn take_route_flag<'a>(
-    args: &[&'a str],
-) -> Result<(Vec<&'a str>, Option<RoutePolicy>), CliError> {
-    let parse = |v: &str| match v {
-        "auto" => Ok(RoutePolicy::Auto),
-        "literal" => Ok(RoutePolicy::Literal),
-        "component" => Ok(RoutePolicy::Component),
+/// `--route auto|literal|component` (`certain`, `batch`, `update`):
+/// forces the engine's literal-vs-component evaluation route for PTime
+/// `Cert_k` queries instead of the size/fragmentation heuristic.
+pub fn route_flag(flags: &mut Flags) -> Result<Option<RoutePolicy>, CliError> {
+    let Some(v) = flags.value::<String>("--route")? else {
+        return Ok(None);
+    };
+    match v.as_str() {
+        "auto" => Ok(Some(RoutePolicy::Auto)),
+        "literal" => Ok(Some(RoutePolicy::Literal)),
+        "component" => Ok(Some(RoutePolicy::Component)),
         other => Err(CliError::new(format!(
             "bad route {other:?} (want auto, literal or component)"
         ))),
-    };
-    let mut rest = Vec::with_capacity(args.len());
-    let mut route = None;
-    let mut it = args.iter();
-    while let Some(&a) = it.next() {
-        if a == "--route" {
-            let v = it
-                .next()
-                .ok_or_else(|| CliError::new("--route needs a value"))?;
-            route = Some(parse(v)?);
-        } else if let Some(v) = a.strip_prefix("--route=") {
-            route = Some(parse(v)?);
-        } else {
-            rest.push(a);
-        }
     }
-    Ok((rest, route))
 }
 
-/// Strip a boolean `--stats` flag (`certain`/`falsify`/`batch`): when
-/// present the command writes a solver-statistics summary to stderr.
-pub fn take_stats_flag<'a>(args: &[&'a str]) -> (Vec<&'a str>, bool) {
-    let rest: Vec<&str> = args.iter().copied().filter(|&a| a != "--stats").collect();
-    let want = rest.len() < args.len();
-    (rest, want)
+/// The engine configuration of `--threads` and `--route`.
+fn engine_config(threads: Option<usize>, route: Option<RoutePolicy>) -> cqa::EngineConfig {
+    let mut config = cqa::EngineConfig::default();
+    if let Some(n) = threads {
+        config = config.with_threads(n);
+    }
+    if let Some(policy) = route {
+        config = config.with_route(policy);
+    }
+    config
 }
 
 /// Stream-load a fact file from disk ([`dbfmt::read_database`]; the file
 /// is parsed line-at-a-time, never buffered whole).
 pub fn load_db_file(path: &str) -> Result<Database, CliError> {
-    let file = std::fs::File::open(path).map_err(|e| CliError {
-        message: format!("cannot read {path}: {e}"),
-        code: 2,
-    })?;
-    dbfmt::read_database(std::io::BufReader::new(file)).map_err(|e| CliError {
-        message: format!("{path}: {e}"),
-        code: 2,
-    })
+    let file = std::fs::File::open(path).map_err(|e| cannot_read(path, e))?;
+    dbfmt::read_database(std::io::BufReader::new(file))
+        .map_err(|e| CliError::new(format!("{path}: {e}")))
+}
+
+/// Read a whole text file (queries, delta script, DIMACS).
+pub fn read_file(path: &str) -> Result<String, CliError> {
+    std::fs::read_to_string(path).map_err(|e| cannot_read(path, e))
+}
+
+fn cannot_read(path: &str, e: std::io::Error) -> CliError {
+    CliError::new(format!("cannot read {path}: {e}"))
 }
 
 /// `cqa certain <query> <db-file> [--threads N] [--route R] [--stats]`:
@@ -214,22 +191,8 @@ pub fn cmd_certain(
     route: Option<RoutePolicy>,
     want_stats: bool,
 ) -> Result<CmdOut, CliError> {
-    let q = parse_query(query).map_err(|e| CliError::new(e.to_string()))?;
-    if db.signature() != q.signature() {
-        return Err(CliError::new(format!(
-            "database signature {} does not match query signature {}",
-            db.signature(),
-            q.signature()
-        )));
-    }
-    let mut config = cqa::EngineConfig::default();
-    if let Some(n) = threads {
-        config = config.with_threads(n);
-    }
-    if let Some(policy) = route {
-        config = config.with_route(policy);
-    }
-    let engine = CqaEngine::with_config(q, config);
+    let q = parse_query_for(query, db.signature()).map_err(|e| CliError::new(e.to_string()))?;
+    let engine = CqaEngine::with_config(q, engine_config(threads, route));
     let started = std::time::Instant::now();
     let ans = engine.certain(db);
     let solve_ms = started.elapsed().as_millis();
@@ -297,9 +260,10 @@ pub fn cmd_certain(
 /// rather than copying them.
 ///
 /// The queries file holds one query per line (`R(x | y) R(y | z)`);
-/// blank lines and `#` comments are skipped, and processing stops at the
-/// first malformed line with its line number, byte offset and text (the
-/// fact-file convention; full grammar in `docs/FORMAT.md`). Output is
+/// blank lines and `#` comments are skipped, and every line is parsed
+/// before any is solved: the first malformed line fails the batch with
+/// its line number, byte offset and text (the fact-file convention; full
+/// grammar in `docs/FORMAT.md`). Output is
 /// one verdict (`true`/`false`) per query line, in input order — exactly
 /// the `certain:` value `cqa certain` would print for that query. With
 /// `want_stats`, an aggregate summary goes to stderr.
@@ -310,46 +274,20 @@ pub fn cmd_batch(
     route: Option<RoutePolicy>,
     want_stats: bool,
 ) -> Result<CmdOut, CliError> {
-    let mut config = cqa::EngineConfig::default();
-    if let Some(n) = threads {
-        config = config.with_threads(n);
-    }
-    if let Some(policy) = route {
-        config = config.with_route(policy);
-    }
-    let session = SharedSession::new(std::sync::Arc::new(db.clone()), config);
+    // The same check, positions and wording as the `cqa serve` batch
+    // handler: both call cqa_query::parse_queries_for.
+    let queries = parse_queries_for(queries_text, db.signature()).map_err(CliError::new)?;
+    let session = SharedSession::new(
+        std::sync::Arc::new(db.clone()),
+        engine_config(threads, route),
+    );
     let mut out = String::new();
     let started = std::time::Instant::now();
-    // The line discipline (comments, blanks, positions) is shared with
-    // the `cqa serve` batch handler via cqa_query::query_lines, so the
-    // two front ends cannot drift on what a "query line" is.
-    for ql in cqa_query::query_lines(queries_text) {
-        let err_at = |msg: String| {
-            CliError::new(format!(
-                "queries line {} (byte offset {}): {msg}\n  | {}",
-                ql.line,
-                ql.offset,
-                truncate_error_text(ql.raw)
-            ))
-        };
-        let q = parse_query(ql.text).map_err(|e| err_at(e.to_string()))?;
-        if db.signature() != q.signature() {
-            return Err(err_at(format!(
-                "query signature {} does not match database signature {}",
-                q.signature(),
-                db.signature()
-            )));
-        }
-        let ans = session.certain(&q);
-        let _ = writeln!(out, "{}", ans.certain);
+    for q in &queries {
+        let _ = writeln!(out, "{}", session.certain(q).certain);
     }
     let solve_ms = started.elapsed().as_millis();
     let stats = session.stats();
-    if stats.queries == 0 {
-        return Err(CliError::new(
-            "queries file holds no queries (empty, blank or comment-only)",
-        ));
-    }
     let mut err = String::new();
     if want_stats {
         let _ = writeln!(
@@ -386,7 +324,9 @@ pub fn cmd_batch(
 ///
 /// The delta script grammar is the signed fact-line format of the
 /// server's `update` method (`+ R(a | b)` / `- R(a | b)`, `#` comments;
-/// see `docs/DELTAS.md`), parsed by [`cqa_server::parse_delta_script`].
+/// see `docs/DELTAS.md`), parsed and checked by
+/// [`cqa_server::parse_update_script`] and
+/// [`cqa_server::DeltaScript::check_for`], as the server's `update` is.
 pub fn cmd_update(
     db: Database,
     deltas_text: &str,
@@ -396,54 +336,12 @@ pub fn cmd_update(
     recompute: bool,
     want_stats: bool,
 ) -> Result<CmdOut, CliError> {
-    let script = cqa_server::parse_delta_script(deltas_text).map_err(CliError::new)?;
-    if script.is_empty() {
-        return Err(CliError::new(
-            "delta script holds no operations (empty, blank or comment-only)",
-        ));
-    }
-    if let Some(kl) = script.key_len {
-        if kl != db.signature().key_len() {
-            return Err(CliError::new(format!(
-                "delta key length {kl} does not match database signature {}",
-                db.signature()
-            )));
-        }
-    }
-    // Parse every query up front so malformed input fails identically
-    // (and before any solving) on both modes.
-    let mut queries = Vec::new();
-    for ql in cqa_query::query_lines(queries_text) {
-        let err_at = |msg: String| {
-            CliError::new(format!(
-                "queries line {} (byte offset {}): {msg}\n  | {}",
-                ql.line,
-                ql.offset,
-                truncate_error_text(ql.raw)
-            ))
-        };
-        let q = parse_query(ql.text).map_err(|e| err_at(e.to_string()))?;
-        if db.signature() != q.signature() {
-            return Err(err_at(format!(
-                "query signature {} does not match database signature {}",
-                q.signature(),
-                db.signature()
-            )));
-        }
-        queries.push(q);
-    }
-    if queries.is_empty() {
-        return Err(CliError::new(
-            "queries file holds no queries (empty, blank or comment-only)",
-        ));
-    }
-    let mut config = cqa::EngineConfig::default();
-    if let Some(n) = threads {
-        config = config.with_threads(n);
-    }
-    if let Some(policy) = route {
-        config = config.with_route(policy);
-    }
+    let script = cqa_server::parse_update_script(deltas_text).map_err(CliError::new)?;
+    script.check_for(db.signature()).map_err(CliError::new)?;
+    // Every query is parsed before any is solved, so malformed input
+    // fails identically on both modes.
+    let queries = parse_queries_for(queries_text, db.signature()).map_err(CliError::new)?;
+    let config = engine_config(threads, route);
     let mut out = String::new();
     let mut err = String::new();
     let started = std::time::Instant::now();
@@ -513,7 +411,8 @@ pub fn cmd_update(
 }
 
 /// `cqa falsify <query> <db-file> [budget] [--threads N] [--stats]`:
-/// exhibit a falsifying repair, if any.
+/// exhibit a falsifying repair, if any. The query must have the
+/// database's signature, as for `certain`.
 pub fn cmd_falsify(
     query: &str,
     db: &Database,
@@ -521,7 +420,7 @@ pub fn cmd_falsify(
     threads: Option<usize>,
     want_stats: bool,
 ) -> Result<CmdOut, CliError> {
-    let q = parse_query(query).map_err(|e| CliError::new(e.to_string()))?;
+    let q = parse_query_for(query, db.signature()).map_err(|e| CliError::new(e.to_string()))?;
     let threads = threads.unwrap_or_else(minipool::max_threads);
     let mut out = String::new();
     let started = std::time::Instant::now();
@@ -575,97 +474,54 @@ pub fn cmd_falsify(
 /// [`cqa_workloads::skew`] presets the fleet runner and the server load
 /// harness use); it honours `--facts` and `--seed` and rejects the other
 /// shape flags.
-/// `threads` caps the construction fan-out; the file content never
+/// `--threads N` caps the construction fan-out; the file content never
 /// depends on it.
-pub fn cmd_generate(args: &[&str], threads: Option<usize>) -> Result<String, CliError> {
-    let mut cfg = LargeWorkloadConfig::new(1_000_000);
-    if let Some(n) = threads {
-        cfg.threads = n.max(1);
+pub fn cmd_generate(args: &[&str]) -> Result<String, CliError> {
+    let mut flags = Flags::new("generate", args);
+    let mut cfg = LargeWorkloadConfig::new(flags.value("--facts")?.unwrap_or(1_000_000));
+    if let Some(n) = threads_flag(&mut flags)? {
+        cfg.threads = n;
     }
-    let mut contested_width: Option<usize> = None;
-    let mut certain_fraction: Option<f64> = None;
-    let mut skew: Option<cqa_workloads::skew::SkewFamily> = None;
+    let contested_width: Option<usize> = flags.value("--contested-width")?;
+    let certain_fraction = fraction(&mut flags, "--certain-fraction")?;
+    let skew = match flags.value::<String>("--skew")? {
+        None => None,
+        Some(v) => Some(
+            cqa_workloads::skew::SkewFamily::ALL
+                .into_iter()
+                .find(|f| f.name() == v)
+                .ok_or_else(|| {
+                    CliError::new(format!(
+                        "unknown skew family {v:?} (want uniform, zipf-contested, heavy-hitter or mixed-batch)"
+                    ))
+                })?,
+        ),
+    };
+    // The chain family's shape flags, by name, in the order given here.
     let mut chain_shape_flags: Vec<&str> = Vec::new();
-    let mut out_path: Option<&str> = None;
-    let mut it = args.iter();
-    while let Some(&a) = it.next() {
-        let mut flag_value = |flag: &str| {
-            it.next()
-                .copied()
-                .ok_or_else(|| CliError::new(format!("{flag} needs a value")))
-        };
-        match a {
-            "--facts" => {
-                cfg.facts = parse_flag_num(a, flag_value(a)?)?;
-            }
-            "--contested-width" => {
-                contested_width = Some(parse_flag_num(a, flag_value(a)?)?);
-            }
-            "--skew" => {
-                let v = flag_value(a)?;
-                skew = Some(
-                    cqa_workloads::skew::SkewFamily::ALL
-                        .into_iter()
-                        .find(|f| f.name() == v)
-                        .ok_or_else(|| {
-                            CliError::new(format!(
-                                "unknown skew family {v:?} (want uniform, zipf-contested, heavy-hitter or mixed-batch)"
-                            ))
-                        })?,
-                );
-            }
-            "--certain-fraction" => {
-                let v = flag_value(a)?;
-                certain_fraction = Some(
-                    v.parse::<f64>()
-                        .ok()
-                        .filter(|r| (0.0..=1.0).contains(r))
-                        .ok_or_else(|| {
-                            CliError::new(format!("bad certain fraction {v:?} (want 0.0..=1.0)"))
-                        })?,
-                );
-            }
-            "--inconsistency" => {
-                let v = flag_value(a)?;
-                cfg.inconsistency = v
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|r| (0.0..=1.0).contains(r))
-                    .ok_or_else(|| {
-                        CliError::new(format!("bad inconsistency ratio {v:?} (want 0.0..=1.0)"))
-                    })?;
-                chain_shape_flags.push(a);
-            }
-            "--min-width" => {
-                cfg.min_width = parse_flag_num(a, flag_value(a)?)?;
-                chain_shape_flags.push(a);
-            }
-            "--max-width" => {
-                cfg.max_width = parse_flag_num(a, flag_value(a)?)?;
-                chain_shape_flags.push(a);
-            }
-            "--chain-len" => {
-                cfg.chain_len = parse_flag_num(a, flag_value(a)?)?;
-                chain_shape_flags.push(a);
-            }
-            "--seed" => {
-                let v = flag_value(a)?;
-                cfg.seed = v
-                    .parse()
-                    .map_err(|_| CliError::new(format!("bad seed {v:?}")))?;
-                chain_shape_flags.push(a);
-            }
-            other if other.starts_with("--") => {
-                return Err(CliError::new(format!("unknown generate option {other:?}")));
-            }
-            path => {
-                if out_path.replace(path).is_some() {
-                    return Err(CliError::new("generate takes exactly one output file"));
-                }
-            }
+    if let Some(r) = fraction(&mut flags, "--inconsistency")? {
+        cfg.inconsistency = r;
+        chain_shape_flags.push("--inconsistency");
+    }
+    for (name, field) in [
+        ("--min-width", &mut cfg.min_width),
+        ("--max-width", &mut cfg.max_width),
+        ("--chain-len", &mut cfg.chain_len),
+    ] {
+        if let Some(n) = flags.value(name)? {
+            *field = n;
+            chain_shape_flags.push(name);
         }
     }
-    let path = out_path.ok_or_else(|| CliError::new("generate needs an output file"))?;
+    if let Some(seed) = flags.value("--seed")? {
+        cfg.seed = seed;
+        chain_shape_flags.push("--seed");
+    }
+    let path = match flags.positionals()?.as_slice() {
+        [path] => *path,
+        [] => return Err(CliError::new("generate needs an output file")),
+        _ => return Err(CliError::new("generate takes exactly one output file")),
+    };
     if let Some(family) = skew {
         // The skewed families are presets: only the fact budget and the
         // seed are tunable, everything else is the family's signature.
@@ -764,9 +620,14 @@ fn write_to_file<T>(
     Ok(out)
 }
 
-fn parse_flag_num(flag: &str, v: &str) -> Result<usize, CliError> {
-    v.parse()
-        .map_err(|_| CliError::new(format!("bad value {v:?} for {flag}")))
+/// A `0.0..=1.0` fraction flag of `generate`.
+fn fraction(flags: &mut Flags, name: &str) -> Result<Option<f64>, CliError> {
+    match flags.value::<f64>(name)? {
+        Some(r) if !(0.0..=1.0).contains(&r) => Err(CliError::new(format!(
+            "bad value \"{r}\" for {name} (want 0.0..=1.0)"
+        ))),
+        r => Ok(r),
+    }
 }
 
 /// `cqa gadget <query> <dimacs>`: the Section 9 reduction as a tool —
@@ -844,13 +705,16 @@ QUERIES FILE:     batch: one query per line, '#' comments, blank lines
                   The database is loaded and analysed once (per-query
                   session cache), so N queries cost far less than N
                   single-shot runs. Spec in docs/FORMAT.md.
-OPTIONS:          --threads N   solver / generator threads
+OPTIONS:          Flags follow the command word, in any order among its
+                  arguments; a value flag is written `--name v` or
+                  `--name=v`. A flag the command does not take is an error.
+                  --threads N   solver / generator / server threads
                                 (default: available parallelism; 1 = sequential)
-                  --route R     certain/batch: auto | literal | component —
+                  --route R     certain/batch/update: auto | literal | component —
                                 whole-database Cert_k vs per-component fan-out
                                 (default auto: component on large fragmented DBs)
-                  --stats       certain/falsify/batch: solver statistics
-                                on stderr
+                  --stats       certain/falsify/batch/update/serve:
+                                statistics on stderr
                   --contested-width W
                                 generate the contested (wide shared block)
                                 family instead of the chain family
@@ -1064,18 +928,17 @@ R(x | y) R(x | z)
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("w.facts");
         let path_str = path.to_str().unwrap();
-        let out = cmd_generate(
-            &[
-                "--facts",
-                "500",
-                "--inconsistency",
-                "0.5",
-                "--seed",
-                "11",
-                path_str,
-            ],
-            Some(2),
-        )
+        let out = cmd_generate(&[
+            "--threads",
+            "2",
+            "--facts",
+            "500",
+            "--inconsistency",
+            "0.5",
+            "--seed",
+            "11",
+            path_str,
+        ])
         .unwrap();
         assert!(out.contains("wrote"), "{out}");
         // The generated file stream-loads and solves; verdicts agree
@@ -1087,18 +950,17 @@ R(x | y) R(x | z)
         assert_eq!(seq.stdout, par.stdout);
         // Same config, same bytes: regenerating is reproducible.
         let path2 = dir.join("w2.facts");
-        cmd_generate(
-            &[
-                "--facts",
-                "500",
-                "--inconsistency",
-                "0.5",
-                "--seed",
-                "11",
-                path2.to_str().unwrap(),
-            ],
-            Some(1),
-        )
+        cmd_generate(&[
+            "--threads",
+            "1",
+            "--facts",
+            "500",
+            "--inconsistency",
+            "0.5",
+            "--seed",
+            "11",
+            path2.to_str().unwrap(),
+        ])
         .unwrap();
         assert_eq!(
             std::fs::read(&path).unwrap(),
@@ -1109,27 +971,27 @@ R(x | y) R(x | z)
 
     #[test]
     fn generate_rejects_bad_options() {
-        assert!(cmd_generate(&[], None).is_err()); // no output file
-        assert!(cmd_generate(&["--facts"], None).is_err()); // missing value
-        assert!(cmd_generate(&["--facts", "x", "f"], None).is_err());
-        assert!(cmd_generate(&["--inconsistency", "2.0", "f"], None).is_err());
-        assert!(cmd_generate(&["--min-width", "1", "f"], None).is_err());
-        assert!(cmd_generate(&["--bogus", "f"], None).is_err());
-        assert!(cmd_generate(&["a", "b"], None).is_err()); // two outputs
-        assert!(cmd_generate(&["--contested-width", "0", "f"], None).is_err());
+        assert!(cmd_generate(&[]).is_err()); // no output file
+        assert!(cmd_generate(&["--facts"]).is_err()); // missing value
+        assert!(cmd_generate(&["--facts", "x", "f"]).is_err());
+        assert!(cmd_generate(&["--inconsistency", "2.0", "f"]).is_err());
+        assert!(cmd_generate(&["--min-width", "1", "f"]).is_err());
+        assert!(cmd_generate(&["--bogus", "f"]).is_err());
+        assert!(cmd_generate(&["a", "b"]).is_err()); // two outputs
+        assert!(cmd_generate(&["--contested-width", "0", "f"]).is_err());
         // The contested family has no seed/shape knobs from the chain family.
-        assert!(cmd_generate(&["--contested-width", "4", "--seed", "1", "f"], None).is_err());
-        assert!(cmd_generate(&["--contested-width", "4", "--chain-len", "2", "f"], None).is_err());
+        assert!(cmd_generate(&["--contested-width", "4", "--seed", "1", "f"]).is_err());
+        assert!(cmd_generate(&["--contested-width", "4", "--chain-len", "2", "f"]).is_err());
         // …and --certain-fraction belongs to the contested family only.
-        assert!(cmd_generate(&["--certain-fraction", "0.5", "f"], None).is_err());
+        assert!(cmd_generate(&["--certain-fraction", "0.5", "f"]).is_err());
         let bad = ["--contested-width", "4", "--certain-fraction", "1.5", "f"];
-        assert!(cmd_generate(&bad, None).is_err());
+        assert!(cmd_generate(&bad).is_err());
         // The skewed families reject the other families' knobs (but take
         // --seed), and unknown family names are named in the error.
-        assert!(cmd_generate(&["--skew", "sideways", "f"], None).is_err());
-        assert!(cmd_generate(&["--skew", "uniform", "--chain-len", "2", "f"], None).is_err());
+        assert!(cmd_generate(&["--skew", "sideways", "f"]).is_err());
+        assert!(cmd_generate(&["--skew", "uniform", "--chain-len", "2", "f"]).is_err());
         let bad = ["--skew", "uniform", "--contested-width", "4", "f"];
-        assert!(cmd_generate(&bad, None).is_err());
+        assert!(cmd_generate(&bad).is_err());
     }
 
     #[test]
@@ -1139,18 +1001,15 @@ R(x | y) R(x | z)
         let a = dir.join("a.facts");
         let b = dir.join("b.facts");
         for path in [&a, &b] {
-            let out = cmd_generate(
-                &[
-                    "--facts",
-                    "200",
-                    "--skew",
-                    "mixed-batch",
-                    "--seed",
-                    "9",
-                    path.to_str().unwrap(),
-                ],
-                None,
-            )
+            let out = cmd_generate(&[
+                "--facts",
+                "200",
+                "--skew",
+                "mixed-batch",
+                "--seed",
+                "9",
+                path.to_str().unwrap(),
+            ])
             .unwrap();
             assert!(out.contains("skew family mixed-batch"), "{out}");
         }
@@ -1172,10 +1031,15 @@ R(x | y) R(x | z)
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("c.facts");
         let path_str = path.to_str().unwrap();
-        let out = cmd_generate(
-            &["--facts", "600", "--contested-width", "16", path_str],
-            Some(2),
-        )
+        let out = cmd_generate(&[
+            "--threads",
+            "2",
+            "--facts",
+            "600",
+            "--contested-width",
+            "16",
+            path_str,
+        ])
         .unwrap();
         assert!(out.contains("wrote"), "{out}");
         assert!(out.contains("width 16"), "{out}");
@@ -1199,18 +1063,17 @@ R(x | y) R(x | z)
         // and the literal and component routes agree on it.
         let half = dir.join("half.facts");
         let half_str = half.to_str().unwrap();
-        let out = cmd_generate(
-            &[
-                "--facts",
-                "600",
-                "--contested-width",
-                "8",
-                "--certain-fraction",
-                "0.5",
-                half_str,
-            ],
-            Some(2),
-        )
+        let out = cmd_generate(&[
+            "--threads",
+            "2",
+            "--facts",
+            "600",
+            "--contested-width",
+            "8",
+            "--certain-fraction",
+            "0.5",
+            half_str,
+        ])
         .unwrap();
         assert!(out.contains("certain fraction 0.5"), "{out}");
         let loaded = load_db_file(half_str).unwrap();
@@ -1227,22 +1090,30 @@ R(x | y) R(x | z)
 
     #[test]
     fn route_flag_parses_and_strips() {
-        let (rest, r) = take_route_flag(&["certain", "q", "f", "--route", "literal"]).unwrap();
-        assert_eq!(rest, vec!["certain", "q", "f"]);
-        assert_eq!(r, Some(RoutePolicy::Literal));
-        let (rest, r) = take_route_flag(&["--route=component", "certain", "q", "f"]).unwrap();
-        assert_eq!(rest, vec!["certain", "q", "f"]);
-        assert_eq!(r, Some(RoutePolicy::Component));
-        let (_, r) = take_route_flag(&["--route", "auto"]).unwrap();
-        assert_eq!(r, Some(RoutePolicy::Auto));
-        assert!(take_route_flag(&["--route"]).is_err());
-        assert!(take_route_flag(&["--route", "fastest"]).is_err());
-        let (rest, got) = take_stats_flag(&["certain", "--stats", "q"]);
-        assert_eq!(rest, vec!["certain", "q"]);
-        assert!(got);
-        let (rest, got) = take_stats_flag(&["classify", "q"]);
-        assert_eq!(rest, vec!["classify", "q"]);
-        assert!(!got);
+        let args = ["q", "f", "--route", "literal"];
+        let mut flags = Flags::new("certain", &args);
+        assert_eq!(route_flag(&mut flags).unwrap(), Some(RoutePolicy::Literal));
+        assert_eq!(flags.positionals().unwrap(), vec!["q", "f"]);
+        let mut flags = Flags::new("certain", &["--route=component", "q", "f"]);
+        assert_eq!(
+            route_flag(&mut flags).unwrap(),
+            Some(RoutePolicy::Component)
+        );
+        assert_eq!(flags.positionals().unwrap(), vec!["q", "f"]);
+        let mut flags = Flags::new("certain", &["--route", "auto"]);
+        assert_eq!(route_flag(&mut flags).unwrap(), Some(RoutePolicy::Auto));
+        let mut flags = Flags::new("certain", &["q"]);
+        assert_eq!(route_flag(&mut flags).unwrap(), None);
+        let e = route_flag(&mut Flags::new("certain", &["--route"])).unwrap_err();
+        assert!(e.message.contains("needs a value"), "{e}");
+        let e = route_flag(&mut Flags::new("certain", &["--route", "fastest"])).unwrap_err();
+        assert!(e.message.contains("bad route"), "{e}");
+        let mut flags = Flags::new("certain", &["--stats", "q"]);
+        assert!(flags.switch("--stats"));
+        assert_eq!(flags.positionals().unwrap(), vec!["q"]);
+        let mut flags = Flags::new("classify", &["q"]);
+        assert!(!flags.switch("--stats"));
+        assert_eq!(flags.positionals().unwrap(), vec!["q"]);
     }
 
     #[test]
@@ -1260,18 +1131,40 @@ R(x | y) R(x | z)
 
     #[test]
     fn threads_flag_parses_and_strips() {
-        let (rest, t) = take_threads_flag(&["certain", "q", "f", "--threads", "3"]).unwrap();
-        assert_eq!(rest, vec!["certain", "q", "f"]);
-        assert_eq!(t, Some(3));
-        let (rest, t) = take_threads_flag(&["--threads=8", "falsify", "q", "f"]).unwrap();
-        assert_eq!(rest, vec!["falsify", "q", "f"]);
-        assert_eq!(t, Some(8));
-        let (rest, t) = take_threads_flag(&["classify", "q"]).unwrap();
-        assert_eq!(rest, vec!["classify", "q"]);
-        assert_eq!(t, None);
-        assert!(take_threads_flag(&["--threads"]).is_err());
-        assert!(take_threads_flag(&["--threads", "0"]).is_err());
-        assert!(take_threads_flag(&["--threads", "lots"]).is_err());
+        let mut flags = Flags::new("certain", &["q", "f", "--threads", "3"]);
+        assert_eq!(threads_flag(&mut flags).unwrap(), Some(3));
+        assert_eq!(flags.positionals().unwrap(), vec!["q", "f"]);
+        let mut flags = Flags::new("falsify", &["--threads=8", "q", "f"]);
+        assert_eq!(threads_flag(&mut flags).unwrap(), Some(8));
+        assert_eq!(flags.positionals().unwrap(), vec!["q", "f"]);
+        let mut flags = Flags::new("classify", &["q"]);
+        assert_eq!(threads_flag(&mut flags).unwrap(), None);
+        assert_eq!(flags.positionals().unwrap(), vec!["q"]);
+        let threads = |args: &[&str]| threads_flag(&mut Flags::new("certain", args));
+        assert!(threads(&["--threads"])
+            .unwrap_err()
+            .message
+            .contains("needs a value"));
+        assert!(threads(&["--threads", "0"])
+            .unwrap_err()
+            .message
+            .contains("bad thread count"));
+        assert!(threads(&["--threads=0"])
+            .unwrap_err()
+            .message
+            .contains("bad thread count"));
+        assert!(threads(&["--threads", "lots"])
+            .unwrap_err()
+            .message
+            .contains("bad value"));
+        // A command that never reads --threads rejects it.
+        let e = Flags::new("classify", &["q", "--threads", "4"])
+            .positionals()
+            .unwrap_err();
+        assert!(
+            e.message.contains("unknown classify option \"--threads\""),
+            "{e}"
+        );
     }
 
     #[test]

@@ -1,140 +1,121 @@
 //! Thin dispatcher for the `cqa` command-line tool; the command logic
-//! lives in the library so it can be tested.
+//! lives in the library so it can be tested. Each command's flags follow
+//! the command word and are read by the one [`Flags`] parser.
 
 use cqa_cli::fleet::cmd_fleet;
 use cqa_cli::server_cli::{cmd_client, cmd_serve};
 use cqa_cli::{
     cmd_batch, cmd_certain, cmd_classify, cmd_falsify, cmd_gadget, cmd_generate, cmd_solve,
-    cmd_update, load_db_file, take_route_flag, take_stats_flag, take_threads_flag, usage, CliError,
-    CmdOut,
+    cmd_update, load_db_file, read_file, route_flag, threads_flag, usage, CliError, CmdOut, Flags,
 };
 use std::process::ExitCode;
 
-fn read(path: &str) -> Result<String, CliError> {
-    std::fs::read_to_string(path).map_err(|e| CliError {
-        message: format!("cannot read {path}: {e}"),
-        code: 2,
-    })
+fn usage_error() -> CliError {
+    CliError {
+        message: usage().to_string(),
+        code: 1,
+    }
 }
 
-fn run() -> Result<CmdOut, CliError> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let str_args: Vec<&str> = args.iter().map(String::as_str).collect();
-    let (positional, threads) = take_threads_flag(&str_args)?;
-    let (positional, route) = take_route_flag(&positional)?;
-    let (positional, want_stats) = take_stats_flag(&positional);
-    // Flags that a command would silently ignore are rejected instead:
-    // --threads applies to the solver/generator commands, --route to the
-    // engine-backed `certain`/`batch`/`update`, --stats to the solver
-    // commands.
-    if threads.is_some()
-        && !matches!(
-            positional.first(),
-            Some(&"certain")
-                | Some(&"falsify")
-                | Some(&"generate")
-                | Some(&"batch")
-                | Some(&"update")
-                | Some(&"serve")
-        )
-    {
-        return Err(CliError {
-            message:
-                "--threads only applies to `certain`, `falsify`, `batch`, `update`, `generate` and `serve`"
-                    .to_string(),
-            code: 2,
-        });
-    }
-    if route.is_some()
-        && !matches!(
-            positional.first(),
-            Some(&"certain") | Some(&"batch") | Some(&"update")
-        )
-    {
-        return Err(CliError {
-            message: "--route only applies to `certain`, `batch` and `update`".to_string(),
-            code: 2,
-        });
-    }
-    if want_stats
-        && !matches!(
-            positional.first(),
-            Some(&"certain") | Some(&"falsify") | Some(&"batch") | Some(&"update") | Some(&"serve")
-        )
-    {
-        return Err(CliError {
-            message: "--stats only applies to `certain`, `falsify`, `batch`, `update` and `serve`"
-                .to_string(),
-            code: 2,
-        });
-    }
-    match positional.as_slice() {
-        ["classify", q] => cmd_classify(q).map(CmdOut::from),
+fn run(args: &[&str]) -> Result<CmdOut, CliError> {
+    let [command, rest @ ..] = args else {
+        return Err(usage_error());
+    };
+    let mut flags = Flags::new(command, rest);
+    match *command {
+        "classify" => match flags.positionals()?[..] {
+            [q] => cmd_classify(q).map(CmdOut::from),
+            _ => Err(usage_error()),
+        },
         // Fact files are stream-loaded line-at-a-time (see cqa_cli::dbfmt),
         // so million-line files never sit in memory as text.
-        ["certain", q, file] => cmd_certain(q, &load_db_file(file)?, threads, route, want_stats),
-        ["batch", db_file, queries_file] => cmd_batch(
-            &load_db_file(db_file)?,
-            &read(queries_file)?,
-            threads,
-            route,
-            want_stats,
-        )
-        .map_err(|e| CliError {
-            message: format!("{queries_file}: {}", e.message),
-            code: e.code,
-        }),
-        ["update", rest @ ..] => {
+        "certain" => {
+            let threads = threads_flag(&mut flags)?;
+            let route = route_flag(&mut flags)?;
+            let want_stats = flags.switch("--stats");
+            match flags.positionals()?[..] {
+                [q, file] => cmd_certain(q, &load_db_file(file)?, threads, route, want_stats),
+                _ => Err(usage_error()),
+            }
+        }
+        "batch" => {
+            let threads = threads_flag(&mut flags)?;
+            let route = route_flag(&mut flags)?;
+            let want_stats = flags.switch("--stats");
+            let [db_file, queries_file] = flags.positionals()?[..] else {
+                return Err(usage_error());
+            };
+            cmd_batch(
+                &load_db_file(db_file)?,
+                &read_file(queries_file)?,
+                threads,
+                route,
+                want_stats,
+            )
+            .map_err(|e| CliError {
+                message: format!("{queries_file}: {}", e.message),
+                code: e.code,
+            })
+        }
+        "update" => {
+            let threads = threads_flag(&mut flags)?;
+            let route = route_flag(&mut flags)?;
             // `--recompute` switches to the from-scratch oracle mode;
             // the CI delta smoke diffs its stdout against the default
             // incremental mode.
-            let mut recompute = false;
-            let mut files = Vec::new();
-            for &a in rest {
-                match a {
-                    "--recompute" => recompute = true,
-                    other => files.push(other),
-                }
-            }
-            let [db_file, deltas_file, queries_file] = files.as_slice() else {
-                return Err(CliError {
-                    message: "update needs <db-file> <deltas-file> <queries-file>".to_string(),
-                    code: 2,
-                });
+            let recompute = flags.switch("--recompute");
+            let want_stats = flags.switch("--stats");
+            let [db_file, deltas_file, queries_file] = flags.positionals()?[..] else {
+                return Err(CliError::new(
+                    "update needs <db-file> <deltas-file> <queries-file>",
+                ));
             };
             cmd_update(
                 load_db_file(db_file)?,
-                &read(deltas_file)?,
-                &read(queries_file)?,
+                &read_file(deltas_file)?,
+                &read_file(queries_file)?,
                 threads,
                 route,
                 recompute,
                 want_stats,
             )
         }
-        ["falsify", q, file] => cmd_falsify(q, &load_db_file(file)?, u64::MAX, threads, want_stats),
-        ["falsify", q, file, budget] => {
-            let b: u64 = budget.parse().map_err(|_| CliError {
-                message: format!("bad budget {budget:?}"),
-                code: 2,
-            })?;
-            cmd_falsify(q, &load_db_file(file)?, b, threads, want_stats)
+        "falsify" => {
+            let threads = threads_flag(&mut flags)?;
+            let want_stats = flags.switch("--stats");
+            let (q, file, budget) = match flags.positionals()?[..] {
+                [q, file] => (q, file, u64::MAX),
+                [q, file, budget] => (
+                    q,
+                    file,
+                    budget
+                        .parse()
+                        .map_err(|_| CliError::new(format!("bad budget {budget:?}")))?,
+                ),
+                _ => return Err(usage_error()),
+            };
+            cmd_falsify(q, &load_db_file(file)?, budget, threads, want_stats)
         }
-        ["generate", rest @ ..] => cmd_generate(rest, threads).map(CmdOut::from),
-        ["fleet", rest @ ..] => cmd_fleet(rest),
-        ["serve", rest @ ..] => cmd_serve(rest, threads, want_stats),
-        ["client", rest @ ..] => cmd_client(rest),
-        ["gadget", q, file] => cmd_gadget(q, &read(file)?).map(CmdOut::from),
-        ["solve", file] => cmd_solve(&read(file)?).map(CmdOut::from),
-        _ => Err(CliError {
-            message: usage().to_string(),
-            code: 1,
-        }),
+        "generate" => cmd_generate(rest).map(CmdOut::from),
+        "fleet" => cmd_fleet(rest),
+        "serve" => cmd_serve(rest),
+        "client" => cmd_client(rest),
+        "gadget" => match flags.positionals()?[..] {
+            [q, file] => cmd_gadget(q, &read_file(file)?).map(CmdOut::from),
+            _ => Err(usage_error()),
+        },
+        "solve" => match flags.positionals()?[..] {
+            [file] => cmd_solve(&read_file(file)?).map(CmdOut::from),
+            _ => Err(usage_error()),
+        },
+        _ => Err(usage_error()),
     }
 }
 
 fn main() -> ExitCode {
-    match run() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    match run(&args) {
         Ok(out) => {
             print!("{}", out.stdout);
             eprint!("{}", out.stderr);

@@ -7,7 +7,7 @@
 //! `client batch` output is byte-identical to `cqa batch` stdout, which
 //! the CI smoke diffs.
 
-use crate::{load_db_file, CliError, CmdOut};
+use crate::{load_db_file, read_file, threads_flag, CliError, CmdOut, Flags};
 use cqa_server::{serve, Client, Json, Loader, RetryPolicy, ServeConfig, WireError};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -44,35 +44,22 @@ pub fn parse_bytes(v: &str) -> Result<usize, CliError> {
 /// the pool width before new ones are shed with `overloaded` (default:
 /// `max(32, 4×threads)`). With `--stats`, the final session-manager and
 /// overload counters go to stderr on shutdown.
-pub fn cmd_serve(
-    args: &[&str],
-    threads: Option<usize>,
-    want_stats: bool,
-) -> Result<CmdOut, CliError> {
-    let mut addr = "127.0.0.1:7878".to_string();
-    let mut memory_budget: Option<usize> = None;
-    let mut max_queue: Option<usize> = None;
-    let mut it = args.iter();
-    while let Some(&a) = it.next() {
-        let mut flag_value = |flag: &str| {
-            it.next()
-                .copied()
-                .ok_or_else(|| CliError::new(format!("{flag} needs a value")))
-        };
-        match a {
-            "--addr" => addr = flag_value(a)?.to_string(),
-            "--memory-budget" => memory_budget = Some(parse_bytes(flag_value(a)?)?),
-            "--max-queue" => {
-                let v = flag_value(a)?;
-                max_queue = Some(
-                    v.parse()
-                        .map_err(|_| CliError::new(format!("bad queue bound {v:?}")))?,
-                );
-            }
-            other => {
-                return Err(CliError::new(format!("unknown serve option {other:?}")));
-            }
-        }
+pub fn cmd_serve(args: &[&str]) -> Result<CmdOut, CliError> {
+    let mut flags = Flags::new("serve", args);
+    let addr = flags
+        .value("--addr")?
+        .unwrap_or_else(|| "127.0.0.1:7878".to_string());
+    let memory_budget = match flags.value::<String>("--memory-budget")? {
+        Some(v) => Some(parse_bytes(&v)?),
+        None => None,
+    };
+    let max_queue = flags.value("--max-queue")?;
+    let threads = threads_flag(&mut flags)?;
+    let want_stats = flags.switch("--stats");
+    if let Some(extra) = flags.positionals()?.first() {
+        return Err(CliError::new(format!(
+            "serve takes no positional arguments, got {extra:?}"
+        )));
     }
     let loader: Loader = Arc::new(|path: &str| load_db_file(path).map_err(|e| e.message));
     let mut config = ServeConfig::new(loader);
@@ -153,48 +140,15 @@ pub fn cmd_serve(
 /// responses are byte-identical (`stats` excepted — its counters move),
 /// and prints a single copy.
 pub fn cmd_client(args: &[&str]) -> Result<CmdOut, CliError> {
-    let mut deadline_ms: Option<u64> = None;
-    let mut retries: u32 = 0;
-    let mut retry_seed: u64 = 0;
-    let mut repeat: u64 = 1;
-    let mut positional: Vec<&str> = Vec::new();
-    let mut it = args.iter();
-    while let Some(&a) = it.next() {
-        let mut flag_value = |flag: &str| {
-            it.next()
-                .copied()
-                .ok_or_else(|| CliError::new(format!("{flag} needs a value")))
-        };
-        match a {
-            "--deadline-ms" => {
-                let v = flag_value(a)?;
-                deadline_ms = Some(
-                    v.parse()
-                        .map_err(|_| CliError::new(format!("bad deadline {v:?}")))?,
-                );
-            }
-            "--retries" => {
-                let v = flag_value(a)?;
-                retries = v
-                    .parse()
-                    .map_err(|_| CliError::new(format!("bad retry count {v:?}")))?;
-            }
-            "--retry-seed" => {
-                let v = flag_value(a)?;
-                retry_seed = v
-                    .parse()
-                    .map_err(|_| CliError::new(format!("bad retry seed {v:?}")))?;
-            }
-            "--repeat" => {
-                let v = flag_value(a)?;
-                repeat =
-                    v.parse().ok().filter(|n| *n >= 1).ok_or_else(|| {
-                        CliError::new(format!("bad repeat count {v:?} (want >= 1)"))
-                    })?;
-            }
-            _ => positional.push(a),
-        }
-    }
+    let mut flags = Flags::new("client", args);
+    let deadline_ms = flags.value("--deadline-ms")?;
+    let retries: u32 = flags.value("--retries")?.unwrap_or(0);
+    let retry_seed = flags.value("--retry-seed")?.unwrap_or(0);
+    let repeat: u64 = match flags.value("--repeat")? {
+        Some(0) => return Err(CliError::new("bad repeat count \"0\" (want >= 1)")),
+        n => n.unwrap_or(1),
+    };
+    let positional = flags.positionals()?;
     let [addr, request @ ..] = positional.as_slice() else {
         return Err(CliError::new(
             "client needs a server address and a request (ping, load, certain, batch, update, falsify, stats, shutdown)",
@@ -251,10 +205,7 @@ fn run_request(client: &mut Client, request: &[&str]) -> Result<String, CliError
             let _ = writeln!(out, "certain:     {v}");
         }
         ["batch", db, queries_file] => {
-            let text = std::fs::read_to_string(queries_file).map_err(|e| CliError {
-                message: format!("cannot read {queries_file}: {e}"),
-                code: 2,
-            })?;
+            let text = read_file(queries_file)?;
             let verdicts = client.batch(db, &text).map_err(|e| CliError {
                 message: format!("{queries_file}: server error ({}): {}", e.code, e.message),
                 code: 1,
@@ -262,10 +213,7 @@ fn run_request(client: &mut Client, request: &[&str]) -> Result<String, CliError
             out.push_str(&cqa_server::render_verdicts(&verdicts));
         }
         ["update", db, deltas_file] => {
-            let text = std::fs::read_to_string(deltas_file).map_err(|e| CliError {
-                message: format!("cannot read {deltas_file}: {e}"),
-                code: 2,
-            })?;
+            let text = read_file(deltas_file)?;
             let result = client.update(db, &text).map_err(|e| CliError {
                 message: format!("{deltas_file}: server error ({}): {}", e.code, e.message),
                 code: 1,
@@ -361,12 +309,18 @@ mod tests {
 
     #[test]
     fn serve_rejects_unknown_flags_without_binding() {
-        let e = cmd_serve(&["--port", "99"], None, false).unwrap_err();
+        let e = cmd_serve(&["--port", "99"]).unwrap_err();
         assert!(e.message.contains("unknown serve option"));
-        let e = cmd_serve(&["--memory-budget"], None, false).unwrap_err();
+        let e = cmd_serve(&["--memory-budget"]).unwrap_err();
         assert!(e.message.contains("needs a value"));
-        let e = cmd_serve(&["--memory-budget", "soon"], None, false).unwrap_err();
+        let e = cmd_serve(&["--memory-budget", "soon"]).unwrap_err();
         assert!(e.message.contains("bad byte count"));
+        let e = cmd_serve(&["--memory-budget=soon"]).unwrap_err();
+        assert!(e.message.contains("bad byte count"));
+        let e = cmd_serve(&["--threads", "0"]).unwrap_err();
+        assert!(e.message.contains("bad thread count"));
+        let e = cmd_serve(&["127.0.0.1:7878"]).unwrap_err();
+        assert!(e.message.contains("no positional arguments"));
     }
 
     #[test]
@@ -374,22 +328,24 @@ mod tests {
         let e = cmd_client(&[]).unwrap_err();
         assert!(e.message.contains("server address"));
         let e = cmd_client(&["--deadline-ms", "x", "127.0.0.1:1"]).unwrap_err();
-        assert!(e.message.contains("bad deadline"));
+        assert!(e.message.contains("bad value \"x\" for --deadline-ms"));
         let e = cmd_client(&["--retries", "many", "127.0.0.1:1", "ping"]).unwrap_err();
-        assert!(e.message.contains("bad retry count"));
+        assert!(e.message.contains("bad value \"many\" for --retries"));
         let e = cmd_client(&["--retry-seed", "-1", "127.0.0.1:1", "ping"]).unwrap_err();
-        assert!(e.message.contains("bad retry seed"));
+        assert!(e.message.contains("bad value \"-1\" for --retry-seed"));
         let e = cmd_client(&["--repeat", "0", "127.0.0.1:1", "ping"]).unwrap_err();
         assert!(e.message.contains("bad repeat count"));
+        let e = cmd_client(&["--timeout", "5", "127.0.0.1:1", "ping"]).unwrap_err();
+        assert!(e.message.contains("unknown client option \"--timeout\""));
         let e = cmd_client(&["--repeat", "2", "127.0.0.1:1", "shutdown"]).unwrap_err();
         assert!(e.message.contains("does not apply to shutdown"));
     }
 
     #[test]
     fn serve_rejects_bad_queue_bounds_without_binding() {
-        let e = cmd_serve(&["--max-queue"], None, false).unwrap_err();
+        let e = cmd_serve(&["--max-queue"]).unwrap_err();
         assert!(e.message.contains("needs a value"));
-        let e = cmd_serve(&["--max-queue", "deep"], None, false).unwrap_err();
-        assert!(e.message.contains("bad queue bound"));
+        let e = cmd_serve(&["--max-queue", "deep"]).unwrap_err();
+        assert!(e.message.contains("bad value \"deep\" for --max-queue"));
     }
 }

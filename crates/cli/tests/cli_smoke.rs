@@ -140,3 +140,43 @@ fn malformed_fact_file_errors_carry_position_and_text() {
     assert!(stderr.contains("byte offset 9"), "{stderr}");
     assert!(stderr.contains("R(a | b c)"), "{stderr}");
 }
+
+#[test]
+fn falsify_rejects_a_query_over_another_signature_like_certain() {
+    let dir = std::env::temp_dir().join(format!("cqa-smoke-sig-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let db = dir.join("w3.facts");
+    std::fs::write(&db, "R(a b | c)\nR(a b | d)\n").unwrap();
+    let path = db.to_str().unwrap();
+    let (falsify_out, falsify_err, falsify_code) = cqa(&["falsify", Q3, path]);
+    let (_, certain_err, certain_code) = cqa(&["certain", Q3, path]);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(certain_code, Some(2), "stderr: {certain_err}");
+    assert_eq!(
+        certain_err.trim_end(),
+        "query signature [2, 1] does not match database signature [3, 2]"
+    );
+    assert_eq!(falsify_code, Some(2), "stdout: {falsify_out}");
+    assert!(falsify_out.is_empty(), "{falsify_out}");
+    assert_eq!(falsify_err, certain_err);
+}
+
+#[test]
+fn flags_follow_the_command_word_in_either_spelling() {
+    let dir = std::env::temp_dir().join(format!("cqa-smoke-flags-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let db = dir.join("chain.facts");
+    std::fs::write(&db, "R(a | b)\nR(b | c)\n").unwrap();
+    let path = db.to_str().unwrap();
+    let (spaced, stderr, code) =
+        cqa(&["certain", "--route", "literal", Q3, path, "--threads", "1"]);
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    let (joined, stderr, code) = cqa(&["certain", Q3, "--route=literal", path, "--threads=1"]);
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    assert_eq!(spaced, joined);
+    // A flag before the command word is not a command.
+    let (_, stderr, code) = cqa(&["--threads", "1", "certain", Q3, path]);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(code, Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("USAGE"), "{stderr}");
+}

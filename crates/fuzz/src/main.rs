@@ -9,6 +9,7 @@
 //! inputs are printed minimised (escaped, plus hex when not UTF-8) so
 //! they can be copied into `crates/fuzz/regressions/<target>/` verbatim.
 
+use cqa_cli::{CliError, Flags};
 use cqa_fuzz::{Config, Report, TargetKind};
 use std::time::Duration;
 
@@ -19,8 +20,8 @@ fn usage() -> String {
     )
 }
 
-fn parse_args(args: &[String]) -> Result<(Vec<TargetKind>, Config), String> {
-    let Some((head, flags)) = args.split_first() else {
+fn parse_args(args: &[&str]) -> Result<(Vec<TargetKind>, Config), String> {
+    let Some((&head, rest)) = args.split_first() else {
         return Err(usage());
     };
     let kinds = if head == "all" {
@@ -29,42 +30,29 @@ fn parse_args(args: &[String]) -> Result<(Vec<TargetKind>, Config), String> {
         vec![TargetKind::from_name(head)
             .ok_or_else(|| format!("unknown target {head:?}\n{}", usage()))?]
     };
+    let with_usage = |e: CliError| format!("{e}\n{}", usage());
+    let mut flags = Flags::new("cqa-fuzz", rest);
     let mut cfg = Config {
         max_iterations: 100_000,
         ..Config::default()
     };
-    let mut it = flags.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .ok_or_else(|| format!("{name} needs a value\n{}", usage()))
-        };
-        match flag.as_str() {
-            "--seed" => {
-                cfg.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--iters" => {
-                cfg.max_iterations = value("--iters")?
-                    .parse()
-                    .map_err(|e| format!("--iters: {e}"))?;
-            }
-            "--time-secs" => {
-                let secs: u64 = value("--time-secs")?
-                    .parse()
-                    .map_err(|e| format!("--time-secs: {e}"))?;
-                cfg.time_limit = Some(Duration::from_secs(secs));
-                // A pure time budget: do not stop at the iteration default.
-                cfg.max_iterations = u64::MAX;
-            }
-            "--max-crashes" => {
-                cfg.max_crashes = value("--max-crashes")?
-                    .parse()
-                    .map_err(|e| format!("--max-crashes: {e}"))?;
-            }
-            other => return Err(format!("unknown flag {other:?}\n{}", usage())),
-        }
+    if let Some(seed) = flags.value("--seed").map_err(with_usage)? {
+        cfg.seed = seed;
+    }
+    if let Some(secs) = flags.value("--time-secs").map_err(with_usage)? {
+        cfg.time_limit = Some(Duration::from_secs(secs));
+        // A time budget drops the iteration default; an explicit
+        // --iters still bounds the run too.
+        cfg.max_iterations = u64::MAX;
+    }
+    if let Some(iters) = flags.value("--iters").map_err(with_usage)? {
+        cfg.max_iterations = iters;
+    }
+    if let Some(max) = flags.value("--max-crashes").map_err(with_usage)? {
+        cfg.max_crashes = max;
+    }
+    if let Some(extra) = flags.positionals().map_err(with_usage)?.first() {
+        return Err(format!("unexpected argument {extra:?}\n{}", usage()));
     }
     Ok((kinds, cfg))
 }
@@ -109,6 +97,7 @@ fn print_report(kind: TargetKind, report: &Report) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
     let (kinds, cfg) = match parse_args(&args) {
         Ok(parsed) => parsed,
         Err(msg) => {

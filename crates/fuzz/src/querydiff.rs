@@ -17,14 +17,18 @@
 //! bytes 10..   optional query text; empty → generate from the seed
 //! ```
 //!
-//! With an empty tail the query comes from the seeded generator
-//! ([`cqa_workloads::random_query`]), so the 8 seed bytes explore
-//! generator space. A non-empty tail is parsed as concrete query syntax:
-//! the fuzzer's dictionary mutations then act on the query text itself,
-//! and a crash minimises to a script whose tail *is* the offending query
-//! — ready to check in under `regressions/querydiff/`. Unparseable
-//! mutants are [`Verdict::Reject`]; any harness disagreement or panic is
-//! a [`Verdict::Crash`].
+//! A tail that parses as concrete query syntax is the query: the
+//! fuzzer's dictionary mutations then act on the query text itself, and
+//! a crash minimises to a script whose tail *is* the offending query —
+//! ready to check in under `regressions/querydiff/`. Otherwise the query
+//! comes from the seeded generator ([`cqa_workloads::random_query`]), so
+//! the 8 seed bytes explore generator space. A tail that is not query
+//! text (not UTF-8, or unparseable) salts that seed instead of being
+//! rejected: most mutants of a script land there, and each distinct one
+//! now runs the pipeline on a distinct generated query and database.
+//! Only scripts shorter than the 10-byte header are
+//! [`Verdict::Reject`]; any harness disagreement or panic is a
+//! [`Verdict::Crash`].
 
 use cqa_cli::fleet::QueryHarness;
 use cqa_query::parse_query;
@@ -44,22 +48,28 @@ pub fn querydiff(input: &[u8]) -> Verdict {
     }
     let mut seed_bytes = [0u8; 8];
     seed_bytes.copy_from_slice(&input[..8]);
-    let seed = u64::from_le_bytes(seed_bytes);
+    let mut seed = u64::from_le_bytes(seed_bytes);
     let preset = input[8];
     let db_knob = input[9];
     let tail = &input[10..];
 
-    let (text, query) = if tail.is_empty() {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let g = random_query(&mut rng, &QueryGenConfig::preset(preset));
-        (g.text, g.query)
-    } else {
-        let Ok(text) = std::str::from_utf8(tail) else {
-            return Verdict::Reject;
-        };
-        match parse_query(text) {
-            Ok(q) => (text.to_string(), q),
-            Err(_) => return Verdict::Reject,
+    let parsed = std::str::from_utf8(tail)
+        .ok()
+        .and_then(|text| Some((text.to_string(), parse_query(text).ok()?)));
+    let (text, query) = match parsed {
+        Some(text_query) => text_query,
+        None => {
+            if !tail.is_empty() {
+                // FNV-1a over the tail: distinct non-query tails, distinct
+                // seeds; an empty tail keeps the header's seed.
+                let salt = tail.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+                });
+                seed = derive_seed(seed, salt, 0);
+            }
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g = random_query(&mut rng, &QueryGenConfig::preset(preset));
+            (g.text, g.query)
         }
     };
 
@@ -111,11 +121,30 @@ mod tests {
     }
 
     #[test]
-    fn unparseable_text_rejects() {
-        assert_eq!(
-            querydiff(&script(b"12345678", 0, 0, b"R(x | y) R(")),
-            Verdict::Reject
-        );
+    fn non_query_tails_salt_the_generator_and_only_short_inputs_reject() {
         assert_eq!(querydiff(b"tiny"), Verdict::Reject);
+        for tail in [b"R(x | y) R(".as_slice(), b"\xff\xfe", b"j"] {
+            let input = script(b"12345678", 0, 0, tail);
+            assert_eq!(querydiff(&input), Verdict::Ok, "{tail:?}");
+        }
+    }
+
+    /// A fixed-seed run from the target's own seeds spends at least half
+    /// its iterations on the classify → route → solve pipeline.
+    #[test]
+    fn a_fixed_seed_run_accepts_at_least_half_its_inputs() {
+        let kind = crate::TargetKind::QueryDiff;
+        let cfg = crate::Config {
+            max_iterations: 1_000,
+            ..crate::Config::default()
+        };
+        let report = minifuzz::fuzz_dict(&cfg, &kind.seeds(), &kind.dict(), querydiff);
+        assert!(report.crashes.is_empty(), "{:?}", report.crashes);
+        assert!(
+            2 * report.accepted >= report.iterations,
+            "{} of {} accepted",
+            report.accepted,
+            report.iterations
+        );
     }
 }

@@ -24,7 +24,10 @@ mod subst;
 mod term;
 
 pub use atom::Atom;
-pub use lines::{query_lines, truncate_error_text, QueryLine, ERROR_TEXT_MAX};
+pub use lines::{
+    parse_queries_for, parse_query_for, query_lines, signature_mismatch, truncate_error_text,
+    QueryLine, ERROR_TEXT_MAX,
+};
 pub use parse::parse_query;
 pub use query::Query;
 pub use subst::{is_solution, is_solution_unordered, match_pair, Subst};
@@ -60,6 +63,15 @@ pub enum QueryError {
         /// What is unsupported, and what to write instead.
         msg: String,
     },
+    /// The query parsed, but its signature differs from the database's
+    /// ([`parse_query_for`]): `certain(q)` is only defined when the query
+    /// and the database share one schema (Section 2).
+    SignatureMismatch {
+        /// The query's signature.
+        query: cqa_model::Signature,
+        /// The database's signature.
+        db: cqa_model::Signature,
+    },
 }
 
 impl std::fmt::Display for QueryError {
@@ -83,6 +95,10 @@ impl std::fmt::Display for QueryError {
             QueryError::Unsupported { at, msg } => {
                 write!(f, "unsupported query at byte {at}: {msg}")
             }
+            QueryError::SignatureMismatch { query, db } => f.write_str(&signature_mismatch(
+                format_args!("query signature {query}"),
+                db,
+            )),
         }
     }
 }

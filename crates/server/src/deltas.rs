@@ -13,9 +13,13 @@
 //! delta script is just a fact file with signs. The whole script is one
 //! atomic unit: servers apply all of it or none of it
 //! ([`SessionManager::apply_update`](crate::SessionManager::apply_update)).
+//!
+//! [`parse_update_script`] and [`DeltaScript::check_for`] are the checks
+//! `cqa update` and the server's `update` method share: a script must
+//! hold an operation, and its key length must be the database's.
 
-use cqa_model::{parse_fact_line, Fact};
-use cqa_query::truncate_error_text;
+use cqa_model::{parse_fact_line, Fact, Signature};
+use cqa_query::{signature_mismatch, truncate_error_text};
 
 /// A parsed delta script: what to insert and what to retract.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -25,9 +29,9 @@ pub struct DeltaScript {
     /// Facts to retract, in script order.
     pub retracts: Vec<Fact>,
     /// The key length every fact line declared (bar position), `None`
-    /// for an empty script. Callers validate it against the target
-    /// database's signature; [`parse_delta_script`] already rejects
-    /// scripts whose lines disagree with each other.
+    /// for an empty script. [`DeltaScript::check_for`] validates it
+    /// against the target database's signature; [`parse_delta_script`]
+    /// already rejects scripts whose lines disagree with each other.
     pub key_len: Option<usize>,
 }
 
@@ -41,6 +45,30 @@ impl DeltaScript {
     pub fn len(&self) -> usize {
         self.inserts.len() + self.retracts.len()
     }
+
+    /// Check the script against the signature of the database it
+    /// updates. `Database::apply_delta` alone only checks arity, and
+    /// silently reinterpreting `R(a | b c)` against a 2-key signature
+    /// would corrupt blocks.
+    pub fn check_for(&self, db: &Signature) -> Result<(), String> {
+        match self.key_len {
+            Some(kl) if kl != db.key_len() => Err(signature_mismatch(
+                format_args!("delta key length {kl}"),
+                db,
+            )),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// [`parse_delta_script`] for an update: a script without a single
+/// operation is an error, not a no-op.
+pub fn parse_update_script(text: &str) -> Result<DeltaScript, String> {
+    let script = parse_delta_script(text)?;
+    if script.is_empty() {
+        return Err("delta script holds no operations (empty, blank or comment-only)".to_string());
+    }
+    Ok(script)
 }
 
 /// Parse a delta script. Errors carry the 1-based line number and the
@@ -123,6 +151,19 @@ mod tests {
         let kept: String = line.chars().take(ERROR_TEXT_MAX).collect();
         assert_eq!(quote, format!("{kept}…"));
         assert_eq!(quote.chars().count(), ERROR_TEXT_MAX + 1);
+    }
+
+    #[test]
+    fn update_scripts_need_an_operation_and_the_database_key_length() {
+        let err = parse_update_script("# nothing\n\n").unwrap_err();
+        assert!(err.contains("no operations"), "{err}");
+        let script = parse_update_script("+ R(a b | c)\n").unwrap();
+        let sig = |arity, key_len| Signature::new(arity, key_len).unwrap();
+        assert_eq!(script.check_for(&sig(3, 2)), Ok(()));
+        assert_eq!(
+            script.check_for(&sig(2, 1)).unwrap_err(),
+            "delta key length 2 does not match database signature [2, 1]"
+        );
     }
 
     #[test]

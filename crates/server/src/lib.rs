@@ -48,7 +48,7 @@ pub mod server;
 
 pub use chaos::{chaos_proxy, ChaosPlan, ChaosProxy, FaultTally};
 pub use client::{backoff_delays_ms, is_retryable, render_verdicts, Client, RetryPolicy};
-pub use deltas::{parse_delta_script, DeltaScript};
+pub use deltas::{parse_delta_script, parse_update_script, DeltaScript};
 pub use json::{decode, obj, Json, JsonError};
 pub use manager::{Loader, ManagerStats, SessionManager, UpdateError};
 pub use protocol::{Method, Request, Response, WireError, MAX_FRAME};

@@ -21,8 +21,9 @@
 //!
 //! [`Database::approx_bytes`]: cqa_model::Database::approx_bytes
 
+use crate::DeltaScript;
 use cqa::{EngineConfig, SharedSession};
-use cqa_model::{Database, DeltaReport, Fact};
+use cqa_model::{Database, DeltaReport};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -209,30 +210,20 @@ impl SessionManager {
     /// eviction already allows. Concurrent updates are serialised, so
     /// every delta lands on the latest successor and none is lost.
     ///
-    /// `key_len`, when supplied (the delta-script parser reports the key
-    /// length its fact lines declared), is validated against the
-    /// database's signature — `Database::apply_delta` alone only checks
-    /// arity, and silently reinterpreting `R(a | b c)` against a
-    /// 2-key signature would corrupt blocks.
+    /// The script is checked against the database's signature first
+    /// ([`DeltaScript::check_for`], the check `cqa update` makes).
     pub fn apply_update(
         &self,
         path: &str,
-        inserts: &[Fact],
-        retracts: &[Fact],
-        key_len: Option<usize>,
+        script: &DeltaScript,
     ) -> Result<(Arc<SharedSession>, DeltaReport), UpdateError> {
         let _serial = self.update_lock.lock().expect("update lock poisoned");
         let session = self.get_or_load(path).map_err(UpdateError::LoadFailed)?;
-        if let Some(kl) = key_len {
-            let sig = *session.db().signature();
-            if kl != sig.key_len() {
-                return Err(UpdateError::BadDelta(format!(
-                    "delta key length {kl} does not match database signature {sig}"
-                )));
-            }
-        }
+        script
+            .check_for(session.db().signature())
+            .map_err(UpdateError::BadDelta)?;
         let (next, report) = session
-            .with_delta(inserts, retracts)
+            .with_delta(&script.inserts, &script.retracts)
             .map_err(|e| UpdateError::BadDelta(e.to_string()))?;
         let next = Arc::new(next);
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
@@ -357,6 +348,15 @@ mod tests {
             }
             Ok(db)
         })
+    }
+
+    /// A script inserting `rows`, declaring key length `key_len`.
+    fn script(rows: &[[&str; 2]], key_len: usize) -> DeltaScript {
+        DeltaScript {
+            inserts: rows.iter().map(|r| Fact::from_names(*r)).collect(),
+            retracts: Vec::new(),
+            key_len: Some(key_len),
+        }
     }
 
     fn manager(budget: Option<usize>) -> (Arc<SessionManager>, Arc<AtomicUsize>) {
@@ -527,8 +527,8 @@ mod tests {
         // Answer a query first so the successor has a verdict to carry.
         let q3 = examples::q3();
         let was_certain = before.certain(&q3).certain;
-        let grow = [Fact::from_names(["a2", "a3"])];
-        let (after, report) = m.apply_update("db:2", &grow, &[], Some(1)).unwrap();
+        let grow = script(&[["a2", "a3"]], 1);
+        let (after, report) = m.apply_update("db:2", &grow).unwrap();
         assert_eq!(report.inserted.len(), 1);
         assert!(report.growth_only());
         // In-flight holders keep their consistent snapshot; the manager
@@ -544,7 +544,7 @@ mod tests {
         assert_eq!(stats.delta_applied, 1);
         // Chained deltas accumulate (set semantics: re-inserting is a
         // no-op delta but still counts as an application).
-        let (_, report) = m.apply_update("db:2", &grow, &[], Some(1)).unwrap();
+        let (_, report) = m.apply_update("db:2", &grow).unwrap();
         assert!(report.inserted.is_empty(), "set semantics: no-op re-insert");
         assert_eq!(m.stats().delta_applied, 2);
     }
@@ -553,23 +553,23 @@ mod tests {
     fn apply_update_rejects_bad_deltas_and_missing_databases() {
         let (m, _) = manager(None);
         let err = m
-            .apply_update("nope", &[], &[], None)
+            .apply_update("nope", &DeltaScript::default())
             .err()
             .expect("load must fail");
         assert!(matches!(err, UpdateError::LoadFailed(_)), "{err}");
         // Key length 2 against the chain loader's [2, 1] signature.
-        let f = [Fact::from_names(["x", "y"])];
         let err = m
-            .apply_update("db:2", &f, &[], Some(2))
+            .apply_update("db:2", &script(&[["x", "y"]], 2))
             .err()
             .expect("bad key len");
         assert!(matches!(err, UpdateError::BadDelta(_)), "{err}");
         // A wrong-arity fact is caught by the model layer.
-        let f3 = [Fact::from_names(["x", "y", "z"])];
-        let err = m
-            .apply_update("db:2", &f3, &[], Some(1))
-            .err()
-            .expect("bad arity");
+        let f3 = DeltaScript {
+            inserts: vec![Fact::from_names(["x", "y", "z"])],
+            retracts: Vec::new(),
+            key_len: Some(1),
+        };
+        let err = m.apply_update("db:2", &f3).err().expect("bad arity");
         assert!(matches!(err, UpdateError::BadDelta(_)), "{err}");
         // The session survives every rejected delta untouched.
         assert_eq!(m.get_or_load("db:2").unwrap().db().len(), 2);

@@ -45,8 +45,8 @@ use crate::protocol::{
     MAX_FRAME,
 };
 use cqa::solvers::{certain_brute_over, BruteOutcome, CancelToken, SolutionSet};
-use cqa::{CancelledSolve, EngineConfig};
-use cqa_query::{parse_query, truncate_error_text};
+use cqa::{CancelledSolve, CertainAnswer, EngineConfig, SharedSession};
+use cqa_query::{parse_queries_for, parse_query_for, Query, QueryError};
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -400,6 +400,32 @@ fn cancelled_error(ctx: &ServerCtx, partial: &CancelledSolve) -> WireError {
     )
 }
 
+/// A query the request's database cannot answer: `signature-mismatch`
+/// when it parsed over the wrong schema, `bad-query` otherwise.
+fn query_error(e: QueryError) -> WireError {
+    let code = match e {
+        QueryError::SignatureMismatch { .. } => "signature-mismatch",
+        _ => "bad-query",
+    };
+    WireError::new(code, e.to_string())
+}
+
+/// Answer `q` on `session`: under the request's deadline when it
+/// carries one, through the single-flight cache path otherwise.
+fn answer(
+    ctx: &ServerCtx,
+    session: &SharedSession,
+    q: &Query,
+    token: Option<&CancelToken>,
+) -> Result<CertainAnswer, WireError> {
+    match token {
+        Some(token) => session
+            .certain_cancellable(q, token)
+            .map_err(|partial| cancelled_error(ctx, &partial)),
+        None => Ok(session.certain(q)),
+    }
+}
+
 /// Execute one method against the session manager. Every error path
 /// returns a coded [`WireError`]; none of them tear the connection
 /// down. `token` carries the request's remaining deadline allowance
@@ -431,23 +457,8 @@ fn execute(
         }
         Method::Certain { db, query } => {
             let session = session_for(db)?;
-            let q = parse_query(query).map_err(|e| WireError::new("bad-query", e.to_string()))?;
-            if session.db().signature() != q.signature() {
-                return Err(WireError::new(
-                    "signature-mismatch",
-                    format!(
-                        "query signature {} does not match database signature {}",
-                        q.signature(),
-                        session.db().signature()
-                    ),
-                ));
-            }
-            let ans = match token {
-                Some(token) => session
-                    .certain_cancellable(&q, token)
-                    .map_err(|partial| cancelled_error(ctx, &partial))?,
-                None => session.certain(&q),
-            };
+            let q = parse_query_for(query, session.db().signature()).map_err(query_error)?;
+            let ans = answer(ctx, &session, &q, token)?;
             Ok(obj([
                 ("certain", Json::Bool(ans.certain)),
                 ("answered_by", Json::Str(format!("{:?}", ans.answered_by))),
@@ -456,17 +467,7 @@ fn execute(
         }
         Method::Falsify { db, query, budget } => {
             let session = session_for(db)?;
-            let q = parse_query(query).map_err(|e| WireError::new("bad-query", e.to_string()))?;
-            if session.db().signature() != q.signature() {
-                return Err(WireError::new(
-                    "signature-mismatch",
-                    format!(
-                        "query signature {} does not match database signature {}",
-                        q.signature(),
-                        session.db().signature()
-                    ),
-                ));
-            }
+            let q = parse_query_for(query, session.db().signature()).map_err(query_error)?;
             // One solver thread per request: parallelism across
             // requests comes from the pool, and nesting would
             // oversubscribe the workers.
@@ -504,45 +505,14 @@ fn execute(
         }
         Method::Batch { db, queries } => {
             let session = session_for(db)?;
-            let mut verdicts = Vec::new();
             // Same line discipline and error text as `cqa batch`
-            // (shared via cqa_query::query_lines and
-            // truncate_error_text; asserted byte-equal by the parity
-            // suite).
-            for ql in cqa_query::query_lines(queries) {
-                let err_at = |msg: String| {
-                    WireError::new(
-                        "bad-batch",
-                        format!(
-                            "queries line {} (byte offset {}): {msg}\n  | {}",
-                            ql.line,
-                            ql.offset,
-                            truncate_error_text(ql.raw)
-                        ),
-                    )
-                };
-                let q = parse_query(ql.text).map_err(|e| err_at(e.to_string()))?;
-                if session.db().signature() != q.signature() {
-                    return Err(err_at(format!(
-                        "query signature {} does not match database signature {}",
-                        q.signature(),
-                        session.db().signature()
-                    )));
-                }
-                let ans = match token {
-                    Some(token) => session
-                        .certain_cancellable(&q, token)
-                        .map_err(|partial| cancelled_error(ctx, &partial))?,
-                    None => session.certain(&q),
-                };
-                verdicts.push(Json::Bool(ans.certain));
-            }
-            if verdicts.is_empty() {
-                return Err(WireError::new(
-                    "bad-batch",
-                    "queries file holds no queries (empty, blank or comment-only)",
-                ));
-            }
+            // (asserted byte-equal by the parity suite).
+            let queries = parse_queries_for(queries, session.db().signature())
+                .map_err(|e| WireError::new("bad-batch", e))?;
+            let verdicts = queries
+                .iter()
+                .map(|q| answer(ctx, &session, q, token).map(|ans| Json::Bool(ans.certain)))
+                .collect::<Result<Vec<_>, _>>()?;
             let count = verdicts.len();
             Ok(obj([
                 ("verdicts", Json::Arr(verdicts)),
@@ -554,21 +524,12 @@ fn execute(
             // client that times out may safely retry; the deadline is
             // enforced at pickup only — once `apply_update` starts the
             // whole delta lands or none of it does.
-            let script = crate::deltas::parse_delta_script(deltas)
+            let script = crate::deltas::parse_update_script(deltas)
                 .map_err(|e| WireError::new("bad-delta", e))?;
-            if script.is_empty() {
-                return Err(WireError::new(
-                    "bad-delta",
-                    "delta script holds no operations (empty, blank or comment-only)",
-                ));
-            }
-            let (session, report) = ctx
-                .manager
-                .apply_update(db, &script.inserts, &script.retracts, script.key_len)
-                .map_err(|e| match e {
-                    UpdateError::LoadFailed(msg) => WireError::new("load-failed", msg),
-                    UpdateError::BadDelta(msg) => WireError::new("bad-delta", msg),
-                })?;
+            let (session, report) = ctx.manager.apply_update(db, &script).map_err(|e| match e {
+                UpdateError::LoadFailed(msg) => WireError::new("load-failed", msg),
+                UpdateError::BadDelta(msg) => WireError::new("bad-delta", msg),
+            })?;
             Ok(obj([
                 ("db", Json::Str(db.clone())),
                 ("facts", Json::Int(session.db().len() as i64)),

@@ -715,34 +715,71 @@ fn derive_block(
             out.push(partial);
             continue;
         }
-        for t in reqs[order[depth]] {
-            // Union t into partial, maintaining consistency and the size cap.
-            let mut union = Some(partial.clone());
-            for &f in t {
-                union = union.and_then(|v| add_consistent(db, &v, f));
-                if union.as_ref().is_some_and(|v| v.len() > k) {
-                    union = None;
-                }
-                if union.is_none() {
-                    break;
-                }
-            }
-            if let Some(u) = union {
-                // Coverage is monotone — a member is only ever pruned in
-                // favour of a subset, so whatever is covered now stays
-                // covered. A covered partial is therefore dropped for
-                // good: every union it could grow into is a superset of a
-                // covered set, i.e. redundant.
-                if !chain.covers(&u) {
-                    stack.push((depth + 1, u));
-                }
-            }
-        }
+        push_children(
+            db,
+            chain,
+            partial,
+            reqs[order[depth]],
+            k,
+            depth + 1,
+            &mut stack,
+        );
     }
     // Deduplicate candidates.
     out.sort();
     out.dedup();
     Ok(out)
+}
+
+/// Push onto `stack`, at `depth`, the unions of `partial` with each
+/// option of one requirement `family` that stay consistent, within the
+/// size cap `k` and uncovered by `chain`.
+///
+/// Dominance: when some option is already `⊆ partial`, its union is
+/// `partial` itself and every sibling union is a superset of it.
+/// Consistency and the size cap hold for a subset whenever they hold for
+/// a superset, so every candidate a sibling could reach is a superset of
+/// one `partial` reaches — redundant in the antichain. `partial` is then
+/// pushed once and the rest of the family is skipped; without the rule a
+/// full `partial` was pushed once per covering option, and those
+/// duplicates multiplied with depth.
+fn push_children(
+    db: &Database,
+    chain: &Antichain<'_>,
+    partial: Vec<FactId>,
+    family: &[Vec<FactId>],
+    k: usize,
+    depth: usize,
+    stack: &mut Vec<(usize, Vec<FactId>)>,
+) {
+    // Coverage is monotone — a member is only ever pruned in favour of a
+    // subset, so whatever is covered now stays covered. A covered union
+    // is therefore dropped for good: every union it could grow into is a
+    // superset of a covered set, i.e. redundant.
+    if family.iter().any(|t| is_subset(t, &partial)) {
+        if !chain.covers(&partial) {
+            stack.push((depth, partial));
+        }
+        return;
+    }
+    for t in family {
+        // Union t into partial, maintaining consistency and the size cap.
+        let mut union = Some(partial.clone());
+        for &f in t {
+            union = union.and_then(|v| add_consistent(db, &v, f));
+            if union.as_ref().is_some_and(|v| v.len() > k) {
+                union = None;
+            }
+            if union.is_none() {
+                break;
+            }
+        }
+        if let Some(u) = union {
+            if !chain.covers(&u) {
+                stack.push((depth, u));
+            }
+        }
+    }
 }
 
 /// Convenience wrapper: `Cert_2(q)` — the instance Theorem 6.1 proves
@@ -1155,6 +1192,33 @@ mod tests {
         assert_eq!(chain.members_with(ids[2]), Vec::<&[FactId]>::new());
         assert_eq!(chain.members_with(ids[0]), vec![&[ids[0]][..]]);
         assert_eq!(chain.peak_live(), 2);
+    }
+
+    #[test]
+    fn a_full_partial_with_several_covering_options_yields_one_child() {
+        let d = db2(&[["a", "b"], ["c", "d"], ["e", "f"], ["g", "h"]]);
+        let ids: Vec<FactId> = d.fact_ids().collect();
+        let chain = Antichain::new(&d);
+        // |partial| = k, and three of the four options are inside it.
+        let partial = vec![ids[0], ids[1], ids[2]];
+        let family = [
+            vec![ids[0]],
+            vec![ids[1]],
+            vec![ids[0], ids[2]],
+            vec![ids[3]],
+        ];
+        let mut stack = Vec::new();
+        push_children(&d, &chain, partial.clone(), &family, 3, 1, &mut stack);
+        assert_eq!(stack, vec![(1, partial)]);
+        // With no option inside `partial`, every admissible union is a
+        // child.
+        let mut stack = Vec::new();
+        let family = [vec![ids[1]], vec![ids[2]]];
+        push_children(&d, &chain, vec![ids[0]], &family, 3, 1, &mut stack);
+        assert_eq!(
+            stack,
+            vec![(1, vec![ids[0], ids[1]]), (1, vec![ids[0], ids[2]])]
+        );
     }
 
     #[test]

@@ -504,6 +504,54 @@ fn batch_error_text_matches_the_cli_byte_for_byte() {
     );
 }
 
+/// A query over another schema is refused with the same text by the
+/// CLI and over the wire, for every request that takes a query: both
+/// front ends check it through `cqa_query::parse_query_for`.
+#[test]
+fn signature_mismatch_text_matches_the_cli_for_certain_falsify_and_batch() {
+    let fixture = Fixture::new();
+    let db_path = &fixture.dbs[0];
+    let db = load_db_file(db_path).unwrap();
+    let wrong = "R(x y | z) R(z y | w)";
+    let server = start_server(1, None);
+    let addr = server.addr().to_string();
+    let wire_message = |args: &[&str], code: &str| {
+        let err = cmd_client(args).unwrap_err().message;
+        let marker = format!("server error ({code}): ");
+        let at = err
+            .find(&marker)
+            .unwrap_or_else(|| panic!("unexpected client error shape: {err}"));
+        err[at + marker.len()..].to_string()
+    };
+
+    let cli = cmd_certain(wrong, &db, Some(1), None, false).unwrap_err();
+    assert_eq!(
+        cli.message,
+        format!(
+            "query signature [3, 2] does not match database signature {}",
+            db.signature()
+        )
+    );
+    let wire = wire_message(&[&addr, "certain", db_path, wrong], "signature-mismatch");
+    assert_eq!(wire, cli.message, "certain");
+
+    let cli = cmd_falsify(wrong, &db, FALSIFY_BUDGET, Some(1), false).unwrap_err();
+    let wire = wire_message(&[&addr, "falsify", db_path, wrong], "signature-mismatch");
+    assert_eq!(wire, cli.message, "falsify");
+
+    let text = format!("R(x | y) R(y | z)\n{wrong}\n");
+    let cli = cmd_batch(&db, &text, Some(1), None, false).unwrap_err();
+    assert!(
+        cli.message.contains("does not match database signature"),
+        "{cli}"
+    );
+    let batch_file = fixture.dir.join("wrong-schema.txt");
+    std::fs::write(&batch_file, &text).unwrap();
+    let batch_path = batch_file.display().to_string();
+    let wire = wire_message(&[&addr, "batch", db_path, &batch_path], "bad-batch");
+    assert_eq!(wire, cli.message, "batch");
+}
+
 /// The brute-force cancel path of `falsify`: a deadline that expires
 /// mid-search withholds the outcome with the search's evidence, counts
 /// as one cancellation, and leaves nothing behind — a patient retry
