@@ -3,7 +3,8 @@
 //! A [`Flags`] holds one command's arguments — everything after the
 //! command word — and hands them out by name: [`Flags::value`] for
 //! `--name v` / `--name=v` (parsed with [`FromStr`]), [`Flags::switch`]
-//! for a bare `--name`, and [`Flags::positionals`] for what is left.
+//! for a bare `--name`, and [`Flags::positionals`] for what is left
+//! ([`Flags::finish`] for a command that takes none).
 //! An option the command never asked for is an error naming the command,
 //! so no flag is ever silently ignored. Range checks (threads ≥ 1,
 //! fractions in `0..=1`, route names, byte sizes) stay with the
@@ -84,6 +85,18 @@ impl<'a> Flags<'a> {
             None => Ok(rest),
         }
     }
+
+    /// End a command that takes flags only: like [`Flags::positionals`],
+    /// and a leftover positional fails too.
+    pub fn finish(self) -> Result<(), CliError> {
+        let command = self.command;
+        match self.positionals()?.first() {
+            Some(extra) => Err(CliError::new(format!(
+                "{command} takes no positional arguments, got {extra:?}"
+            ))),
+            None => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -152,5 +165,20 @@ mod tests {
             .positionals()
             .unwrap_err();
         assert!(e.message.contains("unknown classify option"), "{e}");
+    }
+
+    #[test]
+    fn finish_rejects_unknown_options_and_any_positional() {
+        let mut f = Flags::new("fleet", &["--seed=3"]);
+        assert_eq!(f.value::<u64>("--seed").unwrap(), Some(3));
+        assert!(f.finish().is_ok());
+        let e = Flags::new("fleet", &["--port", "9"]).finish().unwrap_err();
+        assert_eq!(e.message, "unknown fleet option \"--port\"");
+        let e = Flags::new("serve", &["extra"]).finish().unwrap_err();
+        assert_eq!(
+            e.message,
+            "serve takes no positional arguments, got \"extra\""
+        );
+        assert_eq!(e.code, 2);
     }
 }

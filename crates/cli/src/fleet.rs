@@ -435,11 +435,7 @@ pub fn cmd_fleet(args: &[&str]) -> Result<CmdOut, CliError> {
         max_facts: flags.value("--max-facts")?.unwrap_or(default.max_facts),
     };
     let corpus = flags.switch("--corpus");
-    if let Some(extra) = flags.positionals()?.first() {
-        return Err(CliError::new(format!(
-            "fleet takes no positional arguments, got {extra:?}"
-        )));
-    }
+    flags.finish()?;
     if corpus {
         return Ok(CmdOut::from(corpus_table(cfg.seed, cfg.queries)));
     }

@@ -56,11 +56,7 @@ pub fn cmd_serve(args: &[&str]) -> Result<CmdOut, CliError> {
     let max_queue = flags.value("--max-queue")?;
     let threads = threads_flag(&mut flags)?;
     let want_stats = flags.switch("--stats");
-    if let Some(extra) = flags.positionals()?.first() {
-        return Err(CliError::new(format!(
-            "serve takes no positional arguments, got {extra:?}"
-        )));
-    }
+    flags.finish()?;
     let loader: Loader = Arc::new(|path: &str| load_db_file(path).map_err(|e| e.message));
     let mut config = ServeConfig::new(loader);
     config.addr = addr.clone();

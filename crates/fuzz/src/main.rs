@@ -51,9 +51,7 @@ fn parse_args(args: &[&str]) -> Result<(Vec<TargetKind>, Config), String> {
     if let Some(max) = flags.value("--max-crashes").map_err(with_usage)? {
         cfg.max_crashes = max;
     }
-    if let Some(extra) = flags.positionals().map_err(with_usage)?.first() {
-        return Err(format!("unexpected argument {extra:?}\n{}", usage()));
-    }
+    flags.finish().map_err(with_usage)?;
     Ok((kinds, cfg))
 }
 
