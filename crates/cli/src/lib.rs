@@ -218,7 +218,8 @@ pub fn cmd_certain(
         let route_taken = match ans.answered_by {
             AnsweredBy::ComponentCertK => "component (per-component Cert_k fan-out)",
             AnsweredBy::Combined => "component (Theorem 10.5 combined solver)",
-            AnsweredBy::CertK | AnsweredBy::Trivial => "literal (whole-database Cert_k)",
+            AnsweredBy::CertK => "literal (whole-database Cert_k)",
+            AnsweredBy::Trivial => "block scan (one-atom query, first-order)",
             AnsweredBy::BruteForce => "brute force (coNP-complete query)",
         };
         let _ = writeln!(err, "stats: route={route_taken}");
@@ -827,6 +828,14 @@ mod tests {
             "{}",
             routed.stderr
         );
+        // A one-atom query is a block scan: no fixpoint counters.
+        let scan = cmd_certain("R(x | y) R(x | z)", &db(DB), None, None, true).unwrap();
+        assert!(
+            scan.stderr.contains("stats: route=block scan"),
+            "{}",
+            scan.stderr
+        );
+        assert!(!scan.stderr.contains("fixpoint"), "{}", scan.stderr);
     }
 
     /// The `certain:` verdict value of a single-shot report.

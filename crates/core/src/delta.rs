@@ -1,9 +1,14 @@
 //! Incremental re-answering across [`Database::apply_delta`]s.
 //!
 //! A [`QueryDeltaState`] is the per-query cache a live database keeps
-//! between updates: the incremental solution set, the dynamic q-connected
-//! partition, and one verdict per component. After a delta, only the
-//! *dirty region* is re-solved:
+//! between updates. For a `Trivial` query (one equivalent to a single
+//! atom) it is one flag per block, "non-empty and every fact `f` has
+//! `q(f f)`", plus the count of set flags: the query is certain iff the
+//! count is positive (`cqa_solvers::one_atom`), and a delta rechecks only
+//! the blocks it touched. For the other PTime classes it is the
+//! incremental solution set, the dynamic q-connected partition, and one
+//! verdict per component. After a delta, only the *dirty region* is
+//! re-solved:
 //!
 //! * components the delta never touched keep their verdicts verbatim
 //!   (their fact sets are literally identical — fact ids are stable under
@@ -28,10 +33,11 @@ use std::collections::{BTreeMap, HashMap};
 
 use crate::classify::Complexity;
 use crate::engine::{AnsweredBy, CertainAnswer, CqaEngine};
-use cqa_model::{Database, DeltaReport};
+use cqa_model::{BlockId, Database, DeltaReport};
+use cqa_query::Query;
 use cqa_solvers::{
     certain_combined_over, certk_by_components, CancelToken, CertKStats, Component,
-    DynamicComponents, IncrementalSolutions,
+    DynamicComponents, IncrementalSolutions, OneAtomPlan,
 };
 
 /// Counters for the incremental path, aggregated by sessions and servers.
@@ -40,10 +46,12 @@ pub struct DeltaStats {
     /// Deltas applied ([`QueryDeltaState::apply`] calls).
     pub delta_applied: u64,
     /// Blocks of the components re-solved after a delta (the size of the
-    /// dirty region, summed over deltas).
+    /// dirty region, summed over deltas); for a `Trivial` query, the
+    /// touched blocks rechecked.
     pub blocks_reseeded: u64,
     /// Component verdicts retained verbatim because their component was
-    /// untouched by a delta.
+    /// untouched by a delta; for a `Trivial` query, the live blocks whose
+    /// flag was kept.
     pub verdicts_retained: u64,
 }
 
@@ -133,8 +141,8 @@ impl VerdictTotals {
     }
 }
 
-/// Per-query incremental cache: solutions, partition and component
-/// verdicts, patched in `O(dirty region)` per [`Database::apply_delta`].
+/// Per-query incremental cache, patched in `O(dirty region)` per
+/// [`Database::apply_delta`].
 ///
 /// The state does not own the database; callers must feed
 /// [`QueryDeltaState::apply`] the post-delta database and the
@@ -144,43 +152,63 @@ impl VerdictTotals {
 #[derive(Clone, Debug)]
 pub struct QueryDeltaState {
     engine: CqaEngine,
+    tracked: Tracked,
+}
+
+/// What a [`QueryDeltaState`] keeps, by class.
+#[derive(Clone, Debug)]
+enum Tracked {
+    /// A `Trivial` query: per block, whether it forces `q`.
+    Blocks(ForcingBlocks),
+    /// The `Cert_k` and Theorem 10.5 classes: solutions, partition and
+    /// one verdict per component.
+    Components(Box<ComponentVerdicts>),
+}
+
+/// The one-atom case (`cqa_solvers::one_atom`): `q` is certain iff some
+/// block holds only facts `f` with `q(f f)`. A delta changes that flag
+/// only for the blocks it touched.
+#[derive(Clone, Debug)]
+struct ForcingBlocks {
+    plan: OneAtomPlan,
+    /// Indexed by block slot: is the block non-empty and all of it
+    /// `q(f f)` facts?
+    forces: Vec<bool>,
+    /// How many entries of `forces` are `true`.
+    count: usize,
+}
+
+impl ForcingBlocks {
+    fn new(q: &Query, db: &Database) -> ForcingBlocks {
+        let mut blocks = ForcingBlocks {
+            plan: OneAtomPlan::compile(q),
+            forces: Vec::new(),
+            count: 0,
+        };
+        blocks.recheck(db, db.block_ids());
+        blocks
+    }
+
+    fn recheck(&mut self, db: &Database, blocks: impl IntoIterator<Item = BlockId>) {
+        self.forces.resize(db.block_slots(), false);
+        for b in blocks {
+            let now = self.plan.block_forces(db, b);
+            let was = std::mem::replace(&mut self.forces[b.idx()], now);
+            self.count = self.count + usize::from(now) - usize::from(was);
+        }
+    }
+}
+
+/// The component cache of the `Cert_k` and Theorem 10.5 classes.
+#[derive(Clone, Debug)]
+struct ComponentVerdicts {
     solutions: IncrementalSolutions,
     comps: DynamicComponents,
     verdicts: HashMap<u32, CompVerdict>,
     totals: VerdictTotals,
 }
 
-impl QueryDeltaState {
-    /// Can `engine`'s query be answered incrementally? `false` exactly for
-    /// the coNP-complete class, whose brute-force search keeps no
-    /// component evidence worth patching.
-    pub fn supports(engine: &CqaEngine) -> bool {
-        engine.classification().complexity != Complexity::CoNpComplete
-    }
-
-    /// Build the cache for `db` with a from-scratch solve of every
-    /// component. Returns `None` when the class is unsupported
-    /// ([`QueryDeltaState::supports`]).
-    pub fn new(engine: CqaEngine, db: &Database) -> Option<QueryDeltaState> {
-        if !QueryDeltaState::supports(&engine) {
-            return None;
-        }
-        let solutions = IncrementalSolutions::new(engine.query(), db);
-        let comps = DynamicComponents::new(db, solutions.solutions());
-        let mut state = QueryDeltaState {
-            engine,
-            solutions,
-            comps,
-            verdicts: HashMap::new(),
-            totals: VerdictTotals::default(),
-        };
-        for id in state.comps.ids().collect::<Vec<_>>() {
-            let v = state.solve(db, id);
-            state.put_verdict(id, v);
-        }
-        Some(state)
-    }
-
+impl ComponentVerdicts {
     /// Record component `id`'s verdict in the map and the totals.
     fn put_verdict(&mut self, id: u32, v: CompVerdict) {
         self.totals.add(&v);
@@ -196,23 +224,13 @@ impl QueryDeltaState {
         }
     }
 
-    /// The engine (query, classification, config) this cache answers for.
-    pub fn engine(&self) -> &CqaEngine {
-        &self.engine
-    }
-
-    /// Number of q-connected components currently tracked.
-    pub fn components(&self) -> usize {
-        self.comps.len()
-    }
-
     /// Solve one component from scratch, per the classification: the
     /// Theorem 10.5 combination for `PTimeCombined`, `Cert_k` otherwise.
-    fn solve(&self, db: &Database, id: u32) -> CompVerdict {
+    fn solve(&self, engine: &CqaEngine, db: &Database, id: u32) -> CompVerdict {
         let comp = [Component {
             view: self.comps.view_of(db, id),
         }];
-        let solve = if self.engine.classification().complexity == Complexity::PTimeCombined {
+        let solve = if engine.classification().complexity == Complexity::PTimeCombined {
             certain_combined_over
         } else {
             certk_by_components
@@ -220,7 +238,7 @@ impl QueryDeltaState {
         let res = solve(
             &comp,
             self.solutions.solutions(),
-            self.engine.config().certk,
+            engine.config().certk,
             &CancelToken::new(),
         )
         .expect("a never-raised token cannot cancel the fan-out");
@@ -231,16 +249,87 @@ impl QueryDeltaState {
             stats: v.stats,
         }
     }
+}
+
+impl QueryDeltaState {
+    /// Can `engine`'s query be answered incrementally? `false` exactly for
+    /// the coNP-complete class, whose brute-force search keeps no
+    /// component evidence worth patching.
+    pub fn supports(engine: &CqaEngine) -> bool {
+        engine.classification().complexity != Complexity::CoNpComplete
+    }
+
+    /// Build the cache for `db`: one block scan for a `Trivial` query, a
+    /// from-scratch solve of every component otherwise. Returns `None`
+    /// when the class is unsupported ([`QueryDeltaState::supports`]).
+    pub fn new(engine: CqaEngine, db: &Database) -> Option<QueryDeltaState> {
+        if !QueryDeltaState::supports(&engine) {
+            return None;
+        }
+        if engine.classification().complexity == Complexity::Trivial {
+            let blocks = ForcingBlocks::new(engine.query(), db);
+            return Some(QueryDeltaState {
+                engine,
+                tracked: Tracked::Blocks(blocks),
+            });
+        }
+        let solutions = IncrementalSolutions::new(engine.query(), db);
+        let comps = DynamicComponents::new(db, solutions.solutions());
+        let mut cv = ComponentVerdicts {
+            solutions,
+            comps,
+            verdicts: HashMap::new(),
+            totals: VerdictTotals::default(),
+        };
+        for id in cv.comps.ids().collect::<Vec<_>>() {
+            let v = cv.solve(&engine, db, id);
+            cv.put_verdict(id, v);
+        }
+        Some(QueryDeltaState {
+            engine,
+            tracked: Tracked::Components(Box::new(cv)),
+        })
+    }
+
+    /// The engine (query, classification, config) this cache answers for.
+    pub fn engine(&self) -> &CqaEngine {
+        &self.engine
+    }
+
+    /// Number of q-connected components currently tracked; `None` for a
+    /// `Trivial` query, which tracks blocks instead.
+    pub fn components(&self) -> Option<usize> {
+        match &self.tracked {
+            Tracked::Blocks(_) => None,
+            Tracked::Components(cv) => Some(cv.comps.len()),
+        }
+    }
 
     /// Fold one applied delta into the cache. `db` must be the post-delta
     /// database and `report` the [`DeltaReport`] of that very
     /// [`Database::apply_delta`] call. Returns the counters for this one
     /// application.
     pub fn apply(&mut self, db: &Database, report: &DeltaReport) -> DeltaStats {
-        self.solutions.apply_delta(db, report);
-        let creport = self.comps.apply(db, self.solutions.solutions(), report);
+        let cv = match &mut self.tracked {
+            Tracked::Blocks(blocks) => {
+                blocks.recheck(db, report.touched.iter().copied());
+                let live_touched = report
+                    .touched
+                    .iter()
+                    .filter(|&&b| !db.block(b).is_empty())
+                    .count();
+                return DeltaStats {
+                    delta_applied: 1,
+                    blocks_reseeded: report.touched.len() as u64,
+                    verdicts_retained: (db.block_count() - live_touched) as u64,
+                };
+            }
+            Tracked::Components(cv) => cv,
+        };
+        cv.solutions.apply_delta(db, report);
+        let creport = cv.comps.apply(db, cv.solutions.solutions(), report);
         for &c in &creport.dropped {
-            self.drop_verdict(c);
+            cv.drop_verdict(c);
         }
         let mut step = DeltaStats {
             delta_applied: 1,
@@ -248,26 +337,37 @@ impl QueryDeltaState {
             verdicts_retained: creport.retained as u64,
         };
         for &id in &creport.created {
-            step.blocks_reseeded += self.comps.blocks_of(id).len() as u64;
-            let v = self.solve(db, id);
-            self.put_verdict(id, v);
+            step.blocks_reseeded += cv.comps.blocks_of(id).len() as u64;
+            let v = cv.solve(&self.engine, db, id);
+            cv.put_verdict(id, v);
         }
         step
     }
 
-    /// Synthesise the whole-database answer from the per-component
-    /// verdicts: certain iff some component is (Proposition 10.6). O(1):
-    /// reads the running totals kept as verdicts change.
+    /// Synthesise the whole-database answer. O(1): for a `Trivial` query
+    /// it reads the count of forcing blocks, the answer the cold block
+    /// scan gives; otherwise it reads the running totals of the
+    /// per-component verdicts, certain iff some component is
+    /// (Proposition 10.6).
     pub fn answer(&self) -> CertainAnswer {
-        CertainAnswer {
-            certain: self.totals.certain > 0,
-            answered_by: match self.engine.classification().complexity {
-                Complexity::PTimeCombined => AnsweredBy::Combined,
-                _ => AnsweredBy::ComponentCertK,
+        match &self.tracked {
+            Tracked::Blocks(blocks) => CertainAnswer {
+                certain: blocks.count > 0,
+                answered_by: AnsweredBy::Trivial,
+                budget_exhausted: false,
+                certk_stats: None,
+                components: None,
             },
-            budget_exhausted: self.totals.budget_exhausted > 0,
-            certk_stats: self.totals.stats(),
-            components: Some(self.comps.len()),
+            Tracked::Components(cv) => CertainAnswer {
+                certain: cv.totals.certain > 0,
+                answered_by: match self.engine.classification().complexity {
+                    Complexity::PTimeCombined => AnsweredBy::Combined,
+                    _ => AnsweredBy::ComponentCertK,
+                },
+                budget_exhausted: cv.totals.budget_exhausted > 0,
+                certk_stats: cv.totals.stats(),
+                components: Some(cv.comps.len()),
+            },
         }
     }
 }
@@ -329,10 +429,18 @@ mod tests {
         check_script(engine, db, script.as_slice());
     }
 
+    fn component_verdicts(state: &QueryDeltaState) -> &ComponentVerdicts {
+        match &state.tracked {
+            Tracked::Components(cv) => cv,
+            Tracked::Blocks(_) => panic!("a Trivial query keeps no component verdicts"),
+        }
+    }
+
     /// The answer fields folded afresh over every component verdict.
     fn fold_verdicts(state: &QueryDeltaState) -> (bool, bool, Option<CertKStats>) {
+        let verdicts = &component_verdicts(state).verdicts;
         let mut stats: Option<CertKStats> = None;
-        for v in state.verdicts.values() {
+        for v in verdicts.values() {
             if let Some(s) = &v.stats {
                 match &mut stats {
                     Some(acc) => acc.absorb(s),
@@ -341,8 +449,8 @@ mod tests {
             }
         }
         (
-            state.verdicts.values().any(|v| v.certain),
-            state.verdicts.values().any(|v| v.budget_exhausted),
+            verdicts.values().any(|v| v.certain),
+            verdicts.values().any(|v| v.budget_exhausted),
             stats,
         )
     }
@@ -366,7 +474,8 @@ mod tests {
             assert_eq!(answer.certain, certain, "step {i}: certain");
             assert_eq!(answer.budget_exhausted, exhausted, "step {i}: budget");
             assert_eq!(answer.certk_stats, stats, "step {i}: stats");
-            assert_eq!(answer.components, Some(state.verdicts.len()), "step {i}");
+            let verdicts = component_verdicts(&state).verdicts.len();
+            assert_eq!(answer.components, Some(verdicts), "step {i}");
         }
     }
 
@@ -391,7 +500,7 @@ mod tests {
         let engine = CqaEngine::new(examples::q3());
         let mut db = db2(&[["a", "b"], ["b", "c"], ["p", "q"], ["x", "y"]]);
         let mut state = QueryDeltaState::new(engine.clone(), &db).unwrap();
-        let comps_before = state.components();
+        let comps_before = state.components().unwrap();
         assert!(comps_before >= 3);
         // Touch only the {x, y} region.
         let report = db.apply_delta(&[f2("y", "z")], &[]).unwrap();
@@ -399,6 +508,37 @@ mod tests {
         // Every component but the touched one kept its verdict.
         assert_eq!(step.verdicts_retained as usize, comps_before - 1);
         assert_eq!(state.answer().certain, engine.certain(&db).certain);
+    }
+
+    #[test]
+    fn trivial_query_keeps_one_flag_per_block() {
+        let q = cqa_query::parse_query("R(y | x) R(x | x)").unwrap();
+        let engine = CqaEngine::new(q);
+        assert_eq!(engine.classification().complexity, Complexity::Trivial);
+        let mut db = db2(&[["a", "a"], ["a", "b"], ["c", "d"]]);
+        let mut state = QueryDeltaState::new(engine.clone(), &db).unwrap();
+        assert_eq!(state.components(), None);
+        assert!(!state.answer().certain);
+
+        // Block a loses its non-loop fact and now forces q.
+        let report = db.apply_delta(&[], &[f2("a", "b")]).unwrap();
+        let step = state.apply(&db, &report);
+        assert_eq!((step.blocks_reseeded, step.verdicts_retained), (1, 1));
+        assert!(state.answer().certain);
+        assert_eq!(
+            format!("{:?}", state.answer()),
+            format!("{:?}", engine.certain(&db)),
+            "the patched answer is the cold block scan's"
+        );
+
+        // An emptied block is no witness; a fresh all-loop block is.
+        let script = vec![
+            (vec![], vec![f2("a", "a")]),
+            (vec![f2("e", "e")], vec![]),
+            (vec![f2("e", "f"), f2("a", "a")], vec![]),
+            (vec![f2("c", "c")], vec![f2("c", "d"), f2("e", "f")]),
+        ];
+        check_script(engine, db, script.as_slice());
     }
 
     #[test]
@@ -449,14 +589,14 @@ mod tests {
             ["u", "v"],
         ]);
         let mut state = QueryDeltaState::new(engine.clone(), &db).unwrap();
-        assert_eq!(state.components(), 4);
+        assert_eq!(state.components(), Some(4));
         assert!(!state.answer().certain);
 
         // c→d lives in a fresh block and bridges the two components.
         let report = db.apply_delta(&[f2("c", "d")], &[]).unwrap();
         assert!(report.growth_only());
         let step = state.apply(&db, &report);
-        assert_eq!(state.components(), 3);
+        assert_eq!(state.components(), Some(3));
         assert_eq!(step.verdicts_retained, 2, "m→n and u→v are untouched");
         // The merged component: blocks a, b, c, d and e.
         assert_eq!(step.blocks_reseeded, 5);

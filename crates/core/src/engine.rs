@@ -1,6 +1,12 @@
 //! The high-level engine: classify once, answer `certain(q)` many times
 //! with the algorithm the dichotomy prescribes.
 //!
+//! A `Trivial` query (equivalent to one atom, Section 2) is first-order:
+//! [`cqa_solvers::certain_one_atom`] scans the blocks once and no
+//! solution set is built. Every other class enumerates the solutions
+//! first, and a database with none is answered `false` on the spot: no
+//! repair satisfies `q` without a solution.
+//!
 //! For the PTime `Cert_k` classes the engine additionally picks an
 //! *evaluation route* per database: the literal whole-database fixpoint
 //! (the small-n fast path) or the per-component fan-out of
@@ -23,15 +29,18 @@ use cqa_solvers::components::{
     q_connected_components_if_fragmented, q_connected_components_with_solutions, Component,
 };
 use cqa_solvers::{
-    certain_brute_over, certain_combined_over, certk_by_components, certk_view, BruteOutcome,
-    CancelToken, CertKConfig, CertKOutcome, CertKStats, CombinedResult, SolutionSet,
+    certain_brute_over, certain_combined_over, certain_one_atom, certk_by_components, certk_view,
+    BruteOutcome, CancelToken, CertKConfig, CertKOutcome, CertKStats, CombinedResult, SolutionSet,
 };
 use cqa_tripath::SearchConfig;
+use std::cell::OnceCell;
 
 /// Which algorithm actually answered a [`CqaEngine::certain`] call.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AnsweredBy {
-    /// Single-atom / trivial evaluation via the fixpoint seeds (`Cert₁`).
+    /// A query equivalent to one atom (Section 2), decided by one block
+    /// scan: certain iff some block holds only facts `f` with `q(f f)`.
+    /// No solution set is built and no fixpoint runs.
     Trivial,
     /// The greedy fixpoint `Cert_k` on the whole database.
     CertK,
@@ -74,8 +83,9 @@ pub struct CertainAnswer {
 pub struct CancelledSolve {
     /// Partial `Cert_k` statistics accumulated before the cancel was
     /// observed (aggregated over components on the fan-out routes).
-    /// `None` when the brute-force search was cancelled — it keeps no
-    /// fixpoint counters.
+    /// `None` when no fixpoint was running: the brute-force search, the
+    /// one-atom block scan and the no-solution check keep no fixpoint
+    /// counters.
     pub certk_stats: Option<CertKStats>,
 }
 
@@ -106,11 +116,13 @@ pub enum RoutePolicy {
 /// [`CertainAnswer::budget_exhausted`]. Pin [`RoutePolicy::Literal`] or
 /// [`RoutePolicy::Component`] when budget-exhaustion behaviour must not
 /// depend on database shape.
-/// `Trivial` queries always stay on the literal path under `Auto` (their
-/// fixpoint is seeds-only and linear); Theorem 10.5
+/// `Trivial` queries never consult it: one block scan answers them, with
+/// no solution set and no partition. Theorem 10.5
 /// ([`Complexity::PTimeCombined`]) queries always use the component-based
 /// combined solver regardless of this configuration, and coNP-complete
-/// queries are unaffected.
+/// queries are unaffected. Nor does it matter for a database on which
+/// the query has no solution: that is answered `false` before any
+/// partition.
 #[derive(Clone, Copy, Debug)]
 pub struct RoutingConfig {
     /// How to choose between the literal and component routes.
@@ -234,8 +246,8 @@ impl CqaEngine {
 
     /// The routing decision for `db` on the `Cert_k` classes:
     /// `Some(partition)` when the component route should be taken. Under
-    /// [`RoutePolicy::Auto`], trivial queries and small or unfragmented
-    /// databases stay literal.
+    /// [`RoutePolicy::Auto`], small or unfragmented databases stay
+    /// literal.
     fn route_components<'a>(
         &self,
         db: &'a Database,
@@ -250,9 +262,7 @@ impl CqaEngine {
                 solutions,
             )),
             RoutePolicy::Auto => {
-                if self.classification.complexity == Complexity::Trivial
-                    || db.len() < routing.min_facts
-                {
+                if db.len() < routing.min_facts {
                     return None;
                 }
                 // One union-find pass: views are only materialised when
@@ -287,84 +297,91 @@ impl CqaEngine {
         db: &Database,
         token: &CancelToken,
     ) -> Result<CertainAnswer, CancelledSolve> {
-        let solutions = SolutionSet::enumerate(&self.query, db);
-        self.certain_with_solutions(db, &solutions, token)
-    }
-
-    /// The component partition [`CqaEngine::certain_with_solutions`]
-    /// solves over: the routing decision for the `Cert_k` classes, the
-    /// full q-connected partition for the Theorem 10.5 combination, and
-    /// `None` for coNP-complete queries (the brute force partitions
-    /// internally).
-    fn partition_for<'a>(
-        &self,
-        db: &'a Database,
-        solutions: &SolutionSet,
-    ) -> Option<Vec<Component<'a>>> {
-        match self.classification.complexity {
-            Complexity::Trivial | Complexity::PTimeCert2 | Complexity::PTimeCertK => {
-                self.route_components(db, solutions)
-            }
-            Complexity::PTimeCombined => Some(q_connected_components_with_solutions(
-                &self.query,
-                db,
-                solutions,
-            )),
-            Complexity::CoNpComplete => None,
-        }
+        let solutions = OnceCell::new();
+        self.certain_with_solutions(
+            db,
+            || solutions.get_or_init(|| SolutionSet::enumerate(&self.query, db)),
+            token,
+        )
     }
 
     /// The one dispatch: [`CqaEngine::certain_cancellable`] with the
-    /// enumerated solution set supplied by the caller. It depends only on
+    /// solution set supplied on demand by the caller. It depends only on
     /// (query, database), so a [`SharedSession`](crate::SharedSession)
-    /// enumerates it once and keeps it across cancelled retries.
-    pub(crate) fn certain_with_solutions(
+    /// enumerates it once and keeps it across cancelled retries. A
+    /// [`Complexity::Trivial`] query never asks for it: one block scan
+    /// answers ([`certain_one_atom`]).
+    pub(crate) fn certain_with_solutions<'s>(
         &self,
         db: &Database,
-        solutions: &SolutionSet,
+        solutions: impl FnOnce() -> &'s SolutionSet,
         token: &CancelToken,
     ) -> Result<CertainAnswer, CancelledSolve> {
+        let complexity = self.classification.complexity;
+        let answer = |certain, answered_by| CertainAnswer {
+            certain,
+            answered_by,
+            budget_exhausted: false,
+            certk_stats: None,
+            components: None,
+        };
+        if complexity == Complexity::Trivial {
+            return certain_one_atom(&db.full_view(), &self.query, token)
+                .map(|certain| answer(certain, AnsweredBy::Trivial))
+                .ok_or_else(CancelledSolve::default);
+        }
+        let solutions = solutions();
+        if solutions.is_empty() {
+            // No solution, so no repair satisfies q: `Cert_k` has no seed
+            // (§5) and no q-connected component holds one (Prop 10.6).
+            // The token still rules: a raised one never yields a verdict.
+            if token.is_cancelled() {
+                return Err(CancelledSolve::default());
+            }
+            let answered_by = match complexity {
+                Complexity::PTimeCombined => AnsweredBy::Combined,
+                Complexity::CoNpComplete => AnsweredBy::BruteForce,
+                _ => AnsweredBy::CertK,
+            };
+            return Ok(answer(false, answered_by));
+        }
         let cfg = self.config.certk;
         let fixpoint_cancelled = |partial| CancelledSolve {
             certk_stats: Some(partial),
         };
-        let comps = self.partition_for(db, solutions);
-        match (self.classification.complexity, comps) {
-            (Complexity::CoNpComplete, _) => {
+        match complexity {
+            Complexity::CoNpComplete => {
                 let outcome =
                     certain_brute_over(db, solutions, self.config.brute_budget, cfg.threads, token)
-                        .ok_or(CancelledSolve { certk_stats: None })?;
+                        .ok_or_else(CancelledSolve::default)?;
                 Ok(CertainAnswer {
-                    certain: matches!(outcome, BruteOutcome::Certain),
-                    answered_by: AnsweredBy::BruteForce,
                     budget_exhausted: matches!(outcome, BruteOutcome::BudgetExhausted),
-                    certk_stats: None,
-                    components: None,
+                    ..answer(
+                        matches!(outcome, BruteOutcome::Certain),
+                        AnsweredBy::BruteForce,
+                    )
                 })
             }
-            (Complexity::PTimeCombined, Some(comps)) => {
+            Complexity::PTimeCombined => {
+                let comps = q_connected_components_with_solutions(&self.query, db, solutions);
                 certain_combined_over(&comps, solutions, cfg, token)
                     .map(|res| answer_from_components(res, AnsweredBy::Combined))
                     .map_err(fixpoint_cancelled)
             }
-            (_, Some(comps)) => certk_by_components(&comps, solutions, cfg, token)
-                .map(|res| answer_from_components(res, AnsweredBy::ComponentCertK))
-                .map_err(fixpoint_cancelled),
-            (complexity, None) => {
-                let (out, stats) = certk_view(&db.full_view(), solutions, cfg, token)
-                    .map_err(fixpoint_cancelled)?;
-                Ok(CertainAnswer {
-                    certain: out.is_certain(),
-                    answered_by: if complexity == Complexity::Trivial {
-                        AnsweredBy::Trivial
-                    } else {
-                        AnsweredBy::CertK
-                    },
-                    budget_exhausted: out == CertKOutcome::BudgetExhausted,
-                    certk_stats: Some(stats),
-                    components: None,
-                })
-            }
+            _ => match self.route_components(db, solutions) {
+                Some(comps) => certk_by_components(&comps, solutions, cfg, token)
+                    .map(|res| answer_from_components(res, AnsweredBy::ComponentCertK))
+                    .map_err(fixpoint_cancelled),
+                None => {
+                    let (out, stats) = certk_view(&db.full_view(), solutions, cfg, token)
+                        .map_err(fixpoint_cancelled)?;
+                    Ok(CertainAnswer {
+                        budget_exhausted: out == CertKOutcome::BudgetExhausted,
+                        certk_stats: Some(stats),
+                        ..answer(out.is_certain(), AnsweredBy::CertK)
+                    })
+                }
+            },
         }
     }
 }
@@ -558,15 +575,44 @@ mod tests {
 
     #[test]
     fn auto_route_never_moves_trivial_queries() {
-        // q4 = R(x|y) R(x|z) is answered by its seeds; even a permissive
-        // Auto config keeps it on the literal path.
+        // R(x | y) R(x | z) is equivalent to one atom: one block scan
+        // answers under every route policy, with no partition.
+        let q = cqa_query::parse_query("R(x | y) R(x | z)").unwrap();
         let mut config = EngineConfig::default();
         config.routing.min_facts = 1;
         config.routing.min_components = 1;
-        let engine = CqaEngine::with_config(examples::q4(), config);
-        if engine.classification().complexity == Complexity::Trivial {
+        for config in [config, config.with_route(RoutePolicy::Component)] {
+            let engine = CqaEngine::with_config(q.clone(), config);
+            assert_eq!(engine.classification().complexity, Complexity::Trivial);
             let ans = engine.certain(&db2(&[["a", "b"], ["c", "d"]]));
+            assert!(ans.certain);
             assert_eq!(ans.answered_by, AnsweredBy::Trivial);
+            assert_eq!(ans.components, None);
+            assert!(ans.certk_stats.is_none(), "no fixpoint ran");
+        }
+    }
+
+    #[test]
+    fn a_database_without_solutions_is_answered_before_any_partition() {
+        // R(y | x) R(x | y) has no solution on a q3-shaped chain: no
+        // repair satisfies it, whatever the route.
+        let q = cqa_query::parse_query("R(y | x) R(x | y)").unwrap();
+        let db = db2(&[["a", "b"], ["b", "c"], ["c", "d"]]);
+        assert!(SolutionSet::enumerate(&q, &db).is_empty());
+        for policy in [
+            RoutePolicy::Auto,
+            RoutePolicy::Literal,
+            RoutePolicy::Component,
+        ] {
+            let engine =
+                CqaEngine::with_config(q.clone(), EngineConfig::default().with_route(policy));
+            let ans = engine.certain(&db);
+            assert!(!ans.certain);
+            assert_eq!(ans.components, None, "{policy:?}");
+            assert_eq!(ans.certain, certain_brute(&q, &db));
+            let raised = CancelToken::new();
+            raised.cancel();
+            assert!(engine.certain_cancellable(&db, &raised).is_err());
         }
     }
 }

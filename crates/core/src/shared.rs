@@ -15,7 +15,8 @@
 //!   sights of the *same* query block on one [`OnceLock`] initialisation
 //!   (exactly one classification / solution enumeration ever runs);
 //! * per query it caches the classified engine, the enumerated solution
-//!   set, and the solved [`CertainAnswer`] itself: the database is
+//!   set (never built for a `Trivial` query, which one block scan
+//!   answers), and the solved [`CertainAnswer`] itself: the database is
 //!   immutable for the session's lifetime, so the verdict is a pure
 //!   function of the query and a repeat request costs a map lookup.
 //!   (The component partition's views borrow the database, so the
@@ -143,12 +144,11 @@ impl SharedSession {
 
     /// Approximate resident bytes of the session's database — the number
     /// the `cqa serve` memory budget accounts and evicts by. The cached
-    /// per-query artefacts (solution sets, partitions, verdicts, delta
-    /// states) are not counted, and they are not small: after a cold
-    /// batch over large texts the process holds about four times this
-    /// figure, most of it cached solution sets. Counting every resident
-    /// category is the "no unaccounted memory in the server" item of
-    /// `ROADMAP.md`.
+    /// per-query artefacts (solution sets, verdicts, delta states) are not
+    /// counted. Every query that is not `Trivial` caches a solution set,
+    /// one entry per pair of facts that join, which can outgrow the
+    /// database itself. Counting every resident category is the "no
+    /// unaccounted memory in the server" item of `ROADMAP.md`.
     pub fn approx_bytes(&self) -> usize {
         self.db.approx_bytes()
     }
@@ -178,8 +178,10 @@ impl SharedSession {
     }
 
     /// Solve `query` on the session's database under `token`, reusing
-    /// (or building, on first sight) the entry's classification and
-    /// solution set — both are kept even when the solve is cancelled.
+    /// (or building, on first sight) the entry's classification and, when
+    /// the solve asks for it, its solution set. Both are kept even when
+    /// the solve is cancelled. A `Trivial` query never fills the
+    /// solutions slot.
     fn solve(
         &self,
         entry: &SharedEntry,
@@ -189,10 +191,15 @@ impl SharedSession {
         let engine = entry
             .engine
             .get_or_init(|| CqaEngine::with_config(query.clone(), self.config));
-        let solutions = entry
-            .solutions
-            .get_or_init(|| SolutionSet::enumerate(engine.query(), &self.db));
-        engine.certain_with_solutions(&self.db, solutions, token)
+        engine.certain_with_solutions(
+            &self.db,
+            || {
+                entry
+                    .solutions
+                    .get_or_init(|| SolutionSet::enumerate(engine.query(), &self.db))
+            },
+            token,
+        )
     }
 
     /// Decide `db ⊨ certain(query)`, reusing (or building, on first
@@ -550,6 +557,36 @@ mod tests {
         assert!(err.is_err());
         assert!(!session.certain(&q3).certain);
         assert_eq!(session.delta_stats().delta_applied, 0);
+    }
+
+    #[test]
+    fn trivial_query_is_answered_without_a_solution_set() {
+        // A star: 2,000 blocks whose facts all share the value `hub`.
+        // R(x | y) R(z | y) joins every pair of them (4·10⁶ solutions),
+        // yet it is equivalent to one atom and needs none.
+        let mut db = Database::new(Signature::new(2, 1).unwrap());
+        for i in 0..2_000 {
+            db.insert(Fact::from_names([format!("k{i}"), "hub".to_string()]))
+                .unwrap();
+        }
+        let session = SharedSession::new(Arc::new(db), EngineConfig::default());
+        let q = parse_query("R(x | y) R(z | y)").unwrap();
+        let answer = session.certain(&q);
+        assert!(answer.certain);
+        assert_eq!(answer.answered_by, AnsweredBy::Trivial);
+        assert!(session.entry(&q).solutions.get().is_none());
+
+        // The successor carries the query as block flags: still no
+        // solution set, and the same answer as a cold engine.
+        let (next, _) = session
+            .with_delta(&[Fact::from_names(["k0", "spoke"])], &[])
+            .unwrap();
+        let patched = next.certain(&q);
+        assert_eq!(
+            format!("{patched:?}"),
+            format!("{:?}", CqaEngine::new(q.clone()).certain(next.db()))
+        );
+        assert!(next.entry(&q).solutions.get().is_none());
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Cancellation-correctness properties, at engine level: across random
-//! q3 and q6 workloads and 1..=4 solver threads,
+//! q3 and q6 workloads, the one-atom query `R(x | y) R(x | z)` (answered
+//! by a block scan) and `R(y | x) R(x | y)` on databases where it has no
+//! solution (answered before any partition), and 1..=4 solver threads,
 //!
 //! * a run under a **cancelled** token never emits a verdict — it
 //!   always comes back `Err(CancelledSolve)`;
@@ -11,10 +13,10 @@
 //! only withhold an answer, never change one, so cancelled requests are
 //! always safe to retry.
 
-use cqa::solvers::CancelToken;
+use cqa::solvers::{CancelToken, SolutionSet};
 use cqa::{CqaEngine, EngineConfig};
 use cqa_model::{Database, Elem, Fact, Signature};
-use cqa_query::examples;
+use cqa_query::{examples, parse_query};
 use proptest::prelude::*;
 
 fn q3_db_strategy() -> impl Strategy<Value = Database> {
@@ -78,5 +80,27 @@ proptest! {
     #[test]
     fn q6_cancellation_withholds_but_never_changes_verdicts(db in q6_db_strategy()) {
         check(&examples::q6(), &db);
+    }
+
+    #[test]
+    fn trivial_cancellation_withholds_but_never_changes_verdicts(db in q3_db_strategy()) {
+        let q = parse_query("R(x | y) R(x | z)").unwrap();
+        prop_assert!(q.is_one_atom_equivalent());
+        check(&q, &db);
+    }
+
+    #[test]
+    fn no_solution_cancellation_withholds_but_never_changes_verdicts(db in q3_db_strategy()) {
+        // Keep only facts a → b with a < b: then no two facts form a
+        // cycle a → b → a, so R(y | x) R(x | y) has no solution.
+        let mut acyclic = Database::new(*db.signature());
+        for (_, f) in db.facts() {
+            if f.at(0) < f.at(1) {
+                acyclic.insert(f.clone()).unwrap();
+            }
+        }
+        let q = parse_query("R(y | x) R(x | y)").unwrap();
+        prop_assert!(SolutionSet::enumerate(&q, &acyclic).is_empty());
+        check(&q, &acyclic);
     }
 }

@@ -1,5 +1,7 @@
 //! Delta-vs-recompute differential properties at session level: across
-//! random q3 and q6 databases, random seeded insert/retract scripts
+//! random q3 and q6 databases, the three `Trivial` (one-atom) queries
+//! `R(x | y) R(z | y)`, `R(x | y) R(x | z)` and `R(y | x) R(x | x)` on
+//! the q3 databases, random seeded insert/retract scripts
 //! (every touch locality: same-block, cross-component, mixed) and
 //! 1..=4 solver threads,
 //!
@@ -51,6 +53,14 @@ fn q6_db_strategy() -> impl Strategy<Value = Database> {
         db
     })
 }
+
+/// The one-atom queries over the q3 signature `[2, 1]`: a retraction
+/// onto either atom, and equal key tuples.
+const TRIVIAL_QUERIES: [&str; 3] = [
+    "R(x | y) R(z | y)",
+    "R(x | y) R(x | z)",
+    "R(y | x) R(x | x)",
+];
 
 /// One generated delta step: a script seed plus a locality selector.
 fn step_strategy() -> impl Strategy<Value = (u64, u8)> {
@@ -144,6 +154,18 @@ proptest! {
         steps in proptest::collection::vec(step_strategy(), 1..4),
     ) {
         check_chain(&examples::q3(), &db, &steps, true)?;
+    }
+
+    #[test]
+    fn trivial_delta_chains_match_recompute(
+        db in q3_db_strategy(),
+        steps in proptest::collection::vec(step_strategy(), 1..4),
+    ) {
+        for text in TRIVIAL_QUERIES {
+            let q = cqa_query::parse_query(text).unwrap();
+            prop_assert!(q.is_one_atom_equivalent(), "{} is not one-atom", text);
+            check_chain(&q, &db, &steps, false)?;
+        }
     }
 
     #[test]

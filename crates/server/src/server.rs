@@ -45,7 +45,7 @@ use crate::protocol::{
     MAX_FRAME,
 };
 use cqa::solvers::{certain_brute_over, BruteOutcome, CancelToken, SolutionSet};
-use cqa::{CancelledSolve, CertainAnswer, EngineConfig, SharedSession};
+use cqa::{CertainAnswer, EngineConfig, SharedSession};
 use cqa_query::{parse_queries_for, parse_query_for, Query, QueryError};
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -383,17 +383,9 @@ fn dispatch(ctx: &Arc<ServerCtx>, req: Request) -> String {
 }
 
 /// The `deadline-exceeded` answer for a solve the token stopped
-/// mid-run, carrying the partial fixpoint statistics as evidence of the
-/// work done before the cancel.
-fn cancelled_error(ctx: &ServerCtx, partial: &CancelledSolve) -> WireError {
+/// mid-run, carrying `evidence` of the work done before the cancel.
+fn cancelled_error(ctx: &ServerCtx, evidence: &str) -> WireError {
     ctx.cancelled.fetch_add(1, Ordering::Relaxed);
-    let evidence = match &partial.certk_stats {
-        Some(s) => format!(
-            "derived {} blocks over {} rounds before the cancel",
-            s.blocks_derived, s.rounds
-        ),
-        None => "brute-force search stopped mid-tranche".to_string(),
-    };
     WireError::new(
         "deadline-exceeded",
         format!("deadline expired mid-solve; verdict withheld ({evidence})"),
@@ -419,9 +411,16 @@ fn answer(
     token: Option<&CancelToken>,
 ) -> Result<CertainAnswer, WireError> {
     match token {
-        Some(token) => session
-            .certain_cancellable(q, token)
-            .map_err(|partial| cancelled_error(ctx, &partial)),
+        Some(token) => session.certain_cancellable(q, token).map_err(|partial| {
+            let evidence = match &partial.certk_stats {
+                Some(s) => format!(
+                    "derived {} blocks over {} rounds before the cancel",
+                    s.blocks_derived, s.rounds
+                ),
+                None => "the solver that stopped keeps no fixpoint counters".to_string(),
+            };
+            cancelled_error(ctx, &evidence)
+        }),
         None => Ok(session.certain(q)),
     }
 }
@@ -479,7 +478,7 @@ fn execute(
                 1,
                 token.unwrap_or(&CancelToken::new()),
             )
-            .ok_or_else(|| cancelled_error(ctx, &CancelledSolve::default()))?;
+            .ok_or_else(|| cancelled_error(ctx, "brute-force search stopped mid-tranche"))?;
             Ok(match outcome {
                 BruteOutcome::Certain => obj([("outcome", Json::Str("certain".to_string()))]),
                 BruteOutcome::NotCertain(r) => obj([

@@ -11,7 +11,10 @@
 //!   emitted as copy-free [`cqa_model::DbView`]s over the parent database
 //!   (no `restrict` materialisation);
 //! * [`combined`] — the Theorem 10.5 combination `Cert_k ∨ ¬matching`
-//!   deciding all PTime 2way-determined cases.
+//!   deciding all PTime 2way-determined cases;
+//! * [`one_atom`] — the first-order case of Section 2: a query equivalent
+//!   to one atom is certain iff some block holds only facts `f` with
+//!   `q(f f)`, decided by one block scan.
 //!
 //! Each of the paper's three decision procedures has **one live entry
 //! point**, and cancellation is its parameter rather than a name suffix:
@@ -34,6 +37,10 @@
 //! The fan-outs decide every component, so the per-component evidence is
 //! complete and identical across thread counts.
 //!
+//! The first-order one-atom case of Section 2 needs none of them: its
+//! one entry, [`certain_one_atom`] (a view, the query and a
+//! [`CancelToken`]), scans the blocks without a solution set.
+//!
 //! The whole-database paper names — [`certk()`], [`cert2`],
 //! [`certain_combined`], [`certain_thm105_literal`] — and the frozen
 //! brute-force oracles ([`certain_brute`], [`certain_brute_budgeted`],
@@ -53,6 +60,7 @@ pub mod certk;
 pub mod combined;
 pub mod components;
 pub mod matching;
+pub mod one_atom;
 pub mod solution;
 
 pub use brute::{
@@ -68,4 +76,5 @@ pub use components::{q_connected_components, Component, ComponentDeltaReport, Dy
 pub use matching::{
     analyze_view, certain_by_matching, is_clique_database, matching_accepts, MatchingAnalysis,
 };
+pub use one_atom::{certain_one_atom, OneAtomPlan};
 pub use solution::{IncrementalSolutions, SolutionSet};
