@@ -40,8 +40,10 @@ pub fn parse_bytes(v: &str) -> Result<usize, CliError> {
 /// request solves single-threaded, so parallelism comes from concurrent
 /// requests and the machine is never oversubscribed. `--memory-budget`
 /// caps resident databases (approximate bytes; LRU eviction past it).
-/// `--max-queue` bounds how many heavyweight requests may wait beyond
-/// the pool width before new ones are shed with `overloaded` (default:
+/// `--max-queue` bounds how many requests that need a worker (loads,
+/// solves, updates) may wait beyond the pool width before new ones are
+/// shed with `overloaded`; cache hits and `ping`/`stats`/`shutdown` are
+/// answered without one and never shed (default:
 /// `max(32, 4×threads)`). With `--stats`, the final session-manager and
 /// overload counters go to stderr on shutdown.
 pub fn cmd_serve(args: &[&str]) -> Result<CmdOut, CliError> {

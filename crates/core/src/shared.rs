@@ -225,6 +225,24 @@ impl SharedSession {
         answer
     }
 
+    /// The cached verdict for `query`, or `None` when no solve of it has
+    /// completed on this session. Never solves, never creates a cache
+    /// entry and counts nothing: a caller that answers from it reports
+    /// how many it answered with [`SharedSession::count_cached`], so a
+    /// batch can check every query before it counts any.
+    pub fn cached(&self, query: &Query) -> Option<CertainAnswer> {
+        let entries = self.entries.lock().expect("session map lock poisoned");
+        entries.get(&query.display())?.answer.get().cloned()
+    }
+
+    /// Count `n` queries answered from [`SharedSession::cached`]
+    /// verdicts: each moves `queries` and `cache_hits` by one, as a cache
+    /// hit through [`SharedSession::certain`] does.
+    pub fn count_cached(&self, n: usize) {
+        self.queries.fetch_add(n, Ordering::Relaxed);
+        self.cache_hits.fetch_add(n, Ordering::Relaxed);
+    }
+
     /// [`SharedSession::certain`] under a [`CancelToken`]: a cached
     /// verdict is returned immediately (nothing left to cancel), a first
     /// solve polls the token mid-fixpoint and returns `Err` with partial
@@ -486,6 +504,26 @@ mod tests {
         // to cancel).
         assert!(session.certain_cancellable(&q3, &raised).unwrap().certain);
         assert_eq!(session.stats().cache_hits, 1);
+    }
+
+    #[test]
+    fn cached_reads_without_solving_or_counting() {
+        let session = SharedSession::new(multi_component_db(), EngineConfig::default());
+        let q3 = examples::q3();
+        // Unseen: no verdict, and the look-up creates no entry.
+        assert!(session.cached(&q3).is_none());
+        assert_eq!(session.stats(), SessionStats::default());
+        let solved = session.certain(&q3);
+        let cached = session.cached(&q3).expect("a completed solve is cached");
+        assert_eq!(format!("{cached:?}"), format!("{solved:?}"));
+        // Reading counts nothing; the caller counts what it answered.
+        assert_eq!(session.stats().queries, 1);
+        session.count_cached(2);
+        let stats = session.stats();
+        assert_eq!(
+            (stats.queries, stats.cache_hits, stats.distinct_queries),
+            (3, 2, 1)
+        );
     }
 
     #[test]

@@ -4,11 +4,12 @@
 
 use crate::json::Json;
 use crate::protocol::{
-    encode_request, parse_response, Frame, FrameReader, Method, Request, WireError, MAX_FRAME,
+    encode_request, parse_response, write_frame, Frame, FrameReader, Method, Request, WireError,
+    MAX_FRAME,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::io::{BufReader, Write};
+use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -168,8 +169,7 @@ impl Client {
             method,
             deadline_ms: self.deadline_ms,
         });
-        writeln!(self.writer, "{frame}")
-            .and_then(|()| self.writer.flush())
+        write_frame(&mut self.writer, frame)
             .map_err(|e| WireError::new("io", format!("send failed: {e}")))?;
         loop {
             match self
@@ -302,7 +302,7 @@ mod tests {
     use super::*;
     use crate::json::{decode, obj};
     use crate::protocol::{err_response, ok_response};
-    use std::io::BufRead;
+    use std::io::{BufRead, Write};
     use std::net::{SocketAddr, TcpListener};
     use std::thread;
 

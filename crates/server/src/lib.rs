@@ -17,8 +17,10 @@
 //!   single-flight loading and LRU eviction under a byte budget;
 //!   [`SessionManager::apply_update`] applies a delta atomically by
 //!   swapping in a warm successor session.
-//! * [`server`] — the TCP accept loop; query work fans out over one
-//!   shared [`minipool::Pool`] behind a bounded admission queue (excess
+//! * [`server`] — the TCP accept loop; control-plane requests and
+//!   cache hits are answered on the connection thread, and work that
+//!   may load, solve or update fans out over one shared
+//!   [`minipool::Pool`] behind a bounded admission queue (excess
 //!   requests are shed with `overloaded` + a `retry_after_ms` hint),
 //!   per-request deadlines are enforced at pickup *and* mid-solve via a
 //!   [`CancelToken`](cqa::solvers::CancelToken) polled inside the

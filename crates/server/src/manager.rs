@@ -35,7 +35,7 @@ pub type Loader = Arc<dyn Fn(&str) -> Result<Database, String> + Send + Sync>;
 
 /// One map slot: a lazily initialised load outcome plus an LRU stamp.
 /// Racing loaders block inside the [`OnceLock`]; the stamp is advanced
-/// on every `get_or_load` touch.
+/// on every `get_or_load` or `resident` touch.
 struct Slot {
     cell: OnceLock<Result<Arc<SharedSession>, String>>,
     last_used: AtomicU64,
@@ -50,7 +50,8 @@ pub struct ManagerStats {
     /// Database loads performed (cold `get_or_load`s, including reloads
     /// after eviction; failed loads count — the work happened).
     pub loads: usize,
-    /// `get_or_load` calls answered by an already-resident session.
+    /// `get_or_load` and `resident` calls answered by an
+    /// already-resident session.
     pub session_hits: usize,
     /// Sessions evicted to fit the memory budget.
     pub evictions: usize,
@@ -194,6 +195,22 @@ impl SessionManager {
                 Err(msg)
             }
         }
+    }
+
+    /// The session for `path` if it is already loaded; never loads, and
+    /// never waits on a load in flight. A hit stamps the LRU clock and
+    /// counts in `session_hits`, as [`SessionManager::get_or_load`] does
+    /// for a resident path.
+    pub fn resident(&self, path: &str) -> Option<Arc<SharedSession>> {
+        let slots = self.slots.lock().expect("manager map lock poisoned");
+        let slot = slots.get(path)?;
+        let Some(Ok(session)) = slot.cell.get() else {
+            return None;
+        };
+        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
+        slot.last_used.store(stamp, Ordering::Relaxed);
+        self.session_hits.fetch_add(1, Ordering::Relaxed);
+        Some(Arc::clone(session))
     }
 
     /// Apply an insert/retract delta to the database at `path`, loading
@@ -382,6 +399,27 @@ mod tests {
         assert_eq!(stats.session_hits, 1);
         assert_eq!(stats.evictions, 0);
         assert!(stats.resident_bytes > 0);
+    }
+
+    #[test]
+    fn resident_never_loads_but_touches_and_counts() {
+        let (probe, _) = manager(None);
+        let one = probe.get_or_load("db:6").unwrap().approx_bytes();
+        let (m, calls) = manager(Some(one * 2 + one / 2));
+        assert!(m.resident("db:6").is_none(), "absent: no load");
+        assert!(m.resident("nope").is_none());
+        assert_eq!(calls.load(Ordering::SeqCst), 0);
+        let loaded = m.get_or_load("db:6").unwrap();
+        m.get_or_load("db:7").unwrap();
+        let hit = m.resident("db:6").expect("loaded");
+        assert!(Arc::ptr_eq(&hit, &loaded));
+        assert_eq!(m.stats().session_hits, 1);
+        // The touch made db:7 the LRU session, so it is the one evicted.
+        m.get_or_load("db:8").unwrap();
+        assert!(m.resident("db:6").is_some());
+        assert!(m.resident("db:7").is_none());
+        assert_eq!(calls.load(Ordering::SeqCst), 3);
+        assert_eq!(m.stats().session_hits, 2);
     }
 
     #[test]

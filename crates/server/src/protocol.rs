@@ -27,7 +27,7 @@
 //! without dropping half-received requests.
 
 use crate::json::{decode, obj, Json, JsonError};
-use std::io::{self, BufRead};
+use std::io::{self, BufRead, Write};
 
 /// Default cap on one frame (request or response line), in bytes.
 pub const MAX_FRAME: usize = 1 << 20;
@@ -226,6 +226,16 @@ pub fn parse_request(frame: &str) -> Result<Request, WireError> {
         method,
         deadline_ms,
     })
+}
+
+/// Send `frame` as one wire frame: append the newline and hand the whole
+/// line to a single `write_all`. Writing text and newline separately
+/// sends two TCP segments (the sockets run with `TCP_NODELAY`), and the
+/// peer's [`FrameReader`] wakes for each.
+pub fn write_frame(w: &mut impl Write, mut frame: String) -> io::Result<()> {
+    frame.push('\n');
+    w.write_all(frame.as_bytes())?;
+    w.flush()
 }
 
 /// Encode a request (the client side of [`parse_request`]).
@@ -680,5 +690,49 @@ mod tests {
         let mut fr = FrameReader::new();
         assert!(matches!(fr.next(&mut r, 100).unwrap(), Frame::NotUtf8));
         assert!(matches!(fr.next(&mut r, 100).unwrap(), Frame::Line(l) if l == "ok"));
+    }
+
+    /// A `Write` that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_sends_each_frame_in_one_write() {
+        // The server's three kinds of frame and the client's request.
+        let request = encode_request(&Request {
+            id: Some(7),
+            method: Method::Certain {
+                db: "emp.facts".into(),
+                query: "R(x | y) R(y | z)".into(),
+            },
+            deadline_ms: Some(50),
+        });
+        let frames = [
+            ok_response(Some(1), obj([("pong", Json::Bool(true))])),
+            err_response(None, &WireError::new("bad-utf8", "dropped")),
+            err_response(
+                Some(2),
+                &WireError::new("overloaded", "busy").with_retry_after(25),
+            ),
+            request,
+        ];
+        for frame in frames {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, frame.clone()).unwrap();
+            assert_eq!(w.writes, vec![format!("{frame}\n").into_bytes()]);
+        }
     }
 }

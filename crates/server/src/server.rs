@@ -6,31 +6,39 @@
 //! * one **accept thread** owns the listener;
 //! * one lightweight **connection thread** per client runs the framing
 //!   loop (these spend their life blocked on the socket, polling a
-//!   250 ms read timeout so shutdown is prompt);
-//! * all **query work** is funnelled through one shared
+//!   250 ms read timeout so shutdown is prompt). It also answers every
+//!   request that needs no worker: `ping`, `stats`, `shutdown`, and a
+//!   `certain` or `batch` whose every query already has a cached
+//!   verdict on a resident database;
+//! * only work that may **load, solve or update** goes to one shared
 //!   [`minipool::Pool`] of `--threads` workers, so CPU parallelism is
 //!   bounded no matter how many clients connect. A worker panic is
 //!   contained by the pool and surfaced to that one client as an `io`
 //!   error; the connection and the server live on.
 //!
-//! Cancellation is cooperative and fine-grained: a request carrying
-//! `deadline_ms` is checked when a worker *picks it up* (queued past
-//! the deadline → `deadline-exceeded` without computing), and the
-//! remaining allowance is then threaded into the solver as a
+//! Every response leaves in one `write` ([`write_frame`]), newline
+//! included.
+//!
+//! Cancellation is cooperative and fine-grained: a pool request
+//! carrying `deadline_ms` is checked when a worker *picks it up*
+//! (queued past the deadline → `deadline-exceeded` without computing),
+//! and the remaining allowance is then threaded into the solver as a
 //! [`CancelToken`] polled once per fixpoint block derivation / brute
 //! budget tranche — a deadline that expires *mid-solve* stops the run
 //! within roughly one block's worth of work and answers
 //! `deadline-exceeded` with the partial statistics derived before the
 //! cancel. Cancellation only withholds verdicts (never invents them),
-//! so cancelled requests are always safely retryable.
+//! so cancelled requests are always safely retryable. A cached answer
+//! has nothing left to cancel and ignores `deadline_ms`.
 //!
 //! Admission control bounds the pending queue: beyond `--threads`
-//! running requests, at most [`ServeConfig::max_queue`] heavyweight
-//! requests may wait; excess ones are shed immediately with the
-//! `overloaded` code and a `retry_after_ms` backoff hint instead of
-//! accumulating unbounded latency. `ping`/`stats`/`shutdown` bypass
-//! admission so an overloaded server stays observable and stoppable.
-//! `docs/SERVER.md` spells out both contracts.
+//! running requests, at most [`ServeConfig::max_queue`] pool requests
+//! may wait; excess ones are shed immediately with the `overloaded`
+//! code and a `retry_after_ms` backoff hint instead of accumulating
+//! unbounded latency. Requests answered on the connection thread never
+//! reach the gate, so an overloaded server stays observable, stoppable
+//! and able to serve what it has already computed. `docs/SERVER.md`
+//! spells out both contracts.
 //!
 //! Shutdown: the `shutdown` method (or [`ServerHandle::shutdown`]) sets
 //! a flag and wakes the accept thread with a throwaway self-connection;
@@ -41,13 +49,13 @@
 use crate::json::{obj, Json};
 use crate::manager::{Loader, ManagerStats, SessionManager, UpdateError};
 use crate::protocol::{
-    err_response, ok_response, parse_request, Frame, FrameReader, Method, Request, WireError,
-    MAX_FRAME,
+    err_response, ok_response, parse_request, write_frame, Frame, FrameReader, Method, Request,
+    WireError, MAX_FRAME,
 };
 use cqa::solvers::{certain_brute_over, BruteOutcome, CancelToken, SolutionSet};
 use cqa::{CertainAnswer, EngineConfig, SharedSession};
 use cqa_query::{parse_queries_for, parse_query_for, Query, QueryError};
-use std::io::{self, BufReader, Write};
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -69,13 +77,12 @@ pub struct ServeConfig {
     pub memory_budget: Option<usize>,
     /// Per-frame byte cap (both directions).
     pub max_frame: usize,
-    /// Admission bound: how many heavyweight requests (`load`,
-    /// `certain`, `falsify`, `batch`, `update`) may *wait* for a worker
-    /// beyond
-    /// the `threads` already running. Excess requests are shed with the
-    /// `overloaded` code. `None` picks `max(32, threads × 4)` — deep
-    /// enough that ordinary connection fan-in never sheds, shallow
-    /// enough to bound queueing latency.
+    /// Admission bound: how many pool requests (`load`, `falsify`,
+    /// `update`, and a `certain` or `batch` not answered from cache) may
+    /// *wait* for a worker beyond the `threads` already running. Excess
+    /// requests are shed with the `overloaded` code. `None` picks
+    /// `max(32, threads × 4)` — deep enough that ordinary connection
+    /// fan-in never sheds, shallow enough to bound queueing latency.
     pub max_queue: Option<usize>,
     /// How sessions classify and solve.
     pub engine: EngineConfig,
@@ -108,8 +115,8 @@ struct ServerCtx {
     max_queue: usize,
     stop: AtomicBool,
     addr: SocketAddr,
-    /// Heavyweight requests admitted and not yet answered (running or
-    /// waiting for a worker).
+    /// Pool requests admitted and not yet answered (running or waiting
+    /// for a worker).
     inflight: AtomicUsize,
     /// Requests refused at admission (`overloaded`).
     shed: AtomicUsize,
@@ -265,12 +272,12 @@ fn run_connection(stream: TcpStream, ctx: Arc<ServerCtx>) -> io::Result<()> {
                     "frame-too-long",
                     format!("frame exceeds the {limit}-byte limit (dropped; connection resynchronised at the next newline)"),
                 );
-                writeln!(writer, "{}", err_response(None, &e))?;
+                write_frame(&mut writer, err_response(None, &e))?;
                 continue;
             }
             Frame::NotUtf8 => {
                 let e = WireError::new("bad-utf8", "frame is not valid UTF-8 (dropped)");
-                writeln!(writer, "{}", err_response(None, &e))?;
+                write_frame(&mut writer, err_response(None, &e))?;
                 continue;
             }
             Frame::Line(line) => line,
@@ -284,8 +291,7 @@ fn run_connection(stream: TcpStream, ctx: Arc<ServerCtx>) -> io::Result<()> {
                 let is_shutdown = matches!(req.method, Method::Shutdown);
                 let response = dispatch(&ctx, req);
                 if is_shutdown {
-                    writeln!(writer, "{response}")?;
-                    writer.flush()?;
+                    write_frame(&mut writer, response)?;
                     ctx.stop.store(true, Ordering::SeqCst);
                     wake_accept(ctx.addr);
                     return Ok(());
@@ -293,51 +299,43 @@ fn run_connection(stream: TcpStream, ctx: Arc<ServerCtx>) -> io::Result<()> {
                 response
             }
         };
-        writeln!(writer, "{response}")?;
-        writer.flush()?;
+        write_frame(&mut writer, response)?;
     }
 }
 
-/// Hand one request to the pool and wait for its response frame.
+/// Answer one request and return its response frame.
 ///
-/// Heavyweight methods (`load`, `certain`, `falsify`, `batch`,
-/// `update`) pass
-/// admission control first: past `threads + max_queue` in flight the
-/// request is shed immediately with `overloaded` and a `retry_after_ms`
-/// hint instead of queueing unboundedly. Control-plane methods always
-/// dispatch, so an overloaded server stays observable and stoppable.
+/// A request that needs no worker is answered here, on the connection
+/// thread ([`route`]). Everything else goes to the pool, behind the
+/// admission gate: past `threads + max_queue` in flight the request is
+/// shed immediately with `overloaded` and a `retry_after_ms` hint
+/// instead of queueing unboundedly.
 fn dispatch(ctx: &Arc<ServerCtx>, req: Request) -> String {
-    let heavyweight = matches!(
-        req.method,
-        Method::Load { .. }
-            | Method::Certain { .. }
-            | Method::Falsify { .. }
-            | Method::Batch { .. }
-            | Method::Update { .. }
-    );
-    if heavyweight {
-        let inflight = ctx.inflight.fetch_add(1, Ordering::SeqCst) + 1;
-        if inflight > ctx.threads + ctx.max_queue {
-            ctx.inflight.fetch_sub(1, Ordering::SeqCst);
-            ctx.shed.fetch_add(1, Ordering::Relaxed);
-            // Scale the hint with how far past capacity we are: the
-            // deeper the overload, the longer the drain.
-            let excess = (inflight - ctx.threads - ctx.max_queue) as u64;
-            let retry_after_ms = (25 * excess).clamp(25, 1000);
-            let e = WireError::new(
-                "overloaded",
-                format!(
-                    "server at capacity ({} requests in flight, queue bound {}); retry in {retry_after_ms}ms",
-                    inflight - 1,
-                    ctx.max_queue
-                ),
-            )
-            .with_retry_after(retry_after_ms);
-            return err_response(req.id, &e);
-        }
-        let waiting = inflight.saturating_sub(ctx.threads);
-        ctx.queue_peak.fetch_max(waiting, Ordering::Relaxed);
+    let held = match route(ctx, &req.method) {
+        Route::Inline(outcome) => return response(req.id, outcome),
+        Route::Pool(held) => held,
+    };
+    let inflight = ctx.inflight.fetch_add(1, Ordering::SeqCst) + 1;
+    if inflight > ctx.threads + ctx.max_queue {
+        ctx.inflight.fetch_sub(1, Ordering::SeqCst);
+        ctx.shed.fetch_add(1, Ordering::Relaxed);
+        // Scale the hint with how far past capacity we are: the
+        // deeper the overload, the longer the drain.
+        let excess = (inflight - ctx.threads - ctx.max_queue) as u64;
+        let retry_after_ms = (25 * excess).clamp(25, 1000);
+        let e = WireError::new(
+            "overloaded",
+            format!(
+                "server at capacity ({} requests in flight, queue bound {}); retry in {retry_after_ms}ms",
+                inflight - 1,
+                ctx.max_queue
+            ),
+        )
+        .with_retry_after(retry_after_ms);
+        return err_response(req.id, &e);
     }
+    let waiting = inflight.saturating_sub(ctx.threads);
+    ctx.queue_peak.fetch_max(waiting, Ordering::Relaxed);
     let (tx, rx) = mpsc::channel::<Result<Json, WireError>>();
     let worker_ctx = Arc::clone(ctx);
     let enqueued = Instant::now();
@@ -360,12 +358,10 @@ fn dispatch(ctx: &Arc<ServerCtx>, req: Request) -> String {
                         Duration::from_millis(ms).saturating_sub(enqueued.elapsed()),
                     )
                 });
-                execute(&worker_ctx, &method, token.as_ref())
+                execute(&worker_ctx, &method, token.as_ref(), held)
             }
         };
-        if heavyweight {
-            worker_ctx.inflight.fetch_sub(1, Ordering::SeqCst);
-        }
+        worker_ctx.inflight.fetch_sub(1, Ordering::SeqCst);
         let _ = tx.send(outcome);
     });
     let outcome = rx.recv().unwrap_or_else(|_| {
@@ -376,10 +372,91 @@ fn dispatch(ctx: &Arc<ServerCtx>, req: Request) -> String {
             "worker panicked while executing the request",
         ))
     });
+    response(req.id, outcome)
+}
+
+/// The response frame for request `id`'s outcome.
+fn response(id: Option<i64>, outcome: Result<Json, WireError>) -> String {
     match outcome {
-        Ok(result) => ok_response(req.id, result),
-        Err(e) => err_response(req.id, &e),
+        Ok(result) => ok_response(id, result),
+        Err(e) => err_response(id, &e),
     }
+}
+
+/// Where [`route`] sends a request.
+enum Route {
+    /// Answered on the connection thread.
+    Inline(Result<Json, WireError>),
+    /// Needs a worker. Carries the session [`route`] already looked up,
+    /// so the pool path neither looks it up nor counts its session hit
+    /// a second time.
+    Pool(Option<Arc<SharedSession>>),
+}
+
+/// Decide where `method` runs. Only work that may load, solve or update
+/// needs a worker. `ping`, `stats` and `shutdown` never do, and neither
+/// does a `certain`, or a `batch` whose queries are all cached, on a
+/// resident session: a verdict is a pure function of the database and
+/// the query, so a cached one needs no solver, no load and nothing to
+/// cancel (a deadline is moot, as in
+/// [`SharedSession::certain_cancellable`]). Every query of a batch is
+/// checked before any is counted, so each answered query moves
+/// `queries` and `cache_hits` once, as the pool path would. A parse
+/// error, a database that is not resident, an uncached query or a set
+/// stop flag goes to the pool, which answers it.
+fn route(ctx: &ServerCtx, method: &Method) -> Route {
+    if matches!(method, Method::Ping | Method::Stats | Method::Shutdown) {
+        return Route::Inline(execute(ctx, method, None, None));
+    }
+    let (db, text, single) = match method {
+        Method::Certain { db, query } => (db, query, true),
+        Method::Batch { db, queries } => (db, queries, false),
+        _ => return Route::Pool(None),
+    };
+    if ctx.stop.load(Ordering::SeqCst) {
+        return Route::Pool(None);
+    }
+    let Some(session) = ctx.manager.resident(db) else {
+        return Route::Pool(None);
+    };
+    let signature = session.db().signature();
+    let queries = if single {
+        parse_query_for(text, signature).ok().map(|q| vec![q])
+    } else {
+        parse_queries_for(text, signature).ok()
+    };
+    let answers: Option<Vec<CertainAnswer>> =
+        queries.and_then(|qs| qs.iter().map(|q| session.cached(q)).collect());
+    let Some(answers) = answers else {
+        return Route::Pool(Some(session));
+    };
+    session.count_cached(answers.len());
+    Route::Inline(Ok(if single {
+        certain_result(&answers[0])
+    } else {
+        batch_result(answers.iter().map(|ans| ans.certain).collect())
+    }))
+}
+
+/// The result object of a `certain` request.
+fn certain_result(ans: &CertainAnswer) -> Json {
+    obj([
+        ("certain", Json::Bool(ans.certain)),
+        ("answered_by", Json::Str(format!("{:?}", ans.answered_by))),
+        ("budget_exhausted", Json::Bool(ans.budget_exhausted)),
+    ])
+}
+
+/// The result object of a `batch` request.
+fn batch_result(verdicts: Vec<bool>) -> Json {
+    let count = verdicts.len();
+    obj([
+        (
+            "verdicts",
+            Json::Arr(verdicts.into_iter().map(Json::Bool).collect()),
+        ),
+        ("count", Json::Int(count as i64)),
+    ])
 }
 
 /// The `deadline-exceeded` answer for a solve the token stopped
@@ -428,19 +505,23 @@ fn answer(
 /// Execute one method against the session manager. Every error path
 /// returns a coded [`WireError`]; none of them tear the connection
 /// down. `token` carries the request's remaining deadline allowance
-/// into the solvers (`None`: solve to completion).
+/// into the solvers (`None`: solve to completion). `held` is the
+/// request's session when [`route`] already looked it up.
 fn execute(
     ctx: &ServerCtx,
     method: &Method,
     token: Option<&CancelToken>,
+    mut held: Option<Arc<SharedSession>>,
 ) -> Result<Json, WireError> {
     if ctx.stop.load(Ordering::SeqCst) && !matches!(method, Method::Shutdown) {
         return Err(WireError::new("shutting-down", "server is shutting down"));
     }
-    let session_for = |db: &str| {
-        ctx.manager
+    let mut session_for = |db: &str| match held.take() {
+        Some(session) => Ok(session),
+        None => ctx
+            .manager
             .get_or_load(db)
-            .map_err(|msg| WireError::new("load-failed", msg))
+            .map_err(|msg| WireError::new("load-failed", msg)),
     };
     match method {
         Method::Ping => Ok(obj([("pong", Json::Bool(true))])),
@@ -457,12 +538,7 @@ fn execute(
         Method::Certain { db, query } => {
             let session = session_for(db)?;
             let q = parse_query_for(query, session.db().signature()).map_err(query_error)?;
-            let ans = answer(ctx, &session, &q, token)?;
-            Ok(obj([
-                ("certain", Json::Bool(ans.certain)),
-                ("answered_by", Json::Str(format!("{:?}", ans.answered_by))),
-                ("budget_exhausted", Json::Bool(ans.budget_exhausted)),
-            ]))
+            Ok(certain_result(&answer(ctx, &session, &q, token)?))
         }
         Method::Falsify { db, query, budget } => {
             let session = session_for(db)?;
@@ -510,13 +586,9 @@ fn execute(
                 .map_err(|e| WireError::new("bad-batch", e))?;
             let verdicts = queries
                 .iter()
-                .map(|q| answer(ctx, &session, q, token).map(|ans| Json::Bool(ans.certain)))
+                .map(|q| answer(ctx, &session, q, token).map(|ans| ans.certain))
                 .collect::<Result<Vec<_>, _>>()?;
-            let count = verdicts.len();
-            Ok(obj([
-                ("verdicts", Json::Arr(verdicts)),
-                ("count", Json::Int(count as i64)),
-            ]))
+            Ok(batch_result(verdicts))
         }
         Method::Update { db, deltas } => {
             // Updates are atomic and set-semantic (idempotent), so a
@@ -612,8 +684,7 @@ mod tests {
     }
 
     fn roundtrip(stream: &mut TcpStream, reader: &mut impl BufRead, frame: &str) -> String {
-        writeln!(stream, "{frame}").unwrap();
-        stream.flush().unwrap();
+        write_frame(stream, frame.to_string()).unwrap();
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();
         line.trim_end().to_string()
@@ -816,24 +887,10 @@ mod tests {
     #[test]
     fn overload_sheds_with_a_retry_hint_and_counts() {
         // One worker, zero queue slots: while a slow load occupies the
-        // worker, any further heavyweight request is shed immediately.
-        let mut config = ServeConfig::new(chain_loader());
-        config.addr = "127.0.0.1:0".to_string();
-        config.threads = 1;
-        config.max_queue = Some(0);
-        let server = serve(config).unwrap();
-        let addr = server.addr();
-
-        let occupant = thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            let mut r = BufReader::new(s.try_clone().unwrap());
-            roundtrip(
-                &mut s,
-                &mut r,
-                r#"{"id":1,"method":"load","params":{"path":"slow:600"}}"#,
-            )
-        });
-        thread::sleep(Duration::from_millis(150));
+        // worker, any further request that needs the pool is shed
+        // immediately.
+        let (server, addr) = saturated_server();
+        let occupant = occupy(addr);
 
         let mut s2 = TcpStream::connect(addr).unwrap();
         let mut r2 = BufReader::new(s2.try_clone().unwrap());
@@ -847,10 +904,21 @@ mod tests {
         let hint = e.retry_after_ms.expect("overloaded carries a hint");
         assert!((25..=1000).contains(&hint), "hint {hint} out of range");
 
-        // Control-plane methods bypass admission: the overloaded server
-        // is still observable.
-        let pong = roundtrip(&mut s2, &mut r2, r#"{"id":3,"method":"ping","params":{}}"#);
-        assert!(parse_response(&pong).unwrap().outcome.is_ok());
+        // Control-plane methods are answered on the connection thread:
+        // the overloaded server is still observable, and promptly, while
+        // the worker is still busy.
+        for (id, method) in [(3, "ping"), (4, "stats")] {
+            let sent = Instant::now();
+            let frame = format!(r#"{{"id":{id},"method":"{method}","params":{{}}}}"#);
+            let reply = roundtrip(&mut s2, &mut r2, &frame);
+            let waited = sent.elapsed();
+            assert!(parse_response(&reply).unwrap().outcome.is_ok(), "{method}");
+            assert!(
+                waited < Duration::from_millis(100),
+                "{method} waited {waited:?} behind the busy worker"
+            );
+        }
+        assert!(!occupant.is_finished(), "the worker was busy throughout");
 
         // The occupant finishes normally; nothing was wedged.
         let loaded = occupant.join().unwrap();
@@ -858,6 +926,130 @@ mod tests {
         let stats = server.manager_stats();
         assert_eq!(stats.shed, 1);
         assert_eq!(stats.cancelled, 0);
+    }
+
+    /// A one-worker server with no queue slots: while its worker is
+    /// busy, any request that needs the pool is shed.
+    fn saturated_server() -> (ServerHandle, SocketAddr) {
+        let mut config = ServeConfig::new(chain_loader());
+        config.addr = "127.0.0.1:0".to_string();
+        config.threads = 1;
+        config.max_queue = Some(0);
+        let server = serve(config).unwrap();
+        let addr = server.addr();
+        (server, addr)
+    }
+
+    /// Hold the server's worker in a 600 ms load; returns once the load
+    /// has started, with the thread that will read its response.
+    fn occupy(addr: SocketAddr) -> JoinHandle<String> {
+        let occupant = thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).unwrap();
+            let mut r = BufReader::new(s.try_clone().unwrap());
+            roundtrip(
+                &mut s,
+                &mut r,
+                r#"{"id":1,"method":"load","params":{"path":"slow:600"}}"#,
+            )
+        });
+        thread::sleep(Duration::from_millis(150));
+        occupant
+    }
+
+    #[test]
+    fn cache_hits_are_answered_while_the_pool_is_saturated() {
+        let (server, addr) = saturated_server();
+        let mut s = TcpStream::connect(addr).unwrap();
+        let mut r = BufReader::new(s.try_clone().unwrap());
+        let certain =
+            r#"{"id":2,"method":"certain","params":{"db":"db:4","query":"R(x | y) R(y | z)"}}"#;
+        let batch = r#"{"id":3,"method":"batch","params":{"db":"db:4","queries":"R(x | y) R(y | z)\nR(x|y) R(y|z)"}}"#;
+        // Prime the cache while the worker is free.
+        let cold = roundtrip(&mut s, &mut r, certain);
+        assert!(parse_response(&cold).unwrap().outcome.is_ok());
+
+        let occupant = occupy(addr);
+        // Cached: answered, not shed, with the pool's exact bytes.
+        assert_eq!(roundtrip(&mut s, &mut r, certain), cold);
+        let all_cached = parse_response(&roundtrip(&mut s, &mut r, batch)).unwrap();
+        assert_eq!(
+            all_cached
+                .outcome
+                .unwrap()
+                .get("count")
+                .and_then(Json::as_int),
+            Some(2)
+        );
+        // Needs a worker: shed. A database that is not resident, an
+        // uncached query, a batch with one uncached query, a parse error.
+        for (id, params) in [
+            (4, r#""db":"db:5","query":"R(x | y) R(y | z)""#),
+            (5, r#""db":"db:4","query":"R(x | y) R(z | y)""#),
+            (6, r#""db":"db:4","query":"R(x | y""#),
+        ] {
+            let frame = format!(r#"{{"id":{id},"method":"certain","params":{{{params}}}}}"#);
+            let e = parse_response(&roundtrip(&mut s, &mut r, &frame))
+                .unwrap()
+                .outcome
+                .unwrap_err();
+            assert_eq!(e.code, "overloaded", "frame {id}");
+        }
+        let mixed = r#"{"id":7,"method":"batch","params":{"db":"db:4","queries":"R(x | y) R(y | z)\nR(x | y) R(x | z)"}}"#;
+        let e = parse_response(&roundtrip(&mut s, &mut r, mixed))
+            .unwrap()
+            .outcome
+            .unwrap_err();
+        assert_eq!(e.code, "overloaded");
+        assert!(!occupant.is_finished(), "the worker was busy throughout");
+
+        assert!(parse_response(&occupant.join().unwrap())
+            .unwrap()
+            .outcome
+            .is_ok());
+        let stats = server.manager_stats();
+        assert_eq!(stats.shed, 4);
+        // Shed requests never reached a session: only the three answered
+        // reads counted (1 cold + 1 cached certain + 2 cached batch lines).
+        assert_eq!((stats.queries, stats.cache_hits), (4, 3));
+    }
+
+    #[test]
+    fn stats_totals_match_the_requests_on_both_paths() {
+        let server = test_server();
+        let mut s = TcpStream::connect(server.addr()).unwrap();
+        let mut r = BufReader::new(s.try_clone().unwrap());
+        let certain = |id: i64, q: &str| {
+            format!(r#"{{"id":{id},"method":"certain","params":{{"db":"db:4","query":"{q}"}}}}"#)
+        };
+        let batch = |id: i64, qs: &str| {
+            format!(r#"{{"id":{id},"method":"batch","params":{{"db":"db:4","queries":"{qs}"}}}}"#)
+        };
+        let q3 = "R(x | y) R(y | z)";
+        let q4 = "R(x | y) R(x | z)";
+        let q5 = "R(y | x) R(x | y)";
+        for frame in [
+            certain(1, q3),                    // load, cold solve
+            certain(2, q3),                    // cached
+            batch(3, &format!("{q3}\\n{q4}")), // mixed: q3 hit, q4 cold
+            batch(4, &format!("{q4}\\n{q3}")), // all cached
+            certain(5, q5),                    // uncached on a resident db
+            certain(6, q5),                    // cached
+            certain(7, "R(x | y"),             // parse error: no query
+        ] {
+            let _ = roundtrip(&mut s, &mut r, &frame);
+        }
+        let st = roundtrip(&mut s, &mut r, r#"{"id":8,"method":"stats","params":{}}"#);
+        let st = parse_response(&st).unwrap().outcome.unwrap();
+        let count = |key: &str| st.get(key).and_then(Json::as_int);
+        assert_eq!(count("loads"), Some(1));
+        // Every request after the load found db:4 resident, once each.
+        assert_eq!(count("session_hits"), Some(6));
+        // 1 + 1 + 2 + 2 + 1 + 1 answered queries; the parse error none.
+        assert_eq!(count("queries"), Some(8));
+        // Hits: request 2, q3 of 3, both lines of 4, request 6.
+        assert_eq!(count("cache_hits"), Some(5));
+        assert_eq!(count("distinct_queries"), Some(3));
+        assert_eq!(count("shed"), Some(0));
     }
 
     #[test]
