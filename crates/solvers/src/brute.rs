@@ -82,6 +82,11 @@ fn component_block_orders(db: &Database, solutions: &SolutionSet) -> ComponentPl
     }
     let groups = uf.groups();
     let mut out = Vec::with_capacity(groups.len());
+    // Allocated once and reset per group: a fresh pair of `n`-slot arrays
+    // per group made the plan O(blocks × components).
+    let mut in_group = vec![false; n];
+    let mut visited = vec![false; n];
+    let mut queue = VecDeque::new();
     for group in groups {
         // Emptied block slots are singletons (solution edges only touch
         // live facts); drop them rather than searching a vacuous block.
@@ -89,12 +94,9 @@ fn component_block_orders(db: &Database, solutions: &SolutionSet) -> ComponentPl
             continue;
         }
         let mut order: Vec<BlockId> = Vec::with_capacity(group.len());
-        let mut in_group = vec![false; n];
         for &b in &group {
             in_group[b] = true;
         }
-        let mut visited = vec![false; n];
-        let mut queue = VecDeque::new();
         visited[group[0]] = true;
         queue.push_back(group[0]);
         while let Some(b) = queue.pop_front() {
@@ -111,6 +113,8 @@ fn component_block_orders(db: &Database, solutions: &SolutionSet) -> ComponentPl
             if !visited[b] {
                 order.push(BlockId(b as u32));
             }
+            in_group[b] = false;
+            visited[b] = false;
         }
         out.push(order);
     }
@@ -600,6 +604,31 @@ mod tests {
                 .expect("a calm token cannot cancel the search");
             assert!(matches!(got, BruteOutcome::NotCertain(_)), "{got:?}");
         }
+    }
+
+    #[test]
+    fn plan_on_a_padded_database_has_one_order_per_component() {
+        // Two q3 chains plus 10⁴ solution-free blocks: the plan must stay
+        // linear in the blocks (one scratch allocation, not one per
+        // component) and keep every component.
+        let q = examples::q3();
+        let mut rows = vec![
+            ["a".to_string(), "b".to_string()],
+            ["b".to_string(), "c".to_string()],
+            ["p".to_string(), "q".to_string()],
+            ["q".to_string(), "r".to_string()],
+        ];
+        rows.extend((0..10_000).map(|i| [format!("pad{i}"), format!("free{i}")]));
+        let mut d = Database::new(Signature::new(2, 1).unwrap());
+        for [k, v] in &rows {
+            d.insert(Fact::from_names([k.as_str(), v.as_str()]))
+                .unwrap();
+        }
+        let solutions = SolutionSet::enumerate(&q, &d);
+        let plan = component_block_orders(&d, &solutions);
+        let comps = crate::components::q_connected_components_with_solutions(&q, &d, &solutions);
+        assert_eq!(plan.orders.len(), comps.len());
+        assert_eq!(plan.orders.len(), 10_002);
     }
 
     #[test]
