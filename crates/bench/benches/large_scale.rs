@@ -212,7 +212,7 @@ fn bench_batch_amortization(c: &mut Criterion) {
     g.finish();
 }
 
-/// The hash join on its own, one query shape per benchmark.
+/// The sort-merge join on its own, one query shape per benchmark.
 fn bench_enumerate(c: &mut Criterion) {
     let db = large_q3_db(&cfg_for(100_000));
     let mut g = c.benchmark_group("enumerate");

@@ -96,9 +96,9 @@ pub fn e2_tripaths() -> bool {
     let enforced = fork.blocks.len() - 1;
     println!(
         "solutions: {} total vs {} enforced by the tree — {}",
-        sols.pairs().len(),
+        sols.len(),
         enforced,
-        if sols.pairs().len() > enforced {
+        if sols.len() > enforced {
             "extra solutions present (Figure 1b shape: NOT solution-nice)"
         } else {
             "no extra solutions"

@@ -179,6 +179,16 @@ fn cannot_read(path: &str, e: std::io::Error) -> CliError {
     CliError::new(format!("cannot read {path}: {e}"))
 }
 
+/// A repair count as printed: `Database::repair_count` saturates at
+/// `u128::MAX`, which stands for every count from 2^128 up.
+fn repair_count_text(count: u128) -> String {
+    if count == u128::MAX {
+        "≥ 2^128".to_string()
+    } else {
+        count.to_string()
+    }
+}
+
 /// `cqa certain <query> <db-file> [--threads N] [--route R] [--stats]`:
 /// evaluate `certain(q)` on a (stream-loaded) database. `threads` caps
 /// the per-component solver fan-out (`None` = available parallelism);
@@ -202,7 +212,7 @@ pub fn cmd_certain(
         "database:    {} facts, {} blocks, {} repairs",
         db.len(),
         db.block_count(),
-        db.repair_count()
+        repair_count_text(db.repair_count())
     );
     let _ = writeln!(out, "complexity:  {:?}", engine.classification().complexity);
     let _ = writeln!(out, "certain:     {}", ans.certain);
@@ -373,7 +383,7 @@ pub fn cmd_update(
             let _ = session.certain(q);
         }
         let (next, report) = session
-            .with_delta(&script.inserts, &script.retracts)
+            .into_delta(&script.inserts, &script.retracts)
             .map_err(|e| CliError::new(e.to_string()))?;
         for q in &queries {
             let _ = writeln!(out, "{}", next.certain(q).certain);

@@ -49,6 +49,26 @@ fn certain_evaluates_a_fact_file() {
 }
 
 #[test]
+fn certain_prints_a_saturated_repair_count_as_a_bound() {
+    // 130 blocks of two facts: 2^130 repairs, past u128.
+    let dir = std::env::temp_dir().join(format!("cqa-smoke-repairs-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let db = dir.join("wide.facts");
+    let facts: String = (0..130)
+        .map(|i| format!("R(k{i} | x)\nR(k{i} | y)\n"))
+        .collect();
+    std::fs::write(&db, facts).unwrap();
+    let (stdout, stderr, code) = cqa(&["certain", Q3, db.to_str().unwrap()]);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    assert!(
+        stdout.contains("database:    260 facts, 130 blocks, ≥ 2^128 repairs"),
+        "{stdout}"
+    );
+    assert!(!stdout.contains(&u128::MAX.to_string()), "{stdout}");
+}
+
+#[test]
 fn bad_usage_exits_nonzero_with_usage() {
     let (_, stderr, code) = cqa(&["frobnicate"]);
     assert_eq!(code, Some(1));

@@ -6,9 +6,14 @@
 //! `q(f f)`", plus the count of set flags: the query is certain iff the
 //! count is positive (`cqa_solvers::one_atom`), and a delta rechecks only
 //! the blocks it touched. For the other PTime classes it is the
-//! incremental solution set, the dynamic q-connected partition, and one
-//! verdict per component. After a delta, only the *dirty region* is
-//! re-solved:
+//! incremental solution set (join groups that facts move in and out of),
+//! the dynamic q-connected partition of the solution *support*, and one
+//! verdict per component. A block holding no fact of any solution is in
+//! no component and has no verdict: by Proposition 10.6 it can never make
+//! the database certain. It joins the partition when one of its facts
+//! enters a join group whose other side is non-empty, so a database on
+//! which the query has no solution keeps no component at all. After a
+//! delta, only the *dirty region* is re-solved:
 //!
 //! * components the delta never touched keep their verdicts verbatim
 //!   (their fact sets are literally identical — fact ids are stable under
@@ -37,7 +42,7 @@ use cqa_model::{BlockId, Database, DeltaReport};
 use cqa_query::Query;
 use cqa_solvers::{
     certain_combined_over, certk_by_components, CancelToken, CertKStats, Component,
-    DynamicComponents, IncrementalSolutions, OneAtomPlan,
+    DynamicComponents, IncrementalSolutions, OneAtomPlan, SolutionSet,
 };
 
 /// Counters for the incremental path, aggregated by sessions and servers.
@@ -260,20 +265,47 @@ impl QueryDeltaState {
     }
 
     /// Build the cache for `db`: one block scan for a `Trivial` query, a
-    /// from-scratch solve of every component otherwise. Returns `None`
-    /// when the class is unsupported ([`QueryDeltaState::supports`]).
+    /// from-scratch solve of every support component otherwise. Returns
+    /// `None` when the class is unsupported ([`QueryDeltaState::supports`]).
     pub fn new(engine: CqaEngine, db: &Database) -> Option<QueryDeltaState> {
-        if !QueryDeltaState::supports(&engine) {
+        let solutions = || IncrementalSolutions::new(engine.query(), db);
+        QueryDeltaState::build(&engine, db, solutions)
+            .map(|tracked| QueryDeltaState { engine, tracked })
+    }
+
+    /// [`QueryDeltaState::new`] for the database `db` that a delta
+    /// produced, given `solutions`, a [`SolutionSet::enumerate`] of the
+    /// query on the database before it, and the delta's `report`: the
+    /// solutions are patched rather than enumerated again.
+    pub fn after_delta(
+        engine: CqaEngine,
+        solutions: SolutionSet,
+        db: &Database,
+        report: &DeltaReport,
+    ) -> Option<QueryDeltaState> {
+        let solutions = || {
+            let mut inc = IncrementalSolutions::from_enumeration(engine.query(), solutions);
+            inc.apply_delta(db, report);
+            inc
+        };
+        QueryDeltaState::build(&engine, db, solutions)
+            .map(|tracked| QueryDeltaState { engine, tracked })
+    }
+
+    /// What [`QueryDeltaState::new`] keeps for `db`, with the incremental
+    /// solution set made on demand.
+    fn build(
+        engine: &CqaEngine,
+        db: &Database,
+        solutions: impl FnOnce() -> IncrementalSolutions,
+    ) -> Option<Tracked> {
+        if !QueryDeltaState::supports(engine) {
             return None;
         }
         if engine.classification().complexity == Complexity::Trivial {
-            let blocks = ForcingBlocks::new(engine.query(), db);
-            return Some(QueryDeltaState {
-                engine,
-                tracked: Tracked::Blocks(blocks),
-            });
+            return Some(Tracked::Blocks(ForcingBlocks::new(engine.query(), db)));
         }
-        let solutions = IncrementalSolutions::new(engine.query(), db);
+        let solutions = solutions();
         let comps = DynamicComponents::new(db, solutions.solutions());
         let mut cv = ComponentVerdicts {
             solutions,
@@ -282,13 +314,10 @@ impl QueryDeltaState {
             totals: VerdictTotals::default(),
         };
         for id in cv.comps.ids().collect::<Vec<_>>() {
-            let v = cv.solve(&engine, db, id);
+            let v = cv.solve(engine, db, id);
             cv.put_verdict(id, v);
         }
-        Some(QueryDeltaState {
-            engine,
-            tracked: Tracked::Components(Box::new(cv)),
-        })
+        Some(Tracked::Components(Box::new(cv)))
     }
 
     /// The engine (query, classification, config) this cache answers for.
@@ -296,8 +325,9 @@ impl QueryDeltaState {
         &self.engine
     }
 
-    /// Number of q-connected components currently tracked; `None` for a
-    /// `Trivial` query, which tracks blocks instead.
+    /// Number of q-connected components of the solution support currently
+    /// tracked (solution-free blocks are in none); `None` for a `Trivial`
+    /// query, which tracks blocks instead.
     pub fn components(&self) -> Option<usize> {
         match &self.tracked {
             Tracked::Blocks(_) => None,
@@ -500,13 +530,16 @@ mod tests {
         let engine = CqaEngine::new(examples::q3());
         let mut db = db2(&[["a", "b"], ["b", "c"], ["p", "q"], ["x", "y"]]);
         let mut state = QueryDeltaState::new(engine.clone(), &db).unwrap();
-        let comps_before = state.components().unwrap();
-        assert!(comps_before >= 3);
-        // Touch only the {x, y} region.
+        // Only the a→b→c chain holds a solution; p→q and x→y are in no
+        // component.
+        assert_eq!(state.components(), Some(1));
+        // Touch only the {x, y} region: y→z gives x→y its first solution.
         let report = db.apply_delta(&[f2("y", "z")], &[]).unwrap();
         let step = state.apply(&db, &report);
-        // Every component but the touched one kept its verdict.
-        assert_eq!(step.verdicts_retained as usize, comps_before - 1);
+        // The chain's component was untouched and kept its verdict.
+        assert_eq!(step.verdicts_retained, 1);
+        assert_eq!(step.blocks_reseeded, 2, "blocks x and y");
+        assert_eq!(state.components(), Some(2));
         assert_eq!(state.answer().certain, engine.certain(&db).certain);
     }
 
@@ -542,6 +575,44 @@ mod tests {
     }
 
     #[test]
+    fn a_solution_free_database_keeps_no_component_until_its_first_solution() {
+        // R(y | x) R(x | y) needs a 2-cycle; a chain of 10³ blocks has
+        // none, so nothing is partitioned or solved.
+        let q = cqa_query::parse_query("R(y | x) R(x | y)").unwrap();
+        let engine = CqaEngine::new(q);
+        assert_ne!(engine.classification().complexity, Complexity::Trivial);
+        let names: Vec<String> = (0..=1000).map(|i| format!("n{i}")).collect();
+        let mut db = Database::new(Signature::new(2, 1).unwrap());
+        for w in names.windows(2) {
+            db.insert(f2(&w[0], &w[1])).unwrap();
+        }
+        let mut state = QueryDeltaState::new(engine.clone(), &db).unwrap();
+        assert_eq!(state.components(), Some(0));
+        assert!(!state.answer().certain);
+        assert_eq!(state.answer().certk_stats, None);
+
+        // n1→n0 closes the cycle n0→n1→n0: exactly the blocks n0 and n1
+        // come in, as one component.
+        let report = db.apply_delta(&[f2("n1", "n0")], &[]).unwrap();
+        let step = state.apply(&db, &report);
+        assert_eq!(state.components(), Some(1));
+        assert_eq!(step.blocks_reseeded, 2);
+        assert_eq!(step.verdicts_retained, 0);
+        let blocks = component_verdicts(&state)
+            .comps
+            .ids()
+            .map(|c| component_verdicts(&state).comps.blocks_of(c).len());
+        assert_eq!(blocks.collect::<Vec<_>>(), vec![2]);
+        assert_eq!(state.answer().certain, engine.certain(&db).certain);
+
+        // Retracting it empties the support again.
+        let report = db.apply_delta(&[], &[f2("n1", "n0")]).unwrap();
+        state.apply(&db, &report);
+        assert_eq!(state.components(), Some(0));
+        assert!(!state.answer().certain);
+    }
+
+    #[test]
     fn conp_class_is_unsupported() {
         let engine = CqaEngine::new(examples::q2());
         assert!(!QueryDeltaState::supports(&engine));
@@ -561,15 +632,17 @@ mod tests {
         assert!(report.growth_only());
         let step = state.apply(&db, &report);
         assert_eq!(step.blocks_reseeded, 2);
-        assert_eq!(step.verdicts_retained, 1, "the p block is untouched");
+        assert_eq!(step.verdicts_retained, 0, "the p block holds no solution");
         assert!(state.answer().certain);
 
-        // A retract re-solves what is left of that component, {b→c}, the
-        // same way (the emptied a block belongs to no component).
+        // A retract leaves {b→c} without a solution: the component is
+        // dropped and nothing is re-solved (the emptied a block belongs
+        // to no component either).
         let report = db.apply_delta(&[], &[f2("a", "b")]).unwrap();
         assert!(!report.growth_only());
         let step = state.apply(&db, &report);
-        assert_eq!(step.blocks_reseeded, 1);
+        assert_eq!(step.blocks_reseeded, 0);
+        assert_eq!(state.components(), Some(0));
         assert_eq!(state.answer().certain, engine.certain(&db).certain);
     }
 
@@ -577,7 +650,8 @@ mod tests {
     fn growth_bridging_two_components_resolves_the_merged_component() {
         let engine = CqaEngine::new(examples::q3());
         // Two multi-block components, {a→b, a→y, b→c} and {d→e, d→w,
-        // e→f}, neither certain, plus two untouched single-block ones.
+        // e→f}, neither certain, plus two solution-free blocks that are
+        // in no component.
         let mut db = db2(&[
             ["a", "b"],
             ["a", "y"],
@@ -589,15 +663,15 @@ mod tests {
             ["u", "v"],
         ]);
         let mut state = QueryDeltaState::new(engine.clone(), &db).unwrap();
-        assert_eq!(state.components(), Some(4));
+        assert_eq!(state.components(), Some(2));
         assert!(!state.answer().certain);
 
         // c→d lives in a fresh block and bridges the two components.
         let report = db.apply_delta(&[f2("c", "d")], &[]).unwrap();
         assert!(report.growth_only());
         let step = state.apply(&db, &report);
-        assert_eq!(state.components(), Some(3));
-        assert_eq!(step.verdicts_retained, 2, "m→n and u→v are untouched");
+        assert_eq!(state.components(), Some(1));
+        assert_eq!(step.verdicts_retained, 0, "both components merged");
         // The merged component: blocks a, b, c, d and e.
         assert_eq!(step.blocks_reseeded, 5);
         assert_eq!(state.answer().certain, engine.certain(&db).certain);

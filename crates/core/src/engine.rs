@@ -7,9 +7,17 @@
 //! first, and a database with none is answered `false` on the spot: no
 //! repair satisfies `q` without a solution.
 //!
+//! Every other answer is computed on the solution *support* only: the
+//! blocks that hold a fact of some solution. A q-connected component
+//! outside it has no repair that satisfies `q`, so it is never certain
+//! (Proposition 10.6) and deciding it is wasted work. The brute force,
+//! the Theorem 10.5 combination and the component route take the
+//! support's components; the literal route runs the fixpoint on the
+//! support as one view.
+//!
 //! For the PTime `Cert_k` classes the engine additionally picks an
-//! *evaluation route* per database: the literal whole-database fixpoint
-//! (the small-n fast path) or the per-component fan-out of
+//! *evaluation route* per database: the literal fixpoint (the small-n
+//! fast path) or the per-component fan-out of
 //! [`cqa_solvers::certk_by_components`] — by Proposition 10.6 the
 //! database is certain iff some q-connected component is, and `Cert_k` is
 //! exact per component exactly when it is exact globally, so the two
@@ -23,14 +31,12 @@
 //! [`RoutingConfig`].
 
 use crate::classify::{classify_with, Classification, Complexity};
-use cqa_model::Database;
+use cqa_model::{BlockId, Database};
 use cqa_query::Query;
-use cqa_solvers::components::{
-    q_connected_components_if_fragmented, q_connected_components_with_solutions, Component,
-};
 use cqa_solvers::{
     certain_brute_over, certain_combined_over, certain_one_atom, certk_by_components, certk_view,
-    BruteOutcome, CancelToken, CertKConfig, CertKOutcome, CertKStats, CombinedResult, SolutionSet,
+    support_components, support_partition, support_view, BruteOutcome, CancelToken, CertKConfig,
+    CertKOutcome, CertKStats, CombinedResult, Component, SolutionSet,
 };
 use cqa_tripath::SearchConfig;
 use std::cell::OnceCell;
@@ -70,8 +76,9 @@ pub struct CertainAnswer {
     /// counters are summed (`peak_members` takes the max) over every
     /// component; matching-decided components contribute nothing.
     pub certk_stats: Option<CertKStats>,
-    /// Number of q-connected components in the partition (component routes
-    /// only).
+    /// Number of q-connected components of the solution support, the
+    /// components the solver decided (component routes only). A
+    /// solution-free block is in none of them.
     pub components: Option<usize>,
 }
 
@@ -130,9 +137,10 @@ pub struct RoutingConfig {
     /// `Auto`: consider the component route only at or above this many
     /// facts (below it the partition bookkeeping outweighs the win).
     pub min_facts: usize,
-    /// `Auto`: take the component route only when the partition yields at
-    /// least this many q-connected components (an unfragmented database
-    /// gains nothing from the detour).
+    /// `Auto`: take the component route only when the solution support
+    /// splits into at least this many q-connected components (an
+    /// unfragmented support gains nothing from the detour; solution-free
+    /// blocks are not counted, since neither route decides them).
     pub min_components: usize,
 }
 
@@ -245,35 +253,23 @@ impl CqaEngine {
     }
 
     /// The routing decision for `db` on the `Cert_k` classes:
-    /// `Some(partition)` when the component route should be taken. Under
-    /// [`RoutePolicy::Auto`], small or unfragmented databases stay
-    /// literal.
-    fn route_components<'a>(
+    /// `Some(partition)` of the solution support, as block groups, when
+    /// the component route should be taken. Under [`RoutePolicy::Auto`],
+    /// small databases and supports of few components stay literal.
+    fn route_components(
         &self,
-        db: &'a Database,
+        db: &Database,
         solutions: &SolutionSet,
-    ) -> Option<Vec<Component<'a>>> {
+    ) -> Option<Vec<Vec<BlockId>>> {
         let routing = &self.config.routing;
         match routing.policy {
             RoutePolicy::Literal => None,
-            RoutePolicy::Component => Some(q_connected_components_with_solutions(
-                &self.query,
-                db,
-                solutions,
-            )),
-            RoutePolicy::Auto => {
-                if db.len() < routing.min_facts {
-                    return None;
-                }
-                // One union-find pass: views are only materialised when
-                // the partition clears the fragmentation threshold.
-                q_connected_components_if_fragmented(
-                    &self.query,
-                    db,
-                    solutions,
-                    routing.min_components,
-                )
+            RoutePolicy::Component => Some(support_partition(db, solutions)),
+            RoutePolicy::Auto if db.len() >= routing.min_facts => {
+                Some(support_partition(db, solutions))
+                    .filter(|groups| groups.len() >= routing.min_components)
             }
+            RoutePolicy::Auto => None,
         }
     }
 
@@ -363,18 +359,25 @@ impl CqaEngine {
                 })
             }
             Complexity::PTimeCombined => {
-                let comps = q_connected_components_with_solutions(&self.query, db, solutions);
+                let comps = support_components(db, solutions);
                 certain_combined_over(&comps, solutions, cfg, token)
                     .map(|res| answer_from_components(res, AnsweredBy::Combined))
                     .map_err(fixpoint_cancelled)
             }
             _ => match self.route_components(db, solutions) {
-                Some(comps) => certk_by_components(&comps, solutions, cfg, token)
-                    .map(|res| answer_from_components(res, AnsweredBy::ComponentCertK))
-                    .map_err(fixpoint_cancelled),
+                Some(groups) => {
+                    let comps: Vec<Component<'_>> = groups
+                        .into_iter()
+                        .map(|blocks| Component::of_blocks(db, blocks))
+                        .collect();
+                    certk_by_components(&comps, solutions, cfg, token)
+                        .map(|res| answer_from_components(res, AnsweredBy::ComponentCertK))
+                        .map_err(fixpoint_cancelled)
+                }
                 None => {
-                    let (out, stats) = certk_view(&db.full_view(), solutions, cfg, token)
-                        .map_err(fixpoint_cancelled)?;
+                    let view = support_view(db, solutions);
+                    let (out, stats) =
+                        certk_view(&view, solutions, cfg, token).map_err(fixpoint_cancelled)?;
                     Ok(CertainAnswer {
                         budget_exhausted: out == CertKOutcome::BudgetExhausted,
                         certk_stats: Some(stats),

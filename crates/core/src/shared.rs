@@ -1,7 +1,7 @@
 //! Query sessions: load a database once, answer many queries.
 //!
 //! Every [`CqaEngine::certain`] call re-derives the expensive
-//! intermediates — the hash-joined [`SolutionSet`] and the q-connected
+//! intermediates — the sort-merge-joined [`SolutionSet`] and the q-connected
 //! component partition — and re-solves, even when the same query is asked
 //! against the same database again. A [`SharedSession`] is the one
 //! session type: `cqa batch`, `cqa update` and every database resident in
@@ -308,7 +308,43 @@ impl SharedSession {
     ) -> Result<(SharedSession, DeltaReport), ModelError> {
         let mut db = (*self.db).clone();
         let report = db.apply_delta(inserts, retracts)?;
-        let db = Arc::new(db);
+        let entries = self
+            .entries
+            .lock()
+            .expect("session map lock poisoned")
+            .clone();
+        Ok((self.successor(Arc::new(db), &report, entries), report))
+    }
+
+    /// [`SharedSession::with_delta`] for a session nothing reads any
+    /// more, such as a one-shot `cqa update`'s: when this session holds
+    /// the database's only handle, the delta is applied in place instead
+    /// of to a copy-on-write clone, whose first write into each shared
+    /// chunk and map shard copies it, and each query's cached solution
+    /// set moves into its incremental state instead of being copied. An
+    /// error consumes the session.
+    pub fn into_delta(
+        mut self,
+        inserts: &[Fact],
+        retracts: &[Fact],
+    ) -> Result<(SharedSession, DeltaReport), ModelError> {
+        let placeholder = Arc::new(Database::new(*self.db.signature()));
+        let shared = std::mem::replace(&mut self.db, placeholder);
+        let mut db = Arc::try_unwrap(shared).unwrap_or_else(|db| (*db).clone());
+        let report = db.apply_delta(inserts, retracts)?;
+        let entries = std::mem::take(self.entries.get_mut().expect("session map lock poisoned"));
+        Ok((self.successor(Arc::new(db), &report, entries), report))
+    }
+
+    /// The session of `db`, which `report`'s delta made from this
+    /// session's database, carrying `entries` (this session's, taken or
+    /// shared): see [`SharedSession::with_delta`].
+    fn successor(
+        &self,
+        db: Arc<Database>,
+        report: &DeltaReport,
+        entries: HashMap<String, Arc<SharedEntry>>,
+    ) -> SharedSession {
         let mut step = DeltaStats {
             delta_applied: 1,
             ..DeltaStats::default()
@@ -318,16 +354,15 @@ impl SharedSession {
         // *our* database).
         let mut old_states =
             std::mem::take(&mut *self.delta.lock().expect("session delta lock poisoned"));
-        let entries = self.entries.lock().expect("session map lock poisoned");
         let mut next_entries: HashMap<String, Arc<SharedEntry>> = HashMap::new();
         let mut next_states: HashMap<String, QueryDeltaState> = HashMap::new();
-        for (key, entry) in entries.iter() {
+        for (key, entry) in entries {
             if entry.answer.get().is_none() {
                 continue; // never fully answered: nothing worth carrying
             }
-            let state = match old_states.remove(key) {
+            let state = match old_states.remove(&key) {
                 Some(mut state) => {
-                    let s = state.apply(&db, &report);
+                    let s = state.apply(&db, report);
                     step.blocks_reseeded += s.blocks_reseeded;
                     step.verdicts_retained += s.verdicts_retained;
                     Some(state)
@@ -336,13 +371,21 @@ impl SharedSession {
                     // First update for this query: convert the cached
                     // verdict into an incremental state by solving the
                     // post-delta database per component (cold once; every
-                    // later delta patches).
+                    // later delta patches). A cached enumeration is
+                    // patched by this delta instead of redone.
                     let engine = entry
                         .engine
                         .get()
                         .expect("an answered entry always has its engine")
                         .clone();
-                    QueryDeltaState::new(engine, &db)
+                    let pre = match Arc::try_unwrap(entry) {
+                        Ok(entry) => entry.solutions.into_inner(),
+                        Err(entry) => entry.solutions.get().cloned(),
+                    };
+                    match pre {
+                        Some(pre) => QueryDeltaState::after_delta(engine, pre, &db, report),
+                        None => QueryDeltaState::new(engine, &db),
+                    }
                 }
             };
             if let Some(state) = state {
@@ -353,10 +396,9 @@ impl SharedSession {
                 next_states.insert(key.clone(), state);
             }
         }
-        drop(entries);
         let mut stats = self.delta_stats();
         stats.absorb(&step);
-        let next = SharedSession {
+        SharedSession {
             db,
             config: self.config,
             entries: Mutex::new(next_entries),
@@ -365,8 +407,7 @@ impl SharedSession {
             queries: AtomicUsize::new(self.queries.load(Ordering::Relaxed)),
             distinct: AtomicUsize::new(self.distinct.load(Ordering::Relaxed)),
             cache_hits: AtomicUsize::new(self.cache_hits.load(Ordering::Relaxed)),
-        };
-        Ok((next, report))
+        }
     }
 }
 
@@ -553,7 +594,9 @@ mod tests {
         assert!(!report.growth_only());
         assert!(!s2.certain(&q3).certain);
         assert_eq!(s2.delta_stats().delta_applied, 2);
-        assert!(s2.delta_stats().verdicts_retained > 0);
+        // The p block holds no solution, so no component verdict was
+        // ever there to retain.
+        assert_eq!(s2.delta_stats().verdicts_retained, 0);
 
         // Differential: every successor agrees with a cold engine on its
         // own database.

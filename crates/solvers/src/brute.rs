@@ -6,6 +6,9 @@
 //! per component, backtrack over its blocks (in BFS order along solution
 //! edges, so conflicts surface close to the choices causing them), never
 //! picking a fact that completes a solution with an already-picked fact.
+//! Only the components of the solution *support* (the blocks holding a
+//! fact of some solution) are searched: any fact of a solution-free block
+//! conflicts with nothing, so such a block never forces `q`.
 //! Worst-case exponential per component — the expected shape on coNP-hard
 //! queries, and exactly what the dichotomy benches measure.
 //!
@@ -19,7 +22,6 @@
 //! [`certain_brute_over`] for the budget/thread-count contract.
 
 use crate::{CancelToken, SolutionSet};
-use cqa_graph::UnionFind;
 use cqa_model::{BlockId, Database, FactId, Repair};
 use cqa_query::Query;
 use std::collections::VecDeque;
@@ -52,82 +54,58 @@ impl BruteOutcome {
 /// `chosen` scratch at component size instead of database size (solutions
 /// never cross components, so a search only ever consults its own blocks).
 struct ComponentPlan {
-    /// One BFS-ordered block list per component.
+    /// One BFS-ordered block list per support component.
     orders: Vec<Vec<BlockId>>,
     /// `local_idx[b]` = position of block `b` inside its component's order.
     local_idx: Vec<u32>,
 }
 
-/// Group blocks into q-connected components and order each component's
-/// blocks by BFS along solution edges (locality for the backtracker).
+/// Group the support's blocks into q-connected components and order each
+/// component's blocks by BFS along solution edges (locality for the
+/// backtracker), in `O(support facts)`: a BFS from each unvisited support
+/// block, in ascending order, reaches exactly its component, and expands
+/// each join group ([`SolutionSet::groups_of`]) once.
 ///
-/// Indexed by raw block id, sized to [`Database::block_slots`]: on a live
-/// database retractions leave emptied block slots behind, which are *not*
-/// blocks of the current instance — a slot with no facts must neither be
-/// searched (it would look unfillable and wrongly force `q`) nor shadow a
-/// live block whose raw id exceeds the live-block count.
+/// Only the support is planned: a solution-free block conflicts with
+/// nothing, so any of its facts completes a falsifying repair, and it can
+/// never force `q` (Proposition 10.6). Indexed by raw block id, sized to
+/// [`Database::block_slots`]: on a live database retractions leave
+/// emptied block slots behind, which are never in the support.
 fn component_block_orders(db: &Database, solutions: &SolutionSet) -> ComponentPlan {
-    let n = db.block_slots();
-    let mut uf = UnionFind::new(n);
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for &(a, b) in solutions.pairs() {
-        let (ba, bb) = (db.block_of(a).idx(), db.block_of(b).idx());
-        if ba != bb && uf.union(ba, bb) {
-            // adjacency may hold duplicates; BFS tolerates them
-        }
-        if ba != bb {
-            adj[ba].push(bb);
-            adj[bb].push(ba);
-        }
-    }
-    let groups = uf.groups();
-    let mut out = Vec::with_capacity(groups.len());
-    // Allocated once and reset per group: a fresh pair of `n`-slot arrays
-    // per group made the plan O(blocks × components).
-    let mut in_group = vec![false; n];
-    let mut visited = vec![false; n];
+    let mut visited = vec![false; db.block_slots()];
+    let mut expanded = vec![false; solutions.group_slots()];
+    let mut local_idx = vec![0u32; db.block_slots()];
+    let mut orders = Vec::new();
     let mut queue = VecDeque::new();
-    for group in groups {
-        // Emptied block slots are singletons (solution edges only touch
-        // live facts); drop them rather than searching a vacuous block.
-        if group.len() == 1 && db.block(BlockId(group[0] as u32)).is_empty() {
+    for start in solutions.support_blocks(db) {
+        if visited[start.idx()] {
             continue;
         }
-        let mut order: Vec<BlockId> = Vec::with_capacity(group.len());
-        for &b in &group {
-            in_group[b] = true;
-        }
-        visited[group[0]] = true;
-        queue.push_back(group[0]);
+        visited[start.idx()] = true;
+        queue.push_back(start);
+        let mut order: Vec<BlockId> = Vec::new();
         while let Some(b) = queue.pop_front() {
-            order.push(BlockId(b as u32));
-            for &nb in &adj[b] {
-                if in_group[nb] && !visited[nb] {
-                    visited[nb] = true;
-                    queue.push_back(nb);
+            local_idx[b.idx()] = order.len() as u32;
+            order.push(b);
+            for &f in db.block(b) {
+                for g in solutions.groups_of(f) {
+                    if std::mem::replace(&mut expanded[g], true) {
+                        continue;
+                    }
+                    let (a_side, b_side) = solutions.group(g);
+                    for &h in a_side.iter().chain(b_side) {
+                        let nb = db.block_of(h);
+                        if !visited[nb.idx()] {
+                            visited[nb.idx()] = true;
+                            queue.push_back(nb);
+                        }
+                    }
                 }
             }
         }
-        // Isolated blocks of the group (no solution edges) come last.
-        for &b in &group {
-            if !visited[b] {
-                order.push(BlockId(b as u32));
-            }
-            in_group[b] = false;
-            visited[b] = false;
-        }
-        out.push(order);
+        orders.push(order);
     }
-    let mut local_idx = vec![0u32; n];
-    for order in &out {
-        for (li, &b) in order.iter().enumerate() {
-            local_idx[b.idx()] = li as u32;
-        }
-    }
-    ComponentPlan {
-        orders: out,
-        local_idx,
-    }
+    ComponentPlan { orders, local_idx }
 }
 
 /// Backtracking search for a falsifying repair, with a node budget
@@ -607,17 +585,15 @@ mod tests {
     }
 
     #[test]
-    fn plan_on_a_padded_database_has_one_order_per_component() {
-        // Two q3 chains plus 10⁴ solution-free blocks: the plan must stay
-        // linear in the blocks (one scratch allocation, not one per
-        // component) and keep every component.
+    fn plan_on_a_padded_database_has_one_order_per_support_component() {
+        // Two falsifiable q3 chains plus 10⁴ solution-free blocks: the
+        // plan holds the two chains only, in time linear in the support.
         let q = examples::q3();
-        let mut rows = vec![
-            ["a".to_string(), "b".to_string()],
-            ["b".to_string(), "c".to_string()],
-            ["p".to_string(), "q".to_string()],
-            ["q".to_string(), "r".to_string()],
-        ];
+        let mut rows: Vec<[String; 2]> = [["a", "b"], ["a", "x"], ["b", "c"]]
+            .into_iter()
+            .chain([["p", "q"], ["p", "y"], ["q", "r"]])
+            .map(|[k, v]| [k.to_string(), v.to_string()])
+            .collect();
         rows.extend((0..10_000).map(|i| [format!("pad{i}"), format!("free{i}")]));
         let mut d = Database::new(Signature::new(2, 1).unwrap());
         for [k, v] in &rows {
@@ -626,9 +602,19 @@ mod tests {
         }
         let solutions = SolutionSet::enumerate(&q, &d);
         let plan = component_block_orders(&d, &solutions);
-        let comps = crate::components::q_connected_components_with_solutions(&q, &d, &solutions);
-        assert_eq!(plan.orders.len(), comps.len());
-        assert_eq!(plan.orders.len(), 10_002);
+        let support = crate::components::support_partition(&d, &solutions);
+        assert_eq!(plan.orders.len(), support.len());
+        assert_eq!(plan.orders.len(), 2);
+        let mut planned: Vec<Vec<BlockId>> = plan.orders.clone();
+        for order in &mut planned {
+            order.sort_unstable();
+        }
+        assert_eq!(planned, support);
+        // The padding still gets a fact in the witness.
+        match certain_brute_budgeted(&q, &d, u64::MAX) {
+            BruteOutcome::NotCertain(r) => assert_eq!(r.len(), d.block_count()),
+            other => panic!("expected NotCertain, got {other:?}"),
+        }
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! For a 2way-determined query with no fork-tripath,
 //! `certain(q) = Cert_k(q) ∨ ¬matching(q)`. The practical evaluator
 //! implemented here additionally exploits the component partition of
-//! Proposition 10.6: it splits `D` into q-connected components and decides
-//! each with the cheaper applicable algorithm — `¬matching` on
+//! Proposition 10.6: it splits the solution support of `D` into
+//! q-connected components (a solution-free component is never certain)
+//! and decides each with the cheaper applicable algorithm — `¬matching` on
 //! clique-database components (exact there by Proposition 10.3), `Cert_k`
 //! on the rest (exact there when the query has no fork-tripath, since such
 //! components contain no tripath at all).
@@ -16,7 +17,7 @@
 //! in component order, so the result is identical across thread counts.
 
 use crate::certk::{certk_view, CertKConfig, CertKOutcome, CertKStats};
-use crate::components::{q_connected_components_with_solutions, Component};
+use crate::components::{support_components, Component};
 use crate::matching::analyze_view;
 use crate::{CancelToken, SolutionSet};
 use cqa_model::Database;
@@ -53,7 +54,8 @@ pub struct CombinedResult {
     /// `D ⊨ certain(q)`.
     pub certain: bool,
     /// Per-component evidence, one verdict per component in component
-    /// order.
+    /// order (the components of the solution support, when the partition
+    /// is the solvers' own).
     pub components: Vec<ComponentVerdict>,
 }
 
@@ -72,12 +74,13 @@ impl CombinedResult {
     }
 }
 
-/// Decide `certain(q)` via the Theorem 10.5 / Proposition 10.6 combination.
-/// Complete for 2way-determined queries without fork-tripaths; sound (an
+/// Decide `certain(q)` via the Theorem 10.5 / Proposition 10.6 combination
+/// over the components of the solution support. Complete for
+/// 2way-determined queries without fork-tripaths; sound (an
 /// under-approximation) for every 2way-determined query.
 pub fn certain_combined(q: &Query, db: &Database, cfg: CertKConfig) -> CombinedResult {
     let solutions = SolutionSet::enumerate(q, db);
-    let comps = q_connected_components_with_solutions(q, db, &solutions);
+    let comps = support_components(db, &solutions);
     certain_combined_over(&comps, &solutions, cfg, &CancelToken::new())
         .expect("a never-raised token cannot cancel the fan-out")
 }
@@ -269,7 +272,8 @@ mod tests {
 
     #[test]
     fn mixed_components() {
-        // One certain triangle component + one falsifiable component.
+        // One certain triangle component + one solution-free block, which
+        // is in no component the solver decides.
         let db = q6_db(&[
             ["a", "b", "c"],
             ["c", "a", "b"],
@@ -279,7 +283,7 @@ mod tests {
         ]);
         let res = certain_combined(&examples::q6(), &db, CertKConfig::new(2));
         assert!(res.certain);
-        assert_eq!(res.components.len(), 2);
+        assert_eq!(res.components.len(), 1);
         assert!(certain_brute(&examples::q6(), &db));
     }
 
@@ -369,7 +373,7 @@ mod tests {
             ["p", "s", "t"],
         ]);
         let solutions = crate::SolutionSet::enumerate(&q6, &db);
-        let comps = q_connected_components_with_solutions(&q6, &db, &solutions);
+        let comps = support_components(&db, &solutions);
         let base = CertKConfig::new(2);
         let calm = CancelToken::new();
         for threads in [1usize, 2, 4] {

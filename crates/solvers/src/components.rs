@@ -11,6 +11,22 @@
 //! 3. `Cᵢ ⊨ Cert_k(q)` for some `i` implies `D ⊨ Cert_k(q)`;
 //! 4. `D ⊨ matching(q)` implies `Cᵢ ⊨ matching(q)` for all `i`.
 //!
+//! A block that holds no fact of any solution is a component on its own,
+//! and by (2) it never matters: none of its repairs satisfies `q`. The
+//! solvers therefore decide only the components of the *support*, the
+//! blocks that hold a fact of some solution ([`support_partition`],
+//! [`support_components`], [`DynamicComponents`]); a database whose
+//! support is empty is not certain. [`q_connected_components`] keeps the
+//! paper's whole partition: the support's components plus one singleton
+//! per live solution-free block, from the same code path.
+//!
+//! The solutions come as join groups ([`SolutionSet`]): every fact of a
+//! group is in a solution with every fact of the group's other side, so
+//! all blocks of a group's facts are q-connected. The partition is
+//! therefore a union-find over blocks that joins each fact's block to
+//! the block of one fact of each of its groups
+//! ([`SolutionSet::groups_of`]), `O(facts)` rather than `O(solutions)`.
+//!
 //! A component is represented as a copy-free [`DbView`] borrowing the
 //! parent database — fact and block ids stay the parent's, and since a
 //! solution is a property of the two facts alone, the parent's
@@ -34,7 +50,14 @@ pub struct Component<'a> {
     pub view: DbView<'a>,
 }
 
-impl Component<'_> {
+impl<'a> Component<'a> {
+    /// The component made of `blocks` of `db`.
+    pub fn of_blocks(db: &'a Database, blocks: impl IntoIterator<Item = BlockId>) -> Component<'a> {
+        Component {
+            view: db.view_of_blocks(blocks),
+        }
+    }
+
     /// Number of facts in the component.
     pub fn len(&self) -> usize {
         self.view.len()
@@ -65,69 +88,130 @@ pub fn q_connected_components<'a>(q: &Query, db: &'a Database) -> Vec<Component<
     q_connected_components_with_solutions(q, db, &solutions)
 }
 
-/// [`q_connected_components`] with pre-computed solutions.
+/// [`q_connected_components`] with pre-computed solutions: the support's
+/// components and a singleton per live solution-free block, in order of
+/// their smallest block.
 pub fn q_connected_components_with_solutions<'a>(
     _q: &Query,
     db: &'a Database,
     solutions: &SolutionSet,
 ) -> Vec<Component<'a>> {
-    let uf = block_union_find(db, solutions);
-    groups_to_components(db, uf)
+    to_components(db, whole_partition(db, solutions))
 }
 
 /// The q-connected partition, materialised only when it splits into at
-/// least `min_components` components; `None` otherwise. One union-find
-/// pass either way — the engine's `Auto` routing heuristic uses this so
-/// a large single-component database never pays for views it would
-/// immediately discard, and a fragmented one never runs union-find
-/// twice.
+/// least `min_components` components (support components and
+/// solution-free blocks alike); `None` otherwise. One union-find pass
+/// either way, and no view is built for a partition that is discarded.
 pub fn q_connected_components_if_fragmented<'a>(
     _q: &Query,
     db: &'a Database,
     solutions: &SolutionSet,
     min_components: usize,
 ) -> Option<Vec<Component<'a>>> {
-    let mut uf = block_union_find(db, solutions);
-    // Only live blocks count: an emptied (tombstoned) block is a stale
-    // singleton in the id space, never a component.
-    let count = db
-        .block_ids()
-        .filter(|b| uf.find(b.idx()) == b.idx())
-        .count();
-    if count < min_components {
-        return None;
-    }
-    Some(groups_to_components(db, uf))
+    let groups = whole_partition(db, solutions);
+    (groups.len() >= min_components).then(|| to_components(db, groups))
 }
 
-/// Union-find over the block-id *space* (tombstoned slots included, so raw
-/// ids index directly), joined by solution edges. Emptied blocks hold no
-/// live facts, appear in no solution, and therefore stay singletons.
-fn block_union_find(db: &Database, solutions: &SolutionSet) -> UnionFind {
-    let mut uf = UnionFind::new(db.block_slots());
-    for &(a, b) in solutions.pairs() {
-        uf.union(db.block_of(a).idx(), db.block_of(b).idx());
-    }
-    uf
+/// The q-connected components of the support, as ascending block lists
+/// in order of their smallest block. Empty iff `solutions` is.
+pub fn support_partition(db: &Database, solutions: &SolutionSet) -> Vec<Vec<BlockId>> {
+    partition_blocks(db, solutions, &solutions.support_blocks(db), false)
 }
 
-/// Materialise union-find groups as component views, dropping the stale
-/// singleton groups of emptied blocks.
-fn groups_to_components(db: &Database, mut uf: UnionFind) -> Vec<Component<'_>> {
-    uf.groups()
+/// The whole support as one copy-free view: the full view when the
+/// support is every live block (its `O(1)` index fast path), else the
+/// view of the support's blocks.
+pub fn support_view<'a>(db: &'a Database, solutions: &SolutionSet) -> DbView<'a> {
+    let support = solutions.support_blocks(db);
+    if support.len() == db.block_count() {
+        db.full_view()
+    } else {
+        db.view_of_blocks(support)
+    }
+}
+
+/// [`support_partition`] as component views: what the solvers decide.
+pub fn support_components<'a>(db: &'a Database, solutions: &SolutionSet) -> Vec<Component<'a>> {
+    to_components(db, support_partition(db, solutions))
+}
+
+/// Every live block's component, solution-free singletons included.
+fn whole_partition(db: &Database, solutions: &SolutionSet) -> Vec<Vec<BlockId>> {
+    let live: Vec<BlockId> = db.block_ids().collect();
+    partition_blocks(db, solutions, &live, true)
+}
+
+fn to_components(db: &Database, groups: Vec<Vec<BlockId>>) -> Vec<Component<'_>> {
+    groups
         .into_iter()
-        .filter(|g| {
-            g.iter()
-                .any(|&bi| !db.block(cqa_model::BlockId(bi as u32)).is_empty())
-        })
-        .map(|block_group| Component {
-            view: db.view_of_blocks(
-                block_group
-                    .into_iter()
-                    .map(|bi| cqa_model::BlockId(bi as u32)),
-            ),
-        })
+        .map(|blocks| Component::of_blocks(db, blocks))
         .collect()
+}
+
+/// [`partition_pool`] with the pool's positions indexed by block slot: a
+/// whole-database pass, so the `O(block slots)` index costs nothing extra.
+fn partition_blocks(
+    db: &Database,
+    solutions: &SolutionSet,
+    pool: &[BlockId],
+    with_free: bool,
+) -> Vec<Vec<BlockId>> {
+    let mut position = vec![u32::MAX; db.block_slots()];
+    for (i, b) in pool.iter().enumerate() {
+        position[b.idx()] = i as u32;
+    }
+    let local = |b: BlockId| Some(position[b.idx()] as usize).filter(|&i| i < pool.len());
+    partition_pool(db, solutions, pool, local, with_free)
+}
+
+/// Group `pool` (live blocks, ascending, and closed: every solution
+/// partner of a pool fact lies in a pool block; `local` gives a block's
+/// position in it) into q-connected components, ordered by their
+/// smallest block. Blocks holding no fact of a solution come out as
+/// singletons when `with_free` is set and are dropped otherwise.
+fn partition_pool(
+    db: &Database,
+    solutions: &SolutionSet,
+    pool: &[BlockId],
+    local: impl Fn(BlockId) -> Option<usize>,
+    with_free: bool,
+) -> Vec<Vec<BlockId>> {
+    let mut uf = UnionFind::new(pool.len());
+    let mut in_support = vec![false; pool.len()];
+    for (i, &b) in pool.iter().enumerate() {
+        for &f in db.block(b) {
+            for g in solutions.groups_of(f) {
+                in_support[i] = true;
+                let some_fact = solutions.group(g).0[0];
+                match local(db.block_of(some_fact)) {
+                    Some(j) => {
+                        uf.union(i, j);
+                    }
+                    None => debug_assert!(false, "solution edge escapes the block pool"),
+                }
+            }
+        }
+    }
+    // Pool order is ascending, so a component's first block seen is its
+    // smallest, and the components come out in that order.
+    let mut slot_of_root = vec![usize::MAX; pool.len()];
+    let mut out: Vec<Vec<BlockId>> = Vec::new();
+    for (i, &b) in pool.iter().enumerate() {
+        if !in_support[i] {
+            if with_free {
+                out.push(vec![b]);
+            }
+            continue;
+        }
+        let root = uf.find(i);
+        if slot_of_root[root] == usize::MAX {
+            slot_of_root[root] = out.len();
+            out.push(Vec::new());
+        }
+        out[slot_of_root[root]].push(b);
+    }
+    out
 }
 
 /// What one [`DynamicComponents::apply`] did to the partition.
@@ -142,15 +226,20 @@ pub struct ComponentDeltaReport {
     pub retained: usize,
 }
 
-/// A q-connected partition maintained across [`Database::apply_delta`]s.
+/// The support's q-connected partition maintained across
+/// [`Database::apply_delta`]s.
 ///
-/// Components carry stable numeric ids: an untouched component keeps its
-/// id (and therefore any verdict cached under it), while every component
-/// in the dirty region — touched blocks, their components, and any
-/// component a new solution edge reaches — is dissolved and re-partitioned
-/// under fresh ids. Insertions that bridge two components thus merge them
-/// into one fresh component; retractions that cut a component apart split
-/// it into several. Cost per delta is `O(dirty region)`, not `O(db)`.
+/// Only support blocks belong to a component: a block joins the
+/// partition when one of its facts enters a join group whose other side
+/// is non-empty, and leaves it when no fact of it is in a solution any
+/// more. Components carry stable numeric ids: an untouched component
+/// keeps its id (and therefore any verdict cached under it), while every
+/// component in the dirty region — touched blocks, their components, and
+/// any component or block a new solution reaches — is dissolved and
+/// re-partitioned under fresh ids. Insertions that bridge two components
+/// thus merge them into one fresh component; retractions that cut a
+/// component apart split it into several. Cost per delta is
+/// `O(dirty region)`, not `O(db)`.
 #[derive(Clone, Debug)]
 pub struct DynamicComponents {
     comp_of_block: HashMap<BlockId, u32>,
@@ -159,16 +248,15 @@ pub struct DynamicComponents {
 }
 
 impl DynamicComponents {
-    /// Partition `db` from scratch (same result as
-    /// [`q_connected_components_with_solutions`]).
+    /// Partition the support of `db` from scratch (the same partition as
+    /// [`support_partition`]).
     pub fn new(db: &Database, solutions: &SolutionSet) -> DynamicComponents {
         let mut dc = DynamicComponents {
             comp_of_block: HashMap::new(),
             blocks_of_comp: BTreeMap::new(),
             next: 0,
         };
-        let pool: Vec<BlockId> = db.block_ids().collect();
-        for group in partition_pool(db, solutions, &pool) {
+        for group in support_partition(db, solutions) {
             dc.admit(group);
         }
         dc
@@ -218,31 +306,25 @@ impl DynamicComponents {
         report: &DeltaReport,
     ) -> ComponentDeltaReport {
         let before = self.blocks_of_comp.len();
-        // Dirty components: those of touched blocks, plus every component
-        // a brand-new solution edge reaches (insert-side merges).
-        let mut dirty: BTreeSet<u32> = BTreeSet::new();
-        for &b in &report.touched {
-            if let Some(&c) = self.comp_of_block.get(&b) {
-                dirty.insert(c);
-            }
-        }
+        // The dirty pool: the touched blocks, and the blocks of every
+        // solution partner of an inserted fact — either already in a
+        // component, which is then dirty, or joining the support now.
+        let mut pool: Vec<BlockId> = report.touched.clone();
         for &f in &report.inserted {
             for &g in solutions.seconds_of(f).iter().chain(solutions.firsts_of(f)) {
-                if let Some(&c) = self.comp_of_block.get(&db.block_of(g)) {
-                    dirty.insert(c);
-                }
+                pool.push(db.block_of(g));
             }
         }
-        // The dirty block pool: the live blocks of dirty components plus
-        // the live touched blocks (fresh ones are in no component yet).
-        let mut pool: Vec<BlockId> = Vec::new();
+        let dirty: BTreeSet<u32> = pool
+            .iter()
+            .filter_map(|b| self.comp_of_block.get(b).copied())
+            .collect();
         for &c in &dirty {
             for b in self.blocks_of_comp.remove(&c).unwrap_or_default() {
                 self.comp_of_block.remove(&b);
                 pool.push(b);
             }
         }
-        pool.extend_from_slice(&report.touched);
         pool.retain(|&b| !db.block(b).is_empty());
         pool.sort_unstable();
         pool.dedup();
@@ -251,41 +333,12 @@ impl DynamicComponents {
             retained: before - dirty.len(),
             ..ComponentDeltaReport::default()
         };
-        for group in partition_pool(db, solutions, &pool) {
+        let local = |b: BlockId| pool.binary_search(&b).ok();
+        for group in partition_pool(db, solutions, &pool, local, false) {
             out.created.push(self.admit(group));
         }
         out
     }
-}
-
-/// Group a closed set of blocks into q-connected components, deterministic
-/// in the pool order: groups come out ordered by their smallest block.
-/// Every solution edge incident to a pool block must stay inside the pool
-/// (true for a full partition and for the dirty-region closure built by
-/// [`DynamicComponents::apply`]).
-fn partition_pool(db: &Database, solutions: &SolutionSet, pool: &[BlockId]) -> Vec<Vec<BlockId>> {
-    let local: HashMap<BlockId, usize> = pool.iter().enumerate().map(|(i, &b)| (b, i)).collect();
-    let mut uf = UnionFind::new(pool.len());
-    for (i, &b) in pool.iter().enumerate() {
-        for &f in db.block(b) {
-            for &g in solutions.seconds_of(f) {
-                match local.get(&db.block_of(g)) {
-                    Some(&j) => {
-                        uf.union(i, j);
-                    }
-                    None => debug_assert!(false, "solution edge escapes the block pool"),
-                }
-            }
-        }
-    }
-    let mut by_root: HashMap<usize, Vec<BlockId>> = HashMap::new();
-    for (i, &b) in pool.iter().enumerate() {
-        by_root.entry(uf.find(i)).or_default().push(b);
-    }
-    let mut out: Vec<Vec<BlockId>> = by_root.into_values().collect();
-    // Pool is ascending, so each group's first entry is its minimum.
-    out.sort_unstable_by_key(|g| g[0]);
-    out
 }
 
 #[cfg(test)]
@@ -371,17 +424,29 @@ mod tests {
     }
 
     /// The dynamic partition, as a set of block sets, must equal the
-    /// from-scratch partition.
+    /// from-scratch support partition, which is the whole partition less
+    /// its solution-free singletons.
     fn assert_matches_scratch(q: &Query, db: &Database, dc: &DynamicComponents) {
         let mut dynamic: Vec<Vec<cqa_model::BlockId>> =
             dc.ids().map(|c| dc.blocks_of(c).to_vec()).collect();
         dynamic.sort();
-        let mut scratch: Vec<Vec<cqa_model::BlockId>> = q_connected_components(q, db)
+        let solutions = SolutionSet::enumerate(q, db);
+        let scratch = support_partition(db, &solutions);
+        assert_eq!(dynamic, scratch);
+        let whole: Vec<Vec<cqa_model::BlockId>> = q_connected_components(q, db)
             .iter()
             .map(|c| c.view.blocks().to_vec())
+            .filter(|blocks| {
+                blocks
+                    .iter()
+                    .any(|&b| !scratch.iter().any(|g| g.contains(&b)))
+            })
             .collect();
-        scratch.sort();
-        assert_eq!(dynamic, scratch);
+        assert!(whole.iter().all(|blocks| blocks.len() == 1));
+        assert_eq!(
+            whole.len() + scratch.len(),
+            q_connected_components(q, db).len()
+        );
     }
 
     #[test]
@@ -406,11 +471,20 @@ mod tests {
     #[test]
     fn dynamic_components_split_on_retract() {
         let q = examples::q3();
-        let mut db = db2(&[["a", "b"], ["b", "c"], ["c", "d"], ["z", "w"]]);
+        // A chain x→a→b→c→d→e and a separate chain z→w→v.
+        let mut db = db2(&[
+            ["x", "a"],
+            ["a", "b"],
+            ["b", "c"],
+            ["c", "d"],
+            ["d", "e"],
+            ["z", "w"],
+            ["w", "v"],
+        ]);
         let mut inc = crate::IncrementalSolutions::new(&q, &db);
         let mut dc = DynamicComponents::new(&db, inc.solutions());
         assert_eq!(dc.len(), 2);
-        // Cut the chain in the middle: {ab} and {cd} disconnect.
+        // Cut the chain in the middle: {xa, ab} and {cd, de} disconnect.
         let rep = db
             .apply_delta(&[], &[Fact::from_names(["b", "c"])])
             .unwrap();
@@ -419,7 +493,7 @@ mod tests {
         assert_eq!(dc.len(), 3);
         assert_eq!(out.dropped.len(), 1);
         assert_eq!(out.created.len(), 2);
-        // The isolated {zw} component was untouched and keeps its verdicts.
+        // The {zw, wv} component was untouched and keeps its verdicts.
         assert_eq!(out.retained, 1);
         assert_matches_scratch(&q, &db, &dc);
     }

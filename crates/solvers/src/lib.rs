@@ -1,7 +1,7 @@
 //! # cqa-solvers — every `certain(q)` algorithm in the paper
 //!
-//! * [`SolutionSet`] — hash-join solution enumeration, indexed by fact id
-//!   in both directions;
+//! * [`SolutionSet`] — the solutions as join groups (`A_κ × B_κ` per
+//!   join key `κ`, never the pairs), built by a sort-merge join;
 //! * [`brute`] — the exponential baseline (backtracking over repairs, plus
 //!   a definitional exhaustive checker), with per-component parallel
 //!   fan-out;
@@ -9,7 +9,9 @@
 //! * [`matching`] — the bipartite-matching algorithm of Section 10.1;
 //! * [`components`] — the q-connected partition of Proposition 10.6,
 //!   emitted as copy-free [`cqa_model::DbView`]s over the parent database
-//!   (no `restrict` materialisation);
+//!   (no `restrict` materialisation); the solvers take only the
+//!   components of the solution support, since a solution-free component
+//!   is never certain;
 //! * [`combined`] — the Theorem 10.5 combination `Cert_k ∨ ¬matching`
 //!   deciding all PTime 2way-determined cases;
 //! * [`one_atom`] — the first-order case of Section 2: a query equivalent
@@ -72,7 +74,10 @@ pub use combined::{
     certain_combined, certain_combined_over, certain_thm105_literal, certk_by_components,
     CombinedResult, DecidedBy,
 };
-pub use components::{q_connected_components, Component, ComponentDeltaReport, DynamicComponents};
+pub use components::{
+    q_connected_components, support_components, support_partition, support_view, Component,
+    ComponentDeltaReport, DynamicComponents,
+};
 pub use matching::{
     analyze_view, certain_by_matching, is_clique_database, matching_accepts, MatchingAnalysis,
 };

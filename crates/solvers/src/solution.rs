@@ -1,86 +1,188 @@
-//! Solution enumeration.
+//! Solution enumeration as join groups.
 //!
 //! A solution to `q = A B` in `D` is a pair `(a, b)` of facts with a single
 //! substitution `μ` sending `A ↦ a` and `B ↦ b` (Section 2). Both atoms
 //! are compiled once into a `JoinPlan`: a fact matches an atom when its
 //! relation and arity agree and every repeated variable sees one element,
-//! and then `μ` on the shared variables is read off fixed positions. The
-//! batch enumeration is a hash join on that projection — index the facts
-//! matching `B`, then probe with each fact matching `A` — and the
-//! incremental one keeps both sides indexed between deltas.
+//! and then `μ` on the shared variables is read off fixed positions. So
+//! `q(a b)` holds iff `a` matches `A`, `b` matches `B` and their
+//! projections are equal, and the solution set is the disjoint union,
+//! over join keys `κ`, of the products `A_κ × B_κ`.
+//!
+//! A [`SolutionSet`] stores exactly that and never the pairs: one *join
+//! group* per key, holding its `A` facts and its `B` facts, each
+//! ascending, plus each fact's group on either side. `seconds_of(a)` is
+//! `a`'s `B` run, `holds` compares two group ids and `len` is
+//! `Σ |A_κ|·|B_κ|`. The enumeration sorts each side by
+//! `(projection, id)` and merges the two sorted sides key by key, so no
+//! element is hashed and the runs are slices of two flat arrays: one
+//! allocation per side, not one per group or per pair.
+//!
+//! [`IncrementalSolutions`] patches a set across deltas by moving facts in
+//! and out of groups. A group a delta touches is copied out of the flat
+//! arrays into owned runs once; a key the enumeration never saw gets a
+//! new group, found through an ordered map. The enumeration's own keys
+//! are found by binary search over its groups, which are in key order.
+//!
+//! The facts of the groups with both sides non-empty are the *support*:
+//! a block holding none of them is in no solution, and a q-connected
+//! component made of such blocks is never certain (Proposition 10.6),
+//! since none of its repairs satisfies `q`. The solvers decide the
+//! support's components only.
 
-use cqa_model::{Database, DeltaReport, Elem, Fact, FactId, RelId};
+use cqa_model::{BlockId, Database, DeltaReport, Elem, Fact, FactId, RelId};
 use cqa_query::{match_pair, Atom, Query, Var};
-use std::collections::{HashMap, HashSet};
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
 
-/// All solutions of a query in a database, with lookup indexes.
+/// No group: the fact does not match the atom; or no owned runs.
+const NONE: u32 = u32::MAX;
+
+/// The runs of a group a delta changed or created.
+#[derive(Clone, Debug, Default)]
+struct Group {
+    a: Vec<FactId>,
+    b: Vec<FactId>,
+}
+
+/// All solutions of a query in a database, as join groups.
 #[derive(Clone, Debug, Default)]
 pub struct SolutionSet {
-    pairs: Vec<(FactId, FactId)>,
-    /// Every `b` with `q(a b)`, listed under `a`.
-    seconds: Adjacency,
-    /// Every `a` with `q(a b)`, listed under `b`.
-    firsts: Adjacency,
-    /// Each pair's index in `pairs`, so a removal is one `swap_remove`.
-    /// Built by the first removal (one `O(pairs)` pass) and kept current
-    /// by every push after it; sets that never shrink never build it.
-    positions: Option<HashMap<(FactId, FactId), usize>>,
+    /// Each fact's group as a match of `A`, by fact id; [`NONE`] (or past
+    /// the end) when it has none.
+    a_group: Vec<u32>,
+    /// Each fact's group as a match of `B`, likewise.
+    b_group: Vec<u32>,
+    /// The enumeration's `A` matches, sorted by `(projection, id)`:
+    /// group `g`'s run is `a_facts[a_start[g]..a_start[g + 1]]`. Groups
+    /// are numbered in key order, every key of either side has one, and
+    /// `a_start` has one entry more than there are groups.
+    a_facts: Vec<FactId>,
+    a_start: Vec<u32>,
+    /// The same for the `B` matches.
+    b_facts: Vec<FactId>,
+    b_start: Vec<u32>,
+    /// Runs of the groups a delta touched or created.
+    owned: Vec<Group>,
+    /// Each group's index in `owned`, or [`NONE`] (or past the end) while
+    /// its runs are still the enumeration's.
+    owned_at: Vec<u32>,
+    /// `Σ |A_κ|·|B_κ|`, the number of ordered solutions.
+    len: usize,
 }
 
 impl SolutionSet {
     /// Enumerate every ordered solution `q(a b)` in `db`.
     pub fn enumerate(q: &Query, db: &Database) -> SolutionSet {
-        let plan = JoinPlan::compile(q);
-        let mut key = Vec::new();
-        let mut b_index = JoinIndex::default();
-        for (id, fact) in db.facts() {
-            if plan.b.project(fact, &mut key) {
-                b_index.push(&key, id);
-            }
-        }
-        let mut set = SolutionSet::default();
-        for (id, fact) in db.facts() {
-            if !plan.a.project(fact, &mut key) {
-                continue;
-            }
-            for b_id in b_index.group(&key) {
-                debug_assert!(match_pair(q, fact, db.fact(b_id)).is_some());
-                set.push(id, b_id);
-            }
-        }
+        let set = SolutionSet::of_plan(&JoinPlan::compile(q), db);
+        debug_assert!(set
+            .pairs()
+            .all(|(a, b)| match_pair(q, db.fact(a), db.fact(b)).is_some()));
         set
     }
 
-    /// Record the solution `(a, b)`. Both enumerations meet each pair
-    /// once, with `b` above every earlier partner of `a` and `a` above
-    /// every earlier partner of `b`.
-    fn push(&mut self, a: FactId, b: FactId) {
-        self.seconds.push(a, b);
-        self.firsts.push(b, a);
-        if let Some(positions) = &mut self.positions {
-            positions.insert((a, b), self.pairs.len());
+    /// The sort-merge join: sort both sides by `(projection, id)`, then
+    /// cut them into one group per key of either side.
+    fn of_plan(plan: &JoinPlan, db: &Database) -> SolutionSet {
+        let (a, b) = (SortedSide::of(&plan.a, db), SortedSide::of(&plan.b, db));
+        let mut set = SolutionSet {
+            a_start: vec![0],
+            b_start: vec![0],
+            ..SolutionSet::default()
+        };
+        let (mut i, mut j) = (0, 0);
+        while i < a.ids.len() || j < b.ids.len() {
+            let order = match (i < a.ids.len(), j < b.ids.len()) {
+                (true, true) => a.key(i).cmp(b.key(j)),
+                (true, false) => Ordering::Less,
+                _ => Ordering::Greater,
+            };
+            let ai = if order.is_gt() { i } else { a.run_end(i) };
+            let bj = if order.is_lt() { j } else { b.run_end(j) };
+            let g = set.a_start.len() as u32 - 1;
+            for &f in &a.ids[i..ai] {
+                set_slot(&mut set.a_group, f, g);
+            }
+            for &f in &b.ids[j..bj] {
+                set_slot(&mut set.b_group, f, g);
+            }
+            set.len += (ai - i) * (bj - j);
+            set.a_start.push(ai as u32);
+            set.b_start.push(bj as u32);
+            (i, j) = (ai, bj);
         }
-        self.pairs.push((a, b));
+        set.a_facts = a.ids;
+        set.b_facts = b.ids;
+        set
     }
 
-    /// All ordered solutions `(a, b)`.
-    pub fn pairs(&self) -> &[(FactId, FactId)] {
-        &self.pairs
+    /// Number of groups the enumeration made.
+    fn base_groups(&self) -> usize {
+        self.a_start.len().saturating_sub(1)
+    }
+
+    fn owned_index(&self, g: usize) -> Option<usize> {
+        self.owned_at
+            .get(g)
+            .filter(|&&o| o != NONE)
+            .map(|&o| o as usize)
+    }
+
+    /// Join group `g`'s `A` facts and `B` facts, each ascending.
+    pub fn group(&self, g: usize) -> (&[FactId], &[FactId]) {
+        match self.owned_index(g) {
+            Some(o) => (&self.owned[o].a, &self.owned[o].b),
+            None => {
+                let (a, b) = (&self.a_start, &self.b_start);
+                (
+                    &self.a_facts[a[g] as usize..a[g + 1] as usize],
+                    &self.b_facts[b[g] as usize..b[g + 1] as usize],
+                )
+            }
+        }
+    }
+
+    /// One past the largest group id.
+    pub fn group_slots(&self) -> usize {
+        self.base_groups().max(self.owned_at.len())
+    }
+
+    /// Does group `g` hold a solution, with facts on both sides?
+    fn has_solution(&self, g: usize) -> bool {
+        let (a, b) = self.group(g);
+        !a.is_empty() && !b.is_empty()
+    }
+
+    fn group_on(&self, side: &[u32], f: FactId) -> Option<usize> {
+        side.get(f.idx())
+            .filter(|&&g| g != NONE)
+            .map(|&g| g as usize)
+    }
+
+    /// All ordered solutions `(a, b)`, group by group.
+    pub fn pairs(&self) -> impl Iterator<Item = (FactId, FactId)> + '_ {
+        (0..self.group_slots()).flat_map(move |g| {
+            let (a_run, b_run) = self.group(g);
+            a_run
+                .iter()
+                .flat_map(move |&a| b_run.iter().map(move |&b| (a, b)))
+        })
     }
 
     /// Number of ordered solutions.
     pub fn len(&self) -> usize {
-        self.pairs.len()
+        self.len
     }
 
     /// `true` iff the query has no solution at all in the database.
     pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
+        self.len == 0
     }
 
     /// `q(a b)`?
     pub fn holds(&self, a: FactId, b: FactId) -> bool {
-        self.seconds_of(a).binary_search(&b).is_ok()
+        let ga = self.group_on(&self.a_group, a);
+        ga.is_some() && ga == self.group_on(&self.b_group, b)
     }
 
     /// `q{a b}` — `q(a b) ∨ q(b a)`?
@@ -95,12 +197,14 @@ impl SolutionSet {
 
     /// Facts `b` with `q(a b)`, ascending.
     pub fn seconds_of(&self, a: FactId) -> &[FactId] {
-        self.seconds.list(a)
+        self.group_on(&self.a_group, a)
+            .map_or(&[], |g| self.group(g).1)
     }
 
     /// Facts `c` with `q(c b)`, ascending.
     pub fn firsts_of(&self, b: FactId) -> &[FactId] {
-        self.firsts.list(b)
+        self.group_on(&self.b_group, b)
+            .map_or(&[], |g| self.group(g).0)
     }
 
     /// Neighbours of `a` in the solution graph: every `b ≠ a` with `q{a b}`,
@@ -119,83 +223,44 @@ impl SolutionSet {
         out
     }
 
-    /// Drop every pair with an endpoint among `dead`, fixing all indexes,
-    /// in `O(removed pairs × degree)` once the positions exist. The last
-    /// pair moves into each removed one's slot, so pair order changes.
-    fn remove_facts(&mut self, dead: &[FactId]) {
-        if dead.is_empty() {
-            return;
-        }
-        if self.positions.is_none() {
-            let index = self.pairs.iter().enumerate().map(|(i, &p)| (p, i));
-            self.positions = Some(index.collect());
-        }
-        for &f in dead {
-            for b in self.seconds.take(f) {
-                self.firsts.remove(b, f);
-                self.remove_pair(f, b);
-            }
-            for a in self.firsts.take(f) {
-                self.seconds.remove(a, f);
-                self.remove_pair(a, f);
-            }
-        }
+    /// The join groups with a solution that `f` belongs to: its `A`
+    /// group, then its `B` group when that is another one. Ids are below
+    /// [`SolutionSet::group_slots`]; every fact of a group is in a
+    /// solution with every fact on the group's other side.
+    pub fn groups_of(&self, f: FactId) -> impl Iterator<Item = usize> + '_ {
+        let a = self.group_on(&self.a_group, f);
+        let b = self.group_on(&self.b_group, f).filter(|&g| Some(g) != a);
+        a.into_iter().chain(b).filter(|&g| self.has_solution(g))
     }
 
-    /// Remove one pair from `pairs` (the adjacency lists are the caller's).
-    fn remove_pair(&mut self, a: FactId, b: FactId) {
-        let positions = self
-            .positions
-            .as_mut()
-            .expect("remove_facts built the positions");
-        let i = positions
-            .remove(&(a, b))
-            .expect("every pair has a position");
-        self.pairs.swap_remove(i);
-        if let Some(&moved) = self.pairs.get(i) {
-            positions.insert(moved, i);
+    /// Is `f` in some solution?
+    pub fn in_support(&self, f: FactId) -> bool {
+        self.groups_of(f).next().is_some()
+    }
+
+    /// The live blocks that hold a fact of some solution, ascending: the
+    /// *support*. One pass over the groups and the block slots.
+    pub fn support_blocks(&self, db: &Database) -> Vec<BlockId> {
+        let mut marked = vec![false; db.block_slots()];
+        for g in (0..self.group_slots()).filter(|&g| self.has_solution(g)) {
+            let (a_run, b_run) = self.group(g);
+            for &f in a_run.iter().chain(b_run) {
+                marked[db.block_of(f).idx()] = true;
+            }
         }
+        (0..marked.len())
+            .filter(|&b| marked[b])
+            .map(|b| BlockId(b as u32))
+            .collect()
     }
 }
 
-/// Ascending lists of fact ids, indexed by fact id. The outer vector
-/// grows only to the largest id that has an entry, so an empty adjacency
-/// owns no allocation.
-#[derive(Clone, Debug, Default)]
-struct Adjacency(Vec<Vec<FactId>>);
-
-impl Adjacency {
-    fn list(&self, id: FactId) -> &[FactId] {
-        self.0.get(id.idx()).map_or(&[], Vec::as_slice)
+/// Set `slots[f] = g`, growing the column with [`NONE`].
+fn set_slot(slots: &mut Vec<u32>, f: FactId, g: u32) {
+    if slots.len() <= f.idx() {
+        slots.resize(f.idx() + 1, NONE);
     }
-
-    /// Append `x` to `id`'s list; `x` must exceed every id already there.
-    fn push(&mut self, id: FactId, x: FactId) {
-        if self.0.len() <= id.idx() {
-            self.0.resize_with(id.idx() + 1, Vec::new);
-        }
-        let list = &mut self.0[id.idx()];
-        assert!(
-            list.last() < Some(&x),
-            "adjacency lists are built ascending"
-        );
-        list.push(x);
-    }
-
-    fn remove(&mut self, id: FactId, x: FactId) {
-        if let Some(list) = self.0.get_mut(id.idx()) {
-            if let Ok(at) = list.binary_search(&x) {
-                list.remove(at);
-            }
-        }
-    }
-
-    fn take(&mut self, id: FactId) -> Vec<FactId> {
-        self.0
-            .get_mut(id.idx())
-            .map(std::mem::take)
-            .unwrap_or_default()
-    }
+    slots[f.idx()] = g;
 }
 
 /// One atom compiled for matching: what a fact must look like to match
@@ -229,8 +294,8 @@ impl AtomPlan {
         }
     }
 
-    /// If `fact` matches the atom, overwrite `key` with its projection
-    /// onto the shared variables and return `true`.
+    /// If `fact` matches the atom, append its projection onto the shared
+    /// variables to `key` and return `true`.
     fn project(&self, fact: &Fact, key: &mut Vec<Elem>) -> bool {
         let t = fact.tuple();
         if fact.rel() != self.rel
@@ -239,7 +304,6 @@ impl AtomPlan {
         {
             return false;
         }
-        key.clear();
         key.extend(self.key.iter().map(|&i| t[i]));
         true
     }
@@ -265,123 +329,118 @@ impl JoinPlan {
     }
 }
 
-/// No fact: the end of a [`JoinIndex`] chain.
-const NONE: FactId = FactId(u32::MAX);
-
-/// Facts grouped by their projection onto the shared variables. Each
-/// group is a chain through `next`, ascending by id, so indexing a fact
-/// allocates only when its key is new, and a probe by slice allocates
-/// nothing.
-#[derive(Clone, Debug, Default)]
-struct JoinIndex {
-    /// The first and last fact of each key's chain.
-    ends: HashMap<Box<[Elem]>, (FactId, FactId)>,
-    /// The fact after each indexed one in its chain, or [`NONE`].
-    next: Vec<FactId>,
+/// The facts matching one atom, sorted by `(projection, id)`, with the
+/// projections stored flat, `width` elements each.
+struct SortedSide {
+    ids: Vec<FactId>,
+    keys: Vec<Elem>,
+    width: usize,
 }
 
-impl JoinIndex {
-    /// Append `id`, which must exceed every id already indexed.
-    fn push(&mut self, key: &[Elem], id: FactId) {
-        assert!(self.next.len() <= id.idx(), "facts are indexed ascending");
-        self.next.resize(id.idx() + 1, NONE);
-        match self.ends.get_mut(key) {
-            Some((_, last)) => {
-                self.next[last.idx()] = id;
-                *last = id;
+impl SortedSide {
+    fn of(plan: &AtomPlan, db: &Database) -> SortedSide {
+        let width = plan.key.len();
+        let mut ids = Vec::new();
+        let mut keys = Vec::new();
+        for (id, fact) in db.facts() {
+            if plan.project(fact, &mut keys) {
+                ids.push(id);
             }
-            None => {
-                self.ends.insert(key.into(), (id, id));
-            }
+        }
+        if width == 0 {
+            return SortedSide { ids, keys, width };
+        }
+        let key = |i: usize| &keys[i * width..(i + 1) * width];
+        // Ids are pushed ascending, so the index breaks key ties by id.
+        let mut order: Vec<u32> = (0..ids.len() as u32).collect();
+        order.sort_unstable_by(|&i, &j| key(i as usize).cmp(key(j as usize)).then(i.cmp(&j)));
+        SortedSide {
+            ids: order.iter().map(|&i| ids[i as usize]).collect(),
+            keys: order
+                .iter()
+                .flat_map(|&i| key(i as usize))
+                .copied()
+                .collect(),
+            width,
         }
     }
 
-    /// The facts indexed under `key`, ascending.
-    fn group(&self, key: &[Elem]) -> impl Iterator<Item = FactId> + '_ {
-        let mut cur = self.ends.get(key).map_or(NONE, |&(first, _)| first);
-        std::iter::from_fn(move || {
-            let id = cur;
-            (id != NONE).then(|| {
-                cur = self.next[id.idx()];
-                id
-            })
-        })
+    fn key(&self, i: usize) -> &[Elem] {
+        &self.keys[i * self.width..(i + 1) * self.width]
     }
 
-    /// Unlink `id` from `key`'s chain, if it is there.
-    fn remove(&mut self, key: &[Elem], id: FactId) {
-        let Some(&(first, last)) = self.ends.get(key) else {
-            return;
-        };
-        let mut prev = NONE;
-        let mut cur = first;
-        while cur != id {
-            if cur == NONE {
-                return;
-            }
-            prev = cur;
-            cur = self.next[cur.idx()];
+    /// The end of the run of equal keys starting at `i`.
+    fn run_end(&self, i: usize) -> usize {
+        let mut j = i + 1;
+        while j < self.ids.len() && self.key(j) == self.key(i) {
+            j += 1;
         }
-        let after = std::mem::replace(&mut self.next[id.idx()], NONE);
-        if prev == NONE && after == NONE {
-            self.ends.remove(key);
-            return;
-        }
-        let ends = self.ends.get_mut(key).expect("the key has a chain");
-        if prev == NONE {
-            ends.0 = after;
-        } else {
-            self.next[prev.idx()] = after;
-        }
-        if id == last {
-            ends.1 = prev;
-        }
+        j
     }
 }
 
 /// A [`SolutionSet`] that can be patched in place after a
 /// [`Database::apply_delta`], avoiding a full re-enumeration.
 ///
-/// Keeps the hash join's two probe indexes alive between deltas: facts
-/// matching the `A` pattern and facts matching the `B` pattern, each keyed
-/// by their projection onto the query's shared variables. Inserting a fact
-/// then costs one probe per side, and retracting costs the removal of its
-/// incident pairs — `O(delta × degree)` instead of `O(n)`.
+/// Every join key that has a fact on either side has a group, so an
+/// inserted fact joins its key's group and a retracted one leaves it:
+/// `O(delta × (log groups + group size))` instead of `O(n)`. A group a
+/// delta touches is copied out of the enumeration's flat runs once. A key
+/// the enumeration never saw gets a new group, freed again (key and id)
+/// once both its sides are empty.
 #[derive(Clone, Debug)]
 pub struct IncrementalSolutions {
     q: Query,
     plan: JoinPlan,
     set: SolutionSet,
-    a_index: JoinIndex,
-    b_index: JoinIndex,
-    /// Scratch projections of the fact being indexed, reused so that
-    /// indexing allocates nothing per fact.
-    a_key: Vec<Elem>,
-    b_key: Vec<Elem>,
+    /// The groups of keys the enumeration never saw.
+    new_keys: BTreeMap<Box<[Elem]>, u32>,
+    /// Ids of new-key groups emptied on both sides, for reuse.
+    free: Vec<u32>,
+    /// Scratch projections, reused so that a delta allocates per new key
+    /// only.
+    key: Vec<Elem>,
+    probe: Vec<Elem>,
 }
 
 impl IncrementalSolutions {
-    /// Enumerate the solutions of `q` in `db` and keep the join indexes
+    /// Enumerate the solutions of `q` in `db` and keep every join group
     /// for later deltas.
     pub fn new(q: &Query, db: &Database) -> IncrementalSolutions {
-        let mut inc = IncrementalSolutions {
+        let plan = JoinPlan::compile(q);
+        let set = SolutionSet::of_plan(&plan, db);
+        IncrementalSolutions::with_plan(q, plan, set)
+    }
+
+    /// Keep patching `set`, a [`SolutionSet::enumerate`] of `q` on the
+    /// database that later deltas start from: the same state as
+    /// [`IncrementalSolutions::new`] without enumerating again.
+    ///
+    /// # Panics
+    /// If `set` was already patched by another incremental set.
+    pub fn from_enumeration(q: &Query, set: SolutionSet) -> IncrementalSolutions {
+        assert!(
+            set.owned.is_empty(),
+            "only an unpatched enumeration can be adopted"
+        );
+        IncrementalSolutions::with_plan(q, JoinPlan::compile(q), set)
+    }
+
+    fn with_plan(q: &Query, plan: JoinPlan, set: SolutionSet) -> IncrementalSolutions {
+        IncrementalSolutions {
             q: q.clone(),
-            plan: JoinPlan::compile(q),
-            set: SolutionSet::default(),
-            a_index: JoinIndex::default(),
-            b_index: JoinIndex::default(),
-            a_key: Vec::new(),
-            b_key: Vec::new(),
-        };
-        for (id, fact) in db.facts() {
-            inc.add_fact(id, fact);
+            plan,
+            set,
+            new_keys: BTreeMap::new(),
+            free: Vec::new(),
+            key: Vec::new(),
+            probe: Vec::new(),
         }
-        inc
     }
 
     /// The maintained solution set. Equal (as a set of pairs) to a fresh
-    /// [`SolutionSet::enumerate`] on the current database; pair *order*
-    /// may differ, which no verdict depends on.
+    /// [`SolutionSet::enumerate`] on the current database; group and pair
+    /// *order* may differ, which no verdict depends on.
     pub fn solutions(&self) -> &SolutionSet {
         &self.set
     }
@@ -396,56 +455,166 @@ impl IncrementalSolutions {
     /// their tombstoned slots).
     pub fn apply_delta(&mut self, db: &Database, report: &DeltaReport) {
         for &id in &report.retracted {
-            let fact = db.fact(id);
-            if self.plan.a.project(fact, &mut self.a_key) {
-                self.a_index.remove(&self.a_key, id);
-            }
-            if self.plan.b.project(fact, &mut self.b_key) {
-                self.b_index.remove(&self.b_key, id);
-            }
+            self.leave(Side::A, db, id);
+            self.leave(Side::B, db, id);
         }
-        self.set.remove_facts(&report.retracted);
         for &id in &report.inserted {
-            self.add_fact(id, db.fact(id));
+            self.join(Side::A, db, id);
+            self.join(Side::B, db, id);
         }
     }
 
-    /// Pair a fact that is new to the indexes with every indexed partner
-    /// (and itself), then index it.
-    fn add_fact(&mut self, id: FactId, fact: &Fact) {
-        let is_a = self.plan.a.project(fact, &mut self.a_key);
-        let is_b = self.plan.b.project(fact, &mut self.b_key);
-        if is_a {
-            for b in self.b_index.group(&self.a_key) {
-                self.set.push(id, b);
+    /// The group of the key in `self.key`, if there is one: a binary
+    /// search over the enumeration's groups, which are in key order and
+    /// whose keys are read off their first fact (a retracted fact's slot
+    /// still resolves), then the new keys.
+    fn find(&mut self, db: &Database) -> Option<u32> {
+        let (mut lo, mut hi) = (0, self.set.base_groups());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            let (a, b) = (&self.set.a_start, &self.set.b_start);
+            let (side, first) = if a[mid] < a[mid + 1] {
+                (Side::A, self.set.a_facts[a[mid] as usize])
+            } else {
+                (Side::B, self.set.b_facts[b[mid] as usize])
+            };
+            self.probe.clear();
+            side.plan(&self.plan)
+                .project(db.fact(first), &mut self.probe);
+            match self.probe.as_slice().cmp(&self.key) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return Some(mid as u32),
             }
         }
-        if is_b {
-            for a in self.a_index.group(&self.b_key) {
-                self.set.push(a, id);
+        self.new_keys.get(self.key.as_slice()).copied()
+    }
+
+    /// Group `g`'s runs, copied out of the enumeration's arrays on first
+    /// use.
+    fn owned_mut(&mut self, g: usize) -> &mut Group {
+        let set = &mut self.set;
+        let o = match set.owned_index(g) {
+            Some(o) => o,
+            None => {
+                let (a, b) = set.group(g);
+                let group = Group {
+                    a: a.to_vec(),
+                    b: b.to_vec(),
+                };
+                set.owned.push(group);
+                if set.owned_at.len() <= g {
+                    set.owned_at.resize(g + 1, NONE);
+                }
+                set.owned_at[g] = set.owned.len() as u32 - 1;
+                set.owned.len() - 1
             }
+        };
+        &mut set.owned[o]
+    }
+
+    /// Put a fact new to the set into its key's group on `side`, if it
+    /// matches that atom. Ids only grow, so it goes last in its run.
+    fn join(&mut self, side: Side, db: &Database, id: FactId) {
+        self.key.clear();
+        if !side.plan(&self.plan).project(db.fact(id), &mut self.key) {
+            return;
         }
-        if is_a && is_b && self.a_key == self.b_key {
-            self.set.push(id, id);
+        let g = match self.find(db) {
+            Some(g) => g,
+            None => {
+                let g = self.free.pop().unwrap_or_else(|| {
+                    let set = &mut self.set;
+                    let g = set.group_slots();
+                    set.owned.push(Group::default());
+                    set.owned_at.resize(g + 1, NONE);
+                    set.owned_at[g] = set.owned.len() as u32 - 1;
+                    g as u32
+                });
+                self.new_keys.insert(self.key.as_slice().into(), g);
+                g
+            }
+        };
+        let group = self.owned_mut(g as usize);
+        let (run, other) = side.runs(group);
+        assert!(run.last() < Some(&id), "facts join their groups ascending");
+        run.push(id);
+        let pairs = other.len();
+        self.set.len += pairs;
+        set_slot(side.slots(&mut self.set), id, g);
+    }
+
+    /// Take a retracted fact out of its group on `side`, freeing a new
+    /// key's group when both its sides are then empty.
+    fn leave(&mut self, side: Side, db: &Database, id: FactId) {
+        let slots = side.slots(&mut self.set);
+        let g = match slots.get(id.idx()) {
+            Some(&g) if g != NONE => g,
+            _ => return,
+        };
+        slots[id.idx()] = NONE;
+        let group = self.owned_mut(g as usize);
+        let (run, other) = side.runs(group);
+        let at = run
+            .binary_search(&id)
+            .expect("a grouped fact is in its run");
+        run.remove(at);
+        let pairs = other.len();
+        let emptied = group.a.is_empty() && group.b.is_empty();
+        self.set.len -= pairs;
+        if emptied && g as usize >= self.set.base_groups() {
+            self.key.clear();
+            side.plan(&self.plan).project(db.fact(id), &mut self.key);
+            self.new_keys.remove(self.key.as_slice());
+            self.free.push(g);
         }
-        if is_a {
-            self.a_index.push(&self.a_key, id);
+    }
+}
+
+/// Which atom of the query a fact is matched against.
+#[derive(Clone, Copy)]
+enum Side {
+    A,
+    B,
+}
+
+impl Side {
+    fn plan(self, plan: &JoinPlan) -> &AtomPlan {
+        match self {
+            Side::A => &plan.a,
+            Side::B => &plan.b,
         }
-        if is_b {
-            self.b_index.push(&self.b_key, id);
+    }
+
+    fn slots(self, set: &mut SolutionSet) -> &mut Vec<u32> {
+        match self {
+            Side::A => &mut set.a_group,
+            Side::B => &mut set.b_group,
+        }
+    }
+
+    /// This side's run of `group` and the other side's.
+    fn runs(self, group: &mut Group) -> (&mut Vec<FactId>, &[FactId]) {
+        match self {
+            Side::A => (&mut group.a, &group.b),
+            Side::B => (&mut group.b, &group.a),
         }
     }
 }
 
 /// Does the *consistent* fact set `facts` (e.g. a repair) satisfy `q`?
-/// Checks all pairs against the pre-computed solution set.
+/// It does iff some join group has a chosen fact on both sides.
 pub fn satisfies(solutions: &SolutionSet, facts: &[FactId]) -> bool {
-    // Any solution whose both endpoints are chosen facts witnesses q.
-    // Iterating over chosen facts and their partner lists is O(Σ deg).
-    let chosen: HashSet<FactId> = facts.iter().copied().collect();
-    facts.iter().any(|&a| {
-        (solutions.self_loop(a) && chosen.contains(&a))
-            || solutions.seconds_of(a).iter().any(|b| chosen.contains(b))
+    let mut chosen_a = vec![false; solutions.group_slots()];
+    for &f in facts {
+        if let Some(g) = solutions.group_on(&solutions.a_group, f) {
+            chosen_a[g] = true;
+        }
+    }
+    facts.iter().any(|&f| {
+        solutions
+            .group_on(&solutions.b_group, f)
+            .is_some_and(|g| chosen_a[g])
     })
 }
 
@@ -532,7 +701,7 @@ mod tests {
     }
 
     fn sorted_pairs(s: &SolutionSet) -> Vec<(FactId, FactId)> {
-        let mut v = s.pairs().to_vec();
+        let mut v: Vec<(FactId, FactId)> = s.pairs().collect();
         v.sort_unstable();
         v
     }
@@ -600,7 +769,7 @@ mod tests {
 
     #[test]
     fn enumeration_agrees_with_naive_product() {
-        // Cross-check the hash join against the O(n^2) definition.
+        // Cross-check the sort-merge join against the O(n^2) definition.
         let q = examples::q5(); // R(x | y x) R(y | x u)
         let sig = Signature::new(3, 1).unwrap();
         let names = ["a", "b", "c"];

@@ -1,5 +1,5 @@
 //! Property tests for the solver layer: soundness orderings, budget
-//! monotonicity, component decomposition laws, and the hash join against
+//! monotonicity, component decomposition laws, and the sort-merge join against
 //! the definition of a solution.
 
 use cqa_model::{Database, Elem, Fact, FactId, Signature};
@@ -132,7 +132,7 @@ fn check_against_definition(
             }
         }
     }
-    let got: BTreeSet<(FactId, FactId)> = sols.pairs().iter().copied().collect();
+    let got: BTreeSet<(FactId, FactId)> = sols.pairs().collect();
     prop_assert_eq!(got.len(), sols.len(), "a pair is listed twice");
     prop_assert_eq!(&got, &expected, "pair set of {}", q);
     for a in db.fact_ids() {
@@ -163,7 +163,7 @@ fn check_same_accessors(
     fresh: &SolutionSet,
 ) -> Result<(), TestCaseError> {
     let sorted = |s: &SolutionSet| {
-        let mut v = s.pairs().to_vec();
+        let mut v: Vec<(FactId, FactId)> = s.pairs().collect();
         v.sort_unstable();
         v
     };
@@ -364,13 +364,13 @@ proptest! {
                 comp_of.insert(id, ci);
             }
         }
-        for &(a, b) in sols.pairs() {
+        for (a, b) in sols.pairs() {
             prop_assert_eq!(comp_of[&a], comp_of[&b], "solution crosses components");
         }
     }
 }
 
-/// The join cases reach every shape the hash join must handle: 0–3
+/// The join cases reach every shape the sort-merge join must handle: 0–3
 /// shared variables, repeated variables, arity 3 and both relation forms.
 #[test]
 fn join_queries_cover_every_shape() {

@@ -72,7 +72,7 @@ pub fn check_nice(q: &Query, tp: &Tripath) -> Result<NiceWitness, String> {
         let _ = i;
     }
     allowed.insert(ordered(center.f.clone(), center.d.clone()));
-    for &(ia, ib) in sols.pairs() {
+    for (ia, ib) in sols.pairs() {
         let pair = ordered(db.fact(ia).clone(), db.fact(ib).clone());
         if !allowed.contains(&pair) {
             return Err(format!(
@@ -84,8 +84,7 @@ pub fn check_nice(q: &Query, tp: &Tripath) -> Result<NiceWitness, String> {
     if kind == TripathKind::Fork
         && sols
             .pairs()
-            .iter()
-            .any(|&(ia, ib)| db.fact(ia) == &center.f && db.fact(ib) == &center.d)
+            .any(|(ia, ib)| db.fact(ia) == &center.f && db.fact(ib) == &center.d)
     {
         return Err("fork center unexpectedly closes into a triangle".into());
     }
@@ -320,7 +319,7 @@ mod tests {
                 let sols = cqa_solvers::SolutionSet::enumerate(&q, &db);
                 // Enforced: one solution per non-root block + maybe (f, d).
                 let enforced = tp.blocks.len() - 1;
-                assert!(sols.pairs().len() <= enforced + 1);
+                assert!(sols.len() <= enforced + 1);
             }
             Err(msg) => assert!(!msg.is_empty()),
         }

@@ -61,11 +61,11 @@ proptest! {
         let q = examples::q3();
         prop_assert!(cqa_query::conditions::zigzag_premise(&q));
         let sols = SolutionSet::enumerate(&q, &db);
-        for &(a, b) in sols.pairs() {
+        for (a, b) in sols.pairs() {
             if a == b {
                 continue;
             }
-            for &(c, b2) in sols.pairs() {
+            for (c, b2) in sols.pairs() {
                 if db.key_equal(b, b2) && !db.key_equal(a, c) {
                     prop_assert!(
                         sols.holds(a, b2),
@@ -81,7 +81,7 @@ proptest! {
         // Lemma 7.1: q(a b) ∧ q(a c) ⇒ b ∼ c; q(a b) ∧ q(c b) ⇒ a ∼ c.
         let q = examples::q6();
         let sols = SolutionSet::enumerate(&q, &db);
-        for &(a, b) in sols.pairs() {
+        for (a, b) in sols.pairs() {
             for &c in sols.seconds_of(a) {
                 prop_assert!(db.key_equal(b, c), "second partners must be key-equal");
             }

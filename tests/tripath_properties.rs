@@ -122,7 +122,7 @@ fn nice_fork_tripath_has_no_extra_solutions() {
     let sols = cqa::solvers::SolutionSet::enumerate(&q2, &db);
     // Exactly one solution per non-root block (the enforced ones), since a
     // fork adds no (f, d) edge.
-    assert_eq!(sols.pairs().len(), tp.blocks.len() - 1);
+    assert_eq!(sols.len(), tp.blocks.len() - 1);
     // Witness privacy: u, v, w appear only in their own facts.
     let sig = q2.signature();
     for (private, owner) in [(w.u, &w.u0), (w.v, &w.u1), (w.w, &w.u2)] {
