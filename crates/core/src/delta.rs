@@ -6,14 +6,11 @@
 //! `q(f f)`", plus the count of set flags: the query is certain iff the
 //! count is positive (`cqa_solvers::one_atom`), and a delta rechecks only
 //! the blocks it touched. For the other PTime classes it is the
-//! incremental solution set (join groups that facts move in and out of),
-//! the dynamic q-connected partition of the solution *support*, and one
-//! verdict per component. A block holding no fact of any solution is in
-//! no component and has no verdict: by Proposition 10.6 it can never make
-//! the database certain. It joins the partition when one of its facts
-//! enters a join group whose other side is non-empty, so a database on
-//! which the query has no solution keeps no component at all. After a
-//! delta, only the *dirty region* is re-solved:
+//! incremental solution set, the dynamic q-connected partition of the
+//! solution *support*, and one verdict per component. A solution-free
+//! block is in no component (Proposition 10.6: it is never certain), so a
+//! query with no solution keeps none. After a delta, only the *dirty
+//! region* is re-solved:
 //!
 //! * components the delta never touched keep their verdicts verbatim
 //!   (their fact sets are literally identical — fact ids are stable under
@@ -268,44 +265,42 @@ impl QueryDeltaState {
     /// from-scratch solve of every support component otherwise. Returns
     /// `None` when the class is unsupported ([`QueryDeltaState::supports`]).
     pub fn new(engine: CqaEngine, db: &Database) -> Option<QueryDeltaState> {
-        let solutions = || IncrementalSolutions::new(engine.query(), db);
-        QueryDeltaState::build(&engine, db, solutions)
-            .map(|tracked| QueryDeltaState { engine, tracked })
+        QueryDeltaState::build(engine, db, |q| IncrementalSolutions::new(q, db))
     }
 
-    /// [`QueryDeltaState::new`] for the database `db` that a delta
-    /// produced, given `solutions`, a [`SolutionSet::enumerate`] of the
-    /// query on the database before it, and the delta's `report`: the
-    /// solutions are patched rather than enumerated again.
+    /// [`QueryDeltaState::new`] for the database `db` that a delta made,
+    /// given `solutions`, a [`SolutionSet::enumerate`] on the database
+    /// before it, and the delta's `report`: the enumeration is patched,
+    /// not redone.
     pub fn after_delta(
         engine: CqaEngine,
         solutions: SolutionSet,
         db: &Database,
         report: &DeltaReport,
     ) -> Option<QueryDeltaState> {
-        let solutions = || {
-            let mut inc = IncrementalSolutions::from_enumeration(engine.query(), solutions);
+        QueryDeltaState::build(engine, db, |q| {
+            let mut inc = IncrementalSolutions::from_enumeration(q, solutions);
             inc.apply_delta(db, report);
             inc
-        };
-        QueryDeltaState::build(&engine, db, solutions)
-            .map(|tracked| QueryDeltaState { engine, tracked })
+        })
     }
 
-    /// What [`QueryDeltaState::new`] keeps for `db`, with the incremental
-    /// solution set made on demand.
     fn build(
-        engine: &CqaEngine,
+        engine: CqaEngine,
         db: &Database,
-        solutions: impl FnOnce() -> IncrementalSolutions,
-    ) -> Option<Tracked> {
-        if !QueryDeltaState::supports(engine) {
+        solutions: impl FnOnce(&Query) -> IncrementalSolutions,
+    ) -> Option<QueryDeltaState> {
+        if !QueryDeltaState::supports(&engine) {
             return None;
         }
         if engine.classification().complexity == Complexity::Trivial {
-            return Some(Tracked::Blocks(ForcingBlocks::new(engine.query(), db)));
+            let blocks = ForcingBlocks::new(engine.query(), db);
+            return Some(QueryDeltaState {
+                engine,
+                tracked: Tracked::Blocks(blocks),
+            });
         }
-        let solutions = solutions();
+        let solutions = solutions(engine.query());
         let comps = DynamicComponents::new(db, solutions.solutions());
         let mut cv = ComponentVerdicts {
             solutions,
@@ -314,10 +309,13 @@ impl QueryDeltaState {
             totals: VerdictTotals::default(),
         };
         for id in cv.comps.ids().collect::<Vec<_>>() {
-            let v = cv.solve(engine, db, id);
+            let v = cv.solve(&engine, db, id);
             cv.put_verdict(id, v);
         }
-        Some(Tracked::Components(Box::new(cv)))
+        Some(QueryDeltaState {
+            engine,
+            tracked: Tracked::Components(Box::new(cv)),
+        })
     }
 
     /// The engine (query, classification, config) this cache answers for.

@@ -35,8 +35,8 @@ use cqa_model::{BlockId, Database};
 use cqa_query::Query;
 use cqa_solvers::{
     certain_brute_over, certain_combined_over, certain_one_atom, certk_by_components, certk_view,
-    support_components, support_partition, support_view, BruteOutcome, CancelToken, CertKConfig,
-    CertKOutcome, CertKStats, CombinedResult, Component, SolutionSet,
+    support_components, support_partition, BruteOutcome, CancelToken, CertKConfig, CertKOutcome,
+    CertKStats, CombinedResult, Component, SolutionSet,
 };
 use cqa_tripath::SearchConfig;
 use std::cell::OnceCell;
@@ -375,7 +375,7 @@ impl CqaEngine {
                         .map_err(fixpoint_cancelled)
                 }
                 None => {
-                    let view = support_view(db, solutions);
+                    let view = db.view_of_blocks(solutions.support_blocks(db));
                     let (out, stats) =
                         certk_view(&view, solutions, cfg, token).map_err(fixpoint_cancelled)?;
                     Ok(CertainAnswer {

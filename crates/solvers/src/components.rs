@@ -11,21 +11,14 @@
 //! 3. `Cᵢ ⊨ Cert_k(q)` for some `i` implies `D ⊨ Cert_k(q)`;
 //! 4. `D ⊨ matching(q)` implies `Cᵢ ⊨ matching(q)` for all `i`.
 //!
-//! A block that holds no fact of any solution is a component on its own,
-//! and by (2) it never matters: none of its repairs satisfies `q`. The
-//! solvers therefore decide only the components of the *support*, the
-//! blocks that hold a fact of some solution ([`support_partition`],
-//! [`support_components`], [`DynamicComponents`]); a database whose
-//! support is empty is not certain. [`q_connected_components`] keeps the
-//! paper's whole partition: the support's components plus one singleton
-//! per live solution-free block, from the same code path.
-//!
-//! The solutions come as join groups ([`SolutionSet`]): every fact of a
-//! group is in a solution with every fact of the group's other side, so
-//! all blocks of a group's facts are q-connected. The partition is
-//! therefore a union-find over blocks that joins each fact's block to
-//! the block of one fact of each of its groups
-//! ([`SolutionSet::groups_of`]), `O(facts)` rather than `O(solutions)`.
+//! A block holding no fact of any solution is a component of its own that
+//! by (2) never matters: none of its repairs satisfies `q`. So the solvers
+//! decide only the components of the *support*, the blocks holding a fact
+//! of some solution; [`q_connected_components`] adds a singleton per
+//! solution-free block, from the same union-find. Every fact of a join
+//! group ([`SolutionSet::groups_of`]) is in a solution with every fact on
+//! the group's other side, so that union-find joins each fact's block to
+//! one block of each of its groups: `O(facts)`, not `O(solutions)`.
 //!
 //! A component is represented as a copy-free [`DbView`] borrowing the
 //! parent database — fact and block ids stay the parent's, and since a
@@ -116,19 +109,7 @@ pub fn q_connected_components_if_fragmented<'a>(
 /// The q-connected components of the support, as ascending block lists
 /// in order of their smallest block. Empty iff `solutions` is.
 pub fn support_partition(db: &Database, solutions: &SolutionSet) -> Vec<Vec<BlockId>> {
-    partition_blocks(db, solutions, &solutions.support_blocks(db), false)
-}
-
-/// The whole support as one copy-free view: the full view when the
-/// support is every live block (its `O(1)` index fast path), else the
-/// view of the support's blocks.
-pub fn support_view<'a>(db: &'a Database, solutions: &SolutionSet) -> DbView<'a> {
-    let support = solutions.support_blocks(db);
-    if support.len() == db.block_count() {
-        db.full_view()
-    } else {
-        db.view_of_blocks(support)
-    }
+    partition_pool(db, solutions, &solutions.support_blocks(db), false)
 }
 
 /// [`support_partition`] as component views: what the solvers decide.
@@ -139,7 +120,7 @@ pub fn support_components<'a>(db: &'a Database, solutions: &SolutionSet) -> Vec<
 /// Every live block's component, solution-free singletons included.
 fn whole_partition(db: &Database, solutions: &SolutionSet) -> Vec<Vec<BlockId>> {
     let live: Vec<BlockId> = db.block_ids().collect();
-    partition_blocks(db, solutions, &live, true)
+    partition_pool(db, solutions, &live, true)
 }
 
 fn to_components(db: &Database, groups: Vec<Vec<BlockId>>) -> Vec<Component<'_>> {
@@ -149,32 +130,15 @@ fn to_components(db: &Database, groups: Vec<Vec<BlockId>>) -> Vec<Component<'_>>
         .collect()
 }
 
-/// [`partition_pool`] with the pool's positions indexed by block slot: a
-/// whole-database pass, so the `O(block slots)` index costs nothing extra.
-fn partition_blocks(
-    db: &Database,
-    solutions: &SolutionSet,
-    pool: &[BlockId],
-    with_free: bool,
-) -> Vec<Vec<BlockId>> {
-    let mut position = vec![u32::MAX; db.block_slots()];
-    for (i, b) in pool.iter().enumerate() {
-        position[b.idx()] = i as u32;
-    }
-    let local = |b: BlockId| Some(position[b.idx()] as usize).filter(|&i| i < pool.len());
-    partition_pool(db, solutions, pool, local, with_free)
-}
-
 /// Group `pool` (live blocks, ascending, and closed: every solution
-/// partner of a pool fact lies in a pool block; `local` gives a block's
-/// position in it) into q-connected components, ordered by their
-/// smallest block. Blocks holding no fact of a solution come out as
-/// singletons when `with_free` is set and are dropped otherwise.
+/// partner of a pool fact lies in a pool block) into q-connected
+/// components, ordered by their smallest block. Blocks holding no fact
+/// of a solution come out as singletons when `with_free` is set and are
+/// dropped otherwise.
 fn partition_pool(
     db: &Database,
     solutions: &SolutionSet,
     pool: &[BlockId],
-    local: impl Fn(BlockId) -> Option<usize>,
     with_free: bool,
 ) -> Vec<Vec<BlockId>> {
     let mut uf = UnionFind::new(pool.len());
@@ -184,11 +148,11 @@ fn partition_pool(
             for g in solutions.groups_of(f) {
                 in_support[i] = true;
                 let some_fact = solutions.group(g).0[0];
-                match local(db.block_of(some_fact)) {
-                    Some(j) => {
+                match pool.binary_search(&db.block_of(some_fact)) {
+                    Ok(j) => {
                         uf.union(i, j);
                     }
-                    None => debug_assert!(false, "solution edge escapes the block pool"),
+                    Err(_) => debug_assert!(false, "solution edge escapes the block pool"),
                 }
             }
         }
@@ -333,8 +297,7 @@ impl DynamicComponents {
             retained: before - dirty.len(),
             ..ComponentDeltaReport::default()
         };
-        let local = |b: BlockId| pool.binary_search(&b).ok();
-        for group in partition_pool(db, solutions, &pool, local, false) {
+        for group in partition_pool(db, solutions, &pool, false) {
             out.created.push(self.admit(group));
         }
         out

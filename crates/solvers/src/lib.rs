@@ -75,8 +75,8 @@ pub use combined::{
     CombinedResult, DecidedBy,
 };
 pub use components::{
-    q_connected_components, support_components, support_partition, support_view, Component,
-    ComponentDeltaReport, DynamicComponents,
+    q_connected_components, support_components, support_partition, Component, ComponentDeltaReport,
+    DynamicComponents,
 };
 pub use matching::{
     analyze_view, certain_by_matching, is_clique_database, matching_accepts, MatchingAnalysis,

@@ -1,162 +1,123 @@
 //! Solution enumeration as join groups.
 //!
 //! A solution to `q = A B` in `D` is a pair `(a, b)` of facts with a single
-//! substitution `μ` sending `A ↦ a` and `B ↦ b` (Section 2). Both atoms
-//! are compiled once into a `JoinPlan`: a fact matches an atom when its
+//! substitution `μ` sending `A ↦ a` and `B ↦ b` (Section 2). Each atom is
+//! compiled once into an `AtomPlan`: a fact matches an atom when its
 //! relation and arity agree and every repeated variable sees one element,
 //! and then `μ` on the shared variables is read off fixed positions. So
-//! `q(a b)` holds iff `a` matches `A`, `b` matches `B` and their
-//! projections are equal, and the solution set is the disjoint union,
-//! over join keys `κ`, of the products `A_κ × B_κ`.
+//! `q(a b)` iff `a` matches `A`, `b` matches `B` and their projections are
+//! equal: the solutions are the disjoint union over join keys `κ` of
+//! `A_κ × B_κ`. A [`SolutionSet`] stores one *join group* per key, its
+//! `A` and `B` facts each ascending, and never a pair. The enumeration
+//! sorts each side by `(projection, id)` into one flat array and merges
+//! the two key by key, so no element is hashed. [`IncrementalSolutions`]
+//! moves facts into and out of groups across deltas.
 //!
-//! A [`SolutionSet`] stores exactly that and never the pairs: one *join
-//! group* per key, holding its `A` facts and its `B` facts, each
-//! ascending, plus each fact's group on either side. `seconds_of(a)` is
-//! `a`'s `B` run, `holds` compares two group ids and `len` is
-//! `Σ |A_κ|·|B_κ|`. The enumeration sorts each side by
-//! `(projection, id)` and merges the two sorted sides key by key, so no
-//! element is hashed and the runs are slices of two flat arrays: one
-//! allocation per side, not one per group or per pair.
-//!
-//! [`IncrementalSolutions`] patches a set across deltas by moving facts in
-//! and out of groups. A group a delta touches is copied out of the flat
-//! arrays into owned runs once; a key the enumeration never saw gets a
-//! new group, found through an ordered map. The enumeration's own keys
-//! are found by binary search over its groups, which are in key order.
-//!
-//! The facts of the groups with both sides non-empty are the *support*:
-//! a block holding none of them is in no solution, and a q-connected
-//! component made of such blocks is never certain (Proposition 10.6),
-//! since none of its repairs satisfies `q`. The solvers decide the
-//! support's components only.
+//! The facts of the groups with both sides non-empty are the *support*;
+//! a q-connected component outside it is never certain (Proposition
+//! 10.6), so the solvers decide the support's components only.
 
 use cqa_model::{BlockId, Database, DeltaReport, Elem, Fact, FactId, RelId};
 use cqa_query::{match_pair, Atom, Query, Var};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
-/// No group: the fact does not match the atom; or no owned runs.
+/// No group, or no owned runs.
 const NONE: u32 = u32::MAX;
 
-/// The runs of a group a delta changed or created.
-#[derive(Clone, Debug, Default)]
-struct Group {
-    a: Vec<FactId>,
-    b: Vec<FactId>,
-}
+/// The two atoms, as indexes into the per-side arrays below.
+const A: usize = 0;
+const B: usize = 1;
 
-/// All solutions of a query in a database, as join groups.
+/// All solutions of a query in a database, as join groups. Every array
+/// pair is indexed by side, `A` then `B`.
 #[derive(Clone, Debug, Default)]
 pub struct SolutionSet {
-    /// Each fact's group as a match of `A`, by fact id; [`NONE`] (or past
-    /// the end) when it has none.
-    a_group: Vec<u32>,
-    /// Each fact's group as a match of `B`, likewise.
-    b_group: Vec<u32>,
-    /// The enumeration's `A` matches, sorted by `(projection, id)`:
-    /// group `g`'s run is `a_facts[a_start[g]..a_start[g + 1]]`. Groups
-    /// are numbered in key order, every key of either side has one, and
-    /// `a_start` has one entry more than there are groups.
-    a_facts: Vec<FactId>,
-    a_start: Vec<u32>,
-    /// The same for the `B` matches.
-    b_facts: Vec<FactId>,
-    b_start: Vec<u32>,
-    /// Runs of the groups a delta touched or created.
-    owned: Vec<Group>,
-    /// Each group's index in `owned`, or [`NONE`] (or past the end) while
-    /// its runs are still the enumeration's.
+    /// Each fact's group as a match of the side's atom, by fact id;
+    /// [`NONE`] (or past the end) when it has none.
+    group_of: [Vec<u32>; 2],
+    /// The enumeration's matches of the side's atom, sorted by
+    /// `(projection, id)`: group `g`'s run is `facts[s][start[s][g]..
+    /// start[s][g + 1]]`. Groups are numbered in key order, and every key
+    /// of either side has one.
+    facts: [Vec<FactId>; 2],
+    start: [Vec<u32>; 2],
+    /// The runs of the groups a delta changed or created, and each
+    /// group's index among them ([`NONE`] or past the end: the
+    /// enumeration's runs).
+    owned: Vec<[Vec<FactId>; 2]>,
     owned_at: Vec<u32>,
     /// `Σ |A_κ|·|B_κ|`, the number of ordered solutions.
     len: usize,
 }
 
 impl SolutionSet {
-    /// Enumerate every ordered solution `q(a b)` in `db`.
+    /// Enumerate every ordered solution `q(a b)` in `db`: sort both sides
+    /// by `(projection, id)`, then cut them into one group per key of
+    /// either side.
     pub fn enumerate(q: &Query, db: &Database) -> SolutionSet {
-        let set = SolutionSet::of_plan(&JoinPlan::compile(q), db);
+        let plan = compile(q);
+        let sides = [SortedSide::of(&plan[A], db), SortedSide::of(&plan[B], db)];
+        let mut set = SolutionSet {
+            start: [vec![0], vec![0]],
+            ..SolutionSet::default()
+        };
+        let mut at = [0, 0];
+        while at[A] < sides[A].ids.len() || at[B] < sides[B].ids.len() {
+            // The next group is the smaller next key, from each side
+            // that has it.
+            let key = |s: usize| sides[s].ids.get(at[s]).map(|_| sides[s].key(at[s]));
+            let next = [key(A), key(B)].into_iter().flatten().min();
+            let end = [A, B].map(|s| match key(s) == next {
+                true => sides[s].run_end(at[s]),
+                false => at[s],
+            });
+            let g = set.start[A].len() as u32 - 1;
+            for s in [A, B] {
+                for &f in &sides[s].ids[at[s]..end[s]] {
+                    set_slot(&mut set.group_of[s], f, g);
+                }
+                set.start[s].push(end[s] as u32);
+            }
+            set.len += (end[A] - at[A]) * (end[B] - at[B]);
+            at = end;
+        }
+        set.facts = sides.map(|side| side.ids);
         debug_assert!(set
             .pairs()
             .all(|(a, b)| match_pair(q, db.fact(a), db.fact(b)).is_some()));
         set
     }
 
-    /// The sort-merge join: sort both sides by `(projection, id)`, then
-    /// cut them into one group per key of either side.
-    fn of_plan(plan: &JoinPlan, db: &Database) -> SolutionSet {
-        let (a, b) = (SortedSide::of(&plan.a, db), SortedSide::of(&plan.b, db));
-        let mut set = SolutionSet {
-            a_start: vec![0],
-            b_start: vec![0],
-            ..SolutionSet::default()
-        };
-        let (mut i, mut j) = (0, 0);
-        while i < a.ids.len() || j < b.ids.len() {
-            let order = match (i < a.ids.len(), j < b.ids.len()) {
-                (true, true) => a.key(i).cmp(b.key(j)),
-                (true, false) => Ordering::Less,
-                _ => Ordering::Greater,
-            };
-            let ai = if order.is_gt() { i } else { a.run_end(i) };
-            let bj = if order.is_lt() { j } else { b.run_end(j) };
-            let g = set.a_start.len() as u32 - 1;
-            for &f in &a.ids[i..ai] {
-                set_slot(&mut set.a_group, f, g);
-            }
-            for &f in &b.ids[j..bj] {
-                set_slot(&mut set.b_group, f, g);
-            }
-            set.len += (ai - i) * (bj - j);
-            set.a_start.push(ai as u32);
-            set.b_start.push(bj as u32);
-            (i, j) = (ai, bj);
+    /// Side `s`'s run of group `g`, ascending.
+    fn run(&self, g: usize, s: usize) -> &[FactId] {
+        match self.owned_at.get(g).filter(|&&o| o != NONE) {
+            Some(&o) => &self.owned[o as usize][s],
+            None => &self.facts[s][self.start[s][g] as usize..self.start[s][g + 1] as usize],
         }
-        set.a_facts = a.ids;
-        set.b_facts = b.ids;
-        set
-    }
-
-    /// Number of groups the enumeration made.
-    fn base_groups(&self) -> usize {
-        self.a_start.len().saturating_sub(1)
-    }
-
-    fn owned_index(&self, g: usize) -> Option<usize> {
-        self.owned_at
-            .get(g)
-            .filter(|&&o| o != NONE)
-            .map(|&o| o as usize)
     }
 
     /// Join group `g`'s `A` facts and `B` facts, each ascending.
     pub fn group(&self, g: usize) -> (&[FactId], &[FactId]) {
-        match self.owned_index(g) {
-            Some(o) => (&self.owned[o].a, &self.owned[o].b),
-            None => {
-                let (a, b) = (&self.a_start, &self.b_start);
-                (
-                    &self.a_facts[a[g] as usize..a[g + 1] as usize],
-                    &self.b_facts[b[g] as usize..b[g + 1] as usize],
-                )
-            }
-        }
+        (self.run(g, A), self.run(g, B))
     }
 
     /// One past the largest group id.
     pub fn group_slots(&self) -> usize {
-        self.base_groups().max(self.owned_at.len())
+        self.owned_at
+            .len()
+            .max(self.start[A].len().saturating_sub(1))
+    }
+
+    /// `f`'s group as a match of side `s`'s atom.
+    fn group_on(&self, s: usize, f: FactId) -> Option<usize> {
+        let g = *self.group_of[s].get(f.idx())?;
+        (g != NONE).then_some(g as usize)
     }
 
     /// Does group `g` hold a solution, with facts on both sides?
     fn has_solution(&self, g: usize) -> bool {
-        let (a, b) = self.group(g);
-        !a.is_empty() && !b.is_empty()
-    }
-
-    fn group_on(&self, side: &[u32], f: FactId) -> Option<usize> {
-        side.get(f.idx())
-            .filter(|&&g| g != NONE)
-            .map(|&g| g as usize)
+        !self.run(g, A).is_empty() && !self.run(g, B).is_empty()
     }
 
     /// All ordered solutions `(a, b)`, group by group.
@@ -181,8 +142,8 @@ impl SolutionSet {
 
     /// `q(a b)`?
     pub fn holds(&self, a: FactId, b: FactId) -> bool {
-        let ga = self.group_on(&self.a_group, a);
-        ga.is_some() && ga == self.group_on(&self.b_group, b)
+        let g = self.group_on(A, a);
+        g.is_some() && g == self.group_on(B, b)
     }
 
     /// `q{a b}` — `q(a b) ∨ q(b a)`?
@@ -197,14 +158,12 @@ impl SolutionSet {
 
     /// Facts `b` with `q(a b)`, ascending.
     pub fn seconds_of(&self, a: FactId) -> &[FactId] {
-        self.group_on(&self.a_group, a)
-            .map_or(&[], |g| self.group(g).1)
+        self.group_on(A, a).map_or(&[], |g| self.run(g, B))
     }
 
     /// Facts `c` with `q(c b)`, ascending.
     pub fn firsts_of(&self, b: FactId) -> &[FactId] {
-        self.group_on(&self.b_group, b)
-            .map_or(&[], |g| self.group(g).0)
+        self.group_on(B, b).map_or(&[], |g| self.run(g, A))
     }
 
     /// Neighbours of `a` in the solution graph: every `b ≠ a` with `q{a b}`,
@@ -224,18 +183,12 @@ impl SolutionSet {
     }
 
     /// The join groups with a solution that `f` belongs to: its `A`
-    /// group, then its `B` group when that is another one. Ids are below
-    /// [`SolutionSet::group_slots`]; every fact of a group is in a
-    /// solution with every fact on the group's other side.
+    /// group, then its `B` group when that is another one. Every fact of
+    /// a group is in a solution with every fact on its other side.
     pub fn groups_of(&self, f: FactId) -> impl Iterator<Item = usize> + '_ {
-        let a = self.group_on(&self.a_group, f);
-        let b = self.group_on(&self.b_group, f).filter(|&g| Some(g) != a);
+        let a = self.group_on(A, f);
+        let b = self.group_on(B, f).filter(|&g| Some(g) != a);
         a.into_iter().chain(b).filter(|&g| self.has_solution(g))
-    }
-
-    /// Is `f` in some solution?
-    pub fn in_support(&self, f: FactId) -> bool {
-        self.groups_of(f).next().is_some()
     }
 
     /// The live blocks that hold a fact of some solution, ascending: the
@@ -243,8 +196,7 @@ impl SolutionSet {
     pub fn support_blocks(&self, db: &Database) -> Vec<BlockId> {
         let mut marked = vec![false; db.block_slots()];
         for g in (0..self.group_slots()).filter(|&g| self.has_solution(g)) {
-            let (a_run, b_run) = self.group(g);
-            for &f in a_run.iter().chain(b_run) {
+            for &f in self.run(g, A).iter().chain(self.run(g, B)) {
                 marked[db.block_of(f).idx()] = true;
             }
         }
@@ -275,6 +227,18 @@ struct AtomPlan {
     /// The first position of each shared variable, in the query's
     /// shared-variable order.
     key: Box<[usize]>,
+}
+
+/// Both atoms of `q`, compiled once before a scan. `q(a b)` holds iff `a`
+/// matches `A`, `b` matches `B`, and their projections are equal: the
+/// substitution is then consistent on the shared variables, and each
+/// atom's own repeats were checked by its match.
+fn compile(q: &Query) -> [AtomPlan; 2] {
+    let shared: Vec<Var> = q.shared_vars().into_iter().collect();
+    [
+        AtomPlan::compile(q.a(), &shared),
+        AtomPlan::compile(q.b(), &shared),
+    ]
 }
 
 impl AtomPlan {
@@ -309,26 +273,6 @@ impl AtomPlan {
     }
 }
 
-/// Both atoms of a query, compiled once before a scan. `q(a b)` holds iff `a`
-/// matches `A`, `b` matches `B`, and their projections are equal: the
-/// substitution is then consistent on the shared variables, and each
-/// atom's own repeats were checked by its match.
-#[derive(Clone, Debug)]
-struct JoinPlan {
-    a: AtomPlan,
-    b: AtomPlan,
-}
-
-impl JoinPlan {
-    fn compile(q: &Query) -> JoinPlan {
-        let shared: Vec<Var> = q.shared_vars().into_iter().collect();
-        JoinPlan {
-            a: AtomPlan::compile(q.a(), &shared),
-            b: AtomPlan::compile(q.b(), &shared),
-        }
-    }
-}
-
 /// The facts matching one atom, sorted by `(projection, id)`, with the
 /// projections stored flat, `width` elements each.
 struct SortedSide {
@@ -340,27 +284,21 @@ struct SortedSide {
 impl SortedSide {
     fn of(plan: &AtomPlan, db: &Database) -> SortedSide {
         let width = plan.key.len();
-        let mut ids = Vec::new();
-        let mut keys = Vec::new();
+        let (mut ids, mut keys) = (Vec::new(), Vec::new());
         for (id, fact) in db.facts() {
             if plan.project(fact, &mut keys) {
                 ids.push(id);
             }
         }
-        if width == 0 {
-            return SortedSide { ids, keys, width };
-        }
-        let key = |i: usize| &keys[i * width..(i + 1) * width];
+        let key = |i: u32| &keys[i as usize * width..(i as usize + 1) * width];
         // Ids are pushed ascending, so the index breaks key ties by id.
         let mut order: Vec<u32> = (0..ids.len() as u32).collect();
-        order.sort_unstable_by(|&i, &j| key(i as usize).cmp(key(j as usize)).then(i.cmp(&j)));
+        if width > 0 {
+            order.sort_unstable_by(|&i, &j| key(i).cmp(key(j)).then(i.cmp(&j)));
+        }
         SortedSide {
             ids: order.iter().map(|&i| ids[i as usize]).collect(),
-            keys: order
-                .iter()
-                .flat_map(|&i| key(i as usize))
-                .copied()
-                .collect(),
+            keys: order.iter().flat_map(|&i| key(i)).copied().collect(),
             width,
         }
     }
@@ -371,34 +309,28 @@ impl SortedSide {
 
     /// The end of the run of equal keys starting at `i`.
     fn run_end(&self, i: usize) -> usize {
-        let mut j = i + 1;
-        while j < self.ids.len() && self.key(j) == self.key(i) {
-            j += 1;
-        }
-        j
+        (i + 1..self.ids.len())
+            .find(|&j| self.key(j) != self.key(i))
+            .unwrap_or(self.ids.len())
     }
 }
 
 /// A [`SolutionSet`] that can be patched in place after a
 /// [`Database::apply_delta`], avoiding a full re-enumeration.
 ///
-/// Every join key that has a fact on either side has a group, so an
-/// inserted fact joins its key's group and a retracted one leaves it:
-/// `O(delta × (log groups + group size))` instead of `O(n)`. A group a
-/// delta touches is copied out of the enumeration's flat runs once. A key
-/// the enumeration never saw gets a new group, freed again (key and id)
-/// once both its sides are empty.
+/// Every join key with a fact on either side has a group, so an inserted
+/// fact joins its key's group and a retracted one leaves it:
+/// `O(delta × (log groups + group size))` instead of `O(n)`. A new key's
+/// group is freed (key and id) once both its sides are empty.
 #[derive(Clone, Debug)]
 pub struct IncrementalSolutions {
-    q: Query,
-    plan: JoinPlan,
+    plan: [AtomPlan; 2],
     set: SolutionSet,
     /// The groups of keys the enumeration never saw.
     new_keys: BTreeMap<Box<[Elem]>, u32>,
     /// Ids of new-key groups emptied on both sides, for reuse.
     free: Vec<u32>,
-    /// Scratch projections, reused so that a delta allocates per new key
-    /// only.
+    /// Scratch projections, reused across facts.
     key: Vec<Elem>,
     probe: Vec<Elem>,
 }
@@ -407,14 +339,12 @@ impl IncrementalSolutions {
     /// Enumerate the solutions of `q` in `db` and keep every join group
     /// for later deltas.
     pub fn new(q: &Query, db: &Database) -> IncrementalSolutions {
-        let plan = JoinPlan::compile(q);
-        let set = SolutionSet::of_plan(&plan, db);
-        IncrementalSolutions::with_plan(q, plan, set)
+        IncrementalSolutions::from_enumeration(q, SolutionSet::enumerate(q, db))
     }
 
     /// Keep patching `set`, a [`SolutionSet::enumerate`] of `q` on the
-    /// database that later deltas start from: the same state as
-    /// [`IncrementalSolutions::new`] without enumerating again.
+    /// database that later deltas start from: [`IncrementalSolutions::new`]
+    /// without enumerating again.
     ///
     /// # Panics
     /// If `set` was already patched by another incremental set.
@@ -423,13 +353,8 @@ impl IncrementalSolutions {
             set.owned.is_empty(),
             "only an unpatched enumeration can be adopted"
         );
-        IncrementalSolutions::with_plan(q, JoinPlan::compile(q), set)
-    }
-
-    fn with_plan(q: &Query, plan: JoinPlan, set: SolutionSet) -> IncrementalSolutions {
         IncrementalSolutions {
-            q: q.clone(),
-            plan,
+            plan: compile(q),
             set,
             new_keys: BTreeMap::new(),
             free: Vec::new(),
@@ -445,43 +370,40 @@ impl IncrementalSolutions {
         &self.set
     }
 
-    /// The query the solutions are maintained for.
-    pub fn query(&self) -> &Query {
-        &self.q
-    }
-
     /// Patch the set after `db.apply_delta` produced `report`. `db` must
     /// be the post-delta database (retracted ids still resolve through
     /// their tombstoned slots).
     pub fn apply_delta(&mut self, db: &Database, report: &DeltaReport) {
-        for &id in &report.retracted {
-            self.leave(Side::A, db, id);
-            self.leave(Side::B, db, id);
+        for s in [A, B] {
+            for &id in &report.retracted {
+                self.leave(s, db, id);
+            }
         }
-        for &id in &report.inserted {
-            self.join(Side::A, db, id);
-            self.join(Side::B, db, id);
+        for s in [A, B] {
+            for &id in &report.inserted {
+                self.join(s, db, id);
+            }
         }
     }
 
-    /// The group of the key in `self.key`, if there is one: a binary
-    /// search over the enumeration's groups, which are in key order and
-    /// whose keys are read off their first fact (a retracted fact's slot
-    /// still resolves), then the new keys.
+    /// The group of the key in `self.key`: a binary search over the
+    /// enumeration's groups, in key order, each key read off the group's
+    /// first fact (a retracted fact's slot still resolves); then the new
+    /// keys.
     fn find(&mut self, db: &Database) -> Option<u32> {
-        let (mut lo, mut hi) = (0, self.set.base_groups());
+        let set = &self.set;
+        let (mut lo, mut hi) = (0, set.start[A].len().saturating_sub(1));
         while lo < hi {
             let mid = (lo + hi) / 2;
-            let (a, b) = (&self.set.a_start, &self.set.b_start);
-            let (side, first) = if a[mid] < a[mid + 1] {
-                (Side::A, self.set.a_facts[a[mid] as usize])
+            let s = if set.start[A][mid] < set.start[A][mid + 1] {
+                A
             } else {
-                (Side::B, self.set.b_facts[b[mid] as usize])
+                B
             };
             self.probe.clear();
-            side.plan(&self.plan)
-                .project(db.fact(first), &mut self.probe);
-            match self.probe.as_slice().cmp(&self.key) {
+            let first = set.facts[s][set.start[s][mid] as usize];
+            self.plan[s].project(db.fact(first), &mut self.probe);
+            match self.probe.cmp(&self.key) {
                 Ordering::Less => lo = mid + 1,
                 Ordering::Greater => hi = mid,
                 Ordering::Equal => return Some(mid as u32),
@@ -492,41 +414,31 @@ impl IncrementalSolutions {
 
     /// Group `g`'s runs, copied out of the enumeration's arrays on first
     /// use.
-    fn owned_mut(&mut self, g: usize) -> &mut Group {
+    fn owned_mut(&mut self, g: usize) -> &mut [Vec<FactId>; 2] {
         let set = &mut self.set;
-        let o = match set.owned_index(g) {
-            Some(o) => o,
-            None => {
-                let (a, b) = set.group(g);
-                let group = Group {
-                    a: a.to_vec(),
-                    b: b.to_vec(),
-                };
-                set.owned.push(group);
-                if set.owned_at.len() <= g {
-                    set.owned_at.resize(g + 1, NONE);
-                }
-                set.owned_at[g] = set.owned.len() as u32 - 1;
-                set.owned.len() - 1
-            }
-        };
-        &mut set.owned[o]
+        if set.owned_at.get(g).map_or(true, |&o| o == NONE) {
+            let runs = [set.run(g, A).to_vec(), set.run(g, B).to_vec()];
+            set.owned.push(runs);
+            set.owned_at.resize(set.owned_at.len().max(g + 1), NONE);
+            set.owned_at[g] = set.owned.len() as u32 - 1;
+        }
+        &mut set.owned[set.owned_at[g] as usize]
     }
 
-    /// Put a fact new to the set into its key's group on `side`, if it
+    /// Put a fact new to the set into its key's group on side `s`, if it
     /// matches that atom. Ids only grow, so it goes last in its run.
-    fn join(&mut self, side: Side, db: &Database, id: FactId) {
+    fn join(&mut self, s: usize, db: &Database, id: FactId) {
         self.key.clear();
-        if !side.plan(&self.plan).project(db.fact(id), &mut self.key) {
+        if !self.plan[s].project(db.fact(id), &mut self.key) {
             return;
         }
         let g = match self.find(db) {
             Some(g) => g,
             None => {
+                let set = &mut self.set;
                 let g = self.free.pop().unwrap_or_else(|| {
-                    let set = &mut self.set;
                     let g = set.group_slots();
-                    set.owned.push(Group::default());
+                    set.owned.push(Default::default());
                     set.owned_at.resize(g + 1, NONE);
                     set.owned_at[g] = set.owned.len() as u32 - 1;
                     g as u32
@@ -535,69 +447,35 @@ impl IncrementalSolutions {
                 g
             }
         };
-        let group = self.owned_mut(g as usize);
-        let (run, other) = side.runs(group);
-        assert!(run.last() < Some(&id), "facts join their groups ascending");
-        run.push(id);
-        let pairs = other.len();
-        self.set.len += pairs;
-        set_slot(side.slots(&mut self.set), id, g);
+        let runs = self.owned_mut(g as usize);
+        assert!(
+            runs[s].last() < Some(&id),
+            "facts join their groups ascending"
+        );
+        runs[s].push(id);
+        self.set.len += runs[1 - s].len();
+        set_slot(&mut self.set.group_of[s], id, g);
     }
 
-    /// Take a retracted fact out of its group on `side`, freeing a new
+    /// Take a retracted fact out of its group on side `s`, freeing a new
     /// key's group when both its sides are then empty.
-    fn leave(&mut self, side: Side, db: &Database, id: FactId) {
-        let slots = side.slots(&mut self.set);
-        let g = match slots.get(id.idx()) {
-            Some(&g) if g != NONE => g,
-            _ => return,
+    fn leave(&mut self, s: usize, db: &Database, id: FactId) {
+        let Some(g) = self.set.group_on(s, id) else {
+            return;
         };
-        slots[id.idx()] = NONE;
-        let group = self.owned_mut(g as usize);
-        let (run, other) = side.runs(group);
-        let at = run
+        self.set.group_of[s][id.idx()] = NONE;
+        let runs = self.owned_mut(g);
+        let at = runs[s]
             .binary_search(&id)
             .expect("a grouped fact is in its run");
-        run.remove(at);
-        let pairs = other.len();
-        let emptied = group.a.is_empty() && group.b.is_empty();
+        runs[s].remove(at);
+        let (pairs, emptied) = (runs[1 - s].len(), runs.iter().all(Vec::is_empty));
         self.set.len -= pairs;
-        if emptied && g as usize >= self.set.base_groups() {
+        if emptied && g >= self.set.start[A].len().saturating_sub(1) {
             self.key.clear();
-            side.plan(&self.plan).project(db.fact(id), &mut self.key);
+            self.plan[s].project(db.fact(id), &mut self.key);
             self.new_keys.remove(self.key.as_slice());
-            self.free.push(g);
-        }
-    }
-}
-
-/// Which atom of the query a fact is matched against.
-#[derive(Clone, Copy)]
-enum Side {
-    A,
-    B,
-}
-
-impl Side {
-    fn plan(self, plan: &JoinPlan) -> &AtomPlan {
-        match self {
-            Side::A => &plan.a,
-            Side::B => &plan.b,
-        }
-    }
-
-    fn slots(self, set: &mut SolutionSet) -> &mut Vec<u32> {
-        match self {
-            Side::A => &mut set.a_group,
-            Side::B => &mut set.b_group,
-        }
-    }
-
-    /// This side's run of `group` and the other side's.
-    fn runs(self, group: &mut Group) -> (&mut Vec<FactId>, &[FactId]) {
-        match self {
-            Side::A => (&mut group.a, &group.b),
-            Side::B => (&mut group.b, &group.a),
+            self.free.push(g as u32);
         }
     }
 }
@@ -606,16 +484,12 @@ impl Side {
 /// It does iff some join group has a chosen fact on both sides.
 pub fn satisfies(solutions: &SolutionSet, facts: &[FactId]) -> bool {
     let mut chosen_a = vec![false; solutions.group_slots()];
-    for &f in facts {
-        if let Some(g) = solutions.group_on(&solutions.a_group, f) {
-            chosen_a[g] = true;
-        }
+    for g in facts.iter().filter_map(|&f| solutions.group_on(A, f)) {
+        chosen_a[g] = true;
     }
-    facts.iter().any(|&f| {
-        solutions
-            .group_on(&solutions.b_group, f)
-            .is_some_and(|g| chosen_a[g])
-    })
+    facts
+        .iter()
+        .any(|&f| solutions.group_on(B, f).is_some_and(|g| chosen_a[g]))
 }
 
 #[cfg(test)]
