@@ -272,7 +272,7 @@ impl QueryDeltaState {
     /// given `solutions`, a [`SolutionSet::enumerate`] on the database
     /// before it, and the delta's `report`: the enumeration is patched,
     /// not redone.
-    pub fn after_delta(
+    pub(crate) fn after_delta(
         engine: CqaEngine,
         solutions: SolutionSet,
         db: &Database,
