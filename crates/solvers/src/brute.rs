@@ -64,7 +64,7 @@ struct ComponentPlan {
 /// component's blocks by BFS along solution edges (locality for the
 /// backtracker), in `O(support facts)`: a BFS from each unvisited support
 /// block, in ascending order, reaches exactly its component, and expands
-/// each join group ([`SolutionSet::groups_of`]) once.
+/// each join group (`SolutionSet::groups_of`) once.
 ///
 /// Only the support is planned: a solution-free block conflicts with
 /// nothing, so any of its facts completes a falsifying repair, and it can

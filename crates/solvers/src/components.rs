@@ -16,7 +16,7 @@
 //! decide only the components of the *support*, the blocks holding a fact
 //! of some solution; [`q_connected_components`] adds a singleton per
 //! solution-free block, from the same union-find. Every fact of a join
-//! group ([`SolutionSet::groups_of`]) is in a solution with every fact on
+//! group (`SolutionSet::groups_of`) is in a solution with every fact on
 //! the group's other side, so that union-find joins each fact's block to
 //! one block of each of its groups: `O(facts)`, not `O(solutions)`.
 //!

@@ -98,12 +98,12 @@ impl SolutionSet {
     }
 
     /// Join group `g`'s `A` facts and `B` facts, each ascending.
-    pub fn group(&self, g: usize) -> (&[FactId], &[FactId]) {
+    pub(crate) fn group(&self, g: usize) -> (&[FactId], &[FactId]) {
         (self.run(g, A), self.run(g, B))
     }
 
     /// One past the largest group id.
-    pub fn group_slots(&self) -> usize {
+    pub(crate) fn group_slots(&self) -> usize {
         self.owned_at
             .len()
             .max(self.start[A].len().saturating_sub(1))
@@ -185,7 +185,7 @@ impl SolutionSet {
     /// The join groups with a solution that `f` belongs to: its `A`
     /// group, then its `B` group when that is another one. Every fact of
     /// a group is in a solution with every fact on its other side.
-    pub fn groups_of(&self, f: FactId) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn groups_of(&self, f: FactId) -> impl Iterator<Item = usize> + '_ {
         let a = self.group_on(A, f);
         let b = self.group_on(B, f).filter(|&g| Some(g) != a);
         a.into_iter().chain(b).filter(|&g| self.has_solution(g))
