@@ -508,10 +508,9 @@ pub fn certk_view(
     let mut chain = Antichain::new(db);
     let mut budget = cfg.node_budget;
 
-    // Seeds: solutions within the view that fit in a k-set. Iterating
-    // view facts in id order visits the pairs in the same order the
-    // enumeration produced them, so a full view reproduces the historical
-    // seed order exactly. Partners outside the view are skipped — that
+    // Seeds: solutions within the view that fit in a k-set, visited by
+    // first fact in id order, then by partner in id order, whatever the
+    // solution set's own layout. Partners outside the view are skipped — that
     // *is* the restriction of the solution set to the view (a no-op on
     // q-closed views like components and full views, where the
     // membership test is O(1)).
