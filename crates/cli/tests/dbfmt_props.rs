@@ -4,7 +4,7 @@
 
 use cqa_cli::cmd_batch;
 use cqa_cli::dbfmt::{parse_database, read_database, write_database};
-use cqa_model::{Database, Elem, Fact, RelId, Signature};
+use cqa_model::{parse_fact_line, render_fact_line, Database, Elem, Fact, RelId, Signature};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -77,6 +77,54 @@ fn db_strategy() -> impl Strategy<Value = Database> {
     db_with_elems(elem_strategy().boxed())
 }
 
+/// Element payload inside `⟨…⟩`: commas, bars, ASCII and Unicode
+/// whitespace (em space, ideographic space, no-break space), none of
+/// which separates elements there.
+const BRACKETED: &str = "[a-c,| \t\u{2003}\u{3000}\u{a0}]{0,5}";
+
+/// One element token as it may appear in a line: a bare name (parens
+/// included), a `⟨…⟩` group, a nested group, or a name glued to a group.
+fn token_strategy() -> impl Strategy<Value = String> {
+    prop_oneof![
+        "[a-dé0-9_()]{1,4}",
+        BRACKETED.prop_map(|s| format!("⟨{s}⟩")),
+        (BRACKETED, BRACKETED, BRACKETED).prop_map(|(a, b, c)| format!("⟨{a}⟨{b}⟩{c}⟩")),
+        ("[a-c]{1,2}", BRACKETED).prop_map(|(a, b)| format!("{a}⟨{b}⟩{a}")),
+    ]
+}
+
+/// A run of separators between tokens: commas and ASCII or Unicode
+/// whitespace, at least one character.
+const SEPARATOR: &str = "[, \t\u{2003}\u{3000}]{1,3}";
+
+/// A fact line with 0–3 key and 0–3 value tokens (at least one in all)
+/// and random separators: `(line, key tokens, value tokens)`.
+fn line_strategy() -> impl Strategy<Value = (String, Vec<String>, Vec<String>)> {
+    (
+        proptest::collection::vec((token_strategy(), SEPARATOR), 0..4),
+        proptest::collection::vec((token_strategy(), SEPARATOR), 0..4),
+        SEPARATOR,
+    )
+        .prop_filter("a fact needs an element", |(key, value, _)| {
+            !key.is_empty() || !value.is_empty()
+        })
+        .prop_map(|(key, value, lead)| {
+            let mut line = format!("R({lead}");
+            for (token, sep) in &key {
+                line.push_str(token);
+                line.push_str(sep);
+            }
+            line.push('|');
+            for (token, sep) in &value {
+                line.push_str(sep);
+                line.push_str(token);
+            }
+            line.push(')');
+            let tokens = |side: Vec<(String, String)>| side.into_iter().map(|(t, _)| t).collect();
+            (line, tokens(key), tokens(value))
+        })
+}
+
 proptest! {
     // Bounded so the full workspace test run stays fast and, with the
     // vendored proptest's name-derived seeding, fully deterministic.
@@ -145,6 +193,26 @@ proptest! {
         prop_assert_eq!(parsed.len(), db.len());
         prop_assert_eq!(parsed.block_count(), db.block_count());
         prop_assert_eq!(parsed.signature(), db.signature());
+    }
+
+    #[test]
+    fn bracketed_separators_stay_element_payload((line, key, value) in line_strategy()) {
+        // Each parsed element is the token the line was built from, even
+        // when a ⟨…⟩ group holds commas, bars or Unicode whitespace.
+        let (fact, key_len) = match parse_fact_line(&line) {
+            Ok(parsed) => parsed,
+            Err(e) => return Err(TestCaseError::Fail(format!("{line:?} rejected: {e}"))),
+        };
+        prop_assert_eq!(key_len, key.len(), "key length of {:?}", line);
+        let want: Vec<Elem> = key.iter().chain(&value).map(Elem::named).collect();
+        prop_assert_eq!(fact.tuple(), &want[..], "elements of {:?}", line);
+        // write→parse→write is a fixpoint, for the line and for a file.
+        let rendered = render_fact_line(&fact, key_len);
+        let (again, again_key_len) = parse_fact_line(&rendered).unwrap();
+        prop_assert_eq!(&again, &fact);
+        prop_assert_eq!(render_fact_line(&again, again_key_len), rendered);
+        let text = write_database(&parse_database(&line).unwrap());
+        prop_assert_eq!(write_database(&parse_database(&text).unwrap()), text);
     }
 
     #[test]

@@ -49,7 +49,9 @@ pub struct DeltaStats {
     pub delta_applied: u64,
     /// Blocks of the components re-solved after a delta (the size of the
     /// dirty region, summed over deltas); for a `Trivial` query, the
-    /// touched blocks rechecked.
+    /// touched blocks rechecked. A query's first delta builds its state,
+    /// which solves every block of the solution support (every live
+    /// block, for a `Trivial` query), and counts them all.
     pub blocks_reseeded: u64,
     /// Component verdicts retained verbatim because their component was
     /// untouched by a delta; for a `Trivial` query, the live blocks whose
@@ -265,40 +267,48 @@ impl QueryDeltaState {
     /// from-scratch solve of every support component otherwise. Returns
     /// `None` when the class is unsupported ([`QueryDeltaState::supports`]).
     pub fn new(engine: CqaEngine, db: &Database) -> Option<QueryDeltaState> {
-        QueryDeltaState::build(engine, db, |q| IncrementalSolutions::new(q, db))
+        QueryDeltaState::build(engine, db, |q| IncrementalSolutions::new(q, db)).map(|(s, _)| s)
     }
 
     /// [`QueryDeltaState::new`] for the database `db` that a delta made,
-    /// given `solutions`, a [`SolutionSet::enumerate`] on the database
-    /// before it, and the delta's `report`: the enumeration is patched,
-    /// not redone.
+    /// given the delta's `report` and, if one is cached, `solutions`, a
+    /// [`SolutionSet::enumerate`] on the database before it: the
+    /// enumeration is patched, not redone. Also returns the blocks the
+    /// build solved, which count as reseeded by this delta: every block
+    /// of the solution support, or every live block for a `Trivial`
+    /// query.
     pub(crate) fn after_delta(
         engine: CqaEngine,
-        solutions: SolutionSet,
+        solutions: Option<SolutionSet>,
         db: &Database,
         report: &DeltaReport,
-    ) -> Option<QueryDeltaState> {
-        QueryDeltaState::build(engine, db, |q| {
-            let mut inc = IncrementalSolutions::from_enumeration(q, solutions);
-            inc.apply_delta(db, report);
-            inc
+    ) -> Option<(QueryDeltaState, u64)> {
+        QueryDeltaState::build(engine, db, |q| match solutions {
+            Some(solutions) => {
+                let mut inc = IncrementalSolutions::from_enumeration(q, solutions);
+                inc.apply_delta(db, report);
+                inc
+            }
+            None => IncrementalSolutions::new(q, db),
         })
     }
 
+    /// The cache and the number of blocks it solved.
     fn build(
         engine: CqaEngine,
         db: &Database,
         solutions: impl FnOnce(&Query) -> IncrementalSolutions,
-    ) -> Option<QueryDeltaState> {
+    ) -> Option<(QueryDeltaState, u64)> {
         if !QueryDeltaState::supports(&engine) {
             return None;
         }
         if engine.classification().complexity == Complexity::Trivial {
             let blocks = ForcingBlocks::new(engine.query(), db);
-            return Some(QueryDeltaState {
+            let state = QueryDeltaState {
                 engine,
                 tracked: Tracked::Blocks(blocks),
-            });
+            };
+            return Some((state, db.block_count() as u64));
         }
         let solutions = solutions(engine.query());
         let comps = DynamicComponents::new(db, solutions.solutions());
@@ -308,14 +318,17 @@ impl QueryDeltaState {
             verdicts: HashMap::new(),
             totals: VerdictTotals::default(),
         };
+        let mut solved = 0;
         for id in cv.comps.ids().collect::<Vec<_>>() {
+            solved += cv.comps.blocks_of(id).len() as u64;
             let v = cv.solve(&engine, db, id);
             cv.put_verdict(id, v);
         }
-        Some(QueryDeltaState {
+        let state = QueryDeltaState {
             engine,
             tracked: Tracked::Components(Box::new(cv)),
-        })
+        };
+        Some((state, solved))
     }
 
     /// The engine (query, classification, config) this cache answers for.

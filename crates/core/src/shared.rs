@@ -382,10 +382,10 @@ impl SharedSession {
                         Ok(entry) => entry.solutions.into_inner(),
                         Err(entry) => entry.solutions.get().cloned(),
                     };
-                    match pre {
-                        Some(pre) => QueryDeltaState::after_delta(engine, pre, &db, report),
-                        None => QueryDeltaState::new(engine, &db),
-                    }
+                    QueryDeltaState::after_delta(engine, pre, &db, report).map(|(state, solved)| {
+                        step.blocks_reseeded += solved;
+                        state
+                    })
                 }
             };
             if let Some(state) = state {
@@ -604,6 +604,30 @@ mod tests {
             let cold = CqaEngine::new(q3.clone()).certain(s.db());
             assert_eq!(s.certain(&q3).certain, cold.certain);
         }
+    }
+
+    #[test]
+    fn first_update_counts_the_support_blocks_it_solves() {
+        // Solutions a→b→c and p→q→r; the z block holds none.
+        let db = db2(&[
+            ["a", "b"],
+            ["b", "c"],
+            ["p", "q"],
+            ["p", "x"],
+            ["q", "r"],
+            ["z", "w"],
+        ]);
+        let q3 = examples::q3();
+        let session = SharedSession::new(db, EngineConfig::default());
+        session.certain(&q3);
+        let (next, _) = session
+            .with_delta(&[Fact::from_names(["m", "n"])], &[])
+            .unwrap();
+        let support = SolutionSet::enumerate(&q3, next.db()).support_blocks(next.db());
+        assert_eq!(support.len(), 4, "blocks a, b, p and q");
+        let stats = next.delta_stats();
+        assert_eq!(stats.blocks_reseeded, support.len() as u64);
+        assert_eq!(stats.verdicts_retained, 0);
     }
 
     #[test]

@@ -24,7 +24,9 @@ use crate::store::{ChunkVec, ShardMap};
 use crate::{Elem, Fact, ModelError, RelId, Signature};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::mem::size_of;
+use std::sync::Arc;
 
 /// Index of a fact inside its [`Database`]. Stable: insertion never
 /// renumbers, and retraction leaves a tombstoned slot behind rather than
@@ -50,7 +52,44 @@ impl BlockId {
     }
 }
 
-type BlockKey = (RelId, Box<[Elem]>);
+/// A block's key: the relation and the key prefix of a member's shared
+/// tuple. It hashes and compares only that prefix, so the block index
+/// needs no key copy of its own.
+#[derive(Clone)]
+struct BlockKey {
+    rel: RelId,
+    key_len: u32,
+    tuple: Arc<[Elem]>,
+}
+
+impl BlockKey {
+    fn of(fact: &Fact, sig: &Signature) -> BlockKey {
+        BlockKey {
+            rel: fact.rel(),
+            key_len: u32::try_from(sig.key_len()).expect("key length fits in u32"),
+            tuple: Arc::clone(fact.shared_tuple()),
+        }
+    }
+
+    fn key(&self) -> &[Elem] {
+        &self.tuple[..self.key_len as usize]
+    }
+}
+
+impl PartialEq for BlockKey {
+    fn eq(&self, other: &BlockKey) -> bool {
+        self.rel == other.rel && self.key() == other.key()
+    }
+}
+
+impl Eq for BlockKey {}
+
+impl Hash for BlockKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.rel.hash(state);
+        self.key().hash(state);
+    }
+}
 
 /// Tombstone marker in `fact_block` for retracted fact slots.
 const DEAD: BlockId = BlockId(u32::MAX);
@@ -140,33 +179,29 @@ impl Database {
                 got: fact.arity(),
             });
         }
-        if let Some(&id) = self.dedup.get(&fact) {
+        let next =
+            FactId(u32::try_from(self.facts.len()).expect("database exhausted (> 2^32 facts)"));
+        let (id, new) = self.dedup.get_or_insert_with(fact.clone(), || next);
+        if !new {
             return Ok(id);
         }
-        let id =
-            FactId(u32::try_from(self.facts.len()).expect("database exhausted (> 2^32 facts)"));
-        let key: BlockKey = (fact.rel(), fact.key(&self.sig).to_vec().into_boxed_slice());
-        let block = match self.by_key.get(&key) {
-            Some(&b) => {
-                // The block may have been emptied by an earlier retraction;
-                // refilling it revives the same BlockId.
-                let members = self.blocks.get_mut(b.idx());
-                if members.is_empty() {
-                    self.live_blocks += 1;
-                }
-                members.push(id);
-                b
-            }
-            None => {
-                let b = BlockId(u32::try_from(self.blocks.len()).expect("too many blocks"));
-                assert!(b != DEAD, "too many blocks");
-                self.blocks.push(vec![id]);
-                self.by_key.insert(key, b);
+        let next = BlockId(u32::try_from(self.blocks.len()).expect("too many blocks"));
+        let (block, fresh) = self
+            .by_key
+            .get_or_insert_with(BlockKey::of(&fact, &self.sig), || next);
+        if fresh {
+            assert!(block != DEAD, "too many blocks");
+            self.blocks.push(vec![id]);
+            self.live_blocks += 1;
+        } else {
+            // The block may have been emptied by an earlier retraction;
+            // refilling it revives the same BlockId.
+            let members = self.blocks.get_mut(block.idx());
+            if members.is_empty() {
                 self.live_blocks += 1;
-                b
             }
-        };
-        self.dedup.insert(fact.clone(), id);
+            members.push(id);
+        }
         self.facts.push(fact);
         self.fact_block.push(block);
         self.live_facts += 1;
@@ -224,10 +259,9 @@ impl Database {
             if self.dedup.contains_key(f) {
                 continue;
             }
-            let key: BlockKey = (f.rel(), f.key(&self.sig).to_vec().into_boxed_slice());
             let was_nonempty = self
                 .by_key
-                .get(&key)
+                .get(&BlockKey::of(f, &self.sig))
                 .is_some_and(|b| !self.blocks[b.idx()].is_empty());
             let id = self.insert(f.clone())?;
             touched
@@ -366,13 +400,14 @@ impl Database {
     /// budgeting (the `cqa serve` session manager evicts by this number).
     /// O(1): a function of the slot and live counts and the signature.
     ///
-    /// Per fact slot it counts the fact and its heap tuple, its
-    /// `fact_block` entry, and its dedup-index entry with that entry's
-    /// own tuple copy; per block slot, the member list (header and
-    /// buffer) and its key-index entry with the boxed key; per live
-    /// fact, its 4-byte id in a member list. The global element interner
-    /// is shared by every database of the process, so it is deliberately
-    /// *not* attributed here. Versions of a live database share the
+    /// Per fact slot it counts the fact and its one shared tuple (the
+    /// `Arc` counts and the elements), its `fact_block` entry, and its
+    /// dedup-index entry, whose key shares that tuple; per block slot, the
+    /// member list (header and buffer) and its key-index entry, whose key
+    /// is a prefix of a member's tuple; per live fact, its 4-byte id in a
+    /// member list. The global element interner is shared by every
+    /// database of the process, so it is deliberately *not* attributed
+    /// here. Versions of a live database share the
     /// chunks and shards they have not written, but each version counts
     /// every piece in full: the figure is an upper bound on what
     /// dropping the version alone would free, so a memory budget that
@@ -380,20 +415,24 @@ impl Database {
     /// estimate is deterministic in `(fact slots, block slots, live
     /// facts, signature)` and grows monotonically with insertions.
     pub fn approx_bytes(&self) -> usize {
-        let tuple = heap_bytes(self.sig.arity() * size_of::<Elem>());
-        let key = heap_bytes(self.sig.key_len() * size_of::<Elem>());
-        let per_fact = size_of::<Fact>()
-            + tuple
-            + size_of::<BlockId>()
-            + table_bytes(size_of::<(Fact, FactId)>())
-            + tuple;
-        let per_block = size_of::<Vec<FactId>>()
-            + heap_bytes(0)
-            + table_bytes(size_of::<(BlockKey, BlockId)>())
-            + key;
+        let (per_fact, per_block) = self.slot_bytes();
         self.facts.len() * per_fact
             + self.blocks.len() * per_block
             + self.live_facts * size_of::<FactId>()
+    }
+
+    /// [`Database::approx_bytes`]'s figures per fact slot and per block
+    /// slot.
+    fn slot_bytes(&self) -> (usize, usize) {
+        let tuple = heap_bytes(2 * size_of::<usize>() + self.sig.arity() * size_of::<Elem>());
+        let per_fact = size_of::<Fact>()
+            + tuple
+            + size_of::<BlockId>()
+            + table_bytes(size_of::<(Fact, FactId)>());
+        let per_block = size_of::<Vec<FactId>>()
+            + heap_bytes(0)
+            + table_bytes(size_of::<(BlockKey, BlockId)>());
+        (per_fact, per_block)
     }
 
     /// The number of repairs, i.e. the product of block sizes, saturating at
@@ -736,6 +775,21 @@ mod tests {
                 assert_eq!(next.contains(f), ins.contains(f));
             }
         }
+    }
+
+    #[test]
+    fn approx_bytes_pins_the_layout() {
+        // [2, 1] on a 64-bit target. Per fact slot: the 24-byte `Fact`,
+        // its 32-byte `Arc` tuple chunk (16 bytes of counts, two 4-byte
+        // elements, the allocator header), a 4-byte block id, and a dedup
+        // entry of 32 bytes at 2/3 load. Per block slot: the 24-byte
+        // member `Vec`, its minimal 32-byte buffer, and a key-index entry
+        // of 32 bytes at 2/3 load. A layout change must update both.
+        let db = db_2_1(&[["a", "1"]]);
+        assert_eq!(db.slot_bytes(), (24 + 32 + 4 + 49, 24 + 32 + 49));
+        assert_eq!(db.approx_bytes(), 109 + 105 + 4);
+        let db = db_2_1(&[["a", "1"], ["a", "2"], ["b", "1"]]);
+        assert_eq!(db.approx_bytes(), 3 * 109 + 2 * 105 + 3 * 4);
     }
 
     #[test]

@@ -19,24 +19,37 @@
 //! all databases of a process, which is exactly what the reductions need
 //! when they transport facts from one database into another.
 //!
+//! ### Storage
+//! Each payload is stored once. A name lives in one `Arc<str>`, shared by
+//! the handle's slot and the name index, so interning a new name costs
+//! one allocation and re-interning a known one (the common case when a
+//! fact file is loaded) costs none: [`Elem::named`] looks the name up as
+//! a borrowed `&str`. Integer and pair payloads are a few bytes inline;
+//! fresh elements are never looked up by payload, so they have a slot
+//! and no index entry.
+//!
 //! ### Concurrency
-//! The store is **sharded**: an element's payload hash picks one of
-//! [`SHARDS`] independent `RwLock`-protected shards, and the handle
+//! The store is **sharded**: an element's payload picks one of
+//! [`SHARDS`] independent `RwLock`-protected shards through the unkeyed
+//! multiply-rotate hash the copy-on-write maps use, and the handle
 //! encodes the shard in its low bits. Interning the same payload always
 //! lands on the same shard (and yields the same handle, no matter which
 //! thread got there first), while payloads on different shards intern
-//! with no lock interaction at all — concurrent fact construction no
-//! longer serialises on a single global lock. Within a shard, interning
+//! with no lock interaction at all — concurrent fact construction does
+//! not serialise on a single global lock. Within a shard, interning
 //! takes a read lock first and only upgrades to a write lock on a miss,
 //! so the steady state (mostly re-interning known elements) is
-//! read-lock-only. The `&'static` store itself sits behind a `OnceLock`,
-//! so reaching it is a lock-free atomic load after initialisation.
+//! read-lock-only. Reading a payload clones its slot (for a name, an
+//! `Arc` count increment) and releases the lock before the caller uses
+//! it, so rendering a pair never holds one shard's lock while it takes
+//! another's. The `&'static` store itself sits behind a `OnceLock`, so
+//! reaching it is a lock-free atomic load after initialisation.
 
+use crate::store::shard_index;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{OnceLock, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// An interned domain element. Cheap to copy and compare; the payload lives
 /// in the global store and can be recovered with [`Elem::data`].
@@ -61,12 +74,41 @@ pub enum ElemData {
 const SHARD_BITS: u32 = 4;
 const SHARDS: usize = 1 << SHARD_BITS;
 
-/// One shard: a local append-only payload store plus its reverse index.
+/// A stored payload: [`ElemData`] with the name behind the `Arc` that the
+/// shard's name index shares.
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum Slot {
+    Named(Arc<str>),
+    Int(i64),
+    Pair(Elem, Elem),
+    Fresh(u64),
+}
+
+/// One shard: a local append-only payload store plus its reverse indexes.
 /// Local slot `i` of shard `s` is the global handle `i << SHARD_BITS | s`.
 #[derive(Default)]
 struct Shard {
-    data: Vec<ElemData>,
-    index: HashMap<ElemData, u32>,
+    slots: Vec<Slot>,
+    /// Names, keyed by the very `Arc` their slot holds.
+    names: HashMap<Arc<str>, u32>,
+    /// Integer and pair payloads.
+    atoms: HashMap<Slot, u32>,
+}
+
+impl Shard {
+    /// Append `slot` and return its global handle.
+    fn push(&mut self, s: usize, slot: Slot) -> Elem {
+        let local = u32::try_from(self.slots.len())
+            .ok()
+            .filter(|&l| l < 1 << (32 - SHARD_BITS))
+            .expect("element store exhausted (shard over 2^28 elements)");
+        self.slots.push(slot);
+        handle(local, s)
+    }
+}
+
+fn handle(local: u32, s: usize) -> Elem {
+    Elem(local << SHARD_BITS | s as u32)
 }
 
 struct Store {
@@ -80,44 +122,57 @@ impl Store {
         }
     }
 
-    fn intern(&self, d: ElemData) -> Elem {
-        let s = shard_of(&d);
-        // Fast path: the payload is already interned (read lock only).
-        {
-            let shard = self.shards[s].read().expect("interner lock poisoned");
-            if let Some(&local) = shard.index.get(&d) {
-                return Elem(local << SHARD_BITS | s as u32);
-            }
+    fn read(&self, s: usize) -> std::sync::RwLockReadGuard<'_, Shard> {
+        self.shards[s].read().expect("interner lock poisoned")
+    }
+
+    fn write(&self, s: usize) -> std::sync::RwLockWriteGuard<'_, Shard> {
+        self.shards[s].write().expect("interner lock poisoned")
+    }
+
+    fn intern_name(&self, name: &str) -> Elem {
+        let s = shard_index(name, SHARD_BITS);
+        // Fast path: the name is already interned (read lock only).
+        if let Some(&local) = self.read(s).names.get(name) {
+            return handle(local, s);
         }
         // Slow path: re-check under the write lock (another thread may have
-        // interned the same payload between the two lock acquisitions).
-        let mut shard = self.shards[s].write().expect("interner lock poisoned");
-        if let Some(&local) = shard.index.get(&d) {
-            return Elem(local << SHARD_BITS | s as u32);
+        // interned the same name between the two lock acquisitions).
+        let mut shard = self.write(s);
+        if let Some(&local) = shard.names.get(name) {
+            return handle(local, s);
         }
-        let local = u32::try_from(shard.data.len())
-            .ok()
-            .filter(|&l| l < 1 << (32 - SHARD_BITS))
-            .expect("element store exhausted (shard over 2^28 elements)");
-        shard.data.push(d.clone());
-        shard.index.insert(d, local);
-        Elem(local << SHARD_BITS | s as u32)
+        let name: Arc<str> = Arc::from(name);
+        let e = shard.push(s, Slot::Named(Arc::clone(&name)));
+        shard.names.insert(name, e.0 >> SHARD_BITS);
+        e
     }
 
-    fn data(&self, e: Elem) -> ElemData {
-        let shard = self.shards[(e.0 & (SHARDS as u32 - 1)) as usize]
-            .read()
-            .expect("interner lock poisoned");
-        shard.data[(e.0 >> SHARD_BITS) as usize].clone()
+    /// Intern an [`Slot::Int`] or [`Slot::Pair`] payload.
+    fn intern_atom(&self, atom: Slot) -> Elem {
+        let s = shard_index(&atom, SHARD_BITS);
+        if let Some(&local) = self.read(s).atoms.get(&atom) {
+            return handle(local, s);
+        }
+        let mut shard = self.write(s);
+        if let Some(&local) = shard.atoms.get(&atom) {
+            return handle(local, s);
+        }
+        let e = shard.push(s, atom.clone());
+        shard.atoms.insert(atom, e.0 >> SHARD_BITS);
+        e
     }
-}
 
-/// Deterministic shard choice: `DefaultHasher::new()` uses fixed keys, so
-/// the payload → shard map is stable across threads, runs and processes.
-fn shard_of(d: &ElemData) -> usize {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    d.hash(&mut h);
-    (h.finish() as usize) & (SHARDS - 1)
+    fn fresh(&self, n: u64) -> Elem {
+        let s = n as usize & (SHARDS - 1);
+        self.write(s).push(s, Slot::Fresh(n))
+    }
+
+    /// A clone of `e`'s slot, taken under the shard's read lock, which is
+    /// released on return.
+    fn slot(&self, e: Elem) -> Slot {
+        self.read((e.0 & (SHARDS as u32 - 1)) as usize).slots[(e.0 >> SHARD_BITS) as usize].clone()
+    }
 }
 
 fn store() -> &'static Store {
@@ -128,31 +183,35 @@ fn store() -> &'static Store {
 static FRESH_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 impl Elem {
-    /// Intern a named constant.
-    pub fn named(name: impl Into<String>) -> Elem {
-        store().intern(ElemData::Named(name.into()))
+    /// Intern a named constant. Allocates only when the name is new.
+    pub fn named(name: impl AsRef<str>) -> Elem {
+        store().intern_name(name.as_ref())
     }
 
     /// Intern an integer constant.
     pub fn int(v: i64) -> Elem {
-        store().intern(ElemData::Int(v))
+        store().intern_atom(Slot::Int(v))
     }
 
     /// Intern the ordered pair `⟨fst, snd⟩`.
     pub fn pair(fst: Elem, snd: Elem) -> Elem {
-        store().intern(ElemData::Pair(fst, snd))
+        store().intern_atom(Slot::Pair(fst, snd))
     }
 
     /// Create a fresh element distinct from every element created so far and
     /// from every element that will ever be created by other means.
     pub fn fresh() -> Elem {
-        let n = FRESH_COUNTER.fetch_add(1, Ordering::Relaxed);
-        store().intern(ElemData::Fresh(n))
+        store().fresh(FRESH_COUNTER.fetch_add(1, Ordering::Relaxed))
     }
 
-    /// A clone of this element's payload.
+    /// A clone of this element's payload (a new `String` for a name).
     pub fn data(self) -> ElemData {
-        store().data(self)
+        match store().slot(self) {
+            Slot::Named(s) => ElemData::Named(s.to_string()),
+            Slot::Int(v) => ElemData::Int(v),
+            Slot::Pair(a, b) => ElemData::Pair(a, b),
+            Slot::Fresh(n) => ElemData::Fresh(n),
+        }
     }
 
     /// The raw interner handle. Only meaningful within one process. The low
@@ -185,11 +244,13 @@ impl fmt::Debug for Elem {
 
 impl fmt::Display for Elem {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.data() {
-            ElemData::Named(s) => write!(f, "{s}"),
-            ElemData::Int(v) => write!(f, "{v}"),
-            ElemData::Pair(a, b) => write!(f, "⟨{a},{b}⟩"),
-            ElemData::Fresh(n) => write!(f, "_f{n}"),
+        // The slot is a clone, so no lock is held while a pair renders its
+        // parts: a read lock taken again behind a waiting writer deadlocks.
+        match store().slot(*self) {
+            Slot::Named(s) => f.write_str(&s),
+            Slot::Int(v) => write!(f, "{v}"),
+            Slot::Pair(a, b) => write!(f, "⟨{a},{b}⟩"),
+            Slot::Fresh(n) => write!(f, "_f{n}"),
         }
     }
 }

@@ -3,18 +3,22 @@
 use crate::{Elem, RelId, Signature};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
-/// A fact `R(e₁ … e_k)`. Immutable once built; cheap to clone (the tuple is
-/// a shared `Box<[Elem]>` clone, elements are `u32` handles).
+/// A fact `R(e₁ … e_k)`. Immutable once built; cheap to clone (the tuple
+/// is an `Arc<[Elem]>` of `u32` handles, so a clone increments a count and
+/// allocates nothing). A [`Database`](crate::Database) keeps one tuple
+/// allocation per fact, shared by its fact column, its dedup index and,
+/// for a block's first fact, its block index.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Fact {
     rel: RelId,
-    tuple: Box<[Elem]>,
+    tuple: Arc<[Elem]>,
 }
 
 impl Fact {
     /// Build a fact over relation `rel` with the given tuple.
-    pub fn new(rel: RelId, tuple: impl Into<Box<[Elem]>>) -> Fact {
+    pub fn new(rel: RelId, tuple: impl Into<Arc<[Elem]>>) -> Fact {
         Fact {
             rel,
             tuple: tuple.into(),
@@ -22,7 +26,7 @@ impl Fact {
     }
 
     /// Build a fact over the default relation [`RelId::R`].
-    pub fn r(tuple: impl Into<Box<[Elem]>>) -> Fact {
+    pub fn r(tuple: impl Into<Arc<[Elem]>>) -> Fact {
         Fact::new(RelId::R, tuple)
     }
 
@@ -49,6 +53,11 @@ impl Fact {
 
     /// The full tuple.
     pub fn tuple(&self) -> &[Elem] {
+        &self.tuple
+    }
+
+    /// The shared tuple allocation itself.
+    pub(crate) fn shared_tuple(&self) -> &Arc<[Elem]> {
         &self.tuple
     }
 

@@ -23,9 +23,13 @@
 //! The element store is process-global and **sharded** (16 `RwLock`
 //! shards selected by payload hash, shard id encoded in the handle's low
 //! bits), so concurrent fact construction from solver worker threads does
-//! not serialise on a single lock; see the [`Elem`] module docs for the
-//! locking discipline, and `ARCHITECTURE.md` at the workspace root for
-//! how the crates fit together.
+//! not serialise on a single lock. It keeps each name once, in an
+//! `Arc<str>` probed by borrowed `&str`, and a [`Fact`]'s tuple is one
+//! shared `Arc<[Elem]>` that every index of its [`Database`] reuses, so
+//! loading a fact line allocates its tuple plus each name seen for the
+//! first time. See the [`Elem`] module docs for the locking discipline,
+//! and `ARCHITECTURE.md` at the workspace root for how the crates fit
+//! together.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

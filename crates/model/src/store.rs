@@ -10,7 +10,7 @@
 //! pointer tables plus the pieces the delta wrote, and dropping the
 //! predecessor frees only the pieces no other version holds.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{Hash, Hasher};
 use std::ops::Index;
 use std::sync::Arc;
@@ -165,6 +165,30 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardMap<K, V> {
         self.get(key).is_some()
     }
 
+    /// The value of `key`, inserting `make()` if it is absent, and whether
+    /// it was inserted. A shard this version alone holds is probed once
+    /// through its `entry`; a shared one is probed with `get` first, so a
+    /// hit never copies it.
+    pub(crate) fn get_or_insert_with(&mut self, key: K, make: impl FnOnce() -> V) -> (V, bool) {
+        match Arc::get_mut(&mut self.shards[shard_index(&key, self.bits)]) {
+            Some(shard) => match shard.entry(key) {
+                Entry::Occupied(e) => (e.get().clone(), false),
+                Entry::Vacant(e) => {
+                    self.len += 1;
+                    (e.insert(make()).clone(), true)
+                }
+            },
+            None => match self.get(&key) {
+                Some(v) => (v.clone(), false),
+                None => {
+                    let v = make();
+                    self.insert(key, v.clone());
+                    (v, true)
+                }
+            },
+        }
+    }
+
     /// Insert or overwrite, copying the key's shard first if another
     /// version shares it.
     pub(crate) fn insert(&mut self, key: K, value: V) {
@@ -244,7 +268,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardMap<K, V> {
 
 /// The shard of `key` among `2^bits`: the top `bits` bits of its
 /// [`ShardHasher`] hash.
-fn shard_index<K: Hash + ?Sized>(key: &K, bits: u32) -> usize {
+pub(crate) fn shard_index<K: Hash + ?Sized>(key: &K, bits: u32) -> usize {
     if bits == 0 {
         return 0;
     }
@@ -362,6 +386,20 @@ mod tests {
         assert!(!b.contains_key(&3));
         assert!(a.contains_key(&3));
         assert_eq!((a.len, b.len), (n, n));
+    }
+
+    #[test]
+    fn get_or_insert_with_copies_a_shared_shard_only_on_a_miss() {
+        let mut a = ShardMap::default();
+        assert_eq!(a.get_or_insert_with(1, || 10), (10, true));
+        assert_eq!(a.get_or_insert_with(1, || 11), (10, false));
+        let mut b = a.clone();
+        assert_eq!(b.get_or_insert_with(1, || 12), (10, false));
+        assert_eq!(b.shared_with(&a), 1, "a hit leaves the shard shared");
+        assert_eq!(b.get_or_insert_with(2, || 20), (20, true));
+        assert_eq!(b.shared_with(&a), 0, "a miss copies it");
+        assert_eq!((a.get(&2), b.get(&2)), (None, Some(&20)));
+        assert_eq!((a.len, b.len), (1, 2));
     }
 
     #[test]

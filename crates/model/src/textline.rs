@@ -15,11 +15,18 @@
 
 use crate::{Elem, Fact, RelId};
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Parse one fact line: `R(a b | c d)`. Returns the fact and the key
 /// length the bar position declares (`R(a b | c)` → 2; a bar-free line
 /// declares an empty key). Errors are bare messages; callers attach
 /// position information.
+///
+/// The tuple is read in two passes over the text between the parentheses.
+/// The first checks it and counts the elements on each side of the bar;
+/// the second slices the elements out as borrowed `&str` tokens and
+/// interns each one straight into the fact's shared tuple, which is
+/// allocated once at its counted size. A known name allocates nothing.
 pub fn parse_fact_line(text: &str) -> Result<(Fact, usize), String> {
     let text = text.trim();
     let open = match text.find('(') {
@@ -41,81 +48,88 @@ pub fn parse_fact_line(text: &str) -> Result<(Fact, usize), String> {
         return Err(format!("trailing input {trailing:?} after ')'"));
     }
     let inner = &text[open + 1..close];
-    // Locate the key/value bar with ⟨…⟩ depth awareness: a '|' inside a
-    // pair element (e.g. `R(⟨a|b⟩ x | y)`) is element payload, not the
-    // separator. Unbalanced brackets are caught by `tokens` below, so a
-    // stray '⟩' here may saturate the depth without masking anything.
-    let mut bar = None;
-    let mut depth = 0usize;
-    for (i, c) in inner.char_indices() {
-        match c {
-            '⟨' => depth += 1,
-            '⟩' => depth = depth.saturating_sub(1),
-            '|' if depth == 0 => {
-                bar = Some(i);
-                break;
-            }
-            _ => {}
-        }
-    }
-    let (key_part, val_part) = match bar {
-        Some(i) => (&inner[..i], &inner[i + 1..]),
-        None => ("", inner),
-    };
-    // Tokenize with awareness of ⟨…⟩ pair elements (which contain commas):
-    // a token is either a balanced ⟨…⟩ group or a run of non-separator
-    // characters. Unbalanced brackets and a second top-level '|' are
-    // errors — silently merging them into an element corrupts the tuple
-    // and breaks the write→parse→write fixpoint.
-    fn tokens(s: &str) -> Result<Vec<Elem>, String> {
-        let mut out = Vec::new();
-        let mut cur = String::new();
-        let mut depth = 0usize;
-        for c in s.chars() {
-            match c {
-                '⟨' => {
-                    depth += 1;
-                    cur.push(c);
-                }
-                '⟩' => {
-                    if depth == 0 {
-                        return Err("stray '⟩' with no matching '⟨'".into());
-                    }
-                    depth -= 1;
-                    cur.push(c);
-                }
-                '|' if depth == 0 => {
-                    return Err(
-                        "unexpected '|' (one key/value separator per fact; a literal '|' \
-                         must sit inside a ⟨…⟩ element)"
-                            .into(),
-                    );
-                }
-                c if depth == 0 && (c.is_whitespace() || c == ',') => {
-                    if !cur.is_empty() {
-                        out.push(Elem::named(std::mem::take(&mut cur)));
-                    }
-                }
-                c => cur.push(c),
-            }
-        }
-        if depth != 0 {
-            return Err(format!("unclosed '⟨' ({depth} open at end of fact)"));
-        }
-        if !cur.is_empty() {
-            out.push(Elem::named(cur));
-        }
-        Ok(out)
-    }
-    let key = tokens(key_part)?;
-    let vals = tokens(val_part)?;
-    let key_len = key.len();
-    let mut tuple = key;
-    tuple.extend(vals);
-    if tuple.is_empty() {
+    let (len, key_len) = count_elements(inner)?;
+    if len == 0 {
         return Err("fact with no elements".into());
     }
+    let mut names = tokens(inner);
+    // Driven by a range, so the collect knows the length up front and
+    // builds the `Arc` slice in place.
+    let tuple: Arc<[Elem]> = (0..len)
+        .map(|_| Elem::named(names.next().expect("counted by count_elements")))
+        .collect();
     Ok((Fact::new(rel, tuple), key_len))
+}
+
+/// A separator between elements, outside every `⟨…⟩`: whitespace, a
+/// comma, or the key/value bar.
+fn is_separator(c: char) -> bool {
+    c.is_whitespace() || c == ',' || c == '|'
+}
+
+/// Check a tuple's text and count its elements: `(elements, elements
+/// before the bar)`. An element is a maximal run of characters that are
+/// not separators at `⟨…⟩` depth 0, so a pair element may hold commas,
+/// bars and whitespace. Unbalanced brackets and a second top-level `|`
+/// are errors: silently merging them into an element corrupts the tuple
+/// and breaks the write→parse→write fixpoint.
+fn count_elements(inner: &str) -> Result<(usize, usize), String> {
+    let mut depth = 0usize;
+    let mut len = 0;
+    let mut bar = None;
+    let mut in_element = false;
+    for c in inner.chars() {
+        let separator = depth == 0 && is_separator(c);
+        match c {
+            '⟨' => depth += 1,
+            '⟩' if depth == 0 => return Err("stray '⟩' with no matching '⟨'".into()),
+            '⟩' => depth -= 1,
+            '|' if separator && bar.is_some() => {
+                return Err(
+                    "unexpected '|' (one key/value separator per fact; a literal '|' \
+                     must sit inside a ⟨…⟩ element)"
+                        .into(),
+                )
+            }
+            '|' if separator => bar = Some(len),
+            _ => {}
+        }
+        if !separator && !in_element {
+            len += 1;
+        }
+        in_element = !separator;
+    }
+    if depth != 0 {
+        return Err(format!("unclosed '⟨' ({depth} open at end of fact)"));
+    }
+    Ok((len, bar.unwrap_or(0)))
+}
+
+/// The elements of a tuple text that [`count_elements`] accepted, as
+/// slices of it.
+fn tokens(inner: &str) -> impl Iterator<Item = &str> {
+    let mut rest = inner;
+    std::iter::from_fn(move || {
+        rest = rest.trim_start_matches(is_separator);
+        if rest.is_empty() {
+            return None;
+        }
+        let mut depth = 0usize;
+        let end = rest
+            .char_indices()
+            .find(|&(_, c)| {
+                match c {
+                    '⟨' => depth += 1,
+                    '⟩' => depth -= 1,
+                    _ => {}
+                }
+                depth == 0 && is_separator(c)
+            })
+            .map_or(rest.len(), |(i, _)| i);
+        let (token, tail) = rest.split_at(end);
+        rest = tail;
+        Some(token)
+    })
 }
 
 /// Render one fact as a parseable line: `R(a b | c d)`, with the bar
@@ -188,5 +202,31 @@ mod tests {
         let (fact, key_len) = parse_fact_line("R(⟨a|b⟩ x | y)").unwrap();
         assert_eq!(key_len, 2);
         assert_eq!(fact.arity(), 3);
+    }
+
+    #[test]
+    fn elements_are_the_separated_tokens() {
+        let (fact, key_len) =
+            parse_fact_line("R( a,,⟨b, c|d⟩\u{2003}x⟨y z⟩w |\tv\u{3000}, )").unwrap();
+        assert_eq!(key_len, 3);
+        let want: Vec<Elem> = ["a", "⟨b, c|d⟩", "x⟨y z⟩w", "v"]
+            .into_iter()
+            .map(Elem::named)
+            .collect();
+        assert_eq!(fact.tuple(), &want[..]);
+    }
+
+    #[test]
+    fn errors_name_the_first_fault() {
+        for (line, message) in [
+            ("R(a ⟩ | ⟨b)", "stray '⟩'"),
+            ("R(⟨a | b)", "unclosed '⟨' (1 open"),
+            ("R(a | b | ⟨c)", "unexpected '|'"),
+            ("R(a | b ⟨c)", "unclosed '⟨' (1 open"),
+            ("R( | , )", "fact with no elements"),
+        ] {
+            let err = parse_fact_line(line).unwrap_err();
+            assert!(err.starts_with(message), "{line}: {err}");
+        }
     }
 }

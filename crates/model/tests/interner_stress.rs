@@ -55,6 +55,52 @@ fn overlapping_named_interning_is_stable() {
     assert_eq!(ids.len(), NAMES);
 }
 
+/// Borrowed and owned names are one payload: threads interning the same
+/// names, half of them from `&str` and half from `String`, get one handle
+/// per name, and the payload round-trips.
+#[test]
+fn str_and_string_names_share_handles() {
+    let names: Vec<String> = (0..NAMES).map(|i| format!("borrowed-{i}")).collect();
+    let per_thread: Vec<Vec<Elem>> = thread::scope(|s| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let names = &names;
+                s.spawn(move || {
+                    (0..NAMES)
+                        .map(|i| {
+                            let name = &names[(i * 7 + t * 41) % NAMES];
+                            let e = if (i + t) % 2 == 0 {
+                                Elem::named(name.as_str())
+                            } else {
+                                Elem::named(name.clone())
+                            };
+                            (name, e)
+                        })
+                        .collect::<HashMap<_, _>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                let mine = h.join().unwrap();
+                names.iter().map(|n| mine[n]).collect()
+            })
+            .collect()
+    });
+    for (t, handles) in per_thread.iter().enumerate() {
+        assert_eq!(handles, &per_thread[0], "thread {t} disagrees");
+    }
+    for (name, &e) in names.iter().zip(&per_thread[0]) {
+        assert_eq!(e, Elem::named(name));
+        assert_eq!(e.data(), ElemData::Named(name.clone()), "payload roundtrip");
+    }
+    let mut ids: Vec<u32> = per_thread[0].iter().map(|e| e.id()).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), NAMES);
+}
+
 /// Same race, deeper payloads: pairs built over shared leaves from every
 /// thread, interleaved with re-interning the leaves.
 #[test]
