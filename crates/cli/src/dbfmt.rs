@@ -24,7 +24,7 @@
 //!   ([`DbFmtError`]), which keeps failures actionable on files far too
 //!   large to eyeball.
 
-use cqa_model::{Database, Signature};
+use cqa_model::{Database, Elem, Signature};
 use cqa_query::truncate_error_text;
 use std::fmt::Write as _;
 use std::io::BufRead;
@@ -109,6 +109,9 @@ impl From<DbFmtError> for DbReadError {
 #[derive(Debug, Default)]
 pub struct StreamingDbParser {
     db: Option<Database>,
+    /// The elements of the line being parsed: one buffer for every line,
+    /// inserted into the database by reference.
+    elems: Vec<Elem>,
     sig_key_len: usize,
     /// Lines consumed so far.
     line: usize,
@@ -137,15 +140,6 @@ impl StreamingDbParser {
         self.db.as_ref().map_or(0, Database::len)
     }
 
-    fn error(&self, stripped: &str, message: impl Into<String>) -> DbFmtError {
-        DbFmtError {
-            line: self.line,
-            offset: self.offset,
-            text: truncate_error_text(stripped),
-            message: message.into(),
-        }
-    }
-
     /// Consume one line. `raw` may include its `\n` or `\r\n` terminator
     /// (byte offsets in errors assume it does, as with
     /// [`BufRead::read_line`]); a trailing `\r` is stripped either way,
@@ -164,30 +158,35 @@ impl StreamingDbParser {
         if content.is_empty() {
             return Ok(());
         }
+        let (line, offset) = (self.line, self.offset);
+        let error = |message: String| DbFmtError {
+            line,
+            offset,
+            text: truncate_error_text(stripped),
+            message,
+        };
         let (fact, key_len) =
-            cqa_model::parse_fact_line(content).map_err(|m| self.error(stripped, m))?;
+            cqa_model::parse_fact_line_into(content, &mut self.elems).map_err(error)?;
         let database = match &mut self.db {
             Some(d) => {
                 if key_len != self.sig_key_len {
                     let want = self.sig_key_len;
-                    return Err(self.error(
-                        stripped,
-                        format!("key length {key_len} differs from the first fact's {want}"),
-                    ));
+                    return Err(error(format!(
+                        "key length {key_len} differs from the first fact's {want}"
+                    )));
                 }
                 d
             }
             None => {
-                let sig = Signature::new(fact.arity(), key_len)
-                    .map_err(|e| self.error(stripped, e.to_string()))?;
+                let sig =
+                    Signature::new(fact.arity(), key_len).map_err(|e| error(e.to_string()))?;
                 self.sig_key_len = key_len;
-                self.db = Some(Database::new(sig));
-                self.db.as_mut().expect("just set")
+                self.db.insert(Database::new(sig))
             }
         };
-        if let Err(e) = database.insert(fact) {
-            return Err(self.error(stripped, e.to_string()));
-        }
+        database
+            .insert_ref(fact)
+            .map_err(|e| error(e.to_string()))?;
         Ok(())
     }
 

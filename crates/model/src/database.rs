@@ -12,6 +12,18 @@
 //! or [`BlockId`] (solution sets, antichains, component partitions) stay
 //! valid for every untouched fact. See `docs/DELTAS.md`.
 //!
+//! ### Layout
+//! Facts are stored as columns indexed by [`FactId`]: a relation column
+//! and one flat element column holding `arity` elements per fact, so a
+//! fact costs its elements and nothing per fact beyond them; readers get
+//! a borrowed [`FactRef`] into the columns. A block keeps up to four
+//! member ids inline (the common case by far) and a longer member list
+//! in a side map. The two hash indexes — facts by their tuple, blocks by
+//! their key — map a keyed 64-bit hash to an id and check every hit
+//! against the columns (a block through one of its facts), so they hold
+//! integers only and never hash a tuple twice. Their hash keys are drawn
+//! per database and cloned with it.
+//!
 //! Versions share storage. The id-indexed columns are chunked and the
 //! hash indexes sharded, each piece behind an `Arc` and written
 //! copy-on-write (the `store` module), so a clone copies piece pointers
@@ -20,13 +32,11 @@
 //! O(delta) in the database layer, and predecessor and successor stay
 //! fully independent values.
 
-use crate::store::{ChunkVec, ShardMap};
-use crate::{Elem, Fact, ModelError, RelId, Signature};
+use crate::store::{ChunkVec, IdIndex, IndexHasher, ShardMap};
+use crate::{Elem, Fact, FactRef, ModelError, RelId, Signature};
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::mem::size_of;
-use std::sync::Arc;
 
 /// Index of a fact inside its [`Database`]. Stable: insertion never
 /// renumbers, and retraction leaves a tombstoned slot behind rather than
@@ -52,47 +62,70 @@ impl BlockId {
     }
 }
 
-/// A block's key: the relation and the key prefix of a member's shared
-/// tuple. It hashes and compares only that prefix, so the block index
-/// needs no key copy of its own.
-#[derive(Clone)]
-struct BlockKey {
-    rel: RelId,
-    key_len: u32,
-    tuple: Arc<[Elem]>,
+/// Tombstone marker in `fact_block` for retracted fact slots.
+const DEAD: BlockId = BlockId(u32::MAX);
+
+/// Member ids a block holds without a heap allocation.
+const INLINE: usize = 4;
+
+/// A block's members. Up to [`INLINE`] ids sit in `ids`; a longer list
+/// lives in [`Database`]'s `spilled` map. `ids[0]` is always a fact that
+/// is or was a member, so it carries the block's key even when the block
+/// is empty: the key index checks its hits against that fact.
+#[derive(Clone, Copy, Debug)]
+struct Members {
+    len: u32,
+    ids: [FactId; INLINE],
 }
 
-impl BlockKey {
-    fn of(fact: &Fact, sig: &Signature) -> BlockKey {
-        BlockKey {
-            rel: fact.rel(),
-            key_len: u32::try_from(sig.key_len()).expect("key length fits in u32"),
-            tuple: Arc::clone(fact.shared_tuple()),
+impl Members {
+    fn one(id: FactId) -> Members {
+        Members {
+            len: 1,
+            ids: [id; INLINE],
         }
     }
 
-    fn key(&self) -> &[Elem] {
-        &self.tuple[..self.key_len as usize]
+    fn len(&self) -> usize {
+        self.len as usize
     }
 }
 
-impl PartialEq for BlockKey {
-    fn eq(&self, other: &BlockKey) -> bool {
-        self.rel == other.rel && self.key() == other.key()
-    }
+/// The `spilled` key of block `b`: its id spread over all 64 bits by an
+/// odd multiplier (a bijection, so keys never collide).
+fn spill_key(b: BlockId) -> u64 {
+    u64::from(b.0).wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
-impl Eq for BlockKey {}
-
-impl Hash for BlockKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.rel.hash(state);
-        self.key().hash(state);
-    }
+/// The facts by id: a relation column and a flat element column with
+/// `arity` elements per fact.
+#[derive(Clone)]
+struct FactColumns {
+    rels: ChunkVec<RelId>,
+    elems: ChunkVec<Elem>,
 }
 
-/// Tombstone marker in `fact_block` for retracted fact slots.
-const DEAD: BlockId = BlockId(u32::MAX);
+impl FactColumns {
+    fn new(arity: usize) -> FactColumns {
+        FactColumns {
+            rels: ChunkVec::default(),
+            elems: ChunkVec::with_width(arity),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.rels.len()
+    }
+
+    fn get(&self, id: usize) -> FactRef<'_> {
+        FactRef::new(self.rels[id], self.elems.row(id))
+    }
+
+    fn push(&mut self, fact: FactRef<'_>) {
+        self.rels.push(fact.rel());
+        self.elems.push_row(fact.tuple());
+    }
+}
 
 /// Summary of one [`Database::apply_delta`] call: which facts actually
 /// changed and which blocks were perturbed. No-op operations (inserting a
@@ -131,16 +164,24 @@ impl DeltaReport {
 /// relations `R1`, `R2` *of the same signature*.
 ///
 /// `Clone` is cheap: it copies chunk and shard pointers (and each
-/// column's append tail of under 256 entries), and the clone and the
+/// column's append tail of under 256 rows), and the clone and the
 /// original share every chunk and shard until one of them writes to it.
 #[derive(Clone)]
 pub struct Database {
     sig: Signature,
-    facts: ChunkVec<Fact>,
+    facts: FactColumns,
     fact_block: ChunkVec<BlockId>,
-    blocks: ChunkVec<Vec<FactId>>,
-    by_key: ShardMap<BlockKey, BlockId>,
-    dedup: ShardMap<Fact, FactId>,
+    blocks: ChunkVec<Members>,
+    /// Member lists of the blocks with more than [`INLINE`] members, by
+    /// [`spill_key`].
+    spilled: ShardMap<Vec<FactId>>,
+    /// Ids held in `spilled`, for [`Database::approx_bytes`].
+    spilled_ids: usize,
+    /// Live fact ids by the hash of the whole fact.
+    fact_index: IdIndex,
+    /// Block ids by the hash of the relation and key.
+    key_index: IdIndex,
+    hasher: IndexHasher,
     /// Facts minus tombstones. Equals `facts.len()` until a retraction.
     live_facts: usize,
     /// Blocks holding at least one live fact.
@@ -150,13 +191,20 @@ pub struct Database {
 impl Database {
     /// An empty database with the given signature.
     pub fn new(sig: Signature) -> Database {
+        Database::with_hasher(sig, IndexHasher::default())
+    }
+
+    fn with_hasher(sig: Signature, hasher: IndexHasher) -> Database {
         Database {
             sig,
-            facts: ChunkVec::default(),
+            facts: FactColumns::new(sig.arity()),
             fact_block: ChunkVec::default(),
             blocks: ChunkVec::default(),
-            by_key: ShardMap::default(),
-            dedup: ShardMap::default(),
+            spilled: ShardMap::default(),
+            spilled_ids: 0,
+            fact_index: IdIndex::default(),
+            key_index: IdIndex::default(),
+            hasher,
             live_facts: 0,
             live_blocks: 0,
         }
@@ -167,45 +215,124 @@ impl Database {
         &self.sig
     }
 
+    fn check_arity(&self, arity: usize) -> Result<(), ModelError> {
+        if arity != self.sig.arity() {
+            return Err(ModelError::ArityMismatch {
+                expected: self.sig.arity(),
+                got: arity,
+            });
+        }
+        Ok(())
+    }
+
     /// Insert a fact. Databases are sets: inserting an existing fact returns
     /// the existing id and does not change the database.
     ///
     /// # Errors
     /// Rejects facts whose arity differs from the database signature.
     pub fn insert(&mut self, fact: Fact) -> Result<FactId, ModelError> {
-        if fact.arity() != self.sig.arity() {
-            return Err(ModelError::ArityMismatch {
-                expected: self.sig.arity(),
-                got: fact.arity(),
-            });
-        }
-        let next =
-            FactId(u32::try_from(self.facts.len()).expect("database exhausted (> 2^32 facts)"));
-        let (id, new) = self.dedup.get_or_insert_with(fact.clone(), || next);
+        self.insert_ref(fact.as_fact_ref())
+    }
+
+    /// [`Database::insert`] of a borrowed fact: its elements are copied
+    /// into the columns, so the caller may reuse the buffer they sit in.
+    ///
+    /// # Errors
+    /// Rejects facts whose arity differs from the database signature.
+    pub fn insert_ref(&mut self, fact: FactRef<'_>) -> Result<FactId, ModelError> {
+        self.check_arity(fact.arity())?;
+        Ok(self.add(fact).0)
+    }
+
+    /// Insert a fact of the signature's arity, probing each index once.
+    /// Returns its id and, if the fact is new, whether its block held a
+    /// live fact before.
+    fn add(&mut self, fact: FactRef<'_>) -> (FactId, Option<bool>) {
+        let hash = self.hasher.hash(&fact);
+        let facts = &self.facts;
+        let (id, new) = self
+            .fact_index
+            .find_or_push(hash, |id| facts.get(id as usize) == fact);
+        let id = FactId(id);
         if !new {
-            return Ok(id);
+            return (id, None);
         }
-        let next = BlockId(u32::try_from(self.blocks.len()).expect("too many blocks"));
-        let (block, fresh) = self
-            .by_key
-            .get_or_insert_with(BlockKey::of(&fact, &self.sig), || next);
-        if fresh {
-            assert!(block != DEAD, "too many blocks");
-            self.blocks.push(vec![id]);
-            self.live_blocks += 1;
+        debug_assert_eq!(id.idx(), self.facts.len(), "ids are dense");
+        self.facts.push(fact);
+        let key = &fact.tuple()[..self.sig.key_len()];
+        let hash = self.hasher.hash(&(fact.rel(), key));
+        let (facts, blocks) = (&self.facts, &self.blocks);
+        let (block, fresh) = self.key_index.find_or_push(hash, |b| {
+            let rep = facts.get(blocks[b as usize].ids[0].idx());
+            rep.rel() == fact.rel() && &rep.tuple()[..key.len()] == key
+        });
+        let block = BlockId(block);
+        let was_nonempty = if fresh {
+            self.blocks.push(Members::one(id));
+            false
         } else {
             // The block may have been emptied by an earlier retraction;
             // refilling it revives the same BlockId.
-            let members = self.blocks.get_mut(block.idx());
-            if members.is_empty() {
-                self.live_blocks += 1;
-            }
-            members.push(id);
+            self.push_member(block, id)
+        };
+        if !was_nonempty {
+            self.live_blocks += 1;
         }
-        self.facts.push(fact);
         self.fact_block.push(block);
         self.live_facts += 1;
-        Ok(id)
+        (id, Some(was_nonempty))
+    }
+
+    /// Append `id` to block `b`'s members; returns whether it had any.
+    fn push_member(&mut self, b: BlockId, id: FactId) -> bool {
+        let members = self.blocks.get_mut(b.idx());
+        let len = members.len();
+        members.len += 1;
+        if len < INLINE {
+            members.ids[len] = id;
+        } else if len == INLINE {
+            let mut list = members.ids.to_vec();
+            list.push(id);
+            self.spilled.insert(spill_key(b), list);
+            self.spilled_ids += INLINE + 1;
+        } else {
+            self.spilled
+                .get_mut(spill_key(b))
+                .expect("a long block's members are spilled")
+                .push(id);
+            self.spilled_ids += 1;
+        }
+        len > 0
+    }
+
+    /// Remove member `id` from block `b`, keeping the others in order;
+    /// returns whether the block is now empty.
+    fn remove_member(&mut self, b: BlockId, id: FactId) -> bool {
+        let members = self.blocks.get_mut(b.idx());
+        let len = members.len();
+        members.len -= 1;
+        if len <= INLINE {
+            // Removing the last member leaves it in `ids[0]`: the empty
+            // block keeps a fact with its key.
+            let at = members.ids[..len]
+                .iter()
+                .position(|&m| m == id)
+                .expect("the fact is a member of its block");
+            members.ids.copy_within(at + 1..len, at);
+        } else {
+            let list = self
+                .spilled
+                .get_mut(spill_key(b))
+                .expect("a long block's members are spilled");
+            list.retain(|&m| m != id);
+            self.spilled_ids -= 1;
+            if len == INLINE + 1 {
+                members.ids.copy_from_slice(list);
+                self.spilled.remove(spill_key(b));
+                self.spilled_ids -= INLINE;
+            }
+        }
+        len == 1
     }
 
     /// Apply a batch of insertions and retractions in place, retractions
@@ -218,7 +345,7 @@ impl Database {
     /// [`BlockId`] keeps its meaning, which is what lets solution sets,
     /// antichain snapshots and component partitions be patched instead of
     /// rebuilt. An emptied block keeps its id and revives if a key-equal
-    /// fact is inserted later.
+    /// fact is inserted later. Each fact probes each index it needs once.
     ///
     /// # Errors
     /// Rejects the whole delta — mutating nothing — if any fact's arity
@@ -229,26 +356,22 @@ impl Database {
         retracts: &[Fact],
     ) -> Result<DeltaReport, ModelError> {
         for f in inserts.iter().chain(retracts) {
-            if f.arity() != self.sig.arity() {
-                return Err(ModelError::ArityMismatch {
-                    expected: self.sig.arity(),
-                    got: f.arity(),
-                });
-            }
+            self.check_arity(f.arity())?;
         }
         // block -> whether it held a fact before this delta started.
         let mut touched: HashMap<BlockId, bool> = HashMap::new();
         let mut report = DeltaReport::default();
         for f in retracts {
-            let Some(&id) = self.dedup.get(f) else {
+            let f = f.as_fact_ref();
+            let hash = self.hasher.hash(&f);
+            let facts = &self.facts;
+            let Some(id) = self.fact_index.take(hash, |id| facts.get(id as usize) == f) else {
                 continue;
             };
+            let id = FactId(id);
             let b = self.fact_block[id.idx()];
             touched.entry(b).or_insert(true);
-            self.dedup.remove(f);
-            let members = self.blocks.get_mut(b.idx());
-            members.retain(|&m| m != id);
-            if members.is_empty() {
+            if self.remove_member(b, id) {
                 self.live_blocks -= 1;
             }
             *self.fact_block.get_mut(id.idx()) = DEAD;
@@ -256,14 +379,9 @@ impl Database {
             report.retracted.push(id);
         }
         for f in inserts {
-            if self.dedup.contains_key(f) {
+            let (id, Some(was_nonempty)) = self.add(f.as_fact_ref()) else {
                 continue;
-            }
-            let was_nonempty = self
-                .by_key
-                .get(&BlockKey::of(f, &self.sig))
-                .is_some_and(|b| !self.blocks[b.idx()].is_empty());
-            let id = self.insert(f.clone())?;
+            };
             touched
                 .entry(self.fact_block[id.idx()])
                 .or_insert(was_nonempty);
@@ -326,22 +444,27 @@ impl Database {
         self.fact_block.get(id.idx()).is_some_and(|&b| b != DEAD)
     }
 
-    /// The fact with the given id. A retracted id still resolves to its
-    /// old fact value — the slot is kept so ids stay stable; check
-    /// [`Database::is_live`] when liveness matters.
-    pub fn fact(&self, id: FactId) -> &Fact {
-        &self.facts[id.idx()]
+    /// The fact with the given id, borrowed from the columns. A retracted
+    /// id still resolves to its old fact value — the slot is kept so ids
+    /// stay stable; check [`Database::is_live`] when liveness matters.
+    pub fn fact(&self, id: FactId) -> FactRef<'_> {
+        self.facts.get(id.idx())
     }
 
     /// Iterator over live `(id, fact)` pairs.
-    pub fn facts(&self) -> impl Iterator<Item = (FactId, &Fact)> {
+    pub fn facts(&self) -> impl Iterator<Item = (FactId, FactRef<'_>)> {
+        let arity = self.sig.arity();
         self.facts
+            .rels
             .slices()
+            .zip(self.facts.elems.slices())
             .zip(self.fact_block.slices())
-            .flat_map(|(fs, bs)| fs.iter().zip(bs))
+            .flat_map(move |((rels, elems), blocks)| {
+                rels.iter().zip(elems.chunks_exact(arity)).zip(blocks)
+            })
             .enumerate()
             .filter(|&(_, (_, &b))| b != DEAD)
-            .map(|(i, (f, _))| (FactId(i as u32), f))
+            .map(|(i, ((&rel, tuple), _))| (FactId(i as u32), FactRef::new(rel, tuple)))
     }
 
     /// All live fact ids, ascending.
@@ -354,13 +477,17 @@ impl Database {
     }
 
     /// The id of `fact`, if present.
-    pub fn id_of(&self, fact: &Fact) -> Option<FactId> {
-        self.dedup.get(fact).copied()
+    pub fn id_of<'f>(&self, fact: impl Into<FactRef<'f>>) -> Option<FactId> {
+        let fact = fact.into();
+        let facts = &self.facts;
+        self.fact_index
+            .find(self.hasher.hash(&fact), |id| facts.get(id as usize) == fact)
+            .map(FactId)
     }
 
     /// `true` iff the fact is present.
-    pub fn contains(&self, fact: &Fact) -> bool {
-        self.dedup.contains_key(fact)
+    pub fn contains<'f>(&self, fact: impl Into<FactRef<'f>>) -> bool {
+        self.id_of(fact).is_some()
     }
 
     /// The block a fact belongs to. The id must be live.
@@ -372,7 +499,14 @@ impl Database {
 
     /// The facts of a block.
     pub fn block(&self, b: BlockId) -> &[FactId] {
-        &self.blocks[b.idx()]
+        let members = &self.blocks[b.idx()];
+        match members.len() {
+            len if len <= INLINE => &members.ids[..len],
+            _ => self
+                .spilled
+                .get(spill_key(b))
+                .expect("a long block's members are spilled"),
+        }
     }
 
     /// Iterator over all live (non-empty) block ids, ascending.
@@ -380,7 +514,7 @@ impl Database {
         self.blocks
             .iter()
             .enumerate()
-            .filter(|(_, members)| !members.is_empty())
+            .filter(|(_, members)| members.len > 0)
             .map(|(i, _)| BlockId(i as u32))
     }
 
@@ -393,45 +527,45 @@ impl Database {
 
     /// `true` iff no block holds two distinct facts (Section 2).
     pub fn is_consistent(&self) -> bool {
-        self.blocks.iter().all(|b| b.len() <= 1)
+        self.blocks.iter().all(|b| b.len <= 1)
     }
 
     /// Approximate resident size of this database in bytes, for memory
     /// budgeting (the `cqa serve` session manager evicts by this number).
-    /// O(1): a function of the slot and live counts and the signature.
+    /// O(1): a function of the slot counts, the spilled member lists and
+    /// the signature.
     ///
-    /// Per fact slot it counts the fact and its one shared tuple (the
-    /// `Arc` counts and the elements), its `fact_block` entry, and its
-    /// dedup-index entry, whose key shares that tuple; per block slot, the
-    /// member list (header and buffer) and its key-index entry, whose key
-    /// is a prefix of a member's tuple; per live fact, its 4-byte id in a
-    /// member list. The global element interner is shared by every
-    /// database of the process, so it is deliberately *not* attributed
-    /// here. Versions of a live database share the
-    /// chunks and shards they have not written, but each version counts
-    /// every piece in full: the figure is an upper bound on what
-    /// dropping the version alone would free, so a memory budget that
-    /// sums it over resident sessions errs on the side of evicting. The
-    /// estimate is deterministic in `(fact slots, block slots, live
-    /// facts, signature)` and grows monotonically with insertions.
+    /// Per fact slot it counts the fact's relation and elements in the
+    /// columns, its `fact_block` entry, and its fact-index entry (a hash
+    /// and an id in the table, and a next link); per block slot, the
+    /// inline member record and its key-index entry; per block of more
+    /// than four facts, its spilled member list and that list's map
+    /// entry. The global element interner is shared by every database of
+    /// the process, so it is deliberately *not* attributed here. Versions
+    /// of a live database share the chunks and shards they have not
+    /// written, but each version counts every piece in full: the figure
+    /// is an upper bound on what dropping the version alone would free,
+    /// so a memory budget that sums it over resident sessions errs on the
+    /// side of evicting. The estimate is deterministic in the database's
+    /// history and grows with every insertion.
     pub fn approx_bytes(&self) -> usize {
         let (per_fact, per_block) = self.slot_bytes();
-        self.facts.len() * per_fact
-            + self.blocks.len() * per_block
-            + self.live_facts * size_of::<FactId>()
+        // A spilled list: its map entry and allocator header, and its ids
+        // with the slack of a doubling `Vec`.
+        let spilled = self.spilled.len() * (table_bytes(size_of::<(u64, Vec<FactId>)>()) + 16)
+            + self.spilled_ids * size_of::<FactId>() * 3 / 2;
+        self.facts.len() * per_fact + self.blocks.len() * per_block + spilled
     }
 
     /// [`Database::approx_bytes`]'s figures per fact slot and per block
     /// slot.
     fn slot_bytes(&self) -> (usize, usize) {
-        let tuple = heap_bytes(2 * size_of::<usize>() + self.sig.arity() * size_of::<Elem>());
-        let per_fact = size_of::<Fact>()
-            + tuple
+        let index_entry = table_bytes(size_of::<(u64, u32)>()) + size_of::<u32>();
+        let per_fact = size_of::<RelId>()
+            + self.sig.arity() * size_of::<Elem>()
             + size_of::<BlockId>()
-            + table_bytes(size_of::<(Fact, FactId)>());
-        let per_block = size_of::<Vec<FactId>>()
-            + heap_bytes(0)
-            + table_bytes(size_of::<(BlockKey, BlockId)>());
+            + index_entry;
+        let per_block = size_of::<Members>() + index_entry;
         (per_fact, per_block)
     }
 
@@ -441,8 +575,8 @@ impl Database {
     pub fn repair_count(&self) -> u128 {
         let mut n: u128 = 1;
         for b in self.blocks.iter() {
-            if !b.is_empty() {
-                n = n.saturating_mul(b.len() as u128);
+            if b.len > 0 {
+                n = n.saturating_mul(u128::from(b.len));
             }
         }
         n
@@ -453,7 +587,7 @@ impl Database {
     pub fn restrict(&self, ids: impl IntoIterator<Item = FactId>) -> Database {
         let mut sub = Database::new(self.sig);
         for id in ids {
-            sub.insert(self.fact(id).clone()).expect("same signature");
+            sub.add(self.fact(id));
         }
         sub
     }
@@ -467,21 +601,9 @@ impl Database {
             });
         }
         for (_, f) in other.facts() {
-            self.insert(f.clone())?;
+            self.add(f);
         }
         Ok(())
-    }
-}
-
-/// Heap footprint of a `bytes`-byte allocation: payload plus an 8-byte
-/// allocator header, rounded up to 16, at least 32 (glibc's minimum
-/// chunk).
-const fn heap_bytes(bytes: usize) -> usize {
-    let chunk = (bytes + 8).div_ceil(16) * 16;
-    if chunk < 32 {
-        32
-    } else {
-        chunk
     }
 }
 
@@ -515,6 +637,7 @@ impl fmt::Debug for Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn db_2_1(rows: &[[&str; 2]]) -> Database {
         let mut db = Database::new(Signature::new(2, 1).unwrap());
@@ -643,10 +766,10 @@ mod tests {
         let ins = [Fact::from_names(["c", "1"])];
         let del = [Fact::from_names(["b", "1"])];
         db.apply_delta(&ins, &del).unwrap();
-        let facts_after: Vec<Fact> = db.facts().map(|(_, f)| f.clone()).collect();
+        let facts_after: Vec<Fact> = db.facts().map(|(_, f)| f.to_fact()).collect();
         let rep2 = db.apply_delta(&ins, &del).unwrap();
         assert!(rep2.is_noop());
-        let facts_again: Vec<Fact> = db.facts().map(|(_, f)| f.clone()).collect();
+        let facts_again: Vec<Fact> = db.facts().map(|(_, f)| f.to_fact()).collect();
         assert_eq!(facts_after, facts_again);
     }
 
@@ -718,16 +841,20 @@ mod tests {
     /// `(pieces shared with other, pieces in total)` over every chunked
     /// column and sharded index of `db`.
     fn sharing(db: &Database, other: &Database) -> (usize, usize) {
-        let shared = db.facts.shared_with(&other.facts)
+        let shared = db.facts.rels.shared_with(&other.facts.rels)
+            + db.facts.elems.shared_with(&other.facts.elems)
             + db.fact_block.shared_with(&other.fact_block)
             + db.blocks.shared_with(&other.blocks)
-            + db.by_key.shared_with(&other.by_key)
-            + db.dedup.shared_with(&other.dedup);
-        let total = db.facts.pieces()
+            + db.spilled.shared_with(&other.spilled)
+            + db.fact_index.shared_with(&other.fact_index)
+            + db.key_index.shared_with(&other.key_index);
+        let total = db.facts.rels.pieces()
+            + db.facts.elems.pieces()
             + db.fact_block.pieces()
             + db.blocks.pieces()
-            + db.by_key.pieces()
-            + db.dedup.pieces();
+            + db.spilled.pieces()
+            + db.fact_index.pieces()
+            + db.key_index.pieces();
         (shared, total)
     }
 
@@ -745,9 +872,10 @@ mod tests {
         base.apply_delta(&[Fact::r(vec![Elem::int(-1), Elem::int(-1)])], &[])
             .unwrap();
         // A clone shares every sealed chunk and every shard; only the
-        // three columns' unsealed tails are its own copies.
+        // six columns' unsealed tails (the two id indexes' next links
+        // among them) are its own copies.
         let (shared, total) = sharing(&base.clone(), &base);
-        assert_eq!(shared + 3, total);
+        assert_eq!(shared + 6, total);
         assert!(total > 100, "10^4 facts span many pieces ({total})");
         // Retract from an existing block, insert into an existing block,
         // open a fresh block: each writes a bounded set of pieces.
@@ -762,9 +890,11 @@ mod tests {
             let mut next = base.clone();
             let report = next.apply_delta(&ins, &ret).unwrap();
             assert!(!report.is_noop());
+            // Beyond the six tails, at most three written pieces: an
+            // index shard, a member chunk and a block-id chunk.
             let (shared, total) = sharing(&next, &base);
             assert!(
-                total - shared <= 6,
+                total - shared <= 6 + 3,
                 "a one-fact delta copied {} of {total} pieces",
                 total - shared
             );
@@ -779,17 +909,20 @@ mod tests {
 
     #[test]
     fn approx_bytes_pins_the_layout() {
-        // [2, 1] on a 64-bit target. Per fact slot: the 24-byte `Fact`,
-        // its 32-byte `Arc` tuple chunk (16 bytes of counts, two 4-byte
-        // elements, the allocator header), a 4-byte block id, and a dedup
-        // entry of 32 bytes at 2/3 load. Per block slot: the 24-byte
-        // member `Vec`, its minimal 32-byte buffer, and a key-index entry
-        // of 32 bytes at 2/3 load. A layout change must update both.
+        // [2, 1] on a 64-bit target. Per fact slot: a 2-byte relation,
+        // two 4-byte elements, a 4-byte block id, and a fact-index entry
+        // (a 16-byte hash and id at 2/3 load, 25 bytes, plus a 4-byte next
+        // link). Per block slot: the 20-byte inline member record and a
+        // key-index entry of 29 bytes. A layout change must update both.
         let db = db_2_1(&[["a", "1"]]);
-        assert_eq!(db.slot_bytes(), (24 + 32 + 4 + 49, 24 + 32 + 49));
-        assert_eq!(db.approx_bytes(), 109 + 105 + 4);
+        assert_eq!(db.slot_bytes(), (2 + 8 + 4 + 29, 20 + 29));
+        assert_eq!(db.approx_bytes(), 43 + 49);
         let db = db_2_1(&[["a", "1"], ["a", "2"], ["b", "1"]]);
-        assert_eq!(db.approx_bytes(), 3 * 109 + 2 * 105 + 3 * 4);
+        assert_eq!(db.approx_bytes(), 3 * 43 + 2 * 49);
+        // A fifth member spills the block's list: its map entry (49
+        // bytes at 2/3 load), an allocator header, and 6 bytes per id.
+        let db = db_2_1(&[["a", "1"], ["a", "2"], ["a", "3"], ["a", "4"], ["a", "5"]]);
+        assert_eq!(db.approx_bytes(), 5 * 43 + 49 + (49 + 16) + 5 * 6);
     }
 
     #[test]
@@ -805,5 +938,194 @@ mod tests {
             big.approx_bytes(),
             db_2_1(&[["a", "1"], ["a", "2"], ["b", "1"], ["c", "9"]]).approx_bytes()
         );
+    }
+
+    #[test]
+    fn long_blocks_spill_and_return_inline_in_order() {
+        let rows: Vec<[String; 2]> = (0..7).map(|i| ["a".into(), i.to_string()]).collect();
+        let mut db = Database::new(Signature::new(2, 1).unwrap());
+        let ids: Vec<FactId> = rows
+            .iter()
+            .map(|r| db.insert(Fact::from_names(r)).unwrap())
+            .collect();
+        let b = db.block_of(ids[0]);
+        assert_eq!(db.block(b), &ids[..]);
+        assert_eq!((db.spilled.len(), db.spilled_ids), (1, 7));
+        let drop = |i: usize| Fact::from_names(&rows[i]);
+        db.apply_delta(&[], &[drop(1), drop(4), drop(0)]).unwrap();
+        assert_eq!(db.block(b), &[ids[2], ids[3], ids[5], ids[6]]);
+        assert_eq!((db.spilled.len(), db.spilled_ids), (0, 0), "back inline");
+        db.apply_delta(&[], &[drop(2), drop(3), drop(5), drop(6)])
+            .unwrap();
+        assert!(db.block(b).is_empty());
+        assert_eq!(db.block_count(), 0);
+        let rep = db.apply_delta(&[drop(4)], &[]).unwrap();
+        assert_eq!(db.block_of(rep.inserted[0]), b, "the emptied block revives");
+        assert_eq!(rep.fresh_blocks, vec![b]);
+    }
+
+    /// A database whose two indexes hash every fact and every key to one
+    /// value, so every lookup walks one collision chain.
+    fn colliding(sig: Signature) -> Database {
+        Database::with_hasher(sig, IndexHasher::constant())
+    }
+
+    #[test]
+    fn one_collision_chain_keeps_facts_and_blocks_apart() {
+        let mut db = colliding(Signature::new(2, 1).unwrap());
+        let f = |k: &str, v: &str| Fact::from_names([k, v]);
+        let a1 = db.insert(f("a", "1")).unwrap();
+        let a2 = db.insert(f("a", "2")).unwrap();
+        let b1 = db.insert(f("b", "1")).unwrap();
+        assert_eq!(db.insert(f("a", "2")).unwrap(), a2, "a duplicate is found");
+        assert_eq!((db.len(), db.block_count()), (3, 2));
+        assert!(db.key_equal(a1, a2) && !db.key_equal(a1, b1));
+        assert_eq!(db.id_of(&f("b", "1")), Some(b1));
+        assert!(!db.contains(&f("b", "2")));
+        // Retract from the middle of the fact chain, and empty b's block.
+        let base = db.clone();
+        let rep = db.apply_delta(&[], &[f("a", "2"), f("b", "1")]).unwrap();
+        assert_eq!(rep.retracted, vec![a2, b1]);
+        assert_eq!(db.id_of(&f("a", "1")), Some(a1));
+        assert!(!db.contains(&f("a", "2")) && !db.contains(&f("b", "1")));
+        // The emptied block revives under its old id, found through the
+        // retracted fact it kept.
+        let rep = db.apply_delta(&[f("b", "9"), f("c", "1")], &[]).unwrap();
+        assert_eq!(db.block_of(rep.inserted[0]), base.block_of(b1));
+        assert_eq!(db.block_slots(), 3);
+        // The clone the delta started from is unchanged.
+        assert_eq!(base.len(), 3);
+        for (id, fact) in [(a1, f("a", "1")), (a2, f("a", "2")), (b1, f("b", "1"))] {
+            assert_eq!(base.id_of(&fact), Some(id));
+        }
+        assert!(!base.contains(&f("b", "9")));
+    }
+
+    /// A tiny deterministic generator (xorshift) for the model checks.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+    }
+
+    /// What a database must hold, kept with plain ordered maps: every
+    /// slot's fact, the live ids, and each block's members in order.
+    #[derive(Clone, Default)]
+    struct Model {
+        slots: Vec<Fact>,
+        ids: BTreeMap<Fact, FactId>,
+        blocks: BTreeMap<(RelId, Vec<Elem>), BlockId>,
+        members: Vec<Vec<FactId>>,
+    }
+
+    impl Model {
+        fn apply(&mut self, sig: &Signature, ins: &[Fact], ret: &[Fact]) -> DeltaReport {
+            let mut report = DeltaReport::default();
+            for f in ret {
+                if let Some(id) = self.ids.remove(f) {
+                    let key = (f.rel(), f.key(sig).to_vec());
+                    self.members[self.blocks[&key].idx()].retain(|&m| m != id);
+                    report.retracted.push(id);
+                }
+            }
+            for f in ins {
+                if self.ids.contains_key(f) {
+                    continue;
+                }
+                let id = FactId(self.slots.len() as u32);
+                self.slots.push(f.clone());
+                self.ids.insert(f.clone(), id);
+                let next = BlockId(self.blocks.len() as u32);
+                let b = *self
+                    .blocks
+                    .entry((f.rel(), f.key(sig).to_vec()))
+                    .or_insert(next);
+                if b == next {
+                    self.members.push(Vec::new());
+                }
+                self.members[b.idx()].push(id);
+                report.inserted.push(id);
+            }
+            report
+        }
+
+        fn check(&self, db: &Database) {
+            assert_eq!(db.len(), self.ids.len());
+            assert_eq!(db.fact_slots(), self.slots.len());
+            assert_eq!(db.block_slots(), self.members.len());
+            for (i, f) in self.slots.iter().enumerate() {
+                let id = FactId(i as u32);
+                assert_eq!(db.fact(id), *f);
+                assert_eq!(db.is_live(id), self.ids.get(f) == Some(&id));
+                assert_eq!(db.id_of(f), self.ids.get(f).copied(), "{f}");
+            }
+            for (b, members) in self.members.iter().enumerate() {
+                assert_eq!(db.block(BlockId(b as u32)), &members[..], "block {b}");
+            }
+            let live = self.members.iter().filter(|m| !m.is_empty()).count();
+            assert_eq!(db.block_count(), live);
+            let spilled: usize = self
+                .members
+                .iter()
+                .map(Vec::len)
+                .filter(|&n| n > INLINE)
+                .sum();
+            assert_eq!(db.spilled_ids, spilled);
+        }
+    }
+
+    /// Random deltas (with every earlier version kept and re-checked)
+    /// against the model, under the real hash and under one collision
+    /// chain.
+    fn delta_chain_matches_the_model(hasher: fn() -> IndexHasher, seed: u64) {
+        let sig = Signature::new(3, 1).unwrap();
+        let mut rng = Rng(seed);
+        let fact = |rng: &mut Rng| {
+            let rel = if rng.below(4) == 0 {
+                RelId::R1
+            } else {
+                RelId::R
+            };
+            let tuple: Vec<Elem> = [6, 3, 4].map(|n| Elem::int(rng.below(n) as i64)).to_vec();
+            Fact::new(rel, tuple)
+        };
+        let mut versions = vec![(Database::with_hasher(sig, hasher()), Model::default())];
+        for round in 0..40 {
+            let (db, model) = versions.last().expect("a version");
+            let (mut db, mut model) = (db.clone(), model.clone());
+            let ins: Vec<Fact> = (0..rng.below(12)).map(|_| fact(&mut rng)).collect();
+            let ret: Vec<Fact> = (0..rng.below(8)).map(|_| fact(&mut rng)).collect();
+            let report = db.apply_delta(&ins, &ret).unwrap();
+            let want = model.apply(&sig, &ins, &ret);
+            assert_eq!(
+                (report.inserted, report.retracted),
+                (want.inserted, want.retracted),
+                "round {round}"
+            );
+            model.check(&db);
+            versions.push((db, model));
+        }
+        for (db, model) in &versions {
+            model.check(db);
+        }
+    }
+
+    #[test]
+    fn delta_chains_match_the_model_under_the_real_hash() {
+        for seed in [1, 2, 3] {
+            delta_chain_matches_the_model(IndexHasher::default, seed);
+        }
+    }
+
+    #[test]
+    fn delta_chains_match_the_model_on_one_collision_chain() {
+        for seed in [1, 2, 3] {
+            delta_chain_matches_the_model(IndexHasher::constant, seed);
+        }
     }
 }

@@ -20,18 +20,21 @@
 //! when they transport facts from one database into another.
 //!
 //! ### Storage
-//! Each payload is stored once. A name lives in one `Arc<str>`, shared by
-//! the handle's slot and the name index, so interning a new name costs
-//! one allocation and re-interning a known one (the common case when a
-//! fact file is loaded) costs none: [`Elem::named`] looks the name up as
-//! a borrowed `&str`. Integer and pair payloads are a few bytes inline;
-//! fresh elements are never looked up by payload, so they have a slot
-//! and no index entry.
+//! Each payload is stored once, in its shard's slot table; a name lives
+//! in one `Arc<str>`, so interning a new name costs one allocation and
+//! re-interning a known one (the common case when a fact file is loaded)
+//! costs none: [`Elem::named`] looks the name up as a borrowed `&str`.
+//! A shard finds a payload's slot through the same id index the
+//! databases use: a keyed 64-bit hash of the payload maps to the slot,
+//! and every hit is checked against the slot itself. So a payload is
+//! hashed once per intern call, hit or miss, and a growing index moves
+//! integers without hashing any name again. Integer and pair payloads
+//! are a few bytes inline; fresh elements are never looked up by
+//! payload, so they have a slot and no index entry.
 //!
 //! ### Concurrency
-//! The store is **sharded**: an element's payload picks one of
-//! [`SHARDS`] independent `RwLock`-protected shards through the unkeyed
-//! multiply-rotate hash the copy-on-write maps use, and the handle
+//! The store is **sharded**: an element's payload hash picks one of
+//! [`SHARDS`] independent `RwLock`-protected shards, and the handle
 //! encodes the shard in its low bits. Interning the same payload always
 //! lands on the same shard (and yields the same handle, no matter which
 //! thread got there first), while payloads on different shards intern
@@ -45,8 +48,7 @@
 //! another's. The `&'static` store itself sits behind a `OnceLock`, so
 //! reaching it is a lock-free atomic load after initialisation.
 
-use crate::store::shard_index;
-use std::collections::HashMap;
+use crate::store::{shard_index, IdIndex, IndexHasher};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
@@ -74,8 +76,8 @@ pub enum ElemData {
 const SHARD_BITS: u32 = 4;
 const SHARDS: usize = 1 << SHARD_BITS;
 
-/// A stored payload: [`ElemData`] with the name behind the `Arc` that the
-/// shard's name index shares.
+/// A stored payload: [`ElemData`] with the name behind an `Arc`, so a
+/// reader clones a count, not the name.
 #[derive(Clone, PartialEq, Eq, Hash)]
 enum Slot {
     Named(Arc<str>),
@@ -84,41 +86,35 @@ enum Slot {
     Fresh(u64),
 }
 
-/// One shard: a local append-only payload store plus its reverse indexes.
-/// Local slot `i` of shard `s` is the global handle `i << SHARD_BITS | s`.
+/// One shard: a local append-only payload store and the index from
+/// payload hashes to its slots. Local slot `i` of shard `s` is the global
+/// handle `i << SHARD_BITS | s`.
 #[derive(Default)]
 struct Shard {
     slots: Vec<Slot>,
-    /// Names, keyed by the very `Arc` their slot holds.
-    names: HashMap<Arc<str>, u32>,
-    /// Integer and pair payloads.
-    atoms: HashMap<Slot, u32>,
-}
-
-impl Shard {
-    /// Append `slot` and return its global handle.
-    fn push(&mut self, s: usize, slot: Slot) -> Elem {
-        let local = u32::try_from(self.slots.len())
-            .ok()
-            .filter(|&l| l < 1 << (32 - SHARD_BITS))
-            .expect("element store exhausted (shard over 2^28 elements)");
-        self.slots.push(slot);
-        handle(local, s)
-    }
+    /// Every slot has an id here; named, integer and pair slots are
+    /// indexed by their payload hash.
+    index: IdIndex,
 }
 
 fn handle(local: u32, s: usize) -> Elem {
+    assert!(
+        local < 1 << (32 - SHARD_BITS),
+        "element store exhausted (shard over 2^28 elements)"
+    );
     Elem(local << SHARD_BITS | s as u32)
 }
 
 struct Store {
     shards: [RwLock<Shard>; SHARDS],
+    hasher: IndexHasher,
 }
 
 impl Store {
-    fn new() -> Store {
+    fn new(hasher: IndexHasher) -> Store {
         Store {
             shards: std::array::from_fn(|_| RwLock::new(Shard::default())),
+            hasher,
         }
     }
 
@@ -130,42 +126,54 @@ impl Store {
         self.shards[s].write().expect("interner lock poisoned")
     }
 
-    fn intern_name(&self, name: &str) -> Elem {
-        let s = shard_index(name, SHARD_BITS);
-        // Fast path: the name is already interned (read lock only).
-        if let Some(&local) = self.read(s).names.get(name) {
-            return handle(local, s);
+    /// The element whose slot `is` accepts, found by the payload's
+    /// `hash`, or else a new one whose slot `make` builds.
+    fn intern(&self, hash: u64, is: impl Fn(&Slot) -> bool, make: impl FnOnce() -> Slot) -> Elem {
+        // The bits a shard map picks its shard by, which the shard's own
+        // index does not read.
+        let s = shard_index(hash, SHARD_BITS);
+        // Fast path: the payload is already interned (read lock only).
+        {
+            let shard = self.read(s);
+            if let Some(local) = shard.index.find(hash, |i| is(&shard.slots[i as usize])) {
+                return handle(local, s);
+            }
         }
-        // Slow path: re-check under the write lock (another thread may have
-        // interned the same name between the two lock acquisitions).
+        // Slow path: look again under the write lock (another thread may
+        // have interned the same payload between the two acquisitions).
         let mut shard = self.write(s);
-        if let Some(&local) = shard.names.get(name) {
-            return handle(local, s);
+        let Shard { slots, index } = &mut *shard;
+        let (local, new) = index.find_or_push(hash, |i| is(&slots[i as usize]));
+        let e = handle(local, s);
+        if new {
+            slots.push(make());
         }
-        let name: Arc<str> = Arc::from(name);
-        let e = shard.push(s, Slot::Named(Arc::clone(&name)));
-        shard.names.insert(name, e.0 >> SHARD_BITS);
         e
+    }
+
+    fn intern_name(&self, name: &str) -> Elem {
+        self.intern(
+            self.hasher.hash(name),
+            |slot| matches!(slot, Slot::Named(n) if **n == *name),
+            || Slot::Named(Arc::from(name)),
+        )
     }
 
     /// Intern an [`Slot::Int`] or [`Slot::Pair`] payload.
     fn intern_atom(&self, atom: Slot) -> Elem {
-        let s = shard_index(&atom, SHARD_BITS);
-        if let Some(&local) = self.read(s).atoms.get(&atom) {
-            return handle(local, s);
-        }
-        let mut shard = self.write(s);
-        if let Some(&local) = shard.atoms.get(&atom) {
-            return handle(local, s);
-        }
-        let e = shard.push(s, atom.clone());
-        shard.atoms.insert(atom, e.0 >> SHARD_BITS);
-        e
+        self.intern(
+            self.hasher.hash(&atom),
+            |slot| *slot == atom,
+            || atom.clone(),
+        )
     }
 
     fn fresh(&self, n: u64) -> Elem {
         let s = n as usize & (SHARDS - 1);
-        self.write(s).push(s, Slot::Fresh(n))
+        let mut shard = self.write(s);
+        let e = handle(shard.index.push_unindexed(), s);
+        shard.slots.push(Slot::Fresh(n));
+        e
     }
 
     /// A clone of `e`'s slot, taken under the shard's read lock, which is
@@ -177,7 +185,7 @@ impl Store {
 
 fn store() -> &'static Store {
     static STORE: OnceLock<Store> = OnceLock::new();
-    STORE.get_or_init(Store::new)
+    STORE.get_or_init(|| Store::new(IndexHasher::default()))
 }
 
 static FRESH_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -330,5 +338,33 @@ mod tests {
         }
         let unique: std::collections::HashSet<_> = all.iter().copied().collect();
         assert_eq!(unique.len(), all.len());
+    }
+
+    #[test]
+    fn one_collision_chain_keeps_payloads_apart() {
+        // A private store whose index hashes every payload alike: all of
+        // them share one shard and one collision chain.
+        let store = Store::new(IndexHasher::constant());
+        let names: Vec<String> = (0..300).map(|i| format!("n{i}")).collect();
+        let named: Vec<Elem> = names.iter().map(|n| store.intern_name(n)).collect();
+        let ints: Vec<Elem> = (0..300).map(|i| store.intern_atom(Slot::Int(i))).collect();
+        let fresh = store.fresh(7);
+        let pair = store.intern_atom(Slot::Pair(named[0], ints[0]));
+        let all: std::collections::HashSet<Elem> = named
+            .iter()
+            .chain(&ints)
+            .chain([&fresh, &pair])
+            .copied()
+            .collect();
+        assert_eq!(all.len(), 602, "distinct payloads get distinct handles");
+        for (i, name) in names.iter().enumerate() {
+            assert_eq!(store.intern_name(name), named[i]);
+            assert!(matches!(store.slot(named[i]), Slot::Named(n) if *n == **name));
+        }
+        for i in 0..300 {
+            assert_eq!(store.intern_atom(Slot::Int(i)), ints[i as usize]);
+        }
+        assert_eq!(store.intern_atom(Slot::Pair(named[0], ints[0])), pair);
+        assert!(store.slot(fresh) == Slot::Fresh(7));
     }
 }

@@ -7,7 +7,8 @@
 //!   algebra (named / integer / pair / fresh constants),
 //! * relation [`Signature`]s `[k, l]` — arity `k`, the first `l` positions
 //!   form the primary key,
-//! * [`Fact`]s `R(ē)` with key tuples, key sets and active domains,
+//! * [`Fact`]s `R(ē)` with key tuples, key sets and active domains, and
+//!   [`FactRef`]s, the borrowed facts a database hands out,
 //! * [`Database`]s — finite fact sets partitioned into *blocks* of
 //!   key-equal facts, mutable in place via [`Database::apply_delta`]
 //!   (id-stable insert/retract with a [`DeltaReport`] of touched blocks),
@@ -24,12 +25,13 @@
 //! shards selected by payload hash, shard id encoded in the handle's low
 //! bits), so concurrent fact construction from solver worker threads does
 //! not serialise on a single lock. It keeps each name once, in an
-//! `Arc<str>` probed by borrowed `&str`, and a [`Fact`]'s tuple is one
-//! shared `Arc<[Elem]>` that every index of its [`Database`] reuses, so
-//! loading a fact line allocates its tuple plus each name seen for the
-//! first time. See the [`Elem`] module docs for the locking discipline,
-//! and `ARCHITECTURE.md` at the workspace root for how the crates fit
-//! together.
+//! `Arc<str>` found by a keyed hash of the borrowed `&str`. A
+//! [`Database`] stores its facts as flat element columns and indexes
+//! them by keyed 64-bit hashes, so loading a fact line parses it into a
+//! reused buffer and copies its elements into the columns, allocating
+//! only for names seen for the first time. See the [`Elem`] module docs
+//! for the locking discipline, and `ARCHITECTURE.md` at the workspace
+//! root for how the crates fit together.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,10 +47,10 @@ mod view;
 
 pub use database::{BlockId, Database, DeltaReport, FactId};
 pub use elem::{Elem, ElemData};
-pub use fact::Fact;
+pub use fact::{Fact, FactRef};
 pub use repair::{Repair, RepairIter};
 pub use schema::{RelId, Signature};
-pub use textline::{parse_fact_line, render_fact_line};
+pub use textline::{parse_fact_line, parse_fact_line_into, render_fact_line};
 pub use view::DbView;
 
 /// Errors produced by the model layer.

@@ -13,21 +13,32 @@
 //! position is the key length, independent of any database signature
 //! (`docs/FORMAT.md` specifies the corner cases).
 
-use crate::{Elem, Fact, RelId};
+use crate::{Elem, Fact, FactRef, RelId};
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 /// Parse one fact line: `R(a b | c d)`. Returns the fact and the key
 /// length the bar position declares (`R(a b | c)` → 2; a bar-free line
 /// declares an empty key). Errors are bare messages; callers attach
 /// position information.
+pub fn parse_fact_line(text: &str) -> Result<(Fact, usize), String> {
+    let mut elems = Vec::new();
+    let (fact, key_len) = parse_fact_line_into(text, &mut elems)?;
+    Ok((fact.to_fact(), key_len))
+}
+
+/// [`parse_fact_line`] into a caller's buffer: the elements replace
+/// `buf`'s contents and the fact is returned borrowed from it, so a
+/// loader that reuses one buffer allocates nothing per line beyond new
+/// names.
 ///
 /// The tuple is read in two passes over the text between the parentheses.
 /// The first checks it and counts the elements on each side of the bar;
 /// the second slices the elements out as borrowed `&str` tokens and
-/// interns each one straight into the fact's shared tuple, which is
-/// allocated once at its counted size. A known name allocates nothing.
-pub fn parse_fact_line(text: &str) -> Result<(Fact, usize), String> {
+/// interns each one into `buf`. A known name allocates nothing.
+pub fn parse_fact_line_into<'b>(
+    text: &str,
+    buf: &'b mut Vec<Elem>,
+) -> Result<(FactRef<'b>, usize), String> {
     let text = text.trim();
     let open = match text.find('(') {
         Some(i) => i,
@@ -52,13 +63,9 @@ pub fn parse_fact_line(text: &str) -> Result<(Fact, usize), String> {
     if len == 0 {
         return Err("fact with no elements".into());
     }
-    let mut names = tokens(inner);
-    // Driven by a range, so the collect knows the length up front and
-    // builds the `Arc` slice in place.
-    let tuple: Arc<[Elem]> = (0..len)
-        .map(|_| Elem::named(names.next().expect("counted by count_elements")))
-        .collect();
-    Ok((Fact::new(rel, tuple), key_len))
+    buf.clear();
+    buf.extend(tokens(inner).map(Elem::named));
+    Ok((FactRef::new(rel, buf), key_len))
 }
 
 /// A separator between elements, outside every `⟨…⟩`: whitespace, a
@@ -142,7 +149,8 @@ fn tokens(inner: &str) -> impl Iterator<Item = &str> {
 ///
 /// # Panics
 /// Panics if `key_len` exceeds the fact's arity.
-pub fn render_fact_line(f: &Fact, key_len: usize) -> String {
+pub fn render_fact_line<'f>(f: impl Into<FactRef<'f>>, key_len: usize) -> String {
+    let f = f.into();
     assert!(key_len <= f.arity(), "key length exceeds fact arity");
     let mut out = String::new();
     let _ = write!(out, "{}(", f.rel());
@@ -180,6 +188,22 @@ mod tests {
             let (fact2, key_len2) = parse_fact_line(&rendered).unwrap();
             assert_eq!(fact, fact2, "{line}");
             assert_eq!(key_len, key_len2, "{line}");
+        }
+    }
+
+    #[test]
+    fn parsing_into_a_buffer_matches_parse_fact_line() {
+        let mut buf = vec![Elem::named("stale")];
+        for line in ["R(a b | c d)", "R1(k | ⟨v,w⟩)", "R2(x |)", "R(| a)"] {
+            let (want, want_key_len) = parse_fact_line(line).unwrap();
+            let (fact, key_len) = parse_fact_line_into(line, &mut buf).unwrap();
+            assert_eq!((fact, key_len), (want.as_fact_ref(), want_key_len));
+        }
+        for bad in ["R(a | b | c)", "R()", "Q(a)"] {
+            assert_eq!(
+                parse_fact_line_into(bad, &mut buf).unwrap_err(),
+                parse_fact_line(bad).unwrap_err()
+            );
         }
     }
 

@@ -20,7 +20,7 @@
 //! [`DbView::local_block_index`], which are `O(1)` on a full view and a
 //! binary search otherwise.
 
-use crate::{BlockId, Database, Fact, FactId, Signature};
+use crate::{BlockId, Database, FactId, FactRef, Signature};
 
 /// A borrowed, block-aligned view of a subset of a [`Database`].
 ///
@@ -109,13 +109,13 @@ impl<'a> DbView<'a> {
     }
 
     /// Iterator over `(parent id, fact)` pairs of the view.
-    pub fn facts(&self) -> impl Iterator<Item = (FactId, &'a Fact)> + '_ {
+    pub fn facts(&self) -> impl Iterator<Item = (FactId, FactRef<'a>)> + '_ {
         self.facts.iter().map(|&id| (id, self.db.fact(id)))
     }
 
     /// The fact with the given **parent** id (must belong to the view's
     /// parent; membership in the view itself is not checked).
-    pub fn fact(&self, id: FactId) -> &'a Fact {
+    pub fn fact(&self, id: FactId) -> FactRef<'a> {
         self.db.fact(id)
     }
 
@@ -182,7 +182,7 @@ impl<'a> DbView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Elem, Signature};
+    use crate::{Elem, Fact, Signature};
 
     fn db_2_1(rows: &[[&str; 2]]) -> Database {
         let mut db = Database::new(Signature::new(2, 1).unwrap());

@@ -1,7 +1,7 @@
 //! Property tests for the relational substrate: interner laws, block
 //! partition invariants, repair axioms.
 
-use cqa_model::{Database, Elem, ElemData, Fact, Repair, RepairIter, Signature};
+use cqa_model::{Database, Elem, ElemData, Fact, FactRef, Repair, RepairIter, Signature};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -71,7 +71,7 @@ proptest! {
         let mut copy = db.clone();
         let before = copy.len();
         // Re-inserting every fact changes nothing.
-        let facts: Vec<Fact> = db.facts().map(|(_, f)| f.clone()).collect();
+        let facts: Vec<Fact> = db.facts().map(|(_, f)| f.to_fact()).collect();
         for f in facts {
             copy.insert(f).unwrap();
         }
@@ -138,7 +138,7 @@ proptest! {
         for (_, f) in b.facts() {
             prop_assert!(u.contains(f));
         }
-        let distinct: HashSet<&Fact> =
+        let distinct: HashSet<FactRef> =
             a.facts().map(|(_, f)| f).chain(b.facts().map(|(_, f)| f)).collect();
         prop_assert_eq!(u.len(), distinct.len());
     }
@@ -183,7 +183,7 @@ fn replay(base: &[Fact], deltas: &[Delta]) -> Database {
 fn partition(db: &Database) -> HashSet<Vec<Fact>> {
     db.block_ids()
         .map(|b| {
-            let mut facts: Vec<Fact> = db.block(b).iter().map(|&f| db.fact(f).clone()).collect();
+            let mut facts: Vec<Fact> = db.block(b).iter().map(|&f| db.fact(f).to_fact()).collect();
             facts.sort();
             facts
         })
@@ -231,7 +231,7 @@ proptest! {
             // And it equals a database rebuilt from its own live facts, up
             // to ids: the same fact set and the same block partition.
             let mut fresh = Database::new(*db.signature());
-            fresh.insert_all(db.facts().map(|(_, f)| f.clone())).unwrap();
+            fresh.insert_all(db.facts().map(|(_, f)| f.to_fact())).unwrap();
             prop_assert_eq!(fresh.len(), db.len());
             prop_assert_eq!(partition(&fresh), partition(db), "version {}", v);
         }

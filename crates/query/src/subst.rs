@@ -6,7 +6,7 @@
 //! `q(a b) ∨ q(b a)`.
 
 use crate::{Atom, Query, Var};
-use cqa_model::{Elem, Fact};
+use cqa_model::{Elem, Fact, FactRef};
 use std::collections::BTreeMap;
 
 /// A partial mapping from query variables to elements.
@@ -42,7 +42,8 @@ impl Subst {
     /// position-wise. Returns `false` on any conflict (wrong relation,
     /// wrong arity, or inconsistent variable binding); the substitution may
     /// then be partially extended and should be discarded.
-    pub fn match_atom(&mut self, atom: &Atom, fact: &Fact) -> bool {
+    pub fn match_atom<'f>(&mut self, atom: &Atom, fact: impl Into<FactRef<'f>>) -> bool {
+        let fact = fact.into();
         if atom.rel() != fact.rel() || atom.arity() != fact.arity() {
             return false;
         }
@@ -98,7 +99,11 @@ impl Subst {
 /// The substitution witnessing `q(a b)` — `μ(A) = a` and `μ(B) = b` — if
 /// one exists. Deterministic: the facts fully determine `μ` on the atoms'
 /// variables.
-pub fn match_pair(q: &Query, a: &Fact, b: &Fact) -> Option<Subst> {
+pub fn match_pair<'a, 'b>(
+    q: &Query,
+    a: impl Into<FactRef<'a>>,
+    b: impl Into<FactRef<'b>>,
+) -> Option<Subst> {
     let mut mu = Subst::new();
     if mu.match_atom(q.a(), a) && mu.match_atom(q.b(), b) {
         Some(mu)
@@ -108,12 +113,21 @@ pub fn match_pair(q: &Query, a: &Fact, b: &Fact) -> Option<Subst> {
 }
 
 /// `q(a b)`: the ordered pair `(a, b)` is a solution to `q`.
-pub fn is_solution(q: &Query, a: &Fact, b: &Fact) -> bool {
+pub fn is_solution<'a, 'b>(
+    q: &Query,
+    a: impl Into<FactRef<'a>>,
+    b: impl Into<FactRef<'b>>,
+) -> bool {
     match_pair(q, a, b).is_some()
 }
 
 /// `q{a b}`: `q(a b)` or `q(b a)`.
-pub fn is_solution_unordered(q: &Query, a: &Fact, b: &Fact) -> bool {
+pub fn is_solution_unordered<'a, 'b>(
+    q: &Query,
+    a: impl Into<FactRef<'a>>,
+    b: impl Into<FactRef<'b>>,
+) -> bool {
+    let (a, b) = (a.into(), b.into());
     is_solution(q, a, b) || is_solution(q, b, a)
 }
 

@@ -8,7 +8,7 @@
 //! `D ⊨ certain(sjf(q))` iff `D′ ⊨ certain(q)` — this is where the paper
 //! uses that `q` is not equivalent to a one-atom query.
 
-use cqa_model::{Database, Elem, Fact, RelId};
+use cqa_model::{Database, Elem, Fact, FactRef, RelId};
 use cqa_query::{Query, Var};
 
 /// Tag a query variable as a domain element (kept distinct from user
@@ -24,7 +24,8 @@ fn var_elem(v: &Var) -> Elem {
 /// # Panics
 /// Panics if a fact uses a relation other than `R1`/`R2` or has the wrong
 /// arity.
-pub fn mu(q: &Query, fact: &Fact) -> Fact {
+pub fn mu<'f>(q: &Query, fact: impl Into<FactRef<'f>>) -> Fact {
+    let fact = fact.into();
     assert_eq!(fact.arity(), q.signature().arity(), "arity mismatch in μ");
     let atom = match fact.rel() {
         RelId::R1 => q.a(),

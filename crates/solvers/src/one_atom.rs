@@ -21,7 +21,7 @@
 //! `q(f f)` needs `f = (a, a)`.
 
 use crate::CancelToken;
-use cqa_model::{BlockId, Database, DbView, Fact, RelId};
+use cqa_model::{BlockId, Database, DbView, FactRef, RelId};
 use cqa_query::{Query, Var};
 use std::collections::HashMap;
 
@@ -68,7 +68,8 @@ impl OneAtomPlan {
     }
 
     /// `q(f f)`: one substitution sends both atoms to `fact`.
-    pub fn holds(&self, fact: &Fact) -> bool {
+    pub fn holds<'f>(&self, fact: impl Into<FactRef<'f>>) -> bool {
+        let fact = fact.into();
         let t = fact.tuple();
         Some(fact.rel()) == self.rel
             && t.len() == self.arity
@@ -113,7 +114,7 @@ pub fn certain_one_atom(view: &DbView<'_>, q: &Query, token: &CancelToken) -> Op
 mod tests {
     use super::*;
     use crate::brute::certain_brute;
-    use cqa_model::Signature;
+    use cqa_model::{Fact, Signature};
     use cqa_query::parse_query;
 
     fn db(sig: Signature, rows: &[&[&str]]) -> Database {

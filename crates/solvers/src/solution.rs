@@ -17,7 +17,7 @@
 //! a q-connected component outside it is never certain (Proposition
 //! 10.6), so the solvers decide the support's components only.
 
-use cqa_model::{BlockId, Database, DeltaReport, Elem, Fact, FactId, RelId};
+use cqa_model::{BlockId, Database, DeltaReport, Elem, FactId, FactRef, RelId};
 use cqa_query::{match_pair, Atom, Query, Var};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -260,7 +260,7 @@ impl AtomPlan {
 
     /// If `fact` matches the atom, append its projection onto the shared
     /// variables to `key` and return `true`.
-    fn project(&self, fact: &Fact, key: &mut Vec<Elem>) -> bool {
+    fn project(&self, fact: FactRef<'_>, key: &mut Vec<Elem>) -> bool {
         let t = fact.tuple();
         if fact.rel() != self.rel
             || t.len() != self.arity

@@ -203,7 +203,7 @@ proptest! {
         let mut db = db;
         let mut inc = IncrementalSolutions::new(&q, &db);
         for (rows, picks) in &steps {
-            let live: Vec<Fact> = db.facts().map(|(_, f)| f.clone()).collect();
+            let live: Vec<Fact> = db.facts().map(|(_, f)| f.to_fact()).collect();
             let retracts: Vec<Fact> = if live.is_empty() {
                 Vec::new()
             } else {

@@ -216,7 +216,7 @@ impl<'a> Detector<'a> {
         d_chain: &DbChain,
         f_chain: &DbChain,
     ) -> Option<Tripath> {
-        let fact = |id: FactId| self.db.fact(id).clone();
+        let fact = |id: FactId| self.db.fact(id).to_fact();
         let mut blocks: Vec<TpBlock> = Vec::new();
         let n_up = up.len();
         blocks.push(TpBlock {

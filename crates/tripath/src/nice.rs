@@ -73,7 +73,7 @@ pub fn check_nice(q: &Query, tp: &Tripath) -> Result<NiceWitness, String> {
     }
     allowed.insert(ordered(center.f.clone(), center.d.clone()));
     for (ia, ib) in sols.pairs() {
-        let pair = ordered(db.fact(ia).clone(), db.fact(ib).clone());
+        let pair = ordered(db.fact(ia).to_fact(), db.fact(ib).to_fact());
         if !allowed.contains(&pair) {
             return Err(format!(
                 "extra solution {{{} {}}} breaks solution-niceness",
@@ -84,7 +84,7 @@ pub fn check_nice(q: &Query, tp: &Tripath) -> Result<NiceWitness, String> {
     if kind == TripathKind::Fork
         && sols
             .pairs()
-            .any(|(ia, ib)| db.fact(ia) == &center.f && db.fact(ib) == &center.d)
+            .any(|(ia, ib)| db.fact(ia) == center.f && db.fact(ib) == center.d)
     {
         return Err("fork center unexpectedly closes into a triangle".into());
     }

@@ -14,7 +14,7 @@
 //! independent of the search code — every witness the search produces is
 //! re-validated through it.
 
-use cqa_model::{Database, Elem, Fact};
+use cqa_model::{Database, Elem, Fact, FactRef};
 use cqa_query::{is_solution, is_solution_unordered, Query};
 use std::collections::BTreeSet;
 
@@ -78,8 +78,14 @@ pub struct Center {
 
 /// Compute `g(e)` for a branching triple `d e f` (Section 7's five-case
 /// definition of `ḡ(e)`, collapsed to the element set).
-pub fn g_of_center(q: &Query, d: &Fact, e: &Fact, f: &Fact) -> BTreeSet<Elem> {
+pub fn g_of_center<'a, 'b, 'c>(
+    q: &Query,
+    d: impl Into<FactRef<'a>>,
+    e: impl Into<FactRef<'b>>,
+    f: impl Into<FactRef<'c>>,
+) -> BTreeSet<Elem> {
     let sig = q.signature();
+    let (d, e, f) = (d.into(), e.into(), f.into());
     let kd = d.key_set(sig);
     let ke = e.key_set(sig);
     let kf = f.key_set(sig);

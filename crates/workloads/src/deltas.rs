@@ -84,7 +84,7 @@ pub enum DeltaOp {
 pub fn random_delta_ops(seed: u64, db: &Database, cfg: &DeltaScriptConfig) -> Vec<DeltaOp> {
     let mut rng = StdRng::seed_from_u64(seed);
     let sig = *db.signature();
-    let resident: Vec<Fact> = db.facts().map(|(_, f)| f.clone()).collect();
+    let resident: Vec<Fact> = db.facts().map(|(_, f)| f.to_fact()).collect();
     let dom = |rng: &mut StdRng, tag: &str, n: usize| {
         Elem::pair(Elem::named(tag), Elem::int(rng.gen_range(0..n) as i64))
     };

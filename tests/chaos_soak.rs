@@ -100,7 +100,7 @@ fn torn_updates_never_yield_a_half_applied_session() {
     // verdict flip, making tearing *visible* to the invariant below.
     let pre_expected = fixture.expected.clone();
     let mut replay = load_db_file(&fixture.db_path).unwrap();
-    let first_resident = replay.facts().next().map(|(_, f)| f.clone()).unwrap();
+    let first_resident = replay.facts().next().map(|(_, f)| f.to_fact()).unwrap();
     let ops = vec![
         cqa_workloads::DeltaOp::Retract(first_resident),
         cqa_workloads::DeltaOp::Insert(cqa_model::Fact::from_names(["selfloop", "selfloop"])),
