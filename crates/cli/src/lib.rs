@@ -421,22 +421,20 @@ pub fn cmd_update(
     })
 }
 
-/// `cqa falsify <query> <db-file> [budget] [--threads N] [--stats]`:
-/// exhibit a falsifying repair, if any. The query must have the
-/// database's signature, as for `certain`.
+/// `cqa falsify <query> <db-file> [budget] [--stats]`: exhibit a
+/// falsifying repair, if any. The query must have the database's
+/// signature, as for `certain`.
 pub fn cmd_falsify(
     query: &str,
     db: &Database,
     budget: u64,
-    threads: Option<usize>,
     want_stats: bool,
 ) -> Result<CmdOut, CliError> {
     let q = parse_query_for(query, db.signature()).map_err(|e| CliError::new(e.to_string()))?;
-    let threads = threads.unwrap_or_else(minipool::max_threads);
     let mut out = String::new();
     let started = std::time::Instant::now();
     let solutions = SolutionSet::enumerate(&q, db);
-    let outcome = certain_brute_over(db, &solutions, budget, threads, &CancelToken::new())
+    let outcome = certain_brute_over(db, &solutions, budget, &CancelToken::new())
         .expect("a never-raised token cannot cancel the search");
     let solve_ms = started.elapsed().as_millis();
     match outcome {
@@ -457,7 +455,7 @@ pub fn cmd_falsify(
     if want_stats {
         let _ = writeln!(
             err,
-            "stats: brute-force threads={threads} facts={} blocks={}",
+            "stats: brute-force facts={} blocks={}",
             db.len(),
             db.block_count()
         );
@@ -683,7 +681,7 @@ pub fn usage() -> &'static str {
 USAGE:
   cqa classify \"<query>\"
   cqa certain  \"<query>\" <db-file> [--threads N] [--route R] [--stats]
-  cqa falsify  \"<query>\" <db-file> [node-budget] [--threads N] [--stats]
+  cqa falsify  \"<query>\" <db-file> [node-budget] [--stats]
   cqa batch    <db-file> <queries-file> [--threads N] [--route R] [--stats]
   cqa update   <db-file> <deltas-file> <queries-file> [--threads N]
                [--route R] [--recompute] [--stats]
@@ -927,15 +925,15 @@ R(x | y) R(x | z)
     #[test]
     fn falsify_prints_witness() {
         let d = db("R(alice | bob)\nR(alice | carol)\nR(bob | dave)\n");
-        let out = cmd_falsify(Q3, &d, u64::MAX, None, false).unwrap();
+        let out = cmd_falsify(Q3, &d, u64::MAX, false).unwrap();
         assert!(out.stdout.contains("not certain"), "{}", out.stdout);
         assert!(out.stdout.contains("R(alice carol)"), "{}", out.stdout);
         let certain_db = db("R(a | b)\nR(b | c)\n");
-        let out2 = cmd_falsify(Q3, &certain_db, u64::MAX, Some(2), false).unwrap();
+        let out2 = cmd_falsify(Q3, &certain_db, u64::MAX, false).unwrap();
         assert!(out2.stdout.contains("certain"), "{}", out2.stdout);
-        let stats = cmd_falsify(Q3, &certain_db, u64::MAX, Some(2), true).unwrap();
+        let stats = cmd_falsify(Q3, &certain_db, u64::MAX, true).unwrap();
         assert!(
-            stats.stderr.contains("stats: brute-force threads=2"),
+            stats.stderr.contains("stats: brute-force facts=2"),
             "{}",
             stats.stderr
         );
@@ -1153,7 +1151,7 @@ R(x | y) R(x | z)
         let mut flags = Flags::new("certain", &["q", "f", "--threads", "3"]);
         assert_eq!(threads_flag(&mut flags).unwrap(), Some(3));
         assert_eq!(flags.positionals().unwrap(), vec!["q", "f"]);
-        let mut flags = Flags::new("falsify", &["--threads=8", "q", "f"]);
+        let mut flags = Flags::new("batch", &["--threads=8", "q", "f"]);
         assert_eq!(threads_flag(&mut flags).unwrap(), Some(8));
         assert_eq!(flags.positionals().unwrap(), vec!["q", "f"]);
         let mut flags = Flags::new("classify", &["q"]);

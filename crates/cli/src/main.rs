@@ -81,7 +81,6 @@ fn run(args: &[&str]) -> Result<CmdOut, CliError> {
             )
         }
         "falsify" => {
-            let threads = threads_flag(&mut flags)?;
             let want_stats = flags.switch("--stats");
             let (q, file, budget) = match flags.positionals()?[..] {
                 [q, file] => (q, file, u64::MAX),
@@ -94,7 +93,7 @@ fn run(args: &[&str]) -> Result<CmdOut, CliError> {
                 ),
                 _ => return Err(usage_error()),
             };
-            cmd_falsify(q, &load_db_file(file)?, budget, threads, want_stats)
+            cmd_falsify(q, &load_db_file(file)?, budget, want_stats)
         }
         "generate" => cmd_generate(rest).map(CmdOut::from),
         "fleet" => cmd_fleet(rest),

@@ -140,10 +140,17 @@ fn batch_agrees_with_single_shot_invocations_through_the_binary() {
             .expect("single-shot report has a certain: line");
         single.push(verdict);
     }
-    // The removed --early-exit flag is rejected, not silently ignored.
-    let (_, stderr, code) = cqa(&["batch", db_path, qfile_path, "--early-exit"]);
+    // Removed flags (batch --early-exit, falsify --threads) are rejected
+    // as unknown options, not silently ignored.
+    for args in [
+        &["batch", db_path, qfile_path, "--early-exit"][..],
+        &["falsify", queries[0], db_path, "--threads", "2"],
+    ] {
+        let (_, stderr, code) = cqa(args);
+        assert_ne!(code, Some(0), "{args:?} was accepted: {stderr}");
+        assert!(stderr.contains("unknown"), "{args:?}: {stderr}");
+    }
     std::fs::remove_dir_all(&dir).ok();
-    assert_ne!(code, Some(0), "--early-exit was accepted: {stderr}");
     assert_eq!(batch_verdicts, single, "batch diverged from single-shot");
 }
 

@@ -38,8 +38,8 @@ use crate::engine::{AnsweredBy, CertainAnswer, CqaEngine};
 use cqa_model::{BlockId, Database, DeltaReport};
 use cqa_query::Query;
 use cqa_solvers::{
-    certain_combined_over, certk_by_components, CancelToken, CertKStats, Component,
-    DynamicComponents, IncrementalSolutions, OneAtomPlan, SolutionSet,
+    certain_combined_over, certk_by_components, CancelToken, CertKStats, DynamicComponents,
+    IncrementalSolutions, OneAtomPlan, SolutionSet,
 };
 
 /// Counters for the incremental path, aggregated by sessions and servers.
@@ -231,9 +231,7 @@ impl ComponentVerdicts {
     /// Solve one component from scratch, per the classification: the
     /// Theorem 10.5 combination for `PTimeCombined`, `Cert_k` otherwise.
     fn solve(&self, engine: &CqaEngine, db: &Database, id: u32) -> CompVerdict {
-        let comp = [Component {
-            view: self.comps.view_of(db, id),
-        }];
+        let comp = [self.comps.view_of(db, id)];
         let solve = if engine.classification().complexity == Complexity::PTimeCombined {
             certain_combined_over
         } else {

@@ -36,7 +36,7 @@ use cqa_query::Query;
 use cqa_solvers::{
     certain_brute_over, certain_combined_over, certain_one_atom, certk_by_components, certk_view,
     support_components, support_partition, BruteOutcome, CancelToken, CertKConfig, CertKOutcome,
-    CertKStats, CombinedResult, Component, SolutionSet,
+    CertKStats, CombinedResult, SolutionSet,
 };
 use cqa_tripath::SearchConfig;
 use std::cell::OnceCell;
@@ -160,8 +160,8 @@ pub struct EngineConfig {
     /// Tripath search limits used at classification time.
     pub search: SearchConfig,
     /// `Cert_k` configuration for the PTime algorithms. Its `threads`
-    /// field also caps the per-component fan-out of the brute-force
-    /// solver, so it is the engine-wide parallelism knob.
+    /// field caps their per-component fan-out; the brute-force solver
+    /// decides its components one after another.
     pub certk: CertKConfig,
     /// Node budget for the brute-force solver on coNP-complete queries.
     pub brute_budget: u64,
@@ -347,9 +347,8 @@ impl CqaEngine {
         };
         match complexity {
             Complexity::CoNpComplete => {
-                let outcome =
-                    certain_brute_over(db, solutions, self.config.brute_budget, cfg.threads, token)
-                        .ok_or_else(CancelledSolve::default)?;
+                let outcome = certain_brute_over(db, solutions, self.config.brute_budget, token)
+                    .ok_or_else(CancelledSolve::default)?;
                 Ok(CertainAnswer {
                     budget_exhausted: matches!(outcome, BruteOutcome::BudgetExhausted),
                     ..answer(
@@ -366,9 +365,9 @@ impl CqaEngine {
             }
             _ => match self.route_components(db, solutions) {
                 Some(groups) => {
-                    let comps: Vec<Component<'_>> = groups
+                    let comps: Vec<_> = groups
                         .into_iter()
-                        .map(|blocks| Component::of_blocks(db, blocks))
+                        .map(|blocks| db.view_of_blocks(blocks))
                         .collect();
                     certk_by_components(&comps, solutions, cfg, token)
                         .map(|res| answer_from_components(res, AnsweredBy::ComponentCertK))

@@ -19,7 +19,7 @@
 //! hold an operation, and its key length must be the database's.
 
 use cqa_model::{parse_fact_line, Fact, Signature};
-use cqa_query::{signature_mismatch, truncate_error_text};
+use cqa_query::{query_lines, signature_mismatch, truncate_error_text};
 
 /// A parsed delta script: what to insert and what to retract.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -71,26 +71,24 @@ pub fn parse_update_script(text: &str) -> Result<DeltaScript, String> {
     Ok(script)
 }
 
-/// Parse a delta script. Errors carry the 1-based line number and the
-/// offending line bounded by [`truncate_error_text`], in the same shape
-/// the batch and fact-file loaders report.
+/// Parse a delta script. Lines are read as in a queries file
+/// ([`query_lines`]: `#` comments, blank lines skipped). Errors carry the
+/// 1-based line number and the offending line bounded by
+/// [`truncate_error_text`], in the same shape the batch and fact-file
+/// loaders report.
 pub fn parse_delta_script(text: &str) -> Result<DeltaScript, String> {
     let mut script = DeltaScript::default();
-    for (i, raw) in text.lines().enumerate() {
-        let content = raw.split('#').next().unwrap_or("").trim();
-        if content.is_empty() {
-            continue;
-        }
+    for line in query_lines(text) {
         let err_at = |msg: String| {
             format!(
                 "delta line {}: {msg}\n  | {}",
-                i + 1,
-                truncate_error_text(raw.trim_end())
+                line.line,
+                truncate_error_text(line.raw.trim_end())
             )
         };
-        let (retract, rest) = match content.strip_prefix('-') {
+        let (retract, rest) = match line.text.strip_prefix('-') {
             Some(rest) => (true, rest),
-            None => (false, content.strip_prefix('+').unwrap_or(content)),
+            None => (false, line.text.strip_prefix('+').unwrap_or(line.text)),
         };
         let (fact, key_len) = parse_fact_line(rest).map_err(err_at)?;
         match script.key_len {

@@ -543,15 +543,11 @@ fn execute(
         Method::Falsify { db, query, budget } => {
             let session = session_for(db)?;
             let q = parse_query_for(query, session.db().signature()).map_err(query_error)?;
-            // One solver thread per request: parallelism across
-            // requests comes from the pool, and nesting would
-            // oversubscribe the workers.
             let db_ref = session.db();
             let outcome = certain_brute_over(
                 db_ref,
                 &SolutionSet::enumerate(&q, db_ref),
                 *budget,
-                1,
                 token.unwrap_or(&CancelToken::new()),
             )
             .ok_or_else(|| cancelled_error(ctx, "brute-force search stopped mid-tranche"))?;
@@ -651,9 +647,22 @@ mod tests {
 
     /// Synthetic loader: "db:N" is an N-fact chain; "slow:MS" sleeps
     /// MS milliseconds and serves a 4-fact chain (for occupancy tests);
-    /// anything else fails.
+    /// "forced:N" is an N-link forced chain for the coNP query
+    /// [`FORCED_QUERY`]; anything else fails.
     fn chain_loader() -> Loader {
         Arc::new(|path: &str| {
+            if let Some(n) = path.strip_prefix("forced:") {
+                let n: usize = n.parse().map_err(|_| format!("bad length: {path}"))?;
+                let mut db = Database::new(Signature::new(3, 1).unwrap());
+                for i in 0..n {
+                    let (k, w, next) = (format!("k{i}"), format!("w{i}"), format!("k{}", i + 1));
+                    db.insert(Fact::from_names([&k, &w, &w]))
+                        .map_err(|e| e.to_string())?;
+                    db.insert(Fact::from_names([&next, &k, &w]))
+                        .map_err(|e| e.to_string())?;
+                }
+                return Ok(db);
+            }
             let (n, delay_ms) = if let Some(ms) = path.strip_prefix("slow:") {
                 let ms: u64 = ms.parse().map_err(|_| format!("bad delay: {path}"))?;
                 (4, ms)
@@ -675,6 +684,12 @@ mod tests {
             Ok(db)
         })
     }
+
+    /// A coNP query whose brute-force search on "forced:N" is one forced
+    /// block decision per link: block `k_i` keeps `R(k_i | w_i w_i)` only
+    /// while `R(k_i | k_{i-1} w_{i-1})` completes a solution, up to block
+    /// `k_N`, which has no viable fact.
+    const FORCED_QUERY: &str = "R(y | v v) R(u | y v)";
 
     fn test_server() -> ServerHandle {
         let mut config = ServeConfig::new(chain_loader());
@@ -739,6 +754,24 @@ mod tests {
         let e = parse_response(&err).unwrap().outcome.unwrap_err();
         assert_eq!(e.code, "load-failed");
         assert!(e.message.contains("missing"));
+    }
+
+    #[test]
+    fn a_long_forced_chain_is_answered_and_the_server_lives_on() {
+        // The search depth grows with the chain, so a search that took a
+        // call-stack frame per decision would overflow a pool thread's
+        // stack here and take the whole server down.
+        let server = test_server();
+        let mut s = TcpStream::connect(server.addr()).unwrap();
+        let mut r = BufReader::new(s.try_clone().unwrap());
+        let frame = format!(
+            r#"{{"id":1,"method":"certain","params":{{"db":"forced:8000","query":"{FORCED_QUERY}"}}}}"#
+        );
+        let v = roundtrip(&mut s, &mut r, &frame);
+        let v = parse_response(&v).unwrap().outcome.unwrap();
+        assert_eq!(v.get("certain").and_then(Json::as_bool), Some(true));
+        let pong = roundtrip(&mut s, &mut r, r#"{"id":2,"method":"ping","params":{}}"#);
+        assert!(parse_response(&pong).unwrap().outcome.is_ok());
     }
 
     #[test]

@@ -12,20 +12,17 @@
 //! Worst-case exponential per component — the expected shape on coNP-hard
 //! queries, and exactly what the dichotomy benches measure.
 //!
-//! Because the per-component searches are independent, they fan out over a
-//! thread pool ([`certain_brute_over`]). The node budget is shared
-//! across all components through one atomic counter, and as soon as one
-//! component *forces* `q` (no falsifying partial exists — the whole
-//! database is certain) or blows the budget, the other searches are
-//! cancelled via a stop flag. Outcomes combine in component order, so
-//! `threads = 1` reproduces the sequential loop exactly; see
-//! [`certain_brute_over`] for the budget/thread-count contract.
+//! [`certain_brute_over`] decides the components one after another on the
+//! caller's thread, under one node budget for the whole call, and stops at
+//! the first component that *forces* `q` (no falsifying partial exists —
+//! the whole database is certain). The backtracking keeps its decisions on
+//! an explicit stack, so a long forced chain costs heap, not call stack.
 
 use crate::{CancelToken, SolutionSet};
 use cqa_model::{BlockId, Database, FactId, Repair};
 use cqa_query::Query;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::ops::ControlFlow;
 
 /// Outcome of the brute-force search.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -49,17 +46,6 @@ impl BruteOutcome {
     }
 }
 
-/// The per-component search plan: block orders plus a dense global-block →
-/// within-component index map, so each component's search can keep its
-/// `chosen` scratch at component size instead of database size (solutions
-/// never cross components, so a search only ever consults its own blocks).
-struct ComponentPlan {
-    /// One BFS-ordered block list per support component.
-    orders: Vec<Vec<BlockId>>,
-    /// `local_idx[b]` = position of block `b` inside its component's order.
-    local_idx: Vec<u32>,
-}
-
 /// Group the support's blocks into q-connected components and order each
 /// component's blocks by BFS along solution edges (locality for the
 /// backtracker), in `O(support facts)`: a BFS from each unvisited support
@@ -71,10 +57,9 @@ struct ComponentPlan {
 /// never force `q` (Proposition 10.6). Indexed by raw block id, sized to
 /// [`Database::block_slots`]: on a live database retractions leave
 /// emptied block slots behind, which are never in the support.
-fn component_block_orders(db: &Database, solutions: &SolutionSet) -> ComponentPlan {
+fn component_block_orders(db: &Database, solutions: &SolutionSet) -> Vec<Vec<BlockId>> {
     let mut visited = vec![false; db.block_slots()];
     let mut expanded = vec![false; solutions.group_slots()];
-    let mut local_idx = vec![0u32; db.block_slots()];
     let mut orders = Vec::new();
     let mut queue = VecDeque::new();
     for start in solutions.support_blocks(db) {
@@ -85,7 +70,6 @@ fn component_block_orders(db: &Database, solutions: &SolutionSet) -> ComponentPl
         queue.push_back(start);
         let mut order: Vec<BlockId> = Vec::new();
         while let Some(b) = queue.pop_front() {
-            local_idx[b.idx()] = order.len() as u32;
             order.push(b);
             for &f in db.block(b) {
                 for g in solutions.groups_of(f) {
@@ -105,31 +89,16 @@ fn component_block_orders(db: &Database, solutions: &SolutionSet) -> ComponentPl
         }
         orders.push(order);
     }
-    ComponentPlan { orders, local_idx }
+    orders
 }
 
 /// Backtracking search for a falsifying repair, with a node budget
-/// (`u64::MAX` for unbounded). Sequential and never cancelled — a frozen
-/// oracle for the tests; the live entry point is [`certain_brute_over`].
+/// (`u64::MAX` for unbounded). Never cancelled — a frozen oracle for the
+/// tests; the live entry point is [`certain_brute_over`].
 pub fn certain_brute_budgeted(q: &Query, db: &Database, budget: u64) -> BruteOutcome {
     let solutions = SolutionSet::enumerate(q, db);
-    certain_brute_over(db, &solutions, budget, 1, &CancelToken::new())
+    certain_brute_over(db, &solutions, budget, &CancelToken::new())
         .expect("a never-raised token cannot cancel the search")
-}
-
-/// How one component's search ended.
-enum CompSearch {
-    /// A falsifying partial repair exists; the choices for the component's
-    /// blocks are attached.
-    Falsified(Vec<(BlockId, FactId)>),
-    /// No falsifying partial exists — the component forces `q`, so the
-    /// whole database is certain.
-    Forces,
-    /// The shared node budget ran out mid-search.
-    OutOfBudget,
-    /// A sibling component triggered the stop flag (it forced `q` or blew
-    /// the budget) before this search finished.
-    Cancelled,
 }
 
 /// Search nodes between two token polls: one deadline check per tranche
@@ -141,116 +110,39 @@ const TOKEN_POLL_NODES: u64 = 1024;
 /// components, given the query's enumerated `solutions` — the one live
 /// entry point of the brute force.
 ///
-/// The per-component searches fan out over `threads` worker threads (`1`
-/// = the exact sequential path, no spawns). The node budget is shared:
-/// the atomic step counter is global to the call, so total expended work
-/// respects `budget` regardless of the thread count. Verdicts never
-/// depend on the thread count **as long as the budget is not exhausted**
-/// (the default `u64::MAX` in practice never is): every component is
-/// searched deterministically and the outcomes combine
-/// order-independently. Under an *exhausted* finite budget the answer is
-/// still sound — `Certain` only with a forcing component, a witness only
-/// when every component was fully falsified — but with `threads > 1` the
-/// racing searches drain the shared counter in a scheduling-dependent
-/// order, so *which* of `Certain`/`BudgetExhausted` comes back may vary
-/// between runs. `threads = 1` reproduces the historical sequential
-/// semantics exactly, including budget-exhaustion behaviour.
+/// The support's components are decided in order on the caller's
+/// thread: the first one that forces `q` answers `Certain`, and a witness
+/// is assembled once every component is falsified. One node budget
+/// covers the whole call; running out of it answers `BudgetExhausted`.
 ///
-/// The search polls `token` once per component start and once per
-/// `TOKEN_POLL_NODES` search nodes (a budget tranche), so a token that
-/// fires mid-search stops every component within one tranche. Returns
-/// `None` when the token cancelled the search before a verdict was
-/// reached; a completed verdict is never discarded, even if the token
-/// has expired by the time it is observed.
+/// The search polls `token` at each component start and once per
+/// `TOKEN_POLL_NODES` search nodes (a budget tranche). Returns `None`
+/// when the token cancelled the search before a verdict was reached; a
+/// completed verdict is never discarded, even if the token has expired
+/// by the time it is observed.
 pub fn certain_brute_over(
     db: &Database,
     solutions: &SolutionSet,
     budget: u64,
-    threads: usize,
     token: &CancelToken,
 ) -> Option<BruteOutcome> {
-    let plan = component_block_orders(db, solutions);
-    let nodes = AtomicU64::new(0);
-    let stop = AtomicBool::new(false);
-
-    let results = minipool::par_map(threads, &plan.orders, |comp| {
+    // Indexed by raw block id (sparse after retractions). A falsified
+    // component's choices stay in place: no later search consults them,
+    // since solutions never cross components.
+    let mut chosen: Vec<Option<FactId>> = vec![None; db.block_slots()];
+    let mut nodes = 0u64;
+    for comp in component_block_orders(db, solutions) {
         if token.is_cancelled() {
-            return CompSearch::Cancelled;
-        }
-        // Component-sized scratch indexed through plan.local_idx — a
-        // search never consults blocks outside its component.
-        let mut chosen: Vec<Option<FactId>> = vec![None; comp.len()];
-        match search(
-            db,
-            solutions,
-            comp,
-            &plan.local_idx,
-            comp.len(),
-            &mut chosen,
-            &nodes,
-            budget,
-            &stop,
-            token,
-        ) {
-            Ok(true) => CompSearch::Falsified(
-                comp.iter()
-                    .map(|&b| {
-                        let c = chosen[plan.local_idx[b.idx()] as usize];
-                        (b, c.unwrap_or_else(|| db.block(b)[0]))
-                    })
-                    .collect(),
-            ),
-            Ok(false) => {
-                // This component alone certifies q; tell the others to stop.
-                stop.store(true, Ordering::Relaxed);
-                CompSearch::Forces
-            }
-            Err(Interrupt::Budget) => {
-                // Budget is global: once blown, sibling searches cannot
-                // finish meaningfully either — stop them too (this is also
-                // what makes threads = 1 match the historical sequential
-                // early return).
-                stop.store(true, Ordering::Relaxed);
-                CompSearch::OutOfBudget
-            }
-            Err(Interrupt::Cancelled) => CompSearch::Cancelled,
-        }
-    });
-
-    // Combine in component order: the first decisive event wins, which for
-    // threads = 1 (in-order execution, instant cancellation of the rest)
-    // reproduces the sequential loop's semantics exactly.
-    let mut cancelled = false;
-    for r in &results {
-        match r {
-            CompSearch::Forces => return Some(BruteOutcome::Certain),
-            CompSearch::OutOfBudget => return Some(BruteOutcome::BudgetExhausted),
-            CompSearch::Cancelled => cancelled = true,
-            CompSearch::Falsified(_) => {}
-        }
-    }
-    if cancelled {
-        if token.is_cancelled() {
-            // The token (not a sibling's decisive event) stopped the
-            // search: no verdict.
             return None;
         }
-        // Unreachable while the token is calm: a cancellation implies
-        // some sibling reported the decisive event above. Kept total
-        // instead of panicking.
-        return Some(BruteOutcome::BudgetExhausted);
-    }
-    // All components falsified: assemble the full witness. Indexed by raw
-    // block id (sparse after retractions), then read back over the live
-    // blocks only.
-    let mut chosen: Vec<Option<FactId>> = vec![None; db.block_slots()];
-    for r in &results {
-        if let CompSearch::Falsified(pairs) = r {
-            for &(b, f) in pairs {
-                chosen[b.idx()] = Some(f);
-            }
+        if let ControlFlow::Break(verdict) =
+            search(db, solutions, &comp, &mut chosen, &mut nodes, budget, token)
+        {
+            return verdict;
         }
     }
+    // Every component falsified: the witness reads the choices back over
+    // the live blocks, taking the first fact of each solution-free block.
     let witness: Vec<FactId> = db
         .block_ids()
         .map(|b| chosen[b.idx()].unwrap_or_else(|| db.block(b)[0]))
@@ -259,80 +151,98 @@ pub fn certain_brute_over(
     Some(BruteOutcome::NotCertain(repair))
 }
 
-/// Does picking fact `f` complete a solution against already-chosen facts?
-/// `chosen` is component-local; `local` maps global block indices into it
-/// (solution partners of `f` are always in `f`'s own component).
-fn conflicts(
-    db: &Database,
-    solutions: &SolutionSet,
-    local: &[u32],
-    chosen: &[Option<FactId>],
-    f: FactId,
-) -> bool {
-    if solutions.self_loop(f) {
-        return true;
-    }
-    solutions
-        .seconds_of(f)
-        .iter()
-        .chain(solutions.firsts_of(f))
-        .any(|&g| chosen[local[db.block_of(g).idx()] as usize] == Some(g))
+/// A block decision on the search stack: the block, its viable facts when
+/// it was chosen, and the next one to try.
+struct Decision {
+    block: BlockId,
+    cands: Vec<FactId>,
+    next: usize,
 }
 
-/// Why a search stopped before finishing.
-enum Interrupt {
-    /// The shared node budget ran out.
-    Budget,
-    /// The stop flag was raised by a sibling component.
-    Cancelled,
-}
-
-/// DFS with dynamic fail-first ordering: always branch on the undecided
-/// block with the fewest non-conflicting facts. Forced blocks (a single
-/// viable choice) propagate immediately and empty blocks prune — the
-/// backtracking analogue of unit propagation, which is what makes the
-/// Section 9 gadget databases (long forced chains) tractable when a
-/// falsifying repair exists.
+/// One component's backtracking search: depth-first with dynamic
+/// fail-first ordering, always branching on the undecided block with the
+/// fewest non-conflicting facts. Forced blocks (a single viable choice)
+/// propagate immediately and empty blocks prune — the backtracking
+/// analogue of unit propagation, which is what makes the Section 9
+/// gadget databases (long forced chains) tractable when a falsifying
+/// repair exists. Each candidate tried is one node of `nodes`, which
+/// spans the whole call.
 ///
-/// `Ok(true)` = falsifying choice found (left in `chosen`),
-/// `Ok(false)` = none exists, `Err` = out of budget or cancelled.
-#[allow(clippy::too_many_arguments)]
+/// `Continue` = a falsifying choice for every block of `blocks`, left in
+/// `chosen`. `Break` carries the call's answer: `Certain` when no
+/// falsifying choice exists (the component forces `q`),
+/// `BudgetExhausted`, or `None` when the token stopped the search.
 fn search(
     db: &Database,
     solutions: &SolutionSet,
     blocks: &[BlockId],
-    local: &[u32],
-    undecided: usize,
-    chosen: &mut Vec<Option<FactId>>,
-    nodes: &AtomicU64,
+    chosen: &mut [Option<FactId>],
+    nodes: &mut u64,
     budget: u64,
-    stop: &AtomicBool,
     token: &CancelToken,
-) -> Result<bool, Interrupt> {
-    if stop.load(Ordering::Relaxed) {
-        return Err(Interrupt::Cancelled);
+) -> ControlFlow<Option<BruteOutcome>> {
+    let mut stack: Vec<Decision> = Vec::new();
+    loop {
+        // Every decision on the stack holds a choice here.
+        if stack.len() == blocks.len() {
+            return ControlFlow::Continue(());
+        }
+        if let Some((block, cands)) = most_constrained(db, solutions, blocks, chosen) {
+            stack.push(Decision {
+                block,
+                cands,
+                next: 0,
+            });
+        }
+        // Try the next candidate of the innermost decision, undoing its
+        // previous one and backtracking out of exhausted ones.
+        loop {
+            let Some(top) = stack.last_mut() else {
+                return ControlFlow::Break(Some(BruteOutcome::Certain));
+            };
+            chosen[top.block.idx()] = None;
+            let Some(&f) = top.cands.get(top.next) else {
+                stack.pop();
+                continue;
+            };
+            top.next += 1;
+            *nodes += 1;
+            if *nodes > budget {
+                return ControlFlow::Break(Some(BruteOutcome::BudgetExhausted));
+            }
+            if *nodes % TOKEN_POLL_NODES == 0 && token.is_cancelled() {
+                return ControlFlow::Break(None);
+            }
+            chosen[top.block.idx()] = Some(f);
+            break;
+        }
     }
-    if undecided == 0 {
-        return Ok(true);
-    }
-    // Pick the most constrained undecided block.
+}
+
+/// The undecided block with the fewest viable facts, with those facts:
+/// the first forced block (one viable fact) in BFS order, else the
+/// first block of minimal choice. `None` when some undecided block has
+/// no viable fact left (a dead end).
+fn most_constrained(
+    db: &Database,
+    solutions: &SolutionSet,
+    blocks: &[BlockId],
+    chosen: &[Option<FactId>],
+) -> Option<(BlockId, Vec<FactId>)> {
     let mut best: Option<(BlockId, Vec<FactId>)> = None;
     for &b in blocks {
-        if chosen[local[b.idx()] as usize].is_some() {
+        if chosen[b.idx()].is_some() {
             continue;
         }
         let cands: Vec<FactId> = db
             .block(b)
             .iter()
             .copied()
-            .filter(|&f| !conflicts(db, solutions, local, chosen, f))
+            .filter(|&f| !conflicts(db, solutions, chosen, f))
             .collect();
         match cands.len() {
-            0 => return Ok(false), // dead end: some block is unfillable
-            1 => {
-                best = Some((b, cands));
-                break; // forced choice: propagate immediately
-            }
+            0 => return None,
+            1 => return Some((b, cands)),
             n => {
                 if best.as_ref().map_or(true, |(_, c)| n < c.len()) {
                     best = Some((b, cands));
@@ -340,40 +250,20 @@ fn search(
             }
         }
     }
-    let (b, cands) = best.expect("undecided > 0 implies an undecided block");
-    let bl = local[b.idx()] as usize;
-    for f in cands {
-        let spent = nodes.fetch_add(1, Ordering::Relaxed) + 1;
-        if spent > budget {
-            return Err(Interrupt::Budget);
-        }
-        // One deadline check per tranche of the shared node counter:
-        // raise the stop flag so sibling searches bail at their next
-        // entry poll instead of each waiting for its own tranche.
-        if spent % TOKEN_POLL_NODES == 0 && token.is_cancelled() {
-            stop.store(true, Ordering::Relaxed);
-            return Err(Interrupt::Cancelled);
-        }
-        chosen[bl] = Some(f);
-        match search(
-            db,
-            solutions,
-            blocks,
-            local,
-            undecided - 1,
-            chosen,
-            nodes,
-            budget,
-            stop,
-            token,
-        ) {
-            Ok(true) => return Ok(true),
-            Ok(false) => {}
-            Err(i) => return Err(i),
-        }
-        chosen[bl] = None;
+    best
+}
+
+/// Does picking fact `f` complete a solution against already-chosen
+/// facts?
+fn conflicts(db: &Database, solutions: &SolutionSet, chosen: &[Option<FactId>], f: FactId) -> bool {
+    if solutions.self_loop(f) {
+        return true;
     }
-    Ok(false)
+    solutions
+        .seconds_of(f)
+        .iter()
+        .chain(solutions.firsts_of(f))
+        .any(|&g| chosen[db.block_of(g).idx()] == Some(g))
 }
 
 /// `D ⊨ certain(q)` by backtracking search (unbounded budget).
@@ -396,9 +286,9 @@ mod tests {
     use cqa_query::examples;
 
     /// [`certain_brute_over`] on a fresh enumeration under a calm token.
-    fn brute_parallel(q: &Query, db: &Database, budget: u64, threads: usize) -> BruteOutcome {
+    fn brute_over(q: &Query, db: &Database, budget: u64) -> BruteOutcome {
         let solutions = SolutionSet::enumerate(q, db);
-        certain_brute_over(db, &solutions, budget, threads, &CancelToken::new())
+        certain_brute_over(db, &solutions, budget, &CancelToken::new())
             .expect("a calm token cannot cancel the search")
     }
 
@@ -514,56 +404,19 @@ mod tests {
         // Component 1 (inserted first → first in component order) needs
         // more than one node to search; component 2 forces q for free (a
         // self-loop kills its only block without consuming budget). The
-        // historical sequential solver reports BudgetExhausted because it
-        // never reaches component 2 — threads = 1 must preserve that.
+        // search reports BudgetExhausted because it never reaches
+        // component 2.
         let q = examples::q3();
         let d = db2(&[["a", "b"], ["a", "c"], ["b", "a"], ["b", "d"], ["z", "z"]]);
         assert!(matches!(
-            brute_parallel(&q, &d, 1, 1),
+            brute_over(&q, &d, 1),
             BruteOutcome::BudgetExhausted
         ));
-        // Unbounded, the forcing component decides it at every thread count.
-        for threads in [1, 2, 4] {
-            assert!(matches!(
-                brute_parallel(&q, &d, u64::MAX, threads),
-                BruteOutcome::Certain
-            ));
-        }
-    }
-
-    #[test]
-    fn parallel_matches_sequential_on_multi_component_db() {
-        let q = examples::q3();
-        // Three components: falsifiable, falsifiable, certain-free mix.
-        let falsifiable = db2(&[
-            ["a", "b"],
-            ["a", "x"],
-            ["b", "c"],
-            ["p", "q"],
-            ["p", "y"],
-            ["q", "r"],
-            ["z", "w"],
-        ]);
-        for threads in [1, 2, 4] {
-            match brute_parallel(&q, &falsifiable, u64::MAX, threads) {
-                BruteOutcome::NotCertain(r) => {
-                    let sols = SolutionSet::enumerate(&q, &falsifiable);
-                    assert!(
-                        !crate::solution::satisfies(&sols, r.facts()),
-                        "threads={threads}: merged witness must falsify q"
-                    );
-                }
-                other => panic!("threads={threads}: expected NotCertain, got {other:?}"),
-            }
-        }
-        // A certain database stays certain at every thread count.
-        let certain = db2(&[["a", "b"], ["b", "c"], ["p", "q"], ["p", "x"], ["q", "r"]]);
-        for threads in [1, 2, 4] {
-            assert!(matches!(
-                brute_parallel(&q, &certain, u64::MAX, threads),
-                BruteOutcome::Certain
-            ));
-        }
+        // Unbounded, the forcing component decides it.
+        assert!(matches!(
+            brute_over(&q, &d, u64::MAX),
+            BruteOutcome::Certain
+        ));
     }
 
     #[test]
@@ -574,14 +427,36 @@ mod tests {
         let raised = CancelToken::new();
         raised.cancel();
         let sols = SolutionSet::enumerate(&q, &d);
-        assert!(certain_brute_over(&d, &sols, u64::MAX, 1, &raised).is_none());
-        // A calm token reproduces the plain outcome at every thread count.
-        for threads in [1usize, 2, 4] {
-            let calm = CancelToken::new();
-            let got = certain_brute_over(&d, &sols, u64::MAX, threads, &calm)
-                .expect("a calm token cannot cancel the search");
-            assert!(matches!(got, BruteOutcome::NotCertain(_)), "{got:?}");
+        assert!(certain_brute_over(&d, &sols, u64::MAX, &raised).is_none());
+        // A calm token reproduces the plain outcome.
+        let calm = CancelToken::new();
+        let got = certain_brute_over(&d, &sols, u64::MAX, &calm)
+            .expect("a calm token cannot cancel the search");
+        assert!(matches!(got, BruteOutcome::NotCertain(_)), "{got:?}");
+    }
+
+    #[test]
+    fn a_long_forced_chain_needs_no_call_stack() {
+        // R(k_i | w_i w_i) and R(k_{i+1} | k_i w_i) under the coNP query
+        // R(y | v v) R(u | y v): block k_0 forces its first fact, which
+        // forces block k_1, and so on until block k_n has no viable fact.
+        // The search is one forced decision per link deep, so it must
+        // run on a stack that holds no frame per decision.
+        const LINKS: usize = 5_000;
+        let q = cqa_query::parse_query("R(y | v v) R(u | y v)").unwrap();
+        let mut d = Database::new(Signature::new(3, 1).unwrap());
+        for i in 0..LINKS {
+            let (k, w, next) = (format!("k{i}"), format!("w{i}"), format!("k{}", i + 1));
+            d.insert(Fact::from_names([&k, &w, &w])).unwrap();
+            d.insert(Fact::from_names([&next, &k, &w])).unwrap();
         }
+        let out = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || certain_brute_budgeted(&q, &d, u64::MAX))
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(out, BruteOutcome::Certain);
     }
 
     #[test]
@@ -603,9 +478,9 @@ mod tests {
         let solutions = SolutionSet::enumerate(&q, &d);
         let plan = component_block_orders(&d, &solutions);
         let support = crate::components::support_partition(&d, &solutions);
-        assert_eq!(plan.orders.len(), support.len());
-        assert_eq!(plan.orders.len(), 2);
-        let mut planned: Vec<Vec<BlockId>> = plan.orders.clone();
+        assert_eq!(plan.len(), support.len());
+        assert_eq!(plan.len(), 2);
+        let mut planned: Vec<Vec<BlockId>> = plan.clone();
         for order in &mut planned {
             order.sort_unstable();
         }

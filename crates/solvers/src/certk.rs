@@ -52,9 +52,7 @@ pub struct CertKConfig {
     pub node_budget: u64,
     /// Worker threads for the per-component fan-outs
     /// ([`certain_combined_over`](crate::certain_combined_over) and
-    /// [`certk_by_components`](crate::certk_by_components)); the engine
-    /// also passes it as the `threads` argument of
-    /// [`certain_brute_over`](crate::certain_brute_over). The fixpoint
+    /// [`certk_by_components`](crate::certk_by_components)). The fixpoint
     /// itself is sequential; this knob only controls how many components
     /// are decided concurrently. `1` preserves the fully sequential path
     /// (no threads spawned); the default is the host's available
@@ -62,10 +60,7 @@ pub struct CertKConfig {
     ///
     /// Fan-out results are identical across thread counts — each
     /// component gets this same configuration (including `node_budget`)
-    /// either way. The brute-force solver shares one budget across
-    /// components, so its verdict is thread-count independent only while
-    /// the budget is not exhausted; see
-    /// [`certain_brute_over`](crate::certain_brute_over).
+    /// either way.
     pub threads: usize,
 }
 

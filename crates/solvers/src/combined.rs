@@ -17,10 +17,10 @@
 //! in component order, so the result is identical across thread counts.
 
 use crate::certk::{certk_view, CertKConfig, CertKOutcome, CertKStats};
-use crate::components::{support_components, Component};
+use crate::components::support_components;
 use crate::matching::analyze_view;
 use crate::{CancelToken, SolutionSet};
-use cqa_model::Database;
+use cqa_model::{Database, DbView};
 use cqa_query::Query;
 
 /// How a component (or the whole database) was decided.
@@ -93,7 +93,7 @@ pub fn certain_combined(q: &Query, db: &Database, cfg: CertKConfig) -> CombinedR
 /// block derivation. See [`certk_by_components`] for the cancellation
 /// contract.
 pub fn certain_combined_over(
-    comps: &[Component<'_>],
+    comps: &[DbView<'_>],
     solutions: &SolutionSet,
     cfg: CertKConfig,
     token: &CancelToken,
@@ -117,7 +117,7 @@ pub fn certain_combined_over(
 /// finished before the token was observed cancelled, the full
 /// [`CombinedResult`] is returned even when the token has since expired.
 pub fn certk_by_components(
-    comps: &[Component<'_>],
+    comps: &[DbView<'_>],
     solutions: &SolutionSet,
     cfg: CertKConfig,
     token: &CancelToken,
@@ -131,7 +131,7 @@ pub fn certk_by_components(
 /// component sees the same configuration regardless of the thread count,
 /// and verdicts are emitted in component order.
 fn fan_out(
-    comps: &[Component<'_>],
+    comps: &[DbView<'_>],
     solutions: &SolutionSet,
     cfg: CertKConfig,
     token: &CancelToken,
@@ -150,7 +150,7 @@ fn fan_out(
             return Err(CertKStats::default());
         }
         if matching {
-            let analysis = analyze_view(&comp.view, solutions);
+            let analysis = analyze_view(comp, solutions);
             if analysis.is_clique_database {
                 return Ok(ComponentVerdict {
                     size: comp.len(),
@@ -161,7 +161,7 @@ fn fan_out(
                 });
             }
         }
-        let (out, stats) = certk_view(&comp.view, solutions, cfg, token)?;
+        let (out, stats) = certk_view(comp, solutions, cfg, token)?;
         Ok(ComponentVerdict {
             size: comp.len(),
             decided_by: DecidedBy::CertK,
@@ -222,7 +222,7 @@ mod tests {
 
     /// [`certk_by_components`] under a calm token.
     fn by_components(
-        comps: &[Component<'_>],
+        comps: &[DbView<'_>],
         solutions: &SolutionSet,
         cfg: CertKConfig,
     ) -> CombinedResult {

@@ -26,57 +26,17 @@
 //! [`SolutionSet`] restricted to the component's facts *is* the
 //! component's solution set. Per-component solvers therefore consume the
 //! view plus the global solutions directly; nothing is re-enumerated or
-//! `restrict`-copied. Materialise with [`Component::to_database`] only
+//! `restrict`-copied. Materialise with [`DbView::to_database`] only
 //! when an owned database is genuinely needed.
 
 use crate::SolutionSet;
 use cqa_graph::UnionFind;
-use cqa_model::{BlockId, Database, DbView, DeltaReport, FactId};
+use cqa_model::{BlockId, Database, DbView, DeltaReport};
 use cqa_query::Query;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-/// One q-connected component: a borrowed, block-aligned view into the
-/// parent database.
-#[derive(Clone, Debug)]
-pub struct Component<'a> {
-    /// The component as a copy-free view (parent fact/block ids).
-    pub view: DbView<'a>,
-}
-
-impl<'a> Component<'a> {
-    /// The component made of `blocks` of `db`.
-    pub fn of_blocks(db: &'a Database, blocks: impl IntoIterator<Item = BlockId>) -> Component<'a> {
-        Component {
-            view: db.view_of_blocks(blocks),
-        }
-    }
-
-    /// Number of facts in the component.
-    pub fn len(&self) -> usize {
-        self.view.len()
-    }
-
-    /// `true` iff the component holds no facts (never produced by the
-    /// partition, which only emits non-empty components).
-    pub fn is_empty(&self) -> bool {
-        self.view.is_empty()
-    }
-
-    /// The ids of the component's facts in the parent database.
-    pub fn original_facts(&self) -> &[FactId] {
-        self.view.fact_ids()
-    }
-
-    /// Materialise the component as a standalone database (fact ids are
-    /// **not** preserved). Only for consumers needing ownership; the
-    /// solvers work on [`Component::view`].
-    pub fn to_database(&self) -> Database {
-        self.view.to_database()
-    }
-}
-
 /// Partition `db` into q-connected components.
-pub fn q_connected_components<'a>(q: &Query, db: &'a Database) -> Vec<Component<'a>> {
+pub fn q_connected_components<'a>(q: &Query, db: &'a Database) -> Vec<DbView<'a>> {
     let solutions = SolutionSet::enumerate(q, db);
     q_connected_components_with_solutions(q, db, &solutions)
 }
@@ -88,7 +48,7 @@ pub fn q_connected_components_with_solutions<'a>(
     _q: &Query,
     db: &'a Database,
     solutions: &SolutionSet,
-) -> Vec<Component<'a>> {
+) -> Vec<DbView<'a>> {
     to_components(db, whole_partition(db, solutions))
 }
 
@@ -101,7 +61,7 @@ pub fn q_connected_components_if_fragmented<'a>(
     db: &'a Database,
     solutions: &SolutionSet,
     min_components: usize,
-) -> Option<Vec<Component<'a>>> {
+) -> Option<Vec<DbView<'a>>> {
     let groups = whole_partition(db, solutions);
     (groups.len() >= min_components).then(|| to_components(db, groups))
 }
@@ -113,7 +73,7 @@ pub fn support_partition(db: &Database, solutions: &SolutionSet) -> Vec<Vec<Bloc
 }
 
 /// [`support_partition`] as component views: what the solvers decide.
-pub fn support_components<'a>(db: &'a Database, solutions: &SolutionSet) -> Vec<Component<'a>> {
+pub fn support_components<'a>(db: &'a Database, solutions: &SolutionSet) -> Vec<DbView<'a>> {
     to_components(db, support_partition(db, solutions))
 }
 
@@ -123,10 +83,10 @@ fn whole_partition(db: &Database, solutions: &SolutionSet) -> Vec<Vec<BlockId>> 
     partition_pool(db, solutions, &live, true)
 }
 
-fn to_components(db: &Database, groups: Vec<Vec<BlockId>>) -> Vec<Component<'_>> {
+fn to_components(db: &Database, groups: Vec<Vec<BlockId>>) -> Vec<DbView<'_>> {
     groups
         .into_iter()
-        .map(|blocks| Component::of_blocks(db, blocks))
+        .map(|blocks| db.view_of_blocks(blocks))
         .collect()
 }
 
@@ -308,7 +268,7 @@ impl DynamicComponents {
 mod tests {
     use super::*;
     use crate::brute::certain_brute;
-    use cqa_model::{Fact, Signature};
+    use cqa_model::{Fact, FactId, Signature};
     use cqa_query::examples;
 
     fn db2(rows: &[[&str; 2]]) -> Database {
@@ -346,14 +306,14 @@ mod tests {
         let comps = q_connected_components(&examples::q3(), &d);
         let mut seen: Vec<FactId> = comps
             .iter()
-            .flat_map(|c| c.original_facts().iter().copied())
+            .flat_map(|c| c.fact_ids().iter().copied())
             .collect();
         seen.sort_unstable();
         let all: Vec<FactId> = d.fact_ids().collect();
         assert_eq!(seen, all);
         for c in &comps {
-            for &id in c.original_facts() {
-                assert_eq!(c.view.fact(id), d.fact(id));
+            for &id in c.fact_ids() {
+                assert_eq!(c.fact(id), d.fact(id));
             }
         }
     }
@@ -398,7 +358,7 @@ mod tests {
         assert_eq!(dynamic, scratch);
         let whole: Vec<Vec<cqa_model::BlockId>> = q_connected_components(q, db)
             .iter()
-            .map(|c| c.view.blocks().to_vec())
+            .map(|c| c.blocks().to_vec())
             .filter(|blocks| {
                 blocks
                     .iter()

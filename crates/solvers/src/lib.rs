@@ -3,8 +3,7 @@
 //! * [`SolutionSet`] — the solutions as join groups (`A_κ × B_κ` per
 //!   join key `κ`, never the pairs), built by a sort-merge join;
 //! * [`brute`] — the exponential baseline (backtracking over repairs, plus
-//!   a definitional exhaustive checker), with per-component parallel
-//!   fan-out;
+//!   a definitional exhaustive checker), deciding the components in order;
 //! * [`certk`](mod@certk) — the greedy fixpoint `Cert_k(q)` of Section 5;
 //! * [`matching`] — the bipartite-matching algorithm of Section 10.1;
 //! * [`components`] — the q-connected partition of Proposition 10.6,
@@ -30,14 +29,12 @@
 //! Proposition 10.6): [`certain_combined_over`] and
 //! [`certk_by_components`] share one fan-out and differ only in whether a
 //! clique-database component goes to `¬matching`. Components are
-//! independent, so the fan-outs and the brute force decide them
-//! concurrently on a scoped thread pool when [`CertKConfig::threads`] (or
-//! the `threads` argument of [`certain_brute_over`]) is above 1; `1`
-//! keeps the historical sequential path. Fan-out verdicts never depend on
-//! the thread count; brute-force verdicts don't either unless a finite
-//! node budget is exhausted mid-search (see [`certain_brute_over`]).
-//! The fan-outs decide every component, so the per-component evidence is
-//! complete and identical across thread counts.
+//! independent, so the fan-outs decide them concurrently on a scoped
+//! thread pool when [`CertKConfig::threads`] is above 1; `1` keeps the
+//! sequential path. The fan-outs decide every component, so the
+//! per-component evidence is complete and identical across thread
+//! counts. The brute force decides the components one after another and
+//! stops at the first that forces `q`.
 //!
 //! The first-order one-atom case of Section 2 needs none of them: its
 //! one entry, [`certain_one_atom`] (a view, the query and a
@@ -75,7 +72,7 @@ pub use combined::{
     CombinedResult, DecidedBy,
 };
 pub use components::{
-    q_connected_components, support_components, support_partition, Component, ComponentDeltaReport,
+    q_connected_components, support_components, support_partition, ComponentDeltaReport,
     DynamicComponents,
 };
 pub use matching::{

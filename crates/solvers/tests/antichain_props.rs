@@ -14,10 +14,9 @@
 //! * The engine's component route (`certk_by_components`) must agree with
 //!   the literal whole-database fixpoint (Proposition 10.6).
 
-use cqa_model::{Database, Elem, Fact, FactId, Signature};
+use cqa_model::{Database, DbView, Elem, Fact, FactId, Signature};
 use cqa_query::examples;
 use cqa_solvers::certk::reference::{certk_reference, NaiveAntichain};
-use cqa_solvers::components::Component;
 use cqa_solvers::{
     certain_brute, certk, Antichain, CancelToken, CertKConfig, CombinedResult, SolutionSet,
 };
@@ -179,7 +178,7 @@ proptest! {
 
 /// `cqa_solvers::certk_by_components` under a calm token.
 fn certk_by_components(
-    comps: &[Component<'_>],
+    comps: &[DbView<'_>],
     solutions: &SolutionSet,
     cfg: CertKConfig,
 ) -> CombinedResult {

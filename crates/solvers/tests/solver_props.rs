@@ -5,9 +5,9 @@
 use cqa_model::{Database, Elem, Fact, FactId, Signature};
 use cqa_query::{examples, is_solution, Query};
 use cqa_solvers::{
-    certain_brute, certain_brute_budgeted, certain_brute_over, certain_by_matching,
-    certain_combined, certain_exhaustive, certk, q_connected_components, BruteOutcome, CancelToken,
-    CertKConfig, IncrementalSolutions, SolutionSet,
+    certain_brute, certain_brute_budgeted, certain_by_matching, certain_combined,
+    certain_exhaustive, certk, q_connected_components, BruteOutcome, CancelToken, CertKConfig,
+    IncrementalSolutions, SolutionSet,
 };
 use cqa_workloads::{random_query, QueryGenConfig};
 use proptest::prelude::*;
@@ -283,7 +283,7 @@ proptest! {
         // Original fact ids cover everything exactly once.
         let mut seen = std::collections::HashSet::new();
         for c in &comps {
-            for &id in c.original_facts() {
+            for &id in c.fact_ids() {
                 prop_assert!(seen.insert(id));
             }
         }
@@ -302,8 +302,8 @@ proptest! {
         prop_assert_eq!(whole, some);
         let sols = SolutionSet::enumerate(&q, &db);
         for c in &comps {
-            let on_view = !cqa_solvers::analyze_view(&c.view, &sols).accepts
-                || cqa_solvers::certk_view(&c.view, &sols, CertKConfig::new(2), &CancelToken::new())
+            let on_view = !cqa_solvers::analyze_view(c, &sols).accepts
+                || cqa_solvers::certk_view(c, &sols, CertKConfig::new(2), &CancelToken::new())
                     .expect("a calm token cannot cancel")
                     .0
                     .is_certain();
@@ -335,32 +335,13 @@ proptest! {
     }
 
     #[test]
-    fn brute_parallel_agrees_with_sequential(db in q3_db_strategy()) {
-        let q = examples::q3();
-        let seq = certain_brute(&q, &db);
-        let sols = SolutionSet::enumerate(&q, &db);
-        match certain_brute_over(&db, &sols, u64::MAX, 4, &CancelToken::new())
-            .expect("a calm token cannot cancel")
-        {
-            BruteOutcome::Certain => prop_assert!(seq),
-            BruteOutcome::NotCertain(r) => {
-                prop_assert!(!seq);
-                // The merged multi-component witness really falsifies q.
-                let sols = SolutionSet::enumerate(&q, &db);
-                prop_assert!(!cqa_solvers::solution::satisfies(&sols, r.facts()));
-            }
-            BruteOutcome::BudgetExhausted => prop_assert!(false, "unbounded run exhausted"),
-        }
-    }
-
-    #[test]
     fn solutions_never_cross_components(db in q6_db_strategy()) {
         let q = examples::q6();
         let sols = SolutionSet::enumerate(&q, &db);
         let comps = q_connected_components(&q, &db);
         let mut comp_of = std::collections::HashMap::new();
         for (ci, c) in comps.iter().enumerate() {
-            for &id in c.original_facts() {
+            for &id in c.fact_ids() {
                 comp_of.insert(id, ci);
             }
         }

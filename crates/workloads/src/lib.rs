@@ -278,7 +278,7 @@ pub fn q6_cert2_breaker_alt() -> Database {
 /// Component `i` draws its elements from a tag private to `(m, i)`, so
 /// the solution graph splits into exactly `m` q-connected components and
 /// each is decided independently — the shape that rewards fanning
-/// `certain_combined` / brute force out over threads. Total facts:
+/// `certain_combined` out over threads. Total facts:
 /// `m/2` certain chains of `len` facts + `m - m/2` escape chains of
 /// `2·len` facts.
 pub fn q3_multi_component_db(m: usize, len: usize) -> Database {

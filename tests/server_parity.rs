@@ -120,7 +120,7 @@ fn expected_for(db_path: &str) -> Expected {
                 .to_string()
         })
         .collect();
-    let falsify_stdout = cmd_falsify(CERTAIN_QUERIES[0], &db, FALSIFY_BUDGET, Some(1), false)
+    let falsify_stdout = cmd_falsify(CERTAIN_QUERIES[0], &db, FALSIFY_BUDGET, false)
         .unwrap()
         .stdout;
     Expected {
@@ -535,7 +535,7 @@ fn signature_mismatch_text_matches_the_cli_for_certain_falsify_and_batch() {
     let wire = wire_message(&[&addr, "certain", db_path, wrong], "signature-mismatch");
     assert_eq!(wire, cli.message, "certain");
 
-    let cli = cmd_falsify(wrong, &db, FALSIFY_BUDGET, Some(1), false).unwrap_err();
+    let cli = cmd_falsify(wrong, &db, FALSIFY_BUDGET, false).unwrap_err();
     let wire = wire_message(&[&addr, "falsify", db_path, wrong], "signature-mismatch");
     assert_eq!(wire, cli.message, "falsify");
 
@@ -589,7 +589,7 @@ fn falsify_deadline_cancels_the_brute_force_search_mid_tranche() {
     // Reference: the uncancelled search, timed. It must dwarf the
     // deadline below for the cancellation to land mid-search.
     let t0 = Instant::now();
-    let want = cmd_falsify(Q2, &db, BUDGET, Some(1), false).unwrap().stdout;
+    let want = cmd_falsify(Q2, &db, BUDGET, false).unwrap().stdout;
     let uncancelled = t0.elapsed();
     assert!(
         uncancelled >= Duration::from_millis(100),
