@@ -133,7 +133,7 @@ pub fn threads_flag(flags: &mut Flags) -> Result<Option<usize>, CliError> {
     }
 }
 
-/// `--route auto|literal|component` (`certain`, `batch`, `update`):
+/// `--route auto|literal|component` (`certain`, `batch`):
 /// forces the engine's literal-vs-component evaluation route for PTime
 /// `Cert_k` queries instead of the size/fragmentation heuristic.
 pub fn route_flag(flags: &mut Flags) -> Result<Option<RoutePolicy>, CliError> {
@@ -321,7 +321,7 @@ pub fn cmd_batch(
 }
 
 /// `cqa update <db-file> <deltas-file> <queries-file> [--threads N]
-/// [--route R] [--recompute] [--stats]`: apply a delta script to a
+/// [--recompute] [--stats]`: apply a delta script to a
 /// database and answer a queries file on the result.
 ///
 /// By default the queries are answered **incrementally**: they are
@@ -343,7 +343,6 @@ pub fn cmd_update(
     deltas_text: &str,
     queries_text: &str,
     threads: Option<usize>,
-    route: Option<RoutePolicy>,
     recompute: bool,
     want_stats: bool,
 ) -> Result<CmdOut, CliError> {
@@ -352,7 +351,7 @@ pub fn cmd_update(
     // Every query is parsed before any is solved, so malformed input
     // fails identically on both modes.
     let queries = parse_queries_for(queries_text, db.signature()).map_err(CliError::new)?;
-    let config = engine_config(threads, route);
+    let config = engine_config(threads, None);
     let mut out = String::new();
     let mut err = String::new();
     let started = std::time::Instant::now();
@@ -684,7 +683,7 @@ USAGE:
   cqa falsify  \"<query>\" <db-file> [node-budget] [--stats]
   cqa batch    <db-file> <queries-file> [--threads N] [--route R] [--stats]
   cqa update   <db-file> <deltas-file> <queries-file> [--threads N]
-               [--route R] [--recompute] [--stats]
+               [--recompute] [--stats]
   cqa generate [--facts N] [--inconsistency R] [--min-width A] [--max-width B]
                [--chain-len L] [--seed S] [--contested-width W]
                [--certain-fraction F] [--skew FAMILY] [--threads N] <out-file>
@@ -719,7 +718,7 @@ OPTIONS:          Flags follow the command word, in any order among its
                   `--name=v`. A flag the command does not take is an error.
                   --threads N   solver / generator / server threads
                                 (default: available parallelism; 1 = sequential)
-                  --route R     certain/batch/update: auto | literal | component —
+                  --route R     certain/batch: auto | literal | component —
                                 whole-database Cert_k vs per-component fan-out
                                 (default auto: component on large fragmented DBs)
                   --stats       certain/falsify/batch/update/serve:
@@ -1222,8 +1221,8 @@ R(x | y) R(x | z)
         // queries so both cache entries get patched.
         let deltas = "# grow then shrink\n+ R(dave | emma)\n- R(alice | carol)\n";
         let queries = "R(x | y) R(y | z)\n# comment\nR(x | y) R(z | y)\n";
-        let inc = cmd_update(db(DB), deltas, queries, None, None, false, true).unwrap();
-        let rec = cmd_update(db(DB), deltas, queries, None, None, true, false).unwrap();
+        let inc = cmd_update(db(DB), deltas, queries, None, false, true).unwrap();
+        let rec = cmd_update(db(DB), deltas, queries, None, true, false).unwrap();
         assert_eq!(
             inc.stdout, rec.stdout,
             "incremental and from-scratch verdicts must be byte-identical"
@@ -1231,36 +1230,19 @@ R(x | y) R(x | z)
         assert_eq!(inc.stdout.lines().count(), 2, "{}", inc.stdout);
         assert!(inc.stderr.contains("mode=incremental"), "{}", inc.stderr);
         assert!(inc.stderr.contains("delta-applied=1"), "{}", inc.stderr);
-        // Forced routes agree too (the incremental path is
-        // component-shaped regardless; only verdicts must match).
-        for route in [RoutePolicy::Literal, RoutePolicy::Component] {
-            let routed =
-                cmd_update(db(DB), deltas, queries, None, Some(route), false, false).unwrap();
-            assert_eq!(routed.stdout, rec.stdout, "{route:?}");
-        }
     }
 
     #[test]
     fn update_rejects_bad_inputs_with_positions() {
-        let e = cmd_update(db(DB), "# nothing\n", Q3, None, None, false, false).unwrap_err();
+        let e = cmd_update(db(DB), "# nothing\n", Q3, None, false, false).unwrap_err();
         assert!(e.message.contains("no operations"), "{e}");
-        let e = cmd_update(db(DB), "+ nope\n", Q3, None, None, false, false).unwrap_err();
+        let e = cmd_update(db(DB), "+ nope\n", Q3, None, false, false).unwrap_err();
         assert!(e.message.contains("delta line 1"), "{e}");
-        let e = cmd_update(db(DB), "+ R(a b |)\n", Q3, None, None, false, false).unwrap_err();
+        let e = cmd_update(db(DB), "+ R(a b |)\n", Q3, None, false, false).unwrap_err();
         assert!(e.message.contains("key length 2"), "{e}");
-        let e =
-            cmd_update(db(DB), "+ R(a | b)\n", "# none\n", None, None, false, false).unwrap_err();
+        let e = cmd_update(db(DB), "+ R(a | b)\n", "# none\n", None, false, false).unwrap_err();
         assert!(e.message.contains("no queries"), "{e}");
-        let e = cmd_update(
-            db(DB),
-            "+ R(a | b)\n",
-            "nonsense\n",
-            None,
-            None,
-            false,
-            false,
-        )
-        .unwrap_err();
+        let e = cmd_update(db(DB), "+ R(a | b)\n", "nonsense\n", None, false, false).unwrap_err();
         assert!(e.message.contains("queries line 1"), "{e}");
     }
 }

@@ -59,7 +59,6 @@ fn run(args: &[&str]) -> Result<CmdOut, CliError> {
         }
         "update" => {
             let threads = threads_flag(&mut flags)?;
-            let route = route_flag(&mut flags)?;
             // `--recompute` switches to the from-scratch oracle mode;
             // the CI delta smoke diffs its stdout against the default
             // incremental mode.
@@ -75,7 +74,6 @@ fn run(args: &[&str]) -> Result<CmdOut, CliError> {
                 &read_file(deltas_file)?,
                 &read_file(queries_file)?,
                 threads,
-                route,
                 recompute,
                 want_stats,
             )

@@ -140,11 +140,14 @@ fn batch_agrees_with_single_shot_invocations_through_the_binary() {
             .expect("single-shot report has a certain: line");
         single.push(verdict);
     }
-    // Removed flags (batch --early-exit, falsify --threads) are rejected
-    // as unknown options, not silently ignored.
+    // Removed flags (batch --early-exit, falsify --threads, update
+    // --route) are rejected as unknown options, not silently ignored.
     for args in [
         &["batch", db_path, qfile_path, "--early-exit"][..],
         &["falsify", queries[0], db_path, "--threads", "2"],
+        &[
+            "update", db_path, qfile_path, qfile_path, "--route", "literal",
+        ],
     ] {
         let (_, stderr, code) = cqa(args);
         assert_ne!(code, Some(0), "{args:?} was accepted: {stderr}");

@@ -5,24 +5,26 @@
 //! atom) it is one flag per block, "non-empty and every fact `f` has
 //! `q(f f)`", plus the count of set flags: the query is certain iff the
 //! count is positive (`cqa_solvers::one_atom`), and a delta rechecks only
-//! the blocks it touched. For the other PTime classes it is the
-//! incremental solution set, the dynamic q-connected partition of the
-//! solution *support*, and one verdict per component. A solution-free
-//! block is in no component (Proposition 10.6: it is never certain), so a
-//! query with no solution keeps none. After a delta, only the *dirty
-//! region* is re-solved:
+//! the blocks it touched. For the other PTime classes it is the solution
+//! set (patched in place by each delta), the dynamic q-connected
+//! partition of the solution *support*, and one verdict per component.
+//! A solution-free block is in no component (Proposition 10.6: it is
+//! never certain), so a query with no solution keeps none. After a delta,
+//! only the *dirty region* is re-solved:
 //!
 //! * components the delta never touched keep their verdicts verbatim
 //!   (their fact sets are literally identical — fact ids are stable under
 //!   [`Database::apply_delta`], so an untouched component's view is
 //!   bit-for-bit the view the cached verdict was computed on);
-//! * components rebuilt from the dirty region are solved from scratch,
-//!   exactly as [`QueryDeltaState::new`] solves every component.
+//! * components rebuilt from the dirty region are solved from scratch by
+//!   [`decide_component`], as [`QueryDeltaState::new`] and the engine's
+//!   cold fan-out solve every component.
 //!
 //! The database itself is **certain iff some component is**
-//! (Proposition 10.6), so [`QueryDeltaState::answer`] synthesises a
-//! [`CertainAnswer`] from the per-component verdicts without touching the
-//! clean region at all. coNP-complete queries have no incremental story
+//! (Proposition 10.6), so [`QueryDeltaState::answer`] reads the
+//! [`CertainAnswer`] off running totals of the per-component verdicts,
+//! the fold the engine's cold component solves use too, without
+//! touching the clean region at all. coNP-complete queries have no incremental story
 //! (the brute force keeps no reusable evidence) — [`QueryDeltaState::new`]
 //! returns `None` for them and callers fall back to a full re-solve.
 //!
@@ -31,15 +33,14 @@
 //! (`crates/core/tests/delta_props.rs`, the `deltadiff` fuzz target)
 //! compare it against a from-scratch recompute after every step.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use crate::classify::Complexity;
-use crate::engine::{AnsweredBy, CertainAnswer, CqaEngine};
+use crate::engine::{AnsweredBy, CertainAnswer, CqaEngine, VerdictTotals};
 use cqa_model::{BlockId, Database, DeltaReport};
 use cqa_query::Query;
 use cqa_solvers::{
-    certain_combined_over, certk_by_components, CancelToken, CertKStats, DynamicComponents,
-    IncrementalSolutions, OneAtomPlan, SolutionSet,
+    decide_component, CancelToken, ComponentVerdict, DynamicComponents, OneAtomPlan, SolutionSet,
 };
 
 /// Counters for the incremental path, aggregated by sessions and servers.
@@ -68,91 +69,14 @@ impl DeltaStats {
     }
 }
 
-/// A cached per-component verdict.
-#[derive(Clone, Debug)]
-struct CompVerdict {
-    certain: bool,
-    budget_exhausted: bool,
-    stats: Option<CertKStats>,
-}
-
-/// Running aggregates over a state's component verdicts, updated as
-/// verdicts come and go so that [`QueryDeltaState::answer`] is O(1)
-/// rather than a fold over every component.
-#[derive(Clone, Debug, Default)]
-struct VerdictTotals {
-    certain: usize,
-    budget_exhausted: usize,
-    /// Field sums of the verdicts' `CertKStats`; `peak_members` stays 0.
-    sums: CertKStats,
-    /// Multiset of their `peak_members` (value → count), for the max;
-    /// empty iff no verdict carries stats.
-    peaks: BTreeMap<usize, usize>,
-}
-
-impl VerdictTotals {
-    fn add(&mut self, v: &CompVerdict) {
-        self.certain += usize::from(v.certain);
-        self.budget_exhausted += usize::from(v.budget_exhausted);
-        if let Some(s) = &v.stats {
-            self.sums.absorb(&CertKStats {
-                peak_members: 0,
-                ..*s
-            });
-            *self.peaks.entry(s.peak_members).or_default() += 1;
-        }
-    }
-
-    fn remove(&mut self, v: &CompVerdict) {
-        self.certain -= usize::from(v.certain);
-        self.budget_exhausted -= usize::from(v.budget_exhausted);
-        if let Some(s) = &v.stats {
-            // Exhaustive, so a new `CertKStats` field cannot be missed.
-            let CertKStats {
-                rounds,
-                inserted,
-                steps,
-                peak_members,
-                stale_compacted,
-                blocks_derived,
-                blocks_skipped,
-            } = *s;
-            self.sums.rounds -= rounds;
-            self.sums.inserted -= inserted;
-            self.sums.steps -= steps;
-            self.sums.stale_compacted -= stale_compacted;
-            self.sums.blocks_derived -= blocks_derived;
-            self.sums.blocks_skipped -= blocks_skipped;
-            let count = self
-                .peaks
-                .get_mut(&peak_members)
-                .expect("a removed verdict was added");
-            *count -= 1;
-            if *count == 0 {
-                self.peaks.remove(&peak_members);
-            }
-        }
-    }
-
-    /// The summed stats, as `CertKStats::absorb` folded over every
-    /// verdict would give them; `None` when no verdict carries stats.
-    fn stats(&self) -> Option<CertKStats> {
-        let (&peak_members, _) = self.peaks.last_key_value()?;
-        Some(CertKStats {
-            peak_members,
-            ..self.sums
-        })
-    }
-}
-
 /// Per-query incremental cache, patched in `O(dirty region)` per
 /// [`Database::apply_delta`].
 ///
 /// The state does not own the database; callers must feed
 /// [`QueryDeltaState::apply`] the post-delta database and the
 /// [`DeltaReport`] of the *same* `apply_delta` call, in order. Skipping or
-/// reordering reports desynchronises the cache (debug assertions in the
-/// incremental solution index catch most misuse).
+/// reordering reports desynchronises the cache (assertions in
+/// [`SolutionSet::apply_delta`] catch most misuse).
 #[derive(Clone, Debug)]
 pub struct QueryDeltaState {
     engine: CqaEngine,
@@ -206,50 +130,31 @@ impl ForcingBlocks {
 /// The component cache of the `Cert_k` and Theorem 10.5 classes.
 #[derive(Clone, Debug)]
 struct ComponentVerdicts {
-    solutions: IncrementalSolutions,
+    solutions: SolutionSet,
     comps: DynamicComponents,
-    verdicts: HashMap<u32, CompVerdict>,
+    verdicts: HashMap<u32, ComponentVerdict>,
     totals: VerdictTotals,
 }
 
 impl ComponentVerdicts {
-    /// Record component `id`'s verdict in the map and the totals.
-    fn put_verdict(&mut self, id: u32, v: CompVerdict) {
+    /// Solve component `id` from scratch, as the cold fan-out does: by
+    /// the Theorem 10.5 combination for `PTimeCombined`, by `Cert_k`
+    /// otherwise. Records its verdict, replacing any earlier one, and
+    /// returns its block count.
+    fn solve(&mut self, engine: &CqaEngine, db: &Database, id: u32) -> u64 {
+        let v = decide_component(
+            &self.comps.view_of(db, id),
+            &self.solutions,
+            engine.config().certk,
+            &CancelToken::new(),
+            engine.classification().complexity == Complexity::PTimeCombined,
+        )
+        .expect("a never-raised token cannot cancel a component");
         self.totals.add(&v);
         if let Some(old) = self.verdicts.insert(id, v) {
             self.totals.remove(&old);
         }
-    }
-
-    /// Drop component `id`'s verdict from the map and the totals.
-    fn drop_verdict(&mut self, id: u32) {
-        if let Some(v) = self.verdicts.remove(&id) {
-            self.totals.remove(&v);
-        }
-    }
-
-    /// Solve one component from scratch, per the classification: the
-    /// Theorem 10.5 combination for `PTimeCombined`, `Cert_k` otherwise.
-    fn solve(&self, engine: &CqaEngine, db: &Database, id: u32) -> CompVerdict {
-        let comp = [self.comps.view_of(db, id)];
-        let solve = if engine.classification().complexity == Complexity::PTimeCombined {
-            certain_combined_over
-        } else {
-            certk_by_components
-        };
-        let res = solve(
-            &comp,
-            self.solutions.solutions(),
-            engine.config().certk,
-            &CancelToken::new(),
-        )
-        .expect("a never-raised token cannot cancel the fan-out");
-        let v = &res.components[0];
-        CompVerdict {
-            certain: v.certain,
-            budget_exhausted: v.budget_exhausted,
-            stats: v.stats,
-        }
+        self.comps.blocks_of(id).len() as u64
     }
 }
 
@@ -262,71 +167,49 @@ impl QueryDeltaState {
     }
 
     /// Build the cache for `db`: one block scan for a `Trivial` query, a
-    /// from-scratch solve of every support component otherwise. Returns
-    /// `None` when the class is unsupported ([`QueryDeltaState::supports`]).
-    pub fn new(engine: CqaEngine, db: &Database) -> Option<QueryDeltaState> {
-        QueryDeltaState::build(engine, db, |q| IncrementalSolutions::new(q, db)).map(|(s, _)| s)
-    }
-
-    /// [`QueryDeltaState::new`] for the database `db` that a delta made,
-    /// given the delta's `report` and, if one is cached, `solutions`, a
-    /// [`SolutionSet::enumerate`] on the database before it: the
-    /// enumeration is patched, not redone. Also returns the blocks the
-    /// build solved, which count as reseeded by this delta: every block
-    /// of the solution support, or every live block for a `Trivial`
-    /// query.
-    pub(crate) fn after_delta(
+    /// from-scratch solve of every support component otherwise, over
+    /// `solutions` when given (the query's solution set on `db`, such as a
+    /// cached one patched by [`SolutionSet::apply_delta`]) and a fresh
+    /// enumeration when not. Returns `None` when the class is unsupported
+    /// ([`QueryDeltaState::supports`]).
+    pub fn new(
         engine: CqaEngine,
+        db: &Database,
         solutions: Option<SolutionSet>,
-        db: &Database,
-        report: &DeltaReport,
-    ) -> Option<(QueryDeltaState, u64)> {
-        QueryDeltaState::build(engine, db, |q| match solutions {
-            Some(solutions) => {
-                let mut inc = IncrementalSolutions::from_enumeration(q, solutions);
-                inc.apply_delta(db, report);
-                inc
-            }
-            None => IncrementalSolutions::new(q, db),
-        })
-    }
-
-    /// The cache and the number of blocks it solved.
-    fn build(
-        engine: CqaEngine,
-        db: &Database,
-        solutions: impl FnOnce(&Query) -> IncrementalSolutions,
-    ) -> Option<(QueryDeltaState, u64)> {
+    ) -> Option<QueryDeltaState> {
         if !QueryDeltaState::supports(&engine) {
             return None;
         }
-        if engine.classification().complexity == Complexity::Trivial {
-            let blocks = ForcingBlocks::new(engine.query(), db);
-            let state = QueryDeltaState {
-                engine,
-                tracked: Tracked::Blocks(blocks),
+        let tracked = if engine.classification().complexity == Complexity::Trivial {
+            Tracked::Blocks(ForcingBlocks::new(engine.query(), db))
+        } else {
+            let solutions = solutions.unwrap_or_else(|| SolutionSet::enumerate(engine.query(), db));
+            let mut cv = ComponentVerdicts {
+                comps: DynamicComponents::new(db, &solutions),
+                solutions,
+                verdicts: HashMap::new(),
+                totals: VerdictTotals::default(),
             };
-            return Some((state, db.block_count() as u64));
-        }
-        let solutions = solutions(engine.query());
-        let comps = DynamicComponents::new(db, solutions.solutions());
-        let mut cv = ComponentVerdicts {
-            solutions,
-            comps,
-            verdicts: HashMap::new(),
-            totals: VerdictTotals::default(),
+            for id in cv.comps.ids().collect::<Vec<_>>() {
+                cv.solve(&engine, db, id);
+            }
+            Tracked::Components(Box::new(cv))
         };
-        let mut solved = 0;
-        for id in cv.comps.ids().collect::<Vec<_>>() {
-            solved += cv.comps.blocks_of(id).len() as u64;
-            let v = cv.solve(&engine, db, id);
-            cv.put_verdict(id, v);
+        Some(QueryDeltaState { engine, tracked })
+    }
+
+    /// The blocks a fresh [`QueryDeltaState::new`] on `db` solved: every
+    /// live block for a `Trivial` query, every block of the solution
+    /// support otherwise.
+    pub(crate) fn blocks_solved(&self, db: &Database) -> u64 {
+        match &self.tracked {
+            Tracked::Blocks(_) => db.block_count() as u64,
+            Tracked::Components(cv) => cv
+                .comps
+                .ids()
+                .map(|id| cv.comps.blocks_of(id).len() as u64)
+                .sum(),
         }
-        let state = QueryDeltaState {
-            engine,
-            tracked: Tracked::Components(Box::new(cv)),
-        };
-        Some((state, solved))
     }
 
     /// The engine (query, classification, config) this cache answers for.
@@ -366,9 +249,11 @@ impl QueryDeltaState {
             Tracked::Components(cv) => cv,
         };
         cv.solutions.apply_delta(db, report);
-        let creport = cv.comps.apply(db, cv.solutions.solutions(), report);
-        for &c in &creport.dropped {
-            cv.drop_verdict(c);
+        let creport = cv.comps.apply(db, &cv.solutions, report);
+        for c in &creport.dropped {
+            if let Some(v) = cv.verdicts.remove(c) {
+                cv.totals.remove(&v);
+            }
         }
         let mut step = DeltaStats {
             delta_applied: 1,
@@ -376,9 +261,7 @@ impl QueryDeltaState {
             verdicts_retained: creport.retained as u64,
         };
         for &id in &creport.created {
-            step.blocks_reseeded += cv.comps.blocks_of(id).len() as u64;
-            let v = cv.solve(&self.engine, db, id);
-            cv.put_verdict(id, v);
+            step.blocks_reseeded += cv.solve(&self.engine, db, id);
         }
         step
     }
@@ -397,16 +280,13 @@ impl QueryDeltaState {
                 certk_stats: None,
                 components: None,
             },
-            Tracked::Components(cv) => CertainAnswer {
-                certain: cv.totals.certain > 0,
-                answered_by: match self.engine.classification().complexity {
-                    Complexity::PTimeCombined => AnsweredBy::Combined,
-                    _ => AnsweredBy::ComponentCertK,
-                },
-                budget_exhausted: cv.totals.budget_exhausted > 0,
-                certk_stats: cv.totals.stats(),
-                components: Some(cv.comps.len()),
-            },
+            Tracked::Components(cv) => {
+                cv.totals
+                    .answer(match self.engine.classification().complexity {
+                        Complexity::PTimeCombined => AnsweredBy::Combined,
+                        _ => AnsweredBy::ComponentCertK,
+                    })
+            }
         }
     }
 }
@@ -414,8 +294,10 @@ impl QueryDeltaState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{EngineConfig, RoutePolicy};
     use cqa_model::{Fact, Signature};
     use cqa_query::examples;
+    use cqa_solvers::CertKStats;
 
     fn db2(rows: &[[&str; 2]]) -> Database {
         let mut db = Database::new(Signature::new(2, 1).unwrap());
@@ -431,10 +313,15 @@ mod tests {
 
     /// Drive a script of deltas through one `QueryDeltaState`, checking
     /// the incremental verdict against a from-scratch engine solve after
-    /// every step.
+    /// every step, and the whole carried answer against a cold solve on
+    /// the component route.
     fn check_script(engine: CqaEngine, mut db: Database, script: &[(Vec<Fact>, Vec<Fact>)]) {
+        let cold = CqaEngine::with_config(
+            engine.query().clone(),
+            EngineConfig::default().with_route(RoutePolicy::Component),
+        );
         let mut state =
-            QueryDeltaState::new(engine.clone(), &db).expect("PTime classes support deltas");
+            QueryDeltaState::new(engine.clone(), &db, None).expect("PTime classes support deltas");
         assert_eq!(
             state.answer().certain,
             engine.certain(&db).certain,
@@ -446,6 +333,16 @@ mod tests {
             let want = engine.certain(&db).certain;
             let got = state.answer().certain;
             assert_eq!(got, want, "step {i}: incremental vs recompute");
+            let (got, want) = (state.answer(), cold.certain(&db));
+            assert_eq!(got.certain, want.certain, "step {i}: certain");
+            assert_eq!(got.budget_exhausted, want.budget_exhausted, "step {i}");
+            assert_eq!(got.certk_stats, want.certk_stats, "step {i}: stats");
+            // The engine's no-solution exit reports `Cert_k` and no
+            // component count.
+            if !SolutionSet::enumerate(engine.query(), &db).is_empty() {
+                assert_eq!(got.answered_by, want.answered_by, "step {i}");
+                assert_eq!(got.components, want.components, "step {i}");
+            }
         }
     }
 
@@ -497,7 +394,7 @@ mod tests {
     #[test]
     fn running_totals_equal_a_fresh_fold_after_every_step() {
         let mut db = db2(&[["a", "b"], ["b", "c"], ["p", "q"], ["p", "x"], ["z", "z"]]);
-        let mut state = QueryDeltaState::new(CqaEngine::new(examples::q3()), &db).unwrap();
+        let mut state = QueryDeltaState::new(CqaEngine::new(examples::q3()), &db, None).unwrap();
         let script = [
             (vec![f2("c", "d"), f2("m", "n")], vec![]),
             (vec![f2("a", "z")], vec![f2("z", "z")]),
@@ -538,7 +435,7 @@ mod tests {
     fn untouched_components_keep_their_verdicts() {
         let engine = CqaEngine::new(examples::q3());
         let mut db = db2(&[["a", "b"], ["b", "c"], ["p", "q"], ["x", "y"]]);
-        let mut state = QueryDeltaState::new(engine.clone(), &db).unwrap();
+        let mut state = QueryDeltaState::new(engine.clone(), &db, None).unwrap();
         // Only the a→b→c chain holds a solution; p→q and x→y are in no
         // component.
         assert_eq!(state.components(), Some(1));
@@ -558,7 +455,7 @@ mod tests {
         let engine = CqaEngine::new(q);
         assert_eq!(engine.classification().complexity, Complexity::Trivial);
         let mut db = db2(&[["a", "a"], ["a", "b"], ["c", "d"]]);
-        let mut state = QueryDeltaState::new(engine.clone(), &db).unwrap();
+        let mut state = QueryDeltaState::new(engine.clone(), &db, None).unwrap();
         assert_eq!(state.components(), None);
         assert!(!state.answer().certain);
 
@@ -595,7 +492,7 @@ mod tests {
         for w in names.windows(2) {
             db.insert(f2(&w[0], &w[1])).unwrap();
         }
-        let mut state = QueryDeltaState::new(engine.clone(), &db).unwrap();
+        let mut state = QueryDeltaState::new(engine.clone(), &db, None).unwrap();
         assert_eq!(state.components(), Some(0));
         assert!(!state.answer().certain);
         assert_eq!(state.answer().certk_stats, None);
@@ -627,14 +524,14 @@ mod tests {
         assert!(!QueryDeltaState::supports(&engine));
         let mut db = Database::new(Signature::new(4, 2).unwrap());
         db.insert(Fact::from_names(["a", "b", "a", "c"])).unwrap();
-        assert!(QueryDeltaState::new(engine, &db).is_none());
+        assert!(QueryDeltaState::new(engine, &db, None).is_none());
     }
 
     #[test]
     fn blocks_reseeded_counts_the_resolved_components_blocks() {
         let engine = CqaEngine::new(examples::q3());
         let mut db = db2(&[["a", "b"], ["p", "q"], ["p", "x"]]);
-        let mut state = QueryDeltaState::new(engine.clone(), &db).unwrap();
+        let mut state = QueryDeltaState::new(engine.clone(), &db, None).unwrap();
 
         // Growth: {a→b} and the new {b→c} form one two-block component.
         let report = db.apply_delta(&[f2("b", "c")], &[]).unwrap();
@@ -671,7 +568,7 @@ mod tests {
             ["m", "n"],
             ["u", "v"],
         ]);
-        let mut state = QueryDeltaState::new(engine.clone(), &db).unwrap();
+        let mut state = QueryDeltaState::new(engine.clone(), &db, None).unwrap();
         assert_eq!(state.components(), Some(2));
         assert!(!state.answer().certain);
 

@@ -34,12 +34,13 @@ use crate::classify::{classify_with, Classification, Complexity};
 use cqa_model::{BlockId, Database};
 use cqa_query::Query;
 use cqa_solvers::{
-    certain_brute_over, certain_combined_over, certain_one_atom, certk_by_components, certk_view,
-    support_components, support_partition, BruteOutcome, CancelToken, CertKConfig, CertKOutcome,
-    CertKStats, CombinedResult, SolutionSet,
+    certain_brute_over, certain_combined_over, certain_one_atom, certk_by_components,
+    support_partition, BruteOutcome, CancelToken, CertKConfig, CertKStats, ComponentVerdict,
+    SolutionSet,
 };
 use cqa_tripath::SearchConfig;
 use std::cell::OnceCell;
+use std::collections::BTreeMap;
 
 /// Which algorithm actually answered a [`CqaEngine::certain`] call.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -252,10 +253,12 @@ impl CqaEngine {
         &self.classification
     }
 
-    /// The routing decision for `db` on the `Cert_k` classes:
-    /// `Some(partition)` of the solution support, as block groups, when
-    /// the component route should be taken. Under [`RoutePolicy::Auto`],
-    /// small databases and supports of few components stay literal.
+    /// The routing decision for `db`: `Some(partition)` of the solution
+    /// support, as block groups, when the component route should be
+    /// taken, and `None` for the literal fixpoint on the support as one
+    /// view. Theorem 10.5 always takes the components; under
+    /// [`RoutePolicy::Auto`], small databases and supports of few
+    /// components stay literal.
     fn route_components(
         &self,
         db: &Database,
@@ -263,6 +266,9 @@ impl CqaEngine {
     ) -> Option<Vec<Vec<BlockId>>> {
         let routing = &self.config.routing;
         match routing.policy {
+            _ if self.classification.complexity == Complexity::PTimeCombined => {
+                Some(support_partition(db, solutions))
+            }
             RoutePolicy::Literal => None,
             RoutePolicy::Component => Some(support_partition(db, solutions)),
             RoutePolicy::Auto if db.len() >= routing.min_facts => {
@@ -357,45 +363,120 @@ impl CqaEngine {
                     )
                 })
             }
-            Complexity::PTimeCombined => {
-                let comps = support_components(db, solutions);
-                certain_combined_over(&comps, solutions, cfg, token)
-                    .map(|res| answer_from_components(res, AnsweredBy::Combined))
-                    .map_err(fixpoint_cancelled)
+            complexity => {
+                let matching = complexity == Complexity::PTimeCombined;
+                let (comps, answered_by) = match self.route_components(db, solutions) {
+                    Some(groups) => (
+                        groups
+                            .into_iter()
+                            .map(|blocks| db.view_of_blocks(blocks))
+                            .collect(),
+                        match matching {
+                            true => AnsweredBy::Combined,
+                            false => AnsweredBy::ComponentCertK,
+                        },
+                    ),
+                    None => (
+                        vec![db.view_of_blocks(solutions.support_blocks(db))],
+                        AnsweredBy::CertK,
+                    ),
+                };
+                let fan_out = match matching {
+                    true => certain_combined_over,
+                    false => certk_by_components,
+                };
+                let res = fan_out(&comps, solutions, cfg, token).map_err(fixpoint_cancelled)?;
+                let mut totals = VerdictTotals::default();
+                res.components.iter().for_each(|v| totals.add(v));
+                Ok(totals.answer(answered_by))
             }
-            _ => match self.route_components(db, solutions) {
-                Some(groups) => {
-                    let comps: Vec<_> = groups
-                        .into_iter()
-                        .map(|blocks| db.view_of_blocks(blocks))
-                        .collect();
-                    certk_by_components(&comps, solutions, cfg, token)
-                        .map(|res| answer_from_components(res, AnsweredBy::ComponentCertK))
-                        .map_err(fixpoint_cancelled)
-                }
-                None => {
-                    let view = db.view_of_blocks(solutions.support_blocks(db));
-                    let (out, stats) =
-                        certk_view(&view, solutions, cfg, token).map_err(fixpoint_cancelled)?;
-                    Ok(CertainAnswer {
-                        budget_exhausted: out == CertKOutcome::BudgetExhausted,
-                        certk_stats: Some(stats),
-                        ..answer(out.is_certain(), AnsweredBy::CertK)
-                    })
-                }
-            },
         }
     }
 }
 
-/// Fold a per-component result into a [`CertainAnswer`].
-fn answer_from_components(res: CombinedResult, answered_by: AnsweredBy) -> CertainAnswer {
-    CertainAnswer {
-        certain: res.certain,
-        answered_by,
-        budget_exhausted: res.components.iter().any(|c| c.budget_exhausted),
-        certk_stats: res.certk_stats(),
-        components: Some(res.components.len()),
+/// Running aggregates over component verdicts: the one fold that builds
+/// the [`CertainAnswer`] of every component solve, a cold fan-out's or a
+/// live update's patched set of verdicts
+/// ([`QueryDeltaState`](crate::QueryDeltaState)), which adds and removes
+/// verdicts as components come and go and so answers in O(1) rather
+/// than refolding every component.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct VerdictTotals {
+    verdicts: usize,
+    certain: usize,
+    budget_exhausted: usize,
+    /// Field sums of the verdicts' `CertKStats`; `peak_members` stays 0.
+    sums: CertKStats,
+    /// Multiset of their `peak_members` (value → count), for the max;
+    /// empty iff no verdict carries stats.
+    peaks: BTreeMap<usize, usize>,
+}
+
+impl VerdictTotals {
+    pub(crate) fn add(&mut self, v: &ComponentVerdict) {
+        self.verdicts += 1;
+        self.certain += usize::from(v.certain);
+        self.budget_exhausted += usize::from(v.budget_exhausted);
+        if let Some(s) = &v.stats {
+            self.sums.absorb(&CertKStats {
+                peak_members: 0,
+                ..*s
+            });
+            *self.peaks.entry(s.peak_members).or_default() += 1;
+        }
+    }
+
+    pub(crate) fn remove(&mut self, v: &ComponentVerdict) {
+        self.verdicts -= 1;
+        self.certain -= usize::from(v.certain);
+        self.budget_exhausted -= usize::from(v.budget_exhausted);
+        if let Some(s) = &v.stats {
+            // Exhaustive, so a new `CertKStats` field cannot be missed.
+            let CertKStats {
+                rounds,
+                inserted,
+                steps,
+                peak_members,
+                stale_compacted,
+                blocks_derived,
+                blocks_skipped,
+            } = *s;
+            self.sums.rounds -= rounds;
+            self.sums.inserted -= inserted;
+            self.sums.steps -= steps;
+            self.sums.stale_compacted -= stale_compacted;
+            self.sums.blocks_derived -= blocks_derived;
+            self.sums.blocks_skipped -= blocks_skipped;
+            let count = self
+                .peaks
+                .get_mut(&peak_members)
+                .expect("a removed verdict was added");
+            *count -= 1;
+            if *count == 0 {
+                self.peaks.remove(&peak_members);
+            }
+        }
+    }
+
+    /// The answer: certain iff some component is (Proposition 10.6),
+    /// with the stats `CertKStats::absorb` folded over every verdict
+    /// would give (`None` when no verdict carries any) and the number of
+    /// verdicts, except on the literal [`AnsweredBy::CertK`] route, whose
+    /// one view is the whole support rather than a component.
+    pub(crate) fn answer(&self, answered_by: AnsweredBy) -> CertainAnswer {
+        CertainAnswer {
+            certain: self.certain > 0,
+            answered_by,
+            budget_exhausted: self.budget_exhausted > 0,
+            certk_stats: self
+                .peaks
+                .last_key_value()
+                .map(|(&peak_members, _)| CertKStats {
+                    peak_members,
+                    ..self.sums
+                }),
+            components: (answered_by != AnsweredBy::CertK).then_some(self.verdicts),
+        }
     }
 }
 

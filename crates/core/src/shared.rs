@@ -365,36 +365,43 @@ impl SharedSession {
                     let s = state.apply(&db, report);
                     step.blocks_reseeded += s.blocks_reseeded;
                     step.verdicts_retained += s.verdicts_retained;
-                    Some(state)
+                    state
                 }
                 None => {
                     // First update for this query: convert the cached
                     // verdict into an incremental state by solving the
                     // post-delta database per component (cold once; every
                     // later delta patches). A cached enumeration is
-                    // patched by this delta instead of redone.
+                    // patched by this delta instead of redone: moved out
+                    // of the entry when this is its last handle, copied
+                    // otherwise.
                     let engine = entry
                         .engine
                         .get()
                         .expect("an answered entry always has its engine")
                         .clone();
-                    let pre = match Arc::try_unwrap(entry) {
+                    if !QueryDeltaState::supports(&engine) {
+                        continue;
+                    }
+                    let solutions = match Arc::try_unwrap(entry) {
                         Ok(entry) => entry.solutions.into_inner(),
                         Err(entry) => entry.solutions.get().cloned(),
                     };
-                    QueryDeltaState::after_delta(engine, pre, &db, report).map(|(state, solved)| {
-                        step.blocks_reseeded += solved;
-                        state
-                    })
+                    let solutions = solutions.map(|mut solutions| {
+                        solutions.apply_delta(&db, report);
+                        solutions
+                    });
+                    let state = QueryDeltaState::new(engine, &db, solutions)
+                        .expect("a supported class has a state");
+                    step.blocks_reseeded += state.blocks_solved(&db);
+                    state
                 }
             };
-            if let Some(state) = state {
-                let fresh = SharedEntry::default();
-                let _ = fresh.engine.set(state.engine().clone());
-                let _ = fresh.answer.set(state.answer());
-                next_entries.insert(key.clone(), Arc::new(fresh));
-                next_states.insert(key.clone(), state);
-            }
+            let fresh = SharedEntry::default();
+            let _ = fresh.engine.set(state.engine().clone());
+            let _ = fresh.answer.set(state.answer());
+            next_entries.insert(key.clone(), Arc::new(fresh));
+            next_states.insert(key, state);
         }
         let mut stats = self.delta_stats();
         stats.absorb(&step);

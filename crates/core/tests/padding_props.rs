@@ -109,7 +109,7 @@ fn check(
         if let Some(c) = large.components {
             prop_assert_eq!(c, support, "components counts the support only");
         }
-        if let Some(state) = QueryDeltaState::new(engine, &big) {
+        if let Some(state) = QueryDeltaState::new(engine, &big, None) {
             prop_assert_eq!(state.answer().certain, oracle);
             if class != Complexity::Trivial {
                 prop_assert_eq!(state.components(), Some(support));

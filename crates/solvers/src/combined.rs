@@ -5,10 +5,11 @@
 //! implemented here additionally exploits the component partition of
 //! Proposition 10.6: it splits the solution support of `D` into
 //! q-connected components (a solution-free component is never certain)
-//! and decides each with the cheaper applicable algorithm — `¬matching` on
-//! clique-database components (exact there by Proposition 10.3), `Cert_k`
-//! on the rest (exact there when the query has no fork-tripath, since such
-//! components contain no tripath at all).
+//! and decides each with the cheaper applicable algorithm
+//! ([`decide_component`]) — `¬matching` on clique-database components
+//! (exact there by Proposition 10.3), `Cert_k` on the rest (exact there
+//! when the query has no fork-tripath, since such components contain no
+//! tripath at all).
 //!
 //! Components are mutually independent (solutions never cross them), so
 //! their verdicts are computed on a thread pool when
@@ -59,21 +60,6 @@ pub struct CombinedResult {
     pub components: Vec<ComponentVerdict>,
 }
 
-impl CombinedResult {
-    /// Aggregated `Cert_k` statistics over all components that ran the
-    /// fixpoint (sums; `peak_members` is the max), or `None` when every
-    /// component was matching-decided.
-    pub fn certk_stats(&self) -> Option<CertKStats> {
-        let mut acc: Option<CertKStats> = None;
-        for v in &self.components {
-            if let Some(s) = &v.stats {
-                acc.get_or_insert_with(CertKStats::default).absorb(s);
-            }
-        }
-        acc
-    }
-}
-
 /// Decide `certain(q)` via the Theorem 10.5 / Proposition 10.6 combination
 /// over the components of the solution support. Complete for
 /// 2way-determined queries without fork-tripaths; sound (an
@@ -87,11 +73,9 @@ pub fn certain_combined(q: &Query, db: &Database, cfg: CertKConfig) -> CombinedR
 
 /// [`certain_combined`] over a pre-computed solution set and component
 /// partition — the engine's routing path computes both to make its
-/// decision and hands them on unchanged. Clique-database components go
-/// to `¬matching` (one cheap analysis, so the token is only checked at
-/// component start); the rest run `Cert_k`, polling `token` once per
-/// block derivation. See [`certk_by_components`] for the cancellation
-/// contract.
+/// decision and hands them on unchanged. Each component goes to
+/// [`decide_component`] with the matching shortcut. See
+/// [`certk_by_components`] for the cancellation contract.
 pub fn certain_combined_over(
     comps: &[DbView<'_>],
     solutions: &SolutionSet,
@@ -125,11 +109,10 @@ pub fn certk_by_components(
     fan_out(comps, solutions, cfg, token, false)
 }
 
-/// The component fan-out behind [`certain_combined_over`] (`matching`:
-/// clique-database components go to `¬matching`) and
-/// [`certk_by_components`] (every component runs `Cert_k`). Each
-/// component sees the same configuration regardless of the thread count,
-/// and verdicts are emitted in component order.
+/// The component fan-out behind [`certain_combined_over`] and
+/// [`certk_by_components`]: [`decide_component`] on each component.
+/// Each component sees the same configuration regardless of the thread
+/// count, and verdicts are emitted in component order.
 fn fan_out(
     comps: &[DbView<'_>],
     solutions: &SolutionSet,
@@ -137,40 +120,53 @@ fn fan_out(
     token: &CancelToken,
     matching: bool,
 ) -> Result<CombinedResult, CertKStats> {
-    // Each component is a copy-free view of the parent database, and
-    // `solutions` restricted to a component's facts is exactly that
-    // component's solution set — so nothing is re-enumerated or
-    // restrict-copied per component (the former Database::restrict
-    // materialisation was the measured ~2.8× overhead over the literal
-    // solver; see BASELINES.md). A slot is `Err` with the partial
-    // fixpoint statistics when the token cancelled it (zeroes for
-    // components that never started).
-    let outcomes = minipool::par_map(cfg.threads, comps, |comp| {
-        if token.is_cancelled() {
-            return Err(CertKStats::default());
+    fold_outcomes(minipool::par_map(cfg.threads, comps, |comp| {
+        decide_component(comp, solutions, cfg, token, matching)
+    }))
+}
+
+/// Decide one q-connected component: by `¬matching` when `matching` is
+/// set and the component is a clique-database (exact there by
+/// Proposition 10.3; one cheap analysis, so the token is only checked at
+/// component start), by `Cert_k` otherwise, polling `token` once per
+/// block derivation. `Err` carries the partial fixpoint statistics when
+/// the token cancelled it (zeroes when it never started).
+///
+/// The component is a copy-free view of the parent database, and
+/// `solutions` restricted to its facts is exactly its solution set, so
+/// nothing is re-enumerated or restrict-copied per component. This is
+/// the one place a component is decided: the fan-outs map it over their
+/// components, and a live update calls it on each component it rebuilt.
+pub fn decide_component(
+    comp: &DbView<'_>,
+    solutions: &SolutionSet,
+    cfg: CertKConfig,
+    token: &CancelToken,
+    matching: bool,
+) -> Result<ComponentVerdict, CertKStats> {
+    if token.is_cancelled() {
+        return Err(CertKStats::default());
+    }
+    if matching {
+        let analysis = analyze_view(comp, solutions);
+        if analysis.is_clique_database {
+            return Ok(ComponentVerdict {
+                size: comp.len(),
+                decided_by: DecidedBy::Matching,
+                certain: !analysis.accepts,
+                budget_exhausted: false,
+                stats: None,
+            });
         }
-        if matching {
-            let analysis = analyze_view(comp, solutions);
-            if analysis.is_clique_database {
-                return Ok(ComponentVerdict {
-                    size: comp.len(),
-                    decided_by: DecidedBy::Matching,
-                    certain: !analysis.accepts,
-                    budget_exhausted: false,
-                    stats: None,
-                });
-            }
-        }
-        let (out, stats) = certk_view(comp, solutions, cfg, token)?;
-        Ok(ComponentVerdict {
-            size: comp.len(),
-            decided_by: DecidedBy::CertK,
-            certain: out.is_certain(),
-            budget_exhausted: out == CertKOutcome::BudgetExhausted,
-            stats: Some(stats),
-        })
-    });
-    fold_outcomes(outcomes)
+    }
+    let (out, stats) = certk_view(comp, solutions, cfg, token)?;
+    Ok(ComponentVerdict {
+        size: comp.len(),
+        decided_by: DecidedBy::CertK,
+        certain: out.is_certain(),
+        budget_exhausted: out == CertKOutcome::BudgetExhausted,
+        stats: Some(stats),
+    })
 }
 
 /// Fold fan-out slots into a result: any cancelled slot turns the whole
@@ -319,7 +315,6 @@ mod tests {
             .components
             .iter()
             .all(|v| v.decided_by == DecidedBy::CertK && v.stats.is_some()));
-        assert!(routed.certk_stats().is_some());
     }
 
     #[test]

@@ -222,7 +222,7 @@ impl DynamicComponents {
     }
 
     /// Fold a database delta into the partition. `solutions` must already
-    /// be the post-delta solution set (see `IncrementalSolutions`).
+    /// be the post-delta solution set (see [`SolutionSet::apply_delta`]).
     pub fn apply(
         &mut self,
         db: &Database,
@@ -376,15 +376,15 @@ mod tests {
     fn dynamic_components_merge_on_insert() {
         let q = examples::q3();
         let mut db = db2(&[["a", "b"], ["b", "c"], ["p", "q"], ["q", "r"]]);
-        let mut inc = crate::IncrementalSolutions::new(&q, &db);
-        let mut dc = DynamicComponents::new(&db, inc.solutions());
+        let mut inc = SolutionSet::enumerate(&q, &db);
+        let mut dc = DynamicComponents::new(&db, &inc);
         assert_eq!(dc.len(), 2);
         // Bridge the two chains: c -> p.
         let rep = db
             .apply_delta(&[Fact::from_names(["c", "p"])], &[])
             .unwrap();
         inc.apply_delta(&db, &rep);
-        let out = dc.apply(&db, inc.solutions(), &rep);
+        let out = dc.apply(&db, &inc, &rep);
         assert_eq!(dc.len(), 1);
         assert_eq!(out.created.len(), 1);
         assert_eq!(out.retained, 0);
@@ -404,15 +404,15 @@ mod tests {
             ["z", "w"],
             ["w", "v"],
         ]);
-        let mut inc = crate::IncrementalSolutions::new(&q, &db);
-        let mut dc = DynamicComponents::new(&db, inc.solutions());
+        let mut inc = SolutionSet::enumerate(&q, &db);
+        let mut dc = DynamicComponents::new(&db, &inc);
         assert_eq!(dc.len(), 2);
         // Cut the chain in the middle: {xa, ab} and {cd, de} disconnect.
         let rep = db
             .apply_delta(&[], &[Fact::from_names(["b", "c"])])
             .unwrap();
         inc.apply_delta(&db, &rep);
-        let out = dc.apply(&db, inc.solutions(), &rep);
+        let out = dc.apply(&db, &inc, &rep);
         assert_eq!(dc.len(), 3);
         assert_eq!(out.dropped.len(), 1);
         assert_eq!(out.created.len(), 2);
@@ -425,8 +425,8 @@ mod tests {
     fn dynamic_components_track_mixed_delta_scripts() {
         let q = examples::q3();
         let mut db = db2(&[["a", "b"], ["b", "c"]]);
-        let mut inc = crate::IncrementalSolutions::new(&q, &db);
-        let mut dc = DynamicComponents::new(&db, inc.solutions());
+        let mut inc = SolutionSet::enumerate(&q, &db);
+        let mut dc = DynamicComponents::new(&db, &inc);
         type Rows<'a> = Vec<[&'a str; 2]>;
         let scripts: Vec<(Rows, Rows)> = vec![
             (vec![["c", "d"], ["x", "y"]], vec![]),
@@ -446,7 +446,7 @@ mod tests {
                 .collect();
             let rep = db.apply_delta(&ins, &del).unwrap();
             inc.apply_delta(&db, &rep);
-            dc.apply(&db, inc.solutions(), &rep);
+            dc.apply(&db, &inc, &rep);
             assert_matches_scratch(&q, &db, &dc);
         }
     }

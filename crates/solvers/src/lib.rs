@@ -69,7 +69,7 @@ pub use cancel::CancelToken;
 pub use certk::{cert2, certk, certk_view, Antichain, CertKConfig, CertKOutcome, CertKStats};
 pub use combined::{
     certain_combined, certain_combined_over, certain_thm105_literal, certk_by_components,
-    CombinedResult, DecidedBy,
+    decide_component, CombinedResult, ComponentVerdict, DecidedBy,
 };
 pub use components::{
     q_connected_components, support_components, support_partition, ComponentDeltaReport,
@@ -79,4 +79,4 @@ pub use matching::{
     analyze_view, certain_by_matching, is_clique_database, matching_accepts, MatchingAnalysis,
 };
 pub use one_atom::{certain_one_atom, OneAtomPlan};
-pub use solution::{IncrementalSolutions, SolutionSet};
+pub use solution::SolutionSet;

@@ -13,17 +13,17 @@
 //! blocks, so every repair holds such a fact iff some block consists only
 //! of them. That is [`certain_one_atom`].
 //!
-//! The per-fact test `q(f f)` is compiled once ([`OneAtomPlan`]): position
-//! `i` of `f` is the image of both `A[i]` and `B[i]`, so every occurrence
-//! of a variable, in either atom, must see one element. This is not the
+//! The per-fact test `q(f f)` ([`OneAtomPlan`]) reuses the atom plans
+//! of the join (`crate::solution`): `f` must match both atoms, and its
+//! projections onto the shared variables must agree. This is not the
 //! position-wise unification [`Query::unified_atom`]: over signature
 //! `[2, 0]`, `R(x v) R(v x)` unifies to an atom every fact matches, while
 //! `q(f f)` needs `f = (a, a)`.
 
+use crate::solution::{compile, holds_on_itself, AtomPlan};
 use crate::CancelToken;
-use cqa_model::{BlockId, Database, DbView, FactRef, RelId};
-use cqa_query::{Query, Var};
-use std::collections::HashMap;
+use cqa_model::{BlockId, Database, DbView, FactRef};
+use cqa_query::Query;
 
 /// How many blocks [`certain_one_atom`] scans between two polls of its
 /// token.
@@ -31,49 +31,17 @@ const POLL_BLOCKS: usize = 1024;
 
 /// The test `q(f f)`, compiled once from the query.
 #[derive(Clone, Debug)]
-pub struct OneAtomPlan {
-    /// The relation both atoms use; `None` when they differ, and then no
-    /// fact passes.
-    rel: Option<RelId>,
-    arity: usize,
-    /// `(i, j)`: some variable occurs at position `i` and at position `j`
-    /// (of `A` or `B`), so a passing fact has equal elements there.
-    equal: Box<[(usize, usize)]>,
-}
+pub struct OneAtomPlan([AtomPlan; 2]);
 
 impl OneAtomPlan {
     /// Compile the test `q(f f)` for `q`.
     pub fn compile(q: &Query) -> OneAtomPlan {
-        let (a, b) = (q.a(), q.b());
-        let mut first: HashMap<&Var, usize> = HashMap::new();
-        let mut equal = Vec::new();
-        for (j, v) in a
-            .tuple()
-            .iter()
-            .enumerate()
-            .chain(b.tuple().iter().enumerate())
-        {
-            let i = *first.entry(v).or_insert(j);
-            if i != j {
-                equal.push((i, j));
-            }
-        }
-        equal.sort_unstable();
-        equal.dedup();
-        OneAtomPlan {
-            rel: (a.rel() == b.rel()).then_some(a.rel()),
-            arity: a.arity(),
-            equal: equal.into(),
-        }
+        OneAtomPlan(compile(q))
     }
 
     /// `q(f f)`: one substitution sends both atoms to `fact`.
     pub fn holds<'f>(&self, fact: impl Into<FactRef<'f>>) -> bool {
-        let fact = fact.into();
-        let t = fact.tuple();
-        Some(fact.rel()) == self.rel
-            && t.len() == self.arity
-            && self.equal.iter().all(|&(i, j)| t[i] == t[j])
+        holds_on_itself(&self.0, fact.into())
     }
 
     /// Does block `b` of `db` hold facts, all of which pass [`Self::holds`]?

@@ -10,8 +10,9 @@
 //! `A_κ × B_κ`. A [`SolutionSet`] stores one *join group* per key, its
 //! `A` and `B` facts each ascending, and never a pair. The enumeration
 //! sorts each side by `(projection, id)` into one flat array and merges
-//! the two key by key, so no element is hashed. [`IncrementalSolutions`]
-//! moves facts into and out of groups across deltas.
+//! the two key by key, so no element is hashed.
+//! [`SolutionSet::apply_delta`] moves facts into and out of groups across
+//! deltas.
 //!
 //! The facts of the groups with both sides non-empty are the *support*;
 //! a q-connected component outside it is never certain (Proposition
@@ -29,10 +30,13 @@ const NONE: u32 = u32::MAX;
 const A: usize = 0;
 const B: usize = 1;
 
-/// All solutions of a query in a database, as join groups. Every array
-/// pair is indexed by side, `A` then `B`.
-#[derive(Clone, Debug, Default)]
+/// All solutions of a query in a database, as join groups, patched in
+/// place across deltas. Every array pair is indexed by side, `A` then
+/// `B`.
+#[derive(Clone, Debug)]
 pub struct SolutionSet {
+    /// The query's two atoms, compiled once.
+    plan: [AtomPlan; 2],
     /// Each fact's group as a match of the side's atom, by fact id;
     /// [`NONE`] (or past the end) when it has none.
     group_of: [Vec<u32>; 2],
@@ -47,6 +51,10 @@ pub struct SolutionSet {
     /// enumeration's runs).
     owned: Vec<[Vec<FactId>; 2]>,
     owned_at: Vec<u32>,
+    /// The groups of keys the enumeration never saw, and the ids of those
+    /// emptied on both sides, for reuse.
+    new_keys: BTreeMap<Box<[Elem]>, u32>,
+    free: Vec<u32>,
     /// `Σ |A_κ|·|B_κ|`, the number of ordered solutions.
     len: usize,
 }
@@ -58,10 +66,7 @@ impl SolutionSet {
     pub fn enumerate(q: &Query, db: &Database) -> SolutionSet {
         let plan = compile(q);
         let sides = [SortedSide::of(&plan[A], db), SortedSide::of(&plan[B], db)];
-        let mut set = SolutionSet {
-            start: [vec![0], vec![0]],
-            ..SolutionSet::default()
-        };
+        let (mut group_of, mut start, mut len) = ([Vec::new(), Vec::new()], [vec![0], vec![0]], 0);
         let mut at = [0, 0];
         while at[A] < sides[A].ids.len() || at[B] < sides[B].ids.len() {
             // The next group is the smaller next key, from each side
@@ -72,17 +77,27 @@ impl SolutionSet {
                 true => sides[s].run_end(at[s]),
                 false => at[s],
             });
-            let g = set.start[A].len() as u32 - 1;
+            let g = start[A].len() as u32 - 1;
             for s in [A, B] {
                 for &f in &sides[s].ids[at[s]..end[s]] {
-                    set_slot(&mut set.group_of[s], f, g);
+                    set_slot(&mut group_of[s], f, g);
                 }
-                set.start[s].push(end[s] as u32);
+                start[s].push(end[s] as u32);
             }
-            set.len += (end[A] - at[A]) * (end[B] - at[B]);
+            len += (end[A] - at[A]) * (end[B] - at[B]);
             at = end;
         }
-        set.facts = sides.map(|side| side.ids);
+        let set = SolutionSet {
+            plan,
+            group_of,
+            facts: sides.map(|side| side.ids),
+            start,
+            owned: Vec::new(),
+            owned_at: Vec::new(),
+            new_keys: BTreeMap::new(),
+            free: Vec::new(),
+            len,
+        };
         debug_assert!(set
             .pairs()
             .all(|(a, b)| match_pair(q, db.fact(a), db.fact(b)).is_some()));
@@ -205,6 +220,120 @@ impl SolutionSet {
             .map(|b| BlockId(b as u32))
             .collect()
     }
+
+    /// Patch the set after `db.apply_delta` produced `report`: it then
+    /// equals (as a set of pairs) a fresh [`SolutionSet::enumerate`] on
+    /// `db`; group and pair *order* may differ, which no verdict depends
+    /// on. `db` must be the post-delta database (retracted ids still
+    /// resolve through their tombstoned slots).
+    ///
+    /// Every join key with a fact on either side has a group, so an
+    /// inserted fact joins its key's group and a retracted one leaves it:
+    /// `O(delta × (log groups + group size))` instead of `O(n)`. A new
+    /// key's group is freed (key and id) once both its sides are empty.
+    pub fn apply_delta(&mut self, db: &Database, report: &DeltaReport) {
+        let mut key = Vec::new();
+        for s in [A, B] {
+            for &id in &report.retracted {
+                self.leave(s, db, id, &mut key);
+            }
+        }
+        for s in [A, B] {
+            for &id in &report.inserted {
+                self.join(s, db, id, &mut key);
+            }
+        }
+    }
+
+    /// The group of `key`: a binary search over the enumeration's groups,
+    /// in key order, each key read off the group's first fact (a
+    /// retracted fact's slot still resolves); then the new keys.
+    fn find(&self, db: &Database, key: &[Elem]) -> Option<u32> {
+        let (mut lo, mut hi) = (0, self.start[A].len().saturating_sub(1));
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            let s = if self.start[A][mid] < self.start[A][mid + 1] {
+                A
+            } else {
+                B
+            };
+            let first = self.facts[s][self.start[s][mid] as usize];
+            match self.plan[s].cmp_key(db.fact(first), key) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return Some(mid as u32),
+            }
+        }
+        self.new_keys.get(key).copied()
+    }
+
+    /// Group `g`'s runs, copied out of the enumeration's arrays on first
+    /// use.
+    fn owned_mut(&mut self, g: usize) -> &mut [Vec<FactId>; 2] {
+        if self.owned_at.get(g).map_or(true, |&o| o == NONE) {
+            let runs = [self.run(g, A).to_vec(), self.run(g, B).to_vec()];
+            self.owned.push(runs);
+            self.owned_at.resize(self.owned_at.len().max(g + 1), NONE);
+            self.owned_at[g] = self.owned.len() as u32 - 1;
+        }
+        &mut self.owned[self.owned_at[g] as usize]
+    }
+
+    /// Put a fact new to the set into its key's group on side `s`, if it
+    /// matches that atom. Ids only grow, so it goes last in its run.
+    fn join(&mut self, s: usize, db: &Database, id: FactId, key: &mut Vec<Elem>) {
+        key.clear();
+        if !self.plan[s].project(db.fact(id), key) {
+            return;
+        }
+        let g = match self.find(db, key) {
+            Some(g) => g,
+            None => {
+                let g = match self.free.pop() {
+                    Some(g) => g,
+                    None => {
+                        let g = self.group_slots();
+                        self.owned.push(Default::default());
+                        self.owned_at.resize(g + 1, NONE);
+                        self.owned_at[g] = self.owned.len() as u32 - 1;
+                        g as u32
+                    }
+                };
+                self.new_keys.insert(key.as_slice().into(), g);
+                g
+            }
+        };
+        let runs = self.owned_mut(g as usize);
+        assert!(
+            runs[s].last() < Some(&id),
+            "facts join their groups ascending"
+        );
+        runs[s].push(id);
+        self.len += runs[1 - s].len();
+        set_slot(&mut self.group_of[s], id, g);
+    }
+
+    /// Take a retracted fact out of its group on side `s`, freeing a new
+    /// key's group when both its sides are then empty.
+    fn leave(&mut self, s: usize, db: &Database, id: FactId, key: &mut Vec<Elem>) {
+        let Some(g) = self.group_on(s, id) else {
+            return;
+        };
+        self.group_of[s][id.idx()] = NONE;
+        let runs = self.owned_mut(g);
+        let at = runs[s]
+            .binary_search(&id)
+            .expect("a grouped fact is in its run");
+        runs[s].remove(at);
+        let (pairs, emptied) = (runs[1 - s].len(), runs.iter().all(Vec::is_empty));
+        self.len -= pairs;
+        if emptied && g >= self.start[A].len().saturating_sub(1) {
+            key.clear();
+            self.plan[s].project(db.fact(id), key);
+            self.new_keys.remove(key.as_slice());
+            self.free.push(g as u32);
+        }
+    }
 }
 
 /// Set `slots[f] = g`, growing the column with [`NONE`].
@@ -218,7 +347,7 @@ fn set_slot(slots: &mut Vec<u32>, f: FactId, g: u32) {
 /// One atom compiled for matching: what a fact must look like to match
 /// it, and where its projection onto the shared variables sits.
 #[derive(Clone, Debug)]
-struct AtomPlan {
+pub(crate) struct AtomPlan {
     rel: RelId,
     arity: usize,
     /// `(i, j)` with `i < j`: the variable at `j` first occurs at `i`, so
@@ -233,12 +362,19 @@ struct AtomPlan {
 /// matches `A`, `b` matches `B`, and their projections are equal: the
 /// substitution is then consistent on the shared variables, and each
 /// atom's own repeats were checked by its match.
-fn compile(q: &Query) -> [AtomPlan; 2] {
+pub(crate) fn compile(q: &Query) -> [AtomPlan; 2] {
     let shared: Vec<Var> = q.shared_vars().into_iter().collect();
     [
         AtomPlan::compile(q.a(), &shared),
         AtomPlan::compile(q.b(), &shared),
     ]
+}
+
+/// `q(f f)` for the compiled atoms of `q`: `f` matches both, and its two
+/// projections agree.
+pub(crate) fn holds_on_itself([a, b]: &[AtomPlan; 2], fact: FactRef<'_>) -> bool {
+    let t = fact.tuple();
+    a.matches(fact) && b.matches(fact) && a.key.iter().zip(&*b.key).all(|(&i, &j)| t[i] == t[j])
 }
 
 impl AtomPlan {
@@ -258,18 +394,27 @@ impl AtomPlan {
         }
     }
 
+    /// Does `fact` match the atom?
+    fn matches(&self, fact: FactRef<'_>) -> bool {
+        let t = fact.tuple();
+        fact.rel() == self.rel
+            && t.len() == self.arity
+            && self.equal.iter().all(|&(i, j)| t[i] == t[j])
+    }
+
     /// If `fact` matches the atom, append its projection onto the shared
     /// variables to `key` and return `true`.
     fn project(&self, fact: FactRef<'_>, key: &mut Vec<Elem>) -> bool {
-        let t = fact.tuple();
-        if fact.rel() != self.rel
-            || t.len() != self.arity
-            || self.equal.iter().any(|&(i, j)| t[i] != t[j])
-        {
-            return false;
+        let matches = self.matches(fact);
+        if matches {
+            key.extend(self.key.iter().map(|&i| fact.tuple()[i]));
         }
-        key.extend(self.key.iter().map(|&i| t[i]));
-        true
+        matches
+    }
+
+    /// The projection of `fact`, which matches the atom, against `key`.
+    fn cmp_key(&self, fact: FactRef<'_>, key: &[Elem]) -> Ordering {
+        self.key.iter().map(|&i| &fact.tuple()[i]).cmp(key)
     }
 }
 
@@ -312,171 +457,6 @@ impl SortedSide {
         (i + 1..self.ids.len())
             .find(|&j| self.key(j) != self.key(i))
             .unwrap_or(self.ids.len())
-    }
-}
-
-/// A [`SolutionSet`] that can be patched in place after a
-/// [`Database::apply_delta`], avoiding a full re-enumeration.
-///
-/// Every join key with a fact on either side has a group, so an inserted
-/// fact joins its key's group and a retracted one leaves it:
-/// `O(delta × (log groups + group size))` instead of `O(n)`. A new key's
-/// group is freed (key and id) once both its sides are empty.
-#[derive(Clone, Debug)]
-pub struct IncrementalSolutions {
-    plan: [AtomPlan; 2],
-    set: SolutionSet,
-    /// The groups of keys the enumeration never saw.
-    new_keys: BTreeMap<Box<[Elem]>, u32>,
-    /// Ids of new-key groups emptied on both sides, for reuse.
-    free: Vec<u32>,
-    /// Scratch projections, reused across facts.
-    key: Vec<Elem>,
-    probe: Vec<Elem>,
-}
-
-impl IncrementalSolutions {
-    /// Enumerate the solutions of `q` in `db` and keep every join group
-    /// for later deltas.
-    pub fn new(q: &Query, db: &Database) -> IncrementalSolutions {
-        IncrementalSolutions::from_enumeration(q, SolutionSet::enumerate(q, db))
-    }
-
-    /// Keep patching `set`, a [`SolutionSet::enumerate`] of `q` on the
-    /// database that later deltas start from: [`IncrementalSolutions::new`]
-    /// without enumerating again.
-    ///
-    /// # Panics
-    /// If `set` was already patched by another incremental set.
-    pub fn from_enumeration(q: &Query, set: SolutionSet) -> IncrementalSolutions {
-        assert!(
-            set.owned.is_empty(),
-            "only an unpatched enumeration can be adopted"
-        );
-        IncrementalSolutions {
-            plan: compile(q),
-            set,
-            new_keys: BTreeMap::new(),
-            free: Vec::new(),
-            key: Vec::new(),
-            probe: Vec::new(),
-        }
-    }
-
-    /// The maintained solution set. Equal (as a set of pairs) to a fresh
-    /// [`SolutionSet::enumerate`] on the current database; group and pair
-    /// *order* may differ, which no verdict depends on.
-    pub fn solutions(&self) -> &SolutionSet {
-        &self.set
-    }
-
-    /// Patch the set after `db.apply_delta` produced `report`. `db` must
-    /// be the post-delta database (retracted ids still resolve through
-    /// their tombstoned slots).
-    pub fn apply_delta(&mut self, db: &Database, report: &DeltaReport) {
-        for s in [A, B] {
-            for &id in &report.retracted {
-                self.leave(s, db, id);
-            }
-        }
-        for s in [A, B] {
-            for &id in &report.inserted {
-                self.join(s, db, id);
-            }
-        }
-    }
-
-    /// The group of the key in `self.key`: a binary search over the
-    /// enumeration's groups, in key order, each key read off the group's
-    /// first fact (a retracted fact's slot still resolves); then the new
-    /// keys.
-    fn find(&mut self, db: &Database) -> Option<u32> {
-        let set = &self.set;
-        let (mut lo, mut hi) = (0, set.start[A].len().saturating_sub(1));
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            let s = if set.start[A][mid] < set.start[A][mid + 1] {
-                A
-            } else {
-                B
-            };
-            self.probe.clear();
-            let first = set.facts[s][set.start[s][mid] as usize];
-            self.plan[s].project(db.fact(first), &mut self.probe);
-            match self.probe.cmp(&self.key) {
-                Ordering::Less => lo = mid + 1,
-                Ordering::Greater => hi = mid,
-                Ordering::Equal => return Some(mid as u32),
-            }
-        }
-        self.new_keys.get(self.key.as_slice()).copied()
-    }
-
-    /// Group `g`'s runs, copied out of the enumeration's arrays on first
-    /// use.
-    fn owned_mut(&mut self, g: usize) -> &mut [Vec<FactId>; 2] {
-        let set = &mut self.set;
-        if set.owned_at.get(g).map_or(true, |&o| o == NONE) {
-            let runs = [set.run(g, A).to_vec(), set.run(g, B).to_vec()];
-            set.owned.push(runs);
-            set.owned_at.resize(set.owned_at.len().max(g + 1), NONE);
-            set.owned_at[g] = set.owned.len() as u32 - 1;
-        }
-        &mut set.owned[set.owned_at[g] as usize]
-    }
-
-    /// Put a fact new to the set into its key's group on side `s`, if it
-    /// matches that atom. Ids only grow, so it goes last in its run.
-    fn join(&mut self, s: usize, db: &Database, id: FactId) {
-        self.key.clear();
-        if !self.plan[s].project(db.fact(id), &mut self.key) {
-            return;
-        }
-        let g = match self.find(db) {
-            Some(g) => g,
-            None => {
-                let set = &mut self.set;
-                let g = self.free.pop().unwrap_or_else(|| {
-                    let g = set.group_slots();
-                    set.owned.push(Default::default());
-                    set.owned_at.resize(g + 1, NONE);
-                    set.owned_at[g] = set.owned.len() as u32 - 1;
-                    g as u32
-                });
-                self.new_keys.insert(self.key.as_slice().into(), g);
-                g
-            }
-        };
-        let runs = self.owned_mut(g as usize);
-        assert!(
-            runs[s].last() < Some(&id),
-            "facts join their groups ascending"
-        );
-        runs[s].push(id);
-        self.set.len += runs[1 - s].len();
-        set_slot(&mut self.set.group_of[s], id, g);
-    }
-
-    /// Take a retracted fact out of its group on side `s`, freeing a new
-    /// key's group when both its sides are then empty.
-    fn leave(&mut self, s: usize, db: &Database, id: FactId) {
-        let Some(g) = self.set.group_on(s, id) else {
-            return;
-        };
-        self.set.group_of[s][id.idx()] = NONE;
-        let runs = self.owned_mut(g);
-        let at = runs[s]
-            .binary_search(&id)
-            .expect("a grouped fact is in its run");
-        runs[s].remove(at);
-        let (pairs, emptied) = (runs[1 - s].len(), runs.iter().all(Vec::is_empty));
-        self.set.len -= pairs;
-        if emptied && g >= self.set.start[A].len().saturating_sub(1) {
-            self.key.clear();
-            self.plan[s].project(db.fact(id), &mut self.key);
-            self.new_keys.remove(self.key.as_slice());
-            self.free.push(g as u32);
-        }
     }
 }
 
@@ -587,9 +567,9 @@ mod tests {
             Signature::new(2, 1).unwrap(),
             &[&["a", "b"], &["b", "c"], &["x", "y"]],
         );
-        let mut inc = IncrementalSolutions::new(&q, &db);
+        let mut inc = SolutionSet::enumerate(&q, &db);
         assert_eq!(
-            sorted_pairs(inc.solutions()),
+            sorted_pairs(&inc),
             sorted_pairs(&SolutionSet::enumerate(&q, &db))
         );
         // Insert a chain extension and a self-loop, retract the x edge.
@@ -601,22 +581,22 @@ mod tests {
             .unwrap();
         inc.apply_delta(&db, &rep);
         assert_eq!(
-            sorted_pairs(inc.solutions()),
+            sorted_pairs(&inc),
             sorted_pairs(&SolutionSet::enumerate(&q, &db))
         );
         let ee = db.id_of(&Fact::from_names(["e", "e"])).unwrap();
-        assert!(inc.solutions().self_loop(ee));
+        assert!(inc.self_loop(ee));
         // Retract a fact that participates in pairs; indexes must shrink.
         let rep = db
             .apply_delta(&[], &[Fact::from_names(["b", "c"])])
             .unwrap();
         inc.apply_delta(&db, &rep);
         assert_eq!(
-            sorted_pairs(inc.solutions()),
+            sorted_pairs(&inc),
             sorted_pairs(&SolutionSet::enumerate(&q, &db))
         );
         let ab = db.id_of(&Fact::from_names(["a", "b"])).unwrap();
-        assert!(inc.solutions().seconds_of(ab).is_empty());
+        assert!(inc.seconds_of(ab).is_empty());
     }
 
     #[test]
@@ -625,7 +605,7 @@ mod tests {
         // and the pair set must match a from-scratch enumeration.
         let q = examples::q3();
         let mut db = db_from(Signature::new(2, 1).unwrap(), &[&["a", "b"], &["b", "c"]]);
-        let mut inc = IncrementalSolutions::new(&q, &db);
+        let mut inc = SolutionSet::enumerate(&q, &db);
         let rep = db
             .apply_delta(&[], &[Fact::from_names(["b", "c"])])
             .unwrap();
@@ -635,10 +615,10 @@ mod tests {
             .unwrap();
         inc.apply_delta(&db, &rep);
         assert_eq!(
-            sorted_pairs(inc.solutions()),
+            sorted_pairs(&inc),
             sorted_pairs(&SolutionSet::enumerate(&q, &db))
         );
-        assert_eq!(inc.solutions().len(), 1);
+        assert_eq!(inc.len(), 1);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use cqa_query::{examples, is_solution, Query};
 use cqa_solvers::{
     certain_brute, certain_brute_budgeted, certain_by_matching, certain_combined,
     certain_exhaustive, certk, q_connected_components, BruteOutcome, CancelToken, CertKConfig,
-    IncrementalSolutions, SolutionSet,
+    SolutionSet,
 };
 use cqa_workloads::{random_query, QueryGenConfig};
 use proptest::prelude::*;
@@ -201,7 +201,7 @@ proptest! {
         ),
     ) {
         let mut db = db;
-        let mut inc = IncrementalSolutions::new(&q, &db);
+        let mut inc = SolutionSet::enumerate(&q, &db);
         for (rows, picks) in &steps {
             let live: Vec<Fact> = db.facts().map(|(_, f)| f.to_fact()).collect();
             let retracts: Vec<Fact> = if live.is_empty() {
@@ -211,7 +211,7 @@ proptest! {
             };
             let report = db.apply_delta(&join_facts(&q, rows), &retracts).unwrap();
             inc.apply_delta(&db, &report);
-            check_same_accessors(&db, inc.solutions(), &SolutionSet::enumerate(&q, &db))?;
+            check_same_accessors(&db, &inc, &SolutionSet::enumerate(&q, &db))?;
         }
     }
 }
