@@ -8,10 +8,9 @@
 //!   delta via `with_delta` (clone-and-patch database, a cold re-solve
 //!   of each component the delta dirtied, retained verdicts elsewhere)
 //!   and re-answers `certain(q3)`. The chain is the honest
-//!   steady state: `with_delta` hands its incremental states to the
-//!   successor, so only the *first* update after a cold start pays the
-//!   state build — exactly what a long-lived `cqa serve` session does.
-//!   Each step inserts fresh facts (a repeat insert would be a
+//!   steady state: the cold solve leaves the incremental state, and
+//!   `with_delta` hands it to the successor — exactly what a long-lived
+//!   `cqa serve` session does. Each step inserts fresh facts (a repeat insert would be a
 //!   set-semantic no-op and measure nothing); the untimed bench body
 //!   rebuilds the chain from the base whenever batch growth has drifted
 //!   the database >20% off `n`, so growth never compounds into the
@@ -47,24 +46,16 @@ fn growth_batch(epoch: u64, count: usize) -> Vec<Fact> {
 }
 
 /// Start a warm update chain off `base`: answer once (classify +
-/// enumerate + solve), absorb one throwaway delta (the documented
-/// cold-once incremental-state build), and return the successor, which
-/// holds the per-query [`QueryDeltaState`](cqa::QueryDeltaState)s every
-/// later `with_delta` patches instead of rebuilding.
+/// enumerate + solve). The component-route solve leaves the
+/// [`QueryDeltaState`](cqa::QueryDeltaState) every `with_delta` patches.
 fn warm_chain(
     base: &Arc<cqa_model::Database>,
     config: EngineConfig,
     q3: &cqa_query::Query,
-    epoch: &mut u64,
 ) -> SharedSession {
     let session = SharedSession::new(Arc::clone(base), config);
     session.certain(q3);
-    *epoch += 1;
-    let (warm, _) = session
-        .with_delta(&growth_batch(*epoch, 1), &[])
-        .expect("warm-up delta applies");
-    warm.certain(q3);
-    warm
+    session
 }
 
 fn bench_incremental_update(c: &mut Criterion) {
@@ -87,7 +78,7 @@ fn bench_incremental_update(c: &mut Criterion) {
             post.apply_delta(&batch, &[]).expect("growth batch applies");
             let want = engine.certain(&post).certain;
             {
-                let warm = warm_chain(&base, config, &q3, &mut epoch);
+                let warm = warm_chain(&base, config, &q3);
                 let (next, report) = warm.with_delta(&batch, &[]).expect("delta applies");
                 assert!(report.growth_only());
                 assert_eq!(
@@ -109,7 +100,7 @@ fn bench_incremental_update(c: &mut Criterion) {
                     Some(cur) => cur.db().len() > n + n / 5,
                 };
                 if stale {
-                    chain = Some(warm_chain(&base, config, &q3, &mut epoch));
+                    chain = Some(warm_chain(&base, config, &q3));
                 }
                 b.iter(|| {
                     epoch += 1;

@@ -8,6 +8,7 @@ use cqa_cli::{
     cmd_batch, cmd_certain, cmd_classify, cmd_falsify, cmd_gadget, cmd_generate, cmd_solve,
     cmd_update, load_db_file, read_file, route_flag, threads_flag, usage, CliError, CmdOut, Flags,
 };
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 fn usage_error() -> CliError {
@@ -109,15 +110,33 @@ fn run(args: &[&str]) -> Result<CmdOut, CliError> {
     }
 }
 
+/// Write a command's output to stdout. A reader that exits early
+/// (`cqa batch … | head`) closes the pipe, which ends the output quietly:
+/// the command keeps its own exit status. Any other write error fails
+/// the command.
+fn write_stdout(text: &str) -> Result<(), CliError> {
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => {
+            Err(CliError::new(format!("writing stdout: {e}")))
+        }
+        _ => Ok(()),
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let args: Vec<&str> = args.iter().map(String::as_str).collect();
-    match run(&args) {
-        Ok(out) => {
-            print!("{}", out.stdout);
-            eprint!("{}", out.stderr);
-            ExitCode::SUCCESS
-        }
+    let outcome = run(&args).and_then(|out| {
+        write_stdout(&out.stdout)?;
+        eprint!("{}", out.stderr);
+        Ok(())
+    });
+    match outcome {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("{e}");
             ExitCode::from(e.code)

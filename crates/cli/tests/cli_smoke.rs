@@ -3,7 +3,7 @@
 //! queries: `q3` is PTime (Theorem 6.1), `q2` is coNP-complete
 //! (Theorem 9.1).
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 const Q2: &str = "R(x u | x y) R(u y | x z)";
 const Q3: &str = "R(x | y) R(y | z)";
@@ -155,6 +155,31 @@ fn batch_agrees_with_single_shot_invocations_through_the_binary() {
     }
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(batch_verdicts, single, "batch diverged from single-shot");
+}
+
+#[test]
+fn a_closed_stdout_ends_the_output_quietly() {
+    // 20,000 verdict lines outgrow a pipe buffer, so writing them meets
+    // the closed read end whenever the write starts.
+    let dir = std::env::temp_dir().join(format!("cqa-smoke-pipe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let db = dir.join("chain.facts");
+    std::fs::write(&db, "R(a | b)\nR(b | c)\n").unwrap();
+    let queries = dir.join("many.q");
+    std::fs::write(&queries, format!("{Q3}\n").repeat(20_000)).unwrap();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cqa"))
+        .args(["batch", db.to_str().unwrap(), queries.to_str().unwrap()])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn cqa binary");
+    drop(child.stdout.take()); // the reader exits before any output
+    let out = child.wait_with_output().expect("wait for cqa");
+    std::fs::remove_dir_all(&dir).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "batch keeps its own status");
 }
 
 #[test]

@@ -2,23 +2,28 @@
 //!
 //! A [`QueryDeltaState`] is the per-query cache a live database keeps
 //! between updates. For a `Trivial` query (one equivalent to a single
-//! atom) it is one flag per block, "non-empty and every fact `f` has
-//! `q(f f)`", plus the count of set flags: the query is certain iff the
-//! count is positive (`cqa_solvers::one_atom`), and a delta rechecks only
-//! the blocks it touched. For the other PTime classes it is the solution
-//! set (patched in place by each delta), the dynamic q-connected
-//! partition of the solution *support*, and one verdict per component.
-//! A solution-free block is in no component (Proposition 10.6: it is
-//! never certain), so a query with no solution keeps none. After a delta,
-//! only the *dirty region* is re-solved:
+//! atom) it is the cold block scan's [`ForcingBlocks`]: one flag per
+//! block, "non-empty and every fact `f` has `q(f f)`", plus the count of
+//! set flags, and a delta rechecks only the blocks it touched. For the
+//! other PTime classes it is the solution set (patched in place by each
+//! delta), the dynamic q-connected partition of the solution *support*,
+//! and one verdict per component. A solution-free block is in no
+//! component (Proposition 10.6: it is never certain), so a query with no
+//! solution keeps none.
+//!
+//! A state is what the engine's cold solve computed, kept rather than
+//! dropped: [`CqaEngine`]'s component solve returns its partition and
+//! verdicts, and a [`SharedSession`](crate::SharedSession) keeps them in
+//! the query's cache entry. After a delta, only the *dirty region* is
+//! re-solved:
 //!
 //! * components the delta never touched keep their verdicts verbatim
 //!   (their fact sets are literally identical — fact ids are stable under
 //!   [`Database::apply_delta`], so an untouched component's view is
 //!   bit-for-bit the view the cached verdict was computed on);
 //! * components rebuilt from the dirty region are solved from scratch by
-//!   [`decide_component`], as [`QueryDeltaState::new`] and the engine's
-//!   cold fan-out solve every component.
+//!   [`decide_component`], the function the cold fan-out maps over every
+//!   component.
 //!
 //! The database itself is **certain iff some component is**
 //! (Proposition 10.6), so [`QueryDeltaState::answer`] reads the
@@ -33,14 +38,15 @@
 //! (`crates/core/tests/delta_props.rs`, the `deltadiff` fuzz target)
 //! compare it against a from-scratch recompute after every step.
 
+use std::cell::OnceCell;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::classify::Complexity;
 use crate::engine::{AnsweredBy, CertainAnswer, CqaEngine, VerdictTotals};
 use cqa_model::{BlockId, Database, DeltaReport};
-use cqa_query::Query;
 use cqa_solvers::{
-    decide_component, CancelToken, ComponentVerdict, DynamicComponents, OneAtomPlan, SolutionSet,
+    decide_component, CancelToken, ComponentVerdict, DynamicComponents, ForcingBlocks, SolutionSet,
 };
 
 /// Counters for the incremental path, aggregated by sessions and servers.
@@ -50,9 +56,8 @@ pub struct DeltaStats {
     pub delta_applied: u64,
     /// Blocks of the components re-solved after a delta (the size of the
     /// dirty region, summed over deltas); for a `Trivial` query, the
-    /// touched blocks rechecked. A query's first delta builds its state,
-    /// which solves every block of the solution support (every live
-    /// block, for a `Trivial` query), and counts them all.
+    /// touched blocks rechecked. A state built from scratch, for a query
+    /// whose cold solve kept none, counts nothing here.
     pub blocks_reseeded: u64,
     /// Component verdicts retained verbatim because their component was
     /// untouched by a delta; for a `Trivial` query, the live blocks whose
@@ -83,9 +88,10 @@ pub struct QueryDeltaState {
     tracked: Tracked,
 }
 
-/// What a [`QueryDeltaState`] keeps, by class.
+/// What a [`QueryDeltaState`] keeps, by class: what the engine's cold
+/// solve computed, returned with its answer.
 #[derive(Clone, Debug)]
-enum Tracked {
+pub(crate) enum Tracked {
     /// A `Trivial` query: per block, whether it forces `q`.
     Blocks(ForcingBlocks),
     /// The `Cert_k` and Theorem 10.5 classes: solutions, partition and
@@ -93,47 +99,52 @@ enum Tracked {
     Components(Box<ComponentVerdicts>),
 }
 
-/// The one-atom case (`cqa_solvers::one_atom`): `q` is certain iff some
-/// block holds only facts `f` with `q(f f)`. A delta changes that flag
-/// only for the blocks it touched.
-#[derive(Clone, Debug)]
-struct ForcingBlocks {
-    plan: OneAtomPlan,
-    /// Indexed by block slot: is the block non-empty and all of it
-    /// `q(f f)` facts?
-    forces: Vec<bool>,
-    /// How many entries of `forces` are `true`.
-    count: usize,
-}
-
-impl ForcingBlocks {
-    fn new(q: &Query, db: &Database) -> ForcingBlocks {
-        let mut blocks = ForcingBlocks {
-            plan: OneAtomPlan::compile(q),
-            forces: Vec::new(),
-            count: 0,
-        };
-        blocks.recheck(db, db.block_ids());
-        blocks
-    }
-
-    fn recheck(&mut self, db: &Database, blocks: impl IntoIterator<Item = BlockId>) {
-        self.forces.resize(db.block_slots(), false);
-        for b in blocks {
-            let now = self.plan.block_forces(db, b);
-            let was = std::mem::replace(&mut self.forces[b.idx()], now);
-            self.count = self.count + usize::from(now) - usize::from(was);
-        }
-    }
-}
-
 /// The component cache of the `Cert_k` and Theorem 10.5 classes.
 #[derive(Clone, Debug)]
-struct ComponentVerdicts {
-    solutions: SolutionSet,
+pub(crate) struct ComponentVerdicts {
+    /// Shared with the session entry that enumerated it until the first
+    /// delta patches it.
+    solutions: Arc<SolutionSet>,
     comps: DynamicComponents,
     verdicts: HashMap<u32, ComponentVerdict>,
     totals: VerdictTotals,
+}
+
+impl Tracked {
+    /// The cache of the support components `groups` over `solutions`,
+    /// with one verdict per group, in order.
+    pub(crate) fn components(
+        solutions: &Arc<SolutionSet>,
+        groups: Vec<Vec<BlockId>>,
+        verdicts: Vec<ComponentVerdict>,
+    ) -> Tracked {
+        Tracked::Components(Box::new(ComponentVerdicts {
+            solutions: Arc::clone(solutions),
+            comps: DynamicComponents::new(groups),
+            totals: VerdictTotals::of(&verdicts),
+            verdicts: (0..).zip(verdicts).collect(),
+        }))
+    }
+
+    /// The whole-database answer of a query of class `complexity`. O(1):
+    /// for a `Trivial` query it reads the count of forcing blocks;
+    /// otherwise it reads the running totals of the per-component
+    /// verdicts, certain iff some component is (Proposition 10.6).
+    pub(crate) fn answer(&self, complexity: Complexity) -> CertainAnswer {
+        match self {
+            Tracked::Blocks(blocks) => CertainAnswer {
+                certain: blocks.certain(),
+                answered_by: AnsweredBy::Trivial,
+                budget_exhausted: false,
+                certk_stats: None,
+                components: None,
+            },
+            Tracked::Components(cv) => cv.totals.answer(match complexity {
+                Complexity::PTimeCombined => AnsweredBy::Combined,
+                _ => AnsweredBy::ComponentCertK,
+            }),
+        }
+    }
 }
 
 impl ComponentVerdicts {
@@ -166,7 +177,8 @@ impl QueryDeltaState {
         engine.classification().complexity != Complexity::CoNpComplete
     }
 
-    /// Build the cache for `db`: one block scan for a `Trivial` query, a
+    /// Build the cache for `db` by the engine's cold solve on the
+    /// component route: one block scan for a `Trivial` query, a
     /// from-scratch solve of every support component otherwise, over
     /// `solutions` when given (the query's solution set on `db`, such as a
     /// cached one patched by [`SolutionSet::apply_delta`]) and a fresh
@@ -175,46 +187,27 @@ impl QueryDeltaState {
     pub fn new(
         engine: CqaEngine,
         db: &Database,
-        solutions: Option<SolutionSet>,
+        solutions: Option<Arc<SolutionSet>>,
     ) -> Option<QueryDeltaState> {
         if !QueryDeltaState::supports(&engine) {
             return None;
         }
-        let tracked = if engine.classification().complexity == Complexity::Trivial {
-            Tracked::Blocks(ForcingBlocks::new(engine.query(), db))
-        } else {
-            let solutions = solutions.unwrap_or_else(|| SolutionSet::enumerate(engine.query(), db));
-            let mut cv = ComponentVerdicts {
-                comps: DynamicComponents::new(db, &solutions),
-                solutions,
-                verdicts: HashMap::new(),
-                totals: VerdictTotals::default(),
-            };
-            for id in cv.comps.ids().collect::<Vec<_>>() {
-                cv.solve(&engine, db, id);
-            }
-            Tracked::Components(Box::new(cv))
-        };
-        Some(QueryDeltaState { engine, tracked })
+        let solutions = solutions.map_or_else(OnceCell::new, OnceCell::from);
+        let (_, tracked) = engine
+            .on_components()
+            .solve(
+                db,
+                || solutions.get_or_init(|| Arc::new(SolutionSet::enumerate(engine.query(), db))),
+                &CancelToken::new(),
+            )
+            .expect("a never-raised token cannot cancel the solve");
+        let tracked = tracked.expect("the component route keeps its state");
+        Some(QueryDeltaState::from_solve(engine, tracked))
     }
 
-    /// The blocks a fresh [`QueryDeltaState::new`] on `db` solved: every
-    /// live block for a `Trivial` query, every block of the solution
-    /// support otherwise.
-    pub(crate) fn blocks_solved(&self, db: &Database) -> u64 {
-        match &self.tracked {
-            Tracked::Blocks(_) => db.block_count() as u64,
-            Tracked::Components(cv) => cv
-                .comps
-                .ids()
-                .map(|id| cv.comps.blocks_of(id).len() as u64)
-                .sum(),
-        }
-    }
-
-    /// The engine (query, classification, config) this cache answers for.
-    pub fn engine(&self) -> &CqaEngine {
-        &self.engine
+    /// The state of `engine`'s query from what its cold solve kept.
+    pub(crate) fn from_solve(engine: CqaEngine, tracked: Tracked) -> QueryDeltaState {
+        QueryDeltaState { engine, tracked }
     }
 
     /// Number of q-connected components of the solution support currently
@@ -248,7 +241,7 @@ impl QueryDeltaState {
             }
             Tracked::Components(cv) => cv,
         };
-        cv.solutions.apply_delta(db, report);
+        Arc::make_mut(&mut cv.solutions).apply_delta(db, report);
         let creport = cv.comps.apply(db, &cv.solutions, report);
         for c in &creport.dropped {
             if let Some(v) = cv.verdicts.remove(c) {
@@ -266,28 +259,10 @@ impl QueryDeltaState {
         step
     }
 
-    /// Synthesise the whole-database answer. O(1): for a `Trivial` query
-    /// it reads the count of forcing blocks, the answer the cold block
-    /// scan gives; otherwise it reads the running totals of the
-    /// per-component verdicts, certain iff some component is
-    /// (Proposition 10.6).
+    /// Synthesise the whole-database answer in O(1), the answer the
+    /// cold solve gives on the component route.
     pub fn answer(&self) -> CertainAnswer {
-        match &self.tracked {
-            Tracked::Blocks(blocks) => CertainAnswer {
-                certain: blocks.count > 0,
-                answered_by: AnsweredBy::Trivial,
-                budget_exhausted: false,
-                certk_stats: None,
-                components: None,
-            },
-            Tracked::Components(cv) => {
-                cv.totals
-                    .answer(match self.engine.classification().complexity {
-                        Complexity::PTimeCombined => AnsweredBy::Combined,
-                        _ => AnsweredBy::ComponentCertK,
-                    })
-            }
-        }
+        self.tracked.answer(self.engine.classification().complexity)
     }
 }
 

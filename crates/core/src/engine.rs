@@ -2,7 +2,7 @@
 //! with the algorithm the dichotomy prescribes.
 //!
 //! A `Trivial` query (equivalent to one atom, Section 2) is first-order:
-//! [`cqa_solvers::certain_one_atom`] scans the blocks once and no
+//! [`cqa_solvers::ForcingBlocks::scan`] scans the blocks once and no
 //! solution set is built. Every other class enumerates the solutions
 //! first, and a database with none is answered `false` on the spot: no
 //! repair satisfies `q` without a solution.
@@ -31,16 +31,18 @@
 //! [`RoutingConfig`].
 
 use crate::classify::{classify_with, Classification, Complexity};
+use crate::delta::Tracked;
 use cqa_model::{BlockId, Database};
 use cqa_query::Query;
 use cqa_solvers::{
-    certain_brute_over, certain_combined_over, certain_one_atom, certk_by_components,
-    support_partition, BruteOutcome, CancelToken, CertKConfig, CertKStats, ComponentVerdict,
+    certain_brute_over, certain_combined_over, certk_by_components, support_partition,
+    BruteOutcome, CancelToken, CertKConfig, CertKStats, ComponentVerdict, ForcingBlocks,
     SolutionSet,
 };
 use cqa_tripath::SearchConfig;
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Which algorithm actually answered a [`CqaEngine::certain`] call.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -300,25 +302,36 @@ impl CqaEngine {
         token: &CancelToken,
     ) -> Result<CertainAnswer, CancelledSolve> {
         let solutions = OnceCell::new();
-        self.certain_with_solutions(
+        self.solve(
             db,
-            || solutions.get_or_init(|| SolutionSet::enumerate(&self.query, db)),
+            || solutions.get_or_init(|| Arc::new(SolutionSet::enumerate(&self.query, db))),
             token,
         )
+        .map(|(answer, _)| answer)
+    }
+
+    /// This engine on the component route, which leaves a live state.
+    pub(crate) fn on_components(&self) -> CqaEngine {
+        CqaEngine {
+            config: self.config.with_route(RoutePolicy::Component),
+            ..self.clone()
+        }
     }
 
     /// The one dispatch: [`CqaEngine::certain_cancellable`] with the
-    /// solution set supplied on demand by the caller. It depends only on
-    /// (query, database), so a [`SharedSession`](crate::SharedSession)
-    /// enumerates it once and keeps it across cancelled retries. A
-    /// [`Complexity::Trivial`] query never asks for it: one block scan
-    /// answers ([`certain_one_atom`]).
-    pub(crate) fn certain_with_solutions<'s>(
+    /// solution set supplied on demand by the caller (a
+    /// [`SharedSession`](crate::SharedSession) keeps it across cancelled
+    /// retries; a [`Complexity::Trivial`] query never asks for it), and
+    /// with what a [`QueryDeltaState`](crate::QueryDeltaState) keeps: the
+    /// block scan's flags, or the partition and verdicts of a component
+    /// solve, which share the solution set (an empty partition without
+    /// solutions). The literal route and the brute force keep nothing.
+    pub(crate) fn solve<'s>(
         &self,
         db: &Database,
-        solutions: impl FnOnce() -> &'s SolutionSet,
+        solutions: impl FnOnce() -> &'s Arc<SolutionSet>,
         token: &CancelToken,
-    ) -> Result<CertainAnswer, CancelledSolve> {
+    ) -> Result<(CertainAnswer, Option<Tracked>), CancelledSolve> {
         let complexity = self.classification.complexity;
         let answer = |certain, answered_by| CertainAnswer {
             certain,
@@ -328,9 +341,10 @@ impl CqaEngine {
             components: None,
         };
         if complexity == Complexity::Trivial {
-            return certain_one_atom(&db.full_view(), &self.query, token)
-                .map(|certain| answer(certain, AnsweredBy::Trivial))
-                .ok_or_else(CancelledSolve::default);
+            let blocks =
+                ForcingBlocks::scan(&self.query, db, token).ok_or_else(CancelledSolve::default)?;
+            let tracked = Tracked::Blocks(blocks);
+            return Ok((tracked.answer(complexity), Some(tracked)));
         }
         let solutions = solutions();
         if solutions.is_empty() {
@@ -345,52 +359,45 @@ impl CqaEngine {
                 Complexity::CoNpComplete => AnsweredBy::BruteForce,
                 _ => AnsweredBy::CertK,
             };
-            return Ok(answer(false, answered_by));
+            let tracked = (complexity != Complexity::CoNpComplete)
+                .then(|| Tracked::components(solutions, Vec::new(), Vec::new()));
+            return Ok((answer(false, answered_by), tracked));
         }
-        let cfg = self.config.certk;
-        let fixpoint_cancelled = |partial| CancelledSolve {
-            certk_stats: Some(partial),
+        if complexity == Complexity::CoNpComplete {
+            let outcome = certain_brute_over(db, solutions, self.config.brute_budget, token)
+                .ok_or_else(CancelledSolve::default)?;
+            let answer = CertainAnswer {
+                budget_exhausted: matches!(outcome, BruteOutcome::BudgetExhausted),
+                ..answer(
+                    matches!(outcome, BruteOutcome::Certain),
+                    AnsweredBy::BruteForce,
+                )
+            };
+            return Ok((answer, None));
+        }
+        let fan_out = match complexity {
+            Complexity::PTimeCombined => certain_combined_over,
+            _ => certk_by_components,
         };
-        match complexity {
-            Complexity::CoNpComplete => {
-                let outcome = certain_brute_over(db, solutions, self.config.brute_budget, token)
-                    .ok_or_else(CancelledSolve::default)?;
-                Ok(CertainAnswer {
-                    budget_exhausted: matches!(outcome, BruteOutcome::BudgetExhausted),
-                    ..answer(
-                        matches!(outcome, BruteOutcome::Certain),
-                        AnsweredBy::BruteForce,
-                    )
-                })
+        let groups = self.route_components(db, solutions);
+        let views: Vec<_> = match &groups {
+            Some(groups) => groups
+                .iter()
+                .map(|blocks| db.view_of_blocks(blocks.iter().copied()))
+                .collect(),
+            None => vec![db.view_of_blocks(solutions.support_blocks(db))],
+        };
+        let res = fan_out(&views, solutions, self.config.certk, token).map_err(|partial| {
+            CancelledSolve {
+                certk_stats: Some(partial),
             }
-            complexity => {
-                let matching = complexity == Complexity::PTimeCombined;
-                let (comps, answered_by) = match self.route_components(db, solutions) {
-                    Some(groups) => (
-                        groups
-                            .into_iter()
-                            .map(|blocks| db.view_of_blocks(blocks))
-                            .collect(),
-                        match matching {
-                            true => AnsweredBy::Combined,
-                            false => AnsweredBy::ComponentCertK,
-                        },
-                    ),
-                    None => (
-                        vec![db.view_of_blocks(solutions.support_blocks(db))],
-                        AnsweredBy::CertK,
-                    ),
-                };
-                let fan_out = match matching {
-                    true => certain_combined_over,
-                    false => certk_by_components,
-                };
-                let res = fan_out(&comps, solutions, cfg, token).map_err(fixpoint_cancelled)?;
-                let mut totals = VerdictTotals::default();
-                res.components.iter().for_each(|v| totals.add(v));
-                Ok(totals.answer(answered_by))
-            }
-        }
+        })?;
+        let Some(groups) = groups else {
+            let answer = VerdictTotals::of(&res.components).answer(AnsweredBy::CertK);
+            return Ok((answer, None));
+        };
+        let tracked = Tracked::components(solutions, groups, res.components);
+        Ok((tracked.answer(complexity), Some(tracked)))
     }
 }
 
@@ -413,6 +420,12 @@ pub(crate) struct VerdictTotals {
 }
 
 impl VerdictTotals {
+    pub(crate) fn of(verdicts: &[ComponentVerdict]) -> VerdictTotals {
+        let mut totals = VerdictTotals::default();
+        verdicts.iter().for_each(|v| totals.add(v));
+        totals
+    }
+
     pub(crate) fn add(&mut self, v: &ComponentVerdict) {
         self.verdicts += 1;
         self.certain += usize::from(v.certain);

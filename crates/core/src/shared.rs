@@ -19,10 +19,11 @@
 //!   answers), and the solved [`CertainAnswer`] itself: the database is
 //!   immutable for the session's lifetime, so the verdict is a pure
 //!   function of the query and a repeat request costs a map lookup.
-//!   (The component partition's views borrow the database, so the
-//!   partition is rebuilt inside the one first-solve rather than stored
-//!   — caching it in an owned session would make the type
-//!   self-referential.)
+//!   Next to the answer, the entry keeps what the first completed solve
+//!   computed as the query's [`QueryDeltaState`]: a `Trivial` query's
+//!   block flags, or a component solve's partition (as block lists, not
+//!   views, so nothing borrows the database) and verdicts, sharing the
+//!   entry's solution set.
 //!
 //! Cache keys are the *normalised* query text ([`Query::display`]), so
 //! `R(x|y) R(y|z)` and `R(x | y)  R(y | z)` share an entry.
@@ -41,8 +42,8 @@
 //! store the delta does not write (so the clone, the patch and the later
 //! drop of the predecessor cost O(delta), not O(n)), and every query
 //! already answered here is carried over
-//! with its verdict *patched incrementally* (via
-//! [`QueryDeltaState`](crate::QueryDeltaState) — untouched q-connected
+//! with its verdict *patched incrementally* (via its
+//! [`QueryDeltaState`] — untouched q-connected
 //! components keep their verdicts, dirty ones re-solve from scratch).
 //! The predecessor stays fully consistent for in-flight holders; the
 //! `cqa serve` manager swaps the successor in atomically, so a request
@@ -72,14 +73,17 @@ pub struct SessionStats {
     pub cache_hits: usize,
 }
 
-/// A per-query cache slot. All fields are lazily initialised under
-/// [`OnceLock`], so racing first requests for one query do the expensive
-/// work exactly once; later requests read lock-free.
+/// A per-query cache slot. The engine, solution set and answer are
+/// lazily initialised under [`OnceLock`], so racing first requests for
+/// one query do the expensive work exactly once; later requests read
+/// lock-free. `state` is set before `answer`, by the same completed
+/// solve, and a successor session takes it.
 #[derive(Default)]
 struct SharedEntry {
     engine: OnceLock<CqaEngine>,
-    solutions: OnceLock<SolutionSet>,
+    solutions: OnceLock<Arc<SolutionSet>>,
     answer: OnceLock<CertainAnswer>,
+    state: Mutex<Option<QueryDeltaState>>,
 }
 
 /// An owned classify-once, analyse-once, answer-many handle on one
@@ -105,11 +109,6 @@ pub struct SharedSession {
     db: Arc<Database>,
     config: EngineConfig,
     entries: Mutex<HashMap<String, Arc<SharedEntry>>>,
-    /// Incremental per-query caches, keyed like `entries`. Populated by
-    /// [`SharedSession::with_delta`] on the successor it builds; drained
-    /// from the predecessor (its verdict cache stays valid — the states
-    /// are pure acceleration for the *next* delta).
-    delta: Mutex<HashMap<String, QueryDeltaState>>,
     delta_stats: Mutex<DeltaStats>,
     queries: AtomicUsize,
     distinct: AtomicUsize,
@@ -124,7 +123,6 @@ impl SharedSession {
             db,
             config,
             entries: Mutex::new(HashMap::new()),
-            delta: Mutex::new(HashMap::new()),
             delta_stats: Mutex::new(DeltaStats::default()),
             queries: AtomicUsize::new(0),
             distinct: AtomicUsize::new(0),
@@ -143,12 +141,12 @@ impl SharedSession {
     }
 
     /// Approximate resident bytes of the session's database — the number
-    /// the `cqa serve` memory budget accounts and evicts by. The cached
-    /// per-query artefacts (solution sets, verdicts, delta states) are not
-    /// counted. Every query that is not `Trivial` caches a solution set,
-    /// one entry per pair of facts that join, which can outgrow the
-    /// database itself. Counting every resident category is the "no
-    /// unaccounted memory in the server" item of `ROADMAP.md`.
+    /// the `cqa serve` memory budget accounts and evicts by. What the
+    /// session keeps per query is not counted: the solution set of every
+    /// query that is not `Trivial`, O(facts), and the live state its first
+    /// solve left (a component partition and one verdict per component,
+    /// or one flag per block). Counting every resident category is item 7
+    /// of `ROADMAP.md`, "no unaccounted memory in the server".
     pub fn approx_bytes(&self) -> usize {
         self.db.approx_bytes()
     }
@@ -181,7 +179,8 @@ impl SharedSession {
     /// (or building, on first sight) the entry's classification and, when
     /// the solve asks for it, its solution set. Both are kept even when
     /// the solve is cancelled. A `Trivial` query never fills the
-    /// solutions slot.
+    /// solutions slot. A completed solve stores the state it leaves in
+    /// the entry; the caller then commits the answer.
     fn solve(
         &self,
         entry: &SharedEntry,
@@ -191,15 +190,20 @@ impl SharedSession {
         let engine = entry
             .engine
             .get_or_init(|| CqaEngine::with_config(query.clone(), self.config));
-        engine.certain_with_solutions(
+        let (answer, tracked) = engine.solve(
             &self.db,
             || {
                 entry
                     .solutions
-                    .get_or_init(|| SolutionSet::enumerate(engine.query(), &self.db))
+                    .get_or_init(|| Arc::new(SolutionSet::enumerate(engine.query(), &self.db)))
             },
             token,
-        )
+        )?;
+        if let Some(tracked) = tracked {
+            let state = QueryDeltaState::from_solve(engine.clone(), tracked);
+            *entry.state.lock().expect("session entry lock poisoned") = Some(state);
+        }
+        Ok(answer)
     }
 
     /// Decide `db ⊨ certain(query)`, reusing (or building, on first
@@ -286,15 +290,19 @@ impl SharedSession {
     /// this session has already answered carried over — its verdict
     /// patched incrementally rather than re-solved from scratch.
     ///
-    /// Per carried query (see [`QueryDeltaState`](crate::QueryDeltaState)):
-    /// untouched q-connected components keep their verdicts verbatim;
-    /// components in the dirty region re-solve from scratch, one
-    /// component at a time. coNP-complete queries carry nothing (their
-    /// next request re-solves lazily), and queries whose first solve never
-    /// completed are dropped. The incremental states themselves move to the
-    /// successor, so a *chain* of updates keeps patching instead of
-    /// rebuilding; this session keeps answering from its own (still
-    /// valid) caches, it just can't accelerate a second `with_delta`.
+    /// Per carried query (see [`QueryDeltaState`]): untouched q-connected
+    /// components keep their verdicts verbatim; components in the dirty
+    /// region re-solve from scratch, one component at a time. The state
+    /// patched is the one the query's first solve left in its entry, and
+    /// it moves to the successor, so a *chain* of updates keeps patching;
+    /// this session keeps answering from its own (still valid) verdicts.
+    /// A query answered on the literal route left no state, and a second
+    /// successor of one session finds the states taken: such a query gets
+    /// a state built by the engine's component solve on the post-delta
+    /// database.
+    /// coNP-complete queries carry nothing (their next request re-solves
+    /// lazily), and queries whose first solve never completed are
+    /// dropped.
     ///
     /// Observability counters (`queries`, `distinct_queries`,
     /// `cache_hits`, [`DeltaStats`]) carry over so a served database's
@@ -320,9 +328,9 @@ impl SharedSession {
     /// more, such as a one-shot `cqa update`'s: when this session holds
     /// the database's only handle, the delta is applied in place instead
     /// of to a copy-on-write clone, whose first write into each shared
-    /// chunk and map shard copies it, and each query's cached solution
-    /// set moves into its incremental state instead of being copied. An
-    /// error consumes the session.
+    /// chunk and map shard copies it, and each query's solution set is
+    /// patched in place instead of being copied. An error consumes the
+    /// session.
     pub fn into_delta(
         mut self,
         inserts: &[Fact],
@@ -345,71 +353,53 @@ impl SharedSession {
         report: &DeltaReport,
         entries: HashMap<String, Arc<SharedEntry>>,
     ) -> SharedSession {
-        let mut step = DeltaStats {
-            delta_applied: 1,
-            ..DeltaStats::default()
-        };
-        // Drain our incremental states: they are chained onto the
-        // successor (a state patched past the delta no longer describes
-        // *our* database).
-        let mut old_states =
-            std::mem::take(&mut *self.delta.lock().expect("session delta lock poisoned"));
+        let mut step = DeltaStats::default();
         let mut next_entries: HashMap<String, Arc<SharedEntry>> = HashMap::new();
-        let mut next_states: HashMap<String, QueryDeltaState> = HashMap::new();
         for (key, entry) in entries {
-            if entry.answer.get().is_none() {
-                continue; // never fully answered: nothing worth carrying
-            }
-            let state = match old_states.remove(&key) {
+            // Only a completed solve of a supported class is carried.
+            let engine = match (entry.answer.get(), entry.engine.get()) {
+                (Some(_), Some(engine)) if QueryDeltaState::supports(engine) => engine.clone(),
+                _ => continue,
+            };
+            let state = entry
+                .state
+                .lock()
+                .expect("session entry lock poisoned")
+                .take();
+            let solutions = entry.solutions.get().cloned();
+            // In `into_delta` that was the entry's last handle, so the
+            // delta patches its solution set in place below.
+            drop(entry);
+            let state = match state {
                 Some(mut state) => {
-                    let s = state.apply(&db, report);
-                    step.blocks_reseeded += s.blocks_reseeded;
-                    step.verdicts_retained += s.verdicts_retained;
+                    drop(solutions);
+                    step.absorb(&state.apply(&db, report));
                     state
                 }
                 None => {
-                    // First update for this query: convert the cached
-                    // verdict into an incremental state by solving the
-                    // post-delta database per component (cold once; every
-                    // later delta patches). A cached enumeration is
-                    // patched by this delta instead of redone: moved out
-                    // of the entry when this is its last handle, copied
-                    // otherwise.
-                    let engine = entry
-                        .engine
-                        .get()
-                        .expect("an answered entry always has its engine")
-                        .clone();
-                    if !QueryDeltaState::supports(&engine) {
-                        continue;
-                    }
-                    let solutions = match Arc::try_unwrap(entry) {
-                        Ok(entry) => entry.solutions.into_inner(),
-                        Err(entry) => entry.solutions.get().cloned(),
-                    };
                     let solutions = solutions.map(|mut solutions| {
-                        solutions.apply_delta(&db, report);
+                        Arc::make_mut(&mut solutions).apply_delta(&db, report);
                         solutions
                     });
-                    let state = QueryDeltaState::new(engine, &db, solutions)
-                        .expect("a supported class has a state");
-                    step.blocks_reseeded += state.blocks_solved(&db);
-                    state
+                    QueryDeltaState::new(engine.clone(), &db, solutions)
+                        .expect("a supported class has a state")
                 }
             };
-            let fresh = SharedEntry::default();
-            let _ = fresh.engine.set(state.engine().clone());
-            let _ = fresh.answer.set(state.answer());
-            next_entries.insert(key.clone(), Arc::new(fresh));
-            next_states.insert(key, state);
+            let fresh = SharedEntry {
+                engine: OnceLock::from(engine),
+                solutions: OnceLock::new(),
+                answer: OnceLock::from(state.answer()),
+                state: Mutex::new(Some(state)),
+            };
+            next_entries.insert(key, Arc::new(fresh));
         }
+        step.delta_applied = 1; // one delta, however many queries it patched
         let mut stats = self.delta_stats();
         stats.absorb(&step);
         SharedSession {
             db,
             config: self.config,
             entries: Mutex::new(next_entries),
-            delta: Mutex::new(next_states),
             delta_stats: Mutex::new(stats),
             queries: AtomicUsize::new(self.queries.load(Ordering::Relaxed)),
             distinct: AtomicUsize::new(self.distinct.load(Ordering::Relaxed)),
@@ -421,10 +411,10 @@ impl SharedSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AnsweredBy, Complexity};
+    use crate::{AnsweredBy, Complexity, RoutePolicy};
     use cqa_model::{Fact, Signature};
     use cqa_query::{examples, parse_query};
-    use cqa_solvers::certain_brute;
+    use cqa_solvers::{certain_brute, support_partition};
 
     fn db2(rows: &[[&str; 2]]) -> Arc<Database> {
         let mut db = Database::new(Signature::new(2, 1).unwrap());
@@ -614,27 +604,63 @@ mod tests {
     }
 
     #[test]
-    fn first_update_counts_the_support_blocks_it_solves() {
-        // Solutions a→b→c and p→q→r; the z block holds none.
+    fn first_update_patches_the_state_the_cold_solve_left() {
+        // Support components {a, b}, {p, q} and {d, e}; the z block holds
+        // no solution.
         let db = db2(&[
             ["a", "b"],
             ["b", "c"],
             ["p", "q"],
             ["p", "x"],
             ["q", "r"],
+            ["d", "e"],
+            ["e", "f"],
             ["z", "w"],
         ]);
         let q3 = examples::q3();
-        let session = SharedSession::new(db, EngineConfig::default());
+        let config = EngineConfig::default().with_route(RoutePolicy::Component);
+        let session = SharedSession::new(Arc::clone(&db), config);
+        let before = support_partition(&db, &SolutionSet::enumerate(&q3, &db));
+        assert_eq!(before.len(), 3);
         session.certain(&q3);
+
+        // a→y touches block a only: its component is the dirty region.
         let (next, _) = session
-            .with_delta(&[Fact::from_names(["m", "n"])], &[])
+            .with_delta(&[Fact::from_names(["a", "y"])], &[])
             .unwrap();
-        let support = SolutionSet::enumerate(&q3, next.db()).support_blocks(next.db());
-        assert_eq!(support.len(), 4, "blocks a, b, p and q");
+        let after = support_partition(next.db(), &SolutionSet::enumerate(&q3, next.db()));
+        let ay = next.db().id_of(&Fact::from_names(["a", "y"])).unwrap();
+        let a = next.db().block_of(ay);
+        let dirty = after.iter().find(|g| g.contains(&a)).unwrap();
         let stats = next.delta_stats();
-        assert_eq!(stats.blocks_reseeded, support.len() as u64);
-        assert_eq!(stats.verdicts_retained, 0);
+        assert_eq!(stats.blocks_reseeded, dirty.len() as u64);
+        assert_eq!(stats.verdicts_retained, before.len() as u64 - 1);
+        let cold = CqaEngine::with_config(q3.clone(), config).certain(next.db());
+        assert_eq!(
+            format!("{:?}", next.certain(&q3)),
+            format!("{cold:?}"),
+            "the carried answer is the cold one, stats included"
+        );
+    }
+
+    #[test]
+    fn a_cancelled_solve_is_not_carried() {
+        let config = EngineConfig::default().with_route(RoutePolicy::Component);
+        let session = SharedSession::new(multi_component_db(), config);
+        let q3 = examples::q3();
+        let raised = CancelToken::new();
+        raised.cancel();
+        assert!(session.certain_cancellable(&q3, &raised).is_err());
+        let entry = session.entry(&q3);
+        assert!(entry.state.lock().unwrap().is_none(), "no state committed");
+
+        let (next, _) = session
+            .with_delta(&[Fact::from_names(["c", "d"])], &[])
+            .unwrap();
+        assert!(next.cached(&q3).is_none(), "nothing carried");
+        assert_eq!(next.delta_stats().blocks_reseeded, 0);
+        let cold = CqaEngine::with_config(q3.clone(), config).certain(next.db());
+        assert_eq!(format!("{:?}", next.certain(&q3)), format!("{cold:?}"));
     }
 
     #[test]

@@ -33,7 +33,7 @@ use crate::SolutionSet;
 use cqa_graph::UnionFind;
 use cqa_model::{BlockId, Database, DbView, DeltaReport};
 use cqa_query::Query;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Partition `db` into q-connected components.
 pub fn q_connected_components<'a>(q: &Query, db: &'a Database) -> Vec<DbView<'a>> {
@@ -166,21 +166,24 @@ pub struct ComponentDeltaReport {
 /// `O(dirty region)`, not `O(db)`.
 #[derive(Clone, Debug)]
 pub struct DynamicComponents {
-    comp_of_block: HashMap<BlockId, u32>,
+    /// Each block's component by block slot; `u32::MAX` (or past the
+    /// end) when the block is in none.
+    comp_of_block: Vec<u32>,
     blocks_of_comp: BTreeMap<u32, Vec<BlockId>>,
     next: u32,
 }
 
 impl DynamicComponents {
-    /// Partition the support of `db` from scratch (the same partition as
-    /// [`support_partition`]).
-    pub fn new(db: &Database, solutions: &SolutionSet) -> DynamicComponents {
+    /// The partition into `groups`, the support's q-connected components
+    /// as [`support_partition`] returns them: component `i` is
+    /// `groups[i]`, under id `i`.
+    pub fn new(groups: Vec<Vec<BlockId>>) -> DynamicComponents {
         let mut dc = DynamicComponents {
-            comp_of_block: HashMap::new(),
+            comp_of_block: Vec::new(),
             blocks_of_comp: BTreeMap::new(),
             next: 0,
         };
-        for group in support_partition(db, solutions) {
+        for group in groups {
             dc.admit(group);
         }
         dc
@@ -190,7 +193,10 @@ impl DynamicComponents {
         let id = self.next;
         self.next += 1;
         for &b in &group {
-            self.comp_of_block.insert(b, id);
+            if b.idx() >= self.comp_of_block.len() {
+                self.comp_of_block.resize(b.idx() + 1, u32::MAX);
+            }
+            self.comp_of_block[b.idx()] = id;
         }
         self.blocks_of_comp.insert(id, group);
         id
@@ -241,11 +247,12 @@ impl DynamicComponents {
         }
         let dirty: BTreeSet<u32> = pool
             .iter()
-            .filter_map(|b| self.comp_of_block.get(b).copied())
+            .filter_map(|b| self.comp_of_block.get(b.idx()).copied())
+            .filter(|&c| c != u32::MAX)
             .collect();
         for &c in &dirty {
             for b in self.blocks_of_comp.remove(&c).unwrap_or_default() {
-                self.comp_of_block.remove(&b);
+                self.comp_of_block[b.idx()] = u32::MAX;
                 pool.push(b);
             }
         }
@@ -377,7 +384,7 @@ mod tests {
         let q = examples::q3();
         let mut db = db2(&[["a", "b"], ["b", "c"], ["p", "q"], ["q", "r"]]);
         let mut inc = SolutionSet::enumerate(&q, &db);
-        let mut dc = DynamicComponents::new(&db, &inc);
+        let mut dc = DynamicComponents::new(support_partition(&db, &inc));
         assert_eq!(dc.len(), 2);
         // Bridge the two chains: c -> p.
         let rep = db
@@ -405,7 +412,7 @@ mod tests {
             ["w", "v"],
         ]);
         let mut inc = SolutionSet::enumerate(&q, &db);
-        let mut dc = DynamicComponents::new(&db, &inc);
+        let mut dc = DynamicComponents::new(support_partition(&db, &inc));
         assert_eq!(dc.len(), 2);
         // Cut the chain in the middle: {xa, ab} and {cd, de} disconnect.
         let rep = db
@@ -426,7 +433,7 @@ mod tests {
         let q = examples::q3();
         let mut db = db2(&[["a", "b"], ["b", "c"]]);
         let mut inc = SolutionSet::enumerate(&q, &db);
-        let mut dc = DynamicComponents::new(&db, &inc);
+        let mut dc = DynamicComponents::new(support_partition(&db, &inc));
         type Rows<'a> = Vec<[&'a str; 2]>;
         let scripts: Vec<(Rows, Rows)> = vec![
             (vec![["c", "d"], ["x", "y"]], vec![]),

@@ -37,7 +37,7 @@
 //! stops at the first that forces `q`.
 //!
 //! The first-order one-atom case of Section 2 needs none of them: its
-//! one entry, [`certain_one_atom`] (a view, the query and a
+//! one entry, [`ForcingBlocks::scan`] (the query, a database and a
 //! [`CancelToken`]), scans the blocks without a solution set.
 //!
 //! The whole-database paper names — [`certk()`], [`cert2`],
@@ -78,5 +78,5 @@ pub use components::{
 pub use matching::{
     analyze_view, certain_by_matching, is_clique_database, matching_accepts, MatchingAnalysis,
 };
-pub use one_atom::{certain_one_atom, OneAtomPlan};
+pub use one_atom::{ForcingBlocks, OneAtomPlan};
 pub use solution::SolutionSet;

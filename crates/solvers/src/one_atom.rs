@@ -11,7 +11,8 @@
 //!
 //! A repair picks one fact per block, independently of the other
 //! blocks, so every repair holds such a fact iff some block consists only
-//! of them. That is [`certain_one_atom`].
+//! of them. [`ForcingBlocks`] keeps that flag for every block: a cold
+//! scan sets them all, and a delta rechecks only the blocks it touched.
 //!
 //! The per-fact test `q(f f)` ([`OneAtomPlan`]) reuses the atom plans
 //! of the join (`crate::solution`): `f` must match both atoms, and its
@@ -22,11 +23,11 @@
 
 use crate::solution::{compile, holds_on_itself, AtomPlan};
 use crate::CancelToken;
-use cqa_model::{BlockId, Database, DbView, FactRef};
+use cqa_model::{BlockId, Database, FactRef};
 use cqa_query::Query;
 
-/// How many blocks [`certain_one_atom`] scans between two polls of its
-/// token.
+/// How many blocks [`ForcingBlocks::scan`] scans between two polls of
+/// its token.
 const POLL_BLOCKS: usize = 1024;
 
 /// The test `q(f f)`, compiled once from the query.
@@ -52,30 +53,65 @@ impl OneAtomPlan {
     }
 }
 
-/// `certain(q)` on `view` for a query with
-/// [`Query::is_one_atom_equivalent`]: does some block of the view consist
-/// only of facts `f` with `q(f f)`? `None` when `token` was raised, which
-/// is checked before the first block and then every 1024 blocks.
-pub fn certain_one_atom(view: &DbView<'_>, q: &Query, token: &CancelToken) -> Option<bool> {
-    debug_assert!(
-        q.is_one_atom_equivalent(),
-        "{} is not one-atom",
-        q.display()
-    );
-    let plan = OneAtomPlan::compile(q);
-    let db = view.parent();
-    if token.is_cancelled() {
-        return None;
-    }
-    for (n, &b) in view.blocks().iter().enumerate() {
-        if n % POLL_BLOCKS == POLL_BLOCKS - 1 && token.is_cancelled() {
+/// `certain(q)` for a query with [`Query::is_one_atom_equivalent`], kept
+/// per block: one flag per block slot of a database, "non-empty and every
+/// fact `f` has `q(f f)`" ([`OneAtomPlan::block_forces`]), and the count
+/// of set flags. `q` is certain iff the count is positive.
+#[derive(Clone, Debug)]
+pub struct ForcingBlocks {
+    plan: OneAtomPlan,
+    /// Indexed by block slot.
+    forces: Vec<bool>,
+    /// How many entries of `forces` are `true`.
+    count: usize,
+}
+
+impl ForcingBlocks {
+    /// The flag of every block of `db`. `None` when `token` was raised,
+    /// which is checked before the first block and then every 1024
+    /// blocks.
+    pub fn scan(q: &Query, db: &Database, token: &CancelToken) -> Option<ForcingBlocks> {
+        debug_assert!(
+            q.is_one_atom_equivalent(),
+            "{} is not one-atom",
+            q.display()
+        );
+        let mut blocks = ForcingBlocks {
+            plan: OneAtomPlan::compile(q),
+            forces: vec![false; db.block_slots()],
+            count: 0,
+        };
+        if token.is_cancelled() {
             return None;
         }
-        if plan.block_forces(db, b) {
-            return Some(true);
+        for (n, b) in db.block_ids().enumerate() {
+            if n % POLL_BLOCKS == POLL_BLOCKS - 1 && token.is_cancelled() {
+                return None;
+            }
+            blocks.set(db, b);
+        }
+        Some(blocks)
+    }
+
+    /// Recompute the flags of `blocks` of `db`, such as the blocks a
+    /// delta touched: a flag depends on its block alone.
+    pub fn recheck(&mut self, db: &Database, blocks: impl IntoIterator<Item = BlockId>) {
+        self.forces.resize(db.block_slots(), false);
+        for b in blocks {
+            self.set(db, b);
         }
     }
-    Some(false)
+
+    fn set(&mut self, db: &Database, b: BlockId) {
+        let now = self.plan.block_forces(db, b);
+        let was = std::mem::replace(&mut self.forces[b.idx()], now);
+        self.count = self.count + usize::from(now) - usize::from(was);
+    }
+
+    /// Does some block force `q`, so that every repair satisfies it?
+    pub fn certain(&self) -> bool {
+        self.count > 0
+    }
 }
 
 #[cfg(test)]
@@ -94,7 +130,9 @@ mod tests {
     }
 
     fn decide(q: &Query, db: &Database) -> bool {
-        certain_one_atom(&db.full_view(), q, &CancelToken::new()).expect("a calm token")
+        ForcingBlocks::scan(q, db, &CancelToken::new())
+            .expect("a calm token")
+            .certain()
     }
 
     /// Over `[2, 0]` the whole relation is one block. `R(x v) R(v x)` has
@@ -161,9 +199,9 @@ mod tests {
         let raised = CancelToken::new();
         raised.cancel();
         let empty = Database::new(Signature::new(2, 1).unwrap());
-        assert_eq!(certain_one_atom(&empty.full_view(), &q, &raised), None);
+        assert!(ForcingBlocks::scan(&q, &empty, &raised).is_none());
         assert_eq!(
-            certain_one_atom(&empty.full_view(), &q, &CancelToken::new()),
+            ForcingBlocks::scan(&q, &empty, &CancelToken::new()).map(|b| b.certain()),
             Some(false)
         );
     }
