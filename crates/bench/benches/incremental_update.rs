@@ -46,8 +46,8 @@ fn growth_batch(epoch: u64, count: usize) -> Vec<Fact> {
 }
 
 /// Start a warm update chain off `base`: answer once (classify +
-/// enumerate + solve). The component-route solve leaves the
-/// [`QueryDeltaState`](cqa::QueryDeltaState) every `with_delta` patches.
+/// enumerate + solve). The component-route solve leaves the live state
+/// (solution set and component store) every `with_delta` patches.
 fn warm_chain(
     base: &Arc<cqa_model::Database>,
     config: EngineConfig,

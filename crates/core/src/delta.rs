@@ -1,58 +1,56 @@
 //! Incremental re-answering across [`Database::apply_delta`]s.
 //!
-//! A [`QueryDeltaState`] is the per-query cache a live database keeps
+//! A [`QueryDeltaState`] is the per-query state a live database keeps
 //! between updates. For a `Trivial` query (one equivalent to a single
 //! atom) it is the cold block scan's [`ForcingBlocks`]: one flag per
 //! block, "non-empty and every fact `f` has `q(f f)`", plus the count of
 //! set flags, and a delta rechecks only the blocks it touched. For the
 //! other PTime classes it is the solution set (patched in place by each
-//! delta), the dynamic q-connected partition of the solution *support*,
-//! and one verdict per component. A solution-free block is in no
-//! component (Proposition 10.6: it is never certain), so a query with no
-//! solution keeps none.
+//! delta) and the [`DynamicComponents`] store of the solution *support*:
+//! each q-connected component's blocks beside its verdict. A
+//! solution-free block is in no component (Proposition 10.6: it is never
+//! certain), so a query with no solution keeps none.
 //!
 //! A state is what the engine's cold solve computed, kept rather than
-//! dropped: [`CqaEngine`]'s component solve returns its partition and
-//! verdicts, and a [`SharedSession`](crate::SharedSession) keeps them in
-//! the query's cache entry. After a delta, only the *dirty region* is
-//! re-solved:
+//! dropped: [`CqaEngine`]'s component route returns the store
+//! [`DynamicComponents::solve`] filled, and a
+//! [`SharedSession`](crate::SharedSession) keeps it in the query's cache
+//! entry. After a delta, [`DynamicComponents::apply`] re-solves only the
+//! *dirty region*, through the same fill step:
 //!
 //! * components the delta never touched keep their verdicts verbatim
 //!   (their fact sets are literally identical — fact ids are stable under
 //!   [`Database::apply_delta`], so an untouched component's view is
-//!   bit-for-bit the view the cached verdict was computed on);
-//! * components rebuilt from the dirty region are solved from scratch by
-//!   [`decide_component`], the function the cold fan-out maps over every
-//!   component.
+//!   bit-for-bit the view the kept verdict was computed on);
+//! * components rebuilt from the dirty region are decided from scratch by
+//!   [`decide_component`](cqa_solvers::decide_component), at the
+//!   engine's thread count, as the cold solve decides every component.
 //!
 //! The database itself is **certain iff some component is**
 //! (Proposition 10.6), so [`QueryDeltaState::answer`] reads the
 //! [`CertainAnswer`] off running totals of the per-component verdicts,
 //! the fold the engine's cold component solves use too, without
-//! touching the clean region at all. coNP-complete queries have no incremental story
-//! (the brute force keeps no reusable evidence) — [`QueryDeltaState::new`]
-//! returns `None` for them and callers fall back to a full re-solve.
+//! touching the clean region at all. coNP-complete queries have no
+//! incremental story (the brute force keeps no reusable evidence) —
+//! [`QueryDeltaState::new`] returns `None` for them and callers fall back
+//! to a full re-solve.
 //!
 //! Every entry point here is deliberately *re-derivable*: the state is a
 //! pure function of `(query, database)`, and the differential suites
 //! (`crates/core/tests/delta_props.rs`, the `deltadiff` fuzz target)
 //! compare it against a from-scratch recompute after every step.
 
-use std::cell::OnceCell;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::classify::Complexity;
 use crate::engine::{AnsweredBy, CertainAnswer, CqaEngine, VerdictTotals};
-use cqa_model::{BlockId, Database, DeltaReport};
-use cqa_solvers::{
-    decide_component, CancelToken, ComponentVerdict, DynamicComponents, ForcingBlocks, SolutionSet,
-};
+use cqa_model::{Database, DeltaReport};
+use cqa_solvers::{CancelToken, CertKStats, DynamicComponents, ForcingBlocks, SolutionSet};
 
 /// Counters for the incremental path, aggregated by sessions and servers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DeltaStats {
-    /// Deltas applied ([`QueryDeltaState::apply`] calls).
+    /// Deltas applied (one per successor session).
     pub delta_applied: u64,
     /// Blocks of the components re-solved after a delta (the size of the
     /// dirty region, summed over deltas); for a `Trivial` query, the
@@ -74,159 +72,107 @@ impl DeltaStats {
     }
 }
 
-/// Per-query incremental cache, patched in `O(dirty region)` per
-/// [`Database::apply_delta`].
+/// Per-query live state, what the engine's cold solve computed, patched
+/// in `O(dirty region)` per [`Database::apply_delta`].
 ///
-/// The state does not own the database; callers must feed
-/// [`QueryDeltaState::apply`] the post-delta database and the
-/// [`DeltaReport`] of the *same* `apply_delta` call, in order. Skipping or
-/// reordering reports desynchronises the cache (assertions in
+/// The state owns neither the database nor the engine; callers must feed
+/// [`QueryDeltaState::apply`] the query's engine, the post-delta database
+/// and the [`DeltaReport`] of the *same* `apply_delta` call, in order.
+/// Skipping or reordering reports desynchronises the state (assertions in
 /// [`SolutionSet::apply_delta`] catch most misuse).
 #[derive(Clone, Debug)]
-pub struct QueryDeltaState {
-    engine: CqaEngine,
-    tracked: Tracked,
-}
-
-/// What a [`QueryDeltaState`] keeps, by class: what the engine's cold
-/// solve computed, returned with its answer.
-#[derive(Clone, Debug)]
-pub(crate) enum Tracked {
+pub(crate) enum QueryDeltaState {
     /// A `Trivial` query: per block, whether it forces `q`.
     Blocks(ForcingBlocks),
-    /// The `Cert_k` and Theorem 10.5 classes: solutions, partition and
-    /// one verdict per component.
-    Components(Box<ComponentVerdicts>),
-}
-
-/// The component cache of the `Cert_k` and Theorem 10.5 classes.
-#[derive(Clone, Debug)]
-pub(crate) struct ComponentVerdicts {
-    /// Shared with the session entry that enumerated it until the first
-    /// delta patches it.
-    solutions: Arc<SolutionSet>,
-    comps: DynamicComponents,
-    verdicts: HashMap<u32, ComponentVerdict>,
-    totals: VerdictTotals,
-}
-
-impl Tracked {
-    /// The cache of the support components `groups` over `solutions`,
-    /// with one verdict per group, in order.
-    pub(crate) fn components(
-        solutions: &Arc<SolutionSet>,
-        groups: Vec<Vec<BlockId>>,
-        verdicts: Vec<ComponentVerdict>,
-    ) -> Tracked {
-        Tracked::Components(Box::new(ComponentVerdicts {
-            solutions: Arc::clone(solutions),
-            comps: DynamicComponents::new(groups),
-            totals: VerdictTotals::of(&verdicts),
-            verdicts: (0..).zip(verdicts).collect(),
-        }))
-    }
-
-    /// The whole-database answer of a query of class `complexity`. O(1):
-    /// for a `Trivial` query it reads the count of forcing blocks;
-    /// otherwise it reads the running totals of the per-component
-    /// verdicts, certain iff some component is (Proposition 10.6).
-    pub(crate) fn answer(&self, complexity: Complexity) -> CertainAnswer {
-        match self {
-            Tracked::Blocks(blocks) => CertainAnswer {
-                certain: blocks.certain(),
-                answered_by: AnsweredBy::Trivial,
-                budget_exhausted: false,
-                certk_stats: None,
-                components: None,
-            },
-            Tracked::Components(cv) => cv.totals.answer(match complexity {
-                Complexity::PTimeCombined => AnsweredBy::Combined,
-                _ => AnsweredBy::ComponentCertK,
-            }),
-        }
-    }
-}
-
-impl ComponentVerdicts {
-    /// Solve component `id` from scratch, as the cold fan-out does: by
-    /// the Theorem 10.5 combination for `PTimeCombined`, by `Cert_k`
-    /// otherwise. Records its verdict, replacing any earlier one, and
-    /// returns its block count.
-    fn solve(&mut self, engine: &CqaEngine, db: &Database, id: u32) -> u64 {
-        let v = decide_component(
-            &self.comps.view_of(db, id),
-            &self.solutions,
-            engine.config().certk,
-            &CancelToken::new(),
-            engine.classification().complexity == Complexity::PTimeCombined,
-        )
-        .expect("a never-raised token cannot cancel a component");
-        self.totals.add(&v);
-        if let Some(old) = self.verdicts.insert(id, v) {
-            self.totals.remove(&old);
-        }
-        self.comps.blocks_of(id).len() as u64
-    }
+    /// The `Cert_k` and Theorem 10.5 classes: the solution set, which the
+    /// state owns once its solve completed, and the support's components
+    /// with their verdicts, with running totals over those verdicts.
+    Components {
+        solutions: Arc<SolutionSet>,
+        comps: DynamicComponents,
+        totals: VerdictTotals,
+    },
 }
 
 impl QueryDeltaState {
     /// Can `engine`'s query be answered incrementally? `false` exactly for
     /// the coNP-complete class, whose brute-force search keeps no
     /// component evidence worth patching.
-    pub fn supports(engine: &CqaEngine) -> bool {
+    pub(crate) fn supports(engine: &CqaEngine) -> bool {
         engine.classification().complexity != Complexity::CoNpComplete
     }
 
-    /// Build the cache for `db` by the engine's cold solve on the
-    /// component route: one block scan for a `Trivial` query, a
-    /// from-scratch solve of every support component otherwise, over
+    /// Build the state for `db` from scratch: one block scan for a
+    /// `Trivial` query, [`QueryDeltaState::components`] otherwise, over
     /// `solutions` when given (the query's solution set on `db`, such as a
-    /// cached one patched by [`SolutionSet::apply_delta`]) and a fresh
+    /// kept one patched by [`SolutionSet::apply_delta`]) and a fresh
     /// enumeration when not. Returns `None` when the class is unsupported
     /// ([`QueryDeltaState::supports`]).
-    pub fn new(
-        engine: CqaEngine,
+    pub(crate) fn new(
+        engine: &CqaEngine,
         db: &Database,
         solutions: Option<Arc<SolutionSet>>,
     ) -> Option<QueryDeltaState> {
-        if !QueryDeltaState::supports(&engine) {
+        if !QueryDeltaState::supports(engine) {
             return None;
         }
-        let solutions = solutions.map_or_else(OnceCell::new, OnceCell::from);
-        let (_, tracked) = engine
-            .on_components()
-            .solve(
-                db,
-                || solutions.get_or_init(|| Arc::new(SolutionSet::enumerate(engine.query(), db))),
-                &CancelToken::new(),
-            )
-            .expect("a never-raised token cannot cancel the solve");
-        let tracked = tracked.expect("the component route keeps its state");
-        Some(QueryDeltaState::from_solve(engine, tracked))
+        let calm = CancelToken::new();
+        let state = if engine.classification().complexity == Complexity::Trivial {
+            let blocks = ForcingBlocks::scan(engine.query(), db, &calm);
+            QueryDeltaState::Blocks(blocks.expect("a never-raised token cannot cancel the scan"))
+        } else {
+            let solutions =
+                solutions.unwrap_or_else(|| Arc::new(SolutionSet::enumerate(engine.query(), db)));
+            QueryDeltaState::components(engine, db, solutions, &calm)
+                .expect("a never-raised token cannot cancel the solve")
+        };
+        Some(state)
     }
 
-    /// The state of `engine`'s query from what its cold solve kept.
-    pub(crate) fn from_solve(engine: CqaEngine, tracked: Tracked) -> QueryDeltaState {
-        QueryDeltaState { engine, tracked }
+    /// The component state of `solutions` on `db`: every support component
+    /// decided by [`DynamicComponents::solve`] with `engine`'s
+    /// configuration. `Err` carries a cancelled fan-out's partial
+    /// statistics.
+    pub(crate) fn components(
+        engine: &CqaEngine,
+        db: &Database,
+        solutions: Arc<SolutionSet>,
+        token: &CancelToken,
+    ) -> Result<QueryDeltaState, CertKStats> {
+        let comps = DynamicComponents::solve(
+            db,
+            &solutions,
+            engine.config().certk,
+            token,
+            engine.matching(),
+        )?;
+        Ok(QueryDeltaState::Components {
+            totals: VerdictTotals::of(comps.verdicts()),
+            solutions,
+            comps,
+        })
     }
 
-    /// Number of q-connected components of the solution support currently
-    /// tracked (solution-free blocks are in none); `None` for a `Trivial`
-    /// query, which tracks blocks instead.
-    pub fn components(&self) -> Option<usize> {
-        match &self.tracked {
-            Tracked::Blocks(_) => None,
-            Tracked::Components(cv) => Some(cv.comps.len()),
+    /// The solution set the state owns; `None` for a `Trivial` query.
+    pub(crate) fn solutions(&self) -> Option<&Arc<SolutionSet>> {
+        match self {
+            QueryDeltaState::Blocks(_) => None,
+            QueryDeltaState::Components { solutions, .. } => Some(solutions),
         }
     }
 
-    /// Fold one applied delta into the cache. `db` must be the post-delta
-    /// database and `report` the [`DeltaReport`] of that very
-    /// [`Database::apply_delta`] call. Returns the counters for this one
-    /// application.
-    pub fn apply(&mut self, db: &Database, report: &DeltaReport) -> DeltaStats {
-        let cv = match &mut self.tracked {
-            Tracked::Blocks(blocks) => {
+    /// Fold one applied delta into the state of `engine`'s query. `db`
+    /// must be the post-delta database and `report` the [`DeltaReport`] of
+    /// that very [`Database::apply_delta`] call. Returns the counters for
+    /// this one application.
+    pub(crate) fn apply(
+        &mut self,
+        engine: &CqaEngine,
+        db: &Database,
+        report: &DeltaReport,
+    ) -> DeltaStats {
+        let (solutions, comps, totals) = match self {
+            QueryDeltaState::Blocks(blocks) => {
                 blocks.recheck(db, report.touched.iter().copied());
                 let live_touched = report
                     .touched
@@ -239,30 +185,53 @@ impl QueryDeltaState {
                     verdicts_retained: (db.block_count() - live_touched) as u64,
                 };
             }
-            Tracked::Components(cv) => cv,
+            QueryDeltaState::Components {
+                solutions,
+                comps,
+                totals,
+            } => (solutions, comps, totals),
         };
-        Arc::make_mut(&mut cv.solutions).apply_delta(db, report);
-        let creport = cv.comps.apply(db, &cv.solutions, report);
-        for c in &creport.dropped {
-            if let Some(v) = cv.verdicts.remove(c) {
-                cv.totals.remove(&v);
-            }
-        }
+        Arc::make_mut(solutions).apply_delta(db, report);
+        let out = comps.apply(
+            db,
+            solutions,
+            report,
+            engine.config().certk,
+            engine.matching(),
+        );
+        out.dropped.iter().for_each(|v| totals.remove(v));
         let mut step = DeltaStats {
             delta_applied: 1,
             blocks_reseeded: 0,
-            verdicts_retained: creport.retained as u64,
+            verdicts_retained: out.retained as u64,
         };
-        for &id in &creport.created {
-            step.blocks_reseeded += cv.solve(&self.engine, db, id);
+        for &id in &out.created {
+            totals.add(comps.verdict_of(id));
+            step.blocks_reseeded += comps.blocks_of(id).len() as u64;
         }
         step
     }
 
-    /// Synthesise the whole-database answer in O(1), the answer the
-    /// cold solve gives on the component route.
-    pub fn answer(&self) -> CertainAnswer {
-        self.tracked.answer(self.engine.classification().complexity)
+    /// The whole-database answer of `engine`'s query, in O(1): for a
+    /// `Trivial` query it reads the count of forcing blocks; otherwise it
+    /// reads the running totals of the per-component verdicts, certain
+    /// iff some component is (Proposition 10.6), the answer the cold
+    /// solve gives on the component route.
+    pub(crate) fn answer(&self, engine: &CqaEngine) -> CertainAnswer {
+        match self {
+            QueryDeltaState::Blocks(blocks) => CertainAnswer {
+                certain: blocks.certain(),
+                answered_by: AnsweredBy::Trivial,
+                budget_exhausted: false,
+                certk_stats: None,
+                components: None,
+            },
+            QueryDeltaState::Components { totals, .. } => totals.answer(if engine.matching() {
+                AnsweredBy::Combined
+            } else {
+                AnsweredBy::ComponentCertK
+            }),
+        }
     }
 }
 
@@ -272,7 +241,6 @@ mod tests {
     use crate::{EngineConfig, RoutePolicy};
     use cqa_model::{Fact, Signature};
     use cqa_query::examples;
-    use cqa_solvers::CertKStats;
 
     fn db2(rows: &[[&str; 2]]) -> Database {
         let mut db = Database::new(Signature::new(2, 1).unwrap());
@@ -286,6 +254,15 @@ mod tests {
         Fact::from_names([a, b])
     }
 
+    /// Number of q-connected components of the solution support the
+    /// state tracks; `None` for a `Trivial` query, which tracks blocks.
+    fn components(state: &QueryDeltaState) -> Option<usize> {
+        match state {
+            QueryDeltaState::Blocks(_) => None,
+            QueryDeltaState::Components { comps, .. } => Some(comps.len()),
+        }
+    }
+
     /// Drive a script of deltas through one `QueryDeltaState`, checking
     /// the incremental verdict against a from-scratch engine solve after
     /// every step, and the whole carried answer against a cold solve on
@@ -296,19 +273,19 @@ mod tests {
             EngineConfig::default().with_route(RoutePolicy::Component),
         );
         let mut state =
-            QueryDeltaState::new(engine.clone(), &db, None).expect("PTime classes support deltas");
+            QueryDeltaState::new(&engine, &db, None).expect("PTime classes support deltas");
         assert_eq!(
-            state.answer().certain,
+            state.answer(&engine).certain,
             engine.certain(&db).certain,
             "initial verdict"
         );
         for (i, (ins, ret)) in script.iter().enumerate() {
             let report = db.apply_delta(ins, ret).unwrap();
-            state.apply(&db, &report);
+            state.apply(&engine, &db, &report);
             let want = engine.certain(&db).certain;
-            let got = state.answer().certain;
+            let got = state.answer(&engine).certain;
             assert_eq!(got, want, "step {i}: incremental vs recompute");
-            let (got, want) = (state.answer(), cold.certain(&db));
+            let (got, want) = (state.answer(&engine), cold.certain(&db));
             assert_eq!(got.certain, want.certain, "step {i}: certain");
             assert_eq!(got.budget_exhausted, want.budget_exhausted, "step {i}");
             assert_eq!(got.certk_stats, want.certk_stats, "step {i}: stats");
@@ -340,18 +317,18 @@ mod tests {
         check_script(engine, db, script.as_slice());
     }
 
-    fn component_verdicts(state: &QueryDeltaState) -> &ComponentVerdicts {
-        match &state.tracked {
-            Tracked::Components(cv) => cv,
-            Tracked::Blocks(_) => panic!("a Trivial query keeps no component verdicts"),
+    fn component_verdicts(state: &QueryDeltaState) -> &DynamicComponents {
+        match state {
+            QueryDeltaState::Components { comps, .. } => comps,
+            QueryDeltaState::Blocks(_) => panic!("a Trivial query keeps no component verdicts"),
         }
     }
 
     /// The answer fields folded afresh over every component verdict.
     fn fold_verdicts(state: &QueryDeltaState) -> (bool, bool, Option<CertKStats>) {
-        let verdicts = &component_verdicts(state).verdicts;
+        let comps = component_verdicts(state);
         let mut stats: Option<CertKStats> = None;
-        for v in verdicts.values() {
+        for v in comps.verdicts() {
             if let Some(s) = &v.stats {
                 match &mut stats {
                     Some(acc) => acc.absorb(s),
@@ -360,8 +337,8 @@ mod tests {
             }
         }
         (
-            verdicts.values().any(|v| v.certain),
-            verdicts.values().any(|v| v.budget_exhausted),
+            comps.verdicts().any(|v| v.certain),
+            comps.verdicts().any(|v| v.budget_exhausted),
             stats,
         )
     }
@@ -369,7 +346,8 @@ mod tests {
     #[test]
     fn running_totals_equal_a_fresh_fold_after_every_step() {
         let mut db = db2(&[["a", "b"], ["b", "c"], ["p", "q"], ["p", "x"], ["z", "z"]]);
-        let mut state = QueryDeltaState::new(CqaEngine::new(examples::q3()), &db, None).unwrap();
+        let engine = CqaEngine::new(examples::q3());
+        let mut state = QueryDeltaState::new(&engine, &db, None).unwrap();
         let script = [
             (vec![f2("c", "d"), f2("m", "n")], vec![]),
             (vec![f2("a", "z")], vec![f2("z", "z")]),
@@ -379,13 +357,13 @@ mod tests {
         ];
         for (i, (ins, ret)) in script.iter().enumerate() {
             let report = db.apply_delta(ins, ret).unwrap();
-            state.apply(&db, &report);
-            let answer = state.answer();
+            state.apply(&engine, &db, &report);
+            let answer = state.answer(&engine);
             let (certain, exhausted, stats) = fold_verdicts(&state);
             assert_eq!(answer.certain, certain, "step {i}: certain");
             assert_eq!(answer.budget_exhausted, exhausted, "step {i}: budget");
             assert_eq!(answer.certk_stats, stats, "step {i}: stats");
-            let verdicts = component_verdicts(&state).verdicts.len();
+            let verdicts = component_verdicts(&state).len();
             assert_eq!(answer.components, Some(verdicts), "step {i}");
         }
     }
@@ -410,18 +388,18 @@ mod tests {
     fn untouched_components_keep_their_verdicts() {
         let engine = CqaEngine::new(examples::q3());
         let mut db = db2(&[["a", "b"], ["b", "c"], ["p", "q"], ["x", "y"]]);
-        let mut state = QueryDeltaState::new(engine.clone(), &db, None).unwrap();
+        let mut state = QueryDeltaState::new(&engine, &db, None).unwrap();
         // Only the a→b→c chain holds a solution; p→q and x→y are in no
         // component.
-        assert_eq!(state.components(), Some(1));
+        assert_eq!(components(&state), Some(1));
         // Touch only the {x, y} region: y→z gives x→y its first solution.
         let report = db.apply_delta(&[f2("y", "z")], &[]).unwrap();
-        let step = state.apply(&db, &report);
+        let step = state.apply(&engine, &db, &report);
         // The chain's component was untouched and kept its verdict.
         assert_eq!(step.verdicts_retained, 1);
         assert_eq!(step.blocks_reseeded, 2, "blocks x and y");
-        assert_eq!(state.components(), Some(2));
-        assert_eq!(state.answer().certain, engine.certain(&db).certain);
+        assert_eq!(components(&state), Some(2));
+        assert_eq!(state.answer(&engine).certain, engine.certain(&db).certain);
     }
 
     #[test]
@@ -430,17 +408,17 @@ mod tests {
         let engine = CqaEngine::new(q);
         assert_eq!(engine.classification().complexity, Complexity::Trivial);
         let mut db = db2(&[["a", "a"], ["a", "b"], ["c", "d"]]);
-        let mut state = QueryDeltaState::new(engine.clone(), &db, None).unwrap();
-        assert_eq!(state.components(), None);
-        assert!(!state.answer().certain);
+        let mut state = QueryDeltaState::new(&engine, &db, None).unwrap();
+        assert_eq!(components(&state), None);
+        assert!(!state.answer(&engine).certain);
 
         // Block a loses its non-loop fact and now forces q.
         let report = db.apply_delta(&[], &[f2("a", "b")]).unwrap();
-        let step = state.apply(&db, &report);
+        let step = state.apply(&engine, &db, &report);
         assert_eq!((step.blocks_reseeded, step.verdicts_retained), (1, 1));
-        assert!(state.answer().certain);
+        assert!(state.answer(&engine).certain);
         assert_eq!(
-            format!("{:?}", state.answer()),
+            format!("{:?}", state.answer(&engine)),
             format!("{:?}", engine.certain(&db)),
             "the patched answer is the cold block scan's"
         );
@@ -467,30 +445,29 @@ mod tests {
         for w in names.windows(2) {
             db.insert(f2(&w[0], &w[1])).unwrap();
         }
-        let mut state = QueryDeltaState::new(engine.clone(), &db, None).unwrap();
-        assert_eq!(state.components(), Some(0));
-        assert!(!state.answer().certain);
-        assert_eq!(state.answer().certk_stats, None);
+        let mut state = QueryDeltaState::new(&engine, &db, None).unwrap();
+        assert_eq!(components(&state), Some(0));
+        assert!(!state.answer(&engine).certain);
+        assert_eq!(state.answer(&engine).certk_stats, None);
 
         // n1→n0 closes the cycle n0→n1→n0: exactly the blocks n0 and n1
         // come in, as one component.
         let report = db.apply_delta(&[f2("n1", "n0")], &[]).unwrap();
-        let step = state.apply(&db, &report);
-        assert_eq!(state.components(), Some(1));
+        let step = state.apply(&engine, &db, &report);
+        assert_eq!(components(&state), Some(1));
         assert_eq!(step.blocks_reseeded, 2);
         assert_eq!(step.verdicts_retained, 0);
         let blocks = component_verdicts(&state)
-            .comps
             .ids()
-            .map(|c| component_verdicts(&state).comps.blocks_of(c).len());
+            .map(|c| component_verdicts(&state).blocks_of(c).len());
         assert_eq!(blocks.collect::<Vec<_>>(), vec![2]);
-        assert_eq!(state.answer().certain, engine.certain(&db).certain);
+        assert_eq!(state.answer(&engine).certain, engine.certain(&db).certain);
 
         // Retracting it empties the support again.
         let report = db.apply_delta(&[], &[f2("n1", "n0")]).unwrap();
-        state.apply(&db, &report);
-        assert_eq!(state.components(), Some(0));
-        assert!(!state.answer().certain);
+        state.apply(&engine, &db, &report);
+        assert_eq!(components(&state), Some(0));
+        assert!(!state.answer(&engine).certain);
     }
 
     #[test]
@@ -499,32 +476,32 @@ mod tests {
         assert!(!QueryDeltaState::supports(&engine));
         let mut db = Database::new(Signature::new(4, 2).unwrap());
         db.insert(Fact::from_names(["a", "b", "a", "c"])).unwrap();
-        assert!(QueryDeltaState::new(engine, &db, None).is_none());
+        assert!(QueryDeltaState::new(&engine, &db, None).is_none());
     }
 
     #[test]
     fn blocks_reseeded_counts_the_resolved_components_blocks() {
         let engine = CqaEngine::new(examples::q3());
         let mut db = db2(&[["a", "b"], ["p", "q"], ["p", "x"]]);
-        let mut state = QueryDeltaState::new(engine.clone(), &db, None).unwrap();
+        let mut state = QueryDeltaState::new(&engine, &db, None).unwrap();
 
         // Growth: {a→b} and the new {b→c} form one two-block component.
         let report = db.apply_delta(&[f2("b", "c")], &[]).unwrap();
         assert!(report.growth_only());
-        let step = state.apply(&db, &report);
+        let step = state.apply(&engine, &db, &report);
         assert_eq!(step.blocks_reseeded, 2);
         assert_eq!(step.verdicts_retained, 0, "the p block holds no solution");
-        assert!(state.answer().certain);
+        assert!(state.answer(&engine).certain);
 
         // A retract leaves {b→c} without a solution: the component is
         // dropped and nothing is re-solved (the emptied a block belongs
         // to no component either).
         let report = db.apply_delta(&[], &[f2("a", "b")]).unwrap();
         assert!(!report.growth_only());
-        let step = state.apply(&db, &report);
+        let step = state.apply(&engine, &db, &report);
         assert_eq!(step.blocks_reseeded, 0);
-        assert_eq!(state.components(), Some(0));
-        assert_eq!(state.answer().certain, engine.certain(&db).certain);
+        assert_eq!(components(&state), Some(0));
+        assert_eq!(state.answer(&engine).certain, engine.certain(&db).certain);
     }
 
     #[test]
@@ -543,19 +520,19 @@ mod tests {
             ["m", "n"],
             ["u", "v"],
         ]);
-        let mut state = QueryDeltaState::new(engine.clone(), &db, None).unwrap();
-        assert_eq!(state.components(), Some(2));
-        assert!(!state.answer().certain);
+        let mut state = QueryDeltaState::new(&engine, &db, None).unwrap();
+        assert_eq!(components(&state), Some(2));
+        assert!(!state.answer(&engine).certain);
 
         // c→d lives in a fresh block and bridges the two components.
         let report = db.apply_delta(&[f2("c", "d")], &[]).unwrap();
         assert!(report.growth_only());
-        let step = state.apply(&db, &report);
-        assert_eq!(state.components(), Some(1));
+        let step = state.apply(&engine, &db, &report);
+        assert_eq!(components(&state), Some(1));
         assert_eq!(step.verdicts_retained, 0, "both components merged");
         // The merged component: blocks a, b, c, d and e.
         assert_eq!(step.blocks_reseeded, 5);
-        assert_eq!(state.answer().certain, engine.certain(&db).certain);
-        assert!(state.answer().certain);
+        assert_eq!(state.answer(&engine).certain, engine.certain(&db).certain);
+        assert!(state.answer(&engine).certain);
     }
 }

@@ -18,7 +18,7 @@
 //! For the PTime `Cert_k` classes the engine additionally picks an
 //! *evaluation route* per database: the literal fixpoint (the small-n
 //! fast path) or the per-component fan-out of
-//! [`cqa_solvers::certk_by_components`] — by Proposition 10.6 the
+//! [`cqa_solvers::DynamicComponents::solve`] — by Proposition 10.6 the
 //! database is certain iff some q-connected component is, and `Cert_k` is
 //! exact per component exactly when it is exact globally, so the two
 //! routes agree whenever no node budget is exhausted (see
@@ -31,16 +31,14 @@
 //! [`RoutingConfig`].
 
 use crate::classify::{classify_with, Classification, Complexity};
-use crate::delta::Tracked;
-use cqa_model::{BlockId, Database};
+use crate::delta::QueryDeltaState;
+use cqa_model::Database;
 use cqa_query::Query;
 use cqa_solvers::{
-    certain_brute_over, certain_combined_over, certk_by_components, support_partition,
-    BruteOutcome, CancelToken, CertKConfig, CertKStats, ComponentVerdict, ForcingBlocks,
-    SolutionSet,
+    certain_brute_over, decide_component, support_component_count, BruteOutcome, CancelToken,
+    CertKConfig, CertKStats, ComponentVerdict, ForcingBlocks, SolutionSet,
 };
 use cqa_tripath::SearchConfig;
-use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -255,29 +253,30 @@ impl CqaEngine {
         &self.classification
     }
 
-    /// The routing decision for `db`: `Some(partition)` of the solution
-    /// support, as block groups, when the component route should be
-    /// taken, and `None` for the literal fixpoint on the support as one
-    /// view. Theorem 10.5 always takes the components; under
+    /// Does the Theorem 10.5 matching shortcut apply? Only for
+    /// [`Complexity::PTimeCombined`]: on the `Cert_k` classes the fixpoint
+    /// alone is exact.
+    pub(crate) fn matching(&self) -> bool {
+        self.classification.complexity == Complexity::PTimeCombined
+    }
+
+    /// The routing decision for `db`: `true` for the component route,
+    /// `false` for the literal fixpoint on the support as one view.
+    /// Theorem 10.5 always takes the components; under
     /// [`RoutePolicy::Auto`], small databases and supports of few
-    /// components stay literal.
-    fn route_components(
-        &self,
-        db: &Database,
-        solutions: &SolutionSet,
-    ) -> Option<Vec<Vec<BlockId>>> {
+    /// components stay literal. `Auto` counts the support's components
+    /// ([`support_component_count`]) before the component route
+    /// partitions them in [`cqa_solvers::DynamicComponents::solve`].
+    fn takes_components(&self, db: &Database, solutions: &SolutionSet) -> bool {
         let routing = &self.config.routing;
         match routing.policy {
-            _ if self.classification.complexity == Complexity::PTimeCombined => {
-                Some(support_partition(db, solutions))
+            _ if self.matching() => true,
+            RoutePolicy::Literal => false,
+            RoutePolicy::Component => true,
+            RoutePolicy::Auto => {
+                db.len() >= routing.min_facts
+                    && support_component_count(db, solutions) >= routing.min_components
             }
-            RoutePolicy::Literal => None,
-            RoutePolicy::Component => Some(support_partition(db, solutions)),
-            RoutePolicy::Auto if db.len() >= routing.min_facts => {
-                Some(support_partition(db, solutions))
-                    .filter(|groups| groups.len() >= routing.min_components)
-            }
-            RoutePolicy::Auto => None,
         }
     }
 
@@ -301,37 +300,28 @@ impl CqaEngine {
         db: &Database,
         token: &CancelToken,
     ) -> Result<CertainAnswer, CancelledSolve> {
-        let solutions = OnceCell::new();
         self.solve(
             db,
-            || solutions.get_or_init(|| Arc::new(SolutionSet::enumerate(&self.query, db))),
+            || Arc::new(SolutionSet::enumerate(&self.query, db)),
             token,
         )
         .map(|(answer, _)| answer)
-    }
-
-    /// This engine on the component route, which leaves a live state.
-    pub(crate) fn on_components(&self) -> CqaEngine {
-        CqaEngine {
-            config: self.config.with_route(RoutePolicy::Component),
-            ..self.clone()
-        }
     }
 
     /// The one dispatch: [`CqaEngine::certain_cancellable`] with the
     /// solution set supplied on demand by the caller (a
     /// [`SharedSession`](crate::SharedSession) keeps it across cancelled
     /// retries; a [`Complexity::Trivial`] query never asks for it), and
-    /// with what a [`QueryDeltaState`](crate::QueryDeltaState) keeps: the
-    /// block scan's flags, or the partition and verdicts of a component
-    /// solve, which share the solution set (an empty partition without
-    /// solutions). The literal route and the brute force keep nothing.
-    pub(crate) fn solve<'s>(
+    /// with the live state the solve leaves: the block scan's flags, or
+    /// the component store of a component solve, which owns the solution
+    /// set (an empty store without solutions). The literal route and the
+    /// brute force leave none.
+    pub(crate) fn solve(
         &self,
         db: &Database,
-        solutions: impl FnOnce() -> &'s Arc<SolutionSet>,
+        solutions: impl FnOnce() -> Arc<SolutionSet>,
         token: &CancelToken,
-    ) -> Result<(CertainAnswer, Option<Tracked>), CancelledSolve> {
+    ) -> Result<(CertainAnswer, Option<QueryDeltaState>), CancelledSolve> {
         let complexity = self.classification.complexity;
         let answer = |certain, answered_by| CertainAnswer {
             certain,
@@ -340,11 +330,14 @@ impl CqaEngine {
             certk_stats: None,
             components: None,
         };
+        let cancelled = |partial| CancelledSolve {
+            certk_stats: Some(partial),
+        };
         if complexity == Complexity::Trivial {
             let blocks =
                 ForcingBlocks::scan(&self.query, db, token).ok_or_else(CancelledSolve::default)?;
-            let tracked = Tracked::Blocks(blocks);
-            return Ok((tracked.answer(complexity), Some(tracked)));
+            let state = QueryDeltaState::Blocks(blocks);
+            return Ok((state.answer(self), Some(state)));
         }
         let solutions = solutions();
         if solutions.is_empty() {
@@ -359,12 +352,14 @@ impl CqaEngine {
                 Complexity::CoNpComplete => AnsweredBy::BruteForce,
                 _ => AnsweredBy::CertK,
             };
-            let tracked = (complexity != Complexity::CoNpComplete)
-                .then(|| Tracked::components(solutions, Vec::new(), Vec::new()));
-            return Ok((answer(false, answered_by), tracked));
+            let state = (complexity != Complexity::CoNpComplete).then(|| {
+                QueryDeltaState::components(self, db, solutions, token)
+                    .expect("an empty support has no component to cancel")
+            });
+            return Ok((answer(false, answered_by), state));
         }
         if complexity == Complexity::CoNpComplete {
-            let outcome = certain_brute_over(db, solutions, self.config.brute_budget, token)
+            let outcome = certain_brute_over(db, &solutions, self.config.brute_budget, token)
                 .ok_or_else(CancelledSolve::default)?;
             let answer = CertainAnswer {
                 budget_exhausted: matches!(outcome, BruteOutcome::BudgetExhausted),
@@ -375,37 +370,26 @@ impl CqaEngine {
             };
             return Ok((answer, None));
         }
-        let fan_out = match complexity {
-            Complexity::PTimeCombined => certain_combined_over,
-            _ => certk_by_components,
-        };
-        let groups = self.route_components(db, solutions);
-        let views: Vec<_> = match &groups {
-            Some(groups) => groups
-                .iter()
-                .map(|blocks| db.view_of_blocks(blocks.iter().copied()))
-                .collect(),
-            None => vec![db.view_of_blocks(solutions.support_blocks(db))],
-        };
-        let res = fan_out(&views, solutions, self.config.certk, token).map_err(|partial| {
-            CancelledSolve {
-                certk_stats: Some(partial),
-            }
-        })?;
-        let Some(groups) = groups else {
-            let answer = VerdictTotals::of(&res.components).answer(AnsweredBy::CertK);
-            return Ok((answer, None));
-        };
-        let tracked = Tracked::components(solutions, groups, res.components);
-        Ok((tracked.answer(complexity), Some(tracked)))
+        if self.takes_components(db, &solutions) {
+            let state =
+                QueryDeltaState::components(self, db, solutions, token).map_err(cancelled)?;
+            return Ok((state.answer(self), Some(state)));
+        }
+        let support = db.view_of_blocks(solutions.support_blocks(db));
+        let verdict = decide_component(&support, &solutions, self.config.certk, token, false)
+            .map_err(cancelled)?;
+        Ok((
+            VerdictTotals::of([&verdict]).answer(AnsweredBy::CertK),
+            None,
+        ))
     }
 }
 
 /// Running aggregates over component verdicts: the one fold that builds
-/// the [`CertainAnswer`] of every component solve, a cold fan-out's or a
-/// live update's patched set of verdicts
-/// ([`QueryDeltaState`](crate::QueryDeltaState)), which adds and removes
-/// verdicts as components come and go and so answers in O(1) rather
+/// the [`CertainAnswer`] of every component solve, a cold one's or a live
+/// state's after a delta, which removes the verdicts
+/// [`DynamicComponents::apply`](cqa_solvers::DynamicComponents::apply)
+/// dropped and adds the ones it created, and so answers in O(1) rather
 /// than refolding every component.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct VerdictTotals {
@@ -420,9 +404,11 @@ pub(crate) struct VerdictTotals {
 }
 
 impl VerdictTotals {
-    pub(crate) fn of(verdicts: &[ComponentVerdict]) -> VerdictTotals {
+    pub(crate) fn of<'a>(
+        verdicts: impl IntoIterator<Item = &'a ComponentVerdict>,
+    ) -> VerdictTotals {
         let mut totals = VerdictTotals::default();
-        verdicts.iter().for_each(|v| totals.add(v));
+        verdicts.into_iter().for_each(|v| totals.add(v));
         totals
     }
 

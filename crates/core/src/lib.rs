@@ -52,7 +52,7 @@ mod shared;
 pub use classify::{
     classify, classify_with, Classification, ClassificationRule, Complexity, Confidence,
 };
-pub use delta::{DeltaStats, QueryDeltaState};
+pub use delta::DeltaStats;
 pub use engine::{
     AnsweredBy, CancelledSolve, CertainAnswer, CqaEngine, EngineConfig, RoutePolicy, RoutingConfig,
 };

@@ -18,11 +18,12 @@ use cqa::solvers::solution::satisfies;
 use cqa::solvers::{
     certain_brute_budgeted, certain_exhaustive, support_partition, BruteOutcome, SolutionSet,
 };
-use cqa::{Complexity, CqaEngine, EngineConfig, QueryDeltaState, RoutePolicy};
+use cqa::{Complexity, CqaEngine, EngineConfig, RoutePolicy, SharedSession};
 use cqa_model::{Database, Elem, Fact};
 use cqa_query::{parse_query, Query};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use std::sync::Arc;
 
 /// One query per class of the dichotomy.
 const QUERIES: [(&str, Complexity); 5] = [
@@ -109,10 +110,15 @@ fn check(
         if let Some(c) = large.components {
             prop_assert_eq!(c, support, "components counts the support only");
         }
-        if let Some(state) = QueryDeltaState::new(engine, &big, None) {
-            prop_assert_eq!(state.answer().certain, oracle);
+        // The live state: an empty delta carries every supported query
+        // with its answer read off that state.
+        let session = SharedSession::new(Arc::new(big.clone()), config);
+        session.certain(q);
+        let (next, _) = session.with_delta(&[], &[]).unwrap();
+        if let Some(state) = next.cached(q) {
+            prop_assert_eq!(state.certain, oracle);
             if class != Complexity::Trivial {
-                prop_assert_eq!(state.components(), Some(support));
+                prop_assert_eq!(state.components, Some(support));
             }
         }
     }

@@ -4,7 +4,8 @@
 //! **and** an optional deadline. Every solver entry point takes one —
 //! [`certk_view`](crate::certk_view) for `Cert_k`,
 //! [`certain_brute_over`](crate::certain_brute_over) for the search, and
-//! the component fan-outs of [`combined`](crate::combined) — and polls it
+//! the component fan-out of
+//! [`DynamicComponents::solve`](crate::DynamicComponents::solve) — and polls it
 //! at bounded intervals: once per seeded fact, once per worklist block
 //! derivation, once per brute-force budget tranche. A token raised (or
 //! expired) mid-fixpoint therefore stops the run within roughly one

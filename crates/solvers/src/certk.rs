@@ -39,7 +39,7 @@ use cqa_model::{BlockId, Database, DbView, FactId};
 use cqa_query::Query;
 use std::collections::{HashMap, HashSet};
 
-/// Tuning for [`certk_view`] and the component fan-outs.
+/// Tuning for [`certk_view`] and the component fan-out.
 #[derive(Clone, Copy, Debug)]
 pub struct CertKConfig {
     /// Maximum k-set size. The paper's proofs use enormous constants
@@ -50,9 +50,10 @@ pub struct CertKConfig {
     /// [`CertKOutcome::BudgetExhausted`]. Keeps the algorithm total on
     /// adversarial inputs where `Δ` blows up.
     pub node_budget: u64,
-    /// Worker threads for the per-component fan-outs
-    /// ([`certain_combined_over`](crate::certain_combined_over) and
-    /// [`certk_by_components`](crate::certk_by_components)). The fixpoint
+    /// Worker threads for the per-component fan-out of
+    /// [`DynamicComponents`](crate::DynamicComponents), cold
+    /// ([`solve`](crate::DynamicComponents::solve)) or after a delta
+    /// ([`apply`](crate::DynamicComponents::apply)). The fixpoint
     /// itself is sequential; this knob only controls how many components
     /// are decided concurrently. `1` preserves the fully sequential path
     /// (no threads spawned); the default is the host's available

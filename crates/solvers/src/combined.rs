@@ -12,13 +12,13 @@
 //! tripath at all).
 //!
 //! Components are mutually independent (solutions never cross them), so
-//! their verdicts are computed on a thread pool when
+//! [`DynamicComponents::solve`] decides them on a thread pool when
 //! [`CertKConfig::threads`] is above 1. Each component sees the same
 //! configuration regardless of the thread count, and verdicts are emitted
 //! in component order, so the result is identical across thread counts.
 
 use crate::certk::{certk_view, CertKConfig, CertKOutcome, CertKStats};
-use crate::components::support_components;
+use crate::components::DynamicComponents;
 use crate::matching::analyze_view;
 use crate::{CancelToken, SolutionSet};
 use cqa_model::{Database, DbView};
@@ -54,75 +54,30 @@ pub struct ComponentVerdict {
 pub struct CombinedResult {
     /// `D ⊨ certain(q)`.
     pub certain: bool,
-    /// Per-component evidence, one verdict per component in component
-    /// order (the components of the solution support, when the partition
-    /// is the solvers' own).
+    /// Per-component evidence: one verdict per component of the solution
+    /// support, in component order.
     pub components: Vec<ComponentVerdict>,
 }
 
 /// Decide `certain(q)` via the Theorem 10.5 / Proposition 10.6 combination
-/// over the components of the solution support. Complete for
-/// 2way-determined queries without fork-tripaths; sound (an
-/// under-approximation) for every 2way-determined query.
+/// over the components of the solution support: [`DynamicComponents::solve`]
+/// with the matching shortcut. Complete for 2way-determined queries
+/// without fork-tripaths; sound (an under-approximation) for every
+/// 2way-determined query.
 pub fn certain_combined(q: &Query, db: &Database, cfg: CertKConfig) -> CombinedResult {
     let solutions = SolutionSet::enumerate(q, db);
-    let comps = support_components(db, &solutions);
-    certain_combined_over(&comps, &solutions, cfg, &CancelToken::new())
-        .expect("a never-raised token cannot cancel the fan-out")
+    let comps = DynamicComponents::solve(db, &solutions, cfg, &CancelToken::new(), true)
+        .expect("a never-raised token cannot cancel the fan-out");
+    result_of(&comps)
 }
 
-/// [`certain_combined`] over a pre-computed solution set and component
-/// partition — the engine's routing path computes both to make its
-/// decision and hands them on unchanged. Each component goes to
-/// [`decide_component`] with the matching shortcut. See
-/// [`certk_by_components`] for the cancellation contract.
-pub fn certain_combined_over(
-    comps: &[DbView<'_>],
-    solutions: &SolutionSet,
-    cfg: CertKConfig,
-    token: &CancelToken,
-) -> Result<CombinedResult, CertKStats> {
-    fan_out(comps, solutions, cfg, token, true)
-}
-
-/// Per-component `Cert_k` **without** the matching shortcut: every
-/// component is decided by the fixpoint, in parallel when `cfg.threads`
-/// allows. This is the engine's routing path for the query classes where
-/// `Cert_k` alone is exact (Theorems 6.1 / 8.1): by Proposition 10.6 the
-/// database is certain iff some q-connected component is, and `Cert_k` is
-/// exact on each component, so the verdict provably coincides with
-/// whole-database `Cert_k` — unlike [`certain_combined`], whose
-/// `¬matching` branch is only justified for 2way-determined queries.
-///
-/// When `token` fires mid-fan-out, every component stops within
-/// roughly one block derivation and the call returns `Err` with the
-/// **aggregated partial statistics** of every component that did any
-/// work. A completed fan-out is never discarded: if every component
-/// finished before the token was observed cancelled, the full
-/// [`CombinedResult`] is returned even when the token has since expired.
-pub fn certk_by_components(
-    comps: &[DbView<'_>],
-    solutions: &SolutionSet,
-    cfg: CertKConfig,
-    token: &CancelToken,
-) -> Result<CombinedResult, CertKStats> {
-    fan_out(comps, solutions, cfg, token, false)
-}
-
-/// The component fan-out behind [`certain_combined_over`] and
-/// [`certk_by_components`]: [`decide_component`] on each component.
-/// Each component sees the same configuration regardless of the thread
-/// count, and verdicts are emitted in component order.
-fn fan_out(
-    comps: &[DbView<'_>],
-    solutions: &SolutionSet,
-    cfg: CertKConfig,
-    token: &CancelToken,
-    matching: bool,
-) -> Result<CombinedResult, CertKStats> {
-    fold_outcomes(minipool::par_map(cfg.threads, comps, |comp| {
-        decide_component(comp, solutions, cfg, token, matching)
-    }))
+/// The store's verdicts in component order, and their disjunction.
+fn result_of(comps: &DynamicComponents) -> CombinedResult {
+    let components: Vec<ComponentVerdict> = comps.verdicts().cloned().collect();
+    CombinedResult {
+        certain: components.iter().any(|v| v.certain),
+        components,
+    }
 }
 
 /// Decide one q-connected component: by `¬matching` when `matching` is
@@ -135,8 +90,9 @@ fn fan_out(
 /// The component is a copy-free view of the parent database, and
 /// `solutions` restricted to its facts is exactly its solution set, so
 /// nothing is re-enumerated or restrict-copied per component. This is
-/// the one place a component is decided: the fan-outs map it over their
-/// components, and a live update calls it on each component it rebuilt.
+/// the one place a component is decided: [`DynamicComponents`] maps it
+/// over every component it fills, cold or after a delta, and the
+/// engine's literal route calls it once on the whole support.
 pub fn decide_component(
     comp: &DbView<'_>,
     solutions: &SolutionSet,
@@ -169,35 +125,6 @@ pub fn decide_component(
     })
 }
 
-/// Fold fan-out slots into a result: any cancelled slot turns the whole
-/// run into `Err` carrying the aggregated partial statistics. Completed
-/// components contribute their counters to that aggregate — they are
-/// evidence of work done before the cancel — but their verdicts are
-/// withheld with everything else.
-fn fold_outcomes(
-    outcomes: Vec<Result<ComponentVerdict, CertKStats>>,
-) -> Result<CombinedResult, CertKStats> {
-    if outcomes.iter().any(Result::is_err) {
-        let mut agg = CertKStats::default();
-        for slot in &outcomes {
-            match slot {
-                Ok(v) => {
-                    if let Some(s) = &v.stats {
-                        agg.absorb(s);
-                    }
-                }
-                Err(s) => agg.absorb(s),
-            }
-        }
-        return Err(agg);
-    }
-    let components: Vec<ComponentVerdict> = outcomes.into_iter().flatten().collect();
-    Ok(CombinedResult {
-        certain: components.iter().any(|v| v.certain),
-        components,
-    })
-}
-
 /// The literal statement of Theorem 10.5 — `Cert_k(q) ∨ ¬matching(q)` on
 /// the whole database, without the component optimisation. Kept for
 /// cross-validation against [`certain_combined`].
@@ -216,13 +143,21 @@ mod tests {
     use cqa_model::{Fact, Signature};
     use cqa_query::examples;
 
-    /// [`certk_by_components`] under a calm token.
-    fn by_components(
-        comps: &[DbView<'_>],
+    /// [`DynamicComponents::solve`] with `matching`, as a result.
+    fn solve(
+        db: &Database,
         solutions: &SolutionSet,
         cfg: CertKConfig,
-    ) -> CombinedResult {
-        certk_by_components(comps, solutions, cfg, &CancelToken::new())
+        token: &CancelToken,
+        matching: bool,
+    ) -> Result<CombinedResult, CertKStats> {
+        DynamicComponents::solve(db, solutions, cfg, token, matching).map(|c| result_of(&c))
+    }
+
+    /// Per-component `Cert_k` without the matching shortcut, under a calm
+    /// token.
+    fn by_components(db: &Database, solutions: &SolutionSet, cfg: CertKConfig) -> CombinedResult {
+        solve(db, solutions, cfg, &CancelToken::new(), false)
             .expect("a calm token cannot cancel the fan-out")
     }
 
@@ -306,7 +241,7 @@ mod tests {
         let cfg = CertKConfig::new(2);
         let solutions = crate::SolutionSet::enumerate(&q3, &db);
         let comps = crate::components::q_connected_components_with_solutions(&q3, &db, &solutions);
-        let routed = by_components(&comps, &solutions, cfg);
+        let routed = by_components(&db, &solutions, cfg);
         let literal = crate::certk::certk(&q3, &db, cfg);
         assert_eq!(routed.certain, literal.is_certain());
         assert_eq!(routed.certain, certain_brute(&q3, &db));
@@ -332,22 +267,21 @@ mod tests {
             db.insert(Fact::from_names(row)).unwrap();
         }
         let solutions = crate::SolutionSet::enumerate(&q3, &db);
-        let comps = crate::components::q_connected_components_with_solutions(&q3, &db, &solutions);
         let base = CertKConfig::new(2);
         // A calm token reproduces the deterministic fan-out exactly, at
         // every thread count.
         let calm = CancelToken::new();
         for threads in [1usize, 2, 4] {
             let cfg = base.with_threads(threads);
-            let got = certk_by_components(&comps, &solutions, cfg, &calm)
+            let got = solve(&db, &solutions, cfg, &calm, false)
                 .expect("a calm token cannot cancel the fan-out");
-            let want = by_components(&comps, &solutions, cfg);
+            let want = by_components(&db, &solutions, cfg);
             assert_eq!(format!("{got:?}"), format!("{want:?}"));
         }
         // A raised token cancels without emitting any verdict.
         let raised = CancelToken::new();
         raised.cancel();
-        let partial = certk_by_components(&comps, &solutions, base.with_threads(1), &raised)
+        let partial = solve(&db, &solutions, base.with_threads(1), &raised, false)
             .expect_err("a raised token must cancel the fan-out");
         assert_eq!(
             partial.blocks_derived, 0,
@@ -368,19 +302,18 @@ mod tests {
             ["p", "s", "t"],
         ]);
         let solutions = crate::SolutionSet::enumerate(&q6, &db);
-        let comps = support_components(&db, &solutions);
         let base = CertKConfig::new(2);
         let calm = CancelToken::new();
         for threads in [1usize, 2, 4] {
             let cfg = base.with_threads(threads);
-            let got = certain_combined_over(&comps, &solutions, cfg, &calm)
+            let got = solve(&db, &solutions, cfg, &calm, true)
                 .expect("a calm token cannot cancel the combined solver");
             let want = certain_combined(&q6, &db, cfg);
             assert_eq!(format!("{got:?}"), format!("{want:?}"));
         }
         let raised = CancelToken::new();
         raised.cancel();
-        let partial = certain_combined_over(&comps, &solutions, base.with_threads(1), &raised)
+        let partial = solve(&db, &solutions, base.with_threads(1), &raised, true)
             .expect_err("a raised token must cancel the combined solver");
         assert_eq!(partial.blocks_derived, 0, "no component ran: {partial:?}");
     }

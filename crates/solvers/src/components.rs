@@ -29,7 +29,8 @@
 //! `restrict`-copied. Materialise with [`DbView::to_database`] only
 //! when an owned database is genuinely needed.
 
-use crate::SolutionSet;
+use crate::combined::{decide_component, ComponentVerdict};
+use crate::{CancelToken, CertKConfig, CertKStats, SolutionSet};
 use cqa_graph::UnionFind;
 use cqa_model::{BlockId, Database, DbView, DeltaReport};
 use cqa_query::Query;
@@ -72,9 +73,27 @@ pub fn support_partition(db: &Database, solutions: &SolutionSet) -> Vec<Vec<Bloc
     partition_pool(db, solutions, &solutions.support_blocks(db), false)
 }
 
-/// [`support_partition`] as component views: what the solvers decide.
-pub fn support_components<'a>(db: &'a Database, solutions: &SolutionSet) -> Vec<DbView<'a>> {
-    to_components(db, support_partition(db, solutions))
+/// How many components [`support_partition`] returns, counted without
+/// building them: one union-find pass over the join groups' facts, which
+/// is all a route choice between one support view and its components
+/// needs to know.
+pub fn support_component_count(db: &Database, solutions: &SolutionSet) -> usize {
+    let mut uf = UnionFind::new(db.block_slots());
+    let mut in_support = vec![false; db.block_slots()];
+    let (mut support_blocks, mut merges) = (0, 0);
+    for g in 0..solutions.group_slots() {
+        let (a, b) = solutions.group(g);
+        if a.is_empty() || b.is_empty() {
+            continue;
+        }
+        let first = db.block_of(a[0]).idx();
+        for &f in a.iter().chain(b) {
+            let block = db.block_of(f).idx();
+            support_blocks += usize::from(!std::mem::replace(&mut in_support[block], true));
+            merges += usize::from(uf.union(first, block));
+        }
+    }
+    support_blocks - merges
 }
 
 /// Every live block's component, solution-free singletons included.
@@ -101,6 +120,27 @@ fn partition_pool(
     pool: &[BlockId],
     with_free: bool,
 ) -> Vec<Vec<BlockId>> {
+    // A pool block's index: a table over every block slot when the pool
+    // holds at least a sixteenth of them (a cold solve's support), so
+    // the table costs at most sixteen slots per pool block; a binary
+    // search otherwise (a delta's dirty region), so an update never pays
+    // O(block slots).
+    let table: Vec<u32> = if pool.len() >= db.block_slots() / 16 {
+        let mut table = vec![u32::MAX; db.block_slots()];
+        for (i, b) in pool.iter().enumerate() {
+            table[b.idx()] = i as u32;
+        }
+        table
+    } else {
+        Vec::new()
+    };
+    let index_of = |b: BlockId| {
+        if table.is_empty() {
+            pool.binary_search(&b).ok()
+        } else {
+            Some(table[b.idx()] as usize).filter(|&i| i != u32::MAX as usize)
+        }
+    };
     let mut uf = UnionFind::new(pool.len());
     let mut in_support = vec![false; pool.len()];
     for (i, &b) in pool.iter().enumerate() {
@@ -108,11 +148,11 @@ fn partition_pool(
             for g in solutions.groups_of(f) {
                 in_support[i] = true;
                 let some_fact = solutions.group(g).0[0];
-                match pool.binary_search(&db.block_of(some_fact)) {
-                    Ok(j) => {
+                match index_of(db.block_of(some_fact)) {
+                    Some(j) => {
                         uf.union(i, j);
                     }
-                    Err(_) => debug_assert!(false, "solution edge escapes the block pool"),
+                    None => debug_assert!(false, "solution edge escapes the block pool"),
                 }
             }
         }
@@ -141,101 +181,165 @@ fn partition_pool(
 /// What one [`DynamicComponents::apply`] did to the partition.
 #[derive(Clone, Debug, Default)]
 pub struct ComponentDeltaReport {
-    /// Component ids dissolved by the delta (merged, split or emptied).
-    pub dropped: Vec<u32>,
-    /// Fresh component ids covering the dirty region, ascending. These are
-    /// the components whose verdicts must be (re-)established.
+    /// The verdicts of the components the delta dissolved (merged, split
+    /// or emptied).
+    pub dropped: Vec<ComponentVerdict>,
+    /// Fresh component ids covering the dirty region, ascending, each
+    /// already decided.
     pub created: Vec<u32>,
-    /// Components left untouched — their cached verdicts stay valid.
+    /// Components left untouched — their verdicts stay valid.
     pub retained: usize,
 }
 
-/// The support's q-connected partition maintained across
-/// [`Database::apply_delta`]s.
+/// The support's q-connected components, each with its blocks and its
+/// [`ComponentVerdict`], maintained across [`Database::apply_delta`]s:
+/// [`DynamicComponents::solve`] decides every component of a database's
+/// support, [`DynamicComponents::apply`] only those a delta dirtied,
+/// both through one fill step.
 ///
 /// Only support blocks belong to a component: a block joins the
 /// partition when one of its facts enters a join group whose other side
 /// is non-empty, and leaves it when no fact of it is in a solution any
 /// more. Components carry stable numeric ids: an untouched component
-/// keeps its id (and therefore any verdict cached under it), while every
-/// component in the dirty region — touched blocks, their components, and
-/// any component or block a new solution reaches — is dissolved and
-/// re-partitioned under fresh ids. Insertions that bridge two components
-/// thus merge them into one fresh component; retractions that cut a
-/// component apart split it into several. Cost per delta is
-/// `O(dirty region)`, not `O(db)`.
+/// keeps its id and its verdict, while every component in the dirty
+/// region — touched blocks, their components, and any component or
+/// block a new solution reaches — is dissolved and re-partitioned under
+/// fresh ids. Insertions that bridge two components thus merge them into
+/// one fresh component; retractions that cut a component apart split it
+/// into several. Cost per delta is `O(dirty region)`, not `O(db)`.
 #[derive(Clone, Debug)]
 pub struct DynamicComponents {
     /// Each block's component by block slot; `u32::MAX` (or past the
     /// end) when the block is in none.
     comp_of_block: Vec<u32>,
-    blocks_of_comp: BTreeMap<u32, Vec<BlockId>>,
+    comps: BTreeMap<u32, Component>,
     next: u32,
 }
 
+/// One entry of [`DynamicComponents`].
+#[derive(Clone, Debug)]
+struct Component {
+    /// Ascending.
+    blocks: Vec<BlockId>,
+    verdict: ComponentVerdict,
+}
+
 impl DynamicComponents {
-    /// The partition into `groups`, the support's q-connected components
-    /// as [`support_partition`] returns them: component `i` is
-    /// `groups[i]`, under id `i`.
-    pub fn new(groups: Vec<Vec<BlockId>>) -> DynamicComponents {
-        let mut dc = DynamicComponents {
-            comp_of_block: Vec::new(),
-            blocks_of_comp: BTreeMap::new(),
+    /// Decide every q-connected component of the support of `solutions`
+    /// on `db`, by `¬matching` on a clique-database component when
+    /// `matching` is set and by `Cert_k` otherwise ([`decide_component`]),
+    /// on up to `cfg.threads` threads. Component `i`, under id `i`, is the
+    /// `i`-th group of [`support_partition`]. Each component sees the same
+    /// configuration whatever the thread count, so the store is identical
+    /// across thread counts.
+    ///
+    /// When `token` fires mid-fan-out, every component stops within
+    /// roughly one block derivation and the call returns `Err` with the
+    /// **aggregated partial statistics** of every component that did any
+    /// work. A completed fan-out is never discarded: if every component
+    /// finished before the token was observed cancelled, the store is
+    /// returned even when the token has since expired.
+    pub fn solve(
+        db: &Database,
+        solutions: &SolutionSet,
+        cfg: CertKConfig,
+        token: &CancelToken,
+        matching: bool,
+    ) -> Result<DynamicComponents, CertKStats> {
+        let mut comps = DynamicComponents {
+            comp_of_block: vec![u32::MAX; db.block_slots()],
+            comps: BTreeMap::new(),
             next: 0,
         };
-        for group in groups {
-            dc.admit(group);
-        }
-        dc
+        let pool = solutions.support_blocks(db);
+        comps.fill(db, solutions, &pool, cfg, token, matching)?;
+        Ok(comps)
     }
 
-    fn admit(&mut self, group: Vec<BlockId>) -> u32 {
+    /// The one fill step: partition `pool`, decide every group, and admit
+    /// the groups with their verdicts in group order under fresh ids,
+    /// which it returns. A cancelled fan-out admits nothing.
+    fn fill(
+        &mut self,
+        db: &Database,
+        solutions: &SolutionSet,
+        pool: &[BlockId],
+        cfg: CertKConfig,
+        token: &CancelToken,
+        matching: bool,
+    ) -> Result<Vec<u32>, CertKStats> {
+        let groups = partition_pool(db, solutions, pool, false);
+        let views: Vec<DbView<'_>> = groups
+            .iter()
+            .map(|blocks| db.view_of_blocks(blocks.iter().copied()))
+            .collect();
+        let verdicts = fold_outcomes(minipool::par_map(cfg.threads, &views, |comp| {
+            decide_component(comp, solutions, cfg, token, matching)
+        }))?;
+        Ok(groups
+            .into_iter()
+            .zip(verdicts)
+            .map(|(blocks, verdict)| self.admit(blocks, verdict))
+            .collect())
+    }
+
+    fn admit(&mut self, blocks: Vec<BlockId>, verdict: ComponentVerdict) -> u32 {
         let id = self.next;
         self.next += 1;
-        for &b in &group {
+        for &b in &blocks {
             if b.idx() >= self.comp_of_block.len() {
                 self.comp_of_block.resize(b.idx() + 1, u32::MAX);
             }
             self.comp_of_block[b.idx()] = id;
         }
-        self.blocks_of_comp.insert(id, group);
+        self.comps.insert(id, Component { blocks, verdict });
         id
     }
 
     /// Number of components.
     pub fn len(&self) -> usize {
-        self.blocks_of_comp.len()
+        self.comps.len()
     }
 
     /// `true` iff the partition has no components.
     pub fn is_empty(&self) -> bool {
-        self.blocks_of_comp.is_empty()
+        self.comps.is_empty()
     }
 
     /// Component ids, ascending.
     pub fn ids(&self) -> impl Iterator<Item = u32> + '_ {
-        self.blocks_of_comp.keys().copied()
+        self.comps.keys().copied()
     }
 
     /// The blocks of a component, ascending.
     pub fn blocks_of(&self, id: u32) -> &[BlockId] {
-        &self.blocks_of_comp[&id]
+        &self.comps[&id].blocks
     }
 
-    /// The component as a copy-free view of `db`.
-    pub fn view_of<'a>(&self, db: &'a Database, id: u32) -> DbView<'a> {
-        db.view_of_blocks(self.blocks_of(id).iter().copied())
+    /// The verdict of a component.
+    pub fn verdict_of(&self, id: u32) -> &ComponentVerdict {
+        &self.comps[&id].verdict
     }
 
-    /// Fold a database delta into the partition. `solutions` must already
-    /// be the post-delta solution set (see [`SolutionSet::apply_delta`]).
+    /// Every component's verdict, in ascending id order.
+    pub fn verdicts(&self) -> impl Iterator<Item = &ComponentVerdict> + '_ {
+        self.comps.values().map(|c| &c.verdict)
+    }
+
+    /// Fold a database delta into the store: dissolve every dirty
+    /// component and decide the components that replace them, as
+    /// [`DynamicComponents::solve`] would with `cfg` and `matching`.
+    /// `solutions` must already be the post-delta solution set (see
+    /// [`SolutionSet::apply_delta`]).
     pub fn apply(
         &mut self,
         db: &Database,
         solutions: &SolutionSet,
         report: &DeltaReport,
+        cfg: CertKConfig,
+        matching: bool,
     ) -> ComponentDeltaReport {
-        let before = self.blocks_of_comp.len();
+        let before = self.comps.len();
         // The dirty pool: the touched blocks, and the blocks of every
         // solution partner of an inserted fact — either already in a
         // component, which is then dirty, or joining the support now.
@@ -250,25 +354,52 @@ impl DynamicComponents {
             .filter_map(|b| self.comp_of_block.get(b.idx()).copied())
             .filter(|&c| c != u32::MAX)
             .collect();
-        for &c in &dirty {
-            for b in self.blocks_of_comp.remove(&c).unwrap_or_default() {
+        let mut dropped = Vec::with_capacity(dirty.len());
+        for c in &dirty {
+            let comp = self.comps.remove(c).expect("an indexed component exists");
+            for &b in &comp.blocks {
                 self.comp_of_block[b.idx()] = u32::MAX;
-                pool.push(b);
             }
+            pool.extend(comp.blocks);
+            dropped.push(comp.verdict);
         }
         pool.retain(|&b| !db.block(b).is_empty());
         pool.sort_unstable();
         pool.dedup();
-        let mut out = ComponentDeltaReport {
-            dropped: dirty.iter().copied().collect(),
+        let created = self
+            .fill(db, solutions, &pool, cfg, &CancelToken::new(), matching)
+            .expect("a never-raised token cannot cancel the fan-out");
+        ComponentDeltaReport {
+            dropped,
+            created,
             retained: before - dirty.len(),
-            ..ComponentDeltaReport::default()
-        };
-        for group in partition_pool(db, solutions, &pool, false) {
-            out.created.push(self.admit(group));
         }
-        out
     }
+}
+
+/// Fold fan-out slots into the verdicts in component order: any
+/// cancelled slot turns the whole run into `Err` carrying the aggregated
+/// partial statistics. Completed components contribute their counters to
+/// that aggregate — they are evidence of work done before the cancel —
+/// but their verdicts are withheld with everything else.
+fn fold_outcomes(
+    outcomes: Vec<Result<ComponentVerdict, CertKStats>>,
+) -> Result<Vec<ComponentVerdict>, CertKStats> {
+    if outcomes.iter().any(Result::is_err) {
+        let mut agg = CertKStats::default();
+        for slot in &outcomes {
+            match slot {
+                Ok(v) => {
+                    if let Some(s) = &v.stats {
+                        agg.absorb(s);
+                    }
+                }
+                Err(s) => agg.absorb(s),
+            }
+        }
+        return Err(agg);
+    }
+    Ok(outcomes.into_iter().flatten().collect())
 }
 
 #[cfg(test)]
@@ -284,6 +415,18 @@ mod tests {
             db.insert(Fact::from_names(row.iter().copied())).unwrap();
         }
         db
+    }
+
+    /// [`DynamicComponents::solve`] by `Cert_2` under a calm token.
+    fn solve(db: &Database, solutions: &SolutionSet) -> DynamicComponents {
+        DynamicComponents::solve(
+            db,
+            solutions,
+            CertKConfig::new(2),
+            &CancelToken::new(),
+            false,
+        )
+        .expect("a calm token cannot cancel the fan-out")
     }
 
     #[test]
@@ -363,6 +506,7 @@ mod tests {
         let solutions = SolutionSet::enumerate(q, db);
         let scratch = support_partition(db, &solutions);
         assert_eq!(dynamic, scratch);
+        assert_eq!(support_component_count(db, &solutions), scratch.len());
         let whole: Vec<Vec<cqa_model::BlockId>> = q_connected_components(q, db)
             .iter()
             .map(|c| c.blocks().to_vec())
@@ -384,14 +528,14 @@ mod tests {
         let q = examples::q3();
         let mut db = db2(&[["a", "b"], ["b", "c"], ["p", "q"], ["q", "r"]]);
         let mut inc = SolutionSet::enumerate(&q, &db);
-        let mut dc = DynamicComponents::new(support_partition(&db, &inc));
+        let mut dc = solve(&db, &inc);
         assert_eq!(dc.len(), 2);
         // Bridge the two chains: c -> p.
         let rep = db
             .apply_delta(&[Fact::from_names(["c", "p"])], &[])
             .unwrap();
         inc.apply_delta(&db, &rep);
-        let out = dc.apply(&db, &inc, &rep);
+        let out = dc.apply(&db, &inc, &rep, CertKConfig::new(2), false);
         assert_eq!(dc.len(), 1);
         assert_eq!(out.created.len(), 1);
         assert_eq!(out.retained, 0);
@@ -412,14 +556,14 @@ mod tests {
             ["w", "v"],
         ]);
         let mut inc = SolutionSet::enumerate(&q, &db);
-        let mut dc = DynamicComponents::new(support_partition(&db, &inc));
+        let mut dc = solve(&db, &inc);
         assert_eq!(dc.len(), 2);
         // Cut the chain in the middle: {xa, ab} and {cd, de} disconnect.
         let rep = db
             .apply_delta(&[], &[Fact::from_names(["b", "c"])])
             .unwrap();
         inc.apply_delta(&db, &rep);
-        let out = dc.apply(&db, &inc, &rep);
+        let out = dc.apply(&db, &inc, &rep, CertKConfig::new(2), false);
         assert_eq!(dc.len(), 3);
         assert_eq!(out.dropped.len(), 1);
         assert_eq!(out.created.len(), 2);
@@ -433,7 +577,7 @@ mod tests {
         let q = examples::q3();
         let mut db = db2(&[["a", "b"], ["b", "c"]]);
         let mut inc = SolutionSet::enumerate(&q, &db);
-        let mut dc = DynamicComponents::new(support_partition(&db, &inc));
+        let mut dc = solve(&db, &inc);
         type Rows<'a> = Vec<[&'a str; 2]>;
         let scripts: Vec<(Rows, Rows)> = vec![
             (vec![["c", "d"], ["x", "y"]], vec![]),
@@ -453,8 +597,68 @@ mod tests {
                 .collect();
             let rep = db.apply_delta(&ins, &del).unwrap();
             inc.apply_delta(&db, &rep);
-            dc.apply(&db, &inc, &rep);
+            dc.apply(&db, &inc, &rep, CertKConfig::new(2), false);
             assert_matches_scratch(&q, &db, &dc);
+        }
+    }
+
+    #[test]
+    fn one_fill_step_is_thread_invariant_and_decides_each_component_alone() {
+        // Three support components (a certain chain, a falsifiable
+        // contested chain, a self-loop) and a solution-free block; the
+        // delta merges the first two and opens a fourth component.
+        let q = examples::q3();
+        let mut db = db2(&[
+            ["a", "b"],
+            ["b", "c"],
+            ["p", "q"],
+            ["p", "x"],
+            ["q", "r"],
+            ["z", "z"],
+            ["m", "n"],
+        ]);
+        let mut inc = SolutionSet::enumerate(&q, &db);
+        let calm = CancelToken::new();
+        let stores: Vec<DynamicComponents> = [1usize, 4]
+            .iter()
+            .map(|&t| {
+                let cfg = CertKConfig::new(2).with_threads(t);
+                DynamicComponents::solve(&db, &inc, cfg, &calm, false).unwrap()
+            })
+            .collect();
+        assert_eq!(stores[0].len(), 3);
+        assert_eq!(format!("{:?}", stores[0]), format!("{:?}", stores[1]));
+        let rep = db
+            .apply_delta(
+                &[
+                    Fact::from_names(["c", "p"]),
+                    Fact::from_names(["u", "v"]),
+                    Fact::from_names(["v", "w"]),
+                ],
+                &[],
+            )
+            .unwrap();
+        inc.apply_delta(&db, &rep);
+        let mut stores = stores.into_iter();
+        let (mut one, mut four) = (stores.next().unwrap(), stores.next().unwrap());
+        let out = one.apply(&db, &inc, &rep, CertKConfig::new(2).with_threads(1), false);
+        four.apply(&db, &inc, &rep, CertKConfig::new(2).with_threads(4), false);
+        assert_eq!(
+            (out.dropped.len(), out.created.len(), out.retained),
+            (2, 2, 1)
+        );
+        assert_eq!(format!("{one:?}"), format!("{four:?}"));
+        assert_matches_scratch(&q, &db, &one);
+        for id in one.ids() {
+            let alone = decide_component(
+                &db.view_of_blocks(one.blocks_of(id).iter().copied()),
+                &inc,
+                CertKConfig::new(2),
+                &calm,
+                false,
+            )
+            .unwrap();
+            assert_eq!(format!("{:?}", one.verdict_of(id)), format!("{alone:?}"));
         }
     }
 }

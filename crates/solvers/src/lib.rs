@@ -26,14 +26,16 @@
 //! * exhaustive search on the coNP side — [`certain_brute_over`].
 //!
 //! They combine one way, per q-connected component (Theorem 10.5,
-//! Proposition 10.6): [`certain_combined_over`] and
-//! [`certk_by_components`] share one fan-out and differ only in whether a
-//! clique-database component goes to `¬matching`. Components are
-//! independent, so the fan-outs decide them concurrently on a scoped
-//! thread pool when [`CertKConfig::threads`] is above 1; `1` keeps the
-//! sequential path. The fan-outs decide every component, so the
-//! per-component evidence is complete and identical across thread
-//! counts. The brute force decides the components one after another and
+//! Proposition 10.6): [`DynamicComponents::solve`] decides every
+//! component of the solution support by [`decide_component`], with the
+//! matching shortcut as a parameter that sends a clique-database
+//! component to `¬matching`, and keeps each component's blocks beside its
+//! verdict; [`DynamicComponents::apply`] re-decides only the components
+//! a delta dirtied, through the same step. Components are independent,
+//! so that step decides them concurrently on a scoped thread pool when
+//! [`CertKConfig::threads`] is above 1; `1` keeps the sequential path.
+//! It decides every component, so the per-component evidence is complete
+//! and identical across thread counts. The brute force decides the components one after another and
 //! stops at the first that forces `q`.
 //!
 //! The first-order one-atom case of Section 2 needs none of them: its
@@ -68,11 +70,11 @@ pub use brute::{
 pub use cancel::CancelToken;
 pub use certk::{cert2, certk, certk_view, Antichain, CertKConfig, CertKOutcome, CertKStats};
 pub use combined::{
-    certain_combined, certain_combined_over, certain_thm105_literal, certk_by_components,
-    decide_component, CombinedResult, ComponentVerdict, DecidedBy,
+    certain_combined, certain_thm105_literal, decide_component, CombinedResult, ComponentVerdict,
+    DecidedBy,
 };
 pub use components::{
-    q_connected_components, support_components, support_partition, ComponentDeltaReport,
+    q_connected_components, support_component_count, support_partition, ComponentDeltaReport,
     DynamicComponents,
 };
 pub use matching::{

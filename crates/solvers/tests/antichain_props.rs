@@ -11,14 +11,16 @@
 //!   `CertKOutcome` as the seed-era full-pass evaluator on random q3/q6
 //!   databases (the fixpoint closure is confluent, so evaluation order
 //!   must not matter), and remain exact for q3 per Theorem 6.1.
-//! * The engine's component route (`certk_by_components`) must agree with
-//!   the literal whole-database fixpoint (Proposition 10.6).
+//! * The engine's component route (`DynamicComponents::solve` without the
+//!   matching shortcut) must agree with the literal whole-database
+//!   fixpoint (Proposition 10.6).
 
-use cqa_model::{Database, DbView, Elem, Fact, FactId, Signature};
+use cqa_model::{Database, Elem, Fact, FactId, Signature};
 use cqa_query::examples;
 use cqa_solvers::certk::reference::{certk_reference, NaiveAntichain};
 use cqa_solvers::{
-    certain_brute, certk, Antichain, CancelToken, CertKConfig, CombinedResult, SolutionSet,
+    certain_brute, certk, Antichain, CancelToken, CertKConfig, CombinedResult, DynamicComponents,
+    SolutionSet,
 };
 use proptest::prelude::*;
 
@@ -165,23 +167,23 @@ proptest! {
         let q = examples::q3();
         let cfg = CertKConfig::new(2);
         let solutions = SolutionSet::enumerate(&q, &db);
-        let comps =
-            cqa_solvers::components::q_connected_components_with_solutions(&q, &db, &solutions);
-        let routed = certk_by_components(&comps, &solutions, cfg);
+        let routed = certk_by_components(&db, &solutions, cfg);
         let literal = certk(&q, &db, cfg);
         prop_assert_eq!(routed.certain, literal.is_certain());
         // The per-component path at several thread counts is also stable.
-        let routed4 = certk_by_components(&comps, &solutions, cfg.with_threads(4));
+        let routed4 = certk_by_components(&db, &solutions, cfg.with_threads(4));
         prop_assert_eq!(format!("{:?}", routed.components), format!("{:?}", routed4.components));
     }
 }
 
-/// `cqa_solvers::certk_by_components` under a calm token.
-fn certk_by_components(
-    comps: &[DbView<'_>],
-    solutions: &SolutionSet,
-    cfg: CertKConfig,
-) -> CombinedResult {
-    cqa_solvers::certk_by_components(comps, solutions, cfg, &CancelToken::new())
-        .expect("a calm token cannot cancel the fan-out")
+/// Per-component `Cert_k`: [`DynamicComponents::solve`] without the
+/// matching shortcut, under a calm token.
+fn certk_by_components(db: &Database, solutions: &SolutionSet, cfg: CertKConfig) -> CombinedResult {
+    let comps = DynamicComponents::solve(db, solutions, cfg, &CancelToken::new(), false)
+        .expect("a calm token cannot cancel the fan-out");
+    let components: Vec<_> = comps.verdicts().cloned().collect();
+    CombinedResult {
+        certain: components.iter().any(|v| v.certain),
+        components,
+    }
 }
