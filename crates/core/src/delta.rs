@@ -23,8 +23,8 @@
 //!   [`Database::apply_delta`], so an untouched component's view is
 //!   bit-for-bit the view the kept verdict was computed on);
 //! * components rebuilt from the dirty region are decided from scratch by
-//!   [`decide_component`](cqa_solvers::decide_component), at the
-//!   engine's thread count, as the cold solve decides every component.
+//!   [`decide_component`](cqa_solvers::decide_component), as the cold
+//!   solve decides every component, but on the caller's thread.
 //!
 //! The database itself is **certain iff some component is**
 //! (Proposition 10.6), so [`QueryDeltaState::answer`] reads the
@@ -44,8 +44,10 @@ use std::sync::Arc;
 
 use crate::classify::Complexity;
 use crate::engine::{AnsweredBy, CertainAnswer, CqaEngine, VerdictTotals};
-use cqa_model::{Database, DeltaReport};
-use cqa_solvers::{CancelToken, CertKStats, DynamicComponents, ForcingBlocks, SolutionSet};
+use cqa_model::{BlockId, Database, DeltaReport};
+use cqa_solvers::{
+    support_partition, CancelToken, CertKStats, DynamicComponents, ForcingBlocks, SolutionSet,
+};
 
 /// Counters for the incremental path, aggregated by sessions and servers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -123,25 +125,28 @@ impl QueryDeltaState {
         } else {
             let solutions =
                 solutions.unwrap_or_else(|| Arc::new(SolutionSet::enumerate(engine.query(), db)));
-            QueryDeltaState::components(engine, db, solutions, &calm)
+            let partition = support_partition(db, &solutions);
+            QueryDeltaState::components(engine, db, solutions, partition, &calm)
                 .expect("a never-raised token cannot cancel the solve")
         };
         Some(state)
     }
 
-    /// The component state of `solutions` on `db`: every support component
-    /// decided by [`DynamicComponents::solve`] with `engine`'s
-    /// configuration. `Err` carries a cancelled fan-out's partial
-    /// statistics.
+    /// The component state of `solutions` on `db`: every group of the
+    /// support's `partition` decided by [`DynamicComponents::solve`] with
+    /// `engine`'s configuration. `Err` carries a cancelled fan-out's
+    /// partial statistics.
     pub(crate) fn components(
         engine: &CqaEngine,
         db: &Database,
         solutions: Arc<SolutionSet>,
+        partition: Vec<Vec<BlockId>>,
         token: &CancelToken,
     ) -> Result<QueryDeltaState, CertKStats> {
         let comps = DynamicComponents::solve(
             db,
             &solutions,
+            partition,
             engine.config().certk,
             token,
             engine.matching(),

@@ -32,10 +32,10 @@
 
 use crate::classify::{classify_with, Classification, Complexity};
 use crate::delta::QueryDeltaState;
-use cqa_model::Database;
+use cqa_model::{BlockId, Database};
 use cqa_query::Query;
 use cqa_solvers::{
-    certain_brute_over, decide_component, support_component_count, BruteOutcome, CancelToken,
+    certain_brute_over, decide_component, support_partition, BruteOutcome, CancelToken,
     CertKConfig, CertKStats, ComponentVerdict, ForcingBlocks, SolutionSet,
 };
 use cqa_tripath::SearchConfig;
@@ -260,24 +260,27 @@ impl CqaEngine {
         self.classification.complexity == Complexity::PTimeCombined
     }
 
-    /// The routing decision for `db`: `true` for the component route,
-    /// `false` for the literal fixpoint on the support as one view.
-    /// Theorem 10.5 always takes the components; under
-    /// [`RoutePolicy::Auto`], small databases and supports of few
-    /// components stay literal. `Auto` counts the support's components
-    /// ([`support_component_count`]) before the component route
-    /// partitions them in [`cqa_solvers::DynamicComponents::solve`].
-    fn takes_components(&self, db: &Database, solutions: &SolutionSet) -> bool {
+    /// The routing decision for `db`: the support's partition
+    /// ([`support_partition`]) for the component route, `None` for the
+    /// literal fixpoint on the support as one view. Theorem 10.5 always
+    /// takes the components; under [`RoutePolicy::Auto`], small databases
+    /// and supports of few components stay literal, and a support `Auto`
+    /// partitions to count its components hands that partition on to
+    /// [`cqa_solvers::DynamicComponents::solve`].
+    fn route_components(
+        &self,
+        db: &Database,
+        solutions: &SolutionSet,
+    ) -> Option<Vec<Vec<BlockId>>> {
         let routing = &self.config.routing;
-        match routing.policy {
-            _ if self.matching() => true,
-            RoutePolicy::Literal => false,
-            RoutePolicy::Component => true,
-            RoutePolicy::Auto => {
-                db.len() >= routing.min_facts
-                    && support_component_count(db, solutions) >= routing.min_components
-            }
-        }
+        let min_components = match routing.policy {
+            _ if self.matching() => 0,
+            RoutePolicy::Literal => return None,
+            RoutePolicy::Component => 0,
+            RoutePolicy::Auto if db.len() >= routing.min_facts => routing.min_components,
+            RoutePolicy::Auto => return None,
+        };
+        Some(support_partition(db, solutions)).filter(|groups| groups.len() >= min_components)
     }
 
     /// Decide `db ⊨ certain(q)` with the algorithm the classification
@@ -353,7 +356,7 @@ impl CqaEngine {
                 _ => AnsweredBy::CertK,
             };
             let state = (complexity != Complexity::CoNpComplete).then(|| {
-                QueryDeltaState::components(self, db, solutions, token)
+                QueryDeltaState::components(self, db, solutions, Vec::new(), token)
                     .expect("an empty support has no component to cancel")
             });
             return Ok((answer(false, answered_by), state));
@@ -370,9 +373,9 @@ impl CqaEngine {
             };
             return Ok((answer, None));
         }
-        if self.takes_components(db, &solutions) {
-            let state =
-                QueryDeltaState::components(self, db, solutions, token).map_err(cancelled)?;
+        if let Some(partition) = self.route_components(db, &solutions) {
+            let state = QueryDeltaState::components(self, db, solutions, partition, token)
+                .map_err(cancelled)?;
             return Ok((state.answer(self), Some(state)));
         }
         let support = db.view_of_blocks(solutions.support_blocks(db));

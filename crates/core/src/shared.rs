@@ -327,7 +327,7 @@ impl SharedSession {
     ///
     /// Per carried query: untouched q-connected components keep their
     /// verdicts verbatim; components in the dirty region re-solve from
-    /// scratch, on up to the engine's thread count. The state patched is
+    /// scratch, on the caller's thread. The state patched is
     /// the one the query's first solve left in its entry, with the
     /// solution set it owns, and it moves to the successor, so a *chain*
     /// of updates keeps patching; this session keeps answering from its
@@ -710,6 +710,24 @@ mod tests {
         );
         let fresh = CqaEngine::with_config(q3.clone(), config).certain(next.db());
         assert_eq!(format!("{:?}", next.certain(&q3)), format!("{fresh:?}"));
+    }
+
+    #[test]
+    fn a_solution_free_query_keeps_an_empty_store() {
+        // No fact's value is another fact's key: q3 has no solution.
+        let session = SharedSession::new(db2(&[["a", "b"], ["c", "d"]]), EngineConfig::default());
+        let q3 = examples::q3();
+        assert!(!session.certain(&q3).certain);
+        let entry = session.entry(&q3);
+        let live = entry.live.lock().unwrap();
+        let Live::State(state) = &*live else {
+            panic!("a solution-free solve leaves a state");
+        };
+        let kept = format!("{state:?}");
+        assert!(
+            kept.contains("comp_of_block: [], comps: {}"),
+            "the store holds no block index: {kept}"
+        );
     }
 
     #[test]

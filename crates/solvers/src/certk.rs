@@ -50,10 +50,10 @@ pub struct CertKConfig {
     /// [`CertKOutcome::BudgetExhausted`]. Keeps the algorithm total on
     /// adversarial inputs where `Δ` blows up.
     pub node_budget: u64,
-    /// Worker threads for the per-component fan-out of
-    /// [`DynamicComponents`](crate::DynamicComponents), cold
-    /// ([`solve`](crate::DynamicComponents::solve)) or after a delta
-    /// ([`apply`](crate::DynamicComponents::apply)). The fixpoint
+    /// Worker threads for the per-component fan-out of a cold
+    /// [`DynamicComponents::solve`](crate::DynamicComponents::solve)
+    /// ([`apply`](crate::DynamicComponents::apply) decides a delta's
+    /// dirty region on the caller's thread). The fixpoint
     /// itself is sequential; this knob only controls how many components
     /// are decided concurrently. `1` preserves the fully sequential path
     /// (no threads spawned); the default is the host's available

@@ -18,7 +18,7 @@
 //! in component order, so the result is identical across thread counts.
 
 use crate::certk::{certk_view, CertKConfig, CertKOutcome, CertKStats};
-use crate::components::DynamicComponents;
+use crate::components::{support_partition, DynamicComponents};
 use crate::matching::analyze_view;
 use crate::{CancelToken, SolutionSet};
 use cqa_model::{Database, DbView};
@@ -66,7 +66,8 @@ pub struct CombinedResult {
 /// 2way-determined query.
 pub fn certain_combined(q: &Query, db: &Database, cfg: CertKConfig) -> CombinedResult {
     let solutions = SolutionSet::enumerate(q, db);
-    let comps = DynamicComponents::solve(db, &solutions, cfg, &CancelToken::new(), true)
+    let partition = support_partition(db, &solutions);
+    let comps = DynamicComponents::solve(db, &solutions, partition, cfg, &CancelToken::new(), true)
         .expect("a never-raised token cannot cancel the fan-out");
     result_of(&comps)
 }
@@ -151,7 +152,9 @@ mod tests {
         token: &CancelToken,
         matching: bool,
     ) -> Result<CombinedResult, CertKStats> {
-        DynamicComponents::solve(db, solutions, cfg, token, matching).map(|c| result_of(&c))
+        let partition = support_partition(db, solutions);
+        DynamicComponents::solve(db, solutions, partition, cfg, token, matching)
+            .map(|c| result_of(&c))
     }
 
     /// Per-component `Cert_k` without the matching shortcut, under a calm

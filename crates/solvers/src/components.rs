@@ -73,29 +73,6 @@ pub fn support_partition(db: &Database, solutions: &SolutionSet) -> Vec<Vec<Bloc
     partition_pool(db, solutions, &solutions.support_blocks(db), false)
 }
 
-/// How many components [`support_partition`] returns, counted without
-/// building them: one union-find pass over the join groups' facts, which
-/// is all a route choice between one support view and its components
-/// needs to know.
-pub fn support_component_count(db: &Database, solutions: &SolutionSet) -> usize {
-    let mut uf = UnionFind::new(db.block_slots());
-    let mut in_support = vec![false; db.block_slots()];
-    let (mut support_blocks, mut merges) = (0, 0);
-    for g in 0..solutions.group_slots() {
-        let (a, b) = solutions.group(g);
-        if a.is_empty() || b.is_empty() {
-            continue;
-        }
-        let first = db.block_of(a[0]).idx();
-        for &f in a.iter().chain(b) {
-            let block = db.block_of(f).idx();
-            support_blocks += usize::from(!std::mem::replace(&mut in_support[block], true));
-            merges += usize::from(uf.union(first, block));
-        }
-    }
-    support_blocks - merges
-}
-
 /// Every live block's component, solution-free singletons included.
 fn whole_partition(db: &Database, solutions: &SolutionSet) -> Vec<Vec<BlockId>> {
     let live: Vec<BlockId> = db.block_ids().collect();
@@ -120,27 +97,6 @@ fn partition_pool(
     pool: &[BlockId],
     with_free: bool,
 ) -> Vec<Vec<BlockId>> {
-    // A pool block's index: a table over every block slot when the pool
-    // holds at least a sixteenth of them (a cold solve's support), so
-    // the table costs at most sixteen slots per pool block; a binary
-    // search otherwise (a delta's dirty region), so an update never pays
-    // O(block slots).
-    let table: Vec<u32> = if pool.len() >= db.block_slots() / 16 {
-        let mut table = vec![u32::MAX; db.block_slots()];
-        for (i, b) in pool.iter().enumerate() {
-            table[b.idx()] = i as u32;
-        }
-        table
-    } else {
-        Vec::new()
-    };
-    let index_of = |b: BlockId| {
-        if table.is_empty() {
-            pool.binary_search(&b).ok()
-        } else {
-            Some(table[b.idx()] as usize).filter(|&i| i != u32::MAX as usize)
-        }
-    };
     let mut uf = UnionFind::new(pool.len());
     let mut in_support = vec![false; pool.len()];
     for (i, &b) in pool.iter().enumerate() {
@@ -148,11 +104,11 @@ fn partition_pool(
             for g in solutions.groups_of(f) {
                 in_support[i] = true;
                 let some_fact = solutions.group(g).0[0];
-                match index_of(db.block_of(some_fact)) {
-                    Some(j) => {
+                match pool.binary_search(&db.block_of(some_fact)) {
+                    Ok(j) => {
                         uf.union(i, j);
                     }
-                    None => debug_assert!(false, "solution edge escapes the block pool"),
+                    Err(_) => debug_assert!(false, "solution edge escapes the block pool"),
                 }
             }
         }
@@ -228,8 +184,10 @@ impl DynamicComponents {
     /// Decide every q-connected component of the support of `solutions`
     /// on `db`, by `¬matching` on a clique-database component when
     /// `matching` is set and by `Cert_k` otherwise ([`decide_component`]),
-    /// on up to `cfg.threads` threads. Component `i`, under id `i`, is the
-    /// `i`-th group of [`support_partition`]. Each component sees the same
+    /// on up to `cfg.threads` threads. `partition` is that support's
+    /// [`support_partition`], passed in so that a caller which computed it
+    /// to choose a route does not partition twice; component `i`, under
+    /// id `i`, is its `i`-th group. Each component sees the same
     /// configuration whatever the thread count, so the store is identical
     /// across thread counts.
     ///
@@ -242,33 +200,33 @@ impl DynamicComponents {
     pub fn solve(
         db: &Database,
         solutions: &SolutionSet,
+        partition: Vec<Vec<BlockId>>,
         cfg: CertKConfig,
         token: &CancelToken,
         matching: bool,
     ) -> Result<DynamicComponents, CertKStats> {
+        debug_assert!(partition == support_partition(db, solutions));
         let mut comps = DynamicComponents {
-            comp_of_block: vec![u32::MAX; db.block_slots()],
+            comp_of_block: Vec::new(),
             comps: BTreeMap::new(),
             next: 0,
         };
-        let pool = solutions.support_blocks(db);
-        comps.fill(db, solutions, &pool, cfg, token, matching)?;
+        comps.fill(db, solutions, partition, cfg, token, matching)?;
         Ok(comps)
     }
 
-    /// The one fill step: partition `pool`, decide every group, and admit
+    /// The one fill step: decide every group of a partition, and admit
     /// the groups with their verdicts in group order under fresh ids,
     /// which it returns. A cancelled fan-out admits nothing.
     fn fill(
         &mut self,
         db: &Database,
         solutions: &SolutionSet,
-        pool: &[BlockId],
+        groups: Vec<Vec<BlockId>>,
         cfg: CertKConfig,
         token: &CancelToken,
         matching: bool,
     ) -> Result<Vec<u32>, CertKStats> {
-        let groups = partition_pool(db, solutions, pool, false);
         let views: Vec<DbView<'_>> = groups
             .iter()
             .map(|blocks| db.view_of_blocks(blocks.iter().copied()))
@@ -328,7 +286,9 @@ impl DynamicComponents {
 
     /// Fold a database delta into the store: dissolve every dirty
     /// component and decide the components that replace them, as
-    /// [`DynamicComponents::solve`] would with `cfg` and `matching`.
+    /// [`DynamicComponents::solve`] would with `cfg` and `matching`, but
+    /// on the caller's thread whatever `cfg.threads` says: a dirty region
+    /// is `O(delta)`, too little work to pay for a thread scope.
     /// `solutions` must already be the post-delta solution set (see
     /// [`SolutionSet::apply_delta`]).
     pub fn apply(
@@ -366,8 +326,10 @@ impl DynamicComponents {
         pool.retain(|&b| !db.block(b).is_empty());
         pool.sort_unstable();
         pool.dedup();
+        let groups = partition_pool(db, solutions, &pool, false);
+        let calm = CancelToken::new();
         let created = self
-            .fill(db, solutions, &pool, cfg, &CancelToken::new(), matching)
+            .fill(db, solutions, groups, cfg.with_threads(1), &calm, matching)
             .expect("a never-raised token cannot cancel the fan-out");
         ComponentDeltaReport {
             dropped,
@@ -422,6 +384,7 @@ mod tests {
         DynamicComponents::solve(
             db,
             solutions,
+            support_partition(db, solutions),
             CertKConfig::new(2),
             &CancelToken::new(),
             false,
@@ -506,7 +469,6 @@ mod tests {
         let solutions = SolutionSet::enumerate(q, db);
         let scratch = support_partition(db, &solutions);
         assert_eq!(dynamic, scratch);
-        assert_eq!(support_component_count(db, &solutions), scratch.len());
         let whole: Vec<Vec<cqa_model::BlockId>> = q_connected_components(q, db)
             .iter()
             .map(|c| c.blocks().to_vec())
@@ -623,7 +585,8 @@ mod tests {
             .iter()
             .map(|&t| {
                 let cfg = CertKConfig::new(2).with_threads(t);
-                DynamicComponents::solve(&db, &inc, cfg, &calm, false).unwrap()
+                let partition = support_partition(&db, &inc);
+                DynamicComponents::solve(&db, &inc, partition, cfg, &calm, false).unwrap()
             })
             .collect();
         assert_eq!(stores[0].len(), 3);

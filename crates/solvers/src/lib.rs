@@ -32,8 +32,9 @@
 //! component to `¬matching`, and keeps each component's blocks beside its
 //! verdict; [`DynamicComponents::apply`] re-decides only the components
 //! a delta dirtied, through the same step. Components are independent,
-//! so that step decides them concurrently on a scoped thread pool when
-//! [`CertKConfig::threads`] is above 1; `1` keeps the sequential path.
+//! so the cold solve decides them concurrently on a scoped thread pool
+//! when [`CertKConfig::threads`] is above 1; `1` keeps the sequential
+//! path, and `apply` always takes it, its dirty region being small.
 //! It decides every component, so the per-component evidence is complete
 //! and identical across thread counts. The brute force decides the components one after another and
 //! stops at the first that forces `q`.
@@ -74,8 +75,7 @@ pub use combined::{
     DecidedBy,
 };
 pub use components::{
-    q_connected_components, support_component_count, support_partition, ComponentDeltaReport,
-    DynamicComponents,
+    q_connected_components, support_partition, ComponentDeltaReport, DynamicComponents,
 };
 pub use matching::{
     analyze_view, certain_by_matching, is_clique_database, matching_accepts, MatchingAnalysis,

@@ -19,8 +19,8 @@ use cqa_model::{Database, Elem, Fact, FactId, Signature};
 use cqa_query::examples;
 use cqa_solvers::certk::reference::{certk_reference, NaiveAntichain};
 use cqa_solvers::{
-    certain_brute, certk, Antichain, CancelToken, CertKConfig, CombinedResult, DynamicComponents,
-    SolutionSet,
+    certain_brute, certk, support_partition, Antichain, CancelToken, CertKConfig, CombinedResult,
+    DynamicComponents, SolutionSet,
 };
 use proptest::prelude::*;
 
@@ -179,7 +179,8 @@ proptest! {
 /// Per-component `Cert_k`: [`DynamicComponents::solve`] without the
 /// matching shortcut, under a calm token.
 fn certk_by_components(db: &Database, solutions: &SolutionSet, cfg: CertKConfig) -> CombinedResult {
-    let comps = DynamicComponents::solve(db, solutions, cfg, &CancelToken::new(), false)
+    let partition = support_partition(db, solutions);
+    let comps = DynamicComponents::solve(db, solutions, partition, cfg, &CancelToken::new(), false)
         .expect("a calm token cannot cancel the fan-out");
     let components: Vec<_> = comps.verdicts().cloned().collect();
     CombinedResult {
