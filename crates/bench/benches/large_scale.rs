@@ -35,14 +35,29 @@
 //!   ordered pair inside a block) and `R(y | x) R(x | y)`, which has no
 //!   solution on this family, so only the scan and the probes are timed.
 //!
+//! And the fixpoint alone:
+//!
+//! * `certk_hub` — `Cert_k` (k = 2, one thread) on the whole
+//!   `mixed-batch` q3 database at 2·10⁴, 10⁵ and 10⁶ facts: a few hub
+//!   blocks that most values join onto, so the antichain holds hundreds
+//!   of thousands of members in wide shared blocks. The solution set is
+//!   enumerated once, outside the timed loop. Beside it, `chain-components`
+//!   decides the 71,429 support components of the 10⁶-fact [`large_q3_db`]
+//!   one after another ([`DynamicComponents::solve`] at one thread, the
+//!   partition computed outside the timed loop): the many-small-fixpoints
+//!   shape.
+//!
 //! Recorded medians live in `BASELINES.md`.
 
-use cqa::solvers::{certain_combined, CertKConfig, SolutionSet};
+use cqa::solvers::{
+    certain_combined, certk_view, support_partition, CancelToken, CertKConfig, DynamicComponents,
+    SolutionSet,
+};
 use cqa::{AnsweredBy, CqaEngine, EngineConfig, RoutePolicy, SharedSession};
 use cqa_query::{examples, parse_query};
 use cqa_workloads::{
-    large_contested_q3_db, large_q3_db, write_large_q3, ContestedWorkloadConfig,
-    LargeWorkloadConfig,
+    large_contested_q3_db, large_q3_db, skewed_db, write_large_q3, ContestedWorkloadConfig,
+    LargeWorkloadConfig, SkewFamily,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::sync::Arc;
@@ -234,8 +249,52 @@ fn bench_enumerate(c: &mut Criterion) {
     g.finish();
 }
 
+/// `Cert_k` alone: the whole-database fixpoint on the hub-heavy
+/// `mixed-batch` family, and the 10⁶-fact chain's components one after
+/// another.
+fn bench_certk_hub(c: &mut Criterion) {
+    let q3 = examples::q3();
+    let cfg = CertKConfig::new(2).with_threads(1);
+    let calm = CancelToken::new();
+    let mut g = c.benchmark_group("certk_hub");
+    g.sample_size(10);
+    for n in [20_000usize, 100_000, 1_000_000] {
+        let db = skewed_db(7, &q3, &SkewFamily::MixedBatch.config(n));
+        let solutions = SolutionSet::enumerate(&q3, &db);
+        let view = db.full_view();
+        g.throughput(Throughput::Elements(db.len() as u64));
+        g.bench_with_input(
+            BenchmarkId::new("mixed-batch", db.len()),
+            &view,
+            |b, view| {
+                b.iter(|| {
+                    let run = certk_view(view, &solutions, cfg, &calm);
+                    std::hint::black_box(run.expect("a calm token cannot cancel").0)
+                })
+            },
+        );
+    }
+    let db = large_q3_db(&cfg_for(1_000_000));
+    let solutions = SolutionSet::enumerate(&q3, &db);
+    let partition = support_partition(&db, &solutions);
+    g.throughput(Throughput::Elements(db.len() as u64));
+    g.bench_with_input(
+        BenchmarkId::new("chain-components", db.len()),
+        &partition,
+        |b, partition| {
+            b.iter(|| {
+                let comps =
+                    DynamicComponents::solve(&db, &solutions, partition.clone(), cfg, &calm, false);
+                std::hint::black_box(comps.expect("a calm token cannot cancel").len())
+            })
+        },
+    );
+    g.finish();
+}
+
 criterion_group!(
     benches,
+    bench_certk_hub,
     bench_enumerate,
     bench_large_scale,
     bench_routing,

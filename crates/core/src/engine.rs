@@ -36,7 +36,7 @@ use cqa_model::{BlockId, Database};
 use cqa_query::Query;
 use cqa_solvers::{
     certain_brute_over, decide_component, support_partition, BruteOutcome, CancelToken,
-    CertKConfig, CertKStats, ComponentVerdict, ForcingBlocks, SolutionSet,
+    CertKConfig, CertKScratch, CertKStats, ComponentVerdict, ForcingBlocks, SolutionSet,
 };
 use cqa_tripath::SearchConfig;
 use std::collections::BTreeMap;
@@ -379,8 +379,15 @@ impl CqaEngine {
             return Ok((state.answer(self), Some(state)));
         }
         let support = db.view_of_blocks(solutions.support_blocks(db));
-        let verdict = decide_component(&support, &solutions, self.config.certk, token, false)
-            .map_err(cancelled)?;
+        let verdict = decide_component(
+            &support,
+            &solutions,
+            self.config.certk,
+            token,
+            false,
+            &mut CertKScratch::default(),
+        )
+        .map_err(cancelled)?;
         Ok((
             VerdictTotals::of([&verdict]).answer(AnsweredBy::CertK),
             None,

@@ -21,23 +21,46 @@
 //! over members `M_u ∋ u` — choices with `u ∉ M_u` can be discarded because
 //! they force `S ⊇ M_u`, which the antichain already covers.
 //!
+//! A run numbers the view's facts `0..len` in parent-id order, so every
+//! sorted fact set keeps its order, and nothing it stores allocates per
+//! member, per requirement or per candidate:
+//!
+//! * the [`Antichain`] holds its members inline in one vector with stride
+//!   `min(k, blocks)`, addressed by `u32` slot with a live flag per slot;
+//!   a per-fact slot answers singleton probes and an open-addressing
+//!   table of slots, hashed once per probe by a keyed hasher (fact ids
+//!   follow the client's file order), answers longer ones; one intrusive
+//!   list per fact links the slots holding it;
+//! * each fact's ⊆-minimal requirement family is one `(offset, sets)`
+//!   entry into one flat arena of `k − 1`-wide sets;
+//! * the derivation search keeps its open partials and its candidates in
+//!   flat stride-`k` buffers.
+//!
+//! All of it lives in a [`CertKScratch`], cleared between runs and not
+//! freed: a component fan-out gives each worker one for all its
+//! components, and drops it when the fan-out returns.
+//!
 //! ### Evaluation strategy
-//! The fixpoint is evaluated *semi-naively*: the [`Antichain`] keys its
-//! subset-query index by **block** (block → member slots touching the
-//! block) and compacts stale slots once pruned members outnumber live
-//! ones; each fact's ⊆-minimal requirement family `R_u` is cached across
-//! rounds and invalidated only when a member containing `u` is inserted or
-//! pruned; and a **dirty-block worklist** replaces full passes — a block is
-//! re-derived only when a member touching one of its facts changed, so
-//! converged regions of the database are never rescanned. The reached
-//! fixpoint is the same as the naive full-pass evaluation (the closure is
-//! confluent); the [`reference`](mod@reference) module keeps the seed-era
-//! full-pass evaluator for differential testing.
+//! The fixpoint is evaluated *semi-naively*: superset pruning and the
+//! requirement families reach members through the per-fact slot lists,
+//! and stale slots are compacted once pruned members outnumber live ones;
+//! each fact's requirement family is cached across rounds and invalidated
+//! only when a member containing the fact is inserted or pruned; and a
+//! **dirty-block worklist** replaces full passes — a block is re-derived
+//! only when a member touching one of its facts changed, so converged
+//! regions of the database are never rescanned. The first generation
+//! starts from the seeds: a block none of whose facts is in a member
+//! derives nothing, so it is visited only once a member reaches it, and a
+//! view without a seed is answered before any per-fact state is built.
+//! The reached fixpoint is the same as the naive full-pass evaluation (the
+//! closure is confluent); the [`reference`](mod@reference) module keeps
+//! the seed-era full-pass evaluator for differential testing.
 
 use crate::{CancelToken, SolutionSet};
-use cqa_model::{BlockId, Database, DbView, FactId};
+use cqa_model::{Database, DbView, FactId};
 use cqa_query::Query;
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 
 /// Tuning for [`certk_view`] and the component fan-out.
 #[derive(Clone, Copy, Debug)]
@@ -111,57 +134,115 @@ impl CertKOutcome {
 }
 
 /// `covers` enumerates the subsets of sets up to this size against the
-/// exact-member hash index (≤ 2⁶ probes); larger sets fall back to
-/// scanning the block-keyed slot lists. `Cert_k` runs with k = 2 or 3, so
-/// the fixpoint never leaves the fast path.
+/// exact-member index (≤ 2⁶ probes); larger sets fall back to scanning
+/// the slot lists of their facts. `Cert_k` runs with k = 2 or 3, so the
+/// fixpoint never leaves the fast path.
 const COVERS_SUBSET_ENUM_MAX: usize = 6;
 
-/// A ⊆-antichain of fact sets with a **block-keyed** subset-query index.
+/// Steps between token polls in a run's linear set-up passes.
+const POLL_STRIDE: usize = 4096;
+
+/// The end of a slot list, an empty index cell, a stale family entry, and
+/// the padding of an inline set past its last fact (greater than every
+/// fact, so padded sets of one length compare as their facts do).
+const NIL: u32 = u32::MAX;
+/// An index cell whose member was removed.
+const TOMB: u32 = u32::MAX - 1;
+const PAD: FactId = FactId(NIL);
+
+/// A ⊆-antichain of sorted fact sets of at most `width` facts each.
 ///
-/// Members are sorted fact-id slices. The index maps each block to the
-/// (possibly stale) member slots touching it — `members_with` and
-/// superset pruning reach members through the blocks of the facts
-/// involved, so index size tracks the number of blocks, not the number of
-/// facts, and every shared-block membership list is maintained in one
-/// place. An exact-member hash set lets `covers` on a small set `s` probe
-/// its `2^|s| − 1` subsets directly instead of scanning shared-block
-/// lists that grow with block width (the seed phase on contested
-/// workloads is otherwise quadratic in the width). Slots of pruned
-/// members go stale in place; once they outnumber the live members the
-/// whole table is compacted (slot renumbering is invisible to callers,
-/// which only ever see member slices).
-pub struct Antichain<'a> {
-    /// Block structure provider for the fact ids stored in members.
-    db: &'a Database,
-    /// Member slots; `None` marks members removed by superset pruning.
-    sets: Vec<Option<Box<[FactId]>>>,
-    /// block → slots of (possibly stale) members touching the block.
-    touching: HashMap<BlockId, Vec<usize>>,
-    /// The live members verbatim, for O(1) exact-subset probes.
-    member_index: HashSet<Box<[FactId]>>,
+/// Member `s` sits inline at `facts[s·width..]` with its length and a
+/// live flag beside it; pruning a member clears the flag and leaves the
+/// slot in place. Exact-member lookups let `covers` on a small set probe
+/// its `2^|s| − 1` subsets directly: a singleton `{f}` through a per-fact
+/// slot, a longer member through an open-addressing table of slots under
+/// a keyed hash of the member (fact ids follow the client's file order,
+/// so an unkeyed hash could be driven into collisions). Every fact heads
+/// an intrusive list, threaded through one link per stored fact, of the
+/// slots whose member holds it (`members_with` and superset pruning walk
+/// these, pruning the shortest list among the new member's facts). Once
+/// pruned slots outnumber live members the slots are compacted in order
+/// (renumbering is invisible to callers, which only ever see member
+/// slices). Nothing here allocates per member, and a [`CertKScratch`]
+/// empties its antichain for the next run without freeing.
+pub struct Antichain {
+    /// Most facts a member may hold: the stride of `facts`.
+    width: usize,
+    /// Member slots, `width` facts each; a member's tail past its length
+    /// is padding.
+    facts: Vec<FactId>,
+    /// Member length by slot.
+    len: Vec<u32>,
+    /// `false` for members pruned since the last compaction.
+    live: Vec<bool>,
+    /// Per fact: the first link of its slot list, or `NIL`.
+    head: Vec<u32>,
+    /// Per fact: the links in its slot list, stale ones included.
+    listed: Vec<u32>,
+    /// Per stored fact `slot·width + j`: the next link of that fact's list.
+    next: Vec<u32>,
+    /// Per fact `f`: the live slot of the member `{f}`, or `NIL`.
+    unit: Vec<u32>,
+    /// The live slots of members of two or more facts.
+    table: SlotTable,
+    /// Old slot → new slot (or `NIL`) during a compaction.
+    renumbered: Vec<u32>,
+    hasher: RandomState,
     has_empty: bool,
-    live: usize,
+    live_count: usize,
     /// Pruned slots not yet reclaimed by compaction.
     dead: usize,
     peak_live: usize,
     compacted: usize,
 }
 
-impl<'a> Antichain<'a> {
-    /// An empty antichain over `db`'s facts (the database supplies the
-    /// block of each fact for the index).
-    pub fn new(db: &'a Database) -> Antichain<'a> {
-        Antichain {
-            db,
-            sets: Vec::new(),
-            touching: HashMap::new(),
-            member_index: HashSet::new(),
+impl Antichain {
+    /// An empty antichain whose members hold at most `width` facts.
+    pub fn new(width: usize) -> Antichain {
+        let mut chain = Antichain {
+            width: 0,
+            facts: Vec::new(),
+            len: Vec::new(),
+            live: Vec::new(),
+            head: Vec::new(),
+            listed: Vec::new(),
+            next: Vec::new(),
+            unit: Vec::new(),
+            table: SlotTable::default(),
+            renumbered: Vec::new(),
+            hasher: RandomState::new(),
             has_empty: false,
-            live: 0,
+            live_count: 0,
             dead: 0,
             peak_live: 0,
             compacted: 0,
-        }
+        };
+        chain.reset(width);
+        chain
+    }
+
+    /// Empty the antichain for members of at most `width` facts, keeping
+    /// its allocations.
+    fn reset(&mut self, width: usize) {
+        self.width = width;
+        self.clear_members();
+        self.has_empty = false;
+        self.live_count = 0;
+        self.peak_live = 0;
+        self.compacted = 0;
+    }
+
+    fn clear_members(&mut self) {
+        self.facts.clear();
+        self.len.clear();
+        self.live.clear();
+        self.head.clear();
+        self.listed.clear();
+        self.next.clear();
+        self.unit.clear();
+        self.table.clear();
+        self.dead = 0;
     }
 
     /// Has `∅` been inserted? (It covers everything; all other members
@@ -172,7 +253,7 @@ impl<'a> Antichain<'a> {
 
     /// Number of live members.
     pub fn live_len(&self) -> usize {
-        self.live
+        self.live_count
     }
 
     /// Most members ever live at once.
@@ -180,7 +261,7 @@ impl<'a> Antichain<'a> {
         self.peak_live
     }
 
-    /// Total stale slots reclaimed by index compaction so far.
+    /// Total stale slots reclaimed by compaction so far.
     pub fn stale_compacted(&self) -> usize {
         self.compacted
     }
@@ -191,9 +272,33 @@ impl<'a> Antichain<'a> {
     /// [`Antichain::live_len`].
     pub fn live_members(&self) -> impl Iterator<Item = &[FactId]> {
         let empty = self.has_empty.then_some(&[][..]);
-        empty
-            .into_iter()
-            .chain(self.sets.iter().filter_map(|s| s.as_deref()))
+        empty.into_iter().chain(
+            (0..self.len.len() as u32)
+                .filter(|&s| self.live[s as usize])
+                .map(|s| self.member(s)),
+        )
+    }
+
+    fn member(&self, slot: u32) -> &[FactId] {
+        let start = slot as usize * self.width;
+        &self.facts[start..start + self.len[slot as usize] as usize]
+    }
+
+    /// The slots listed under fact `f`, stale ones included.
+    fn slots_with(&self, f: FactId) -> impl Iterator<Item = u32> + '_ {
+        let mut link = self.head.get(f.idx()).copied().unwrap_or(NIL);
+        std::iter::from_fn(move || {
+            (link != NIL).then(|| {
+                let slot = link / self.width as u32;
+                link = self.next[link as usize];
+                slot
+            })
+        })
+    }
+
+    /// The live slots whose member holds `f`.
+    fn live_slots_with(&self, f: FactId) -> impl Iterator<Item = u32> + '_ {
+        self.slots_with(f).filter(|&s| self.live[s as usize])
     }
 
     /// `∃ member ⊆ s`? (`s` sorted)
@@ -202,12 +307,16 @@ impl<'a> Antichain<'a> {
             return true;
         }
         if s.len() <= COVERS_SUBSET_ENUM_MAX {
-            // Probe every non-empty subset of s in the exact-member index:
-            // bounded work independent of how wide the touched blocks are,
-            // and no heap traffic (this runs once per candidate and per
-            // insert — the fixpoint's hottest path).
-            let mut probe = [FactId(0); COVERS_SUBSET_ENUM_MAX];
+            // Probe every non-empty subset of s that fits a member in the
+            // exact-member index: bounded work independent of how many
+            // members share a fact with s, and no heap traffic (this runs
+            // once per candidate and per insert — the fixpoint's hottest
+            // path).
+            let mut probe = [PAD; COVERS_SUBSET_ENUM_MAX];
             for mask in 1u32..(1u32 << s.len()) {
+                if mask.count_ones() as usize > self.width {
+                    continue;
+                }
                 let mut len = 0;
                 for (i, &f) in s.iter().enumerate() {
                     if mask & (1 << i) != 0 {
@@ -215,27 +324,27 @@ impl<'a> Antichain<'a> {
                         len += 1;
                     }
                 }
-                if self.member_index.contains(&probe[..len]) {
+                if self.contains(&probe[..len]) {
                     return true;
                 }
             }
             return false;
         }
-        // Fallback for large sets: a non-empty member of s contains some
-        // fact of s, so it is indexed under that fact's block.
+        // Fallback for large sets: a non-empty member of s holds some
+        // fact of s, so it is listed under that fact.
         s.iter().any(|&f| {
-            self.touching.get(&self.db.block_of(f)).is_some_and(|idxs| {
-                idxs.iter()
-                    .any(|&i| self.sets[i].as_deref().is_some_and(|m| is_subset(m, s)))
-            })
+            self.live_slots_with(f)
+                .any(|slot| is_subset(self.member(slot), s))
         })
     }
 
     /// Insert `s` (sorted) unless covered; prunes member supersets of `s`.
     /// Returns `true` if inserted.
-    pub fn insert(&mut self, s: Vec<FactId>) -> bool {
-        let mut sink = Vec::new();
-        self.insert_tracked(s, &mut sink)
+    ///
+    /// # Panics
+    /// If `s` holds more facts than the antichain's width.
+    pub fn insert(&mut self, s: impl AsRef<[FactId]>) -> bool {
+        self.insert_tracked(s.as_ref(), &mut Vec::new())
     }
 
     /// [`Antichain::insert`], appending to `changed` every fact whose
@@ -249,115 +358,245 @@ impl<'a> Antichain<'a> {
     /// per-fact member families are moot, so callers must check
     /// [`Antichain::has_empty`] (and stop) rather than rely on `changed`,
     /// exactly as the fixpoint loop does.
-    pub fn insert_tracked(&mut self, s: Vec<FactId>, changed: &mut Vec<FactId>) -> bool {
-        if self.covers(&s) {
+    pub fn insert_tracked(&mut self, s: &[FactId], changed: &mut Vec<FactId>) -> bool {
+        if self.covers(s) {
             return false;
         }
         if s.is_empty() {
             self.has_empty = true;
-            self.sets.clear();
-            self.touching.clear();
-            self.member_index.clear();
-            self.live = 1;
-            self.dead = 0;
+            self.clear_members();
+            self.live_count = 1;
             self.peak_live = self.peak_live.max(1);
             return true;
         }
-        // Remove supersets: they contain *every* fact of s, so they sit
-        // in every touched block's list — scanning the shortest one
-        // suffices (on contested workloads s usually pairs one wide
-        // shared block with a narrow private one; the private list is
-        // O(1) where the shared list grows with width).
-        let mut shortest: &[usize] = &[];
-        let mut shortest_len = usize::MAX;
-        for &f in &s {
-            let len = self.touching.get(&self.db.block_of(f)).map_or(0, Vec::len);
-            if len < shortest_len {
-                shortest_len = len;
-                shortest = self
-                    .touching
-                    .get(&self.db.block_of(f))
-                    .map_or(&[], Vec::as_slice);
-            }
-        }
-        let mut prune: Vec<usize> = Vec::new();
-        for &i in shortest {
-            if self.sets[i].as_deref().is_some_and(|m| is_subset(&s, m)) {
-                prune.push(i);
-            }
-        }
-        for i in prune {
-            if let Some(m) = self.sets[i].take() {
-                self.live -= 1;
+        assert!(
+            s.len() <= self.width,
+            "a {}-fact set exceeds the antichain's width {}",
+            s.len(),
+            self.width
+        );
+        // Remove supersets: they hold *every* fact of s, so they sit in
+        // every one of its facts' lists — scanning the shortest suffices
+        // (on contested workloads s usually pairs a fact of one wide
+        // shared block with a fact of a narrow private one).
+        let shortest = s
+            .iter()
+            .copied()
+            .min_by_key(|f| self.listed.get(f.idx()).copied().unwrap_or(0))
+            .expect("s is not empty");
+        let mut link = self.head.get(shortest.idx()).copied().unwrap_or(NIL);
+        while link != NIL {
+            let slot = link / self.width as u32;
+            link = self.next[link as usize];
+            if self.live[slot as usize] && is_subset(s, self.member(slot)) {
+                self.unindex(slot);
+                self.live[slot as usize] = false;
+                self.live_count -= 1;
                 self.dead += 1;
-                self.member_index.remove(&m[..]);
-                changed.extend_from_slice(&m);
+                changed.extend_from_slice(self.member(slot));
             }
         }
-        let idx = self.sets.len();
-        for b in distinct_blocks(self.db, &s) {
-            self.touching.entry(b).or_default().push(idx);
-        }
-        changed.extend_from_slice(&s);
-        let boxed: Box<[FactId]> = s.into_boxed_slice();
-        self.member_index.insert(boxed.clone());
-        self.sets.push(Some(boxed));
-        self.live += 1;
-        self.peak_live = self.peak_live.max(self.live);
+        let slot = u32::try_from(self.len.len()).expect("slot ids fit in u32");
+        self.facts.extend_from_slice(s);
+        self.facts.resize((slot as usize + 1) * self.width, PAD);
+        self.len.push(s.len() as u32);
+        self.live.push(true);
+        self.next.resize(self.facts.len(), NIL);
+        self.link(slot);
+        self.index(slot);
+        changed.extend_from_slice(s);
+        self.live_count += 1;
+        self.peak_live = self.peak_live.max(self.live_count);
         self.maybe_compact();
         true
     }
 
     /// Live members containing fact `f`.
     pub fn members_with(&self, f: FactId) -> Vec<&[FactId]> {
-        match self.touching.get(&self.db.block_of(f)) {
-            None => Vec::new(),
-            Some(idxs) => idxs
-                .iter()
-                .filter_map(|&i| self.sets[i].as_deref())
-                .filter(|m| m.binary_search(&f).is_ok())
-                .collect(),
+        self.live_slots_with(f).map(|s| self.member(s)).collect()
+    }
+
+    /// Thread `slot` onto the list of each of its facts.
+    fn link(&mut self, slot: u32) {
+        let start = slot as usize * self.width;
+        for j in 0..self.len[slot as usize] as usize {
+            let f = self.facts[start + j].idx();
+            if f >= self.head.len() {
+                self.head.resize(f + 1, NIL);
+                self.listed.resize(f + 1, 0);
+                self.unit.resize(f + 1, NIL);
+            }
+            let link = u32::try_from(start + j).expect("link ids fit in u32");
+            self.next[start + j] = self.head[f];
+            self.head[f] = link;
+            self.listed[f] += 1;
         }
     }
 
-    /// Rebuild the slot table once pruned slots outnumber the live
-    /// members. Without this the `touching` lists only ever grow: on
-    /// contested workloads the shared-block lists would accumulate an
-    /// unbounded tail of dead slots that every `covers`/`members_with`
-    /// call rescans.
+    /// The keyed hash of a member; pairs (every table member when
+    /// k = 2) hash as one packed word.
+    fn hash(&self, s: &[FactId]) -> u32 {
+        let h = match *s {
+            [a, b] => self.hasher.hash_one(u64::from(a.0) << 32 | u64::from(b.0)),
+            _ => self.hasher.hash_one(s),
+        };
+        h as u32
+    }
+
+    /// Is `s` (sorted, non-empty) a live member?
+    fn contains(&self, s: &[FactId]) -> bool {
+        match *s {
+            [f] => self.unit.get(f.idx()).is_some_and(|&slot| slot != NIL),
+            _ => self
+                .table
+                .find(self.hash(s), |slot| self.member(slot) == s)
+                .is_some(),
+        }
+    }
+
+    /// Enter live `slot`, which is not indexed yet: a singleton in `unit`,
+    /// a longer member in the table.
+    fn index(&mut self, slot: u32) {
+        match *self.member(slot) {
+            [f] => self.unit[f.idx()] = slot,
+            _ => self.table.insert(slot, self.hash(self.member(slot))),
+        }
+    }
+
+    fn unindex(&mut self, slot: u32) {
+        if let [f] = *self.member(slot) {
+            self.unit[f.idx()] = NIL;
+            return;
+        }
+        let cell = self
+            .table
+            .find(self.hash(self.member(slot)), |s| s == slot)
+            .expect("a live member is indexed");
+        self.table.remove(cell);
+    }
+
+    /// Compact the slots once pruned ones outnumber the live members.
+    /// Without this the slot lists only ever grow: on contested workloads
+    /// the lists of shared-block facts would accumulate an unbounded tail
+    /// of dead slots that every `covers`/`members_with` call rescans.
     fn maybe_compact(&mut self) {
-        if self.dead <= 32 || self.dead < self.live {
+        if self.dead <= 32 || self.dead < self.live_count {
             return;
         }
         self.compacted += self.dead;
-        let old = std::mem::take(&mut self.sets);
-        self.sets = old.into_iter().flatten().map(Some).collect();
-        self.dead = 0;
-        for list in self.touching.values_mut() {
-            list.clear();
-        }
-        for i in 0..self.sets.len() {
-            let m = self.sets[i]
-                .take()
-                .expect("compaction keeps only live slots");
-            for b in distinct_blocks(self.db, &m) {
-                self.touching.entry(b).or_default().push(i);
+        for i in 0..self.facts.len() {
+            let f = self.facts[i];
+            if f != PAD {
+                self.head[f.idx()] = NIL;
+                self.listed[f.idx()] = 0;
+                self.unit[f.idx()] = NIL;
             }
-            self.sets[i] = Some(m);
         }
-        self.touching.retain(|_, list| !list.is_empty());
+        let w = self.width;
+        self.renumbered.clear();
+        let mut kept = 0;
+        for slot in 0..self.len.len() {
+            if self.live[slot] {
+                self.renumbered.push(kept as u32);
+                self.facts.copy_within(slot * w..(slot + 1) * w, kept * w);
+                self.len[kept] = self.len[slot];
+                kept += 1;
+            } else {
+                self.renumbered.push(NIL);
+            }
+        }
+        self.facts.truncate(kept * w);
+        self.len.truncate(kept);
+        self.live.clear();
+        self.live.resize(kept, true);
+        self.next.truncate(kept * w);
+        self.dead = 0;
+        for slot in 0..kept as u32 {
+            self.link(slot);
+            if let [f] = *self.member(slot) {
+                self.unit[f.idx()] = slot;
+            }
+        }
+        let renumbered = &self.renumbered;
+        self.table.rebuild(|slot| renumbered[slot as usize]);
     }
 }
 
-/// The distinct blocks of a fact set. k-sets are consistent (one fact per
-/// block, so this is the identity map), but the public [`Antichain`] API
-/// accepts arbitrary sets — indexing a member once per *block* keeps
-/// `members_with` duplicate-free either way.
-fn distinct_blocks(db: &Database, s: &[FactId]) -> Vec<BlockId> {
-    let mut blocks: Vec<BlockId> = s.iter().map(|&f| db.block_of(f)).collect();
-    blocks.sort_unstable();
-    blocks.dedup();
-    blocks
+/// An open-addressing table of slots under 32-bit keyed hashes of their
+/// members, probed linearly. Each cell keeps its slot's hash, so a probe
+/// compares a member only on a hash match, and growing or renumbering
+/// re-places the cells without hashing or reading a member again.
+#[derive(Default)]
+struct SlotTable {
+    /// `(slot, hash)` per cell, slot `NIL` when empty and `TOMB` when
+    /// removed; the length is a power of two.
+    cells: Vec<(u32, u32)>,
+    /// Cells that are not empty.
+    used: usize,
+    /// Cells holding a slot.
+    live: usize,
+}
+
+impl SlotTable {
+    fn clear(&mut self) {
+        self.cells.clear();
+        self.cells.resize(16, (NIL, 0));
+        self.used = 0;
+        self.live = 0;
+    }
+
+    /// The cell of a slot stored under `hash` for which `is` holds.
+    fn find(&self, hash: u32, is: impl Fn(u32) -> bool) -> Option<usize> {
+        let mask = self.cells.len() - 1;
+        let mut cell = hash as usize & mask;
+        loop {
+            match self.cells[cell] {
+                (NIL, _) => return None,
+                (slot, h) if h == hash && slot != TOMB && is(slot) => return Some(cell),
+                _ => {}
+            }
+            cell = (cell + 1) & mask;
+        }
+    }
+
+    /// Store `slot`, not in the table yet, under `hash`.
+    fn insert(&mut self, slot: u32, hash: u32) {
+        if (self.used + 1) * 8 > self.cells.len() * 7 {
+            self.rebuild(|slot| slot);
+        }
+        self.place(slot, hash);
+        self.live += 1;
+    }
+
+    fn place(&mut self, slot: u32, hash: u32) {
+        let mask = self.cells.len() - 1;
+        let mut cell = hash as usize & mask;
+        while self.cells[cell].0 < TOMB {
+            cell = (cell + 1) & mask;
+        }
+        if self.cells[cell].0 == NIL {
+            self.used += 1;
+        }
+        self.cells[cell] = (slot, hash);
+    }
+
+    fn remove(&mut self, cell: usize) {
+        self.cells[cell].0 = TOMB;
+        self.live -= 1;
+    }
+
+    /// Re-place every stored slot, renamed by `renumber`, into a fresh
+    /// table at most half full.
+    fn rebuild(&mut self, renumber: impl Fn(u32) -> u32) {
+        let size = ((self.live + 1) * 2).next_power_of_two().max(16);
+        let old = std::mem::replace(&mut self.cells, vec![(NIL, 0); size]);
+        self.used = 0;
+        for (slot, hash) in old {
+            if slot < TOMB {
+                self.place(renumber(slot), hash);
+            }
+        }
+    }
 }
 
 /// Subset test for sorted slices.
@@ -399,14 +638,15 @@ fn add_consistent(db: &Database, v: &[FactId], f: FactId) -> Option<Vec<FactId>>
 /// the paper's concluding conjecture that FO-solvable queries are exactly
 /// those whose fixpoint terminates in a *bounded* number of rounds
 /// irrespective of database size, plus the antichain health counters that
-/// make the block index and the worklist observable (`cqa certain
+/// make the slot index and the worklist observable (`cqa certain
 /// --stats`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CertKStats {
     /// Fixpoint rounds executed. A round is one drained generation of the
-    /// dirty-block worklist: the first round visits every block, later
-    /// rounds only the re-queued ones (a full-pass evaluator would
-    /// rescan everything each round).
+    /// dirty-block worklist: the first round visits the blocks the seeds
+    /// reach, later rounds only the re-queued ones (a full-pass evaluator
+    /// would rescan everything each round). A run without a seed has no
+    /// round.
     pub rounds: usize,
     /// Number of antichain members ever inserted (seeds + derived).
     pub inserted: usize,
@@ -419,7 +659,7 @@ pub struct CertKStats {
     /// Block derivations actually executed by the worklist.
     pub blocks_derived: usize,
     /// Block derivations skipped relative to a full-pass evaluator
-    /// (converged blocks that a naive round would have rescanned).
+    /// (blocks that a naive round would have scanned for nothing).
     pub blocks_skipped: usize,
 }
 
@@ -447,288 +687,572 @@ pub fn certk(q: &Query, db: &Database, cfg: CertKConfig) -> CertKOutcome {
         .0
 }
 
-/// Antichains at least this large are freed off the caller's thread
-/// when their run is cancelled (see [`cancelled`]).
-const BACKGROUND_FREE_MIN: usize = 1 << 16;
-
-/// The partial evidence of a cancelled run: `stats` plus the steps
-/// consumed so far and the antichain health counters at the cancel
-/// observation. A large antichain and requirement cache are handed to a
-/// short-lived thread to free, so the cancelled answer does not wait for
-/// their teardown: freeing the 628k members that a 1.5M-fact chain holds
-/// 0.7 s into its fixpoint took 265 ms in a release build on a 2-CPU VM,
-/// more than a deadline's latency budget. If no thread can be spawned,
-/// they are freed here.
-fn cancelled(
-    mut stats: CertKStats,
-    chain: Antichain<'_>,
-    reqs_cache: Vec<Option<Box<[Vec<FactId>]>>>,
-    consumed: u64,
-) -> CertKStats {
-    stats.steps = consumed;
-    stats.peak_members = chain.peak_live();
-    stats.stale_compacted = chain.stale_compacted();
-    if chain.live_len() >= BACKGROUND_FREE_MIN {
-        let storage = (chain.sets, chain.touching, chain.member_index, reqs_cache);
-        let _ = std::thread::Builder::new().spawn(move || drop(storage));
-    }
-    stats
-}
-
-/// Run `Cert_k(q)` on a copy-free [`DbView`] — the one live entry point
-/// of the fixpoint. The view is typically one q-connected component or a
-/// full view; `solutions` is the **parent database's** solution set. Only
-/// the solutions among the view's facts participate (a solution is a
-/// property of its two facts alone, so the parent's set restricted to the
-/// view is exactly the view's set), and derivation runs over the view's
-/// blocks only.
-///
-/// The fixpoint polls `token` once per seeded fact and once per block
-/// derivation, so a token that fires mid-fixpoint stops the run within
-/// roughly one block's worth of work. A cancelled run returns `Err` with
-/// its **partial statistics** — the work done before the cancel
-/// observation, the evidence a server attaches to a `deadline-exceeded`
-/// answer. The outcome is withheld: a cancelled fixpoint proves nothing
-/// either way. Pass [`CancelToken::new`] when nothing can cancel.
+/// Run `Cert_k(q)` on a copy-free [`DbView`] with a fresh
+/// [`CertKScratch`]: [`CertKScratch::certk_view`], for a caller that
+/// decides one view.
 pub fn certk_view(
     view: &DbView<'_>,
     solutions: &SolutionSet,
     cfg: CertKConfig,
     token: &CancelToken,
 ) -> Result<(CertKOutcome, CertKStats), CertKStats> {
-    let db = view.parent();
-    let mut stats = CertKStats::default();
-    if cfg.k == 0 {
-        return Ok((CertKOutcome::NotDerived, stats));
+    CertKScratch::default().certk_view(view, solutions, cfg, token)
+}
+
+/// Everything one `Cert_k` run stores: the antichain, the view's block
+/// layout, the requirement-family arena, the derivation search's buffers
+/// and the worklist. Each run clears what it uses and frees nothing, so a
+/// scratch reused across many small views (a fan-out worker's
+/// components) allocates only while it grows to the largest of them. It
+/// keeps that memory until it is dropped.
+pub struct CertKScratch {
+    chain: Antichain,
+    layout: Layout,
+    reqs: Requirements,
+    search: Search,
+    /// Facts whose member family changed in the current insertion.
+    changed: Vec<FactId>,
+    /// Per view block: visited in the first generation once the cursor
+    /// reaches it.
+    first: Vec<bool>,
+    /// Per view block: already in `next`.
+    queued: Vec<bool>,
+    current: Vec<u32>,
+    next: Vec<u32>,
+}
+
+impl Default for CertKScratch {
+    fn default() -> CertKScratch {
+        CertKScratch {
+            chain: Antichain::new(1),
+            layout: Layout::default(),
+            reqs: Requirements::default(),
+            search: Search::default(),
+            changed: Vec::new(),
+            first: Vec::new(),
+            queued: Vec::new(),
+            current: Vec::new(),
+            next: Vec::new(),
+        }
     }
-    let mut chain = Antichain::new(db);
-    let mut budget = cfg.node_budget;
+}
 
-    // Seeds: solutions within the view that fit in a k-set, visited by
-    // first fact in id order, then by partner in id order, whatever the
-    // solution set's own layout. Partners outside the view are skipped — that
-    // *is* the restriction of the solution set to the view (a no-op on
-    // q-closed views like components and full views, where the
-    // membership test is O(1)).
-    for &a in view.fact_ids() {
-        if token.is_cancelled() {
-            return Err(cancelled(
-                stats,
-                chain,
-                Vec::new(),
-                cfg.node_budget - budget,
-            ));
-        }
-        for &b in solutions.seconds_of(a) {
-            if !view.contains_fact(b) {
-                continue;
-            }
-            if a == b {
-                stats.inserted += chain.insert(vec![a]) as usize;
-            } else if !db.key_equal(a, b) && cfg.k >= 2 {
-                let mut s = vec![a, b];
-                s.sort_unstable();
-                stats.inserted += chain.insert(s) as usize;
-            }
-            // Distinct key-equal facts never share a repair: no seed.
-        }
-    }
+/// The partial evidence of a cancelled run: `stats` plus the steps
+/// consumed so far and the antichain health counters at the cancel
+/// observation. The antichain stays in its scratch, which frees it in a
+/// handful of deallocations whenever its owner drops it.
+fn cancelled(mut stats: CertKStats, chain: &Antichain, consumed: u64) -> CertKStats {
+    stats.steps = consumed;
+    stats.peak_members = chain.peak_live();
+    stats.stale_compacted = chain.stale_compacted();
+    stats
+}
 
-    let blocks = view.blocks();
-    let nb = blocks.len();
-    // Dirty-block worklist, drained in generations ("rounds"): the first
-    // generation holds every block; afterwards a block re-enters only when
-    // a member touching one of its facts is inserted or pruned —
-    // derive_block's output depends on the chain solely through the
-    // requirement families of the block's facts, so an untouched block
-    // cannot produce a new (uncovered) candidate and is safe to skip.
-    let mut current: Vec<BlockId> = blocks.to_vec();
-    let mut next: Vec<BlockId> = Vec::new();
-    // queued[i]: view block i is already in `next`.
-    let mut queued = vec![false; nb];
-    // Cached ⊆-minimal requirement families, by view-local fact index;
-    // `None` = stale (a member containing the fact changed since the
-    // last recomputation).
-    let mut reqs_cache: Vec<Option<Box<[Vec<FactId>]>>> = vec![None; view.len()];
-    let mut changed: Vec<FactId> = Vec::new();
+impl CertKScratch {
+    /// Run `Cert_k(q)` on a copy-free [`DbView`] — the one live entry
+    /// point of the fixpoint. The view is typically one q-connected
+    /// component or a full view; `solutions` is the **parent database's**
+    /// solution set. Only the solutions among the view's facts
+    /// participate (a solution is a property of its two facts alone, so
+    /// the parent's set restricted to the view is exactly the view's set),
+    /// and derivation runs over the view's blocks only.
+    ///
+    /// The fixpoint polls `token` once per view fact while seeding and
+    /// once per block derivation, so a token that fires mid-fixpoint stops
+    /// the run within roughly one block's worth of work. A cancelled run
+    /// returns `Err` with its **partial statistics** — the work done
+    /// before the cancel observation, the evidence a server attaches to a
+    /// `deadline-exceeded` answer. The outcome is withheld: a cancelled
+    /// fixpoint proves nothing either way. Pass [`CancelToken::new`] when
+    /// nothing can cancel.
+    ///
+    /// Outcome and statistics do not depend on what the scratch decided
+    /// before.
+    pub fn certk_view(
+        &mut self,
+        view: &DbView<'_>,
+        solutions: &SolutionSet,
+        cfg: CertKConfig,
+        token: &CancelToken,
+    ) -> Result<(CertKOutcome, CertKStats), CertKStats> {
+        let CertKScratch {
+            chain,
+            layout,
+            reqs,
+            search,
+            changed,
+            first,
+            queued,
+            current,
+            next,
+        } = self;
+        let db = view.parent();
+        let mut stats = CertKStats::default();
+        if cfg.k == 0 {
+            return Ok((CertKOutcome::NotDerived, stats));
+        }
+        let nb = view.block_count();
+        // A k-set holds one fact per block, so no member is wider than
+        // the view has blocks.
+        let width = cfg.k.min(nb).max(1);
+        chain.reset(width);
+        let mut budget = cfg.node_budget;
 
-    let outcome = loop {
-        if chain.has_empty() {
-            break CertKOutcome::Certain;
-        }
-        if current.is_empty() {
-            break CertKOutcome::NotDerived;
-        }
-        stats.rounds += 1;
-        let mut exhausted = false;
-        'round: for &b in &current {
+        // Seeds: solutions within the view that fit in a k-set, visited by
+        // first fact in id order, then by partner in id order, whatever the
+        // solution set's own layout. Partners outside the view are skipped
+        // — that *is* the restriction of the solution set to the view (a
+        // no-op on q-closed views like components and full views).
+        for (ai, &a) in view.fact_ids().iter().enumerate() {
             if token.is_cancelled() {
-                let consumed = cfg.node_budget - budget;
-                return Err(cancelled(stats, chain, reqs_cache, consumed));
+                return Err(cancelled(stats, chain, cfg.node_budget - budget));
             }
-            stats.blocks_derived += 1;
-            let cands = match derive_block(db, view, &chain, b, cfg.k, &mut budget, &mut reqs_cache)
-            {
-                Ok(cands) => cands,
-                Err(()) => {
-                    exhausted = true;
-                    break 'round;
-                }
-            };
-            for c in cands {
+            let ai = FactId(ai as u32);
+            for &b in solutions.seconds_of(a) {
+                let Some(bi) = view.local_fact_index(b) else {
+                    continue;
+                };
+                let bi = FactId(bi as u32);
                 changed.clear();
-                if chain.insert_tracked(c, &mut changed) {
-                    stats.inserted += 1;
-                    for &f in &changed {
-                        if let Some(fi) = view.local_fact_index(f) {
-                            reqs_cache[fi] = None;
-                        }
-                        let bf = db.block_of(f);
-                        if let Some(bi) = view.local_block_index(bf) {
-                            if !queued[bi] {
-                                queued[bi] = true;
-                                next.push(bf);
+                if a == b {
+                    stats.inserted += chain.insert_tracked(&[ai], changed) as usize;
+                } else if !db.key_equal(a, b) && cfg.k >= 2 {
+                    let pair = if ai < bi { [ai, bi] } else { [bi, ai] };
+                    stats.inserted += chain.insert_tracked(&pair, changed) as usize;
+                }
+                // Distinct key-equal facts never share a repair: no seed.
+            }
+        }
+        if chain.live_len() == 0 {
+            // No seed, so every fact's requirement family is empty and no
+            // block derives anything.
+            return Ok((CertKOutcome::NotDerived, stats));
+        }
+
+        // The remaining set-up is linear in the view; it polls the token
+        // every `POLL_STRIDE` steps.
+        let early = |stats| Err(cancelled(stats, chain, cfg.node_budget - budget));
+        if !layout.build(view, token) {
+            return early(stats);
+        }
+        reqs.reset(view.len(), width - 1);
+        first.clear();
+        first.resize(nb, false);
+        queued.clear();
+        queued.resize(nb, false);
+        for (i, f) in chain.live_members().flatten().enumerate() {
+            if i % POLL_STRIDE == 0 && token.is_cancelled() {
+                return early(stats);
+            }
+            first[layout.block_of[f.idx()] as usize] = true;
+        }
+        next.clear();
+        // Dirty-block worklist, drained in generations ("rounds"). The
+        // first generation walks the blocks in order and derives those
+        // flagged in `first`: the blocks holding a fact of a live seed, and the
+        // blocks a first-generation insertion reaches before the walk
+        // does — exactly the blocks a full first pass would derive
+        // something from (any other block has a fact in no member, so its
+        // derivation stops at that fact's empty requirement family).
+        // Afterwards a block re-enters only when a member touching one of
+        // its facts is inserted or pruned — derive_block's output depends
+        // on the chain solely through the requirement families of the
+        // block's facts, so an untouched block cannot produce a new
+        // (uncovered) candidate and is safe to skip.
+        let outcome = 'fixpoint: loop {
+            if chain.has_empty() {
+                break CertKOutcome::Certain;
+            }
+            stats.rounds += 1;
+            let first_round = stats.rounds == 1;
+            if !first_round {
+                stats.blocks_skipped += nb - current.len();
+            }
+            let (mut cursor, mut derived) = (0, 0);
+            loop {
+                let bi = if first_round {
+                    while cursor < nb && !first[cursor] {
+                        cursor += 1;
+                    }
+                    if cursor == nb {
+                        break;
+                    }
+                    cursor += 1;
+                    cursor - 1
+                } else {
+                    let Some(&bi) = current.get(cursor) else {
+                        break;
+                    };
+                    cursor += 1;
+                    bi as usize
+                };
+                if token.is_cancelled() {
+                    if first_round {
+                        stats.blocks_skipped += cursor - 1 - derived;
+                    }
+                    let consumed = cfg.node_budget - budget;
+                    return Err(cancelled(stats, chain, consumed));
+                }
+                stats.blocks_derived += 1;
+                derived += 1;
+                if derive_block(layout, chain, reqs, search, bi, cfg.k, &mut budget).is_err() {
+                    if first_round {
+                        stats.blocks_skipped += cursor - derived;
+                    }
+                    break 'fixpoint CertKOutcome::BudgetExhausted;
+                }
+                for &c in &search.cands {
+                    changed.clear();
+                    if chain.insert_tracked(search.found.set(c as usize), changed) {
+                        stats.inserted += 1;
+                        for &f in changed.iter() {
+                            reqs.invalidate(f);
+                            let bf = layout.block_of[f.idx()] as usize;
+                            if first_round {
+                                first[bf] = true;
+                            }
+                            if !queued[bf] {
+                                queued[bf] = true;
+                                next.push(bf as u32);
                             }
                         }
                     }
                 }
+                if chain.has_empty() {
+                    break;
+                }
+            }
+            if first_round {
+                stats.blocks_skipped += cursor - derived;
             }
             if chain.has_empty() {
-                break 'round;
+                break CertKOutcome::Certain;
+            }
+            if next.is_empty() {
+                break CertKOutcome::NotDerived;
+            }
+            // Hand the dirty set over as the next generation, in ascending
+            // block order (deterministic, and the order a full pass uses).
+            next.sort_unstable();
+            for &b in next.iter() {
+                queued[b as usize] = false;
+            }
+            std::mem::swap(current, next);
+            next.clear();
+        };
+        stats.steps = if outcome == CertKOutcome::BudgetExhausted {
+            cfg.node_budget
+        } else {
+            cfg.node_budget - budget
+        };
+        stats.peak_members = chain.peak_live();
+        stats.stale_compacted = chain.stale_compacted();
+        Ok((outcome, stats))
+    }
+}
+
+/// A view's blocks over its view-local facts.
+#[derive(Default)]
+struct Layout {
+    /// View-local block of each view-local fact.
+    block_of: Vec<u32>,
+    /// The facts of view block `b` are `facts[start[b]..start[b + 1]]`,
+    /// in the parent block's order.
+    start: Vec<u32>,
+    facts: Vec<FactId>,
+}
+
+impl Layout {
+    /// Lay out `view`, polling `token` every `POLL_STRIDE` blocks; `false`
+    /// when it fired.
+    fn build(&mut self, view: &DbView<'_>, token: &CancelToken) -> bool {
+        self.block_of.clear();
+        self.block_of.resize(view.len(), 0);
+        self.start.clear();
+        self.facts.clear();
+        for (bi, &b) in view.blocks().iter().enumerate() {
+            if bi % POLL_STRIDE == 0 && token.is_cancelled() {
+                return false;
+            }
+            self.start.push(self.facts.len() as u32);
+            for &f in view.block(b) {
+                let local = view
+                    .local_fact_index(f)
+                    .expect("block fact belongs to the view");
+                self.block_of[local] = bi as u32;
+                self.facts.push(FactId(local as u32));
             }
         }
-        if exhausted {
-            break CertKOutcome::BudgetExhausted;
-        }
-        if chain.has_empty() {
-            break CertKOutcome::Certain;
-        }
-        if next.is_empty() {
-            break CertKOutcome::NotDerived;
-        }
-        stats.blocks_skipped += nb - next.len();
-        // Hand the dirty set over as the next generation, in ascending
-        // block order (deterministic, and the order a full pass uses).
-        next.sort_unstable();
-        for &b in &next {
-            queued[view
-                .local_block_index(b)
-                .expect("queued block is in the view")] = false;
-        }
-        std::mem::swap(&mut current, &mut next);
-        next.clear();
-    };
-    stats.steps = if outcome == CertKOutcome::BudgetExhausted {
-        cfg.node_budget
-    } else {
-        cfg.node_budget - budget
-    };
-    stats.peak_members = chain.peak_live();
-    stats.stale_compacted = chain.stale_compacted();
-    Ok((outcome, stats))
+        self.start.push(self.facts.len() as u32);
+        true
+    }
+
+    fn block(&self, b: usize) -> &[FactId] {
+        &self.facts[self.start[b] as usize..self.start[b + 1] as usize]
+    }
 }
 
-/// The ⊆-minimal requirement family
-/// `R_u = min { M ∖ {u} : M ∈ Δ, u ∈ M }`.
-fn minimal_requirements(chain: &Antichain<'_>, u: FactId) -> Box<[Vec<FactId>]> {
-    let mut ts: Vec<Vec<FactId>> = chain
-        .members_with(u)
-        .into_iter()
-        .map(|m| m.iter().copied().filter(|&f| f != u).collect::<Vec<_>>())
-        .collect();
-    // Sort by (length, content): duplicates become adjacent and every
-    // potential strict subset of a set precedes it, so one forward pass
-    // keeps exactly the ⊆-minimal sets — equal-length distinct sets are
-    // never subsets of each other, so only strictly shorter accepted sets
-    // need checking (on wide contested blocks the family is mostly
-    // singletons and this pass is linear, where the symmetric pairwise
-    // filter was quadratic).
-    ts.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
-    ts.dedup();
-    let mut minimal: Vec<Vec<FactId>> = Vec::new();
-    for t in ts {
-        let covered = minimal
-            .iter()
-            .take_while(|m| m.len() < t.len())
-            .any(|m| is_subset(m, &t));
-        if !covered {
-            minimal.push(t);
+/// The cached ⊆-minimal requirement families
+/// `R_u = min { M ∖ {u} : M ∈ Δ, u ∈ M }`, by view-local fact, in one
+/// arena of sets `width` facts wide (padded).
+#[derive(Default)]
+struct Requirements {
+    width: usize,
+    /// Per fact: `(offset, sets)` of its family in `arena`; offset `NIL`
+    /// when stale (a member containing the fact changed since the last
+    /// computation, or it was never computed).
+    entry: Vec<(u32, u32)>,
+    arena: Vec<FactId>,
+    /// Arena facts that no entry refers to any more.
+    garbage: usize,
+    /// The arena's previous buffer, refilled by the next collection.
+    spare: Vec<FactId>,
+    /// The sets of the family being computed, and their order.
+    gathered: Vec<FactId>,
+    order: Vec<u32>,
+}
+
+impl Requirements {
+    fn reset(&mut self, facts: usize, width: usize) {
+        self.width = width;
+        self.entry.clear();
+        self.entry.resize(facts, (NIL, 0));
+        self.arena.clear();
+        self.garbage = 0;
+    }
+
+    fn invalidate(&mut self, f: FactId) {
+        let entry = &mut self.entry[f.idx()];
+        if entry.0 != NIL {
+            self.garbage += entry.1 as usize * self.width;
+            entry.0 = NIL;
         }
     }
-    minimal.into_boxed_slice()
+
+    fn family(&self, f: FactId) -> Family<'_> {
+        let (offset, sets) = self.entry[f.idx()];
+        let start = offset as usize;
+        Family {
+            sets: &self.arena[start..start + sets as usize * self.width],
+            count: sets as usize,
+            width: self.width,
+        }
+    }
+
+    /// Recompute `f`'s family if it is stale.
+    fn refresh(&mut self, chain: &Antichain, u: FactId) {
+        if self.entry[u.idx()].0 != NIL {
+            return;
+        }
+        if self.garbage > 4096 && self.garbage * 2 > self.arena.len() {
+            self.collect();
+        }
+        let w = self.width;
+        if w == 0 {
+            // k = 1: the one ⊆-minimal requirement is ∅, if a member
+            // holds u.
+            let any = chain.live_slots_with(u).next().is_some();
+            self.entry[u.idx()] = (self.arena.len() as u32, u32::from(any));
+            return;
+        }
+        self.gathered.clear();
+        for slot in chain.live_slots_with(u) {
+            let start = self.gathered.len();
+            self.gathered
+                .extend(chain.member(slot).iter().filter(|&&f| f != u));
+            self.gathered.resize(start + w, PAD);
+        }
+        let set = |i: u32| &self.gathered[i as usize * w..(i as usize + 1) * w];
+        let len = |i: u32| set(i).iter().take_while(|&&f| f != PAD).count();
+        // Sort by (length, content): duplicates become adjacent and every
+        // potential strict subset of a set precedes it, so one forward
+        // pass keeps exactly the ⊆-minimal sets — equal-length distinct
+        // sets are never subsets of each other, so only strictly shorter
+        // accepted sets need checking (on wide contested blocks the family
+        // is mostly singletons and this pass is linear). Padding sorts
+        // after every fact, so equal-length padded sets compare as their
+        // facts do.
+        self.order.clear();
+        self.order.extend(0..(self.gathered.len() / w) as u32);
+        self.order
+            .sort_unstable_by(|&a, &b| (len(a), set(a)).cmp(&(len(b), set(b))));
+        self.order.dedup_by(|a, b| set(*a) == set(*b));
+        let offset = self.arena.len();
+        let mut kept = 0;
+        for &t in &self.order {
+            let t_set = &set(t)[..len(t)];
+            let covered = self.arena[offset..]
+                .chunks_exact(w)
+                .map(|m| &m[..m.iter().take_while(|&&f| f != PAD).count()])
+                .take_while(|m| m.len() < t_set.len())
+                .any(|m| is_subset(m, t_set));
+            if !covered {
+                self.arena.extend_from_slice(set(t));
+                kept += 1;
+            }
+        }
+        self.entry[u.idx()] = (offset as u32, kept);
+    }
+
+    /// Move every live family to the front of a fresh arena.
+    fn collect(&mut self) {
+        let mut fresh = std::mem::take(&mut self.spare);
+        fresh.clear();
+        for entry in &mut self.entry {
+            if entry.0 != NIL {
+                let start = entry.0 as usize;
+                entry.0 = fresh.len() as u32;
+                fresh.extend_from_slice(&self.arena[start..start + entry.1 as usize * self.width]);
+            }
+        }
+        self.spare = std::mem::replace(&mut self.arena, fresh);
+        self.garbage = 0;
+    }
 }
 
-/// Candidate minimal unions for one block, or `Err(())` on budget
-/// exhaustion. Requirement families are read through `reqs_cache`
-/// (indexed by view-local fact id) and recomputed only for facts whose
-/// cache entry was invalidated since the last visit.
+/// One requirement family: `count` sets of `width` facts each, padded.
+#[derive(Clone, Copy)]
+struct Family<'a> {
+    sets: &'a [FactId],
+    count: usize,
+    width: usize,
+}
+
+impl<'a> Family<'a> {
+    fn iter(self) -> impl Iterator<Item = &'a [FactId]> {
+        (0..self.count).map(move |i| {
+            let set = &self.sets[i * self.width..(i + 1) * self.width];
+            &set[..set.iter().take_while(|&&f| f != PAD).count()]
+        })
+    }
+}
+
+/// Sorted fact sets of at most `width` facts, padded in one flat buffer,
+/// each with a tag.
+#[derive(Default)]
+struct SetStack {
+    width: usize,
+    facts: Vec<FactId>,
+    /// `(tag, length)` per set.
+    meta: Vec<(u32, u32)>,
+}
+
+impl SetStack {
+    fn reset(&mut self, width: usize) {
+        self.width = width;
+        self.facts.clear();
+        self.meta.clear();
+    }
+
+    fn len(&self) -> usize {
+        self.meta.len()
+    }
+
+    fn push(&mut self, tag: u32, s: &[FactId]) {
+        self.facts.extend_from_slice(s);
+        self.facts.resize((self.meta.len() + 1) * self.width, PAD);
+        self.meta.push((tag, s.len() as u32));
+    }
+
+    /// Pop the last set into `out`, returning its tag.
+    fn pop_into(&mut self, out: &mut Vec<FactId>) -> Option<u32> {
+        let (tag, len) = self.meta.pop()?;
+        let start = self.meta.len() * self.width;
+        out.clear();
+        out.extend_from_slice(&self.facts[start..start + len as usize]);
+        self.facts.truncate(start);
+        Some(tag)
+    }
+
+    fn set(&self, i: usize) -> &[FactId] {
+        let start = i * self.width;
+        &self.facts[start..start + self.meta[i].1 as usize]
+    }
+}
+
+/// The derivation search's buffers.
+#[derive(Default)]
+struct Search {
+    /// The block's facts, fewest requirement options first.
+    order: Vec<FactId>,
+    /// Open partials, tagged with their depth.
+    open: SetStack,
+    partial: Vec<FactId>,
+    union: Vec<FactId>,
+    /// Complete unions.
+    found: SetStack,
+    /// Indices into `found`, ascending by set, duplicates removed: the
+    /// block's candidates.
+    cands: Vec<u32>,
+}
+
+/// Leave in `search.cands` the candidate minimal unions for one view
+/// block, or `Err(())` on budget exhaustion. Requirement families are
+/// read through `reqs` and recomputed only for facts whose entry was
+/// invalidated since the last visit.
 fn derive_block(
-    db: &Database,
-    view: &DbView<'_>,
-    chain: &Antichain<'_>,
-    block: BlockId,
+    layout: &Layout,
+    chain: &Antichain,
+    reqs: &mut Requirements,
+    search: &mut Search,
+    block: usize,
     k: usize,
     budget: &mut u64,
-    reqs_cache: &mut [Option<Box<[Vec<FactId>]>>],
-) -> Result<Vec<Vec<FactId>>, ()> {
-    let facts = db.block(block);
-    // Refresh stale entries first (separate pass so the reads below can
-    // borrow the cache immutably).
+) -> Result<(), ()> {
+    search.cands.clear();
+    let facts = layout.block(block);
     for &u in facts {
-        let fi = view
-            .local_fact_index(u)
-            .expect("block fact belongs to the view");
-        if reqs_cache[fi].is_none() {
-            reqs_cache[fi] = Some(minimal_requirements(chain, u));
-        }
+        reqs.refresh(chain, u);
     }
-    let mut reqs: Vec<&[Vec<FactId>]> = Vec::with_capacity(facts.len());
-    for &u in facts {
-        let fi = view
-            .local_fact_index(u)
-            .expect("block fact belongs to the view");
-        let family = reqs_cache[fi].as_deref().expect("refreshed above");
-        if family.is_empty() {
-            // This fact cannot be discharged yet: the block derives
-            // nothing until a member containing it appears.
-            return Ok(Vec::new());
-        }
-        reqs.push(family);
+    if facts.iter().any(|&u| reqs.family(u).count == 0) {
+        // A fact that cannot be discharged yet: the block derives
+        // nothing until a member containing it appears.
+        return Ok(());
     }
-    // Process facts with fewest options first for earlier pruning.
-    let mut order: Vec<usize> = (0..reqs.len()).collect();
-    order.sort_by_key(|&i| reqs[i].len());
-
-    let mut out = Vec::new();
-    let mut stack: Vec<(usize, Vec<FactId>)> = vec![(0, Vec::new())];
-    while let Some((depth, partial)) = stack.pop() {
+    // Process facts with fewest options first for earlier pruning (a
+    // stable sort: ties keep the block's order).
+    search.order.clear();
+    search.order.extend_from_slice(facts);
+    search.order.sort_by_key(|&u| reqs.family(u).count);
+    search.open.reset(chain.width);
+    search.found.reset(chain.width);
+    search.open.push(0, &[]);
+    while let Some(depth) = search.open.pop_into(&mut search.partial) {
         *budget = budget.checked_sub(1).ok_or(())?;
         if *budget == 0 {
             return Err(());
         }
-        if depth == order.len() {
-            out.push(partial);
+        let depth = depth as usize;
+        if depth == search.order.len() {
+            search.found.push(0, &search.partial);
             continue;
         }
         push_children(
-            db,
+            &layout.block_of,
             chain,
-            partial,
-            reqs[order[depth]],
+            &search.partial,
+            reqs.family(search.order[depth]),
             k,
-            depth + 1,
-            &mut stack,
+            depth as u32 + 1,
+            &mut search.union,
+            &mut search.open,
         );
     }
-    // Deduplicate candidates.
-    out.sort();
-    out.dedup();
-    Ok(out)
+    let found = &search.found;
+    search.cands.extend(0..found.len() as u32);
+    search
+        .cands
+        .sort_unstable_by(|&a, &b| found.set(a as usize).cmp(found.set(b as usize)));
+    search
+        .cands
+        .dedup_by(|a, b| found.set(*a as usize) == found.set(*b as usize));
+    Ok(())
 }
 
-/// Push onto `stack`, at `depth`, the unions of `partial` with each
-/// option of one requirement `family` that stay consistent, within the
-/// size cap `k` and uncovered by `chain`.
+/// Push onto `open`, at `depth`, the unions of `partial` with each
+/// option of one requirement `family` that stay consistent (`block_of`
+/// gives each fact's block), within the size cap `k` and uncovered by
+/// `chain`; `union` is the buffer each union is built in.
 ///
 /// Dominance: when some option is already `⊆ partial`, its union is
 /// `partial` itself and every sibling union is a superset of it.
@@ -738,43 +1262,55 @@ fn derive_block(
 /// pushed once and the rest of the family is skipped; without the rule a
 /// full `partial` was pushed once per covering option, and those
 /// duplicates multiplied with depth.
+#[allow(clippy::too_many_arguments)]
 fn push_children(
-    db: &Database,
-    chain: &Antichain<'_>,
-    partial: Vec<FactId>,
-    family: &[Vec<FactId>],
+    block_of: &[u32],
+    chain: &Antichain,
+    partial: &[FactId],
+    family: Family<'_>,
     k: usize,
-    depth: usize,
-    stack: &mut Vec<(usize, Vec<FactId>)>,
+    depth: u32,
+    union: &mut Vec<FactId>,
+    open: &mut SetStack,
 ) {
     // Coverage is monotone — a member is only ever pruned in favour of a
     // subset, so whatever is covered now stays covered. A covered union
     // is therefore dropped for good: every union it could grow into is a
     // superset of a covered set, i.e. redundant.
-    if family.iter().any(|t| is_subset(t, &partial)) {
-        if !chain.covers(&partial) {
-            stack.push((depth, partial));
+    if family.iter().any(|t| is_subset(t, partial)) {
+        if !chain.covers(partial) {
+            open.push(depth, partial);
         }
         return;
     }
-    for t in family {
+    for t in family.iter() {
         // Union t into partial, maintaining consistency and the size cap.
-        let mut union = Some(partial.clone());
-        for &f in t {
-            union = union.and_then(|v| add_consistent(db, &v, f));
-            if union.as_ref().is_some_and(|v| v.len() > k) {
-                union = None;
-            }
-            if union.is_none() {
-                break;
-            }
-        }
-        if let Some(u) = union {
-            if !chain.covers(&u) {
-                stack.push((depth, u));
-            }
+        union.clear();
+        union.extend_from_slice(partial);
+        let fits = t
+            .iter()
+            .all(|&f| add_fact(block_of, union, f) && union.len() <= k);
+        if fits && !chain.covers(union) {
+            open.push(depth, union);
         }
     }
+}
+
+/// Insert `f` into the sorted set `v` if consistent; `false` when `v`
+/// already holds a *different* fact of `f`'s block (not a k-set).
+fn add_fact(block_of: &[u32], v: &mut Vec<FactId>, f: FactId) -> bool {
+    let bf = block_of[f.idx()];
+    for &g in v.iter() {
+        if g == f {
+            return true;
+        }
+        if block_of[g.idx()] == bf {
+            return false;
+        }
+    }
+    let pos = v.partition_point(|&g| g < f);
+    v.insert(pos, f);
+    true
 }
 
 /// Convenience wrapper: `Cert_2(q)` — the instance Theorem 6.1 proves
@@ -982,7 +1518,7 @@ pub mod reference {
 mod tests {
     use super::*;
     use crate::brute::certain_brute;
-    use cqa_model::{Fact, Signature};
+    use cqa_model::{Elem, Fact, Signature};
     use cqa_query::examples;
 
     fn db2(rows: &[[&str; 2]]) -> Database {
@@ -1170,7 +1706,7 @@ mod tests {
     fn antichain_block_index_basics() {
         let d = db2(&[["a", "b"], ["a", "c"], ["b", "d"], ["c", "d"]]);
         let ids: Vec<FactId> = d.fact_ids().collect();
-        let mut chain = Antichain::new(&d);
+        let mut chain = Antichain::new(2);
         assert!(chain.insert(vec![ids[0], ids[2]]));
         assert!(chain.insert(vec![ids[1], ids[3]]));
         // A covered insert is a no-op…
@@ -1181,7 +1717,7 @@ mod tests {
         assert!(!chain.covers(&[ids[0], ids[3]]));
         // …and a subset insert prunes its supersets, reporting the change.
         let mut changed = Vec::new();
-        assert!(chain.insert_tracked(vec![ids[0]], &mut changed));
+        assert!(chain.insert_tracked(&[ids[0]], &mut changed));
         assert_eq!(chain.live_len(), 2);
         assert!(changed.contains(&ids[0]) && changed.contains(&ids[2]));
         assert_eq!(chain.members_with(ids[2]), Vec::<&[FactId]>::new());
@@ -1189,29 +1725,57 @@ mod tests {
         assert_eq!(chain.peak_live(), 2);
     }
 
+    /// Every set on `open`, bottom first, with its depth.
+    fn drain(open: &mut SetStack) -> Vec<(u32, Vec<FactId>)> {
+        let mut out = Vec::new();
+        let mut set = Vec::new();
+        while let Some(depth) = open.pop_into(&mut set) {
+            out.push((depth, set.clone()));
+        }
+        out.reverse();
+        out
+    }
+
     #[test]
     fn a_full_partial_with_several_covering_options_yields_one_child() {
-        let d = db2(&[["a", "b"], ["c", "d"], ["e", "f"], ["g", "h"]]);
-        let ids: Vec<FactId> = d.fact_ids().collect();
-        let chain = Antichain::new(&d);
+        // Four facts in four blocks.
+        let ids: Vec<FactId> = (0..4).map(FactId).collect();
+        let block_of = [0, 1, 2, 3];
+        let chain = Antichain::new(3);
+        let (mut union, mut open) = (Vec::new(), SetStack::default());
+        open.reset(3);
         // |partial| = k, and three of the four options are inside it.
         let partial = vec![ids[0], ids[1], ids[2]];
-        let family = [
-            vec![ids[0]],
-            vec![ids[1]],
-            vec![ids[0], ids[2]],
-            vec![ids[3]],
-        ];
-        let mut stack = Vec::new();
-        push_children(&d, &chain, partial.clone(), &family, 3, 1, &mut stack);
-        assert_eq!(stack, vec![(1, partial)]);
+        let p = PAD;
+        let sets = [ids[0], p, ids[1], p, ids[0], ids[2], ids[3], p];
+        let family = Family {
+            sets: &sets,
+            count: 4,
+            width: 2,
+        };
+        push_children(
+            &block_of, &chain, &partial, family, 3, 1, &mut union, &mut open,
+        );
+        assert_eq!(drain(&mut open), vec![(1, partial)]);
         // With no option inside `partial`, every admissible union is a
         // child.
-        let mut stack = Vec::new();
-        let family = [vec![ids[1]], vec![ids[2]]];
-        push_children(&d, &chain, vec![ids[0]], &family, 3, 1, &mut stack);
+        let family = Family {
+            sets: &[ids[1], ids[2]],
+            count: 2,
+            width: 1,
+        };
+        push_children(
+            &block_of,
+            &chain,
+            &[ids[0]],
+            family,
+            3,
+            1,
+            &mut union,
+            &mut open,
+        );
         assert_eq!(
-            stack,
+            drain(&mut open),
             vec![(1, vec![ids[0], ids[1]]), (1, vec![ids[0], ids[2]])]
         );
     }
@@ -1220,7 +1784,7 @@ mod tests {
     fn antichain_empty_set_dominates() {
         let d = db2(&[["a", "b"], ["b", "c"]]);
         let ids: Vec<FactId> = d.fact_ids().collect();
-        let mut chain = Antichain::new(&d);
+        let mut chain = Antichain::new(2);
         assert!(chain.insert(vec![ids[0]]));
         assert!(chain.insert(Vec::new()));
         assert!(chain.has_empty());
@@ -1244,7 +1808,7 @@ mod tests {
         for f in rows {
             ids.push(db.insert(f).unwrap());
         }
-        let mut chain = Antichain::new(&db);
+        let mut chain = Antichain::new(2);
         let hub = ids[0];
         for i in 0..80 {
             let other = ids[2 + 2 * i];
@@ -1305,6 +1869,23 @@ mod tests {
             stats.blocks_derived < stats.rounds * d.block_count(),
             "worklist must beat full passes: {stats:?}"
         );
+    }
+
+    #[test]
+    fn a_solution_free_view_answers_without_deriving_a_block() {
+        // 10⁵ facts k → k+1 over even keys only: no fact's value is a
+        // key, so q3 has no solution and the fixpoint no seed.
+        let mut d = Database::new(Signature::new(2, 1).unwrap());
+        for i in 0..100_000 {
+            d.insert(Fact::r(vec![Elem::int(2 * i), Elem::int(2 * i + 1)]))
+                .unwrap();
+        }
+        let q = examples::q3();
+        let sols = SolutionSet::enumerate(&q, &d);
+        assert!(sols.is_empty());
+        let (out, stats) = run(&d.full_view(), &sols, CertKConfig::new(2));
+        assert_eq!(out, CertKOutcome::NotDerived);
+        assert_eq!(stats, CertKStats::default());
     }
 
     #[test]

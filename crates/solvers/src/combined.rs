@@ -17,7 +17,7 @@
 //! configuration regardless of the thread count, and verdicts are emitted
 //! in component order, so the result is identical across thread counts.
 
-use crate::certk::{certk_view, CertKConfig, CertKOutcome, CertKStats};
+use crate::certk::{certk_view, CertKConfig, CertKOutcome, CertKScratch, CertKStats};
 use crate::components::{support_partition, DynamicComponents};
 use crate::matching::analyze_view;
 use crate::{CancelToken, SolutionSet};
@@ -85,8 +85,8 @@ fn result_of(comps: &DynamicComponents) -> CombinedResult {
 /// set and the component is a clique-database (exact there by
 /// Proposition 10.3; one cheap analysis, so the token is only checked at
 /// component start), by `Cert_k` otherwise, polling `token` once per
-/// block derivation. `Err` carries the partial fixpoint statistics when
-/// the token cancelled it (zeroes when it never started).
+/// block derivation, in `scratch`. `Err` carries the partial fixpoint
+/// statistics when the token cancelled it (zeroes when it never started).
 ///
 /// The component is a copy-free view of the parent database, and
 /// `solutions` restricted to its facts is exactly its solution set, so
@@ -100,6 +100,7 @@ pub fn decide_component(
     cfg: CertKConfig,
     token: &CancelToken,
     matching: bool,
+    scratch: &mut CertKScratch,
 ) -> Result<ComponentVerdict, CertKStats> {
     if token.is_cancelled() {
         return Err(CertKStats::default());
@@ -116,7 +117,7 @@ pub fn decide_component(
             });
         }
     }
-    let (out, stats) = certk_view(comp, solutions, cfg, token)?;
+    let (out, stats) = scratch.certk_view(comp, solutions, cfg, token)?;
     Ok(ComponentVerdict {
         size: comp.len(),
         decided_by: DecidedBy::CertK,

@@ -30,7 +30,7 @@
 //! when an owned database is genuinely needed.
 
 use crate::combined::{decide_component, ComponentVerdict};
-use crate::{CancelToken, CertKConfig, CertKStats, SolutionSet};
+use crate::{CancelToken, CertKConfig, CertKScratch, CertKStats, SolutionSet};
 use cqa_graph::UnionFind;
 use cqa_model::{BlockId, Database, DbView, DeltaReport};
 use cqa_query::Query;
@@ -217,7 +217,9 @@ impl DynamicComponents {
 
     /// The one fill step: decide every group of a partition, and admit
     /// the groups with their verdicts in group order under fresh ids,
-    /// which it returns. A cancelled fan-out admits nothing.
+    /// which it returns. A cancelled fan-out admits nothing. Each
+    /// fan-out worker decides all its components in one
+    /// [`CertKScratch`], dropped when the fan-out returns.
     fn fill(
         &mut self,
         db: &Database,
@@ -231,9 +233,12 @@ impl DynamicComponents {
             .iter()
             .map(|blocks| db.view_of_blocks(blocks.iter().copied()))
             .collect();
-        let verdicts = fold_outcomes(minipool::par_map(cfg.threads, &views, |comp| {
-            decide_component(comp, solutions, cfg, token, matching)
-        }))?;
+        let verdicts = fold_outcomes(minipool::par_map_with(
+            cfg.threads,
+            &views,
+            CertKScratch::default,
+            |scratch, comp| decide_component(comp, solutions, cfg, token, matching, scratch),
+        ))?;
         Ok(groups
             .into_iter()
             .zip(verdicts)
@@ -619,6 +624,7 @@ mod tests {
                 CertKConfig::new(2),
                 &calm,
                 false,
+                &mut CertKScratch::default(),
             )
             .unwrap();
             assert_eq!(format!("{:?}", one.verdict_of(id)), format!("{alone:?}"));

@@ -20,8 +20,10 @@
 //! Each of the paper's three decision procedures has **one live entry
 //! point**, and cancellation is its parameter rather than a name suffix:
 //!
-//! * `Cert_k` — [`certk_view`] (a view, the solutions, a [`CertKConfig`]
-//!   and a [`CancelToken`]);
+//! * `Cert_k` — [`CertKScratch::certk_view`] (a view, the solutions, a
+//!   [`CertKConfig`] and a [`CancelToken`], run in a scratch that a
+//!   caller deciding many views reuses; [`certk_view`] runs it in a fresh
+//!   one);
 //! * `¬matching` — [`analyze_view`];
 //! * exhaustive search on the coNP side — [`certain_brute_over`].
 //!
@@ -48,7 +50,7 @@
 //! brute-force oracles ([`certain_brute`], [`certain_brute_budgeted`],
 //! [`certain_exhaustive`]) are thin wrappers that never cancel.
 //!
-//! A prose handbook for this crate — how the block-indexed antichain, the
+//! A prose handbook for this crate — how the inline antichain, the
 //! requirement-family cache, the dirty-block worklist and the component
 //! routing fit together, and which theorem of the paper each piece
 //! implements — lives in `docs/SOLVERS.md` at the repository root.
@@ -69,7 +71,9 @@ pub use brute::{
     certain_brute, certain_brute_budgeted, certain_brute_over, certain_exhaustive, BruteOutcome,
 };
 pub use cancel::CancelToken;
-pub use certk::{cert2, certk, certk_view, Antichain, CertKConfig, CertKOutcome, CertKStats};
+pub use certk::{
+    cert2, certk, certk_view, Antichain, CertKConfig, CertKOutcome, CertKScratch, CertKStats,
+};
 pub use combined::{
     certain_combined, certain_thm105_literal, decide_component, CombinedResult, ComponentVerdict,
     DecidedBy,

@@ -84,7 +84,7 @@ proptest! {
         probes in proptest::collection::vec(fact_set_strategy(), 0..10),
     ) {
         let db = index_db();
-        let mut indexed = Antichain::new(&db);
+        let mut indexed = Antichain::new(5);
         let mut naive = NaiveAntichain::new();
         for raw in &inserts {
             let s = to_ids(raw);

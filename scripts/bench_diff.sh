@@ -10,6 +10,11 @@
 # or when a workload or metric is present in one record only (a metric
 # that went missing is reported, never ignored).
 #
+# When both records are traced (`TRACE=1 scripts/bench_record.sh`), it
+# also prints each per-layer median of the workloads both carry, marking
+# a median outside the range of the before record's seeds. That part is
+# a report, not a gate: no bound exists for a layer.
+#
 # The records are parsed with python3, as in bench_record.sh: the
 # workspace JSON codec reads integers only.
 set -euo pipefail
@@ -48,6 +53,21 @@ for w in sorted(set(before) | set(after)):
         print(
             f"  {w:<11} {name:<12} {b:>12.4g} -> {a:<12.4g} {m['unit']:<4}"
             f" {change:+7.1%}  (bound {bound:.0%}, {better} is better)  {verdict}"
+        )
+before_layers = json.load(open(before_path)).get("layers", {})
+after_layers = json.load(open(after_path)).get("layers", {})
+for w in sorted(set(before_layers) & set(after_layers)):
+    for name in (m["name"] for m in spec["per_layer"]):
+        b, a = before_layers[w].get(name), after_layers[w].get(name)
+        if b is None or a is None:
+            continue
+        lo, hi = min(b["values"]), max(b["values"])
+        bm, am = b["median"], a["median"]
+        change = (am - bm) / bm if bm else (0.0 if am == bm else float("inf"))
+        moved = "moved" if not lo <= am <= hi else ""
+        print(
+            f"  layer {w:<11} {name:<28} {bm:>12.4g} -> {am:<12.4g} {b['unit']:<4}"
+            f" {change:+7.1%}  (before {lo:.4g}..{hi:.4g})  {moved}"
         )
 if problems:
     print("bench_diff: " + "; ".join(problems), file=sys.stderr)
