@@ -35,8 +35,9 @@ use crate::delta::QueryDeltaState;
 use cqa_model::{BlockId, Database};
 use cqa_query::Query;
 use cqa_solvers::{
-    certain_brute_over, decide_component, support_partition, BruteOutcome, CancelToken,
-    CertKConfig, CertKScratch, CertKStats, ComponentVerdict, ForcingBlocks, SolutionSet,
+    certain_brute_over, decide_component, support_partition_cancellable, support_view,
+    BruteOutcome, CancelToken, CertKConfig, CertKScratch, CertKStats, ComponentVerdict,
+    ForcingBlocks, SolutionSet,
 };
 use cqa_tripath::SearchConfig;
 use std::collections::BTreeMap;
@@ -90,11 +91,21 @@ pub struct CertainAnswer {
 #[derive(Clone, Debug, Default)]
 pub struct CancelledSolve {
     /// Partial `Cert_k` statistics accumulated before the cancel was
-    /// observed (aggregated over components on the fan-out routes).
+    /// observed (aggregated over components on the fan-out routes; all
+    /// zero when the route's partition or view was still being built).
     /// `None` when no fixpoint was running: the brute-force search, the
     /// one-atom block scan and the no-solution check keep no fixpoint
     /// counters.
     pub certk_stats: Option<CertKStats>,
+}
+
+impl CancelledSolve {
+    /// A `Cert_k` route cancelled before its fixpoint began.
+    fn before_fixpoint() -> CancelledSolve {
+        CancelledSolve {
+            certk_stats: Some(CertKStats::default()),
+        }
+    }
 }
 
 /// Route selection for the PTime `Cert_k` classes
@@ -261,26 +272,30 @@ impl CqaEngine {
     }
 
     /// The routing decision for `db`: the support's partition
-    /// ([`support_partition`]) for the component route, `None` for the
+    /// ([`cqa_solvers::support_partition`]) for the component route, `None` for the
     /// literal fixpoint on the support as one view. Theorem 10.5 always
     /// takes the components; under [`RoutePolicy::Auto`], small databases
     /// and supports of few components stay literal, and a support `Auto`
     /// partitions to count its components hands that partition on to
-    /// [`cqa_solvers::DynamicComponents::solve`].
+    /// [`cqa_solvers::DynamicComponents::solve`]. The partition polls
+    /// `token`; `Err` once it fired.
     fn route_components(
         &self,
         db: &Database,
         solutions: &SolutionSet,
-    ) -> Option<Vec<Vec<BlockId>>> {
+        token: &CancelToken,
+    ) -> Result<Option<Vec<Vec<BlockId>>>, CancelledSolve> {
         let routing = &self.config.routing;
         let min_components = match routing.policy {
             _ if self.matching() => 0,
-            RoutePolicy::Literal => return None,
+            RoutePolicy::Literal => return Ok(None),
             RoutePolicy::Component => 0,
             RoutePolicy::Auto if db.len() >= routing.min_facts => routing.min_components,
-            RoutePolicy::Auto => return None,
+            RoutePolicy::Auto => return Ok(None),
         };
-        Some(support_partition(db, solutions)).filter(|groups| groups.len() >= min_components)
+        let groups = support_partition_cancellable(db, solutions, token)
+            .ok_or_else(CancelledSolve::before_fixpoint)?;
+        Ok(Some(groups).filter(|groups| groups.len() >= min_components))
     }
 
     /// Decide `db ⊨ certain(q)` with the algorithm the classification
@@ -373,12 +388,13 @@ impl CqaEngine {
             };
             return Ok((answer, None));
         }
-        if let Some(partition) = self.route_components(db, &solutions) {
+        if let Some(partition) = self.route_components(db, &solutions, token)? {
             let state = QueryDeltaState::components(self, db, solutions, partition, token)
                 .map_err(cancelled)?;
             return Ok((state.answer(self), Some(state)));
         }
-        let support = db.view_of_blocks(solutions.support_blocks(db));
+        let support =
+            support_view(db, &solutions, token).ok_or_else(CancelledSolve::before_fixpoint)?;
         let verdict = decide_component(
             &support,
             &solutions,

@@ -22,6 +22,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Steps between token polls in the linear passes that prepare a solve
+/// (the support, its partition and its view) and in a `Cert_k` run's
+/// set-up.
+pub(crate) const POLL_STRIDE: usize = 4096;
+
 /// A shared cancellation handle: an explicit flag plus an optional
 /// deadline. Clones share the flag (and carry the same deadline), so a
 /// token handed to a fan-out of worker threads is raised for all of them

@@ -48,14 +48,11 @@
 //! only when a member containing the fact is inserted or pruned; and a
 //! **dirty-block worklist** replaces full passes — a block is re-derived
 //! only when a member touching one of its facts changed, so converged
-//! regions of the database are never rescanned. The first generation
-//! starts from the seeds: a block none of whose facts is in a member
-//! derives nothing, so it is visited only once a member reaches it, and a
-//! view without a seed is answered before any per-fact state is built.
-//! The reached fixpoint is the same as the naive full-pass evaluation (the
+//! regions of the database are never rescanned. The reached fixpoint is the same as the naive full-pass evaluation (the
 //! closure is confluent); the [`reference`](mod@reference) module keeps
 //! the seed-era full-pass evaluator for differential testing.
 
+use crate::cancel::POLL_STRIDE;
 use crate::{CancelToken, SolutionSet};
 use cqa_model::{Database, DbView, FactId};
 use cqa_query::Query;
@@ -138,9 +135,6 @@ impl CertKOutcome {
 /// the slot lists of their facts. `Cert_k` runs with k = 2 or 3, so the
 /// fixpoint never leaves the fast path.
 const COVERS_SUBSET_ENUM_MAX: usize = 6;
-
-/// Steps between token polls in a run's linear set-up passes.
-const POLL_STRIDE: usize = 4096;
 
 /// The end of a slot list, an empty index cell, a stale family entry, and
 /// the padding of an inline set past its last fact (greater than every
@@ -643,10 +637,9 @@ fn add_consistent(db: &Database, v: &[FactId], f: FactId) -> Option<Vec<FactId>>
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CertKStats {
     /// Fixpoint rounds executed. A round is one drained generation of the
-    /// dirty-block worklist: the first round visits the blocks the seeds
-    /// reach, later rounds only the re-queued ones (a full-pass evaluator
-    /// would rescan everything each round). A run without a seed has no
-    /// round.
+    /// dirty-block worklist: the first round visits every block, later
+    /// rounds only the re-queued ones (a full-pass evaluator would
+    /// rescan everything each round).
     pub rounds: usize,
     /// Number of antichain members ever inserted (seeds + derived).
     pub inserted: usize,
@@ -659,7 +652,7 @@ pub struct CertKStats {
     /// Block derivations actually executed by the worklist.
     pub blocks_derived: usize,
     /// Block derivations skipped relative to a full-pass evaluator
-    /// (blocks that a naive round would have scanned for nothing).
+    /// (converged blocks that a naive round would have rescanned).
     pub blocks_skipped: usize,
 }
 
@@ -712,9 +705,6 @@ pub struct CertKScratch {
     search: Search,
     /// Facts whose member family changed in the current insertion.
     changed: Vec<FactId>,
-    /// Per view block: visited in the first generation once the cursor
-    /// reaches it.
-    first: Vec<bool>,
     /// Per view block: already in `next`.
     queued: Vec<bool>,
     current: Vec<u32>,
@@ -729,7 +719,6 @@ impl Default for CertKScratch {
             reqs: Requirements::default(),
             search: Search::default(),
             changed: Vec::new(),
-            first: Vec::new(),
             queued: Vec::new(),
             current: Vec::new(),
             next: Vec::new(),
@@ -781,7 +770,6 @@ impl CertKScratch {
             reqs,
             search,
             changed,
-            first,
             queued,
             current,
             next,
@@ -823,82 +811,39 @@ impl CertKScratch {
                 // Distinct key-equal facts never share a repair: no seed.
             }
         }
-        if chain.live_len() == 0 {
-            // No seed, so every fact's requirement family is empty and no
-            // block derives anything.
-            return Ok((CertKOutcome::NotDerived, stats));
-        }
-
         // The remaining set-up is linear in the view; it polls the token
         // every `POLL_STRIDE` steps.
-        let early = |stats| Err(cancelled(stats, chain, cfg.node_budget - budget));
         if !layout.build(view, token) {
-            return early(stats);
+            return Err(cancelled(stats, chain, cfg.node_budget - budget));
         }
         reqs.reset(view.len(), width - 1);
-        first.clear();
-        first.resize(nb, false);
         queued.clear();
         queued.resize(nb, false);
-        for (i, f) in chain.live_members().flatten().enumerate() {
-            if i % POLL_STRIDE == 0 && token.is_cancelled() {
-                return early(stats);
-            }
-            first[layout.block_of[f.idx()] as usize] = true;
-        }
+        current.clear();
+        current.extend(0..nb as u32);
         next.clear();
-        // Dirty-block worklist, drained in generations ("rounds"). The
-        // first generation walks the blocks in order and derives those
-        // flagged in `first`: the blocks holding a fact of a live seed, and the
-        // blocks a first-generation insertion reaches before the walk
-        // does — exactly the blocks a full first pass would derive
-        // something from (any other block has a fact in no member, so its
-        // derivation stops at that fact's empty requirement family).
-        // Afterwards a block re-enters only when a member touching one of
-        // its facts is inserted or pruned — derive_block's output depends
-        // on the chain solely through the requirement families of the
-        // block's facts, so an untouched block cannot produce a new
-        // (uncovered) candidate and is safe to skip.
+        // Dirty-block worklist, drained in generations ("rounds"): the first
+        // generation holds every block; afterwards a block re-enters only when
+        // a member touching one of its facts is inserted or pruned —
+        // derive_block's output depends on the chain solely through the
+        // requirement families of the block's facts, so an untouched block
+        // cannot produce a new (uncovered) candidate and is safe to skip.
         let outcome = 'fixpoint: loop {
             if chain.has_empty() {
                 break CertKOutcome::Certain;
             }
-            stats.rounds += 1;
-            let first_round = stats.rounds == 1;
-            if !first_round {
-                stats.blocks_skipped += nb - current.len();
+            if current.is_empty() {
+                break CertKOutcome::NotDerived;
             }
-            let (mut cursor, mut derived) = (0, 0);
-            loop {
-                let bi = if first_round {
-                    while cursor < nb && !first[cursor] {
-                        cursor += 1;
-                    }
-                    if cursor == nb {
-                        break;
-                    }
-                    cursor += 1;
-                    cursor - 1
-                } else {
-                    let Some(&bi) = current.get(cursor) else {
-                        break;
-                    };
-                    cursor += 1;
-                    bi as usize
-                };
+            stats.rounds += 1;
+            for &bi in current.iter() {
                 if token.is_cancelled() {
-                    if first_round {
-                        stats.blocks_skipped += cursor - 1 - derived;
-                    }
                     let consumed = cfg.node_budget - budget;
                     return Err(cancelled(stats, chain, consumed));
                 }
                 stats.blocks_derived += 1;
-                derived += 1;
+                let bi = bi as usize;
                 if derive_block(layout, chain, reqs, search, bi, cfg.k, &mut budget).is_err() {
-                    if first_round {
-                        stats.blocks_skipped += cursor - derived;
-                    }
                     break 'fixpoint CertKOutcome::BudgetExhausted;
                 }
                 for &c in &search.cands {
@@ -908,9 +853,6 @@ impl CertKScratch {
                         for &f in changed.iter() {
                             reqs.invalidate(f);
                             let bf = layout.block_of[f.idx()] as usize;
-                            if first_round {
-                                first[bf] = true;
-                            }
                             if !queued[bf] {
                                 queued[bf] = true;
                                 next.push(bf as u32);
@@ -919,18 +861,13 @@ impl CertKScratch {
                     }
                 }
                 if chain.has_empty() {
-                    break;
+                    break 'fixpoint CertKOutcome::Certain;
                 }
-            }
-            if first_round {
-                stats.blocks_skipped += cursor - derived;
-            }
-            if chain.has_empty() {
-                break CertKOutcome::Certain;
             }
             if next.is_empty() {
                 break CertKOutcome::NotDerived;
             }
+            stats.blocks_skipped += nb - next.len();
             // Hand the dirty set over as the next generation, in ascending
             // block order (deterministic, and the order a full pass uses).
             next.sort_unstable();
@@ -994,7 +931,9 @@ impl Layout {
 
 /// The cached ⊆-minimal requirement families
 /// `R_u = min { M ∖ {u} : M ∈ Δ, u ∈ M }`, by view-local fact, in one
-/// arena of sets `width` facts wide (padded).
+/// arena of sets `width` facts wide (padded). A recomputed family is
+/// appended and its stale predecessor left in place: the arena is
+/// cleared between runs only.
 #[derive(Default)]
 struct Requirements {
     width: usize,
@@ -1003,10 +942,6 @@ struct Requirements {
     /// computation, or it was never computed).
     entry: Vec<(u32, u32)>,
     arena: Vec<FactId>,
-    /// Arena facts that no entry refers to any more.
-    garbage: usize,
-    /// The arena's previous buffer, refilled by the next collection.
-    spare: Vec<FactId>,
     /// The sets of the family being computed, and their order.
     gathered: Vec<FactId>,
     order: Vec<u32>,
@@ -1018,15 +953,10 @@ impl Requirements {
         self.entry.clear();
         self.entry.resize(facts, (NIL, 0));
         self.arena.clear();
-        self.garbage = 0;
     }
 
     fn invalidate(&mut self, f: FactId) {
-        let entry = &mut self.entry[f.idx()];
-        if entry.0 != NIL {
-            self.garbage += entry.1 as usize * self.width;
-            entry.0 = NIL;
-        }
+        self.entry[f.idx()].0 = NIL;
     }
 
     fn family(&self, f: FactId) -> Family<'_> {
@@ -1043,9 +973,6 @@ impl Requirements {
     fn refresh(&mut self, chain: &Antichain, u: FactId) {
         if self.entry[u.idx()].0 != NIL {
             return;
-        }
-        if self.garbage > 4096 && self.garbage * 2 > self.arena.len() {
-            self.collect();
         }
         let w = self.width;
         if w == 0 {
@@ -1091,22 +1018,8 @@ impl Requirements {
                 kept += 1;
             }
         }
-        self.entry[u.idx()] = (offset as u32, kept);
-    }
-
-    /// Move every live family to the front of a fresh arena.
-    fn collect(&mut self) {
-        let mut fresh = std::mem::take(&mut self.spare);
-        fresh.clear();
-        for entry in &mut self.entry {
-            if entry.0 != NIL {
-                let start = entry.0 as usize;
-                entry.0 = fresh.len() as u32;
-                fresh.extend_from_slice(&self.arena[start..start + entry.1 as usize * self.width]);
-            }
-        }
-        self.spare = std::mem::replace(&mut self.arena, fresh);
-        self.garbage = 0;
+        let offset = u32::try_from(offset).expect("arena offsets fit in u32");
+        self.entry[u.idx()] = (offset, kept);
     }
 }
 
@@ -1518,7 +1431,7 @@ pub mod reference {
 mod tests {
     use super::*;
     use crate::brute::certain_brute;
-    use cqa_model::{Elem, Fact, Signature};
+    use cqa_model::{Fact, Signature};
     use cqa_query::examples;
 
     fn db2(rows: &[[&str; 2]]) -> Database {
@@ -1869,23 +1782,6 @@ mod tests {
             stats.blocks_derived < stats.rounds * d.block_count(),
             "worklist must beat full passes: {stats:?}"
         );
-    }
-
-    #[test]
-    fn a_solution_free_view_answers_without_deriving_a_block() {
-        // 10⁵ facts k → k+1 over even keys only: no fact's value is a
-        // key, so q3 has no solution and the fixpoint no seed.
-        let mut d = Database::new(Signature::new(2, 1).unwrap());
-        for i in 0..100_000 {
-            d.insert(Fact::r(vec![Elem::int(2 * i), Elem::int(2 * i + 1)]))
-                .unwrap();
-        }
-        let q = examples::q3();
-        let sols = SolutionSet::enumerate(&q, &d);
-        assert!(sols.is_empty());
-        let (out, stats) = run(&d.full_view(), &sols, CertKConfig::new(2));
-        assert_eq!(out, CertKOutcome::NotDerived);
-        assert_eq!(stats, CertKStats::default());
     }
 
     #[test]

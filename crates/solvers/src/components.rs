@@ -29,6 +29,7 @@
 //! `restrict`-copied. Materialise with [`DbView::to_database`] only
 //! when an owned database is genuinely needed.
 
+use crate::cancel::POLL_STRIDE;
 use crate::combined::{decide_component, ComponentVerdict};
 use crate::{CancelToken, CertKConfig, CertKScratch, CertKStats, SolutionSet};
 use cqa_graph::UnionFind;
@@ -70,13 +71,37 @@ pub fn q_connected_components_if_fragmented<'a>(
 /// The q-connected components of the support, as ascending block lists
 /// in order of their smallest block. Empty iff `solutions` is.
 pub fn support_partition(db: &Database, solutions: &SolutionSet) -> Vec<Vec<BlockId>> {
-    partition_pool(db, solutions, &solutions.support_blocks(db), false)
+    support_partition_cancellable(db, solutions, &CancelToken::new())
+        .expect("a never-raised token cannot cancel the partition")
+}
+
+/// [`support_partition`], polling `token` every few thousand blocks;
+/// `None` once it fired.
+pub fn support_partition_cancellable(
+    db: &Database,
+    solutions: &SolutionSet,
+    token: &CancelToken,
+) -> Option<Vec<Vec<BlockId>>> {
+    let pool = solutions.support_blocks_cancellable(db, token)?;
+    partition_pool(db, solutions, &pool, false, token)
+}
+
+/// The support of `solutions` as one view, polling `token` every few
+/// thousand blocks; `None` once it fired.
+pub fn support_view<'a>(
+    db: &'a Database,
+    solutions: &SolutionSet,
+    token: &CancelToken,
+) -> Option<DbView<'a>> {
+    let blocks = solutions.support_blocks_cancellable(db, token)?;
+    db.view_of_blocks_until(blocks, || token.is_cancelled())
 }
 
 /// Every live block's component, solution-free singletons included.
 fn whole_partition(db: &Database, solutions: &SolutionSet) -> Vec<Vec<BlockId>> {
     let live: Vec<BlockId> = db.block_ids().collect();
-    partition_pool(db, solutions, &live, true)
+    partition_pool(db, solutions, &live, true, &CancelToken::new())
+        .expect("a never-raised token cannot cancel the partition")
 }
 
 fn to_components(db: &Database, groups: Vec<Vec<BlockId>>) -> Vec<DbView<'_>> {
@@ -90,16 +115,21 @@ fn to_components(db: &Database, groups: Vec<Vec<BlockId>>) -> Vec<DbView<'_>> {
 /// partner of a pool fact lies in a pool block) into q-connected
 /// components, ordered by their smallest block. Blocks holding no fact
 /// of a solution come out as singletons when `with_free` is set and are
-/// dropped otherwise.
+/// dropped otherwise. Polls `token` every `POLL_STRIDE` pool blocks;
+/// `None` once it fired.
 fn partition_pool(
     db: &Database,
     solutions: &SolutionSet,
     pool: &[BlockId],
     with_free: bool,
-) -> Vec<Vec<BlockId>> {
+    token: &CancelToken,
+) -> Option<Vec<Vec<BlockId>>> {
     let mut uf = UnionFind::new(pool.len());
     let mut in_support = vec![false; pool.len()];
     for (i, &b) in pool.iter().enumerate() {
+        if i % POLL_STRIDE == 0 && token.is_cancelled() {
+            return None;
+        }
         for &f in db.block(b) {
             for g in solutions.groups_of(f) {
                 in_support[i] = true;
@@ -118,6 +148,9 @@ fn partition_pool(
     let mut slot_of_root = vec![usize::MAX; pool.len()];
     let mut out: Vec<Vec<BlockId>> = Vec::new();
     for (i, &b) in pool.iter().enumerate() {
+        if i % POLL_STRIDE == 0 && token.is_cancelled() {
+            return None;
+        }
         if !in_support[i] {
             if with_free {
                 out.push(vec![b]);
@@ -131,7 +164,7 @@ fn partition_pool(
         }
         out[slot_of_root[root]].push(b);
     }
-    out
+    Some(out)
 }
 
 /// What one [`DynamicComponents::apply`] did to the partition.
@@ -331,8 +364,9 @@ impl DynamicComponents {
         pool.retain(|&b| !db.block(b).is_empty());
         pool.sort_unstable();
         pool.dedup();
-        let groups = partition_pool(db, solutions, &pool, false);
         let calm = CancelToken::new();
+        let groups = partition_pool(db, solutions, &pool, false, &calm)
+            .expect("a never-raised token cannot cancel the partition");
         let created = self
             .fill(db, solutions, groups, cfg.with_threads(1), &calm, matching)
             .expect("a never-raised token cannot cancel the fan-out");
@@ -395,6 +429,23 @@ mod tests {
             false,
         )
         .expect("a calm token cannot cancel the fan-out")
+    }
+
+    #[test]
+    fn a_raised_token_stops_the_partition_and_the_support_view() {
+        let d = db2(&[["a", "b"], ["b", "c"], ["p", "q"], ["q", "r"], ["z", "w"]]);
+        let solutions = SolutionSet::enumerate(&examples::q3(), &d);
+        let calm = CancelToken::new();
+        assert_eq!(
+            support_partition_cancellable(&d, &solutions, &calm),
+            Some(support_partition(&d, &solutions))
+        );
+        let view = support_view(&d, &solutions, &calm).expect("a calm token");
+        assert_eq!(view.blocks(), solutions.support_blocks(&d));
+        let raised = CancelToken::new();
+        raised.cancel();
+        assert_eq!(support_partition_cancellable(&d, &solutions, &raised), None);
+        assert!(support_view(&d, &solutions, &raised).is_none());
     }
 
     #[test]

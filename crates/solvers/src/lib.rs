@@ -79,7 +79,8 @@ pub use combined::{
     DecidedBy,
 };
 pub use components::{
-    q_connected_components, support_partition, ComponentDeltaReport, DynamicComponents,
+    q_connected_components, support_partition, support_partition_cancellable, support_view,
+    ComponentDeltaReport, DynamicComponents,
 };
 pub use matching::{
     analyze_view, certain_by_matching, is_clique_database, matching_accepts, MatchingAnalysis,

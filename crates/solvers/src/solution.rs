@@ -18,6 +18,8 @@
 //! a q-connected component outside it is never certain (Proposition
 //! 10.6), so the solvers decide the support's components only.
 
+use crate::cancel::POLL_STRIDE;
+use crate::CancelToken;
 use cqa_model::{BlockId, Database, DeltaReport, Elem, FactId, FactRef, RelId};
 use cqa_query::{match_pair, Atom, Query, Var};
 use std::cmp::Ordering;
@@ -209,16 +211,34 @@ impl SolutionSet {
     /// The live blocks that hold a fact of some solution, ascending: the
     /// *support*. One pass over the groups and the block slots.
     pub fn support_blocks(&self, db: &Database) -> Vec<BlockId> {
+        self.support_blocks_cancellable(db, &CancelToken::new())
+            .expect("a never-raised token cannot cancel the pass")
+    }
+
+    /// [`SolutionSet::support_blocks`], polling `token` every
+    /// `POLL_STRIDE` groups; `None` once it fired.
+    pub(crate) fn support_blocks_cancellable(
+        &self,
+        db: &Database,
+        token: &CancelToken,
+    ) -> Option<Vec<BlockId>> {
         let mut marked = vec![false; db.block_slots()];
-        for g in (0..self.group_slots()).filter(|&g| self.has_solution(g)) {
-            for &f in self.run(g, A).iter().chain(self.run(g, B)) {
-                marked[db.block_of(f).idx()] = true;
+        for g in 0..self.group_slots() {
+            if g % POLL_STRIDE == 0 && token.is_cancelled() {
+                return None;
+            }
+            if self.has_solution(g) {
+                for &f in self.run(g, A).iter().chain(self.run(g, B)) {
+                    marked[db.block_of(f).idx()] = true;
+                }
             }
         }
-        (0..marked.len())
-            .filter(|&b| marked[b])
-            .map(|b| BlockId(b as u32))
-            .collect()
+        Some(
+            (0..marked.len())
+                .filter(|&b| marked[b])
+                .map(|b| BlockId(b as u32))
+                .collect(),
+        )
     }
 
     /// Patch the set after `db.apply_delta` produced `report`: it then

@@ -19,8 +19,6 @@
 #
 # Environment:
 #   SEEDS        seeds to run, space-separated (default "1 2 3")
-#   WORKLOADS    workloads to run, space-separated (default: every
-#                workload BENCHMARK.json declares)
 #   RUN_SECONDS  measured seconds per run (default: BENCHMARK.json's
 #                run_seconds)
 #   SCALE=tiny   pass `--scale tiny`: seconds-long inputs, a smoke test
@@ -62,11 +60,7 @@ EOF
 }
 
 mapfile -t command < <(read_spec command)
-if [ -n "${WORKLOADS:-}" ]; then
-  read -r -a workloads <<< "$WORKLOADS"
-else
-  mapfile -t workloads < <(read_spec workloads)
-fi
+mapfile -t workloads < <(read_spec workloads)
 seconds=${RUN_SECONDS:-$(read_spec run_seconds)}
 
 work=$(mktemp -d)
@@ -85,12 +79,12 @@ done
 
 commit=$(git rev-parse HEAD 2>/dev/null || echo unknown)
 python3 - "$work" "BENCH_$label.json" "$label" "$commit" "$scale" "$seconds" "$trace" \
-  "${workloads[*]}" $seeds <<'EOF'
+  $seeds <<'EOF'
 import json, statistics, sys
 
-work, dest, label, commit, scale, seconds, trace, workloads = sys.argv[1:9]
+work, dest, label, commit, scale, seconds, trace = sys.argv[1:8]
 trace = int(trace)
-seeds = [int(s) for s in sys.argv[9:]]
+seeds = [int(s) for s in sys.argv[8:]]
 spec = json.load(open("BENCHMARK.json"))
 metrics = [m["name"] for m in spec["end_to_end"]]
 problems, runs, summary, layers = [], [], {}, {}
@@ -109,7 +103,7 @@ def medians(values, specs):
     }
 
 
-for w in workloads.split():
+for w in (w["name"] for w in spec["workloads"]):
     values = {m: [] for m in metrics}
     layer_values = {m["name"]: [] for m in spec["per_layer"]}
     for seed in seeds:
