@@ -979,7 +979,7 @@ impl Requirements {
             // k = 1: the one ⊆-minimal requirement is ∅, if a member
             // holds u.
             let any = chain.live_slots_with(u).next().is_some();
-            self.entry[u.idx()] = (self.arena.len() as u32, u32::from(any));
+            self.entry[u.idx()] = (0, u32::from(any));
             return;
         }
         self.gathered.clear();
