@@ -17,14 +17,14 @@
 //! * [`parse_database`] — whole-string parsing, for text already in
 //!   memory;
 //! * [`read_database`] / [`StreamingDbParser`] — **streaming**,
-//!   line-at-a-time parsing over any [`BufRead`] with one reused line
-//!   buffer, so a million-line fact file is never held in memory at
-//!   once. Errors carry the 1-based line number, the **byte offset** of
+//!   line-at-a-time parsing over any [`BufRead`], in place in the
+//!   reader's buffer (only a line crossing a fill is copied), so a
+//!   million-line fact file is never held in memory at once. Errors carry the 1-based line number, the **byte offset** of
 //!   the offending line's start, and the line text itself
 //!   ([`DbFmtError`]), which keeps failures actionable on files far too
 //!   large to eyeball.
 
-use cqa_model::{Database, Elem, Signature};
+use cqa_model::{Database, FactLineBuf, Signature};
 use cqa_query::truncate_error_text;
 use std::fmt::Write as _;
 use std::io::BufRead;
@@ -109,9 +109,9 @@ impl From<DbFmtError> for DbReadError {
 #[derive(Debug, Default)]
 pub struct StreamingDbParser {
     db: Option<Database>,
-    /// The elements of the line being parsed: one buffer for every line,
+    /// The line being parsed: one buffer for every line, whose fact is
     /// inserted into the database by reference.
-    elems: Vec<Elem>,
+    buf: FactLineBuf,
     sig_key_len: usize,
     /// Lines consumed so far.
     line: usize,
@@ -166,7 +166,7 @@ impl StreamingDbParser {
             message,
         };
         let (fact, key_len) =
-            cqa_model::parse_fact_line_into(content, &mut self.elems).map_err(error)?;
+            cqa_model::parse_fact_line_into(content, &mut self.buf).map_err(error)?;
         let database = match &mut self.db {
             Some(d) => {
                 if key_len != self.sig_key_len {
@@ -213,21 +213,55 @@ pub fn parse_database(input: &str) -> Result<Database, DbFmtError> {
     parser.finish()
 }
 
-/// Stream a database from any [`BufRead`], one line at a time through a
-/// single reused buffer — the input is never held in memory at once, so
-/// this is the entry point for million-line fact files (the `cqa`
-/// `certain`/`falsify` commands load through it).
+/// Stream a database from any [`BufRead`]: the input is never held in
+/// memory at once, so this is the entry point for million-line fact files
+/// (the `cqa` `certain`/`falsify` commands load through it).
+///
+/// Lines are parsed where they lie in the reader's own buffer; only a
+/// line that crosses the end of a fill is copied, into one reused carry
+/// buffer. Input that is not UTF-8 fails as [`std::io::ErrorKind::InvalidData`],
+/// as [`BufRead::read_line`] would.
 pub fn read_database<R: BufRead>(mut reader: R) -> Result<Database, DbReadError> {
     let mut parser = StreamingDbParser::new();
-    let mut buf = String::new();
+    let mut carry = Vec::new();
     loop {
-        buf.clear();
-        if reader.read_line(&mut buf)? == 0 {
-            break;
+        let chunk = match reader.fill_buf() {
+            Ok([]) => break,
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e.into()),
+        };
+        let mut rest = chunk;
+        while let Some(n) = rest.iter().position(|&b| b == b'\n') {
+            let (line, tail) = rest.split_at(n + 1);
+            if carry.is_empty() {
+                feed_bytes(&mut parser, line)?;
+            } else {
+                carry.extend_from_slice(line);
+                feed_bytes(&mut parser, &carry)?;
+                carry.clear();
+            }
+            rest = tail;
         }
-        parser.feed_line(&buf)?;
+        carry.extend_from_slice(rest);
+        let used = chunk.len();
+        reader.consume(used);
+    }
+    if !carry.is_empty() {
+        feed_bytes(&mut parser, &carry)?;
     }
     Ok(parser.finish()?)
+}
+
+/// Feed one raw line of a reader's bytes to `parser`.
+fn feed_bytes(parser: &mut StreamingDbParser, raw: &[u8]) -> Result<(), DbReadError> {
+    let raw = std::str::from_utf8(raw).map_err(|_| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            "stream did not contain valid UTF-8",
+        )
+    })?;
+    Ok(parser.feed_line(raw)?)
 }
 
 /// Serialise a database to the text format, one fact per line, grouped by
@@ -465,6 +499,61 @@ R(bob | dave)
                 assert_eq!(e.text, "nonsense");
             }
             other => panic!("expected a format error, got {other:?}"),
+        }
+    }
+
+    /// `read_database` through a reader buffer of `k` bytes, for every
+    /// small `k`, against `parse_database`: the same facts, or the same
+    /// error with its line, offset, text and message.
+    fn read_in_small_fills(text: &str) {
+        let want = parse_database(text);
+        for k in 1..=8 {
+            let got = read_database(std::io::BufReader::with_capacity(k, text.as_bytes()));
+            match (&want, got) {
+                (Ok(want), Ok(got)) => {
+                    assert_eq!(
+                        write_database(&got),
+                        write_database(want),
+                        "{text:?}, k = {k}"
+                    )
+                }
+                (Err(want), Err(DbReadError::Fmt(got))) => assert_eq!(&got, want, "k = {k}"),
+                (want, got) => panic!("{text:?}, k = {k}: want {want:?}, got {got:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn reader_fills_split_lines_anywhere() {
+        for text in [
+            "# header\nR(alice | bob)\nR(alice | carol)\nR(bob | dave)\n",
+            "R(a | b)\r\nR(b | c)\r\n# note\r\nR(c | d)\r\n",
+            "R(⟨a,b⟩ x | ⟨c|d⟩)\nR(⟨a,b⟩ y | ⟨⟨e,f⟩,g⟩)\n",
+            "R(a | b)\nR(b | c)",
+            "R(a | b)\r\nR(b | c)\r",
+            "\n\nR(long_name_longer_than_any_fill | v)",
+        ] {
+            read_in_small_fills(text);
+        }
+        for bad in [
+            "R(a | b)\nR(a b | c)\n",
+            "R(a | b)\r\nR(⟨a | b)\r\n",
+            "R(a | b)\nR(a | ⟩b)",
+            "R(a | b)\nnonsense",
+            "# nothing\r\n",
+        ] {
+            read_in_small_fills(bad);
+        }
+    }
+
+    #[test]
+    fn reader_rejects_invalid_utf8_as_io() {
+        let bytes: &[u8] = b"R(a | b)\nR(a | \xff)\n";
+        for k in [1, 3, 64] {
+            match read_database(std::io::BufReader::with_capacity(k, bytes)) {
+                Err(DbReadError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData),
+                other => panic!("k = {k}: expected InvalidData, got {other:?}"),
+            }
         }
     }
 

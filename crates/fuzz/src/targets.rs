@@ -4,7 +4,9 @@
 //! violated invariants panic, which the driver reports as a crash.
 
 use cqa_cli::cmd_batch;
-use cqa_cli::dbfmt::{parse_database, read_database, write_database, StreamingDbParser};
+use cqa_cli::dbfmt::{
+    parse_database, read_database, write_database, DbReadError, StreamingDbParser,
+};
 use cqa_model::Database;
 use cqa_query::parse_query;
 use minifuzz::Verdict;
@@ -20,11 +22,13 @@ const MAX_TEXT: usize = 4096;
 /// * write→parse→write is a fixpoint (the `dbfmt_props` guarantee);
 /// * the streaming parser agrees with whole-string parsing and accounts
 ///   for every input byte ([`StreamingDbParser::bytes`]);
-/// * the [`read_database`] reader path agrees too;
+/// * the [`read_database`] reader path agrees too, over one whole buffer
+///   and over a 7-byte one, where lines cross fills;
 /// * a CRLF re-encoding of an LF input parses to the same database.
 ///
 /// Rejected input must carry a sane position (1-based line within the
-/// input, offset no further than its length, bounded echoed text).
+/// input, offset no further than its length, bounded echoed text), and
+/// the reader over a 7-byte buffer rejects it with the same error.
 pub fn dbfmt(input: &[u8]) -> Verdict {
     let Ok(text) = std::str::from_utf8(input) else {
         return Verdict::Reject;
@@ -58,6 +62,10 @@ pub fn dbfmt(input: &[u8]) -> Verdict {
                 "echoed error text not truncated: {} chars",
                 e.text.chars().count()
             );
+            match read_database(small_fills(text)) {
+                Err(DbReadError::Fmt(r)) => assert_eq!(r, e, "reader rejects elsewhere"),
+                other => panic!("reader disagrees with parse_database's {e}: {other:?}"),
+            }
             return Verdict::Reject;
         }
         Ok(db) => db,
@@ -99,18 +107,30 @@ pub fn dbfmt(input: &[u8]) -> Verdict {
         written,
         "reader parse differs from whole-string parse"
     );
+    let db5 = read_database(small_fills(text))
+        .unwrap_or_else(|e| panic!("7-byte reader rejects what parse_database accepted: {e}"));
+    assert_eq!(
+        write_database(&db5),
+        written,
+        "7-byte reader parse differs from whole-string parse"
+    );
 
     if !text.contains('\r') {
         let crlf = text.replace('\n', "\r\n");
-        let db5 =
+        let db6 =
             parse_database(&crlf).unwrap_or_else(|e| panic!("CRLF re-encoding rejected: {e}"));
         assert_eq!(
-            write_database(&db5),
+            write_database(&db6),
             written,
             "CRLF re-encoding parses differently"
         );
     }
     Verdict::Ok
+}
+
+/// `text` behind a 7-byte reader buffer, so most lines cross a fill.
+fn small_fills(text: &str) -> std::io::BufReader<&[u8]> {
+    std::io::BufReader::with_capacity(7, text.as_bytes())
 }
 
 /// Query parser target: accepted queries must round-trip through

@@ -50,7 +50,7 @@ pub use elem::{Elem, ElemData};
 pub use fact::{Fact, FactRef};
 pub use repair::{Repair, RepairIter};
 pub use schema::{RelId, Signature};
-pub use textline::{parse_fact_line, parse_fact_line_into, render_fact_line};
+pub use textline::{parse_fact_line, parse_fact_line_into, render_fact_line, FactLineBuf};
 pub use view::DbView;
 
 /// Errors produced by the model layer.

@@ -21,23 +21,30 @@ use std::fmt::Write as _;
 /// declares an empty key). Errors are bare messages; callers attach
 /// position information.
 pub fn parse_fact_line(text: &str) -> Result<(Fact, usize), String> {
-    let mut elems = Vec::new();
-    let (fact, key_len) = parse_fact_line_into(text, &mut elems)?;
+    let mut buf = FactLineBuf::default();
+    let (fact, key_len) = parse_fact_line_into(text, &mut buf)?;
     Ok((fact.to_fact(), key_len))
 }
 
-/// [`parse_fact_line`] into a caller's buffer: the elements replace
-/// `buf`'s contents and the fact is returned borrowed from it, so a
-/// loader that reuses one buffer allocates nothing per line beyond new
-/// names.
+/// The reusable buffers of [`parse_fact_line_into`]: the elements of the
+/// last line it parsed, and the bounds of their names in that line.
+#[derive(Clone, Debug, Default)]
+pub struct FactLineBuf {
+    elems: Vec<Elem>,
+    bounds: Vec<(usize, usize)>,
+}
+
+/// [`parse_fact_line`] into a caller's buffer: the fact is returned
+/// borrowed from it, so a loader that reuses one buffer allocates nothing
+/// per line beyond new names.
 ///
-/// The tuple is read in two passes over the text between the parentheses.
-/// The first checks it and counts the elements on each side of the bar;
-/// the second slices the elements out as borrowed `&str` tokens and
-/// interns each one into `buf`. A known name allocates nothing.
+/// One pass over the text between the parentheses checks it, counts the
+/// elements before the bar and records where each element lies. Only a
+/// line that passed is interned, one borrowed `&str` per element, so a
+/// rejected line adds no name and a known name allocates nothing.
 pub fn parse_fact_line_into<'b>(
     text: &str,
-    buf: &'b mut Vec<Elem>,
+    buf: &'b mut FactLineBuf,
 ) -> Result<(FactRef<'b>, usize), String> {
     let text = text.trim();
     let open = match text.find('(') {
@@ -59,13 +66,14 @@ pub fn parse_fact_line_into<'b>(
         return Err(format!("trailing input {trailing:?} after ')'"));
     }
     let inner = &text[open + 1..close];
-    let (len, key_len) = count_elements(inner)?;
-    if len == 0 {
+    let key_len = split_elements(inner, &mut buf.bounds)?;
+    if buf.bounds.is_empty() {
         return Err("fact with no elements".into());
     }
-    buf.clear();
-    buf.extend(tokens(inner).map(Elem::named));
-    Ok((FactRef::new(rel, buf), key_len))
+    buf.elems.clear();
+    let names = buf.bounds.iter().map(|&(start, end)| &inner[start..end]);
+    buf.elems.extend(names.map(Elem::named));
+    Ok((FactRef::new(rel, &buf.elems), key_len))
 }
 
 /// A separator between elements, outside every `⟨…⟩`: whitespace, a
@@ -74,19 +82,26 @@ fn is_separator(c: char) -> bool {
     c.is_whitespace() || c == ',' || c == '|'
 }
 
-/// Check a tuple's text and count its elements: `(elements, elements
-/// before the bar)`. An element is a maximal run of characters that are
-/// not separators at `⟨…⟩` depth 0, so a pair element may hold commas,
-/// bars and whitespace. Unbalanced brackets and a second top-level `|`
-/// are errors: silently merging them into an element corrupts the tuple
-/// and breaks the write→parse→write fixpoint.
-fn count_elements(inner: &str) -> Result<(usize, usize), String> {
-    let mut depth = 0usize;
-    let mut len = 0;
-    let mut bar = None;
-    let mut in_element = false;
-    for c in inner.chars() {
+/// Check a tuple's text and find its elements: their byte bounds replace
+/// `bounds`, and the number of elements before the bar is returned. An
+/// element is a maximal run of characters that are not separators at
+/// `⟨…⟩` depth 0, so a pair element may hold commas, bars and whitespace.
+/// Unbalanced brackets and a second top-level `|` are errors: silently
+/// merging them into an element corrupts the tuple and breaks the
+/// write→parse→write fixpoint.
+fn split_elements(inner: &str, bounds: &mut Vec<(usize, usize)>) -> Result<usize, String> {
+    bounds.clear();
+    let (mut depth, mut bar, mut start) = (0usize, None, None);
+    for (i, c) in inner.char_indices() {
         let separator = depth == 0 && is_separator(c);
+        match (separator, start) {
+            (true, Some(s)) => {
+                bounds.push((s, i));
+                start = None;
+            }
+            (false, None) => start = Some(i),
+            _ => {}
+        }
         match c {
             '⟨' => depth += 1,
             '⟩' if depth == 0 => return Err("stray '⟩' with no matching '⟨'".into()),
@@ -98,45 +113,17 @@ fn count_elements(inner: &str) -> Result<(usize, usize), String> {
                         .into(),
                 )
             }
-            '|' if separator => bar = Some(len),
+            '|' if separator => bar = Some(bounds.len()),
             _ => {}
         }
-        if !separator && !in_element {
-            len += 1;
-        }
-        in_element = !separator;
     }
     if depth != 0 {
         return Err(format!("unclosed '⟨' ({depth} open at end of fact)"));
     }
-    Ok((len, bar.unwrap_or(0)))
-}
-
-/// The elements of a tuple text that [`count_elements`] accepted, as
-/// slices of it.
-fn tokens(inner: &str) -> impl Iterator<Item = &str> {
-    let mut rest = inner;
-    std::iter::from_fn(move || {
-        rest = rest.trim_start_matches(is_separator);
-        if rest.is_empty() {
-            return None;
-        }
-        let mut depth = 0usize;
-        let end = rest
-            .char_indices()
-            .find(|&(_, c)| {
-                match c {
-                    '⟨' => depth += 1,
-                    '⟩' => depth -= 1,
-                    _ => {}
-                }
-                depth == 0 && is_separator(c)
-            })
-            .map_or(rest.len(), |(i, _)| i);
-        let (token, tail) = rest.split_at(end);
-        rest = tail;
-        Some(token)
-    })
+    if let Some(s) = start {
+        bounds.push((s, inner.len()));
+    }
+    Ok(bar.unwrap_or(0))
 }
 
 /// Render one fact as a parseable line: `R(a b | c d)`, with the bar
@@ -193,7 +180,8 @@ mod tests {
 
     #[test]
     fn parsing_into_a_buffer_matches_parse_fact_line() {
-        let mut buf = vec![Elem::named("stale")];
+        let mut buf = FactLineBuf::default();
+        parse_fact_line_into("R(stale)", &mut buf).unwrap();
         for line in ["R(a b | c d)", "R1(k | ⟨v,w⟩)", "R2(x |)", "R(| a)"] {
             let (want, want_key_len) = parse_fact_line(line).unwrap();
             let (fact, key_len) = parse_fact_line_into(line, &mut buf).unwrap();

@@ -9,8 +9,11 @@
 //! equal: the solutions are the disjoint union over join keys `κ` of
 //! `A_κ × B_κ`. A [`SolutionSet`] stores one *join group* per key, its
 //! `A` and `B` facts each ascending, and never a pair. The enumeration
-//! sorts each side by `(projection, id)` into one flat array and merges
-//! the two key by key, so no element is hashed.
+//! sorts each side's matches as records of the projection's first two
+//! elements packed into one word and the fact id, re-sorting a run of one
+//! prefix by the remaining columns only when the key is wider, then cuts
+//! the two sorted sides into groups in one two-cursor pass. No element is
+//! hashed.
 //! [`SolutionSet::apply_delta`] moves facts into and out of groups across
 //! deltas.
 //!
@@ -68,31 +71,39 @@ impl SolutionSet {
     pub fn enumerate(q: &Query, db: &Database) -> SolutionSet {
         let plan = compile(q);
         let sides = [SortedSide::of(&plan[A], db), SortedSide::of(&plan[B], db)];
-        let (mut group_of, mut start, mut len) = ([Vec::new(), Vec::new()], [vec![0], vec![0]], 0);
-        let mut at = [0, 0];
-        while at[A] < sides[A].ids.len() || at[B] < sides[B].ids.len() {
+        let mut group_of = [vec![NONE; db.fact_slots()], vec![NONE; db.fact_slots()]];
+        let (mut start, mut len, mut at) = ([vec![0], vec![0]], 0, [0, 0]);
+        loop {
             // The next group is the smaller next key, from each side
             // that has it.
-            let key = |s: usize| sides[s].ids.get(at[s]).map(|_| sides[s].key(at[s]));
-            let next = [key(A), key(B)].into_iter().flatten().min();
-            let end = [A, B].map(|s| match key(s) == next {
-                true => sides[s].run_end(at[s]),
-                false => at[s],
-            });
+            let next = match [A, B].map(|s| at[s] < sides[s].recs.len()) {
+                [true, true] => sides[A].cmp(at[A], &sides[B], at[B]),
+                [true, false] => Ordering::Less,
+                [false, true] => Ordering::Greater,
+                [false, false] => break,
+            };
+            let mut end = at;
+            if next.is_le() {
+                end[A] = sides[A].run_end(at[A]);
+            }
+            if next.is_ge() {
+                end[B] = sides[B].run_end(at[B]);
+            }
             let g = start[A].len() as u32 - 1;
             for s in [A, B] {
-                for &f in &sides[s].ids[at[s]..end[s]] {
-                    set_slot(&mut group_of[s], f, g);
+                for r in &sides[s].recs[at[s]..end[s]] {
+                    group_of[s][r.id.idx()] = g;
                 }
                 start[s].push(end[s] as u32);
             }
             len += (end[A] - at[A]) * (end[B] - at[B]);
             at = end;
         }
+        let facts = sides.map(SortedSide::into_ids);
         let set = SolutionSet {
             plan,
             group_of,
-            facts: sides.map(|side| side.ids),
+            facts,
             start,
             owned: Vec::new(),
             owned_at: Vec::new(),
@@ -432,51 +443,109 @@ impl AtomPlan {
         matches
     }
 
+    /// The projection of the matching fact `id` past its first two
+    /// elements.
+    fn rest<'d>(&'d self, db: &'d Database, id: FactId) -> impl Iterator<Item = Elem> + 'd {
+        let rest = self.key.get(2..).unwrap_or_default();
+        rest.iter().map(move |&i| db.fact(id).tuple()[i])
+    }
+
     /// The projection of `fact`, which matches the atom, against `key`.
     fn cmp_key(&self, fact: FactRef<'_>, key: &[Elem]) -> Ordering {
         self.key.iter().map(|&i| &fact.tuple()[i]).cmp(key)
     }
 }
 
-/// The facts matching one atom, sorted by `(projection, id)`, with the
-/// projections stored flat, `width` elements each.
-struct SortedSide {
-    ids: Vec<FactId>,
-    keys: Vec<Elem>,
-    width: usize,
+/// One match of an atom: the first two elements of its projection, read
+/// as one word whose order is theirs (an [`Elem`] orders by its id), and
+/// the fact's id. Twelve bytes, so a side's records take no more room
+/// than an index, an id and a one-element key each.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Record {
+    prefix: [u32; 2],
+    id: FactId,
 }
 
-impl SortedSide {
-    fn of(plan: &AtomPlan, db: &Database) -> SortedSide {
-        let width = plan.key.len();
-        let (mut ids, mut keys) = (Vec::new(), Vec::new());
-        for (id, fact) in db.facts() {
-            if plan.project(fact, &mut keys) {
-                ids.push(id);
-            }
+impl Record {
+    fn prefix(self) -> u64 {
+        (self.prefix[0] as u64) << 32 | self.prefix[1] as u64
+    }
+}
+
+impl Ord for Record {
+    fn cmp(&self, other: &Record) -> Ordering {
+        (self.prefix(), self.id).cmp(&(other.prefix(), other.id))
+    }
+}
+
+impl PartialOrd for Record {
+    fn partial_cmp(&self, other: &Record) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// The facts matching one atom, sorted by `(projection, id)`. The packed
+/// prefix settles most comparisons; a key wider than two columns reads
+/// the rest off the fact.
+struct SortedSide<'d> {
+    plan: &'d AtomPlan,
+    db: &'d Database,
+    recs: Vec<Record>,
+}
+
+impl<'d> SortedSide<'d> {
+    /// Collect one record per match and sort them: by prefix and id, then,
+    /// for a key wider than two columns, each run of one prefix again by
+    /// the remaining columns and id.
+    fn of(plan: &'d AtomPlan, db: &'d Database) -> SortedSide<'d> {
+        let mut recs: Vec<Record> = db
+            .facts()
+            .filter(|&(_, fact)| plan.matches(fact))
+            .map(|(id, fact)| {
+                let mut prefix = [0; 2];
+                for (p, &i) in prefix.iter_mut().zip(&*plan.key) {
+                    *p = fact.tuple()[i].id();
+                }
+                Record { prefix, id }
+            })
+            .collect();
+        recs.sort_unstable();
+        let mut i = 0;
+        while plan.key.len() > 2 && i < recs.len() {
+            let prefix = recs[i].prefix;
+            let end = i + recs[i..].partition_point(|r| r.prefix == prefix);
+            recs[i..end].sort_unstable_by(|x, y| {
+                plan.rest(db, x.id)
+                    .cmp(plan.rest(db, y.id))
+                    .then(x.id.cmp(&y.id))
+            });
+            i = end;
         }
-        let key = |i: u32| &keys[i as usize * width..(i as usize + 1) * width];
-        // Ids are pushed ascending, so the index breaks key ties by id.
-        let mut order: Vec<u32> = (0..ids.len() as u32).collect();
-        if width > 0 {
-            order.sort_unstable_by(|&i, &j| key(i).cmp(key(j)).then(i.cmp(&j)));
-        }
-        SortedSide {
-            ids: order.iter().map(|&i| ids[i as usize]).collect(),
-            keys: order.iter().flat_map(|&i| key(i)).copied().collect(),
-            width,
-        }
+        SortedSide { plan, db, recs }
     }
 
-    fn key(&self, i: usize) -> &[Elem] {
-        &self.keys[i * self.width..(i + 1) * self.width]
+    /// Record `i`'s projection against record `j`'s of `other`.
+    fn cmp(&self, i: usize, other: &SortedSide<'_>, j: usize) -> Ordering {
+        let (x, y) = (self.recs[i], other.recs[j]);
+        x.prefix().cmp(&y.prefix()).then_with(|| {
+            self.plan
+                .rest(self.db, x.id)
+                .cmp(other.plan.rest(other.db, y.id))
+        })
     }
 
     /// The end of the run of equal keys starting at `i`.
     fn run_end(&self, i: usize) -> usize {
-        (i + 1..self.ids.len())
-            .find(|&j| self.key(j) != self.key(i))
-            .unwrap_or(self.ids.len())
+        (i + 1..self.recs.len())
+            .find(|&j| self.cmp(i, self, j).is_ne())
+            .unwrap_or(self.recs.len())
+    }
+
+    /// The ids in record order, in the records' own allocation.
+    fn into_ids(self) -> Vec<FactId> {
+        let mut ids: Vec<FactId> = self.recs.into_iter().map(|r| r.id).collect();
+        ids.shrink_to_fit();
+        ids
     }
 }
 

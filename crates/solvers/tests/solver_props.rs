@@ -41,14 +41,16 @@ fn q6_db_strategy() -> impl Strategy<Value = Database> {
 
 /// The query of a join case, drawn by `shape`: sharing from none to
 /// total, repeated variables, or the most-shared of 16 wide queries whose
-/// `B` only reuses `A`'s variables (three shared variables are otherwise
-/// rare). Cases thus range over 0–3 shared variables, where none is a
-/// cross product. Arity stays at most 3; some queries are self-join-free.
+/// `B` only reuses `A`'s variables (three or four shared variables are
+/// otherwise rare). Cases thus range over 0–4 shared variables, where
+/// none is a cross product and three or four make the join key wider
+/// than its packed two-column prefix. Arity stays at most 4; some queries
+/// are self-join-free.
 fn join_query(seed: u64, shape: u8) -> Query {
     let mut rng = StdRng::seed_from_u64(seed);
     let d = QueryGenConfig {
         min_arity: 1,
-        max_arity: 3,
+        max_arity: 4,
         pool: 5,
         spelling: false,
         ..QueryGenConfig::default()
@@ -99,7 +101,7 @@ fn join_facts(q: &Query, rows: &[(u8, Vec<u8>)]) -> Vec<Fact> {
 }
 
 fn join_rows(max: usize) -> impl Strategy<Value = Vec<(u8, Vec<u8>)>> {
-    proptest::collection::vec((0u8..2, proptest::collection::vec(0u8..3, 3)), 0..max)
+    proptest::collection::vec((0u8..2, proptest::collection::vec(0u8..3, 4)), 0..max)
 }
 
 fn join_case() -> impl Strategy<Value = (Query, Database)> {
@@ -357,9 +359,9 @@ proptest! {
 fn join_queries_cover_every_shape() {
     let queries: Vec<Query> = (0..64u64).map(|s| join_query(s, s as u8)).collect();
     let shared: BTreeSet<usize> = queries.iter().map(|q| q.shared_vars().len()).collect();
-    assert_eq!(shared, (0..=3).collect::<BTreeSet<_>>());
+    assert_eq!(shared, (0..=4).collect::<BTreeSet<_>>());
     let repeats = |q: &Query| [q.a(), q.b()].iter().any(|a| a.vars().len() < a.arity());
     assert!(queries.iter().any(repeats));
-    assert!(queries.iter().any(|q| q.signature().arity() == 3));
+    assert!(queries.iter().any(|q| q.signature().arity() == 4));
     assert!(queries.iter().any(|q| q.is_self_join()) && queries.iter().any(|q| !q.is_self_join()));
 }
