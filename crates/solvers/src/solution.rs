@@ -541,7 +541,7 @@ impl<'d> SortedSide<'d> {
             .unwrap_or(self.recs.len())
     }
 
-    /// The ids in record order, in the records' own allocation.
+    /// The ids in record order, sized to fit.
     fn into_ids(self) -> Vec<FactId> {
         let mut ids: Vec<FactId> = self.recs.into_iter().map(|r| r.id).collect();
         ids.shrink_to_fit();
