@@ -19,13 +19,13 @@
 //! a borrowed [`FactRef`] into the columns. A block keeps up to four
 //! member ids inline (the common case by far) and a longer member list
 //! in a side map. The two hash indexes — facts by their tuple, blocks by
-//! their key — map a keyed 64-bit hash to an id and check every hit
-//! against the columns (a block through one of its facts), so they hold
-//! integers only and never hash a tuple twice. Their hash keys are drawn
-//! per database and cloned with it.
+//! their key — hold one 8-byte word per id, tagged with the top half of
+//! a keyed 64-bit hash, and check every tag hit against the columns (a
+//! block through one of its facts), so they never hash a tuple twice.
+//! Their hash keys are drawn per database and cloned with it.
 //!
 //! Versions share storage. The id-indexed columns are chunked and the
-//! hash indexes sharded, each piece behind an `Arc` and written
+//! hash indexes split into pieces, each piece behind an `Arc` and written
 //! copy-on-write (the `store` module), so a clone copies piece pointers
 //! (and each column's short append tail) and a delta applied to the
 //! clone copies only the pieces it writes. A live update therefore costs
@@ -163,9 +163,9 @@ impl DeltaReport {
 /// setting has a single relation `R`, and its Section 4 detour uses two
 /// relations `R1`, `R2` *of the same signature*.
 ///
-/// `Clone` is cheap: it copies chunk and shard pointers (and each
-/// column's append tail of under 256 rows), and the clone and the
-/// original share every chunk and shard until one of them writes to it.
+/// `Clone` is cheap: it copies chunk, shard and index-piece pointers (and
+/// each column's append tail of under 256 rows), and the clone and the
+/// original share every such piece until one of them writes to it.
 #[derive(Clone)]
 pub struct Database {
     sig: Signature,
@@ -536,13 +536,13 @@ impl Database {
     /// the signature.
     ///
     /// Per fact slot it counts the fact's relation and elements in the
-    /// columns, its `fact_block` entry, and its fact-index entry (a hash
-    /// and an id in the table, and a next link); per block slot, the
-    /// inline member record and its key-index entry; per block of more
-    /// than four facts, its spilled member list and that list's map
-    /// entry. The global element interner is shared by every database of
-    /// the process, so it is deliberately *not* attributed here. Versions
-    /// of a live database share the chunks and shards they have not
+    /// columns, its `fact_block` entry, and its fact-index entry (one
+    /// word in the table); per block slot, the inline member record and
+    /// its key-index entry; per block of more than four facts, its
+    /// spilled member list and that list's map entry. The global element
+    /// interner is shared by every database of the process, so it is
+    /// deliberately *not* attributed here. Versions
+    /// of a live database share the chunks and pieces they have not
     /// written, but each version counts every piece in full: the figure
     /// is an upper bound on what dropping the version alone would free,
     /// so a memory budget that sums it over resident sessions errs on the
@@ -560,7 +560,7 @@ impl Database {
     /// [`Database::approx_bytes`]'s figures per fact slot and per block
     /// slot.
     fn slot_bytes(&self) -> (usize, usize) {
-        let index_entry = table_bytes(size_of::<(u64, u32)>()) + size_of::<u32>();
+        let index_entry = INDEX_WORD_BYTES;
         let per_fact = size_of::<RelId>()
             + self.sig.arity() * size_of::<Elem>()
             + size_of::<BlockId>()
@@ -613,6 +613,10 @@ impl Database {
 const fn table_bytes(entry: usize) -> usize {
     (entry + 1) * 3 / 2
 }
+
+/// Footprint of one id-index entry: an 8-byte word over an average load
+/// of 9/16 (the tables double at 3/4 full, which leaves them 3/8 full).
+const INDEX_WORD_BYTES: usize = size_of::<u64>() * 16 / 9;
 
 impl fmt::Debug for Database {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -839,7 +843,7 @@ mod tests {
     }
 
     /// `(pieces shared with other, pieces in total)` over every chunked
-    /// column and sharded index of `db`.
+    /// column, sharded map and id index of `db`.
     fn sharing(db: &Database, other: &Database) -> (usize, usize) {
         let shared = db.facts.rels.shared_with(&other.facts.rels)
             + db.facts.elems.shared_with(&other.facts.elems)
@@ -866,16 +870,15 @@ mod tests {
                 .insert(Fact::r(vec![Elem::int(i / 2), Elem::int(i)]))
                 .unwrap();
         }
-        // The first delta on a clone splits each index into shards (once);
+        // The first delta on a clone splits each index into pieces (once);
         // its result is the version every later delta shares with.
         let mut base = loaded.clone();
         base.apply_delta(&[Fact::r(vec![Elem::int(-1), Elem::int(-1)])], &[])
             .unwrap();
-        // A clone shares every sealed chunk and every shard; only the
-        // six columns' unsealed tails (the two id indexes' next links
-        // among them) are its own copies.
+        // A clone shares every sealed chunk, shard and index piece; only
+        // the four columns' unsealed tails are its own copies.
         let (shared, total) = sharing(&base.clone(), &base);
-        assert_eq!(shared + 6, total);
+        assert_eq!(shared + 4, total);
         assert!(total > 100, "10^4 facts span many pieces ({total})");
         // Retract from an existing block, insert into an existing block,
         // open a fresh block: each writes a bounded set of pieces.
@@ -890,11 +893,11 @@ mod tests {
             let mut next = base.clone();
             let report = next.apply_delta(&ins, &ret).unwrap();
             assert!(!report.is_noop());
-            // Beyond the six tails, at most three written pieces: an
-            // index shard, a member chunk and a block-id chunk.
+            // Beyond the four tails, at most three written pieces: index
+            // pieces, a member chunk and a block-id chunk.
             let (shared, total) = sharing(&next, &base);
             assert!(
-                total - shared <= 6 + 3,
+                total - shared <= 4 + 3,
                 "a one-fact delta copied {} of {total} pieces",
                 total - shared
             );
@@ -911,18 +914,18 @@ mod tests {
     fn approx_bytes_pins_the_layout() {
         // [2, 1] on a 64-bit target. Per fact slot: a 2-byte relation,
         // two 4-byte elements, a 4-byte block id, and a fact-index entry
-        // (a 16-byte hash and id at 2/3 load, 25 bytes, plus a 4-byte next
-        // link). Per block slot: the 20-byte inline member record and a
-        // key-index entry of 29 bytes. A layout change must update both.
+        // (one 8-byte word at 9/16 load, 14 bytes). Per block slot: the
+        // 20-byte inline member record and a key-index entry of 14 bytes.
+        // A layout change must update both.
         let db = db_2_1(&[["a", "1"]]);
-        assert_eq!(db.slot_bytes(), (2 + 8 + 4 + 29, 20 + 29));
-        assert_eq!(db.approx_bytes(), 43 + 49);
+        assert_eq!(db.slot_bytes(), (2 + 8 + 4 + 14, 20 + 14));
+        assert_eq!(db.approx_bytes(), 28 + 34);
         let db = db_2_1(&[["a", "1"], ["a", "2"], ["b", "1"]]);
-        assert_eq!(db.approx_bytes(), 3 * 43 + 2 * 49);
+        assert_eq!(db.approx_bytes(), 3 * 28 + 2 * 34);
         // A fifth member spills the block's list: its map entry (49
         // bytes at 2/3 load), an allocator header, and 6 bytes per id.
         let db = db_2_1(&[["a", "1"], ["a", "2"], ["a", "3"], ["a", "4"], ["a", "5"]]);
-        assert_eq!(db.approx_bytes(), 5 * 43 + 49 + (49 + 16) + 5 * 6);
+        assert_eq!(db.approx_bytes(), 5 * 28 + 34 + (49 + 16) + 5 * 6);
     }
 
     #[test]
@@ -965,7 +968,7 @@ mod tests {
     }
 
     /// A database whose two indexes hash every fact and every key to one
-    /// value, so every lookup walks one collision chain.
+    /// value, so every lookup walks one probe run of equal tags.
     fn colliding(sig: Signature) -> Database {
         Database::with_hasher(sig, IndexHasher::constant())
     }
@@ -982,7 +985,7 @@ mod tests {
         assert!(db.key_equal(a1, a2) && !db.key_equal(a1, b1));
         assert_eq!(db.id_of(&f("b", "1")), Some(b1));
         assert!(!db.contains(&f("b", "2")));
-        // Retract from the middle of the fact chain, and empty b's block.
+        // Retract from the middle of the fact run, and empty b's block.
         let base = db.clone();
         let rep = db.apply_delta(&[], &[f("a", "2"), f("b", "1")]).unwrap();
         assert_eq!(rep.retracted, vec![a2, b1]);
@@ -1080,8 +1083,8 @@ mod tests {
     }
 
     /// Random deltas (with every earlier version kept and re-checked)
-    /// against the model, under the real hash and under one collision
-    /// chain.
+    /// against the model, under the real hash and under one hash shared
+    /// by every fact and key.
     fn delta_chain_matches_the_model(hasher: fn() -> IndexHasher, seed: u64) {
         let sig = Signature::new(3, 1).unwrap();
         let mut rng = Rng(seed);

@@ -20,17 +20,19 @@
 //! when they transport facts from one database into another.
 //!
 //! ### Storage
-//! Each payload is stored once, in its shard's slot table; a name lives
-//! in one `Arc<str>`, so interning a new name costs one allocation and
-//! re-interning a known one (the common case when a fact file is loaded)
-//! costs none: [`Elem::named`] looks the name up as a borrowed `&str`.
-//! A shard finds a payload's slot through the same id index the
-//! databases use: a keyed 64-bit hash of the payload maps to the slot,
-//! and every hit is checked against the slot itself. So a payload is
-//! hashed once per intern call, hit or miss, and a growing index moves
-//! integers without hashing any name again. Integer and pair payloads
-//! are a few bytes inline; fresh elements are never looked up by
-//! payload, so they have a slot and no index entry.
+//! Each payload is stored once, in its shard's table of 16-byte slots.
+//! A name's slot is a byte range of the shard's name arena, one `Vec<u8>`
+//! holding every name back to back, so interning a new name appends its
+//! bytes and allocates nothing of its own, and re-interning a known one
+//! (the common case when a fact file is loaded) allocates nothing:
+//! [`Elem::named`] looks the name up as a borrowed `&str`. A shard finds
+//! a payload's slot through the same id index the databases use: one
+//! 8-byte word per slot, tagged with the top half of a keyed 64-bit hash
+//! of the payload, and every tag hit is checked against the payload
+//! itself. So a payload is hashed once per intern call, hit or miss, and
+//! a growing index moves words without hashing any name again. Integer
+//! and pair payloads sit in the slot; fresh elements are never looked up
+//! by payload, so they have a slot and no index entry.
 //!
 //! ### Concurrency
 //! The store is **sharded**: an element's payload hash picks one of
@@ -42,16 +44,17 @@
 //! not serialise on a single global lock. Within a shard, interning
 //! takes a read lock first and only upgrades to a write lock on a miss,
 //! so the steady state (mostly re-interning known elements) is
-//! read-lock-only. Reading a payload clones its slot (for a name, an
-//! `Arc` count increment) and releases the lock before the caller uses
-//! it, so rendering a pair never holds one shard's lock while it takes
+//! read-lock-only. Reading a payload copies it (a name into a new
+//! `String`, or onto the stack when it is short and only rendered) and
+//! releases the lock before the caller uses it, so
+//! rendering a pair never holds one shard's lock while it takes
 //! another's. The `&'static` store itself sits behind a `OnceLock`, so
 //! reaching it is a lock-free atomic load after initialisation.
 
 use crate::store::{shard_index, IdIndex, IndexHasher};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{OnceLock, RwLock};
 
 /// An interned domain element. Cheap to copy and compare; the payload lives
 /// in the global store and can be recovered with [`Elem::data`].
@@ -76,11 +79,11 @@ pub enum ElemData {
 const SHARD_BITS: u32 = 4;
 const SHARDS: usize = 1 << SHARD_BITS;
 
-/// A stored payload: [`ElemData`] with the name behind an `Arc`, so a
-/// reader clones a count, not the name.
-#[derive(Clone, PartialEq, Eq, Hash)]
+/// A stored payload: [`ElemData`] with a name as its byte range in the
+/// shard's `names` arena. Sixteen bytes, and `Copy`.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 enum Slot {
-    Named(Arc<str>),
+    Named { start: u32, end: u32 },
     Int(i64),
     Pair(Elem, Elem),
     Fresh(u64),
@@ -91,10 +94,63 @@ enum Slot {
 /// handle `i << SHARD_BITS | s`.
 #[derive(Default)]
 struct Shard {
-    slots: Vec<Slot>,
+    payloads: Payloads,
     /// Every slot has an id here; named, integer and pair slots are
     /// indexed by their payload hash.
     index: IdIndex,
+}
+
+/// A shard's slots, and the bytes of every name one after another.
+#[derive(Default)]
+struct Payloads {
+    slots: Vec<Slot>,
+    names: Vec<u8>,
+}
+
+impl Payloads {
+    /// The name of a [`Slot::Named`] slot.
+    fn name(&self, start: u32, end: u32) -> &[u8] {
+        &self.names[start as usize..end as usize]
+    }
+
+    /// Whether local slot `i` holds exactly `payload`.
+    fn holds(&self, i: u32, payload: Payload<'_>) -> bool {
+        match (self.slots[i as usize], payload) {
+            (Slot::Named { start, end }, Payload::Name(name)) => {
+                self.name(start, end) == name.as_bytes()
+            }
+            (slot, Payload::Atom(atom)) => slot == atom,
+            _ => false,
+        }
+    }
+
+    /// Append `payload`'s slot, copying a name into the arena.
+    fn push(&mut self, payload: Payload<'_>) {
+        let slot = match payload {
+            Payload::Name(name) => {
+                let offset = |n: usize| {
+                    u32::try_from(n).expect("element store exhausted (shard names over 4 GiB)")
+                };
+                let start = self.names.len();
+                let slot = Slot::Named {
+                    start: offset(start),
+                    end: offset(start + name.len()),
+                };
+                self.names.extend_from_slice(name.as_bytes());
+                slot
+            }
+            Payload::Atom(atom) => atom,
+        };
+        self.slots.push(slot);
+    }
+}
+
+/// A payload to intern, borrowed: a name, or an [`Slot::Int`] or
+/// [`Slot::Pair`] atom.
+#[derive(Clone, Copy)]
+enum Payload<'a> {
+    Name(&'a str),
+    Atom(Slot),
 }
 
 fn handle(local: u32, s: usize) -> Elem {
@@ -126,61 +182,83 @@ impl Store {
         self.shards[s].write().expect("interner lock poisoned")
     }
 
-    /// The element whose slot `is` accepts, found by the payload's
-    /// `hash`, or else a new one whose slot `make` builds.
-    fn intern(&self, hash: u64, is: impl Fn(&Slot) -> bool, make: impl FnOnce() -> Slot) -> Elem {
+    /// The element holding `payload`, or else a new one.
+    fn intern(&self, payload: Payload<'_>) -> Elem {
+        let hash = match payload {
+            Payload::Name(name) => self.hasher.hash(name),
+            Payload::Atom(atom) => self.hasher.hash(&atom),
+        };
         // The bits a shard map picks its shard by, which the shard's own
-        // index does not read.
+        // index reads only mixed with the rest of the tag.
         let s = shard_index(hash, SHARD_BITS);
         // Fast path: the payload is already interned (read lock only).
         {
             let shard = self.read(s);
-            if let Some(local) = shard.index.find(hash, |i| is(&shard.slots[i as usize])) {
+            let found = shard.index.find(hash, |i| shard.payloads.holds(i, payload));
+            if let Some(local) = found {
                 return handle(local, s);
             }
         }
         // Slow path: look again under the write lock (another thread may
         // have interned the same payload between the two acquisitions).
         let mut shard = self.write(s);
-        let Shard { slots, index } = &mut *shard;
-        let (local, new) = index.find_or_push(hash, |i| is(&slots[i as usize]));
+        let Shard { payloads, index } = &mut *shard;
+        let (local, new) = index.find_or_push(hash, |i| payloads.holds(i, payload));
         let e = handle(local, s);
         if new {
-            slots.push(make());
+            payloads.push(payload);
         }
+        debug_assert_eq!(payloads.slots.len(), index.ids(), "one slot per id");
         e
-    }
-
-    fn intern_name(&self, name: &str) -> Elem {
-        self.intern(
-            self.hasher.hash(name),
-            |slot| matches!(slot, Slot::Named(n) if **n == *name),
-            || Slot::Named(Arc::from(name)),
-        )
-    }
-
-    /// Intern an [`Slot::Int`] or [`Slot::Pair`] payload.
-    fn intern_atom(&self, atom: Slot) -> Elem {
-        self.intern(
-            self.hasher.hash(&atom),
-            |slot| *slot == atom,
-            || atom.clone(),
-        )
     }
 
     fn fresh(&self, n: u64) -> Elem {
         let s = n as usize & (SHARDS - 1);
         let mut shard = self.write(s);
         let e = handle(shard.index.push_unindexed(), s);
-        shard.slots.push(Slot::Fresh(n));
+        shard.payloads.slots.push(Slot::Fresh(n));
         e
     }
 
-    /// A clone of `e`'s slot, taken under the shard's read lock, which is
-    /// released on return.
-    fn slot(&self, e: Elem) -> Slot {
-        self.read((e.0 & (SHARDS as u32 - 1)) as usize).slots[(e.0 >> SHARD_BITS) as usize].clone()
+    /// `e`'s payload, copied out under the shard's read lock, which is
+    /// released on return: a name that fits `buf` into `buf`, any other
+    /// name into a new `String`.
+    fn copy<'b>(&self, e: Elem, buf: &'b mut [u8]) -> Copied<'b> {
+        let shard = self.read((e.0 & (SHARDS as u32 - 1)) as usize);
+        let payloads = &shard.payloads;
+        Copied::Data(match payloads.slots[(e.0 >> SHARD_BITS) as usize] {
+            Slot::Named { start, end } => {
+                let name = payloads.name(start, end);
+                if let Some(buf) = buf.get_mut(..name.len()) {
+                    buf.copy_from_slice(name);
+                    return Copied::Short(utf8(buf));
+                }
+                ElemData::Named(utf8(name).to_owned())
+            }
+            Slot::Int(v) => ElemData::Int(v),
+            Slot::Pair(a, b) => ElemData::Pair(a, b),
+            Slot::Fresh(n) => ElemData::Fresh(n),
+        })
     }
+
+    fn data(&self, e: Elem) -> ElemData {
+        match self.copy(e, &mut []) {
+            Copied::Short(name) => ElemData::Named(name.to_owned()),
+            Copied::Data(data) => data,
+        }
+    }
+}
+
+/// A payload copied out of the store by [`Store::copy`].
+enum Copied<'b> {
+    /// A name, in the caller's buffer.
+    Short(&'b str),
+    Data(ElemData),
+}
+
+/// Names are stored from `&str`, so their bytes are UTF-8.
+fn utf8(name: &[u8]) -> &str {
+    std::str::from_utf8(name).expect("names are UTF-8")
 }
 
 fn store() -> &'static Store {
@@ -191,19 +269,20 @@ fn store() -> &'static Store {
 static FRESH_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 impl Elem {
-    /// Intern a named constant. Allocates only when the name is new.
+    /// Intern a named constant. A known name is found with no allocation;
+    /// a new one is appended to its shard's name arena.
     pub fn named(name: impl AsRef<str>) -> Elem {
-        store().intern_name(name.as_ref())
+        store().intern(Payload::Name(name.as_ref()))
     }
 
     /// Intern an integer constant.
     pub fn int(v: i64) -> Elem {
-        store().intern_atom(Slot::Int(v))
+        store().intern(Payload::Atom(Slot::Int(v)))
     }
 
     /// Intern the ordered pair `⟨fst, snd⟩`.
     pub fn pair(fst: Elem, snd: Elem) -> Elem {
-        store().intern_atom(Slot::Pair(fst, snd))
+        store().intern(Payload::Atom(Slot::Pair(fst, snd)))
     }
 
     /// Create a fresh element distinct from every element created so far and
@@ -214,12 +293,7 @@ impl Elem {
 
     /// A clone of this element's payload (a new `String` for a name).
     pub fn data(self) -> ElemData {
-        match store().slot(self) {
-            Slot::Named(s) => ElemData::Named(s.to_string()),
-            Slot::Int(v) => ElemData::Int(v),
-            Slot::Pair(a, b) => ElemData::Pair(a, b),
-            Slot::Fresh(n) => ElemData::Fresh(n),
-        }
+        store().data(self)
     }
 
     /// The raw interner handle. Only meaningful within one process. The low
@@ -252,13 +326,16 @@ impl fmt::Debug for Elem {
 
 impl fmt::Display for Elem {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // The slot is a clone, so no lock is held while a pair renders its
-        // parts: a read lock taken again behind a waiting writer deadlocks.
-        match store().slot(*self) {
-            Slot::Named(s) => f.write_str(&s),
-            Slot::Int(v) => write!(f, "{v}"),
-            Slot::Pair(a, b) => write!(f, "⟨{a},{b}⟩"),
-            Slot::Fresh(n) => write!(f, "_f{n}"),
+        // The payload is a copy (a short name on the stack), so no lock
+        // is held while it is written or a pair renders its parts: a read
+        // lock taken again behind a waiting writer deadlocks.
+        let mut buf = [0; 64];
+        match store().copy(*self, &mut buf) {
+            Copied::Short(name) => f.write_str(name),
+            Copied::Data(ElemData::Named(name)) => f.write_str(&name),
+            Copied::Data(ElemData::Int(v)) => write!(f, "{v}"),
+            Copied::Data(ElemData::Pair(a, b)) => write!(f, "⟨{a},{b}⟩"),
+            Copied::Data(ElemData::Fresh(n)) => write!(f, "_f{n}"),
         }
     }
 }
@@ -328,6 +405,15 @@ mod tests {
     }
 
     #[test]
+    fn long_names_render_whole() {
+        let long = "n".repeat(63) + "⟩";
+        let e = Elem::named(&long);
+        assert_eq!(e.to_string(), long);
+        assert_eq!(e.data(), ElemData::Named(long.clone()));
+        assert_eq!(Elem::named("").to_string(), "");
+    }
+
+    #[test]
     fn fresh_from_many_threads_stay_distinct() {
         let handles: Vec<_> = (0..8)
             .map(|_| std::thread::spawn(|| (0..100).map(|_| Elem::fresh()).collect::<Vec<_>>()))
@@ -343,28 +429,48 @@ mod tests {
     #[test]
     fn one_collision_chain_keeps_payloads_apart() {
         // A private store whose index hashes every payload alike: all of
-        // them share one shard and one collision chain.
+        // them share one shard, one tag and one probe run.
         let store = Store::new(IndexHasher::constant());
+        let int = |v| Payload::Atom(Slot::Int(v));
         let names: Vec<String> = (0..300).map(|i| format!("n{i}")).collect();
-        let named: Vec<Elem> = names.iter().map(|n| store.intern_name(n)).collect();
-        let ints: Vec<Elem> = (0..300).map(|i| store.intern_atom(Slot::Int(i))).collect();
+        let named: Vec<Elem> = names
+            .iter()
+            .map(|n| store.intern(Payload::Name(n)))
+            .collect();
+        let ints: Vec<Elem> = (0..300).map(|i| store.intern(int(i))).collect();
         let fresh = store.fresh(7);
-        let pair = store.intern_atom(Slot::Pair(named[0], ints[0]));
+        let pair = Payload::Atom(Slot::Pair(named[0], ints[0]));
+        let paired = store.intern(pair);
         let all: std::collections::HashSet<Elem> = named
             .iter()
             .chain(&ints)
-            .chain([&fresh, &pair])
+            .chain([&fresh, &paired])
             .copied()
             .collect();
         assert_eq!(all.len(), 602, "distinct payloads get distinct handles");
         for (i, name) in names.iter().enumerate() {
-            assert_eq!(store.intern_name(name), named[i]);
-            assert!(matches!(store.slot(named[i]), Slot::Named(n) if *n == **name));
+            assert_eq!(store.intern(Payload::Name(name)), named[i]);
+            assert_eq!(store.data(named[i]), ElemData::Named(name.clone()));
         }
         for i in 0..300 {
-            assert_eq!(store.intern_atom(Slot::Int(i)), ints[i as usize]);
+            assert_eq!(store.intern(int(i)), ints[i as usize]);
         }
-        assert_eq!(store.intern_atom(Slot::Pair(named[0], ints[0])), pair);
-        assert!(store.slot(fresh) == Slot::Fresh(7));
+        assert_eq!(store.intern(pair), paired);
+        assert_eq!(store.data(fresh), ElemData::Fresh(7));
+        // A name is a prefix of the next one in the arena; only its own
+        // range matches.
+        assert_ne!(
+            store.intern(Payload::Name("n1")),
+            store.intern(Payload::Name("n10"))
+        );
+        assert_eq!(
+            store.intern(Payload::Name("")),
+            store.intern(Payload::Name(""))
+        );
+    }
+
+    #[test]
+    fn slots_stay_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Slot>(), 16);
     }
 }

@@ -12,14 +12,13 @@
 //! version holds.
 //!
 //! An [`IdIndex`] finds a dense id (a fact, a block, an interned element)
-//! by a keyed 64-bit hash of what the id names. The index stores only
-//! integers: the hash and the id at the head of that hash's chain, plus
-//! one next link per id for the rare ids whose different payloads share
-//! a hash. The caller checks every candidate against its own column, so
-//! a hit is exact, and a map that grows moves integers without hashing
-//! any payload again.
+//! by a keyed 64-bit hash of what the id names. The index stores one
+//! 8-byte word per id: the hash's top 32 bits as a tag, and the id. The
+//! caller checks every candidate against its own column, so a hit is
+//! exact, and a table that grows moves words without hashing any
+//! payload again.
 
-use std::collections::hash_map::{Entry, HashMap, RandomState};
+use std::collections::hash_map::{HashMap, RandomState};
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::ops::Index;
 use std::sync::Arc;
@@ -230,16 +229,6 @@ impl<V> Default for ShardMap<V> {
     }
 }
 
-/// What [`ShardMap::edit`] does with a key's entry.
-enum Edit<V> {
-    /// Leave the map as it was.
-    Keep,
-    /// Store this value under the key.
-    Set(V),
-    /// Remove the key.
-    Remove,
-}
-
 impl<V: Clone> ShardMap<V> {
     pub(crate) fn len(&self) -> usize {
         self.len
@@ -247,39 +236,6 @@ impl<V: Clone> ShardMap<V> {
 
     pub(crate) fn get(&self, key: u64) -> Option<&V> {
         self.shards[shard_index(key, self.bits)].get(&key)
-    }
-
-    /// Probe `key` once and apply the [`Edit`] that `decide` returns for
-    /// its current value. A shard this version alone holds is probed once
-    /// through its `entry`; a shared one is read first, so an edit that
-    /// keeps the map as it was never copies it.
-    fn edit(&mut self, key: u64, decide: impl FnOnce(Option<&V>) -> Edit<V>) {
-        let s = shard_index(key, self.bits);
-        match Arc::get_mut(&mut self.shards[s]) {
-            Some(shard) => match shard.entry(key) {
-                Entry::Occupied(mut e) => match decide(Some(e.get())) {
-                    Edit::Keep => {}
-                    Edit::Set(v) => *e.get_mut() = v,
-                    Edit::Remove => {
-                        e.remove();
-                        self.len -= 1;
-                    }
-                },
-                Entry::Vacant(e) => {
-                    if let Edit::Set(v) = decide(None) {
-                        e.insert(v);
-                        self.len += 1;
-                    }
-                }
-            },
-            None => match decide(self.shards[s].get(&key)) {
-                Edit::Keep => {}
-                Edit::Set(v) => self.insert(key, v),
-                Edit::Remove => {
-                    self.remove(key);
-                }
-            },
-        }
     }
 
     /// Insert or overwrite, copying the key's shard first if another
@@ -308,15 +264,15 @@ impl<V: Clone> ShardMap<V> {
     }
 
     /// The shard `key` belongs in, after re-sharding if that shard is
-    /// shared and too large to copy whole. A shard that is large only
-    /// because the keys skew towards it (the shards are small on
-    /// average) is copied instead: re-sharding would not shrink it.
+    /// shared and too large to copy whole (see [`splits`]).
     fn writable_shard(&mut self, key: u64) -> &mut Arc<Shard<V>> {
         let shard = &self.shards[shard_index(key, self.bits)];
-        if shard.len() > SHARD_MAX
-            && Arc::strong_count(shard) > 1
-            && self.len >> self.bits > SHARD_MAX / 4
-        {
+        if splits(
+            shard.len(),
+            Arc::strong_count(shard) > 1,
+            self.len,
+            self.bits,
+        ) {
             self.reshard();
         }
         &mut self.shards[shard_index(key, self.bits)]
@@ -326,10 +282,7 @@ impl<V: Clone> ShardMap<V> {
     /// entries, moving the entries of shards this version alone holds
     /// and cloning the rest.
     fn reshard(&mut self) {
-        let mut bits = self.bits;
-        while self.len >> bits > SHARD_MAX / 4 {
-            bits += 1;
-        }
+        let bits = split_bits(self.len, self.bits);
         let mut shards: Vec<Shard<V>> = (0..1usize << bits)
             .map(|_| Shard::with_capacity_and_hasher(self.len >> bits, Default::default()))
             .collect();
@@ -366,6 +319,23 @@ impl<V: Clone> ShardMap<V> {
     }
 }
 
+/// Whether a write to a piece of `piece_len` entries (`shared` with
+/// another version) splits a structure of `len` entries in `2^bits`
+/// pieces first: the piece is too large to copy whole, and large not
+/// only because the keys skew towards it (the pieces are large on
+/// average, so splitting would shrink it).
+fn splits(piece_len: usize, shared: bool, len: usize, bits: u32) -> bool {
+    piece_len > SHARD_MAX && shared && len >> bits > SHARD_MAX / 4
+}
+
+/// The split that leaves `len` entries about `SHARD_MAX / 4` a piece.
+fn split_bits(len: usize, mut bits: u32) -> u32 {
+    while len >> bits > SHARD_MAX / 4 {
+        bits += 1;
+    }
+    bits
+}
+
 /// The shard of `key` among `2^bits`: key bits `32..32 + bits`.
 pub(crate) fn shard_index(key: u64, bits: u32) -> usize {
     ((key >> 32) & ((1 << bits) - 1)) as usize
@@ -378,7 +348,7 @@ pub(crate) fn shard_index(key: u64, bits: u32) -> usize {
 pub(crate) struct IndexHasher {
     keys: RandomState,
     /// Test-only: every value hashes to one constant, so every id of an
-    /// index sits on one collision chain.
+    /// index shares one tag and one probe run.
     #[cfg(test)]
     constant: bool,
 }
@@ -402,126 +372,238 @@ impl IndexHasher {
     }
 }
 
-/// The end of a collision chain in [`IdIndex::next`]; never an id.
-const END: u32 = u32::MAX;
+/// Spreads a tag over a table position: the top bits of the product
+/// depend on every bit of the tag.
+const MIX: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Words in the smallest non-empty [`Table`].
+const MIN_WORDS: usize = 8;
+
+/// One piece of an [`IdIndex`]: an open-addressing table of words
+/// `tag << 32 | (id + 1)`, where 0 marks an empty slot. A word sits in
+/// the run that starts at its tag's home (linear probing), and the table
+/// doubles before it gets more than 3/4 full, so every probe ends at an
+/// empty slot.
+#[derive(Clone, Debug, Default)]
+struct Table {
+    words: Box<[u64]>,
+    len: usize,
+}
+
+impl Table {
+    /// Where the probe for `tag` starts. The table is not empty.
+    fn home(&self, tag: u64) -> usize {
+        (tag.wrapping_mul(MIX) >> (64 - self.words.len().trailing_zeros())) as usize
+    }
+
+    /// The id of the first word of `tag` whose id `is` accepts, or else
+    /// the empty slot that ends the probe.
+    fn probe(&self, tag: u64, mut is: impl FnMut(u32) -> bool) -> Result<u32, usize> {
+        if self.words.is_empty() {
+            return Err(0);
+        }
+        let mask = self.words.len() - 1;
+        let mut at = self.home(tag);
+        loop {
+            match self.words[at] {
+                0 => return Err(at),
+                w if w >> 32 == tag && is(w as u32 - 1) => return Ok(w as u32 - 1),
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    /// Whether one more word keeps the table at most 3/4 full.
+    fn has_room(&self) -> bool {
+        (self.len + 1) * 4 <= self.words.len() * 3
+    }
+
+    /// Store `word` in the empty slot `at` that ends its tag's probe.
+    fn put(&mut self, at: usize, word: u64) {
+        self.words[at] = word;
+        self.len += 1;
+    }
+
+    /// Add `word`, doubling the table first if it has no room. Growing
+    /// re-places words by their tags alone.
+    fn insert(&mut self, word: u64) {
+        if !self.has_room() {
+            let words = (self.words.len() * 2).max(MIN_WORDS);
+            let old = std::mem::replace(&mut self.words, vec![0; words].into());
+            for &w in old.iter().filter(|&&w| w != 0) {
+                let at = self.vacancy(w >> 32);
+                self.words[at] = w;
+            }
+        }
+        let at = self.vacancy(word >> 32);
+        self.put(at, word);
+    }
+
+    /// The empty slot that ends the probe for `tag`.
+    fn vacancy(&self, tag: u64) -> usize {
+        let mask = self.words.len() - 1;
+        let mut at = self.home(tag);
+        while self.words[at] != 0 {
+            at = (at + 1) & mask;
+        }
+        at
+    }
+
+    /// Remove `word`, which the table holds. Later words of its run move
+    /// back into the hole unless their home lies past it, so every probe
+    /// still reaches its word with no tombstone on the way.
+    fn remove(&mut self, word: u64) {
+        let mask = self.words.len() - 1;
+        let mut hole = self.home(word >> 32);
+        while self.words[hole] != word {
+            hole = (hole + 1) & mask;
+        }
+        let mut at = hole;
+        loop {
+            at = (at + 1) & mask;
+            let w = self.words[at];
+            if w == 0 {
+                break;
+            }
+            if at.wrapping_sub(self.home(w >> 32)) & mask >= at.wrapping_sub(hole) & mask {
+                self.words[hole] = w;
+                hole = at;
+            }
+        }
+        self.words[hole] = 0;
+        self.len -= 1;
+    }
+}
+
+/// The piece of `tag` among `2^bits`: the tag's top `bits` bits, which
+/// a table's home reads only mixed with all the others.
+fn piece_of(tag: u64, bits: u32) -> usize {
+    (tag << bits >> 32) as usize
+}
 
 /// Dense ids `0, 1, 2, …` found by a 64-bit hash of what each id names.
 ///
-/// `heads` maps a hash to the last id pushed under it, and `next` links
-/// each id to the one pushed under the same hash before it, so ids whose
-/// payloads share a hash form one chain and every lookup takes the same
-/// path: one probe, then candidates until the caller's check accepts
-/// one. With keyed 64-bit hashes a chain holds one id outside
-/// adversarial tests. Both parts are copy-on-write.
-#[derive(Clone, Debug, Default)]
+/// An indexed id is one word, `tag << 32 | (id + 1)` with the hash's top
+/// 32 bits as its tag, in an open-addressing [`Table`]. Every lookup
+/// takes the same path: the tag picks a home, and the words of its run
+/// whose tag matches are candidates until the caller's check accepts
+/// one. Ids whose payloads share a tag share a run, so a tag hit is
+/// never trusted alone. Growing a table places words by their tags
+/// without hashing any payload again.
+///
+/// The table is split into `2^bits` pieces behind [`Arc`], chosen by the
+/// tag, with [`ShardMap`]'s policy: an index nobody shares stays one
+/// piece, and the first write that would copy a large shared piece
+/// splits the index, after which a write copies one small piece.
+#[derive(Clone, Debug)]
 pub(crate) struct IdIndex {
-    heads: ShardMap<u32>,
-    next: ChunkVec<u32>,
+    pieces: Vec<Arc<Table>>,
+    bits: u32,
+    /// Indexed ids, over all pieces.
+    len: usize,
+    /// Ids handed out so far, indexed or not.
+    ids: u32,
+}
+
+impl Default for IdIndex {
+    fn default() -> Self {
+        IdIndex {
+            pieces: vec![Arc::default()],
+            bits: 0,
+            len: 0,
+            ids: 0,
+        }
+    }
 }
 
 impl IdIndex {
     /// Ids handed out so far, indexed or not.
     pub(crate) fn ids(&self) -> usize {
-        self.next.len()
+        self.ids as usize
     }
 
-    /// The first id on `hash`'s chain that `is` accepts.
-    pub(crate) fn find(&self, hash: u64, mut is: impl FnMut(u32) -> bool) -> Option<u32> {
-        chain(&self.next, self.heads.get(hash).copied()).find(|&id| is(id))
+    /// The first id indexed under `hash`'s tag that `is` accepts.
+    pub(crate) fn find(&self, hash: u64, is: impl FnMut(u32) -> bool) -> Option<u32> {
+        let tag = hash >> 32;
+        self.pieces[piece_of(tag, self.bits)].probe(tag, is).ok()
     }
 
-    /// The id on `hash`'s chain that `is` accepts and `false`, or else a
-    /// new id (the next one, [`IdIndex::ids`]) pushed at the head of the
-    /// chain and `true`. One probe of the map either way.
+    /// The id under `hash`'s tag that `is` accepts and `false`, or else a
+    /// new id (the next one, [`IdIndex::ids`]) indexed under the tag and
+    /// `true`. An unshared piece with room is probed once either way.
     ///
     /// # Panics
     /// Panics when the id space is exhausted.
-    pub(crate) fn find_or_push(
-        &mut self,
-        hash: u64,
-        mut is: impl FnMut(u32) -> bool,
-    ) -> (u32, bool) {
-        let id = self.fresh_id();
-        let next = &mut self.next;
-        let mut found = None;
-        self.heads.edit(hash, |head| {
-            let head = head.copied();
-            found = chain(next, head).find(|&c| is(c));
-            if found.is_some() {
-                return Edit::Keep;
-            }
-            next.push(head.unwrap_or(END));
-            Edit::Set(id)
-        });
-        match found {
-            Some(old) => (old, false),
-            None => (id, true),
+    pub(crate) fn find_or_push(&mut self, hash: u64, is: impl FnMut(u32) -> bool) -> (u32, bool) {
+        let tag = hash >> 32;
+        let p = piece_of(tag, self.bits);
+        let vacancy = match self.pieces[p].probe(tag, is) {
+            Ok(id) => return (id, false),
+            Err(at) => at,
+        };
+        let id = self.push_unindexed();
+        let word = tag << 32 | u64::from(id + 1);
+        match Arc::get_mut(&mut self.pieces[p]) {
+            Some(table) if table.has_room() => table.put(vacancy, word),
+            _ => Arc::make_mut(self.writable(tag)).insert(word),
         }
+        self.len += 1;
+        (id, true)
     }
 
     /// A new id that no hash leads to.
+    ///
+    /// # Panics
+    /// Panics when the id space is exhausted.
     pub(crate) fn push_unindexed(&mut self) -> u32 {
-        let id = self.fresh_id();
-        self.next.push(END);
+        let id = self.ids;
+        // `id + 1` must fit a word's low half.
+        assert!(id < u32::MAX, "id space exhausted (2^32 - 1 ids)");
+        self.ids += 1;
         id
     }
 
-    /// Unlink and return the id on `hash`'s chain that `is` accepts. One
-    /// probe of the map; the id itself stays handed out.
-    pub(crate) fn take(&mut self, hash: u64, mut is: impl FnMut(u32) -> bool) -> Option<u32> {
-        let next = &mut self.next;
-        let mut taken = None;
-        self.heads.edit(hash, |head| {
-            let Some(&head) = head else {
-                return Edit::Keep;
-            };
-            if is(head) {
-                taken = Some(head);
-                return match next[head as usize] {
-                    END => Edit::Remove,
-                    after => Edit::Set(after),
-                };
-            }
-            let mut prev = head;
-            loop {
-                let id = next[prev as usize];
-                if id == END {
-                    break;
-                }
-                if is(id) {
-                    taken = Some(id);
-                    let after = next[id as usize];
-                    *next.get_mut(prev as usize) = after;
-                    break;
-                }
-                prev = id;
-            }
-            Edit::Keep
-        });
-        taken
+    /// Unindex and return the id under `hash`'s tag that `is` accepts;
+    /// the id itself stays handed out. A miss copies nothing.
+    pub(crate) fn take(&mut self, hash: u64, is: impl FnMut(u32) -> bool) -> Option<u32> {
+        let tag = hash >> 32;
+        let id = self.find(hash, is)?;
+        Arc::make_mut(self.writable(tag)).remove(tag << 32 | u64::from(id + 1));
+        self.len -= 1;
+        Some(id)
     }
 
-    fn fresh_id(&self) -> u32 {
-        u32::try_from(self.ids())
-            .ok()
-            .filter(|&id| id != END)
-            .expect("id space exhausted (2^32 - 1 ids)")
+    /// The piece `tag` belongs in, after splitting the index if that
+    /// piece is shared and too large to copy whole.
+    fn writable(&mut self, tag: u64) -> &mut Arc<Table> {
+        let piece = &self.pieces[piece_of(tag, self.bits)];
+        if splits(piece.len, Arc::strong_count(piece) > 1, self.len, self.bits) {
+            let bits = split_bits(self.len, self.bits);
+            let mut pieces = vec![Table::default(); 1 << bits];
+            for piece in std::mem::take(&mut self.pieces) {
+                for &w in piece.words.iter().filter(|&&w| w != 0) {
+                    pieces[piece_of(w >> 32, bits)].insert(w);
+                }
+            }
+            self.pieces = pieces.into_iter().map(Arc::new).collect();
+            self.bits = bits;
+        }
+        &mut self.pieces[piece_of(tag, self.bits)]
     }
 
     #[cfg(test)]
     pub(crate) fn shared_with(&self, other: &IdIndex) -> usize {
-        self.heads.shared_with(&other.heads) + self.next.shared_with(&other.next)
+        self.pieces
+            .iter()
+            .zip(&other.pieces)
+            .filter(|(a, b)| Arc::ptr_eq(a, b))
+            .count()
     }
 
     #[cfg(test)]
     pub(crate) fn pieces(&self) -> usize {
-        self.heads.pieces() + self.next.pieces()
+        self.pieces.len()
     }
-}
-
-/// The ids of the chain starting at `head`.
-fn chain(next: &ChunkVec<u32>, head: Option<u32>) -> impl Iterator<Item = u32> + '_ {
-    std::iter::successors(head, |&id| Some(next[id as usize]).filter(|&n| n != END))
 }
 
 #[cfg(test)]
@@ -612,33 +694,6 @@ mod tests {
     }
 
     #[test]
-    fn edit_copies_a_shared_shard_only_when_it_writes() {
-        let mut a = ShardMap::default();
-        a.edit(1, |v| {
-            assert_eq!(v, None);
-            Edit::Set(10)
-        });
-        a.edit(1, |v| {
-            assert_eq!(v, Some(&10));
-            Edit::Keep
-        });
-        let mut b = a.clone();
-        b.edit(1, |_| Edit::Keep);
-        b.edit(2, |_| Edit::Keep);
-        assert_eq!(
-            b.shared_with(&a),
-            1,
-            "a read-only edit leaves the shard shared"
-        );
-        b.edit(2, |_| Edit::Set(20));
-        assert_eq!(b.shared_with(&a), 0, "a write copies it");
-        assert_eq!((a.get(2), b.get(2)), (None, Some(&20)));
-        b.edit(1, |_| Edit::Remove);
-        assert_eq!((a.get(1), b.get(1)), (Some(&10), None));
-        assert_eq!((a.len(), b.len()), (1, 1));
-    }
-
-    #[test]
     fn shard_map_writes_copy_only_their_shard() {
         let mut a = ShardMap::default();
         for i in 0..8 * SHARD_MAX as u64 {
@@ -664,9 +719,9 @@ mod tests {
 
     #[test]
     fn id_index_chains_colliding_ids() {
-        // Ids 0..6 name the payloads 0..6; odd payloads collide on one
-        // hash, even ones on another.
-        let hash = |payload: u32| u64::from(payload % 2);
+        // Ids 0..6 name the payloads 0..6; odd payloads share one tag,
+        // even ones another.
+        let hash = |payload: u32| u64::from(payload % 2) << 32;
         let mut index = IdIndex::default();
         for p in 0..6 {
             assert_eq!(index.find_or_push(hash(p), |id| id == p), (p, true));
@@ -677,13 +732,13 @@ mod tests {
         }
         assert_eq!(index.find(hash(7), |id| id == 7), None);
         let snapshot = index.clone();
-        // Unlink the head, a middle id and the tail of the odd chain.
-        for p in [5, 3, 1] {
+        // Unindex the first, a middle and the last id of the odd run.
+        for p in [1, 3, 5] {
             assert_eq!(index.take(hash(p), |id| id == p), Some(p));
             assert_eq!(index.take(hash(p), |id| id == p), None);
             assert_eq!(index.find(hash(p), |id| id == p), None);
         }
-        assert_eq!(index.heads.len(), 1, "the emptied chain left the map");
+        assert_eq!(index.len, 3, "the odd ids left the table");
         for p in [0, 2, 4] {
             assert_eq!(index.find(hash(p), |id| id == p), Some(p));
         }
@@ -694,5 +749,129 @@ mod tests {
             assert_eq!(snapshot.find(hash(p), |id| id == p), Some(p));
         }
         assert_eq!(snapshot.ids(), 6);
+    }
+
+    #[test]
+    fn id_index_copies_a_shared_piece_only_when_it_writes() {
+        // Id 0 names payload 1, id 1 payload 2.
+        let hash = |payload: u64| spread(payload);
+        let mut a = IdIndex::default();
+        assert_eq!(a.find_or_push(hash(1), |_| false), (0, true));
+        let mut b = a.clone();
+        assert_eq!(b.find_or_push(hash(1), |id| id == 0), (0, false));
+        assert_eq!(b.find(hash(2), |_| true), None);
+        assert_eq!(b.take(hash(2), |_| true), None);
+        assert_eq!(
+            b.shared_with(&a),
+            1,
+            "a hit or a miss leaves the piece shared"
+        );
+        assert_eq!(b.find_or_push(hash(2), |_| false), (1, true));
+        assert_eq!(b.shared_with(&a), 0, "a write copies it");
+        assert_eq!((a.find(hash(2), |_| true), a.ids()), (None, 1));
+        assert_eq!(b.take(hash(1), |id| id == 0), Some(0));
+        assert_eq!(a.find(hash(1), |id| id == 0), Some(0));
+    }
+
+    #[test]
+    fn id_index_splits_on_the_first_shared_write() {
+        let hash = |payload: u32| spread(u64::from(payload));
+        let n = 20 * SHARD_MAX as u32;
+        let mut a = IdIndex::default();
+        for p in 0..n {
+            a.find_or_push(hash(p), |id| id == p);
+        }
+        assert_eq!(a.pieces(), 1, "an unshared index stays one piece");
+        let mut b = a.clone();
+        assert_eq!(b.find_or_push(hash(n), |id| id == n), (n, true));
+        assert!(b.pieces() > 1, "a shared write to a large piece splits it");
+        assert_eq!(a.pieces(), 1, "the original keeps its own piece");
+        let mut c = b.clone();
+        assert_eq!(c.take(hash(7), |id| id == 7), Some(7));
+        assert_eq!(
+            c.shared_with(&b),
+            c.pieces() - 1,
+            "a write copies one piece"
+        );
+        for p in 0..=n {
+            let want = |index: &IdIndex| (p < n || index.ids() > n as usize) && p != 7;
+            assert_eq!(a.find(hash(p), |id| id == p).is_some(), p < n);
+            assert_eq!(b.find(hash(p), |id| id == p), Some(p));
+            assert_eq!(c.find(hash(p), |id| id == p).is_some(), want(&c));
+        }
+    }
+
+    /// Random `find_or_push`, `take`, `find` and `clone` steps on an index
+    /// of `payloads` distinct payloads, each step checked against a
+    /// `HashMap`; every clone is re-checked at the end, untouched by the
+    /// steps its copies took.
+    fn id_index_matches_the_model(hasher: &IndexHasher, payloads: u32, steps: usize, seed: u64) {
+        let mut rng = seed;
+        let mut below = |n: u32| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % u64::from(n)) as u32
+        };
+        // An index, the payload of each id it handed out (`None`: no
+        // payload), and the model of what it indexes.
+        type Version = (IdIndex, Vec<Option<u32>>, HashMap<u32, u32>);
+        let check = |(index, named, model): &Version| {
+            assert_eq!(index.ids(), named.len());
+            assert_eq!(index.len, model.len());
+            for p in 0..payloads {
+                let found = index.find(hasher.hash(&p), |id| named[id as usize] == Some(p));
+                assert_eq!(found, model.get(&p).copied(), "payload {p}");
+            }
+        };
+        let mut kept: Vec<Version> = Vec::new();
+        let (mut index, mut named, mut model) = Version::default();
+        for step in 0..steps {
+            let p = below(payloads);
+            let hash = hasher.hash(&p);
+            let is = |id: u32| named[id as usize] == Some(p);
+            match below(16) {
+                0..=8 => {
+                    let (id, new) = index.find_or_push(hash, is);
+                    match model.get(&p) {
+                        Some(&old) => assert_eq!((id, new), (old, false)),
+                        None => {
+                            assert_eq!((id as usize, new), (named.len(), true));
+                            named.push(Some(p));
+                            model.insert(p, id);
+                        }
+                    }
+                }
+                9..=12 => assert_eq!(index.take(hash, is), model.remove(&p)),
+                13 => assert_eq!(index.find(hash, is), model.get(&p).copied()),
+                14 => {
+                    assert_eq!(index.push_unindexed() as usize, named.len());
+                    named.push(None);
+                }
+                _ => kept.push((index.clone(), named.clone(), model.clone())),
+            }
+            if step % 256 == 0 {
+                check(&(index.clone(), named.clone(), model.clone()));
+            }
+        }
+        kept.push((index, named, model));
+        kept.iter().for_each(check);
+    }
+
+    #[test]
+    fn id_index_matches_the_model_on_one_probe_run() {
+        for seed in [1, 2, 3] {
+            id_index_matches_the_model(&IndexHasher::constant(), 150, 2_000, seed);
+        }
+    }
+
+    #[test]
+    fn id_index_matches_the_model_under_the_real_hash() {
+        // Small payload ranges keep one tiny table that wraps its end
+        // often; the large one grows the table many times and, with
+        // clones around, splits it.
+        for (payloads, seed) in [(6, 1), (40, 2), (300, 3), (3_000, 4)] {
+            id_index_matches_the_model(&IndexHasher::default(), payloads, 12_000, seed);
+        }
     }
 }

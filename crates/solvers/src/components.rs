@@ -126,6 +126,12 @@ fn partition_pool(
 ) -> Option<Vec<Vec<BlockId>>> {
     let mut uf = UnionFind::new(pool.len());
     let mut in_support = vec![false; pool.len()];
+    // Each block slot's pool position plus one; 0 off the pool. Zeroed,
+    // so a small pool in a large database touches few of its pages.
+    let mut position = vec![0u32; db.block_slots()];
+    for (i, &b) in pool.iter().enumerate() {
+        position[b.idx()] = i as u32 + 1;
+    }
     for (i, &b) in pool.iter().enumerate() {
         if i % POLL_STRIDE == 0 && token.is_cancelled() {
             return None;
@@ -134,12 +140,9 @@ fn partition_pool(
             for g in solutions.groups_of(f) {
                 in_support[i] = true;
                 let some_fact = solutions.group(g).0[0];
-                match pool.binary_search(&db.block_of(some_fact)) {
-                    Ok(j) => {
-                        uf.union(i, j);
-                    }
-                    Err(_) => debug_assert!(false, "solution edge escapes the block pool"),
-                }
+                let j = position[db.block_of(some_fact).idx()];
+                debug_assert!(j > 0, "solution edge escapes the block pool");
+                uf.union(i, j as usize - 1);
             }
         }
     }

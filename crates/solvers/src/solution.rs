@@ -496,20 +496,24 @@ struct SortedSide<'d> {
 impl<'d> SortedSide<'d> {
     /// Collect one record per match and sort them: by prefix and id, then,
     /// for a key wider than two columns, each run of one prefix again by
-    /// the remaining columns and id.
+    /// the remaining columns and id. An empty key leaves the records in
+    /// id order, which is already sorted.
     fn of(plan: &'d AtomPlan, db: &'d Database) -> SortedSide<'d> {
-        let mut recs: Vec<Record> = db
-            .facts()
-            .filter(|&(_, fact)| plan.matches(fact))
-            .map(|(id, fact)| {
-                let mut prefix = [0; 2];
-                for (p, &i) in prefix.iter_mut().zip(&*plan.key) {
-                    *p = fact.tuple()[i].id();
-                }
-                Record { prefix, id }
-            })
-            .collect();
-        recs.sort_unstable();
+        let mut recs: Vec<Record> = Vec::with_capacity(db.len());
+        recs.extend(
+            db.facts()
+                .filter(|&(_, fact)| plan.matches(fact))
+                .map(|(id, fact)| {
+                    let mut prefix = [0; 2];
+                    for (p, &i) in prefix.iter_mut().zip(&*plan.key) {
+                        *p = fact.tuple()[i].id();
+                    }
+                    Record { prefix, id }
+                }),
+        );
+        if !plan.key.is_empty() {
+            recs.sort_unstable();
+        }
         let mut i = 0;
         while plan.key.len() > 2 && i < recs.len() {
             let prefix = recs[i].prefix;
@@ -534,8 +538,12 @@ impl<'d> SortedSide<'d> {
         })
     }
 
-    /// The end of the run of equal keys starting at `i`.
+    /// The end of the run of equal keys starting at `i`: the end of the
+    /// records when the key is empty.
     fn run_end(&self, i: usize) -> usize {
+        if self.plan.key.is_empty() {
+            return self.recs.len();
+        }
         (i + 1..self.recs.len())
             .find(|&j| self.cmp(i, self, j).is_ne())
             .unwrap_or(self.recs.len())
