@@ -499,6 +499,8 @@ impl<'d> SortedSide<'d> {
     /// the remaining columns and id. An empty key leaves the records in
     /// id order, which is already sorted.
     fn of(plan: &'d AtomPlan, db: &'d Database) -> SortedSide<'d> {
+        // Room for every live fact, so collecting never copies the
+        // records to grow; the unused tail is never written.
         let mut recs: Vec<Record> = Vec::with_capacity(db.len());
         recs.extend(
             db.facts()
