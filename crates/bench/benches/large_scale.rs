@@ -50,7 +50,7 @@
 //! Recorded medians live in `BASELINES.md`.
 
 use cqa::solvers::{
-    certain_combined, certk_view, support_partition, CancelToken, CertKConfig, DynamicComponents,
+    certain_combined, support_partition, CancelToken, CertKConfig, CertKScratch, DynamicComponents,
     SolutionSet,
 };
 use cqa::{AnsweredBy, CqaEngine, EngineConfig, RoutePolicy, SharedSession};
@@ -268,7 +268,7 @@ fn bench_certk_hub(c: &mut Criterion) {
             &view,
             |b, view| {
                 b.iter(|| {
-                    let run = certk_view(view, &solutions, cfg, &calm);
+                    let run = CertKScratch::default().certk_view(view, &solutions, cfg, &calm);
                     std::hint::black_box(run.expect("a calm token cannot cancel").0)
                 })
             },
@@ -276,7 +276,7 @@ fn bench_certk_hub(c: &mut Criterion) {
     }
     let db = large_q3_db(&cfg_for(1_000_000));
     let solutions = SolutionSet::enumerate(&q3, &db);
-    let partition = support_partition(&db, &solutions);
+    let partition = support_partition(&db, &solutions, &calm).expect("a calm token");
     g.throughput(Throughput::Elements(db.len() as u64));
     g.bench_with_input(
         BenchmarkId::new("chain-components", db.len()),

@@ -1,7 +1,7 @@
 //! E7: the matching-based algorithm on clique databases of growing size —
 //! near-linear in practice (components + Hopcroft–Karp).
 
-use cqa::solvers::certain_by_matching;
+use cqa::solvers::matching::analyze;
 use cqa_query::examples;
 use cqa_workloads::{q6_certk_hard, q6_triangle_grid};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -14,12 +14,12 @@ fn bench_matching(c: &mut Criterion) {
         let grid = q6_triangle_grid(n / 3);
         g.throughput(Throughput::Elements(grid.len() as u64));
         g.bench_with_input(BenchmarkId::new("grid", grid.len()), &grid, |b, db| {
-            b.iter(|| std::hint::black_box(certain_by_matching(&q6, db)))
+            b.iter(|| std::hint::black_box(!analyze(&q6, db).accepts))
         });
         let cyc = q6_certk_hard((n / 3).max(2));
         g.throughput(Throughput::Elements(cyc.len() as u64));
         g.bench_with_input(BenchmarkId::new("cycle", cyc.len()), &cyc, |b, db| {
-            b.iter(|| std::hint::black_box(certain_by_matching(&q6, db)))
+            b.iter(|| std::hint::black_box(!analyze(&q6, db).accepts))
         });
     }
     g.finish();

@@ -4,10 +4,10 @@
 //! regenerates and returns `true` when every invariant the paper claims
 //! held.
 
+use cqa::solvers::matching::analyze;
 use cqa::solvers::{
-    certain_brute, certain_brute_budgeted, certain_by_matching, certain_combined, certk,
-    certk_view, is_clique_database, BruteOutcome, CancelToken, CertKConfig, CertKOutcome,
-    CertKStats,
+    certain_brute, certain_brute_budgeted, certain_combined, certk, BruteOutcome, CancelToken,
+    CertKConfig, CertKOutcome, CertKScratch, CertKStats,
 };
 use cqa::tripath::{check_nice, search_tripaths, SearchConfig};
 use cqa::{classify, Complexity};
@@ -367,7 +367,7 @@ pub fn e6_certk_fails() -> bool {
         let c1 = cert_is(&q6, db, 1);
         let c2 = cert_is(&q6, db, 2);
         let c3 = cert_is(&q6, db, 3);
-        let m = certain_by_matching(&q6, db);
+        let m = !analyze(&q6, db).accepts;
         println!(
             "{:<22} {:>6} {:>8} {:>8} {:>8} {:>8} {:>10}",
             name,
@@ -407,11 +407,12 @@ pub fn e7_matching(trials: usize) -> bool {
     for _ in 0..trials {
         let db = random_db(&mut rng, &q6, &cfg);
         let brute = certain_brute(&q6, &db);
-        let m = certain_by_matching(&q6, &db);
+        let analysis = analyze(&q6, &db);
+        let m = !analysis.accepts;
         if !m || brute {
             sound += 1;
         }
-        if is_clique_database(&q6, &db) {
+        if analysis.is_clique_database {
             clique_dbs += 1;
             if m == brute {
                 exact += 1;
@@ -425,7 +426,7 @@ pub fn e7_matching(trials: usize) -> bool {
     for n in [30usize, 100, 300, 1000, 3000] {
         let db = q6_triangle_grid(n / 3);
         let t0 = Instant::now();
-        let m = certain_by_matching(&q6, &db);
+        let m = !analyze(&q6, &db).accepts;
         println!("{:>8} {:>8} {:>12}", db.len(), m, ms(t0.elapsed()));
     }
     sound == trials && exact == clique_dbs
@@ -607,7 +608,8 @@ pub fn e11_q7() -> bool {
 fn cert2_run(q: &cqa_query::Query, db: &cqa::model::Database) -> (CertKOutcome, CertKStats) {
     let sols = cqa::solvers::SolutionSet::enumerate(q, db);
     let cfg = CertKConfig::new(2);
-    certk_view(&db.full_view(), &sols, cfg, &CancelToken::new())
+    CertKScratch::default()
+        .certk_view(&db.full_view(), &sols, cfg, &CancelToken::new())
         .expect("a never-raised token cannot interrupt the fixpoint")
 }
 

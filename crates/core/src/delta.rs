@@ -125,7 +125,8 @@ impl QueryDeltaState {
         } else {
             let solutions =
                 solutions.unwrap_or_else(|| Arc::new(SolutionSet::enumerate(engine.query(), db)));
-            let partition = support_partition(db, &solutions);
+            let partition = support_partition(db, &solutions, &calm)
+                .expect("a never-raised token cannot cancel the partition");
             QueryDeltaState::components(engine, db, solutions, partition, &calm)
                 .expect("a never-raised token cannot cancel the solve")
         };

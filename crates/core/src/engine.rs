@@ -35,9 +35,9 @@ use crate::delta::QueryDeltaState;
 use cqa_model::{BlockId, Database};
 use cqa_query::Query;
 use cqa_solvers::{
-    certain_brute_over, decide_component, support_partition_cancellable, support_view,
-    BruteOutcome, CancelToken, CertKConfig, CertKScratch, CertKStats, ComponentVerdict,
-    ForcingBlocks, SolutionSet,
+    certain_brute_over, decide_component, support_partition, support_view, BruteOutcome,
+    CancelToken, CertKConfig, CertKScratch, CertKStats, ComponentVerdict, ForcingBlocks,
+    SolutionSet,
 };
 use cqa_tripath::SearchConfig;
 use std::collections::BTreeMap;
@@ -293,8 +293,8 @@ impl CqaEngine {
             RoutePolicy::Auto if db.len() >= routing.min_facts => routing.min_components,
             RoutePolicy::Auto => return Ok(None),
         };
-        let groups = support_partition_cancellable(db, solutions, token)
-            .ok_or_else(CancelledSolve::before_fixpoint)?;
+        let groups =
+            support_partition(db, solutions, token).ok_or_else(CancelledSolve::before_fixpoint)?;
         Ok(Some(groups).filter(|groups| groups.len() >= min_components))
     }
 

@@ -650,7 +650,8 @@ mod tests {
         let q3 = examples::q3();
         let config = EngineConfig::default().with_route(RoutePolicy::Component);
         let session = SharedSession::new(Arc::clone(&db), config);
-        let before = support_partition(&db, &SolutionSet::enumerate(&q3, &db));
+        let calm = CancelToken::new();
+        let before = support_partition(&db, &SolutionSet::enumerate(&q3, &db), &calm).unwrap();
         assert_eq!(before.len(), 3);
         session.certain(&q3);
 
@@ -658,7 +659,8 @@ mod tests {
         let (next, _) = session
             .with_delta(&[Fact::from_names(["a", "y"])], &[])
             .unwrap();
-        let after = support_partition(next.db(), &SolutionSet::enumerate(&q3, next.db()));
+        let after =
+            support_partition(next.db(), &SolutionSet::enumerate(&q3, next.db()), &calm).unwrap();
         let ay = next.db().id_of(&Fact::from_names(["a", "y"])).unwrap();
         let a = next.db().block_of(ay);
         let dirty = after.iter().find(|g| g.contains(&a)).unwrap();

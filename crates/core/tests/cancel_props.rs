@@ -1,7 +1,8 @@
 //! Cancellation-correctness properties, at engine level: across random
-//! q3 and q6 workloads, the one-atom query `R(x | y) R(x | z)` (answered
-//! by a block scan) and `R(y | x) R(x | y)` on databases where it has no
-//! solution (answered before any partition), and 1..=4 solver threads,
+//! q3 and q6 workloads, the coNP-complete q2 (answered by the brute-force
+//! search), the one-atom query `R(x | y) R(x | z)` (answered by a block
+//! scan) and `R(y | x) R(x | y)` on databases where it has no solution
+//! (answered before any partition), and 1..=4 solver threads,
 //!
 //! * a run under a **cancelled** token never emits a verdict — it
 //!   always comes back `Err(CancelledSolve)`;
@@ -14,7 +15,7 @@
 //! always safe to retry.
 
 use cqa::solvers::{CancelToken, SolutionSet};
-use cqa::{CqaEngine, EngineConfig};
+use cqa::{Complexity, CqaEngine, EngineConfig};
 use cqa_model::{Database, Elem, Fact, Signature};
 use cqa_query::{examples, parse_query};
 use proptest::prelude::*;
@@ -35,6 +36,21 @@ fn q6_db_strategy() -> impl Strategy<Value = Database> {
     let fact = proptest::collection::vec(0u8..3, 3);
     proptest::collection::vec(fact, 1..8).prop_map(|rows| {
         let mut db = Database::new(Signature::new(3, 1).unwrap());
+        for row in rows {
+            let t: Vec<Elem> = row.into_iter().map(|v| Elem::int(v as i64)).collect();
+            db.insert(Fact::r(t)).unwrap();
+        }
+        db
+    })
+}
+
+/// Small random databases for q2 = `R(x u | x y) R(u y | x z)`
+/// (signature `[4, 2]`): a three-value domain, so keys collide and facts
+/// join.
+fn q2_db_strategy() -> impl Strategy<Value = Database> {
+    let fact = proptest::collection::vec(0u8..3, 4);
+    proptest::collection::vec(fact, 1..8).prop_map(|rows| {
+        let mut db = Database::new(Signature::new(4, 2).unwrap());
         for row in rows {
             let t: Vec<Elem> = row.into_iter().map(|v| Elem::int(v as i64)).collect();
             db.insert(Fact::r(t)).unwrap();
@@ -80,6 +96,16 @@ proptest! {
     #[test]
     fn q6_cancellation_withholds_but_never_changes_verdicts(db in q6_db_strategy()) {
         check(&examples::q6(), &db);
+    }
+
+    #[test]
+    fn conp_cancellation_withholds_but_never_changes_verdicts(db in q2_db_strategy()) {
+        let q = examples::q2();
+        prop_assert_eq!(
+            CqaEngine::new(q.clone()).classification().complexity,
+            Complexity::CoNpComplete
+        );
+        check(&q, &db);
     }
 
     #[test]

@@ -16,7 +16,8 @@
 
 use cqa::solvers::solution::satisfies;
 use cqa::solvers::{
-    certain_brute_budgeted, certain_exhaustive, support_partition, BruteOutcome, SolutionSet,
+    certain_brute_budgeted, certain_exhaustive, support_partition, BruteOutcome, CancelToken,
+    SolutionSet,
 };
 use cqa::{Complexity, CqaEngine, EngineConfig, RoutePolicy, SharedSession};
 use cqa_model::{Database, Elem, Fact};
@@ -91,9 +92,16 @@ fn check(
         big_sols.len(),
         "the padding joins nothing"
     );
-    prop_assert_eq!(small_sols.support_blocks(db), big_sols.support_blocks(&big));
-    let support = support_partition(&big, &big_sols).len();
-    prop_assert_eq!(support, support_partition(db, &small_sols).len());
+    let calm = CancelToken::new();
+    prop_assert_eq!(
+        small_sols.support_blocks(db, &calm),
+        big_sols.support_blocks(&big, &calm)
+    );
+    let support = support_partition(&big, &big_sols, &calm).unwrap().len();
+    prop_assert_eq!(
+        support,
+        support_partition(db, &small_sols, &calm).unwrap().len()
+    );
 
     let oracle = certain_exhaustive(q, &big);
     let configs = [

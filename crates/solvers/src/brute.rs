@@ -18,6 +18,7 @@
 //! the whole database is certain). The backtracking keeps its decisions on
 //! an explicit stack, so a long forced chain costs heap, not call stack.
 
+use crate::cancel::POLL_STRIDE;
 use crate::{CancelToken, SolutionSet};
 use cqa_model::{BlockId, Database, FactId, Repair};
 use cqa_query::Query;
@@ -57,12 +58,20 @@ impl BruteOutcome {
 /// never force `q` (Proposition 10.6). Indexed by raw block id, sized to
 /// [`Database::block_slots`]: on a live database retractions leave
 /// emptied block slots behind, which are never in the support.
-fn component_block_orders(db: &Database, solutions: &SolutionSet) -> Vec<Vec<BlockId>> {
+///
+/// Polls `token` in the support pass and every `POLL_STRIDE` blocks of
+/// the BFS; `None` once it fired.
+fn component_block_orders(
+    db: &Database,
+    solutions: &SolutionSet,
+    token: &CancelToken,
+) -> Option<Vec<Vec<BlockId>>> {
     let mut visited = vec![false; db.block_slots()];
     let mut expanded = vec![false; solutions.group_slots()];
     let mut orders = Vec::new();
     let mut queue = VecDeque::new();
-    for start in solutions.support_blocks(db) {
+    let mut planned = 0usize;
+    for start in solutions.support_blocks(db, token)? {
         if visited[start.idx()] {
             continue;
         }
@@ -70,6 +79,10 @@ fn component_block_orders(db: &Database, solutions: &SolutionSet) -> Vec<Vec<Blo
         queue.push_back(start);
         let mut order: Vec<BlockId> = Vec::new();
         while let Some(b) = queue.pop_front() {
+            if planned % POLL_STRIDE == 0 && token.is_cancelled() {
+                return None;
+            }
+            planned += 1;
             order.push(b);
             for &f in db.block(b) {
                 for g in solutions.groups_of(f) {
@@ -89,7 +102,7 @@ fn component_block_orders(db: &Database, solutions: &SolutionSet) -> Vec<Vec<Blo
         }
         orders.push(order);
     }
-    orders
+    Some(orders)
 }
 
 /// Backtracking search for a falsifying repair, with a node budget
@@ -115,7 +128,8 @@ const TOKEN_POLL_NODES: u64 = 1024;
 /// is assembled once every component is falsified. One node budget
 /// covers the whole call; running out of it answers `BudgetExhausted`.
 ///
-/// The search polls `token` at each component start and once per
+/// The search polls `token` while planning the components (every
+/// `POLL_STRIDE` support blocks), at each component start and once per
 /// `TOKEN_POLL_NODES` search nodes (a budget tranche). Returns `None`
 /// when the token cancelled the search before a verdict was reached; a
 /// completed verdict is never discarded, even if the token has expired
@@ -131,7 +145,7 @@ pub fn certain_brute_over(
     // since solutions never cross components.
     let mut chosen: Vec<Option<FactId>> = vec![None; db.block_slots()];
     let mut nodes = 0u64;
-    for comp in component_block_orders(db, solutions) {
+    for comp in component_block_orders(db, solutions, token)? {
         if token.is_cancelled() {
             return None;
         }
@@ -476,8 +490,10 @@ mod tests {
                 .unwrap();
         }
         let solutions = SolutionSet::enumerate(&q, &d);
-        let plan = component_block_orders(&d, &solutions);
-        let support = crate::components::support_partition(&d, &solutions);
+        let calm = CancelToken::new();
+        let plan = component_block_orders(&d, &solutions, &calm).expect("a calm token");
+        let support =
+            crate::components::support_partition(&d, &solutions, &calm).expect("a calm token");
         assert_eq!(plan.len(), support.len());
         assert_eq!(plan.len(), 2);
         let mut planned: Vec<Vec<BlockId>> = plan.clone();
@@ -490,6 +506,20 @@ mod tests {
             BruteOutcome::NotCertain(r) => assert_eq!(r.len(), d.block_count()),
             other => panic!("expected NotCertain, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_raised_token_stops_the_plan() {
+        // Two q3 chains, so two support components and four support
+        // blocks: planning them under a raised token yields no plan.
+        let q = examples::q3();
+        let d = db2(&[["a", "b"], ["b", "c"], ["p", "q"], ["q", "r"]]);
+        let solutions = SolutionSet::enumerate(&q, &d);
+        let calm = component_block_orders(&d, &solutions, &CancelToken::new());
+        assert_eq!(calm.map(|plan| plan.len()), Some(2));
+        let raised = CancelToken::new();
+        raised.cancel();
+        assert_eq!(component_block_orders(&d, &solutions, &raised), None);
     }
 
     #[test]

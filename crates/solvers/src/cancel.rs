@@ -2,15 +2,17 @@
 //!
 //! A [`CancelToken`] is a cheaply clonable handle carrying a shared flag
 //! **and** an optional deadline. Every solver entry point takes one —
-//! [`certk_view`](crate::certk_view) for `Cert_k`,
-//! [`certain_brute_over`](crate::certain_brute_over) for the search, and
-//! the component fan-out of
-//! [`DynamicComponents::solve`](crate::DynamicComponents::solve) — and polls it
-//! at bounded intervals: once per seeded fact, once per worklist block
-//! derivation, once per brute-force budget tranche. A token raised (or
-//! expired) mid-fixpoint therefore stops the run within roughly one
-//! block's worth of work, not after the whole solve. Callers with nothing
-//! to cancel pass [`CancelToken::new`], which never fires.
+//! [`CertKScratch::certk_view`](crate::CertKScratch::certk_view) for
+//! `Cert_k`, [`certain_brute_over`](crate::certain_brute_over) for the
+//! search, and the component fan-out of
+//! [`DynamicComponents::solve`](crate::DynamicComponents::solve) — and
+//! polls it at bounded intervals: once per seeded fact, once per worklist
+//! block derivation, once per brute-force budget tranche, and every
+//! `POLL_STRIDE` blocks of the passes that prepare a solve (the support,
+//! its partition and view, and the brute force's component plan). A
+//! token raised (or expired) mid-fixpoint therefore stops the run within
+//! roughly one block's worth of work, not after the whole solve. Callers
+//! with nothing to cancel pass [`CancelToken::new`], which never fires.
 //!
 //! Cancellation is observational only: it never changes a verdict, it
 //! only withholds one. CQA verdicts are pure functions of
@@ -23,8 +25,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Steps between token polls in the linear passes that prepare a solve
-/// (the support, its partition and its view) and in a `Cert_k` run's
-/// set-up.
+/// (the support, its partition, its view and the brute force's component
+/// plan) and in a `Cert_k` run's set-up.
 pub(crate) const POLL_STRIDE: usize = 4096;
 
 /// A shared cancellation handle: an explicit flag plus an optional

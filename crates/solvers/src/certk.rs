@@ -25,7 +25,7 @@
 //! sorted fact set keeps its order, and nothing it stores allocates per
 //! member, per requirement or per candidate:
 //!
-//! * the [`Antichain`] holds its members inline in one vector with stride
+//! * the antichain holds its members inline in one vector with stride
 //!   `min(k, blocks)`, addressed by `u32` slot with a live flag per slot;
 //!   a per-fact slot answers singleton probes and an open-addressing
 //!   table of slots, hashed once per probe by a keyed hasher (fact ids
@@ -59,7 +59,7 @@ use cqa_query::Query;
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
 
-/// Tuning for [`certk_view`] and the component fan-out.
+/// Tuning for [`CertKScratch::certk_view`] and the component fan-out.
 #[derive(Clone, Copy, Debug)]
 pub struct CertKConfig {
     /// Maximum k-set size. The paper's proofs use enormous constants
@@ -154,13 +154,13 @@ const PAD: FactId = FactId(NIL);
 /// a keyed hash of the member (fact ids follow the client's file order,
 /// so an unkeyed hash could be driven into collisions). Every fact heads
 /// an intrusive list, threaded through one link per stored fact, of the
-/// slots whose member holds it (`members_with` and superset pruning walk
-/// these, pruning the shortest list among the new member's facts). Once
-/// pruned slots outnumber live members the slots are compacted in order
-/// (renumbering is invisible to callers, which only ever see member
-/// slices). Nothing here allocates per member, and a [`CertKScratch`]
+/// slots whose member holds it (`covers` on a long set and superset
+/// pruning walk these, pruning the shortest list among the new member's
+/// facts). Once pruned slots outnumber live members the slots are
+/// compacted in order (renumbering is invisible to callers, which only
+/// ever see member slices). Nothing here allocates per member, and a [`CertKScratch`]
 /// empties its antichain for the next run without freeing.
-pub struct Antichain {
+struct Antichain {
     /// Most facts a member may hold: the stride of `facts`.
     width: usize,
     /// Member slots, `width` facts each; a member's tail past its length
@@ -193,7 +193,7 @@ pub struct Antichain {
 
 impl Antichain {
     /// An empty antichain whose members hold at most `width` facts.
-    pub fn new(width: usize) -> Antichain {
+    fn new(width: usize) -> Antichain {
         let mut chain = Antichain {
             width: 0,
             facts: Vec::new(),
@@ -241,36 +241,18 @@ impl Antichain {
 
     /// Has `∅` been inserted? (It covers everything; all other members
     /// are dropped when it arrives.)
-    pub fn has_empty(&self) -> bool {
+    fn has_empty(&self) -> bool {
         self.has_empty
     }
 
-    /// Number of live members.
-    pub fn live_len(&self) -> usize {
-        self.live_count
-    }
-
     /// Most members ever live at once.
-    pub fn peak_live(&self) -> usize {
+    fn peak_live(&self) -> usize {
         self.peak_live
     }
 
     /// Total stale slots reclaimed by compaction so far.
-    pub fn stale_compacted(&self) -> usize {
+    fn stale_compacted(&self) -> usize {
         self.compacted
-    }
-
-    /// Iterator over the live members (arbitrary order). Once `∅` has
-    /// been inserted it is the antichain's single member and the one
-    /// (empty) slice yielded here, keeping the count equal to
-    /// [`Antichain::live_len`].
-    pub fn live_members(&self) -> impl Iterator<Item = &[FactId]> {
-        let empty = self.has_empty.then_some(&[][..]);
-        empty.into_iter().chain(
-            (0..self.len.len() as u32)
-                .filter(|&s| self.live[s as usize])
-                .map(|s| self.member(s)),
-        )
     }
 
     fn member(&self, slot: u32) -> &[FactId] {
@@ -296,7 +278,7 @@ impl Antichain {
     }
 
     /// `∃ member ⊆ s`? (`s` sorted)
-    pub fn covers(&self, s: &[FactId]) -> bool {
+    fn covers(&self, s: &[FactId]) -> bool {
         if self.has_empty {
             return true;
         }
@@ -332,16 +314,8 @@ impl Antichain {
         })
     }
 
-    /// Insert `s` (sorted) unless covered; prunes member supersets of `s`.
-    /// Returns `true` if inserted.
-    ///
-    /// # Panics
-    /// If `s` holds more facts than the antichain's width.
-    pub fn insert(&mut self, s: impl AsRef<[FactId]>) -> bool {
-        self.insert_tracked(s.as_ref(), &mut Vec::new())
-    }
-
-    /// [`Antichain::insert`], appending to `changed` every fact whose
+    /// Insert `s` (sorted) unless covered, pruning member supersets of
+    /// `s`; `true` if inserted. Appends to `changed` every fact whose
     /// member family changed: the inserted set's facts and the facts of
     /// every pruned superset. (Nothing is appended on a covered no-op
     /// insert; `changed` is not cleared first.) This is the invalidation
@@ -352,7 +326,10 @@ impl Antichain {
     /// per-fact member families are moot, so callers must check
     /// [`Antichain::has_empty`] (and stop) rather than rely on `changed`,
     /// exactly as the fixpoint loop does.
-    pub fn insert_tracked(&mut self, s: &[FactId], changed: &mut Vec<FactId>) -> bool {
+    ///
+    /// # Panics
+    /// If `s` holds more facts than the antichain's width.
+    fn insert_tracked(&mut self, s: &[FactId], changed: &mut Vec<FactId>) -> bool {
         if self.covers(s) {
             return false;
         }
@@ -403,11 +380,6 @@ impl Antichain {
         self.peak_live = self.peak_live.max(self.live_count);
         self.maybe_compact();
         true
-    }
-
-    /// Live members containing fact `f`.
-    pub fn members_with(&self, f: FactId) -> Vec<&[FactId]> {
-        self.live_slots_with(f).map(|s| self.member(s)).collect()
     }
 
     /// Thread `slot` onto the list of each of its facts.
@@ -472,7 +444,7 @@ impl Antichain {
     /// Compact the slots once pruned ones outnumber the live members.
     /// Without this the slot lists only ever grow: on contested workloads
     /// the lists of shared-block facts would accumulate an unbounded tail
-    /// of dead slots that every `covers`/`members_with` call rescans.
+    /// of dead slots that every superset prune rescans.
     fn maybe_compact(&mut self) {
         if self.dead <= 32 || self.dead < self.live_count {
             return;
@@ -672,24 +644,13 @@ impl CertKStats {
 }
 
 /// Run `Cert_k(q)` on `db` — the paper's whole-database procedure, never
-/// cancelled. Everything else goes through [`certk_view`].
+/// cancelled. Everything else goes through [`CertKScratch::certk_view`].
 pub fn certk(q: &Query, db: &Database, cfg: CertKConfig) -> CertKOutcome {
     let solutions = SolutionSet::enumerate(q, db);
-    certk_view(&db.full_view(), &solutions, cfg, &CancelToken::new())
+    CertKScratch::default()
+        .certk_view(&db.full_view(), &solutions, cfg, &CancelToken::new())
         .expect("a never-raised token cannot interrupt the fixpoint")
         .0
-}
-
-/// Run `Cert_k(q)` on a copy-free [`DbView`] with a fresh
-/// [`CertKScratch`]: [`CertKScratch::certk_view`], for a caller that
-/// decides one view.
-pub fn certk_view(
-    view: &DbView<'_>,
-    solutions: &SolutionSet,
-    cfg: CertKConfig,
-    token: &CancelToken,
-) -> Result<(CertKOutcome, CertKStats), CertKStats> {
-    CertKScratch::default().certk_view(view, solutions, cfg, token)
 }
 
 /// Everything one `Cert_k` run stores: the antichain, the view's block
@@ -1237,7 +1198,7 @@ pub fn cert2(q: &Query, db: &Database) -> CertKOutcome {
 /// This module preserves the *seed-era* `Cert_k` implementation exactly as
 /// it was before the PR 4 rework: a full-pass fixpoint (every block
 /// re-derived every round) over a [`NaiveAntichain`] whose every operation
-/// is a linear scan. The live evaluator is [`certk_view`] above
+/// is a linear scan. The live evaluator is [`CertKScratch::certk_view`] above
 /// — block-keyed subset index, cached requirement families, dirty-block
 /// worklist, statistics, cooperative cancellation — none of which exists
 /// here, deliberately: the `antichain_props` property suite (and the
@@ -1247,7 +1208,7 @@ pub fn cert2(q: &Query, db: &Database) -> CertKOutcome {
 ///
 /// Not part of the supported API.
 ///
-/// [`certk_view`]: super::certk_view
+/// [`CertKScratch::certk_view`]: super::CertKScratch::certk_view
 /// [`NaiveAntichain`]: reference::NaiveAntichain
 #[doc(hidden)]
 pub mod reference {
@@ -1431,8 +1392,43 @@ pub mod reference {
 mod tests {
     use super::*;
     use crate::brute::certain_brute;
-    use cqa_model::{Fact, Signature};
+    use cqa_model::{Elem, Fact, Signature};
     use cqa_query::examples;
+    use proptest::prelude::*;
+
+    /// The antichain's test-only views: the fixpoint itself reads only
+    /// `covers`, `has_empty` and the counters, and inserts through
+    /// `insert_tracked`.
+    impl Antichain {
+        /// Number of live members.
+        fn live_len(&self) -> usize {
+            self.live_count
+        }
+
+        /// Iterator over the live members (arbitrary order). Once `∅` has
+        /// been inserted it is the antichain's single member and the one
+        /// (empty) slice yielded here, keeping the count equal to
+        /// `live_len`.
+        fn live_members(&self) -> impl Iterator<Item = &[FactId]> {
+            let empty = self.has_empty.then_some(&[][..]);
+            empty.into_iter().chain(
+                (0..self.len.len() as u32)
+                    .filter(|&s| self.live[s as usize])
+                    .map(|s| self.member(s)),
+            )
+        }
+
+        /// Insert `s` (sorted) unless covered; prunes member supersets of
+        /// `s`. Returns `true` if inserted.
+        fn insert(&mut self, s: impl AsRef<[FactId]>) -> bool {
+            self.insert_tracked(s.as_ref(), &mut Vec::new())
+        }
+
+        /// Live members containing fact `f`.
+        fn members_with(&self, f: FactId) -> Vec<&[FactId]> {
+            self.live_slots_with(f).map(|s| self.member(s)).collect()
+        }
+    }
 
     fn db2(rows: &[[&str; 2]]) -> Database {
         let mut db = Database::new(Signature::new(2, 1).unwrap());
@@ -1570,9 +1566,10 @@ mod tests {
         }
     }
 
-    /// An uncancellable run of [`certk_view`].
+    /// An uncancellable run of [`CertKScratch::certk_view`].
     fn run(view: &DbView<'_>, sols: &SolutionSet, cfg: CertKConfig) -> (CertKOutcome, CertKStats) {
-        certk_view(view, sols, cfg, &CancelToken::new())
+        CertKScratch::default()
+            .certk_view(view, sols, cfg, &CancelToken::new())
             .expect("a never-raised token cannot interrupt the fixpoint")
     }
 
@@ -1585,10 +1582,13 @@ mod tests {
         // A pre-raised flag aborts before any work.
         let raised = CancelToken::new();
         raised.cancel();
-        assert!(certk_view(&view, &sols, CertKConfig::new(2), &raised).is_err());
+        assert!(CertKScratch::default()
+            .certk_view(&view, &sols, CertKConfig::new(2), &raised)
+            .is_err());
         // A never-raised flag reproduces the plain run exactly.
         let calm = CancelToken::new();
-        let got = certk_view(&view, &sols, CertKConfig::new(2), &calm)
+        let got = CertKScratch::default()
+            .certk_view(&view, &sols, CertKConfig::new(2), &calm)
             .expect("no cancellation requested");
         assert_eq!(got, run(&view, &sols, CertKConfig::new(2)));
     }
@@ -1603,14 +1603,16 @@ mod tests {
         // partial evidence says so.
         let raised = CancelToken::new();
         raised.cancel();
-        let partial = certk_view(&view, &sols, CertKConfig::new(2), &raised)
+        let partial = CertKScratch::default()
+            .certk_view(&view, &sols, CertKConfig::new(2), &raised)
             .expect_err("a raised token must cancel the fixpoint");
         assert_eq!(partial.blocks_derived, 0);
         assert_eq!(partial.rounds, 0);
         // A far-deadline token reproduces the deterministic run exactly,
         // statistics included.
         let calm = CancelToken::deadline_in(std::time::Duration::from_secs(3600));
-        let got = certk_view(&view, &sols, CertKConfig::new(2), &calm)
+        let got = CertKScratch::default()
+            .certk_view(&view, &sols, CertKConfig::new(2), &calm)
             .expect("a far deadline cannot cancel this fixpoint");
         assert_eq!(got, run(&view, &sols, CertKConfig::new(2)));
     }
@@ -1808,6 +1810,89 @@ mod tests {
                     reference::certk_reference(&q, &d, CertKConfig::new(k)),
                     "worklist and full-pass diverge on {d:?} at k={k}"
                 );
+            }
+        }
+    }
+
+    /// A fixed 18-fact database (6 blocks × 3 facts) whose fact ids seed
+    /// the random set sequences: enough sharing for covers/prune
+    /// collisions, small enough for the naive reference to stay fast.
+    fn index_db() -> Database {
+        let mut db = Database::new(Signature::new(2, 1).unwrap());
+        for b in 0..6 {
+            for v in 0..3 {
+                db.insert(Fact::r(vec![Elem::int(b), Elem::int(100 + v)]))
+                    .unwrap();
+            }
+        }
+        db
+    }
+
+    /// Random sorted fact-id sets over the 18 facts of [`index_db`]
+    /// (duplicates removed; possibly inconsistent, possibly empty).
+    fn fact_set_strategy() -> impl Strategy<Value = Vec<u8>> {
+        proptest::collection::vec(0u8..18, 0..5)
+    }
+
+    fn to_ids(raw: &[u8]) -> Vec<FactId> {
+        let mut ids: Vec<FactId> = raw.iter().map(|&i| FactId(i as u32)).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// The [`Antichain`] (slot lists, exact-member index, stale-slot
+        /// compaction) behaves exactly like the flat list of
+        /// [`reference::NaiveAntichain`] under arbitrary `insert`/`covers`
+        /// sequences — including inconsistent sets (two facts of one
+        /// block), which the fixpoint never produces.
+        #[test]
+        fn antichain_matches_naive_reference(
+            inserts in proptest::collection::vec(fact_set_strategy(), 1..40),
+            probes in proptest::collection::vec(fact_set_strategy(), 0..10),
+        ) {
+            let db = index_db();
+            let mut indexed = Antichain::new(5);
+            let mut naive = reference::NaiveAntichain::new();
+            for raw in &inserts {
+                let s = to_ids(raw);
+                // covers must agree *before* the insert…
+                prop_assert_eq!(indexed.covers(&s), naive.covers(&s), "covers diverged on {:?}", s);
+                // …and the insert outcomes must agree.
+                let a = indexed.insert(s.clone());
+                let b = naive.insert(s.clone());
+                prop_assert_eq!(a, b, "insert diverged on {:?}", s);
+                prop_assert_eq!(indexed.has_empty(), naive.has_empty());
+                prop_assert_eq!(
+                    indexed.live_len(),
+                    if naive.has_empty() { 1 } else { naive.members().len() },
+                    "live count diverged after {:?}", s
+                );
+            }
+            // Same final antichain, as sets of sets.
+            let mut got: Vec<Vec<FactId>> =
+                indexed.live_members().map(<[FactId]>::to_vec).collect();
+            let mut want: Vec<Vec<FactId>> = naive.members().to_vec();
+            got.sort();
+            want.sort();
+            if !naive.has_empty() {
+                prop_assert_eq!(got, want);
+            }
+            // Arbitrary covers probes agree on the final state.
+            for raw in &probes {
+                let s = to_ids(raw);
+                prop_assert_eq!(indexed.covers(&s), naive.covers(&s), "probe diverged on {:?}", s);
+            }
+            // members_with agrees for every fact.
+            for f in db.fact_ids() {
+                let mut got: Vec<&[FactId]> = indexed.members_with(f);
+                let mut want: Vec<&[FactId]> = naive.members_with(f);
+                got.sort();
+                want.sort();
+                prop_assert_eq!(got, want, "members_with diverged on {:?}", f);
             }
         }
     }

@@ -17,7 +17,7 @@
 //! configuration regardless of the thread count, and verdicts are emitted
 //! in component order, so the result is identical across thread counts.
 
-use crate::certk::{certk_view, CertKConfig, CertKOutcome, CertKScratch, CertKStats};
+use crate::certk::{CertKConfig, CertKOutcome, CertKScratch, CertKStats};
 use crate::components::{support_partition, DynamicComponents};
 use crate::matching::analyze_view;
 use crate::{CancelToken, SolutionSet};
@@ -66,8 +66,10 @@ pub struct CombinedResult {
 /// 2way-determined query.
 pub fn certain_combined(q: &Query, db: &Database, cfg: CertKConfig) -> CombinedResult {
     let solutions = SolutionSet::enumerate(q, db);
-    let partition = support_partition(db, &solutions);
-    let comps = DynamicComponents::solve(db, &solutions, partition, cfg, &CancelToken::new(), true)
+    let calm = CancelToken::new();
+    let partition = support_partition(db, &solutions, &calm)
+        .expect("a never-raised token cannot cancel the partition");
+    let comps = DynamicComponents::solve(db, &solutions, partition, cfg, &calm, true)
         .expect("a never-raised token cannot cancel the fan-out");
     result_of(&comps)
 }
@@ -133,7 +135,8 @@ pub fn decide_component(
 pub fn certain_thm105_literal(q: &Query, db: &Database, cfg: CertKConfig) -> bool {
     let solutions = SolutionSet::enumerate(q, db);
     let view = db.full_view();
-    let (out, _) = certk_view(&view, &solutions, cfg, &CancelToken::new())
+    let (out, _) = CertKScratch::default()
+        .certk_view(&view, &solutions, cfg, &CancelToken::new())
         .expect("a never-raised token cannot interrupt the fixpoint");
     out.is_certain() || !analyze_view(&view, &solutions).accepts
 }
@@ -153,7 +156,8 @@ mod tests {
         token: &CancelToken,
         matching: bool,
     ) -> Result<CombinedResult, CertKStats> {
-        let partition = support_partition(db, solutions);
+        let partition = support_partition(db, solutions, &CancelToken::new())
+            .expect("a calm token cannot cancel the partition");
         DynamicComponents::solve(db, solutions, partition, cfg, token, matching)
             .map(|c| result_of(&c))
     }

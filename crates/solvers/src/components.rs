@@ -69,20 +69,14 @@ pub fn q_connected_components_if_fragmented<'a>(
 }
 
 /// The q-connected components of the support, as ascending block lists
-/// in order of their smallest block. Empty iff `solutions` is.
-pub fn support_partition(db: &Database, solutions: &SolutionSet) -> Vec<Vec<BlockId>> {
-    support_partition_cancellable(db, solutions, &CancelToken::new())
-        .expect("a never-raised token cannot cancel the partition")
-}
-
-/// [`support_partition`], polling `token` every few thousand blocks;
-/// `None` once it fired.
-pub fn support_partition_cancellable(
+/// in order of their smallest block, polling `token` every few thousand
+/// blocks; `None` once it fired. Empty iff `solutions` is.
+pub fn support_partition(
     db: &Database,
     solutions: &SolutionSet,
     token: &CancelToken,
 ) -> Option<Vec<Vec<BlockId>>> {
-    let pool = solutions.support_blocks_cancellable(db, token)?;
+    let pool = solutions.support_blocks(db, token)?;
     partition_pool(db, solutions, &pool, false, token)
 }
 
@@ -93,7 +87,7 @@ pub fn support_view<'a>(
     solutions: &SolutionSet,
     token: &CancelToken,
 ) -> Option<DbView<'a>> {
-    let blocks = solutions.support_blocks_cancellable(db, token)?;
+    let blocks = solutions.support_blocks(db, token)?;
     db.view_of_blocks_until(blocks, || token.is_cancelled())
 }
 
@@ -241,7 +235,9 @@ impl DynamicComponents {
         token: &CancelToken,
         matching: bool,
     ) -> Result<DynamicComponents, CertKStats> {
-        debug_assert!(partition == support_partition(db, solutions));
+        debug_assert!(
+            support_partition(db, solutions, &CancelToken::new()).as_ref() == Some(&partition)
+        );
         let mut comps = DynamicComponents {
             comp_of_block: Vec::new(),
             comps: BTreeMap::new(),
@@ -426,7 +422,7 @@ mod tests {
         DynamicComponents::solve(
             db,
             solutions,
-            support_partition(db, solutions),
+            support_partition(db, solutions, &CancelToken::new()).expect("a calm token"),
             CertKConfig::new(2),
             &CancelToken::new(),
             false,
@@ -439,15 +435,19 @@ mod tests {
         let d = db2(&[["a", "b"], ["b", "c"], ["p", "q"], ["q", "r"], ["z", "w"]]);
         let solutions = SolutionSet::enumerate(&examples::q3(), &d);
         let calm = CancelToken::new();
+        let blocks = |ids: &[u32]| ids.iter().map(|&b| BlockId(b)).collect::<Vec<_>>();
         assert_eq!(
-            support_partition_cancellable(&d, &solutions, &calm),
-            Some(support_partition(&d, &solutions))
+            support_partition(&d, &solutions, &calm),
+            Some(vec![blocks(&[0, 1]), blocks(&[2, 3])])
         );
         let view = support_view(&d, &solutions, &calm).expect("a calm token");
-        assert_eq!(view.blocks(), solutions.support_blocks(&d));
+        assert_eq!(
+            Some(view.blocks().to_vec()),
+            solutions.support_blocks(&d, &calm)
+        );
         let raised = CancelToken::new();
         raised.cancel();
-        assert_eq!(support_partition_cancellable(&d, &solutions, &raised), None);
+        assert_eq!(support_partition(&d, &solutions, &raised), None);
         assert!(support_view(&d, &solutions, &raised).is_none());
     }
 
@@ -526,7 +526,7 @@ mod tests {
             dc.ids().map(|c| dc.blocks_of(c).to_vec()).collect();
         dynamic.sort();
         let solutions = SolutionSet::enumerate(q, db);
-        let scratch = support_partition(db, &solutions);
+        let scratch = support_partition(db, &solutions, &CancelToken::new()).expect("a calm token");
         assert_eq!(dynamic, scratch);
         let whole: Vec<Vec<cqa_model::BlockId>> = q_connected_components(q, db)
             .iter()
@@ -644,7 +644,7 @@ mod tests {
             .iter()
             .map(|&t| {
                 let cfg = CertKConfig::new(2).with_threads(t);
-                let partition = support_partition(&db, &inc);
+                let partition = support_partition(&db, &inc, &calm).expect("a calm token");
                 DynamicComponents::solve(&db, &inc, partition, cfg, &calm, false).unwrap()
             })
             .collect();

@@ -18,14 +18,20 @@
 //!   `q(f f)`, decided by one block scan.
 //!
 //! Each of the paper's three decision procedures has **one live entry
-//! point**, and cancellation is its parameter rather than a name suffix:
+//! point** over a view or database and the query's [`SolutionSet`], and
+//! cancellation is its parameter rather than a name suffix:
 //!
 //! * `Cert_k` — [`CertKScratch::certk_view`] (a view, the solutions, a
 //!   [`CertKConfig`] and a [`CancelToken`], run in a scratch that a
-//!   caller deciding many views reuses; [`certk_view`] runs it in a fresh
-//!   one);
-//! * `¬matching` — [`analyze_view`];
+//!   caller deciding many views reuses; `CertKScratch::default()` is a
+//!   fresh one);
+//! * `¬matching` — [`analyze_view`] (one polynomial analysis with no poll
+//!   inside; [`decide_component`] checks the token before it);
 //! * exhaustive search on the coNP side — [`certain_brute_over`].
+//!
+//! The passes that prepare a solve take the token the same way:
+//! [`SolutionSet::support_blocks`], [`support_partition`] and
+//! [`support_view`] return `None` once it fired.
 //!
 //! They combine one way, per q-connected component (Theorem 10.5,
 //! Proposition 10.6): [`DynamicComponents::solve`] decides every
@@ -38,17 +44,21 @@
 //! when [`CertKConfig::threads`] is above 1; `1` keeps the sequential
 //! path, and `apply` always takes it, its dirty region being small.
 //! It decides every component, so the per-component evidence is complete
-//! and identical across thread counts. The brute force decides the components one after another and
-//! stops at the first that forces `q`.
+//! and identical across thread counts. The brute force decides the
+//! components one after another and stops at the first that forces `q`.
 //!
 //! The first-order one-atom case of Section 2 needs none of them: its
 //! one entry, [`ForcingBlocks::scan`] (the query, a database and a
 //! [`CancelToken`]), scans the blocks without a solution set.
 //!
-//! The whole-database paper names — [`certk()`], [`cert2`],
-//! [`certain_combined`], [`certain_thm105_literal`] — and the frozen
-//! brute-force oracles ([`certain_brute`], [`certain_brute_budgeted`],
-//! [`certain_exhaustive`]) are thin wrappers that never cancel.
+//! The whole-database forms that carry the paper's names — [`certk()`],
+//! [`cert2`], [`matching::analyze`], [`certain_combined`],
+//! [`certain_thm105_literal`] — and the frozen brute-force oracles
+//! ([`certain_brute`], [`certain_brute_budgeted`], [`certain_exhaustive`])
+//! are each one enumeration plus one call of a live entry, and never
+//! cancel. A caller that wants `¬matching` or the clique-database test on
+//! a whole database reads `!analyze(q, db).accepts` or
+//! `analyze(q, db).is_clique_database`.
 //!
 //! A prose handbook for this crate — how the inline antichain, the
 //! requirement-family cache, the dirty-block worklist and the component
@@ -71,19 +81,15 @@ pub use brute::{
     certain_brute, certain_brute_budgeted, certain_brute_over, certain_exhaustive, BruteOutcome,
 };
 pub use cancel::CancelToken;
-pub use certk::{
-    cert2, certk, certk_view, Antichain, CertKConfig, CertKOutcome, CertKScratch, CertKStats,
-};
+pub use certk::{cert2, certk, CertKConfig, CertKOutcome, CertKScratch, CertKStats};
 pub use combined::{
     certain_combined, certain_thm105_literal, decide_component, CombinedResult, ComponentVerdict,
     DecidedBy,
 };
 pub use components::{
-    q_connected_components, support_partition, support_partition_cancellable, support_view,
-    ComponentDeltaReport, DynamicComponents,
+    q_connected_components, support_partition, support_view, ComponentDeltaReport,
+    DynamicComponents,
 };
-pub use matching::{
-    analyze_view, certain_by_matching, is_clique_database, matching_accepts, MatchingAnalysis,
-};
+pub use matching::{analyze_view, MatchingAnalysis};
 pub use one_atom::{ForcingBlocks, OneAtomPlan};
 pub use solution::SolutionSet;

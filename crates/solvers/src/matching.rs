@@ -37,7 +37,10 @@ pub struct MatchingAnalysis {
     pub is_clique_database: bool,
 }
 
-/// Run the full `matching(q)` analysis.
+/// Run the full `matching(q)` analysis on `db`. The certain-test
+/// `¬matching(q)` is `!analyze(q, db).accepts`: sound for 2way-determined
+/// queries (Proposition 10.2), exact when `is_clique_database` holds
+/// (Proposition 10.3).
 pub fn analyze(q: &Query, db: &Database) -> MatchingAnalysis {
     let solutions = SolutionSet::enumerate(q, db);
     analyze_view(&db.full_view(), &solutions)
@@ -120,23 +123,6 @@ fn is_quasi_clique(db: &Database, solutions: &SolutionSet, comp: &[FactId]) -> b
     true
 }
 
-/// `D ⊨ matching(q)`?
-pub fn matching_accepts(q: &Query, db: &Database) -> bool {
-    analyze(q, db).accepts
-}
-
-/// The certain-test `¬matching(q)`: sound for 2way-determined queries
-/// (Proposition 10.2), exact on clique databases (Proposition 10.3).
-pub fn certain_by_matching(q: &Query, db: &Database) -> bool {
-    !matching_accepts(q, db)
-}
-
-/// Is `db` a clique-database for `q` — every solution-graph component a
-/// quasi-clique?
-pub fn is_clique_database(q: &Query, db: &Database) -> bool {
-    analyze(q, db).is_clique_database
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,7 +158,7 @@ mod tests {
         let db = q6_db(&[["a", "b", "c"], ["d", "e", "f"]]);
         let an = analyze(&examples::q6(), &db);
         assert!(an.accepts);
-        assert!(!certain_by_matching(&examples::q6(), &db));
+        assert!(analyze(&examples::q6(), &db).accepts);
         assert!(!certain_brute(&examples::q6(), &db));
     }
 
@@ -187,7 +173,7 @@ mod tests {
         // one clique => cannot saturate three blocks with one clique vertex.
         let an = analyze(&examples::q6(), &db);
         assert!(!an.accepts);
-        assert!(certain_by_matching(&examples::q6(), &db));
+        assert!(!analyze(&examples::q6(), &db).accepts);
         assert!(certain_brute(&examples::q6(), &db));
     }
 
@@ -221,13 +207,13 @@ mod tests {
             for j in (i + 1)..rows.len() {
                 for k in (j + 1)..rows.len() {
                     let db = q6_db(&[rows[i], rows[j], rows[k]]);
-                    if certain_by_matching(&q, &db) {
+                    if !analyze(&q, &db).accepts {
                         assert!(certain_brute(&q, &db), "¬matching unsound on {db:?}");
                     }
                     // Prop 10.3: exactness on clique databases.
-                    if is_clique_database(&q, &db) {
+                    if analyze(&q, &db).is_clique_database {
                         assert_eq!(
-                            certain_by_matching(&q, &db),
+                            !analyze(&q, &db).accepts,
                             certain_brute(&q, &db),
                             "Prop 10.3 violated on {db:?}"
                         );

@@ -220,19 +220,9 @@ impl SolutionSet {
     }
 
     /// The live blocks that hold a fact of some solution, ascending: the
-    /// *support*. One pass over the groups and the block slots.
-    pub fn support_blocks(&self, db: &Database) -> Vec<BlockId> {
-        self.support_blocks_cancellable(db, &CancelToken::new())
-            .expect("a never-raised token cannot cancel the pass")
-    }
-
-    /// [`SolutionSet::support_blocks`], polling `token` every
-    /// `POLL_STRIDE` groups; `None` once it fired.
-    pub(crate) fn support_blocks_cancellable(
-        &self,
-        db: &Database,
-        token: &CancelToken,
-    ) -> Option<Vec<BlockId>> {
+    /// *support*. One pass over the groups and the block slots, polling
+    /// `token` every `POLL_STRIDE` groups; `None` once it fired.
+    pub fn support_blocks(&self, db: &Database, token: &CancelToken) -> Option<Vec<BlockId>> {
         let mut marked = vec![false; db.block_slots()];
         for g in 0..self.group_slots() {
             if g % POLL_STRIDE == 0 && token.is_cancelled() {

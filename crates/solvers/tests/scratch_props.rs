@@ -7,9 +7,7 @@
 
 use cqa_model::{Database, Elem, Fact, Signature};
 use cqa_query::{examples, Query};
-use cqa_solvers::{
-    certk_view, support_partition, CancelToken, CertKConfig, CertKScratch, SolutionSet,
-};
+use cqa_solvers::{support_partition, CancelToken, CertKConfig, CertKScratch, SolutionSet};
 use proptest::prelude::*;
 
 /// Random databases over `signature`, each position drawn from
@@ -35,18 +33,19 @@ fn db_strategy(
 /// one scratch per `k`, each run against a fresh scratch.
 fn assert_reuse_is_invisible(q: &Query, db: &Database) {
     let solutions = SolutionSet::enumerate(q, db);
-    let mut views: Vec<_> = support_partition(db, &solutions)
+    let calm = CancelToken::new();
+    let mut views: Vec<_> = support_partition(db, &solutions, &calm)
+        .expect("a calm token cannot cancel the partition")
         .into_iter()
         .map(|blocks| db.view_of_blocks(blocks))
         .collect();
     views.push(db.full_view());
-    let calm = CancelToken::new();
     for k in 1..=3usize {
         let cfg = CertKConfig::new(k);
         let mut reused = CertKScratch::default();
         for view in &views {
             let warm = reused.certk_view(view, &solutions, cfg, &calm);
-            let fresh = certk_view(view, &solutions, cfg, &calm);
+            let fresh = CertKScratch::default().certk_view(view, &solutions, cfg, &calm);
             assert_eq!(format!("{warm:?}"), format!("{fresh:?}"), "k={k} on {db:?}");
         }
     }

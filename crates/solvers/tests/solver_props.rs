@@ -4,10 +4,10 @@
 
 use cqa_model::{Database, Elem, Fact, FactId, Signature};
 use cqa_query::{examples, is_solution, Query};
+use cqa_solvers::matching::analyze;
 use cqa_solvers::{
-    certain_brute, certain_brute_budgeted, certain_by_matching, certain_combined,
-    certain_exhaustive, certk, q_connected_components, BruteOutcome, CancelToken, CertKConfig,
-    SolutionSet,
+    certain_brute, certain_brute_budgeted, certain_combined, certain_exhaustive, certk,
+    q_connected_components, BruteOutcome, CancelToken, CertKConfig, CertKScratch, SolutionSet,
 };
 use cqa_workloads::{random_query, QueryGenConfig};
 use proptest::prelude::*;
@@ -251,7 +251,7 @@ proptest! {
     #[test]
     fn matching_sound_for_q6(db in q6_db_strategy()) {
         let q = examples::q6();
-        if certain_by_matching(&q, &db) {
+        if !analyze(&q, &db).accepts {
             prop_assert!(certain_brute(&q, &db), "¬matching unsound");
         }
     }
@@ -261,8 +261,8 @@ proptest! {
         // q6 is a clique-query (Theorem 10.4): ¬matching is exact on every
         // database.
         let q = examples::q6();
-        prop_assert!(cqa_solvers::is_clique_database(&q, &db));
-        prop_assert_eq!(certain_by_matching(&q, &db), certain_brute(&q, &db));
+        prop_assert!(analyze(&q, &db).is_clique_database);
+        prop_assert_eq!(!analyze(&q, &db).accepts, certain_brute(&q, &db));
     }
 
     #[test]
@@ -305,7 +305,8 @@ proptest! {
         let sols = SolutionSet::enumerate(&q, &db);
         for c in &comps {
             let on_view = !cqa_solvers::analyze_view(c, &sols).accepts
-                || cqa_solvers::certk_view(c, &sols, CertKConfig::new(2), &CancelToken::new())
+                || CertKScratch::default()
+                    .certk_view(c, &sols, CertKConfig::new(2), &CancelToken::new())
                     .expect("a calm token cannot cancel")
                     .0
                     .is_certain();

@@ -329,7 +329,8 @@ pub fn q2_gadget_chain(rng: &mut impl Rng, m: usize) -> Database {
 mod tests {
     use super::*;
     use cqa_query::examples;
-    use cqa_solvers::{cert2, certain_brute, certain_by_matching, is_clique_database};
+    use cqa_solvers::matching::analyze;
+    use cqa_solvers::{cert2, certain_brute};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -384,9 +385,9 @@ mod tests {
     fn q6_triangle_grid_is_certain_clique_db() {
         let db = q6_triangle_grid(3);
         assert_eq!(db.len(), 9);
-        assert!(is_clique_database(&examples::q6(), &db));
+        assert!(analyze(&examples::q6(), &db).is_clique_database);
         assert!(certain_brute(&examples::q6(), &db));
-        assert!(certain_by_matching(&examples::q6(), &db));
+        assert!(!analyze(&examples::q6(), &db).accepts);
     }
 
     #[test]
@@ -394,10 +395,10 @@ mod tests {
         for n in [2, 3, 4, 5] {
             let db = q6_certk_hard(n);
             let brute = certain_brute(&examples::q6(), &db);
-            let matching = certain_by_matching(&examples::q6(), &db);
+            let matching = !analyze(&examples::q6(), &db).accepts;
             // ¬matching must agree with brute force on these clique-ish
             // instances whenever they are clique databases.
-            if is_clique_database(&examples::q6(), &db) {
+            if analyze(&examples::q6(), &db).is_clique_database {
                 assert_eq!(brute, matching, "n = {n}");
             }
         }
@@ -413,8 +414,8 @@ mod tests {
                 cqa_solvers::certk(&q6, &db, cqa_solvers::CertKConfig::new(3)).is_certain(),
                 "Cert_3 derives this particular instance"
             );
-            assert!(is_clique_database(&q6, &db));
-            assert!(certain_by_matching(&q6, &db), "¬matching must decide it");
+            assert!(analyze(&q6, &db).is_clique_database);
+            assert!(!analyze(&q6, &db).accepts, "¬matching must decide it");
         }
     }
 

@@ -5,7 +5,8 @@
 //!
 //! Run with `cargo run --release -p cqa --example algorithm_comparison`.
 
-use cqa::solvers::{certain_brute, certain_by_matching, certain_combined, certk, CertKConfig};
+use cqa::solvers::matching::analyze;
+use cqa::solvers::{certain_brute, certain_combined, certk, CertKConfig};
 use cqa_query::examples;
 use cqa_workloads::{q6_cert2_breaker, q6_certk_hard, q6_triangle_grid};
 
@@ -34,7 +35,7 @@ fn main() {
     for (name, db) in &instances {
         let brute = certain_brute(&q6, db);
         let ck = certk(&q6, db, CertKConfig::new(2)).is_certain();
-        let matching = certain_by_matching(&q6, db);
+        let matching = !analyze(&q6, db).accepts;
         let combined = certain_combined(&q6, db, CertKConfig::new(2)).certain;
         println!(
             "{:<28} {:>6} {:>8} {:>8} {:>10} {:>10}",
